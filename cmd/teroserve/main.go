@@ -7,33 +7,28 @@
 // republishing on a virtual -refresh cadence while the observation period
 // runs, without ever taking the API down.
 //
-// With -replicas N it boots N identical server instances over one shared
-// immutable snapshot, each on its own port — the single-process stand-in
-// for a replicated fleet; -peers adds externally running replicas. With
-// -max-inflight / -shed-rate an admission gate sheds overload as 503 +
+// With -max-inflight / -shed-rate an admission gate sheds overload as 503 +
 // Retry-After instead of queueing into collapse.
 //
 // With -loadtest N it additionally hammers its own API with N concurrent
 // clients after the final publish and reports throughput and tail latency,
-// exiting non-zero if any request got a non-shed 5xx. -loadtest-binary
-// requests the binary representation; -loadtest-inproc dispatches straight
-// into the handler stack (measures the serving hot path, not the kernel's
-// loopback). With -bench-serve it runs the full serving benchmark suite
-// and emits machine-readable BENCHPOINT lines. -probe-binary URL checks a
-// running server's binary representation against its JSON float-for-float
-// and exits.
+// exiting non-zero if any request got a non-shed 5xx. -probe-binary URL
+// checks a running server's binary representation against its JSON
+// float-for-float and exits. Performance numbers come from the benchmark
+// in bench/ (see BENCHMARK.json), not from this command.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/url"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -48,104 +43,120 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	var (
-		addr      = flag.String("addr", "localhost:8080", "HTTP listen address (use :0 for an ephemeral port)")
-		seed      = flag.Int64("seed", 1, "world seed")
-		streamers = flag.Int("streamers", 150, "synthetic streamer population")
-		days      = flag.Int("days", 2, "observation days (virtual)")
-		workers   = flag.Int("downloaders", 4, "parallel downloaders")
-		conc      = flag.Int("concurrency", 0,
-			"pipeline and index-build worker parallelism (0 = GOMAXPROCS, 1 = serial)")
-		refresh = flag.Duration("refresh", 6*time.Hour,
-			"virtual time between index republishes while the observation runs")
-		minPoints = flag.Int("min-points", 1,
-			"minimum distribution size for a {location, game} to be served")
-		replicas = flag.Int("replicas", 1,
-			"server replicas over the shared snapshot (replica k listens on the -addr host, ephemeral port)")
-		peers = flag.String("peers", "",
-			"comma-separated base URLs of external replicas to include as load-test targets")
-		maxInflight = flag.Int("max-inflight", 0,
-			"admission control: max concurrent requests per replica (0 = unlimited)")
-		shedRate = flag.Float64("shed-rate", 0,
-			"admission control: sustained requests/second per replica (0 = unlimited)")
-		shedBurst = flag.Float64("shed-burst", 0,
-			"admission control: token-bucket burst (0 = one second at -shed-rate)")
-		loadtest = flag.Int("loadtest", 0,
-			"after the final publish, run a load test with this many concurrent clients and exit")
-		loadreqs    = flag.Int("loadtest-requests", 200, "load-test requests per client")
-		loadBinary  = flag.Bool("loadtest-binary", false, "load test requests the binary representation")
-		loadInproc  = flag.Bool("loadtest-inproc", false, "load test dispatches in-process (no TCP)")
-		benchServe  = flag.Bool("bench-serve", false, "run the serving benchmark suite and exit (emits BENCHPOINT lines)")
-		probeBinary = flag.String("probe-binary", "",
-			"probe a running server at this base URL: fetch one entry as JSON and binary, verify equality, exit")
-		logLevel = flag.String("log", "info",
-			"log level: trace, debug, info, warn, error, off")
-		faults = flag.Float64("faults", 0,
-			"platform fault-injection rate (0 = off, 1 = calibrated default mix)")
-		faultSeed = flag.Int64("fault-seed", 1, "fault-injection schedule seed")
-		debugAddr = flag.String("debug-addr", "",
-			"serve /metrics, /debug/pprof/ and /debug/traces on this address (e.g. localhost:6060 or :0)")
-		traceOn = flag.Bool("trace", false,
-			"record tail-sampled traces across pipeline and serve (inspect at /debug/traces)")
-		traceSample = flag.Int("trace-sample", 16,
-			"keep 1 in N unremarkable traces (errors and slowest-per-stage always kept)")
-		loadTrace = flag.Bool("loadtest-trace", false,
-			"load-test clients root a span per request and propagate traceparent (implies client/server trace joins)")
-		deltas = flag.Bool("deltas", false,
-			"streaming index: publish O(new readings) deltas into windowed sketches instead of full snapshot rebuilds")
-		windowDur = flag.Duration("window", time.Hour,
-			"streaming index: sliding-window width (virtual)")
-		windows = flag.Int("windows", serve.DefaultWindows,
-			"streaming index: windows retained per {location, game}")
-		anomalyThreshold = flag.Float64("anomaly-threshold", serve.DefaultAnomalyThresholdMs,
-			"streaming index: Wasserstein-1 ms distance (window vs trailing baseline) that flags an anomaly")
-		spikeGame = flag.String("spike-game", "",
-			"inject a shared-infrastructure latency event for this game slug (e.g. lol); empty = off")
-		spikeMs = flag.Float64("spike-ms", 150,
-			"extra latency during the injected event")
-		spikeAfter = flag.Duration("spike-after", 12*time.Hour,
-			"virtual time into the observation when the injected event starts")
-		spikeDuration = flag.Duration("spike-duration", 6*time.Hour,
-			"virtual duration of the injected event")
-		benchIngest = flag.Bool("bench-ingest", false,
-			"run the write-heavy ingest benchmark (full rebuilds vs streaming deltas under concurrent reads) and exit")
-		ingestDuty = flag.Float64("ingest-duty", 0.25,
-			"bench-ingest: publish wall-time budget as a fraction of elapsed wall time")
-		ingestPace = flag.Duration("ingest-pace", 0,
-			"bench-ingest: wall sleep per virtual tick (0 = drive as fast as the CPU allows)")
-		ingestClients = flag.Int("ingest-clients", 4,
-			"bench-ingest: concurrent read clients hammering the index during ingest")
-	)
-	flag.Parse()
+// options is the command's whole flag surface.
+type options struct {
+	addr        string
+	seed        int64
+	streamers   int
+	days        int
+	downloaders int
+	concurrency int
+	refresh     time.Duration
+	maxInflight int
+	shedRate    float64
+	shedBurst   float64
+	loadtest    int
+	loadreqs    int
+	probeBinary string
+	logLevel    string
+	faults      float64
+	faultSeed   int64
+	debugAddr   string
+	trace       bool
+	traceSample int
+	deltas      bool
+	spikeGame   string
+	spikeMs     float64
+	spikeAfter  time.Duration
+	spikeFor    time.Duration
+}
 
-	if lv, ok := obs.ParseLevel(*logLevel); ok {
-		obs.SetLogLevel(lv)
-	} else {
-		fmt.Fprintf(os.Stderr, "unknown -log level %q\n", *logLevel)
+// register declares every flag on fs.
+func (o *options) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.addr, "addr", "localhost:8080", "HTTP listen address (use :0 for an ephemeral port)")
+	fs.Int64Var(&o.seed, "seed", 1, "world seed")
+	fs.IntVar(&o.streamers, "streamers", 150, "synthetic streamer population")
+	fs.IntVar(&o.days, "days", 2, "observation days (virtual)")
+	fs.IntVar(&o.downloaders, "downloaders", 4, "parallel downloaders")
+	fs.IntVar(&o.concurrency, "concurrency", 0,
+		"pipeline and index-build worker parallelism (0 = GOMAXPROCS, 1 = serial)")
+	fs.DurationVar(&o.refresh, "refresh", 6*time.Hour,
+		"virtual time between index republishes while the observation runs")
+	fs.IntVar(&o.maxInflight, "max-inflight", 0,
+		"admission control: max concurrent requests (0 = unlimited)")
+	fs.Float64Var(&o.shedRate, "shed-rate", 0,
+		"admission control: sustained requests/second (0 = unlimited)")
+	fs.Float64Var(&o.shedBurst, "shed-burst", 0,
+		"admission control: token-bucket burst (0 = one second at -shed-rate)")
+	fs.IntVar(&o.loadtest, "loadtest", 0,
+		"after the final publish, run a load test with this many concurrent clients and exit")
+	fs.IntVar(&o.loadreqs, "loadtest-requests", 200, "load-test requests per client")
+	fs.StringVar(&o.probeBinary, "probe-binary", "",
+		"probe a running server at this base URL: fetch one entry as JSON and binary, verify equality, exit")
+	fs.StringVar(&o.logLevel, "log", "info",
+		"log level: trace, debug, info, warn, error, off")
+	fs.Float64Var(&o.faults, "faults", 0,
+		"platform fault-injection rate (0 = off, 1 = calibrated default mix)")
+	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "fault-injection schedule seed")
+	fs.StringVar(&o.debugAddr, "debug-addr", "",
+		"serve /metrics, /debug/pprof/ and /debug/traces on this address (e.g. localhost:6060 or :0)")
+	fs.BoolVar(&o.trace, "trace", false,
+		"record tail-sampled traces across pipeline, serve and -loadtest clients (inspect at /debug/traces)")
+	fs.IntVar(&o.traceSample, "trace-sample", 16,
+		"keep 1 in N unremarkable traces (errors and slowest-per-stage always kept)")
+	fs.BoolVar(&o.deltas, "deltas", false,
+		"streaming index: publish O(new readings) deltas into windowed sketches instead of full snapshot rebuilds")
+	fs.StringVar(&o.spikeGame, "spike-game", "",
+		"inject a shared-infrastructure latency event for this game slug (e.g. lol); empty = off")
+	fs.Float64Var(&o.spikeMs, "spike-ms", 150,
+		"extra latency during the injected event")
+	fs.DurationVar(&o.spikeAfter, "spike-after", 12*time.Hour,
+		"virtual time into the observation when the injected event starts")
+	fs.DurationVar(&o.spikeFor, "spike-duration", 6*time.Hour,
+		"virtual duration of the injected event")
+}
+
+// run is the whole command behind main: it parses args on its own flag
+// set, writes only to the given streams, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet("teroserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o.register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
 	}
 
-	if *probeBinary != "" {
-		return probeBinaryEquality(*probeBinary)
+	if lv, ok := obs.ParseLevel(o.logLevel); ok {
+		obs.SetLogLevel(lv)
+	} else {
+		fmt.Fprintf(stderr, "unknown -log level %q\n", o.logLevel)
+		return 2
 	}
 
-	if *traceOn || *loadTrace {
-		// Seeded with the world seed: serial runs replay identical trace IDs.
-		trace.Enable(uint64(*seed))
-		trace.SetSampleN(*traceSample)
+	if o.probeBinary != "" {
+		return probeBinaryEquality(o.probeBinary, stdout, stderr)
 	}
-	if *debugAddr != "" {
-		dbg, err := obs.ServeDebug(*debugAddr)
+
+	if o.trace {
+		// Seeded with the world seed: serial runs replay identical trace IDs.
+		trace.Enable(uint64(o.seed))
+		trace.SetSampleN(o.traceSample)
+	}
+	if o.debugAddr != "" {
+		dbg, err := obs.ServeDebug(o.debugAddr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "debug server: %v\n", err)
+			fmt.Fprintf(stderr, "debug server: %v\n", err)
 			return 1
 		}
 		defer dbg.ShutdownTimeout(5 * time.Second) //nolint:errcheck
-		fmt.Printf("debug server listening on http://%s (metrics at /metrics, traces at /debug/traces)\n",
+		fmt.Fprintf(stdout, "debug server listening on http://%s (metrics at /metrics, traces at /debug/traces)\n",
 			dbg.Addr)
 	}
 
@@ -154,78 +165,42 @@ func run() int {
 
 	// Serving side first: the API is up (reporting not-ready) before the
 	// pipeline produces anything, the way a real deployment rolls out.
-	// Every replica owns its own index and admission gate but swaps in the
-	// same immutable snapshot, so all replicas answer byte-identically.
-	nReplicas := *replicas
-	if nReplicas < 1 {
-		nReplicas = 1
+	ix := serve.NewIndex(0)
+	srv := serve.NewServer(ix)
+	if o.maxInflight > 0 || o.shedRate > 0 {
+		srv.SetAdmission(serve.NewAdmission(o.maxInflight, o.shedRate, o.shedBurst))
 	}
-	ixs := make([]*serve.Index, nReplicas)
-	srvs := make([]*serve.Server, nReplicas)
-	baseURLs := make([]string, nReplicas)
-	for i := range ixs {
-		ixs[i] = serve.NewIndex(0)
-		srvs[i] = serve.NewServer(ixs[i])
-		if *maxInflight > 0 || *shedRate > 0 {
-			srvs[i].SetAdmission(serve.NewAdmission(*maxInflight, *shedRate, *shedBurst))
-		}
-		la := *addr
-		if i > 0 {
-			host, _, err := net.SplitHostPort(*addr)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "split %s: %v\n", *addr, err)
-				return 1
-			}
-			la = net.JoinHostPort(host, "0")
-		}
-		ln, err := net.Listen("tcp", la)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "listen %s: %v\n", la, err)
-			return 1
-		}
-		httpSrv := &http.Server{Handler: srvs[i], ReadHeaderTimeout: 5 * time.Second}
-		go httpSrv.Serve(ln) //nolint:errcheck — Serve returns ErrServerClosed on Shutdown
-		baseURLs[i] = "http://" + ln.Addr().String()
-		defer func() {
-			sdCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			httpSrv.Shutdown(sdCtx) //nolint:errcheck
-		}()
+	ln, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		fmt.Fprintf(stderr, "listen %s: %v\n", o.addr, err)
+		return 1
 	}
-	baseURL := baseURLs[0]
-	if nReplicas > 1 {
-		fmt.Printf("teroserve listening at %s (not ready until first publish)\n",
-			strings.Join(baseURLs, " "))
-	} else {
-		fmt.Printf("teroserve listening at %s (not ready until first publish)\n", baseURL)
-	}
-
-	if *benchIngest {
-		return runBenchIngest(ctx, benchIngestOpts{
-			seed: *seed, streamers: *streamers, days: *days,
-			workers: *workers, conc: *conc, minPoints: *minPoints,
-			windowSec: int64(windowDur.Seconds()), windows: *windows,
-			anomalyThresholdMs: *anomalyThreshold,
-			duty:               *ingestDuty, pace: *ingestPace, clients: *ingestClients,
-		}, ixs[0], srvs[0])
-	}
+	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 5 * time.Second}
+	go httpSrv.Serve(ln) //nolint:errcheck — Serve returns ErrServerClosed on Shutdown
+	defer func() {
+		sdCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		httpSrv.Shutdown(sdCtx) //nolint:errcheck
+	}()
+	baseURL := "http://" + ln.Addr().String()
+	fmt.Fprintf(stdout, "teroserve listening at %s (not ready until first publish)\n", baseURL)
 
 	// Producer side: world, platform, pipeline — as in cmd/tero.
-	cfg := worldsim.DefaultConfig(*seed)
-	cfg.Streamers = *streamers
-	cfg.Days = *days
+	cfg := worldsim.DefaultConfig(o.seed)
+	cfg.Streamers = o.streamers
+	cfg.Days = o.days
 	cfg.LocatableFrac = 0.6
-	if *spikeGame != "" {
+	if o.spikeGame != "" {
 		cfg.SharedEvent = &worldsim.SharedEvent{
-			GameSlug: *spikeGame,
-			Start:    cfg.Start.Add(*spikeAfter),
-			Duration: *spikeDuration,
-			ExtraMs:  *spikeMs,
+			GameSlug: o.spikeGame,
+			Start:    cfg.Start.Add(o.spikeAfter),
+			Duration: o.spikeFor,
+			ExtraMs:  o.spikeMs,
 		}
-		fmt.Printf("shared event: +%.0f ms on %s, %s into the period for %s\n",
-			*spikeMs, *spikeGame, *spikeAfter, *spikeDuration)
+		fmt.Fprintf(stdout, "shared event: +%.0f ms on %s, %s into the period for %s\n",
+			o.spikeMs, o.spikeGame, o.spikeAfter, o.spikeFor)
 	}
-	fmt.Printf("generating world: %d streamers, %d days (seed %d)...\n",
+	fmt.Fprintf(stdout, "generating world: %d streamers, %d days (seed %d)...\n",
 		cfg.Streamers, cfg.Days, cfg.Seed)
 	world := worldsim.New(cfg)
 
@@ -234,24 +209,21 @@ func run() int {
 	// Spans carry both clocks: wall for real durations, virtual for where a
 	// reading sits in the simulated observation period.
 	trace.SetVirtualClock(platform.Now)
-	if *faults > 0 {
-		platform.SetFaults(twitchsim.ScaledFaults(*faultSeed, *faults))
-		fmt.Printf("fault injection on: rate %.2f, seed %d\n", *faults, *faultSeed)
+	if o.faults > 0 {
+		platform.SetFaults(twitchsim.ScaledFaults(o.faultSeed, o.faults))
+		fmt.Fprintf(stdout, "fault injection on: rate %.2f, seed %d\n", o.faults, o.faultSeed)
 	}
 
-	p := pipeline.New(platform.URL(), *workers)
-	p.Concurrency = *conc
+	p := pipeline.New(platform.URL(), o.downloaders)
+	p.Concurrency = o.concurrency
 	params := core.DefaultParams()
 	builder := serve.NewBuilder(params)
-	builder.MinPoints = *minPoints
-	builder.Concurrency = *conc
-	if *deltas {
-		builder.WindowSec = int64(windowDur.Seconds())
-		builder.Windows = *windows
-		builder.AnomalyThresholdMs = *anomalyThreshold
+	builder.Concurrency = o.concurrency
+	if o.deltas {
 		builder.EnableStreaming()
-		fmt.Printf("streaming index on: %s windows x %d, anomaly threshold %.0f ms\n",
-			*windowDur, *windows, *anomalyThreshold)
+		fmt.Fprintf(stdout, "streaming index on: %s windows x %d, anomaly threshold %.0f ms\n",
+			time.Duration(serve.DefaultWindowSec)*time.Second, serve.DefaultWindows,
+			float64(serve.DefaultAnomalyThresholdMs))
 	}
 
 	// Declared SLOs, evaluated after every publish (virtual cadence) and on
@@ -279,58 +251,47 @@ func run() int {
 			Windows: []time.Duration{5 * time.Minute, time.Hour},
 		},
 	)
-	for _, s := range srvs {
-		s.SetStatusReport(slos.Report)
-	}
+	srv.SetStatusReport(slos.Report)
 
 	var lastExtracted, lastLocated int
 	publish := func(force bool) {
 		p.ProcessThumbnails()
 		p.LocateStreamers(platform.Now())
 		now := platform.Now()
-		if *deltas {
+		if o.deltas {
 			// Streaming path: consume only the new readings, re-render only
 			// the dirty {location, game} entries, and when nothing at all
-			// changed skip the build and the N swaps entirely — the served
+			// changed skip the build and the swap entirely — the served
 			// snapshot is already exactly what a rebuild would produce.
 			n := p.PublishDeltaAt(builder, now)
-			if n == 0 && !force && ixs[0].Ready() {
+			if n == 0 && !force && ix.Ready() {
 				serve.MarkPublishSkipped()
 				return
 			}
 			snap, st := builder.BuildDelta()
-			entries := 0
-			for _, ix := range ixs {
-				entries = ix.Swap(snap)
-			}
+			entries := ix.Swap(snap)
 			slos.Evaluate()
-			fmt.Printf("  delta published: %d readings -> %d entries (%d rebuilt, %d reused, %d anomaly windows, version %d, %d replicas)\n",
-				n, entries, st.Rebuilt, st.Reused, st.Anomalies, ixs[0].Version(), nReplicas)
+			fmt.Fprintf(stdout, "  delta published: %d readings -> %d entries (%d rebuilt, %d reused, %d anomaly windows, version %d)\n",
+				n, entries, st.Rebuilt, st.Reused, st.Anomalies, ix.Version())
 			return
 		}
 		// Batch path keeps the same skip contract: a refresh tick that saw no
 		// new extractions or locations would rebuild a byte-identical
 		// snapshot, so don't.
-		if p.Extracted == lastExtracted && p.Located == lastLocated && !force && ixs[0].Ready() {
+		if p.Extracted == lastExtracted && p.Located == lastLocated && !force && ix.Ready() {
 			serve.MarkPublishSkipped()
 			return
 		}
 		lastExtracted, lastLocated = p.Extracted, p.Located
 		n := p.PublishAt(builder, params, now)
-		// One Build, N Swaps: the snapshot (and every pre-marshaled body
-		// inside it) is shared, immutable, and identical across replicas.
-		snap := builder.Build()
-		entries := 0
-		for _, ix := range ixs {
-			entries = ix.Swap(snap)
-		}
+		entries := ix.Swap(builder.Build())
 		slos.Evaluate()
-		fmt.Printf("  published: %d analyses -> %d servable {location, game} entries (version %d, %d replicas)\n",
-			n, entries, ixs[0].Version(), nReplicas)
+		fmt.Fprintf(stdout, "  published: %d analyses -> %d servable {location, game} entries (version %d)\n",
+			n, entries, ix.Version())
 	}
 
 	tickEvery := 2 * time.Minute
-	refreshTicks := int(*refresh / tickEvery)
+	refreshTicks := int(o.refresh / tickEvery)
 	if refreshTicks < 1 {
 		refreshTicks = 1
 	}
@@ -341,7 +302,7 @@ func run() int {
 		if err := p.Tick(platform.Now(), i%3 == 0); err != nil {
 			tickErrs++
 			if tickErrs <= 5 {
-				fmt.Fprintf(os.Stderr, "pipeline: tick %d degraded: %v\n", i, err)
+				fmt.Fprintf(stderr, "pipeline: tick %d degraded: %v\n", i, err)
 			}
 		}
 		if i%200 == 0 {
@@ -356,61 +317,42 @@ func run() int {
 		platform.Advance(tickEvery)
 	}
 	publish(true)
-	fmt.Printf("pipeline done in %s (%d measurements, %d located, %d degraded ticks)\n",
+	fmt.Fprintf(stdout, "pipeline done in %s (%d measurements, %d located, %d degraded ticks)\n",
 		time.Since(start).Round(time.Millisecond), p.Extracted, p.Located, tickErrs)
 
-	if cat := ixs[0].Catalog(); cat != nil && len(cat.Locations) > 0 {
+	if cat := ix.Catalog(); cat != nil && len(cat.Locations) > 0 {
 		l := cat.Locations[0]
 		v := url.Values{}
 		v.Set("location", l.Location.Key)
 		v.Set("game", l.Games[0])
-		fmt.Printf("sample query: %s/v1/latency?%s\n", baseURL, v.Encode())
+		fmt.Fprintf(stdout, "sample query: %s/v1/latency?%s\n", baseURL, v.Encode())
 	} else {
-		fmt.Println("warning: no servable entries (increase -streamers or -days)")
+		fmt.Fprintln(stdout, "warning: no servable entries (increase -streamers or -days)")
 	}
 
-	if *benchServe {
-		return runBenchSuite(ctx, srvs, baseURLs)
-	}
-
-	if *loadtest > 0 {
+	if o.loadtest > 0 {
 		lg := &serve.LoadGen{
-			Clients:           *loadtest,
-			RequestsPerClient: *loadreqs,
-			Binary:            *loadBinary,
-			Trace:             *loadTrace,
-		}
-		if *loadInproc {
-			for _, s := range srvs {
-				lg.Handlers = append(lg.Handlers, s)
-			}
-		} else {
-			lg.BaseURL = baseURL
-			lg.BaseURLs = baseURLs[1:]
-			if *peers != "" {
-				for _, u := range strings.Split(*peers, ",") {
-					if u = strings.TrimSpace(u); u != "" {
-						lg.BaseURLs = append(lg.BaseURLs, u)
-					}
-				}
-			}
+			BaseURL:           baseURL,
+			Clients:           o.loadtest,
+			RequestsPerClient: o.loadreqs,
+			Trace:             o.trace,
 		}
 		rep, err := lg.Run(ctx)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadtest: %v\n", err)
+			fmt.Fprintf(stderr, "loadtest: %v\n", err)
 			return 1
 		}
-		fmt.Printf("loadtest:\n%s\n", rep)
+		fmt.Fprintf(stdout, "loadtest:\n%s\n", rep)
 		// Sheds are admission control doing its job, not failures; only
 		// genuine 5xx (or the transport falling over) fails the run.
 		if rep.ServerErrors > 0 {
-			fmt.Fprintf(os.Stderr, "loadtest: %d server errors\n", rep.ServerErrors)
+			fmt.Fprintf(stderr, "loadtest: %d server errors\n", rep.ServerErrors)
 			return 1
 		}
 		return 0
 	}
 
-	fmt.Println("serving (Ctrl-C to stop)...")
+	fmt.Fprintln(stdout, "serving (Ctrl-C to stop)...")
 	// While serving, keep the wall-window burn rates moving even with no
 	// publishes happening (the availability SLO windows are wall time).
 	sloTick := time.NewTicker(15 * time.Second)
@@ -420,7 +362,7 @@ func run() int {
 		case <-sloTick.C:
 			slos.Evaluate()
 		case <-ctx.Done():
-			fmt.Println("shutting down")
+			fmt.Fprintln(stdout, "shutting down")
 			return 0
 		}
 	}

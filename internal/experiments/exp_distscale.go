@@ -68,7 +68,7 @@ func distTicks(o Options) int {
 // byte for byte. The largest fleet runs once more with one worker killed
 // mid-run to prove the coordinator's reap path restores exactness. Wall
 // times and per-worker balance are reported; DISTBENCH lines on stdout
-// feed scripts/bench_dist.sh.
+// repeat each leg as one JSON object.
 func runDistScale(o Options) ([]*Table, error) {
 	o.Faults = 0 // fault injection has its own experiment; isolate scaling
 	fleets := o.DistFleets

@@ -21,8 +21,8 @@ func benchImage(w, h int) *Gray {
 var benchSizes = []struct{ w, h int }{{160, 48}, {640, 360}}
 
 // The per-kernel packed-vs-scalar microbenchmarks. Each pair runs the scalar
-// reference and the word-wise kernel on the same input so the ratio in
-// BENCH_pr5.json is directly the packing speedup.
+// reference and the word-wise kernel on the same input so the ratio of
+// the two ns/op figures is directly the packing speedup.
 
 func BenchmarkThreshold(b *testing.B) {
 	for _, sz := range benchSizes {

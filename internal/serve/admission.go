@@ -2,7 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,7 +24,6 @@ import (
 type Admission struct {
 	maxInFlight atomic.Int64 // 0 = unlimited
 	inFlight    atomic.Int64
-	retrySecs   atomic.Int64 // Retry-After header value, seconds
 
 	mu     sync.Mutex // guards the token bucket
 	rate   float64    // tokens per second; 0 = unlimited
@@ -41,7 +39,6 @@ var gInFlight = obs.G("serve_inflight_requests")
 // second burst allowance).
 func NewAdmission(maxInFlight int, rate, burst float64) *Admission {
 	a := &Admission{}
-	a.retrySecs.Store(1)
 	a.SetLimits(maxInFlight, rate, burst)
 	return a
 }
@@ -61,21 +58,8 @@ func (a *Admission) SetLimits(maxInFlight int, rate, burst float64) {
 	a.mu.Unlock()
 }
 
-// SetRetryAfter changes the Retry-After value (whole seconds, >= 1).
-func (a *Admission) SetRetryAfter(secs int) {
-	if secs < 1 {
-		secs = 1
-	}
-	a.retrySecs.Store(int64(secs))
-}
-
 // InFlight returns the number of currently admitted requests.
 func (a *Admission) InFlight() int { return int(a.inFlight.Load()) }
-
-// RetryAfter returns the Retry-After header value.
-func (a *Admission) RetryAfter() string {
-	return strconv.FormatInt(a.retrySecs.Load(), 10)
-}
 
 // Admit tries to take one admission slot. On success it returns a non-nil
 // release func the caller must invoke when the request finishes. On
@@ -134,9 +118,12 @@ func admissionExempt(path string) bool {
 	return false
 }
 
+// retryAfterSecs is the Retry-After value of every shed, whole seconds.
+const retryAfterSecs = "1"
+
 // shed writes the 503 + Retry-After overload response and counts it.
-func shed(w http.ResponseWriter, route, retryAfter string) {
+func shed(w http.ResponseWriter, route string) {
 	handlesFor(route).shed.Inc()
-	w.Header().Set("Retry-After", retryAfter)
-	writeError(w, http.StatusServiceUnavailable, "overloaded, retry after %ss", retryAfter)
+	w.Header().Set("Retry-After", retryAfterSecs)
+	writeError(w, http.StatusServiceUnavailable, "overloaded, retry after %ss", retryAfterSecs)
 }

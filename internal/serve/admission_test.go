@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -140,8 +141,10 @@ func TestLoadGenCountsSheds(t *testing.T) {
 	s := testServer(t)
 	s.SetAdmission(NewAdmission(0, 1000, 1)) // ~everything past the bucket sheds
 
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
 	lg := &LoadGen{
-		Handlers:          []http.Handler{s},
+		BaseURL:           ts.URL,
 		Clients:           8,
 		RequestsPerClient: 40,
 		ShedBackoffCap:    1, // 1ns: keep the test fast

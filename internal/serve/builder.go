@@ -38,7 +38,7 @@ var (
 )
 
 // MarkPublishSkipped counts a refresh tick that skipped the rebuild (and
-// all replica swaps) because nothing new arrived since the last publish.
+// the swap) because nothing new arrived since the last publish.
 func MarkPublishSkipped() { mPublishSkipped.Inc() }
 
 // Builder accumulates producer output and builds immutable Snapshots for
@@ -123,13 +123,6 @@ func (b *Builder) enableStreamingLocked() {
 	}
 }
 
-// Streaming reports whether the builder is in streaming mode.
-func (b *Builder) Streaming() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.streaming
-}
-
 func (b *Builder) windowSec() int64 {
 	if b.WindowSec > 0 {
 		return b.WindowSec
@@ -178,14 +171,6 @@ func (b *Builder) ObserveReading(streamer string, loc geo.Location, game string,
 	}
 	g.dirty = true
 	return true
-}
-
-// Groups returns the number of {location, game} groups in the streaming
-// index.
-func (b *Builder) Groups() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.groups)
 }
 
 // Add appends analyses to the builder's input set (batch mode). Nil

@@ -74,14 +74,6 @@ func (c *lruCache) add(key string, body []byte, etag string) {
 	}
 }
 
-// purge drops everything.
-func (c *lruCache) purge() {
-	c.mu.Lock()
-	c.ll.Init()
-	c.items = make(map[string]*list.Element, c.cap)
-	c.mu.Unlock()
-}
-
 // len returns the current entry count.
 func (c *lruCache) len() int {
 	c.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -161,6 +162,17 @@ func TestBinaryNegotiation(t *testing.T) {
 	if wMiss.Code != http.StatusOK {
 		t.Errorf("JSON tag against binary representation: status %d, want 200", wMiss.Code)
 	}
+
+	// The route negotiates on Accept, so every 200 and 304 of it — either
+	// representation — must say so to any cache between client and server.
+	w304JSON := do(t, s, path, "If-None-Match", jsonTag)
+	for name, w := range map[string]*httptest.ResponseRecorder{
+		"JSON 200": wJSON, "binary 200": wBin, "JSON 304": w304JSON, "binary 304": w304,
+	} {
+		if v := w.Header().Get("Vary"); v != "Accept" {
+			t.Errorf("%s: Vary = %q, want %q", name, v, "Accept")
+		}
+	}
 }
 
 // TestBinaryWireSizeRealistic: for realistic latency data — floats that
@@ -213,7 +225,7 @@ func TestPreMarshaledBodiesMatchHandler(t *testing.T) {
 	}
 	// And through the HTTP layer.
 	w := do(t, s, "/v1/latency?location="+milanKey+"&game=Fortnite")
-	e, ok := s.Index().Get(milanKey + "::fortnite")
+	e, ok := s.ix.Get(milanKey + "::fortnite")
 	if !ok {
 		t.Fatal("fixture entry missing")
 	}

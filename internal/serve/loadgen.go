@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -18,37 +17,21 @@ import (
 	"tero/internal/stats"
 )
 
-// LoadGen hammers a running latency service with concurrent clients, the
-// way the bench trajectory measures the producer side: it discovers the
-// served {location, game} pairs from /v1/locations, then each client
-// round-robins latency queries (with periodic If-None-Match revalidations)
-// and pair comparisons, recording per-request latency.
-//
-// Multi-target: with several BaseURLs (replicas or -peers processes) the
-// generator routes each {location, game} pair to a fixed backend through a
-// consistent-hash ring (64 virtual slots per target), keeps one connection
-// pool per backend, and tallies per-target stats so the report shows how
-// evenly the keyspace spread.
-//
-// In-process mode: with Handlers set, requests are dispatched straight
-// into the http.Handler stack instead of over TCP. That measures the
-// serving hot path itself — on a one-core container the kernel socket
-// round-trip otherwise dominates and both sides fight for the same CPU.
-// Reports from the two modes are labeled by Mode; compare like with like.
+// LoadGen hammers a running latency service over TCP with concurrent
+// clients: it discovers the served {location, game} pairs from
+// /v1/locations, then each client round-robins latency queries (with
+// periodic If-None-Match revalidations) and pair comparisons, recording
+// per-request latency. It is the smoke-test client (teroserve -loadtest,
+// scripts/check.sh); the measured trajectory lives in bench/.
 //
 // Overload: a 503 carrying Retry-After is a *shed*, not a failure — the
 // server is applying admission control. Sheds are counted separately from
 // server errors, the client honors the advertised backoff (capped at
-// ShedBackoffCap so a sweep past the knee still measures), and the run
-// keeps going, which is what makes brownout curves measurable at all.
+// ShedBackoffCap so a run against a gated server still finishes), and the
+// run keeps going.
 type LoadGen struct {
 	// BaseURL is the service root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// BaseURLs adds further targets (after BaseURL, when both are set).
-	BaseURLs []string
-	// Handlers, when non-empty, dispatches in-process instead of over TCP.
-	// Must align 1:1 with the effective target list (or stand alone).
-	Handlers []http.Handler
 	// Clients is the number of concurrent clients (default 32).
 	Clients int
 	// RequestsPerClient is each client's request budget (default 200).
@@ -59,26 +42,15 @@ type LoadGen struct {
 	// CompareEvery makes every k-th request a /v1/compare of two adjacent
 	// pairs (default 8; 0 disables).
 	CompareEvery int
-	// Binary requests the compact binary representation for latency
-	// queries (Accept: application/x-tero-bin).
-	Binary bool
 	// ShedBackoffCap bounds how long a client honors a shed's Retry-After
 	// (default 25ms). The header advertises whole seconds; sleeping the
-	// full second per shed would make an overload sweep mostly measure
+	// full second per shed would make an overloaded run mostly measure
 	// sleeping.
 	ShedBackoffCap time.Duration
 	// Trace roots a client span per request and propagates it via the
 	// traceparent header, so the server half of each request joins the
 	// client's trace (no-op while tracing is disabled).
 	Trace bool
-}
-
-// TargetReport is one backend's share of a run.
-type TargetReport struct {
-	URL      string
-	Requests int
-	Shed     int
-	Errors   int // 5xx + transport errors
 }
 
 // LoadReport is the outcome of one LoadGen run.
@@ -91,64 +63,21 @@ type LoadReport struct {
 	ServerErrors  int // 5xx other than sheds
 	Shed          int // 503 + Retry-After: admission control, not failure
 	TransportErrs int
-	BodyBytes     int64 // total 200-response body bytes
 	Elapsed       time.Duration
 	Throughput    float64 // requests per second
 	P50Ms         float64 // of non-shed responses
 	P99Ms         float64
 	MaxMs         float64
-	Targets       []TargetReport
-	// Mixed, when set, describes the concurrent write side of a mixed
-	// read/write run (the -bench-ingest driver fills it in): the report
-	// then carries both halves of the workload in one block.
-	Mixed *MixedReport
-}
-
-// MixedReport is the write-side summary of a mixed read/write load run:
-// ingest rate into the streaming index and the resulting ingest-to-
-// queryable freshness percentiles (virtual seconds).
-type MixedReport struct {
-	DeltasPerSec   float64 // readings ingested per wall second
-	FreshnessP50S  float64
-	FreshnessP99S  float64
-	PublishP50Ms   float64 // publish (build+swap) wall latency
-	PublishP99Ms   float64
-	PublishSkipped int // publishes withheld by the duty-cycle budget
-}
-
-// ErrorRate is the shed+error fraction of all requests.
-func (r LoadReport) ErrorRate() float64 {
-	if r.Requests == 0 {
-		return 0
-	}
-	return float64(r.Shed+r.ServerErrors+r.TransportErrs) / float64(r.Requests)
 }
 
 // String renders the report as one aligned block.
 func (r LoadReport) String() string {
-	s := fmt.Sprintf(
+	return fmt.Sprintf(
 		"clients %d  requests %d  ok %d  304 %d  4xx %d  5xx %d  shed %d  transport-errors %d\n"+
 			"elapsed %s  throughput %.0f req/s  p50 %.2f ms  p99 %.2f ms  max %.2f ms",
 		r.Clients, r.Requests, r.OK, r.NotModified, r.ClientErrors,
 		r.ServerErrors, r.Shed, r.TransportErrs, r.Elapsed.Round(time.Millisecond),
 		r.Throughput, r.P50Ms, r.P99Ms, r.MaxMs)
-	if len(r.Targets) > 1 {
-		var sb strings.Builder
-		sb.WriteString(s)
-		sb.WriteString("\nbalance:")
-		for _, t := range r.Targets {
-			fmt.Fprintf(&sb, "  %s=%d", t.URL, t.Requests)
-		}
-		s = sb.String()
-	}
-	if m := r.Mixed; m != nil {
-		s += fmt.Sprintf(
-			"\nmixed: reads %.0f/s  deltas %.0f/s  freshness p50 %.0fs p99 %.0fs (virtual)"+
-				"  publish p50 %.2f ms p99 %.2f ms  skipped %d",
-			r.Throughput, m.DeltasPerSec, m.FreshnessP50S, m.FreshnessP99S,
-			m.PublishP50Ms, m.PublishP99Ms, m.PublishSkipped)
-	}
-	return s
 }
 
 // target is one queryable {location, game} pair.
@@ -156,141 +85,43 @@ type target struct {
 	locKey, game string
 }
 
-// backend is one serving target: a URL plus either a TCP connection pool
-// or an in-process handler.
-type backend struct {
-	url       string
-	h         http.Handler // nil => TCP
-	client    *http.Client
-	transport *http.Transport
-}
-
-// memWriter is the in-process ResponseWriter: it counts body bytes and
-// optionally captures them (discovery needs content; the measuring loop
-// only needs the length). One per client, reused across requests.
-type memWriter struct {
-	hdr     http.Header
-	code    int
-	n       int64
-	capture bool
-	buf     []byte
-}
-
-func (w *memWriter) reset(capture bool) {
-	w.hdr = make(http.Header, 4)
-	w.code = http.StatusOK
-	w.n = 0
-	w.capture = capture
-	w.buf = w.buf[:0]
-}
-
-func (w *memWriter) Header() http.Header  { return w.hdr }
-func (w *memWriter) WriteHeader(code int) { w.code = code }
-func (w *memWriter) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
-	if w.capture {
-		w.buf = append(w.buf, p...)
-	}
-	return len(p), nil
-}
-
-// backends resolves the effective target list.
-func (lg *LoadGen) backends() ([]*backend, error) {
-	urls := make([]string, 0, 1+len(lg.BaseURLs))
-	if lg.BaseURL != "" {
-		urls = append(urls, lg.BaseURL)
-	}
-	urls = append(urls, lg.BaseURLs...)
-	if len(lg.Handlers) > 0 {
-		if len(urls) == 0 {
-			for i := range lg.Handlers {
-				urls = append(urls, fmt.Sprintf("inproc://%d", i))
-			}
-		} else if len(urls) != len(lg.Handlers) {
-			return nil, fmt.Errorf("serve: loadgen: %d handlers for %d target URLs",
-				len(lg.Handlers), len(urls))
-		}
-	}
-	if len(urls) == 0 {
-		return nil, fmt.Errorf("serve: loadgen: no targets (set BaseURL, BaseURLs or Handlers)")
-	}
-	clients := lg.Clients
-	if clients <= 0 {
-		clients = 32
-	}
-	bs := make([]*backend, len(urls))
-	for i, u := range urls {
-		b := &backend{url: u}
-		if len(lg.Handlers) > 0 {
-			b.h = lg.Handlers[i]
-		} else {
-			b.transport = &http.Transport{
-				MaxIdleConns:        clients * 2,
-				MaxIdleConnsPerHost: clients * 2,
-			}
-			b.client = &http.Client{Transport: b.transport, Timeout: 30 * time.Second}
-		}
-		bs[i] = b
-	}
-	return bs, nil
-}
-
-// getOnce performs one GET against a backend. For TCP backends the body is
-// drained (and optionally captured); for in-process backends mw is used.
-func getOnce(ctx context.Context, b *backend, u *url.URL, hdr http.Header,
-	mw *memWriter, capture bool) (status int, respHdr http.Header, n int64, body []byte, err error) {
-	if b.h != nil {
-		mw.reset(capture)
-		req := &http.Request{
-			Method: http.MethodGet, URL: u,
-			Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-			Header: hdr, Host: u.Host, RequestURI: u.RequestURI(),
-		}
-		b.h.ServeHTTP(mw, req.WithContext(ctx))
-		return mw.code, mw.hdr, mw.n, mw.buf, nil
-	}
+// get performs one GET and drains the body, capturing it only when asked.
+func get(ctx context.Context, client *http.Client, u *url.URL, hdr http.Header,
+	capture bool) (status int, respHdr http.Header, body []byte, err error) {
 	req := (&http.Request{
 		Method: http.MethodGet, URL: u,
 		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
 		Header: hdr, Host: u.Host,
 	}).WithContext(ctx)
-	resp, err := b.client.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
-		return 0, nil, 0, nil, err
+		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
 	if capture {
 		body, err = io.ReadAll(resp.Body)
-		return resp.StatusCode, resp.Header, int64(len(body)), body, err
+	} else {
+		_, err = io.Copy(io.Discard, resp.Body)
 	}
-	n, err = io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, resp.Header, n, nil, err
+	return resp.StatusCode, resp.Header, body, err
 }
 
-// emptyHeader is shared by requests that set nothing; handlers and the
-// transport only read it.
+// emptyHeader is shared by requests that set nothing; the transport only
+// reads it.
 var emptyHeader = http.Header{}
 
-// binaryHeader asks for the binary representation; read-only like above.
-var binaryHeader = http.Header{"Accept": {ContentTypeBinary}}
-
-// discoverTargets reads /v1/locations from the first backend and flattens
-// it into pairs, retrying briefly through shed responses so a run can
-// start against a gated server.
-func (lg *LoadGen) discoverTargets(ctx context.Context, b *backend) ([]target, error) {
-	u, err := url.Parse(b.url + "/v1/locations")
-	if err != nil {
-		return nil, fmt.Errorf("serve: loadgen discover: %w", err)
-	}
-	var mw memWriter
+// discoverTargets reads /v1/locations and flattens it into pairs, retrying
+// briefly through shed responses so a run can start against a gated server.
+func discoverTargets(ctx context.Context, client *http.Client, base *url.URL) ([]target, error) {
+	u := at(base, "/v1/locations", nil)
 	var body []byte
 	for attempt := 0; ; attempt++ {
-		status, _, _, got, err := getOnce(ctx, b, u, emptyHeader, &mw, true)
+		status, _, got, err := get(ctx, client, u, emptyHeader, true)
 		if err != nil {
 			return nil, fmt.Errorf("serve: loadgen discover: %w", err)
 		}
 		if status == http.StatusOK {
-			body = append([]byte(nil), got...)
+			body = got
 			break
 		}
 		if status == http.StatusServiceUnavailable && attempt < 5 {
@@ -306,7 +137,7 @@ func (lg *LoadGen) discoverTargets(ctx context.Context, b *backend) ([]target, e
 	var listing struct {
 		Locations []LocationSummary `json:"locations"`
 	}
-	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&listing); err != nil {
+	if err := json.Unmarshal(body, &listing); err != nil {
 		return nil, fmt.Errorf("serve: loadgen discover: %w", err)
 	}
 	var out []target
@@ -321,63 +152,38 @@ func (lg *LoadGen) discoverTargets(ctx context.Context, b *backend) ([]target, e
 	return out, nil
 }
 
-// latencyQuery builds the query string for a target.
-func latencyQuery(t target) string {
-	v := url.Values{}
-	v.Set("location", t.locKey)
-	v.Set("game", t.game)
-	return "/v1/latency?" + v.Encode()
-}
-
-// compareQuery builds the comparison query string for two targets.
-func compareQuery(a, b target) string {
-	v := url.Values{}
-	v.Set("a", a.locKey+"::"+a.game)
-	v.Set("b", b.locKey+"::"+b.game)
-	return "/v1/compare?" + v.Encode()
-}
-
-// prePair is one pair's precomputed request state: its ring-assigned
-// backend and pre-parsed URLs, so the measuring loop never builds or
-// parses a URL.
+// prePair is one pair's pre-built URLs, so the request loop never builds
+// or parses a URL.
 type prePair struct {
-	backend int
-	latURL  *url.URL
-	cmpURL  *url.URL // compare against the next pair (nil when single pair)
+	latURL *url.URL
+	cmpURL *url.URL // compare against the next pair (nil when single pair)
 }
 
-// prepare assigns every pair to its ring owner and pre-parses the URLs.
-func prepare(pairs []target, ring *hashRing, backends []*backend) ([]prePair, error) {
+// at returns the service root's URL for an API path and query.
+func at(base *url.URL, path string, q url.Values) *url.URL {
+	u := *base
+	u.Path, u.RawQuery = path, q.Encode()
+	return &u
+}
+
+// prepare builds every pair's latency and compare URLs under base.
+func prepare(base *url.URL, pairs []target) []prePair {
 	out := make([]prePair, len(pairs))
 	for i, t := range pairs {
-		bi := ring.owner(t.locKey + "::" + t.game)
-		lat, err := url.Parse(backends[bi].url + latencyQuery(t))
-		if err != nil {
-			return nil, fmt.Errorf("serve: loadgen: %w", err)
-		}
-		out[i] = prePair{backend: bi, latURL: lat}
+		out[i].latURL = at(base, "/v1/latency", url.Values{"location": {t.locKey}, "game": {t.game}})
 		if len(pairs) > 1 {
-			cmp, err := url.Parse(backends[bi].url + compareQuery(t, pairs[(i+1)%len(pairs)]))
-			if err != nil {
-				return nil, fmt.Errorf("serve: loadgen: %w", err)
-			}
-			out[i].cmpURL = cmp
+			n := pairs[(i+1)%len(pairs)]
+			out[i].cmpURL = at(base, "/v1/compare", url.Values{
+				"a": {t.locKey + "::" + t.game}, "b": {n.locKey + "::" + n.game}})
 		}
 	}
-	return out, nil
-}
-
-// targetTally is one client's per-backend counts.
-type targetTally struct {
-	requests, shed, errors int
+	return out
 }
 
 // clientStats is one client's tally, merged after the run.
 type clientStats struct {
 	requests, ok, notModified, clientErrs, serverErrs, shed, transportErrs int
-	bodyBytes                                                              int64
 	durations                                                              []float64 // ms
-	perTarget                                                              []targetTally
 }
 
 // retryAfterDelay parses a Retry-After header (delta-seconds form) into a
@@ -398,6 +204,10 @@ func retryAfterDelay(header string, cap time.Duration) time.Duration {
 // error only when the run could not start (discovery failed); request
 // failures are counted, not fatal.
 func (lg *LoadGen) Run(ctx context.Context) (LoadReport, error) {
+	base, err := url.Parse(lg.BaseURL)
+	if err != nil {
+		return LoadReport{}, fmt.Errorf("serve: loadgen: BaseURL: %w", err)
+	}
 	clients := lg.Clients
 	if clients <= 0 {
 		clients = 32
@@ -419,31 +229,18 @@ func (lg *LoadGen) Run(ctx context.Context) (LoadReport, error) {
 		backoffCap = 25 * time.Millisecond
 	}
 
-	backends, err := lg.backends()
-	if err != nil {
-		return LoadReport{}, err
+	transport := &http.Transport{
+		MaxIdleConns:        clients * 2,
+		MaxIdleConnsPerHost: clients * 2,
 	}
-	defer func() {
-		for _, b := range backends {
-			if b.transport != nil {
-				b.transport.CloseIdleConnections()
-			}
-		}
-	}()
+	defer transport.CloseIdleConnections()
+	client := &http.Client{Transport: transport, Timeout: 30 * time.Second}
 
-	pairs, err := lg.discoverTargets(ctx, backends[0])
+	pairs, err := discoverTargets(ctx, client, base)
 	if err != nil {
 		return LoadReport{}, err
 	}
-	pre, err := prepare(pairs, newHashRing(len(backends)), backends)
-	if err != nil {
-		return LoadReport{}, err
-	}
-
-	latencyHdr := emptyHeader
-	if lg.Binary {
-		latencyHdr = binaryHeader
-	}
+	pre := prepare(base, pairs)
 
 	tallies := make([]clientStats, clients)
 	start := time.Now()
@@ -454,60 +251,45 @@ func (lg *LoadGen) Run(ctx context.Context) (LoadReport, error) {
 			defer wg.Done()
 			cs := &tallies[c]
 			cs.durations = make([]float64, 0, perClient)
-			cs.perTarget = make([]targetTally, len(backends))
 			etags := make([]string, len(pairs)) // last seen latency ETag per pair
-			var mw memWriter
 			for i := 0; i < perClient; i++ {
 				if ctx.Err() != nil {
 					return
 				}
 				pi := (c + i) % len(pairs)
 				p := &pre[pi]
-				u, hdr := p.latURL, latencyHdr
+				u, hdr := p.latURL, emptyHeader
 				isLatency := true
 				if compare > 0 && i%compare == compare-1 && p.cmpURL != nil {
-					u, hdr, isLatency = p.cmpURL, emptyHeader, false
+					u, isLatency = p.cmpURL, false
 				} else if revalidate > 0 && i%revalidate == revalidate-1 && etags[pi] != "" {
-					h := make(http.Header, 2)
-					if lg.Binary {
-						h.Set("Accept", ContentTypeBinary)
-					}
-					h.Set("If-None-Match", etags[pi])
-					hdr = h
+					hdr = http.Header{"If-None-Match": {etags[pi]}}
 				}
 				cs.requests++
-				tt := &cs.perTarget[p.backend]
-				tt.requests++
-				b := backends[p.backend]
 				var tsp *trace.Span
 				if lg.Trace {
 					tsp = trace.StartTrace("loadgen.request",
 						trace.A("client", strconv.Itoa(c)), trace.A("path", u.Path))
 					if tp := trace.Traceparent(tsp.Context()); tp != "" {
-						// The shared header values are read-only; clone
-						// before injecting the per-request traceparent.
-						h2 := make(http.Header, len(hdr)+1)
-						for k, v := range hdr {
-							h2[k] = v
-						}
-						h2.Set(trace.TraceparentHeader, tp)
-						hdr = h2
+						// emptyHeader is shared and read-only; clone before
+						// injecting the per-request traceparent.
+						hdr = hdr.Clone()
+						hdr.Set(trace.TraceparentHeader, tp)
 					}
 				}
 				reqStart := time.Now()
-				status, respHdr, n, _, err := getOnce(ctx, b, u, hdr, &mw, false)
+				status, respHdr, _, err := get(ctx, client, u, hdr, false)
 				if err != nil {
 					cs.transportErrs++
-					tt.errors++
 					tsp.SetError(err.Error())
 					tsp.End()
 					continue
 				}
 				dur := float64(time.Since(reqStart)) / float64(time.Millisecond)
+				isShed := status == http.StatusServiceUnavailable && respHdr.Get("Retry-After") != ""
 				if tsp != nil {
 					tsp.SetAttr("status", strconv.Itoa(status))
-					if status >= 500 && !(status == http.StatusServiceUnavailable &&
-						respHdr.Get("Retry-After") != "") {
+					if status >= 500 && !isShed {
 						tsp.SetError(http.StatusText(status))
 					}
 					tsp.End()
@@ -515,7 +297,6 @@ func (lg *LoadGen) Run(ctx context.Context) (LoadReport, error) {
 				switch {
 				case status == http.StatusOK:
 					cs.ok++
-					cs.bodyBytes += n
 					cs.durations = append(cs.durations, dur)
 					if isLatency {
 						if et := respHdr.Get("ETag"); et != "" {
@@ -525,12 +306,11 @@ func (lg *LoadGen) Run(ctx context.Context) (LoadReport, error) {
 				case status == http.StatusNotModified:
 					cs.notModified++
 					cs.durations = append(cs.durations, dur)
-				case status == http.StatusServiceUnavailable && respHdr.Get("Retry-After") != "":
+				case isShed:
 					// Admission control shed: honor the (capped) backoff
 					// and keep going — overload is a measured regime, not
 					// a run-ending failure.
 					cs.shed++
-					tt.shed++
 					select {
 					case <-time.After(retryAfterDelay(respHdr.Get("Retry-After"), backoffCap)):
 					case <-ctx.Done():
@@ -538,7 +318,6 @@ func (lg *LoadGen) Run(ctx context.Context) (LoadReport, error) {
 					}
 				case status >= 500:
 					cs.serverErrs++
-					tt.errors++
 					cs.durations = append(cs.durations, dur)
 				case status >= 400:
 					cs.clientErrs++
@@ -551,10 +330,6 @@ func (lg *LoadGen) Run(ctx context.Context) (LoadReport, error) {
 	elapsed := time.Since(start)
 
 	rep := LoadReport{Clients: clients, Elapsed: elapsed}
-	rep.Targets = make([]TargetReport, len(backends))
-	for i, b := range backends {
-		rep.Targets[i].URL = b.url
-	}
 	var all []float64
 	for i := range tallies {
 		cs := &tallies[i]
@@ -565,12 +340,6 @@ func (lg *LoadGen) Run(ctx context.Context) (LoadReport, error) {
 		rep.ServerErrors += cs.serverErrs
 		rep.Shed += cs.shed
 		rep.TransportErrs += cs.transportErrs
-		rep.BodyBytes += cs.bodyBytes
-		for t := range cs.perTarget {
-			rep.Targets[t].Requests += cs.perTarget[t].requests
-			rep.Targets[t].Shed += cs.perTarget[t].shed
-			rep.Targets[t].Errors += cs.perTarget[t].errors
-		}
 		all = append(all, cs.durations...)
 	}
 	if elapsed > 0 {

@@ -232,7 +232,7 @@ func TestNotReady(t *testing.T) {
 			t.Fatalf("GET %s before swap: %d want 503", path, w.Code)
 		}
 	}
-	s.Index().Swap(testBuilder().Build())
+	s.ix.Swap(testBuilder().Build())
 	if w := do(t, s, "/readyz"); w.Code != 200 {
 		t.Fatalf("readyz after swap: %d", w.Code)
 	}
@@ -292,7 +292,7 @@ func TestBuildDeterminism(t *testing.T) {
 	concurrent := mkServer(8)
 
 	paths := []string{"/v1/locations", "/v1/games"}
-	cat := serial.Index().Catalog()
+	cat := serial.ix.Catalog()
 	for _, l := range cat.Locations {
 		for _, g := range l.Games {
 			paths = append(paths,
@@ -423,9 +423,9 @@ func TestResponseCache(t *testing.T) {
 	}
 	// A swap changes the version, so the old cached bodies can never be
 	// served again (version-prefixed keys).
-	v := s.Index().Version()
+	v := s.ix.Version()
 	ix.Swap(testBuilder().Build())
-	if s.Index().Version() == v {
+	if s.ix.Version() == v {
 		t.Fatal("swap did not bump version")
 	}
 	third := do(t, s, paths[2])

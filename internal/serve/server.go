@@ -111,15 +111,9 @@ func NewServerCache(ix *Index, cacheSize int) *Server {
 	return s
 }
 
-// Index returns the server's index.
-func (s *Server) Index() *Index { return s.ix }
-
 // SetAdmission installs (or, with nil, removes) the overload gate. Safe to
 // call while serving; in-flight requests keep their slots.
 func (s *Server) SetAdmission(a *Admission) { s.adm.Store(a) }
-
-// Admission returns the current gate, or nil when unguarded.
-func (s *Server) Admission() *Admission { return s.adm.Load() }
 
 // SetStatusReport installs a function whose output is appended to the
 // /readyz body — the SLO burn-rate report, typically. Nil removes it. The
@@ -132,11 +126,6 @@ func (s *Server) SetStatusReport(fn func() string) {
 	}
 	s.report.Store(&fn)
 }
-
-// FlushCache empties the response cache (benchmarks use it to measure the
-// cold path; production code never needs it — Swap invalidation is
-// version-keyed).
-func (s *Server) FlushCache() { s.cache.purge() }
 
 // CacheLen returns the current response-cache entry count.
 func (s *Server) CacheLen() int { return s.cache.len() }
@@ -158,7 +147,7 @@ func (s *Server) admitted(next http.Handler) http.Handler {
 		}
 		release, ok := a.Admit()
 		if !ok {
-			shed(w, routeOf(r.URL.Path), a.RetryAfter())
+			shed(w, routeOf(r.URL.Path))
 			return
 		}
 		defer release()
@@ -308,6 +297,12 @@ func etagMatches(header, etag string) bool {
 
 const contentTypeJSON = "application/json; charset=utf-8"
 
+// varyAccept is the Vary value of /v1/latency, the one route whose
+// representation depends on Accept: without it a shared cache may hand a
+// binary body to a JSON client or revalidate the wrong representation.
+// Shared and read-only, so setting it costs no per-request allocation.
+var varyAccept = []string{"Accept"}
+
 // writeBody serves a pre-rendered body with its ETag and content type,
 // answering 304 when the client already holds the current representation.
 func writeBody(w http.ResponseWriter, r *http.Request, body []byte, etag, contentType string) {
@@ -434,6 +429,7 @@ func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no data for {%s, %s}", locKey, game)
 		return
 	}
+	w.Header()["Vary"] = varyAccept
 	if wantsBinary(r.Header.Get("Accept")) {
 		writeBody(w, r, e.binBody, e.binETag, ContentTypeBinary)
 		return

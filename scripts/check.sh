@@ -1,7 +1,8 @@
 #!/bin/sh
-# Repository health check: vet, build, race-enabled tests, a one-shot
-# pipeline benchmark smoke, and an observability smoke that scrapes a live
-# /metrics endpoint. Run from anywhere inside the repo.
+# Repository health check: vet, build, race-enabled tests (root module and
+# the bench/ module, which the root ./... cannot see), a one-shot pipeline
+# benchmark smoke, and smokes that drive the real binaries. Run from
+# anywhere inside the repo.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -15,13 +16,13 @@ go build ./...
 echo "== go test -race ./... =="
 go test -race ./...
 
+echo "== bench module (own go.mod, replace tero => ../: vet + tests) =="
+# An internal/ API removal can break bench/ without the root build noticing.
+go vet -C bench ./...
+go test -C bench ./...
+
 echo "== benchmark smoke (VolumePipeline, 1 iteration) =="
 go test -run '^$' -bench '^BenchmarkVolumePipeline$' -benchtime 1x .
-
-echo "== bench.sh smoke (kernel + root benchmarks, 1 iteration) =="
-BENCH_OUT="${TMPDIR:-/tmp}/tero-bench-smoke-$$.json" \
-    KERNEL_BENCHTIME=1x ROOT_BENCHTIME=1x sh scripts/bench.sh
-rm -f "${TMPDIR:-/tmp}/tero-bench-smoke-$$.json"
 
 echo "== observability smoke (cmd/tero -debug-addr, scrape /metrics) =="
 TMPDIR="${TMPDIR:-/tmp}"
@@ -364,21 +365,5 @@ ACODE=$(curl -s -o /dev/null -w '%{http_code}' -H "If-None-Match: $AETAG" \
     || { echo "anomalies ETag replay returned $ACODE, want 304" >&2; exit 1; }
 echo "delta smoke ok: $(grep -Eo '^counter serve_delta_publishes_total +[0-9]+' "$DELTA.metrics" | awk '{print $3}') delta publishes, 0 full rebuilds, anomaly feed live"
 kill "$DELTA_PID" 2>/dev/null || true
-
-echo "== bench_serve.sh smoke (tiny world, throwaway output) =="
-BENCH_OUT="$TMPDIR/tero-bench-serve-smoke-$$.json" \
-    BENCH_STREAMERS=12 BENCH_DAYS=1 sh scripts/bench_serve.sh > /dev/null
-grep -q '"phase"' "$TMPDIR/tero-bench-serve-smoke-$$.json" \
-    || { echo "bench_serve.sh produced no points" >&2; exit 1; }
-rm -f "$TMPDIR/tero-bench-serve-smoke-$$.json"
-echo "bench_serve smoke ok"
-
-echo "== bench_sketch.sh smoke (tiny world, throwaway output) =="
-BENCH_OUT="$TMPDIR/tero-bench-sketch-smoke-$$.json" \
-    BENCH_STREAMERS=10 BENCH_DAYS=1 BENCH_DUTY=0.25 sh scripts/bench_sketch.sh > /dev/null
-grep -q '"phase":"ingest_delta"' "$TMPDIR/tero-bench-sketch-smoke-$$.json" \
-    || { echo "bench_sketch.sh produced no delta phase" >&2; exit 1; }
-rm -f "$TMPDIR/tero-bench-sketch-smoke-$$.json"
-echo "bench_sketch smoke ok"
 
 echo "OK"
