@@ -67,11 +67,6 @@ type options struct {
 	debugAddr   string
 	trace       bool
 	traceSample int
-	deltas      bool
-	spikeGame   string
-	spikeMs     float64
-	spikeAfter  time.Duration
-	spikeFor    time.Duration
 }
 
 // register declares every flag on fs.
@@ -107,16 +102,6 @@ func (o *options) register(fs *flag.FlagSet) {
 		"record tail-sampled traces across pipeline, serve and -loadtest clients (inspect at /debug/traces)")
 	fs.IntVar(&o.traceSample, "trace-sample", 16,
 		"keep 1 in N unremarkable traces (errors and slowest-per-stage always kept)")
-	fs.BoolVar(&o.deltas, "deltas", false,
-		"streaming index: publish O(new readings) deltas into windowed sketches instead of full snapshot rebuilds")
-	fs.StringVar(&o.spikeGame, "spike-game", "",
-		"inject a shared-infrastructure latency event for this game slug (e.g. lol); empty = off")
-	fs.Float64Var(&o.spikeMs, "spike-ms", 150,
-		"extra latency during the injected event")
-	fs.DurationVar(&o.spikeAfter, "spike-after", 12*time.Hour,
-		"virtual time into the observation when the injected event starts")
-	fs.DurationVar(&o.spikeFor, "spike-duration", 6*time.Hour,
-		"virtual duration of the injected event")
 }
 
 // run is the whole command behind main: it parses args on its own flag
@@ -190,16 +175,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.Streamers = o.streamers
 	cfg.Days = o.days
 	cfg.LocatableFrac = 0.6
-	if o.spikeGame != "" {
-		cfg.SharedEvent = &worldsim.SharedEvent{
-			GameSlug: o.spikeGame,
-			Start:    cfg.Start.Add(o.spikeAfter),
-			Duration: o.spikeFor,
-			ExtraMs:  o.spikeMs,
-		}
-		fmt.Fprintf(stdout, "shared event: +%.0f ms on %s, %s into the period for %s\n",
-			o.spikeMs, o.spikeGame, o.spikeAfter, o.spikeFor)
-	}
 	fmt.Fprintf(stdout, "generating world: %d streamers, %d days (seed %d)...\n",
 		cfg.Streamers, cfg.Days, cfg.Seed)
 	world := worldsim.New(cfg)
@@ -219,12 +194,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	params := core.DefaultParams()
 	builder := serve.NewBuilder(params)
 	builder.Concurrency = o.concurrency
-	if o.deltas {
-		builder.EnableStreaming()
-		fmt.Fprintf(stdout, "streaming index on: %s windows x %d, anomaly threshold %.0f ms\n",
-			time.Duration(serve.DefaultWindowSec)*time.Second, serve.DefaultWindows,
-			float64(serve.DefaultAnomalyThresholdMs))
-	}
 
 	// Declared SLOs, evaluated after every publish (virtual cadence) and on
 	// a wall ticker while serving. Freshness runs on the virtual clock —
@@ -258,26 +227,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		p.ProcessThumbnails()
 		p.LocateStreamers(platform.Now())
 		now := platform.Now()
-		if o.deltas {
-			// Streaming path: consume only the new readings, re-render only
-			// the dirty {location, game} entries, and when nothing at all
-			// changed skip the build and the swap entirely — the served
-			// snapshot is already exactly what a rebuild would produce.
-			n := p.PublishDeltaAt(builder, now)
-			if n == 0 && !force && ix.Ready() {
-				serve.MarkPublishSkipped()
-				return
-			}
-			snap, st := builder.BuildDelta()
-			entries := ix.Swap(snap)
-			slos.Evaluate()
-			fmt.Fprintf(stdout, "  delta published: %d readings -> %d entries (%d rebuilt, %d reused, %d anomaly windows, version %d)\n",
-				n, entries, st.Rebuilt, st.Reused, st.Anomalies, ix.Version())
-			return
-		}
-		// Batch path keeps the same skip contract: a refresh tick that saw no
-		// new extractions or locations would rebuild a byte-identical
-		// snapshot, so don't.
+		// A refresh tick that saw no new extractions or locations would
+		// rebuild a byte-identical snapshot, so don't.
 		if p.Extracted == lastExtracted && p.Located == lastLocated && !force && ix.Ready() {
 			serve.MarkPublishSkipped()
 			return

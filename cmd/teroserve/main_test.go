@@ -10,7 +10,7 @@ import (
 
 // maxFlags is the ceiling on the command's flag surface; raising it means
 // adding an option on purpose.
-const maxFlags = 24
+const maxFlags = 19
 
 // TestGatedLoadtestShedsAndSurvives is the check.sh shed smoke as a test: a
 // tiny world behind a tight token bucket, load-tested by its own client,
@@ -38,13 +38,15 @@ func TestGatedLoadtestShedsAndSurvives(t *testing.T) {
 }
 
 // TestRetiredFlagsRejected pins the collapse: every flag that belonged to the
-// deleted bench drivers, the in-proc replicas or the never-set tuning knobs
-// is a usage error, not a silently accepted no-op.
+// deleted bench drivers, the in-proc replicas, the never-set tuning knobs or
+// the streaming index and its spike injector is a usage error, not a
+// silently accepted no-op.
 func TestRetiredFlagsRejected(t *testing.T) {
 	for _, name := range []string{
 		"replicas", "peers", "loadtest-binary", "loadtest-inproc", "loadtest-trace",
 		"bench-serve", "bench-ingest", "ingest-duty", "ingest-pace", "ingest-clients",
 		"window", "windows", "anomaly-threshold", "min-points",
+		"deltas", "spike-game", "spike-ms", "spike-after", "spike-duration",
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{"-" + name}, &stdout, &stderr); code != 2 {

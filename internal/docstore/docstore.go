@@ -156,9 +156,9 @@ func (c *Collection) Find(filter func(Doc) bool) []Doc {
 
 // FindAfter returns copies of the documents inserted after sequence seq
 // (0 means from the beginning), in insertion-ID order, plus the current
-// sequence to pass to the next call. It is the cursor primitive behind the
-// streaming publish path: each delta publish consumes only the documents
-// that arrived since the previous one instead of re-scanning the
+// sequence to pass to the next call. It is the cursor primitive behind
+// PublishAt's freshness pass: each publish consumes only the documents
+// that arrived since the previous one instead of cloning the whole
 // collection. Documents deleted since insertion are simply absent.
 func (c *Collection) FindAfter(seq int) ([]Doc, int) {
 	mFind.Inc()

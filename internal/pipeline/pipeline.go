@@ -99,15 +99,10 @@ type Pipeline struct {
 	// freshMark is the high-water OCR timestamp (unix seconds) across all
 	// readings already seen by a publish; PublishAt treats readings above it
 	// as newly queryable (freshness observation + journey finalization).
+	// freshSeq is the measurement-collection cursor behind it: a publish
+	// reads only the documents inserted since the previous one.
 	freshMark int64
-
-	// Streaming-publish cursor state (PublishDeltaAt): streamSeq is the
-	// measurement-collection sequence already consumed, deferred holds
-	// readings whose streamer has no location yet — they re-enter the next
-	// delta once a location round resolves them (or are dropped when the
-	// lookup definitively fails).
-	streamSeq int
-	deferred  []pendingReading
+	freshSeq  int
 }
 
 // New wires a pipeline against the platform at baseURL.

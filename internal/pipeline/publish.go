@@ -27,30 +27,24 @@ var (
 // callers can declare SLOs over it (see internal/obs/slo).
 func FreshnessHistogram() *obs.Histogram { return hFreshness }
 
-// Publish runs the analysis stage over everything stored so far and feeds
+// PublishAt runs the analysis stage over everything stored so far and feeds
 // the results into a serving builder — the hand-off point between the
 // producer (download → extract → locate → analyze) and the query service
 // (internal/serve). The builder is Reset first, so each publish reflects
 // the pipeline's current complete state; callers then Build a snapshot and
 // Swap it into the serving index:
 //
-//	n := p.Publish(builder, params)
+//	n := p.PublishAt(builder, params, now)
 //	index.Swap(builder.Build())
 //
 // Returns the number of analyses published. Safe to call repeatedly while
 // the service is live — Swap never locks readers out (see serve.Index).
 //
-// Publish has no notion of the pipeline's virtual clock, so it skips the
-// freshness observation; virtual-time callers use PublishAt.
-func (p *Pipeline) Publish(b *serve.Builder, params core.Params) int {
-	return p.PublishAt(b, params, time.Time{})
-}
-
-// PublishAt is Publish with the pipeline's virtual time: readings that
-// became queryable with this publish are observed into the freshness
-// histogram (virtual seconds from OCR timestamp to now), and their journey
-// traces — open since download.fetch — get their analyze/publish spans and
-// are finalized. A zero now skips the freshness observation only.
+// now is the pipeline's virtual time: readings that became queryable with
+// this publish are observed into the freshness histogram (virtual seconds
+// from OCR timestamp to now), and their journey traces — open since
+// download.fetch — get their analyze/publish spans and are finalized. A
+// zero now skips the freshness observation only.
 func (p *Pipeline) PublishAt(b *serve.Builder, params core.Params, now time.Time) int {
 	sp := trace.StartStage("pipeline.publish")
 	defer sp.End()
@@ -66,151 +60,11 @@ func (p *Pipeline) PublishAt(b *serve.Builder, params core.Params, now time.Time
 	return len(analyses)
 }
 
-// Streaming-publish metrics: the delta path's equivalent of the batch
-// publish counters, plus the deferred-for-location queue depth.
-var (
-	mDeltaPublished   = obs.C("pipeline_delta_publishes_total")
-	mDeltaReadings    = obs.C("pipeline_delta_readings_total")
-	mDeltaExpired     = obs.C("pipeline_delta_expired_total")
-	mDeltaUnlocatable = obs.C("pipeline_delta_unlocatable_total")
-	gDeltaDeferred    = obs.G("pipeline_delta_deferred")
-)
-
-// pendingReading is one extracted measurement waiting to enter the
-// streaming index (its streamer's location is not known yet).
-type pendingReading struct {
-	streamer, game string
-	atUnix         int64
-	ms             float64
-	traceCtx       string
-}
-
-// PublishDeltaAt is the streaming counterpart of PublishAt: instead of
-// re-analyzing every stored measurement, it consumes only the documents
-// inserted since the previous call (a docstore cursor), resolves each
-// streamer's location, and feeds the readings into the builder's windowed
-// sketches — O(new readings), independent of history size. The caller then
-// swaps builder.BuildDelta() output into the index.
-//
-// Readings whose streamer has no location yet are deferred and retried on
-// subsequent calls (they become queryable — and are only then counted into
-// the freshness histogram — once a location round resolves the streamer);
-// a definitive lookup failure drops them. Readings older than a group's
-// retention horizon are counted expired and dropped, matching what a full
-// rebuild over the same multiset would do.
-//
-// Returns the number of readings that entered the index this call. Note
-// the streaming index serves raw windowed readings — the batch path's
-// stream/cluster filtering (§3.3) does not apply; that tradeoff is
-// documented in DESIGN.md §15.
-func (p *Pipeline) PublishDeltaAt(b *serve.Builder, now time.Time) int {
-	sp := trace.StartStage("pipeline.publish_delta")
-	defer sp.End()
-	t0 := time.Now()
-
-	docs, seq := p.Docs.C("measurements").FindAfter(p.streamSeq)
-	p.streamSeq = seq
-
-	// Deferred readings first (original arrival order), then the new batch:
-	// insertion order into the sketches does not affect the outcome (see
-	// package sketch), but deterministic iteration keeps trace and counter
-	// output reproducible.
-	cands := p.deferred
-	p.deferred = nil
-	for _, d := range docs {
-		r := pendingReading{}
-		r.streamer, _ = d["streamer"].(string)
-		r.game, _ = d["game"].(string)
-		ms, ok := d["ms"].(float64)
-		if !ok || r.streamer == "" || r.game == "" {
-			continue
-		}
-		r.ms = ms
-		if au, ok := d["atUnix"].(int64); ok {
-			r.atUnix = au
-		} else if at, ok := d["at"].(string); ok {
-			t, err := time.Parse(time.RFC3339, at)
-			if err != nil {
-				continue
-			}
-			r.atUnix = t.Unix()
-		} else {
-			continue
-		}
-		r.traceCtx, _ = d["trace"].(string)
-		cands = append(cands, r)
-	}
-
-	useClock := !now.IsZero()
-	traced := trace.Enabled()
-	tP := time.Now()
-	closeJourney := func(r pendingReading, queryable bool) uint64 {
-		if !traced || r.traceCtx == "" {
-			return 0
-		}
-		ec, ok := trace.DecodeContext(r.traceCtx)
-		if !ok {
-			return 0
-		}
-		var attrs []trace.Attr
-		if useClock && queryable {
-			attrs = append(attrs, trace.A("freshness_virtual_s",
-				fmt.Sprintf("%d", now.Unix()-r.atUnix)))
-		}
-		trace.RecordSpan(ec, "pipeline.publish_delta", t0, tP, "", attrs...)
-		trace.Finish(ec.TraceID)
-		return ec.TraceID
-	}
-
-	observed := 0
-	newMark := p.freshMark
-	for _, r := range cands {
-		loc, ok := p.LocationAt(r.streamer, time.Unix(r.atUnix, 0).UTC())
-		if !ok {
-			if v, tried := p.KV.Get("loc:" + r.streamer); tried && v == "" {
-				// Location lookup ran and failed: this reading will never
-				// be servable by location. Drop it and close its journey.
-				mDeltaUnlocatable.Inc()
-				closeJourney(r, false)
-				continue
-			}
-			p.deferred = append(p.deferred, r) // location round still pending
-			continue
-		}
-		if !b.ObserveReading(r.streamer, loc, r.game, r.atUnix, r.ms) {
-			mDeltaExpired.Inc()
-			closeJourney(r, false)
-			continue
-		}
-		observed++
-		mDeltaReadings.Inc()
-		if r.atUnix > newMark {
-			newMark = r.atUnix
-		}
-		ref := closeJourney(r, true)
-		if useClock {
-			hFreshness.ObserveExemplar(float64(now.Unix()-r.atUnix), ref)
-		}
-	}
-	if useClock && newMark > 0 {
-		gFreshnessLatest.Set(float64(now.Unix() - newMark))
-	}
-	p.freshMark = newMark
-	gDeltaDeferred.Set(float64(len(p.deferred)))
-	mDeltaPublished.Inc()
-	plog.Debug("delta published", "new_docs", len(docs), "observed", observed,
-		"deferred", len(p.deferred))
-	return observed
-}
-
-// freshMark is the high-water OCR timestamp (unix seconds) over all readings
-// seen by previous publishes; readings above it are new this publish.
-
-// finalizeReadings walks the measurement collection for readings newer than
-// the freshness watermark: each is observed into the freshness histogram
-// (with its journey trace ID as exemplar) and its journey trace is closed
-// with analyze/publish spans. Runs in insertion order, so journey span IDs
-// are deterministic.
+// finalizeReadings walks the measurements inserted since the previous
+// publish: each one newer than the freshness watermark is observed into the
+// freshness histogram (with its journey trace ID as exemplar) and its
+// journey trace is closed with analyze/publish spans. Runs in insertion
+// order, so journey span IDs are deterministic.
 func (p *Pipeline) finalizeReadings(now time.Time, tA0, tA1, tP1 time.Time) {
 	traced := trace.Enabled()
 	useClock := !now.IsZero()
@@ -218,7 +72,9 @@ func (p *Pipeline) finalizeReadings(now time.Time, tA0, tA1, tP1 time.Time) {
 		return
 	}
 	newMark := p.freshMark
-	for _, d := range p.Docs.C("measurements").Find(nil) {
+	docs, seq := p.Docs.C("measurements").FindAfter(p.freshSeq)
+	p.freshSeq = seq
+	for _, d := range docs {
 		au, ok := d["atUnix"].(int64)
 		if !ok || au <= p.freshMark {
 			continue

@@ -14,14 +14,14 @@ import (
 	"tero/internal/worldsim"
 )
 
-// traceWorld drives a fully serial pipeline (one downloader, Concurrency 1)
-// with tracing on: span-ID allocation order is then deterministic, so two
-// runs with the same seed replay identical trace trees. Returns the pipeline
-// after a publish so journey traces are finalized.
-func traceWorld(t *testing.T, seed uint64, streamers int, hours float64) *Pipeline {
+// traceSetup boots a world, its platform (advanced to the evening peak) and
+// a fully serial pipeline (one downloader, Concurrency 1) with tracing on
+// and every trace kept: span-ID allocation order is then deterministic and
+// the kept set does not depend on timing.
+func traceSetup(t *testing.T, seed uint64, streamers int) (*Pipeline, *twitchsim.Platform) {
 	t.Helper()
 	trace.Enable(seed)
-	trace.SetSampleN(1) // keep everything: the kept set must not depend on timing
+	trace.SetSampleN(1)
 	t.Cleanup(func() {
 		trace.Disable()
 		trace.SetVirtualClock(nil)
@@ -39,6 +39,15 @@ func traceWorld(t *testing.T, seed uint64, streamers int, hours float64) *Pipeli
 	p := New(platform.URL(), 1)
 	p.Concurrency = 1
 	platform.Advance(23 * time.Hour)
+	return p, platform
+}
+
+// traceWorld drives a traceSetup pipeline for `hours` of virtual time, so
+// two runs with the same seed replay identical trace trees. Returns the
+// pipeline after a publish so journey traces are finalized.
+func traceWorld(t *testing.T, seed uint64, streamers int, hours float64) *Pipeline {
+	t.Helper()
+	p, platform := traceSetup(t, seed, streamers)
 	for i := 0; i < int(hours*30); i++ {
 		if err := p.Tick(platform.Now(), i%3 == 0); err != nil {
 			t.Fatalf("tick %d: %v", i, err)
@@ -160,5 +169,82 @@ func TestFreshnessObserved(t *testing.T) {
 	}
 	if !lit {
 		t.Fatal("no freshness exemplar carries a trace ID")
+	}
+}
+
+// TestFreshnessCursorMatchesFullScan pins the cursor walk of
+// finalizeReadings to what a full scan of the measurement collection
+// derives, publish by publish: the freshness histogram count, the latest
+// gauge, and the set of journey traces finished.
+func TestFreshnessCursorMatchesFullScan(t *testing.T) {
+	p, platform := traceSetup(t, 5, 24)
+	b := serve.NewBuilder(core.DefaultParams())
+	h := FreshnessHistogram()
+
+	var mark int64 // the full scan's watermark: newest atUnix already published
+	publishes, nonEmpty := 0, 0
+	for i := 0; i < 45; i++ {
+		if err := p.Tick(platform.Now(), i%3 == 0); err != nil {
+			t.Fatalf("tick %d: %v", i, err)
+		}
+		platform.Advance(2 * time.Minute)
+		if i%15 != 14 {
+			continue
+		}
+		p.ProcessThumbnails()
+		p.LocateStreamers(platform.Now())
+		fresh, newest := 0, mark
+		for _, d := range p.Docs.C("measurements").Find(nil) {
+			if au := d["atUnix"].(int64); au > mark {
+				fresh++
+				if au > newest {
+					newest = au
+				}
+			}
+		}
+		before := h.Count()
+		now := platform.Now()
+		p.PublishAt(b, core.DefaultParams(), now)
+		if got := int(h.Count() - before); got != fresh {
+			t.Fatalf("publish %d observed %d readings, full scan finds %d new", publishes, got, fresh)
+		}
+		if got, want := gFreshnessLatest.Value(), float64(now.Unix()-newest); newest > 0 && got != want {
+			t.Fatalf("publish %d: latest gauge %v, want %v", publishes, got, want)
+		}
+		mark = newest
+		publishes++
+		if fresh > 0 {
+			nonEmpty++
+		}
+	}
+	if nonEmpty < 2 {
+		t.Fatalf("%d of %d publishes saw new readings; the cursor must be exercised across several", nonEmpty, publishes)
+	}
+
+	want := make(map[uint64]bool)
+	for _, d := range p.Docs.C("measurements").Find(nil) {
+		ec, ok := trace.DecodeContext(d["trace"].(string))
+		if !ok {
+			t.Fatalf("measurement %v carries no trace context", d["_id"])
+		}
+		want[ec.TraceID] = true
+	}
+	finished := 0
+	for _, tr := range trace.ActiveStore().Traces() {
+		if tr.Root != "download.fetch" {
+			continue
+		}
+		for _, s := range tr.Spans {
+			if s.Name == "pipeline.publish" {
+				if !want[tr.ID] {
+					t.Errorf("trace %016x finished without a measurement", tr.ID)
+				}
+				finished++
+				break
+			}
+		}
+	}
+	if finished != len(want) {
+		t.Errorf("%d journeys finished, %d measurements stored", finished, len(want))
 	}
 }

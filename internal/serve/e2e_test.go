@@ -7,6 +7,8 @@ package serve_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -50,6 +52,10 @@ func runPipeline(t testing.TB, streamers int, hours float64) *pipeline.Pipeline 
 	return p
 }
 
+// servedDigest is the SHA-256 over the bodies and ETags of every entry
+// TestServeMatchesOfflineAnalysis builds (seed 23, 120 streamers, 6 h).
+const servedDigest = "37ad1190aad5468867e8212c78123874e86b8725b373f12d9377bb7693904060"
+
 func TestServeMatchesOfflineAnalysis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives a full pipeline")
@@ -58,7 +64,7 @@ func TestServeMatchesOfflineAnalysis(t *testing.T) {
 	params := core.DefaultParams()
 
 	builder := serve.NewBuilder(params)
-	if n := p.Publish(builder, params); n == 0 {
+	if n := p.PublishAt(builder, params, time.Time{}); n == 0 {
 		t.Fatal("pipeline published no analyses")
 	}
 	snap := builder.Build()
@@ -139,6 +145,20 @@ func TestServeMatchesOfflineAnalysis(t *testing.T) {
 		checked++
 	}
 	t.Logf("verified %d {location, game} entries against offline analysis", checked)
+
+	// The served bytes themselves, pinned: every entry's JSON body, binary
+	// body and both ETags for this seed. A change that means to keep the
+	// served answers must leave this digest alone.
+	h := sha256.New()
+	for _, e := range snap.Entries {
+		h.Write(e.BodyJSON())
+		h.Write(e.BodyBinary())
+		h.Write([]byte(e.ETag()))
+		h.Write([]byte(e.ETagBinary()))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != servedDigest {
+		t.Errorf("served-bytes digest %s, want %s", got, servedDigest)
+	}
 }
 
 // TestLoadWithSwap is the serving acceptance run at test scale: 32
@@ -153,7 +173,7 @@ func TestLoadWithSwap(t *testing.T) {
 	p := runPipeline(t, 120, 6)
 	params := core.DefaultParams()
 	builder := serve.NewBuilder(params)
-	p.Publish(builder, params)
+	p.PublishAt(builder, params, time.Time{})
 	snap := builder.Build()
 	if len(snap.Entries) == 0 {
 		t.Fatal("no servable entries")

@@ -8,14 +8,14 @@
 // The moving parts:
 //
 //   - Builder accumulates *core.Analysis values (the pipeline feeds it via
-//     Pipeline.Publish) and Build()s an immutable Snapshot: one Entry per
+//     Pipeline.PublishAt) and Build()s an immutable Snapshot: one Entry per
 //     {location, game} with every statistic the API serves precomputed.
 //   - Index holds the serving state in independently locked shards; Swap
 //     atomically replaces the whole content with a new Snapshot without
 //     ever locking readers out of more than one shard at a time.
 //   - Server is the HTTP layer: /v1/locations, /v1/games, /v1/latency,
-//     /v1/compare, /healthz, /readyz, /metrics, with deterministic ETags,
-//     If-None-Match 304s, and an LRU response cache for hot keys.
+//     /v1/compare, /healthz, /readyz, /metrics, with deterministic ETags
+//     and If-None-Match 304s.
 //   - LoadGen hammers a running server with N concurrent clients and
 //     reports throughput and tail latency.
 //
@@ -36,7 +36,6 @@ import (
 
 	"tero/internal/core"
 	"tero/internal/geo"
-	"tero/internal/sketch"
 	"tero/internal/stats"
 )
 
@@ -83,18 +82,11 @@ type Entry struct {
 	Location geo.Location
 	Game     string
 	// Sorted is the ascending kept-latency sample of the distribution
-	// (core.Distribution output). Never empty for batch entries; nil for
-	// streaming entries, which carry a sketch instead.
+	// (core.Distribution output). Never empty.
 	Sorted []float64
-	// Streamers counts the contributing streamers: for batch entries the
-	// non-discarded high-quality analyses, for streaming entries the
-	// distinct streamer pseudonyms seen for the group.
+	// Streamers counts the contributing streamers: the non-discarded
+	// high-quality analyses of the group.
 	Streamers int
-
-	// Streaming-entry state: the merged window sketch the response was
-	// derived from (serves /v1/compare) and the retained reading count.
-	sk *sketch.Sketch
-	n  int
 
 	resp    LatencyResponse
 	body    []byte // resp marshaled as JSON at build time
@@ -104,33 +96,12 @@ type Entry struct {
 }
 
 // N returns the sample size.
-func (e *Entry) N() int {
-	if e.Sorted == nil {
-		return e.n
-	}
-	return len(e.Sorted)
-}
+func (e *Entry) N() int { return len(e.Sorted) }
 
-// medianMs returns the served median for either entry flavor.
+// medianMs returns the served median.
 func (e *Entry) medianMs() float64 {
-	if e.Sorted == nil && e.sk != nil {
-		return stats.Sanitize(e.sk.Quantile(50))
-	}
 	med, _ := stats.PercentileOK(e.Sorted, 50)
 	return stats.Sanitize(med)
-}
-
-// compareDistance computes the 1-Wasserstein distance between two entries:
-// exact over raw samples for batch entries, sketch-level for streaming
-// ones. A mix of flavors cannot share an index, so it reports undefined.
-func compareDistance(a, b *Entry) (float64, bool) {
-	if a.sk != nil && b.sk != nil {
-		return sketch.Wasserstein1(a.sk, b.sk), true
-	}
-	if a.Sorted != nil && b.Sorted != nil {
-		return stats.Wasserstein1OK(a.Sorted, b.Sorted)
-	}
-	return 0, false
 }
 
 // ETag returns the entry's deterministic ETag: a hash of the full sample
@@ -227,27 +198,11 @@ type CompareResponse struct {
 	WassersteinMs float64         `json:"wasserstein_ms"`
 }
 
-// histConfig is the builder's histogram layout.
-type histConfig struct {
-	lo, hi float64
-	bins   int
-}
-
-func (h histConfig) orDefault() histConfig {
-	if h.bins <= 0 {
-		h.bins = DefaultHistBins
-	}
-	if h.hi <= h.lo {
-		h.lo, h.hi = DefaultHistLoMs, DefaultHistHiMs
-	}
-	return h
-}
-
 // newEntry computes the full read-optimized record for one {location, game}
 // group. It returns nil when the group's distribution has fewer than
 // minPoints samples. Pure: depends only on its arguments.
 func newEntry(loc geo.Location, game string, analyses []*core.Analysis,
-	p core.Params, minPoints int, hc histConfig) *Entry {
+	p core.Params, minPoints int) *Entry {
 	dist := core.Distribution(analyses, p)
 	if len(dist) < minPoints || len(dist) == 0 {
 		return nil
@@ -269,7 +224,7 @@ func newEntry(loc geo.Location, game string, analyses []*core.Analysis,
 		Sorted:    sorted,
 		Streamers: streamers,
 	}
-	e.resp = e.computeResponse(hc)
+	e.resp = e.computeResponse()
 	e.etag, e.binETag = e.computeETags()
 	// Publish-time marshaling: both representations are rendered here, on
 	// the builder's worker pool, so the request hot path never marshals.
@@ -283,8 +238,7 @@ func newEntry(loc geo.Location, game string, analyses []*core.Analysis,
 // computeResponse derives every served statistic from the sorted sample.
 // All floats pass through stats.Sanitize so the result is always
 // JSON-encodable (encoding/json errors on NaN/Inf).
-func (e *Entry) computeResponse(hc histConfig) LatencyResponse {
-	hc = hc.orDefault()
+func (e *Entry) computeResponse() LatencyResponse {
 	mean, std := stats.MeanStd(e.Sorted)
 	min, max, _ := stats.MinMaxOK(e.Sorted)
 
@@ -297,13 +251,17 @@ func (e *Entry) computeResponse(hc histConfig) LatencyResponse {
 		qs = append(qs, QuantileJSON{P: p, Ms: stats.Sanitize(v)})
 	}
 
-	h := stats.NewHistogram(hc.lo, hc.hi, hc.bins)
+	const (
+		lo, hi float64 = DefaultHistLoMs, DefaultHistHiMs
+		bins           = DefaultHistBins
+	)
+	h := stats.NewHistogram(lo, hi, bins)
 	h.AddAll(e.Sorted)
-	width := (hc.hi - hc.lo) / float64(hc.bins)
+	width := (hi - lo) / float64(bins)
 
-	edges := make([]float64, hc.bins+1)
+	edges := make([]float64, bins+1)
 	for i := range edges {
-		edges[i] = hc.lo + width*float64(i)
+		edges[i] = lo + width*float64(i)
 	}
 	cdf := stats.CDFAt(e.Sorted, edges)
 	for i := range cdf {
@@ -321,8 +279,8 @@ func (e *Entry) computeResponse(hc histConfig) LatencyResponse {
 		MaxMs:     stats.Sanitize(max),
 		Quantiles: qs,
 		Histogram: HistogramJSON{
-			LoMs:       hc.lo,
-			HiMs:       hc.hi,
+			LoMs:       lo,
+			HiMs:       hi,
 			BinWidthMs: width,
 			Counts:     h.Counts,
 			Under:      h.Under,
@@ -349,103 +307,6 @@ func (e *Entry) computeETags() (jsonTag, binTag string) {
 	}
 	sum := h.Sum64()
 	return fmt.Sprintf("\"t1-%016x\"", sum), fmt.Sprintf("\"t1b-%016x\"", sum)
-}
-
-// newStreamEntry computes the read-optimized record for one streaming
-// group from its window ring: every served statistic is derived from the
-// merged sketch (exact moments and bounds, Alpha-accurate quantiles and
-// histogram). Returns nil when fewer than minPoints readings are retained.
-// Pure function of the ring state and streamer count — which are pure
-// functions of the reading multiset — so full and incremental builds over
-// the same readings render byte-identical bodies and ETags.
-func newStreamEntry(loc geo.Location, game string, win *sketch.Windowed,
-	streamers, minPoints int, hc histConfig) *Entry {
-	merged := win.Merged()
-	n := int(merged.Count())
-	if n < minPoints || n == 0 {
-		return nil
-	}
-	e := &Entry{
-		Key:       EntryKey(loc, game),
-		Location:  loc,
-		Game:      game,
-		Streamers: streamers,
-		sk:        merged,
-		n:         n,
-	}
-	e.resp = e.computeStreamResponse(hc)
-	// The ETag hashes the full ring fingerprint — the canonical state the
-	// body is a function of — under the same wire prefixes as batch tags.
-	sum := win.Fingerprint()
-	h := fnv.New64a()
-	h.Write([]byte(e.Key))                                   //nolint:errcheck — fnv never fails
-	binary.Write(h, binary.LittleEndian, int64(e.Streamers)) //nolint:errcheck
-	binary.Write(h, binary.LittleEndian, sum)                //nolint:errcheck
-	tag := h.Sum64()
-	e.etag = fmt.Sprintf("\"t1-%016x\"", tag)
-	e.binETag = fmt.Sprintf("\"t1b-%016x\"", tag)
-	e.body = mustMarshal(e.resp)
-	e.binBody = EncodeLatencyBinary(&e.resp)
-	return e
-}
-
-// computeStreamResponse derives the served statistics from the merged
-// sketch, mirroring computeResponse's shape: same quantile set, same fixed
-// histogram layout, same CDF edges, every float sanitized.
-func (e *Entry) computeStreamResponse(hc histConfig) LatencyResponse {
-	hc = hc.orDefault()
-	qs := make([]QuantileJSON, 0, len(quantileProbs))
-	for _, p := range quantileProbs {
-		qs = append(qs, QuantileJSON{P: p, Ms: stats.Sanitize(e.sk.Quantile(p))})
-	}
-
-	width := (hc.hi - hc.lo) / float64(hc.bins)
-	counts := make([]int, hc.bins)
-	under, over := 0, 0
-	e.sk.ForEach(func(v float64, c uint64) {
-		switch {
-		case v < hc.lo:
-			under += int(c)
-		case v >= hc.hi:
-			over += int(c)
-		default:
-			i := int((v - hc.lo) / (hc.hi - hc.lo) * float64(hc.bins))
-			if i >= hc.bins {
-				i = hc.bins - 1
-			}
-			counts[i] += int(c)
-		}
-	})
-
-	edges := make([]float64, hc.bins+1)
-	for i := range edges {
-		edges[i] = hc.lo + width*float64(i)
-	}
-	cdf := e.sk.CDF(edges)
-	for i := range cdf {
-		cdf[i] = stats.Sanitize(cdf[i])
-	}
-
-	return LatencyResponse{
-		Location:  locationJSON(e.Location),
-		Game:      e.Game,
-		N:         e.n,
-		Streamers: e.Streamers,
-		MeanMs:    stats.Sanitize(e.sk.Mean()),
-		StdMs:     stats.Sanitize(e.sk.Std()),
-		MinMs:     stats.Sanitize(e.sk.Min()),
-		MaxMs:     stats.Sanitize(e.sk.Max()),
-		Quantiles: qs,
-		Histogram: HistogramJSON{
-			LoMs:       hc.lo,
-			HiMs:       hc.hi,
-			BinWidthMs: width,
-			Counts:     counts,
-			Under:      under,
-			Over:       over,
-		},
-		CDF: CDFJSON{AtMs: edges, P: cdf},
-	}
 }
 
 // combineETags derives the deterministic ETag of a response computed from

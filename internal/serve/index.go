@@ -47,15 +47,12 @@ type GameSummary struct {
 type Catalog struct {
 	Locations []LocationSummary
 	Games     []GameSummary
-	// Anomalies is the streaming index's flagged-window feed (empty for
-	// batch snapshots), ordered by entry key then window start.
-	Anomalies []Anomaly
 	// Entries and Points are the snapshot totals.
 	Entries int
 	Points  int
 
-	locationsBody, gamesBody, anomaliesBody []byte
-	locationsETag, gamesETag, anomaliesETag string
+	locationsBody, gamesBody []byte
+	locationsETag, gamesETag string
 }
 
 // locationsResponse and gamesResponse are the listing bodies.
@@ -72,13 +69,7 @@ type gamesResponse struct {
 // newCatalog aggregates the sorted entry list into listing summaries.
 // entries must already be sorted by Key (Builder.Build guarantees it).
 func newCatalog(entries []*Entry) *Catalog {
-	return newCatalogWith(entries, nil)
-}
-
-// newCatalogWith additionally attaches the streaming anomaly feed, whose
-// body and ETag are rendered once here like every other listing.
-func newCatalogWith(entries []*Entry, anoms []Anomaly) *Catalog {
-	c := &Catalog{Entries: len(entries), Anomalies: anoms}
+	c := &Catalog{Entries: len(entries)}
 	locIdx := make(map[string]int)
 	gameIdx := make(map[string]*GameSummary)
 	var gameNames []string
@@ -116,11 +107,6 @@ func newCatalogWith(entries []*Entry, anoms []Anomaly) *Catalog {
 	c.gamesBody = mustMarshal(gamesResponse{Count: len(c.Games), Games: c.Games})
 	c.locationsETag = bodyETag(c.locationsBody)
 	c.gamesETag = bodyETag(c.gamesBody)
-	if anoms == nil {
-		anoms = []Anomaly{} // marshal as [], never null
-	}
-	c.anomaliesBody = mustMarshal(anomaliesResponse{Count: len(anoms), Anomalies: anoms})
-	c.anomaliesETag = bodyETag(c.anomaliesBody)
 	return c
 }
 
@@ -215,8 +201,7 @@ func (ix *Index) Catalog() *Catalog { return ix.catalog.Load() }
 // Ready reports whether a snapshot has been swapped in.
 func (ix *Index) Ready() bool { return ix.catalog.Load() != nil }
 
-// Version returns the number of swaps performed; it namespaces the
-// response cache so a republish implicitly invalidates stale bodies.
+// Version returns the number of swaps performed.
 func (ix *Index) Version() uint64 { return ix.version.Load() }
 
 // Len returns the current entry count across all shards.
@@ -266,7 +251,6 @@ func (ix *Index) Swap(s *Snapshot) int {
 	gIndexLocations.Set(float64(len(cat.Locations)))
 	gIndexGames.Set(float64(len(cat.Games)))
 	gIndexVersion.Set(float64(v))
-	gAnomalyActive.Set(float64(len(cat.Anomalies)))
 	slog.Info("snapshot swapped", "version", v, "entries", cat.Entries,
 		"locations", len(cat.Locations), "games", len(cat.Games), "points", cat.Points)
 	return cat.Entries

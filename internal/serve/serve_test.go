@@ -82,6 +82,7 @@ func TestRoutesTable(t *testing.T) {
 	}{
 		{"root", "/", 200},
 		{"unknown route", "/v2/latency", 404},
+		{"anomalies retired", "/v1/anomalies", 404},
 		{"healthz", "/healthz", 200},
 		{"readyz ready", "/readyz", 200},
 		{"metrics", "/metrics", 200},
@@ -113,6 +114,9 @@ func TestRoutesTable(t *testing.T) {
 				}
 			}
 		})
+	}
+	if body := do(t, s, "/").Body.String(); strings.Contains(body, "anomalies") {
+		t.Errorf("root listing still advertises the retired route:\n%s", body)
 	}
 }
 
@@ -394,43 +398,6 @@ func TestSwapWhileReading(t *testing.T) {
 	case err := <-errs:
 		t.Fatal(err)
 	default:
-	}
-}
-
-func TestResponseCache(t *testing.T) {
-	ix := NewIndex(0)
-	ix.Swap(testBuilder().Build())
-	s := NewServerCache(ix, 2)
-
-	paths := []string{
-		"/v1/latency?location=" + milanKey + "&game=Fortnite",
-		"/v1/latency?location=" + milanKey + "&game=League+of+Legends",
-		"/v1/latency?location=tokyo|tokyo|japan&game=Fortnite",
-	}
-	for _, p := range paths {
-		if w := do(t, s, p); w.Code != 200 {
-			t.Fatalf("GET %s: %d", p, w.Code)
-		}
-	}
-	if n := s.CacheLen(); n > 2 {
-		t.Fatalf("cache holds %d entries, capacity 2", n)
-	}
-	// Hits return the identical body.
-	first := do(t, s, paths[2])
-	second := do(t, s, paths[2])
-	if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
-		t.Fatal("cached body differs from cold body")
-	}
-	// A swap changes the version, so the old cached bodies can never be
-	// served again (version-prefixed keys).
-	v := s.ix.Version()
-	ix.Swap(testBuilder().Build())
-	if s.ix.Version() == v {
-		t.Fatal("swap did not bump version")
-	}
-	third := do(t, s, paths[2])
-	if third.Code != 200 || !bytes.Equal(third.Body.Bytes(), first.Body.Bytes()) {
-		t.Fatal("rebuilt identical snapshot must serve identical bodies")
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 
 // Observability: the server mirrors the twitchsim middleware idiom —
 // request counters by route and status class, a latency histogram per
-// route — plus cache hit/miss/eviction counters and the index gauges
-// (index.go). Everything lands in the obs.Default registry.
+// route — plus the index gauges (index.go). Everything lands in the
+// obs.Default registry.
 //
 // At serving rates the metric *lookups* themselves become hot-path work:
 // obs.Lbl renders a labeled name (an allocation) and the registry resolves
@@ -26,10 +26,7 @@ import (
 var (
 	slog = obs.L("serve")
 
-	mCacheHits      = obs.C("serve_cache_hits_total")
-	mCacheMisses    = obs.C("serve_cache_misses_total")
-	mCacheEvictions = obs.C("serve_cache_evictions_total")
-	mNotModified    = obs.C("serve_not_modified_total")
+	mNotModified = obs.C("serve_not_modified_total")
 )
 
 // routeHandles holds one route's pre-resolved metric handles.
@@ -45,7 +42,7 @@ var statusClasses = [4]string{"2xx", "3xx", "4xx", "5xx"}
 var routeHandleTab = func() map[string]*routeHandles {
 	m := make(map[string]*routeHandles)
 	for _, route := range []string{
-		"locations", "games", "latency", "compare", "anomalies", "health", "metrics", "other",
+		"locations", "games", "latency", "compare", "health", "metrics", "other",
 	} {
 		h := &routeHandles{
 			seconds: obs.H(obs.Lbl("serve_http_seconds", "route", route), obs.DurationBuckets),
@@ -85,18 +82,14 @@ func handlesFor(route string) *routeHandles { return routeHandleTab[route] }
 // in-flight or rate limit is exceeded.
 type Server struct {
 	ix      *Index
-	cache   *lruCache
 	adm     atomic.Pointer[Admission]
 	report  atomic.Pointer[func() string]
 	handler http.Handler
 }
 
-// NewServer wraps an index in the HTTP API with the default cache size.
-func NewServer(ix *Index) *Server { return NewServerCache(ix, DefaultCacheSize) }
-
-// NewServerCache wraps an index with an explicit response-cache capacity.
-func NewServerCache(ix *Index, cacheSize int) *Server {
-	s := &Server{ix: ix, cache: newLRU(cacheSize)}
+// NewServer wraps an index in the HTTP API.
+func NewServer(ix *Index) *Server {
+	s := &Server{ix: ix}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleRoot)
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -106,7 +99,6 @@ func NewServerCache(ix *Index, cacheSize int) *Server {
 	mux.HandleFunc("/v1/games", s.handleGames)
 	mux.HandleFunc("/v1/latency", s.handleLatency)
 	mux.HandleFunc("/v1/compare", s.handleCompare)
-	mux.HandleFunc("/v1/anomalies", s.handleAnomalies)
 	s.handler = instrument(s.admitted(mux))
 	return s
 }
@@ -126,9 +118,6 @@ func (s *Server) SetStatusReport(fn func() string) {
 	}
 	s.report.Store(&fn)
 }
-
-// CacheLen returns the current response-cache entry count.
-func (s *Server) CacheLen() int { return s.cache.len() }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -240,8 +229,6 @@ func routeOf(path string) string {
 		return "latency"
 	case path == "/v1/compare":
 		return "compare"
-	case path == "/v1/anomalies":
-		return "anomalies"
 	case path == "/healthz", path == "/readyz":
 		return "health"
 	case path == "/metrics":
@@ -343,7 +330,6 @@ func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
 		"  /v1/locations\n  /v1/games\n"+
 		"  /v1/latency?location=<key>&game=<name>  (Accept: "+ContentTypeBinary+" for binary)\n"+
 		"  /v1/compare?a=<key>::<game>&b=<key>::<game>\n"+
-		"  /v1/anomalies\n"+
 		"  /healthz  /readyz  /metrics\n")
 }
 
@@ -390,28 +376,9 @@ func (s *Server) handleGames(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, r, cat.gamesBody, cat.gamesETag)
 }
 
-// handleAnomalies serves the streaming index's flagged-window feed. The
-// body is rendered at catalog build time like the other listings; batch
-// snapshots serve an empty feed.
-func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
-	cat := s.catalogOr503(w)
-	if cat == nil {
-		return
-	}
-	writeJSON(w, r, cat.anomaliesBody, cat.anomaliesETag)
-}
-
-// cacheKey namespaces a response-cache key with the index version, so a
-// Swap implicitly invalidates all cached bodies.
-func (s *Server) cacheKey(route, rest string) string {
-	return strconv.FormatUint(s.ix.Version(), 10) + "\x00" + route + "\x00" + rest
-}
-
 // handleLatency is the hot path: everything it serves — JSON body, binary
 // body, both ETags — was rendered at snapshot build time, so the
 // steady-state request is query parse, one shard lookup and one Write.
-// (The LRU response cache now backs only /v1/compare, whose bodies are
-// derived per requested pair.)
 func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
 	if s.catalogOr503(w) == nil {
 		return
@@ -478,15 +445,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	ck := s.cacheKey("compare", a.Key+"\x00"+b.Key)
-	body, cachedTag, hit := s.cache.get(ck)
-	if hit {
-		mCacheHits.Inc()
-		writeJSON(w, r, body, cachedTag)
-		return
-	}
-	mCacheMisses.Inc()
-	dist, ok := compareDistance(a, b)
+	dist, ok := stats.Wasserstein1OK(a.Sorted, b.Sorted)
 	if !ok {
 		// Entries always hold at least one finite point, so this is
 		// unreachable in practice — but the API must never emit NaN.
@@ -502,11 +461,9 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 			MedianMs: e.medianMs(),
 		}
 	}
-	body = mustMarshal(CompareResponse{
+	writeJSON(w, r, mustMarshal(CompareResponse{
 		A:             side(a),
 		B:             side(b),
 		WassersteinMs: stats.Sanitize(dist),
-	})
-	s.cache.add(ck, body, etag)
-	writeJSON(w, r, body, etag)
+	}), etag)
 }

@@ -31,7 +31,6 @@ GOLD="$TMPDIR/tero-gold-$$.out"
 CHAOS="$TMPDIR/tero-chaos-$$.out"
 SERVE="$TMPDIR/tero-serve-$$.out"
 TRACE="$TMPDIR/tero-trace-$$.out"
-DELTA="$TMPDIR/tero-delta-$$.out"
 go build -o "$TMPDIR/tero-check-$$" ./cmd/tero
 "$TMPDIR/tero-check-$$" -streamers 15 -days 1 -debug-addr 127.0.0.1:0 -log warn \
     > "$OUT" 2>&1 &
@@ -42,7 +41,6 @@ cleanup() {
     kill "$TERO_PID" 2>/dev/null || true
     kill "${SERVE_PID:-}" 2>/dev/null || true
     kill "${TRACE_PID:-}" 2>/dev/null || true
-    kill "${DELTA_PID:-}" 2>/dev/null || true
     rm -f "$TMPDIR/tero-check-$$" "$TMPDIR/teroserve-check-$$" \
         "$TMPDIR/terokv-check-$$" "$TMPDIR/teroexp-check-$$" \
         "$TMPDIR/teroworker-check-$$" \
@@ -50,8 +48,7 @@ cleanup() {
         "$GOLD" "$GOLD.tables" "$CHAOS" "$CHAOS.err" "$CHAOS.tables" \
         "$SERVE" "$SERVE.hdr" "$SERVE.binhdr" "$SERVE.metrics" "$SERVE.shed" \
         "$TRACE" "$TRACE.list" "$TRACE.detail" "$TRACE.metrics" "$TRACE.hdr" \
-        "$TRACE.readyz" "$STORE" "$DIST" \
-        "$DELTA" "$DELTA.anom" "$DELTA.metrics" "$DELTA.hdr"
+        "$TRACE.readyz" "$STORE" "$DIST"
 }
 trap cleanup EXIT
 
@@ -155,8 +152,10 @@ echo "dist smoke ok: fleets of real worker processes byte-identical with golden"
 
 echo "== serve smoke (cmd/teroserve: /healthz, /v1/latency, ETag 304, metrics) =="
 go build -o "$TMPDIR/teroserve-check-$$" ./cmd/teroserve
+# -refresh 2m republishes on every tick, so the ticks between thumbnail
+# rounds have nothing new and must be skipped, not rebuilt.
 "$TMPDIR/teroserve-check-$$" -streamers 12 -days 1 -addr 127.0.0.1:0 -log warn \
-    > "$SERVE" 2>&1 &
+    -refresh 2m > "$SERVE" 2>&1 &
 SERVE_PID=$!
 
 # Wait for the API to come up, then for the first publish to make it ready
@@ -216,6 +215,8 @@ grep -q '^counter serve_http_requests_total' "$SERVE.metrics" \
     || { echo "/metrics has no serve request counters" >&2; exit 1; }
 grep -q '^counter serve_not_modified_total' "$SERVE.metrics" \
     || { echo "/metrics did not count the 304" >&2; exit 1; }
+grep -Eq '^counter serve_publish_skipped_total +[1-9]' "$SERVE.metrics" \
+    || { echo "serve run never skipped an idle republish" >&2; exit 1; }
 echo "serve smoke ok: $SQUERY -> 200, ETag $ETAG replay -> 304, binary OK"
 kill "$SERVE_PID" 2>/dev/null || true
 
@@ -296,74 +297,5 @@ grep -q '^slo ' "$TRACE.readyz" \
     || { echo "readyz carries no SLO report" >&2; exit 1; }
 echo "trace/SLO smoke ok: traceparent joined, journey stored, freshness + burn rate live"
 kill "$TRACE_PID" 2>/dev/null || true
-
-echo "== delta smoke (teroserve -deltas: incremental publishes, anomaly feed) =="
-# A streaming-index run republishing every virtual 2 minutes: the index must
-# be updated mid-serve purely through sketch deltas (zero full rebuilds, the
-# skip counter lit on ticks with nothing new), and the injected evening
-# latency event on lol must surface on /v1/anomalies.
-"$TMPDIR/teroserve-check-$$" -streamers 25 -days 1 -addr 127.0.0.1:0 -log warn \
-    -deltas -refresh 2m \
-    -spike-game lol -spike-ms 400 -spike-after 18h -spike-duration 3h \
-    > "$DELTA" 2>&1 &
-DELTA_PID=$!
-DQUERY=""
-i=0
-while [ $i -lt 300 ]; do
-    DQUERY=$(sed -n 's|^sample query: \(http://[^ ]*\)$|\1|p' "$DELTA" | head -n 1)
-    [ -n "$DQUERY" ] && break
-    if ! kill -0 "$DELTA_PID" 2>/dev/null; then
-        echo "delta teroserve exited before publishing:" >&2
-        cat "$DELTA" >&2
-        exit 1
-    fi
-    i=$((i + 1))
-    sleep 0.2
-done
-[ -n "$DQUERY" ] || { echo "delta run never published a sample query" >&2; exit 1; }
-DSADDR=$(sed -n 's|^teroserve listening at http://\([^ ]*\).*|\1|p' "$DELTA" | head -n 1)
-
-# Served entries must carry the streaming ETag form and answer 200.
-curl -fsS -D "$DELTA.hdr" -o /dev/null "$DQUERY" \
-    || { echo "delta sample query failed: $DQUERY" >&2; exit 1; }
-DETAG=$(sed -n 's/^[Ee][Tt][Aa][Gg]: *//p' "$DELTA.hdr" | tr -d '\r' | head -n 1)
-case "$DETAG" in
-    '"t1-'*) ;;
-    *) echo "delta latency ETag is $DETAG, want \"t1-...\" form" >&2; exit 1 ;;
-esac
-
-# Mid-serve ingest went through the delta path only: many delta publishes,
-# not one full rebuild, and the skip counter caught the idle ticks.
-curl -fsS "http://$DSADDR/metrics" > "$DELTA.metrics"
-grep -Eq '^counter serve_delta_publishes_total +[1-9]' "$DELTA.metrics" \
-    || { echo "delta run recorded no delta publishes" >&2; exit 1; }
-grep -Eq '^counter serve_full_rebuilds_total +0$' "$DELTA.metrics" \
-    || { echo "delta run performed full rebuilds" >&2; exit 1; }
-grep -Eq '^counter serve_publish_skipped_total +[1-9]' "$DELTA.metrics" \
-    || { echo "delta run never skipped an idle republish" >&2; exit 1; }
-grep -Eq '^counter pipeline_delta_readings_total +[1-9]' "$DELTA.metrics" \
-    || { echo "delta run ingested no readings" >&2; exit 1; }
-
-# The seeded shared event must be flagged: /v1/anomalies lists Wasserstein
-# outlier windows for the spiked game, and revalidates by ETag like every
-# other endpoint.
-curl -fsS -D "$DELTA.hdr" "http://$DSADDR/v1/anomalies" > "$DELTA.anom" \
-    || { echo "/v1/anomalies not serving" >&2; exit 1; }
-grep -q '"count":0' "$DELTA.anom" \
-    && { echo "/v1/anomalies flagged nothing despite the seeded spike" >&2; exit 1; }
-grep -q 'League of Legends' "$DELTA.anom" \
-    || { echo "/v1/anomalies does not mention the spiked game" >&2; exit 1; }
-grep -q '"wasserstein_ms"' "$DELTA.anom" \
-    || { echo "/v1/anomalies carries no distance field" >&2; exit 1; }
-grep -Eq '^counter serve_anomaly_windows_total +[1-9]' "$DELTA.metrics" \
-    || { echo "anomaly windows not counted on /metrics" >&2; exit 1; }
-AETAG=$(sed -n 's/^[Ee][Tt][Aa][Gg]: *//p' "$DELTA.hdr" | tr -d '\r' | head -n 1)
-[ -n "$AETAG" ] || { echo "/v1/anomalies carried no ETag" >&2; exit 1; }
-ACODE=$(curl -s -o /dev/null -w '%{http_code}' -H "If-None-Match: $AETAG" \
-    "http://$DSADDR/v1/anomalies")
-[ "$ACODE" = "304" ] \
-    || { echo "anomalies ETag replay returned $ACODE, want 304" >&2; exit 1; }
-echo "delta smoke ok: $(grep -Eo '^counter serve_delta_publishes_total +[0-9]+' "$DELTA.metrics" | awk '{print $3}') delta publishes, 0 full rebuilds, anomaly feed live"
-kill "$DELTA_PID" 2>/dev/null || true
 
 echo "OK"
