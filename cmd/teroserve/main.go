@@ -222,23 +222,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	)
 	srv.SetStatusReport(slos.Report)
 
-	var lastExtracted, lastLocated int
-	publish := func(force bool) {
+	// One refresh, the loop bench/ runs too. The builder knows what changed:
+	// on an idle tick Build returns the snapshot the index already holds and
+	// Swap skips it (serve_publish_skipped_total).
+	publish := func() {
 		p.ProcessThumbnails()
 		p.LocateStreamers(platform.Now())
-		now := platform.Now()
-		// A refresh tick that saw no new extractions or locations would
-		// rebuild a byte-identical snapshot, so don't.
-		if p.Extracted == lastExtracted && p.Located == lastLocated && !force && ix.Ready() {
-			serve.MarkPublishSkipped()
-			return
-		}
-		lastExtracted, lastLocated = p.Extracted, p.Located
-		n := p.PublishAt(builder, params, now)
+		n := p.PublishAt(builder, params, platform.Now())
+		before := ix.Version()
 		entries := ix.Swap(builder.Build())
 		slos.Evaluate()
-		fmt.Fprintf(stdout, "  published: %d analyses -> %d servable {location, game} entries (version %d)\n",
-			n, entries, ix.Version())
+		if ix.Version() != before {
+			fmt.Fprintf(stdout, "  published: %d analyses -> %d servable {location, game} entries (version %d)\n",
+				n, entries, ix.Version())
+		}
 	}
 
 	tickEvery := 2 * time.Minute
@@ -263,11 +260,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// from the previous snapshot while the new one is built and
 		// swapped in.
 		if i > 0 && i%refreshTicks == 0 {
-			publish(false)
+			publish()
 		}
 		platform.Advance(tickEvery)
 	}
-	publish(true)
+	publish()
 	fmt.Fprintf(stdout, "pipeline done in %s (%d measurements, %d located, %d degraded ticks)\n",
 		time.Since(start).Round(time.Millisecond), p.Extracted, p.Located, tickErrs)
 

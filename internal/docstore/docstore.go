@@ -103,13 +103,16 @@ func (c *Collection) EnsureIndex(field string) {
 	c.indexes[field] = idx
 }
 
+// docID renders the ID of the n-th document inserted into a collection.
+func docID(n int) string { return fmt.Sprintf("doc%08d", n) }
+
 // Insert stores a document and returns its assigned ID.
 func (c *Collection) Insert(d Doc) string {
 	mInsert.Inc()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextID++
-	id := fmt.Sprintf("doc%08d", c.nextID)
+	id := docID(c.nextID)
 	cp := d.clone()
 	cp["_id"] = id
 	c.docs[id] = cp
@@ -158,8 +161,9 @@ func (c *Collection) Find(filter func(Doc) bool) []Doc {
 // (0 means from the beginning), in insertion-ID order, plus the current
 // sequence to pass to the next call. It is the cursor primitive behind
 // PublishAt's freshness pass: each publish consumes only the documents
-// that arrived since the previous one instead of cloning the whole
-// collection. Documents deleted since insertion are simply absent.
+// that arrived since the previous one — the walk visits IDs seq+1 through
+// the current sequence and nothing before them. Documents deleted since
+// insertion are simply absent.
 func (c *Collection) FindAfter(seq int) ([]Doc, int) {
 	mFind.Inc()
 	c.mu.RLock()
@@ -167,17 +171,11 @@ func (c *Collection) FindAfter(seq int) ([]Doc, int) {
 	if seq >= c.nextID {
 		return nil, c.nextID
 	}
-	boundary := fmt.Sprintf("doc%08d", seq)
-	ids := make([]string, 0, c.nextID-seq)
-	for id := range c.docs {
-		if id > boundary {
-			ids = append(ids, id)
+	out := make([]Doc, 0, c.nextID-seq)
+	for n := seq + 1; n <= c.nextID; n++ {
+		if d, ok := c.docs[docID(n)]; ok {
+			out = append(out, d.clone())
 		}
-	}
-	sort.Strings(ids)
-	out := make([]Doc, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, c.docs[id].clone())
 	}
 	return out, c.nextID
 }

@@ -13,9 +13,9 @@ func TestDistinct(t *testing.T) {
 	c.Insert(Doc{"streamer": "a", "ms": 2})
 	idDel := c.Insert(Doc{"streamer": "c", "ms": 3})
 	c.Insert(Doc{"streamer": "a", "ms": 4})
-	c.Insert(Doc{"ms": 5})          // field absent
-	c.Insert(Doc{"streamer": 7})    // non-string value ignored
-	c.Delete(idDel)                 // deleted docs drop out of the index
+	c.Insert(Doc{"ms": 5})       // field absent
+	c.Insert(Doc{"streamer": 7}) // non-string value ignored
+	c.Delete(idDel)              // deleted docs drop out of the index
 	got := c.Distinct("streamer")
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("Distinct via index = %v", got)
@@ -224,5 +224,39 @@ func TestFindAfterCursor(t *testing.T) {
 	next[0]["i"] = 99
 	if d, _ := c.Get(next[0].ID()); d["i"] == 99 {
 		t.Fatal("FindAfter returned aliased document")
+	}
+
+	// A document deleted inside the tail is skipped, not a gap that ends it.
+	c.Insert(Doc{"i": 7})
+	gone := c.Insert(Doc{"i": 8})
+	c.Insert(Doc{"i": 9})
+	c.Delete(gone)
+	tail, seq4 := c.FindAfter(seq3)
+	if len(tail) != 2 || tail[0]["i"] != 7 || tail[1]["i"] != 9 {
+		t.Fatalf("tail around a deleted document: %v", tail)
+	}
+	if seq4 != seq3+3 {
+		t.Fatalf("sequence %d -> %d, want +3 (deleted IDs still count)", seq3, seq4)
+	}
+
+	// The walk starts at the cursor: a 3-document tail costs the same behind
+	// 10,000 documents as behind 1,000.
+	tailAllocs := func(prefix int) float64 {
+		c := New().C("m")
+		for i := 0; i < prefix; i++ {
+			c.Insert(Doc{"i": i})
+		}
+		_, seq := c.FindAfter(0)
+		for i := 0; i < 3; i++ {
+			c.Insert(Doc{"i": prefix + i})
+		}
+		return testing.AllocsPerRun(20, func() {
+			if docs, _ := c.FindAfter(seq); len(docs) != 3 || docs[0]["i"] != prefix {
+				t.Fatalf("tail behind %d documents: %v", prefix, docs)
+			}
+		})
+	}
+	if small, large := tailAllocs(1000), tailAllocs(10000); large > small {
+		t.Fatalf("FindAfter allocates %.0f times behind 10,000 documents, %.0f behind 1,000", large, small)
 	}
 }

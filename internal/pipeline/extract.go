@@ -81,7 +81,8 @@ func ExtractThumb(x *imageproc.Extractor, obj *objstore.Object) ThumbResult {
 }
 
 // IngestResult applies the serial merge half for one extracted thumbnail:
-// counters, measurement insert, the pending-location entry. ctx, when
+// counters, measurement insert (it is the only writer of the measurements
+// collection), the pending-location entry. ctx, when
 // valid, is the span context the stored measurement propagates (the extract
 // span locally; a dist.ingest span when the result crossed a process
 // boundary). Callers are responsible for calling in a deterministic order —
@@ -102,8 +103,9 @@ func (p *Pipeline) IngestResult(r ThumbResult, ctx trace.Context) {
 	case OutcomeMeasured:
 		p.Extracted++
 		mExtracted.Inc()
+		anon := p.Anonymize(r.Streamer)
 		doc := docstore.Doc{
-			"streamer": p.Anonymize(r.Streamer),
+			"streamer": anon,
 			"login":    r.Login, // kept transiently for location lookup
 			"game":     r.Game,
 			"at":       r.At,
@@ -124,6 +126,7 @@ func (p *Pipeline) IngestResult(r ThumbResult, ctx trace.Context) {
 			doc["trace"] = trace.EncodeContext(ctx)
 		}
 		p.Docs.C("measurements").Insert(doc)
+		p.dirty[pairKey{anon, r.Game}] = struct{}{} // the pair's streams changed: Analyze re-runs it
 	case OutcomeZero:
 		p.Zero++
 		mZero.Inc()

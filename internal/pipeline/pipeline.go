@@ -43,6 +43,7 @@ import (
 	"tero/internal/objstore"
 	"tero/internal/obs"
 	"tero/internal/obs/trace"
+	"tero/internal/serve"
 )
 
 // Observability: stage counters mirror the struct counters below into the
@@ -103,6 +104,30 @@ type Pipeline struct {
 	// reads only the documents inserted since the previous one.
 	freshMark int64
 	freshSeq  int
+
+	// The analysis cache behind Analyze: one pair per {streamer, game}
+	// analysed so far, in canonical (streamer, game) order, and what has
+	// been written since — marked where the data is written, by
+	// IngestResult and LocateStreamers. Measurements are only ever
+	// inserted, so a pair never goes away.
+	pairs      map[pairKey]*pair
+	order      []*pair
+	dirty      map[pairKey]struct{} // pairs that took a measurement since their analysis
+	moved      map[string]struct{}  // streamers whose location history changed since theirs
+	analyzed   bool                 // Analyze has run, with analyzedBy
+	analyzedBy core.Params
+	// publishedTo is the builder the last PublishAt fed: it holds every
+	// pair's published analysis and nothing else.
+	publishedTo *serve.Builder
+}
+
+type pairKey struct{ streamer, game string }
+
+// pair is the analysis state of one {streamer, game}.
+type pair struct {
+	pairKey
+	analysis  *core.Analysis // core.Analyze over the pair's current streams
+	published *core.Analysis // what publishedTo holds for the pair; nil if nothing
 }
 
 // New wires a pipeline against the platform at baseURL.
@@ -127,6 +152,9 @@ func NewWithKV(baseURL string, downloaders int, kv kvstore.KV) *Pipeline {
 		Social:      location.NewHTTPSocial(baseURL),
 		API:         api,
 		Salt:        "tero-reproduction",
+		pairs:       make(map[pairKey]*pair),
+		dirty:       make(map[pairKey]struct{}),
+		moved:       make(map[string]struct{}),
 	}
 	if downloaders < 1 {
 		downloaders = 1
@@ -144,6 +172,7 @@ func NewWithKV(baseURL string, downloaders int, kv kvstore.KV) *Pipeline {
 // its replica and hand the pipeline the replica's address.
 func (p *Pipeline) SetKV(kv kvstore.KV) {
 	p.KV = kv
+	p.analyzed = false // location history lives in the store: re-derive every analysis from the new one
 	p.Coordinator.KV = kv
 	for _, d := range p.Downloaders {
 		d.KV = kv
@@ -423,6 +452,7 @@ func (p *Pipeline) LocateStreamers(now time.Time) int {
 	traced := trace.Enabled()
 	type locResult struct {
 		outcome      int
+		moved        bool
 		wstart, wend time.Time
 	}
 	outcomes := make([]locResult, len(ids))
@@ -432,7 +462,7 @@ func (p *Pipeline) LocateStreamers(now time.Time) int {
 		if traced {
 			outcomes[i].wstart = time.Now()
 		}
-		outcomes[i].outcome = p.locateOne(ids[i], pending[ids[i]], now)
+		outcomes[i].outcome, outcomes[i].moved = p.locateOne(ids[i], pending[ids[i]], now)
 		if traced {
 			outcomes[i].wend = time.Now()
 		}
@@ -450,6 +480,11 @@ func (p *Pipeline) LocateStreamers(now time.Time) int {
 			p.Unlocated++
 			mUnlocated.Inc()
 		}
+		if o.moved {
+			// Every stream of the streamer resolves its location through
+			// the history that just changed.
+			p.moved[p.Anonymize(ids[i])] = struct{}{}
+		}
 		if traced {
 			// Per-streamer child spans under the stage trace, recorded in
 			// sorted-streamer order. Only the pseudonym is attached (§7).
@@ -465,24 +500,25 @@ func (p *Pipeline) LocateStreamers(now time.Time) int {
 }
 
 // locateOne runs the serial location procedure for a single streamer. All
-// key-value writes are under keys derived from this streamer alone.
-func (p *Pipeline) locateOne(realID, login string, now time.Time) int {
+// key-value writes are under keys derived from this streamer alone. moved
+// reports that the streamer's location history gained an entry (the empty
+// "tried, unknown" marker resolves to no location, as its absence did).
+func (p *Pipeline) locateOne(realID, login string, now time.Time) (outcome int, moved bool) {
 	anon := p.Anonymize(realID)
 	if last, ok := p.KV.Get("locat:" + anon); ok {
 		if t, err := time.Parse(time.RFC3339, last); err == nil &&
 			now.Sub(t) < relocateEvery {
 			p.KV.HDel("pending-location", realID)
-			return locNone
+			return locNone, false
 		}
 	}
 	_, desc, err := p.API.UserDescription(realID)
 	if err != nil {
-		return locNone // stays pending for the next round
+		return locNone, false // stays pending for the next round
 	}
 	tag, _ := p.KV.HGet(download.KeyTags, realID)
 	res := p.Locator.Locate(login, desc, tag, p.Social)
 	p.KV.Set("locat:"+anon, now.UTC().Format(time.RFC3339))
-	outcome := locNone
 	if res.OK {
 		// Record in the history only if the location changed (§3.1.1:
 		// occasionally a streamer advertises a new location — keep both).
@@ -490,6 +526,7 @@ func (p *Pipeline) locateOne(realID, login string, now time.Time) int {
 		if enc := encodeLocation(res.Loc); enc != prev {
 			p.KV.HSet("lochist:"+anon, now.UTC().Format(time.RFC3339), enc)
 			p.KV.Set("loc:"+anon, enc)
+			moved = true
 		}
 		outcome = locLocated
 	} else if _, tried := p.KV.Get("loc:" + anon); !tried {
@@ -497,7 +534,7 @@ func (p *Pipeline) locateOne(realID, login string, now time.Time) int {
 		outcome = locUnlocated
 	}
 	p.KV.HDel("pending-location", realID)
-	return outcome
+	return outcome, moved
 }
 
 // LocationAt returns the streamer's recorded location as of time t: the
@@ -610,99 +647,175 @@ func pointOf(d docstore.Doc) (core.Point, bool) {
 
 // BuildStreams groups stored measurements into streams (§3.3.1): per
 // {streamer, game}, chronologically ordered, split where the measurement
-// gap exceeds streamGap. Only streamers with a known location get one.
-// Measurements are fetched per streamer through the collection's streamer
-// index rather than a full-collection scan.
+// gap exceeds streamGap, each with the location on record at its first
+// point (none for a streamer never located). Measurements are fetched per
+// streamer through the collection's streamer index rather than a
+// full-collection scan.
 func (p *Pipeline) BuildStreams() []core.Stream {
 	sp := trace.StartStage("pipeline.build_streams")
 	defer sp.End()
-	meas := p.Docs.C("measurements")
 	var out []core.Stream
-	for _, streamer := range meas.Distinct("streamer") {
-		byGame := make(map[string][]core.Point)
-		for _, d := range meas.FindEq("streamer", streamer) {
-			pt, ok := pointOf(d)
-			if !ok {
-				continue
-			}
-			game := d["game"].(string)
-			byGame[game] = append(byGame[game], pt)
-		}
-		games := make([]string, 0, len(byGame))
-		for g := range byGame {
-			games = append(games, g)
-		}
-		sort.Strings(games)
-		for _, game := range games {
-			pts := byGame[game]
-			sort.Slice(pts, func(i, j int) bool { return pts[i].T.Before(pts[j].T) })
-			// Location can change between streams but not within one
-			// (§3.3.1): resolve it at each stream's first point.
-			locFor := func(t time.Time) geo.Location {
-				loc, _ := p.LocationAt(streamer, t)
-				return loc
-			}
-			cur := core.Stream{Streamer: streamer, Game: game, Location: locFor(pts[0].T)}
-			for i, pt := range pts {
-				if i > 0 && pt.T.Sub(pts[i-1].T) > streamGap {
-					if len(cur.Points) > 0 {
-						out = append(out, cur)
-					}
-					cur = core.Stream{Streamer: streamer, Game: game, Location: locFor(pt.T)}
-				}
-				cur.Points = append(cur.Points, pt)
-			}
-			if len(cur.Points) > 0 {
-				out = append(out, cur)
-			}
-		}
+	for _, streamer := range p.Docs.C("measurements").Distinct("streamer") {
+		out = append(out, p.streamsOf(streamer)...)
 	}
 	mStreams.Set(float64(len(out)))
 	return out
 }
 
-// Analyze runs the data-analysis module over all built streams, one
-// analysis per {streamer, game}. The per-group analyses are independent
-// (core.Analyze deep-copies its input), so they run on the worker pool;
-// results keep first-appearance group order.
+// streamsOf builds one streamer's streams, game by game in sorted game
+// order and chronological within a game.
+func (p *Pipeline) streamsOf(streamer string) []core.Stream {
+	byGame := make(map[string][]core.Point)
+	for _, d := range p.Docs.C("measurements").FindEq("streamer", streamer) {
+		pt, ok := pointOf(d)
+		if !ok {
+			continue
+		}
+		game := d["game"].(string)
+		byGame[game] = append(byGame[game], pt)
+	}
+	games := make([]string, 0, len(byGame))
+	for g := range byGame {
+		games = append(games, g)
+	}
+	sort.Strings(games)
+	var out []core.Stream
+	for _, game := range games {
+		pts := byGame[game]
+		sort.Slice(pts, func(i, j int) bool { return pts[i].T.Before(pts[j].T) })
+		// Location can change between streams but not within one
+		// (§3.3.1): resolve it at each stream's first point.
+		locFor := func(t time.Time) geo.Location {
+			loc, _ := p.LocationAt(streamer, t)
+			return loc
+		}
+		cur := core.Stream{Streamer: streamer, Game: game, Location: locFor(pts[0].T)}
+		for i, pt := range pts {
+			if i > 0 && pt.T.Sub(pts[i-1].T) > streamGap {
+				if len(cur.Points) > 0 {
+					out = append(out, cur)
+				}
+				cur = core.Stream{Streamer: streamer, Game: game, Location: locFor(pt.T)}
+			}
+			cur.Points = append(cur.Points, pt)
+		}
+		if len(cur.Points) > 0 {
+			out = append(out, cur)
+		}
+	}
+	return out
+}
+
+// Analyze runs the data-analysis module, one analysis per {streamer, game},
+// and returns them all in canonical (streamer, game) order. §3.3's analysis
+// is independent per pair, so the pipeline keeps each pair's last analysis
+// and re-runs stream building and core.Analyze only for the pairs written
+// since: those that took a measurement (IngestResult) and every pair of a
+// streamer whose location history changed (LocateStreamers). The first
+// call, and a call with different params, analyses every pair. Pairs left
+// alone come back pointer-identical; callers must treat analyses as
+// read-only. The per-pair analyses are independent (core.Analyze
+// deep-copies its input), so they run on the worker pool.
 func (p *Pipeline) Analyze(params core.Params) []*core.Analysis {
 	sp := trace.StartStage("pipeline.analyze")
 	defer sp.End()
-	streams := p.BuildStreams()
-	type key struct{ streamer, game string }
-	grouped := make(map[key][]core.Stream)
-	var order []key
-	for _, s := range streams {
-		k := key{s.Streamer, s.Game}
-		if _, ok := grouped[k]; !ok {
-			order = append(order, k)
+
+	all := !p.analyzed || params != p.analyzedBy
+	var streamers []string
+	if all {
+		streamers = p.Docs.C("measurements").Distinct("streamer")
+	} else {
+		written := make(map[string]struct{}, len(p.dirty)+len(p.moved))
+		for k := range p.dirty {
+			written[k.streamer] = struct{}{}
 		}
-		grouped[k] = append(grouped[k], s)
+		for s := range p.moved {
+			written[s] = struct{}{}
+		}
+		for s := range written {
+			streamers = append(streamers, s)
+		}
+		sort.Strings(streamers)
 	}
+
+	// Serial half: the written streamers' streams, cut into one task per
+	// pair to analyse. Tasks are in canonical order, and so are their spans.
+	type task struct {
+		pr      *pair
+		streams []core.Stream
+	}
+	var tasks []task
+	appeared := false
+	bs := trace.StartStage("pipeline.build_streams")
+	for _, streamer := range streamers {
+		_, moved := p.moved[streamer]
+		streams := p.streamsOf(streamer)
+		for len(streams) > 0 {
+			k := pairKey{streamer, streams[0].Game}
+			n := 1
+			for n < len(streams) && streams[n].Game == k.game {
+				n++
+			}
+			if _, dirty := p.dirty[k]; all || moved || dirty {
+				pr := p.pairs[k]
+				if pr == nil {
+					pr = &pair{pairKey: k}
+					p.pairs[k] = pr
+					p.order = append(p.order, pr)
+					appeared = true
+				}
+				tasks = append(tasks, task{pr, streams[:n]})
+			}
+			streams = streams[n:]
+		}
+	}
+	bs.End()
+	if appeared {
+		sort.Slice(p.order, func(i, j int) bool {
+			a, b := p.order[i], p.order[j]
+			if a.streamer != b.streamer {
+				return a.streamer < b.streamer
+			}
+			return a.game < b.game
+		})
+	}
+
 	traced := trace.Enabled()
-	out := make([]*core.Analysis, len(order))
+	results := make([]*core.Analysis, len(tasks))
 	var timings [][2]time.Time
 	if traced {
-		timings = make([][2]time.Time, len(order))
+		timings = make([][2]time.Time, len(tasks))
 	}
-	p.forEach("analyze", len(order), func(i int) {
+	p.forEach("analyze", len(tasks), func(i int) {
 		if traced {
 			timings[i][0] = time.Now()
 		}
-		out[i] = core.Analyze(grouped[order[i]], params)
+		results[i] = core.Analyze(tasks[i].streams, params)
 		if traced {
 			timings[i][1] = time.Now()
 		}
 	})
-	if traced {
-		// Per-{streamer, game} child spans in first-appearance group order
-		// (the streamer field is already the pseudonym).
-		for i, k := range order {
+	for i, t := range tasks {
+		t.pr.analysis = results[i]
+		if traced {
+			// Per-{streamer, game} child spans (the streamer field is
+			// already the pseudonym).
 			trace.RecordSpan(sp.Context(), "pipeline.analyze_group",
 				timings[i][0], timings[i][1], "",
-				trace.A("streamer", k.streamer), trace.A("game", k.game))
+				trace.A("streamer", t.pr.streamer), trace.A("game", t.pr.game))
 		}
 	}
-	plog.Debug("analysis complete", "groups", len(order))
+	clear(p.dirty)
+	clear(p.moved)
+	p.analyzed, p.analyzedBy = true, params
+
+	out := make([]*core.Analysis, len(p.order))
+	streams := 0
+	for i, pr := range p.order {
+		out[i] = pr.analysis
+		streams += len(pr.analysis.Streams)
+	}
+	mStreams.Set(float64(streams))
+	plog.Debug("analysis complete", "pairs", len(out), "analysed", len(tasks))
 	return out
 }

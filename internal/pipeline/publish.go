@@ -30,15 +30,23 @@ func FreshnessHistogram() *obs.Histogram { return hFreshness }
 // PublishAt runs the analysis stage over everything stored so far and feeds
 // the results into a serving builder — the hand-off point between the
 // producer (download → extract → locate → analyze) and the query service
-// (internal/serve). The builder is Reset first, so each publish reflects
-// the pipeline's current complete state; callers then Build a snapshot and
-// Swap it into the serving index:
+// (internal/serve). The builder ends up holding the pipeline's current
+// complete state; callers then Build a snapshot and Swap it into the
+// serving index:
 //
 //	n := p.PublishAt(builder, params, now)
 //	index.Swap(builder.Build())
 //
-// Returns the number of analyses published. Safe to call repeatedly while
-// the service is live — Swap never locks readers out (see serve.Index).
+// A publish costs what arrived since the previous one: Analyze re-analyses
+// only the pairs written since, and the builder is handed only those — new
+// pairs by Add, re-analysed ones by Replace — so its Build re-renders only
+// their groups. The pipeline assumes it is the builder's only writer from
+// one publish to the next; a builder other than the previous publish's is
+// Reset and handed everything.
+//
+// Returns the number of analyses the builder now holds for the pipeline:
+// all of them, not the changed ones. Safe to call repeatedly while the
+// service is live — Swap never locks readers out (see serve.Index).
 //
 // now is the pipeline's virtual time: readings that became queryable with
 // this publish are observed into the freshness histogram (virtual seconds
@@ -51,12 +59,28 @@ func (p *Pipeline) PublishAt(b *serve.Builder, params core.Params, now time.Time
 	tA0 := time.Now()
 	analyses := p.Analyze(params)
 	tA1 := time.Now()
-	b.Reset()
-	b.Add(analyses...)
+	if b != p.publishedTo {
+		b.Reset()
+		for _, pr := range p.order {
+			pr.published = nil
+		}
+		p.publishedTo = b
+	}
+	for _, pr := range p.order {
+		switch {
+		case pr.published == pr.analysis:
+			continue
+		case pr.published == nil:
+			b.Add(pr.analysis)
+		default:
+			b.Replace(pr.published, pr.analysis)
+		}
+		pr.published = pr.analysis
+	}
 	tP1 := time.Now()
 	p.finalizeReadings(now, tA0, tA1, tP1)
 	mPublished.Inc()
-	plog.Debug("published analyses", "groups", len(analyses))
+	plog.Debug("published analyses", "pairs", len(analyses))
 	return len(analyses)
 }
 

@@ -66,11 +66,18 @@ func (a *Admission) InFlight() int { return int(a.inFlight.Load()) }
 // rejection it returns (nil, false) and the request must be shed.
 func (a *Admission) Admit() (release func(), ok bool) {
 	if m := a.maxInFlight.Load(); m > 0 {
-		if cur := a.inFlight.Add(1); cur > m {
-			a.inFlight.Add(-1)
-			return nil, false
+		// Take a slot only if one is free: adding first and backing out
+		// would let InFlight read above the limit in between.
+		for {
+			cur := a.inFlight.Load()
+			if cur >= m {
+				return nil, false
+			}
+			if a.inFlight.CompareAndSwap(cur, cur+1) {
+				gInFlight.Set(float64(cur + 1))
+				break
+			}
 		}
-		gInFlight.Set(float64(a.inFlight.Load()))
 		release = func() {
 			gInFlight.Set(float64(a.inFlight.Add(-1)))
 		}

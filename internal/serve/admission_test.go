@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -104,6 +105,7 @@ func TestServerSheds(t *testing.T) {
 	a.tokens = 0
 	a.mu.Unlock()
 	s.SetAdmission(a)
+	shedBefore := handlesFor("latency").shed.Value() // process-global: other tests and -count=N add to it
 
 	w := do(t, s, "/v1/latency?location="+milanKey+"&game=Fortnite")
 	if w.Code != http.StatusServiceUnavailable {
@@ -120,10 +122,10 @@ func TestServerSheds(t *testing.T) {
 		}
 	}
 
-	// The shed was counted against its route.
-	m := do(t, s, "/metrics")
-	if !strings.Contains(m.Body.String(), `serve_shed_total{route=latency} 1`) {
-		t.Errorf("metrics missing latency shed counter:\n%s", m.Body.String())
+	// The shed was counted against its route, once, and /metrics shows it.
+	want := fmt.Sprintf("serve_shed_total{route=latency} %d\n", shedBefore+1)
+	if m := do(t, s, "/metrics"); !strings.Contains(m.Body.String(), want) {
+		t.Errorf("metrics lack %q:\n%s", want, m.Body.String())
 	}
 
 	// Removing the gate restores service.

@@ -183,7 +183,11 @@ func TestLoadWithSwap(t *testing.T) {
 	ts := httptest.NewServer(serve.NewServer(ix))
 	t.Cleanup(ts.Close)
 
-	// Republish continuously while the load runs.
+	// Republish continuously while the load runs, alternating two builders:
+	// PublishAt hands a builder it did not feed last time everything, so
+	// every round is a from-scratch Build and a real Swap (the same builder
+	// again would return the snapshot the index already holds).
+	builders := [2]*serve.Builder{builder, serve.NewBuilder(params)}
 	stop := make(chan struct{})
 	swapDone := make(chan int)
 	go func() {
@@ -194,8 +198,11 @@ func TestLoadWithSwap(t *testing.T) {
 				swapDone <- n
 				return
 			default:
-				ix.Swap(builder.Build())
-				n++
+				b := builders[(n+1)%2]
+				p.PublishAt(b, params, time.Time{})
+				v := ix.Version()
+				ix.Swap(b.Build())
+				n += int(ix.Version() - v)
 				time.Sleep(5 * time.Millisecond)
 			}
 		}

@@ -7,9 +7,10 @@
 //
 // The moving parts:
 //
-//   - Builder accumulates *core.Analysis values (the pipeline feeds it via
-//     Pipeline.PublishAt) and Build()s an immutable Snapshot: one Entry per
-//     {location, game} with every statistic the API serves precomputed.
+//   - Builder keeps *core.Analysis values grouped by {location, game} (the
+//     pipeline feeds it via Pipeline.PublishAt) and Build()s an immutable
+//     Snapshot: one Entry per group with every statistic the API serves
+//     precomputed, rendered again only for the groups that changed.
 //   - Index holds the serving state in independently locked shards; Swap
 //     atomically replaces the whole content with a new Snapshot without
 //     ever locking readers out of more than one shard at a time.
@@ -22,8 +23,8 @@
 // Determinism: an Entry is a pure function of its group's analyses, groups
 // are processed in sorted key order, and all floats flowing into JSON pass
 // through the stats sanitizers — so response bodies are byte-identical
-// across serial and concurrent builds, and across pipeline republishes of
-// identical data.
+// across serial and concurrent builds, across incremental and from-scratch
+// builds, and across pipeline republishes of identical data.
 package serve
 
 import (
@@ -88,9 +89,8 @@ type Entry struct {
 	// high-quality analyses of the group.
 	Streamers int
 
-	resp    LatencyResponse
-	body    []byte // resp marshaled as JSON at build time
-	binBody []byte // resp encoded in the binary wire format at build time
+	body    []byte // the latency response marshaled as JSON at build time
+	binBody []byte // the same response in the binary wire format
 	etag    string // JSON representation ETag
 	binETag string // binary representation ETag (same hash, distinct tag)
 }
@@ -114,9 +114,10 @@ func (e *Entry) ETag() string { return e.etag }
 // representation it does not hold.
 func (e *Entry) ETagBinary() string { return e.binETag }
 
-// Response returns the precomputed latency response (by value: callers
-// cannot mutate the shared entry).
-func (e *Entry) Response() LatencyResponse { return e.resp }
+// Response derives the latency response from the sorted sample: the value
+// both bodies were rendered from at build time. The entry does not keep it
+// (≈ 1.4 KiB each, and the request path serves the rendered bodies).
+func (e *Entry) Response() LatencyResponse { return e.computeResponse() }
 
 // BodyJSON returns the pre-marshaled JSON body (callers must not mutate).
 func (e *Entry) BodyJSON() []byte { return e.body }
@@ -199,9 +200,9 @@ type CompareResponse struct {
 }
 
 // newEntry computes the full read-optimized record for one {location, game}
-// group. It returns nil when the group's distribution has fewer than
-// minPoints samples. Pure: depends only on its arguments.
-func newEntry(loc geo.Location, game string, analyses []*core.Analysis,
+// group; key is EntryKey of gk. It returns nil when the group's distribution
+// has fewer than minPoints samples. Pure: depends only on its arguments.
+func newEntry(key string, gk core.GroupKey, analyses []*core.Analysis,
 	p core.Params, minPoints int) *Entry {
 	dist := core.Distribution(analyses, p)
 	if len(dist) < minPoints || len(dist) == 0 {
@@ -218,20 +219,18 @@ func newEntry(loc geo.Location, game string, analyses []*core.Analysis,
 	}
 
 	e := &Entry{
-		Key:       EntryKey(loc, game),
-		Location:  loc,
-		Game:      game,
+		Key:       key,
+		Location:  gk.Loc,
+		Game:      gk.Game,
 		Sorted:    sorted,
 		Streamers: streamers,
 	}
-	e.resp = e.computeResponse()
 	e.etag, e.binETag = e.computeETags()
 	// Publish-time marshaling: both representations are rendered here, on
 	// the builder's worker pool, so the request hot path never marshals.
-	// The JSON bytes are exactly mustMarshal(e.resp) — what the handler
-	// used to produce per request — so bodies stay byte-identical.
-	e.body = mustMarshal(e.resp)
-	e.binBody = EncodeLatencyBinary(&e.resp)
+	resp := e.computeResponse()
+	e.body = mustMarshal(resp)
+	e.binBody = EncodeLatencyBinary(&resp)
 	return e
 }
 

@@ -17,6 +17,9 @@ import (
 // are never blocked.
 const DefaultShards = 16
 
+// mPublishSkipped counts the Swaps that had nothing to install.
+var mPublishSkipped = obs.C("serve_publish_skipped_total")
+
 // Index gauges, updated on every Swap.
 var (
 	gIndexEntries   = obs.G("serve_index_entries")
@@ -164,6 +167,7 @@ type Index struct {
 	catalog atomic.Pointer[Catalog]
 	version atomic.Uint64
 	swapMu  sync.Mutex
+	held    *Snapshot // the last snapshot installed; guarded by swapMu
 }
 
 // NewIndex creates an index with the given shard count (<= 0 means
@@ -201,7 +205,7 @@ func (ix *Index) Catalog() *Catalog { return ix.catalog.Load() }
 // Ready reports whether a snapshot has been swapped in.
 func (ix *Index) Ready() bool { return ix.catalog.Load() != nil }
 
-// Version returns the number of swaps performed.
+// Version returns the number of snapshots installed.
 func (ix *Index) Version() uint64 { return ix.version.Load() }
 
 // Len returns the current entry count across all shards.
@@ -220,9 +224,19 @@ func (ix *Index) Len() int {
 // each shard's map is replaced under that shard's write lock alone.
 // Concurrent swaps are serialized; readers are only ever blocked for the
 // duration of one map-pointer assignment on one shard.
+//
+// Handed the snapshot it already holds — what Builder.Build returns when
+// nothing changed — Swap installs nothing, leaves Version alone and counts
+// serve_publish_skipped_total. Returns the snapshot's entry count.
 func (ix *Index) Swap(s *Snapshot) int {
 	ix.swapMu.Lock()
 	defer ix.swapMu.Unlock()
+
+	if s == ix.held {
+		mPublishSkipped.Inc()
+		return len(s.Entries)
+	}
+	ix.held = s
 
 	byShard := make([]map[string]*Entry, len(ix.shards))
 	for i := range byShard {

@@ -21,6 +21,13 @@ echo "== bench module (own go.mod, replace tero => ../: vet + tests) =="
 go vet -C bench ./...
 go test -C bench ./...
 
+echo "== incremental publish == from scratch (-race -count=5) =="
+# The two tests that hold dirty-group Build and dirty-pair Analyze to a
+# from-scratch oracle, byte for byte, repeated so the race detector sees the
+# readers on the index against several interleavings.
+go test -race -count=5 -run '^TestIncrementalBuildMatchesFresh$' ./internal/serve
+go test -race -count=5 -run '^TestIncrementalPublishMatchesFromScratch$' ./internal/pipeline
+
 echo "== benchmark smoke (VolumePipeline, 1 iteration) =="
 go test -run '^$' -bench '^BenchmarkVolumePipeline$' -benchtime 1x .
 
@@ -153,7 +160,8 @@ echo "dist smoke ok: fleets of real worker processes byte-identical with golden"
 echo "== serve smoke (cmd/teroserve: /healthz, /v1/latency, ETag 304, metrics) =="
 go build -o "$TMPDIR/teroserve-check-$$" ./cmd/teroserve
 # -refresh 2m republishes on every tick, so the ticks between thumbnail
-# rounds have nothing new and must be skipped, not rebuilt.
+# rounds have nothing new: Build must hand back the snapshot the index
+# already holds and Swap must skip it.
 "$TMPDIR/teroserve-check-$$" -streamers 12 -days 1 -addr 127.0.0.1:0 -log warn \
     -refresh 2m > "$SERVE" 2>&1 &
 SERVE_PID=$!
