@@ -6,8 +6,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -18,80 +21,111 @@ import (
 )
 
 func main() {
-	var (
-		addr = flag.String("addr", "127.0.0.1:0", "listen address")
-		dir  = flag.String("dir", "",
-			"persistence directory (empty = in-memory only)")
-		fsync = flag.String("fsync", kvstore.FsyncInterval,
-			"aof fsync policy: always, interval, never")
-		fsyncEvery = flag.Duration("fsync-every", 100*time.Millisecond,
-			"fsync interval for -fsync interval")
-		compactEvery = flag.Int("compact-every", 10000,
-			"snapshot+compact the log after this many appended commands (0 = never)")
-		replicaOf = flag.String("replicaof", "",
-			"follow the primary at this host:port (full sync, then live stream)")
-		debugAddr = flag.String("debug-addr", "",
-			"serve /metrics and /debug/pprof/ on this address")
-		logLevel = flag.String("log", "info",
-			"log level: trace, debug, info, warn, error, off")
-	)
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-	if lv, ok := obs.ParseLevel(*logLevel); ok {
+// options is the command's whole flag surface.
+type options struct {
+	addr         string
+	dir          string
+	fsync        string
+	fsyncEvery   time.Duration
+	compactEvery int
+	replicaOf    string
+	debugAddr    string
+	logLevel     string
+}
+
+// register declares every flag on fs.
+func (o *options) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:0", "listen address")
+	fs.StringVar(&o.dir, "dir", "", "persistence directory (empty = in-memory only)")
+	fs.StringVar(&o.fsync, "fsync", kvstore.FsyncInterval,
+		"aof fsync policy: always, interval, never")
+	fs.DurationVar(&o.fsyncEvery, "fsync-every", 100*time.Millisecond,
+		"fsync interval for -fsync interval")
+	fs.IntVar(&o.compactEvery, "compact-every", 10000,
+		"snapshot+compact the log after this many appended commands (0 = never)")
+	fs.StringVar(&o.replicaOf, "replicaof", "",
+		"follow the primary at this host:port (full sync, then live stream)")
+	fs.StringVar(&o.debugAddr, "debug-addr", "",
+		"serve /metrics and /debug/pprof/ on this address")
+	fs.StringVar(&o.logLevel, "log", "info",
+		"log level: trace, debug, info, warn, error, off")
+}
+
+// run is the whole command behind main: it parses args on its own flag
+// set, writes only to the given streams, serves until ctx is cancelled (main
+// cancels it on SIGINT/SIGTERM) and returns the exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet("terokv", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o.register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	if lv, ok := obs.ParseLevel(o.logLevel); ok {
 		obs.SetLogLevel(lv)
 	} else {
-		fmt.Fprintf(os.Stderr, "unknown -log level %q\n", *logLevel)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown -log level %q\n", o.logLevel)
+		return 2
 	}
-	if *debugAddr != "" {
-		dbg, err := obs.ServeDebug(*debugAddr)
+	if o.debugAddr != "" {
+		dbg, err := obs.ServeDebug(o.debugAddr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "debug server: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "debug server: %v\n", err)
+			return 1
 		}
 		defer dbg.ShutdownTimeout(5 * time.Second) //nolint:errcheck
-		fmt.Printf("debug server listening on http://%s\n", dbg.Addr)
+		fmt.Fprintf(stdout, "debug server listening on http://%s\n", dbg.Addr)
 	}
 
 	var store *kvstore.Store
-	if *dir != "" {
+	if o.dir != "" {
 		var err error
-		store, err = kvstore.Open(*dir, kvstore.PersistOptions{
-			Fsync:        *fsync,
-			FsyncEvery:   *fsyncEvery,
-			CompactEvery: *compactEvery,
+		store, err = kvstore.Open(o.dir, kvstore.PersistOptions{
+			Fsync:        o.fsync,
+			FsyncEvery:   o.fsyncEvery,
+			CompactEvery: o.compactEvery,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "open %s: %v\n", *dir, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "open %s: %v\n", o.dir, err)
+			return 1
 		}
 		defer store.Close()
-		fmt.Printf("terokv durable at %s (fsync=%s, %d keys recovered)\n",
-			*dir, *fsync, store.Len())
+		fmt.Fprintf(stdout, "terokv durable at %s (fsync=%s, %d keys recovered)\n",
+			o.dir, o.fsync, store.Len())
 	} else {
 		store = kvstore.New()
 	}
 
-	srv, err := kvstore.Serve(store, *addr)
+	srv, err := kvstore.Serve(store, o.addr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "listen %s: %v\n", *addr, err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "listen %s: %v\n", o.addr, err)
+		return 1
 	}
 	defer srv.Close()
-	if *replicaOf != "" {
-		if err := srv.ReplicaOf(*replicaOf); err != nil {
-			fmt.Fprintf(os.Stderr, "replicaof %s: %v\n", *replicaOf, err)
-			os.Exit(1)
+	if o.replicaOf != "" {
+		if err := srv.ReplicaOf(o.replicaOf); err != nil {
+			fmt.Fprintf(stderr, "replicaof %s: %v\n", o.replicaOf, err)
+			return 1
 		}
-		fmt.Printf("terokv replicating from %s\n", *replicaOf)
+		fmt.Fprintf(stdout, "terokv replicating from %s\n", o.replicaOf)
 	}
 	// The announcement line the chaos-store exec leg and check.sh parse.
-	fmt.Printf("terokv listening at %s\n", srv.Addr())
+	fmt.Fprintf(stdout, "terokv listening at %s\n", srv.Addr())
 
 	// Run until interrupted; SIGKILL (the chaos path) skips all of this,
 	// which is the point — recovery must work without a goodbye.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Println("terokv shutting down")
+	<-ctx.Done()
+	fmt.Fprintln(stdout, "terokv shutting down")
+	return 0
 }

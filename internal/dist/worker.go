@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -28,7 +27,7 @@ type WorkerConfig struct {
 	// the coordinator uses to find a dead worker's claims.
 	ID string
 	// StoreAddr is the kvstore server (with attached object buckets) all
-	// coordination and freight go through.
+	// coordination, results and quarantined thumbnails go through.
 	StoreAddr string
 	// Downloaders is the in-worker downloader count (default 1). Claims
 	// spread round-robin across them.
@@ -63,45 +62,6 @@ func (c *WorkerConfig) defaults() {
 	if c.StartTimeout <= 0 {
 		c.StartTimeout = 30 * time.Second
 	}
-}
-
-// pendingThumb is one thumbnail this worker stored and still owes an
-// extraction for.
-type pendingThumb struct {
-	key  string
-	data []byte
-	meta map[string]string
-}
-
-// teeStore wraps the remote object API handed to the downloaders and keeps
-// a local copy of every thumbnail they store, so extraction reads from
-// memory instead of fetching its own write back over the wire.
-type teeStore struct {
-	objstore.API
-	pending []pendingThumb
-}
-
-func (t *teeStore) Put(bucket, key string, data []byte, meta map[string]string) string {
-	etag := t.API.Put(bucket, key, data, meta)
-	if bucket == download.ThumbBucket {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		m := make(map[string]string, len(meta))
-		for k, v := range meta {
-			m[k] = v
-		}
-		t.pending = append(t.pending, pendingThumb{key: key, data: cp, meta: m})
-	}
-	return etag
-}
-
-// drain returns the accumulated thumbnails in key order and resets the
-// buffer.
-func (t *teeStore) drain() []pendingThumb {
-	p := t.pending
-	t.pending = nil
-	sort.Slice(p, func(i, j int) bool { return p[i].key < p[j].key })
-	return p
 }
 
 // RunWorker joins the fleet at cfg.StoreAddr and works rounds until the
@@ -179,11 +139,14 @@ func RunWorker(cfg WorkerConfig) error {
 	}
 	_ = platformURL // the assignments carry absolute URLs; nothing to dial here
 
-	tee := &teeStore{API: objects}
+	// Thumbnails never leave the process: the downloaders store into a
+	// local bucket that workRound drains, so a thumbnail costs the wire one
+	// result frame (plus the quarantine copy of a corrupt one).
+	local := objstore.New()
 	extractor := imageproc.New()
 	dls := make([]*download.Downloader, cfg.Downloaders)
 	for i := range dls {
-		d := download.NewDownloader(cfg.ID+":dl"+strconv.Itoa(i), kv, tee)
+		d := download.NewDownloader(cfg.ID+":dl"+strconv.Itoa(i), kv, local)
 		d.Claim = download.ClaimNone
 		d.WindowStamp = cfg.WindowStamp
 		d.ClaimTraceKey = KeyClaimTrace
@@ -217,7 +180,7 @@ func RunWorker(cfg WorkerConfig) error {
 		if err != nil {
 			return fmt.Errorf("dist worker %s: bad %s %q: %w", cfg.ID, KeyNow, nowStr, err)
 		}
-		if err := workRound(cfg, kv, objects, tee, extractor, dls, now, &stats, halted); err != nil {
+		if err := workRound(cfg, kv, objects, local, extractor, dls, now, &stats, halted); err != nil {
 			return err
 		}
 		if halted() {
@@ -232,10 +195,10 @@ func RunWorker(cfg WorkerConfig) error {
 }
 
 // workRound does one round at the frozen virtual instant now: service due
-// fetches, claim a fair quota from the queue, extract and push everything
-// fetched. Repeat rounds at the same instant are harmless — due times are
-// virtual, so nothing comes due twice.
-func workRound(cfg WorkerConfig, kv kvstore.KV, objects objstore.API, tee *teeStore,
+// fetches, claim a fair quota from the queue, extract everything fetched
+// into local and push the results to objects. Repeat rounds at the same
+// instant are harmless — due times are virtual, so nothing comes due twice.
+func workRound(cfg WorkerConfig, kv kvstore.KV, objects objstore.API, local *objstore.Store,
 	extractor *imageproc.Extractor, dls []*download.Downloader,
 	now time.Time, stats *WorkerStats, halted func() bool) error {
 	for _, d := range dls {
@@ -286,15 +249,18 @@ func workRound(cfg WorkerConfig, kv kvstore.KV, objects objstore.API, tee *teeSt
 	// Extract everything fetched this round and push the results. Results
 	// are keyed by thumbnail key: a re-fetch after a crash overwrites with
 	// identical bytes instead of duplicating.
-	for _, p := range tee.drain() {
+	for _, key := range local.List(download.ThumbBucket, "") {
 		if halted() {
 			return nil
 		}
+		obj, err := local.Get(download.ThumbBucket, key)
+		if err != nil {
+			continue
+		}
 		wstart := time.Now()
-		res := pipeline.ExtractThumb(extractor,
-			&objstore.Object{Key: p.key, Data: p.data, Meta: p.meta})
+		res := pipeline.ExtractThumb(extractor, obj)
 		wend := time.Now()
-		jctx, _ := trace.DecodeContext(p.meta["trace"])
+		jctx, _ := trace.DecodeContext(obj.Meta["trace"])
 		errMsg := ""
 		if res.Outcome == pipeline.OutcomeCorrupt {
 			errMsg = "corrupt thumbnail: pgm decode failed"
@@ -302,7 +268,7 @@ func workRound(cfg WorkerConfig, kv kvstore.KV, objects objstore.API, tee *teeSt
 		ec := trace.RecordSpan(jctx, "dist.extract", wstart, wend, errMsg,
 			trace.A("worker", cfg.ID), trace.A("outcome", res.Outcome))
 		r := Result{
-			Key: p.key, Outcome: res.Outcome,
+			Key: key, Outcome: res.Outcome,
 			Ms: res.Ms, Alt: res.Alt, HasAlt: res.HasAlt,
 			Streamer: res.Streamer, Login: res.Login, Game: res.Game,
 			At: res.At, AtUnix: res.AtUnix, AtOK: res.AtOK,
@@ -311,8 +277,8 @@ func workRound(cfg WorkerConfig, kv kvstore.KV, objects objstore.API, tee *teeSt
 		if res.Outcome == pipeline.OutcomeCorrupt {
 			// Quarantine worker-side so the move happens exactly once, by
 			// whoever decoded it; the coordinator only counts it.
-			objects.Put(pipeline.QuarantineBucket, p.key, p.data, p.meta)
-			dlog.Warn("quarantined corrupt thumbnail", "worker", cfg.ID, "key", p.key)
+			objects.Put(pipeline.QuarantineBucket, key, obj.Data, obj.Meta)
+			dlog.Warn("quarantined corrupt thumbnail", "worker", cfg.ID, "key", key)
 		}
 		if res.Outcome == pipeline.OutcomeMeasured {
 			stats.Extracted++
@@ -322,9 +288,9 @@ func workRound(cfg WorkerConfig, kv kvstore.KV, objects objstore.API, tee *teeSt
 			// stay open until the coordinator publishes them.
 			trace.Finish(jctx.TraceID)
 		}
-		objects.Put(ResultBucket, p.key, r.Encode(), nil)
+		objects.Put(ResultBucket, key, r.Encode(), nil)
 		// §7: the thumbnail is freight, not data — gone once extracted.
-		objects.Delete(download.ThumbBucket, p.key)
+		local.Delete(download.ThumbBucket, key) //nolint:errcheck // just listed; only this goroutine deletes
 	}
 	total := 0
 	for _, d := range dls {

@@ -1,7 +1,9 @@
 // Package docstore implements the document store Tero keeps latency
-// measurements and analysis results in (App. B uses MongoDB): collections
-// of schemaless documents with auto-assigned IDs, filtered queries, and
-// single-field hash indexes.
+// measurements in (App. B uses MongoDB), cut to what Tero sends it:
+// measurements are only ever inserted, so a collection is its documents in
+// insertion order — no update, delete or lookup by ID — with filtered
+// scans, single-field hash indexes and a sequence cursor (FindAfter) over
+// the tail.
 package docstore
 
 import (
@@ -16,23 +18,14 @@ import (
 // would report for the paper's deployment.
 var (
 	mInsert   = obs.C(obs.Lbl("docstore_ops_total", "op", "insert"))
-	mGet      = obs.C(obs.Lbl("docstore_ops_total", "op", "get"))
 	mFind     = obs.C(obs.Lbl("docstore_ops_total", "op", "find"))
 	mFindEq   = obs.C(obs.Lbl("docstore_ops_total", "op", "findeq"))
 	mDistinct = obs.C(obs.Lbl("docstore_ops_total", "op", "distinct"))
-	mUpdate   = obs.C(obs.Lbl("docstore_ops_total", "op", "update"))
-	mDelete   = obs.C(obs.Lbl("docstore_ops_total", "op", "delete"))
 )
 
 // Doc is one document: a field→value map. The "_id" field is assigned on
 // insert.
 type Doc map[string]any
-
-// ID returns the document's identifier.
-func (d Doc) ID() string {
-	id, _ := d["_id"].(string)
-	return id
-}
 
 // clone deep-copies one level of the document (values are copied by
 // assignment; callers should not mutate nested structures).
@@ -44,12 +37,13 @@ func (d Doc) clone() Doc {
 	return out
 }
 
-// Collection is a set of documents.
+// Collection is an append-only sequence of documents. docs[n-1] is the n-th
+// document inserted, so a position is both the insertion order and the
+// FindAfter sequence, and an index's position lists are already sorted.
 type Collection struct {
 	mu      sync.RWMutex
-	docs    map[string]Doc
-	nextID  int
-	indexes map[string]map[any][]string // field -> value -> ids
+	docs    []Doc
+	indexes map[string]map[any][]int // field -> value -> positions in docs
 }
 
 // Store is a named set of collections.
@@ -69,22 +63,10 @@ func (s *Store) C(name string) *Collection {
 	defer s.mu.Unlock()
 	c, ok := s.colls[name]
 	if !ok {
-		c = &Collection{docs: make(map[string]Doc), indexes: make(map[string]map[any][]string)}
+		c = &Collection{indexes: make(map[string]map[any][]int)}
 		s.colls[name] = c
 	}
 	return c
-}
-
-// Collections returns the names of all collections, sorted.
-func (s *Store) Collections() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.colls))
-	for n := range s.colls {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // EnsureIndex creates a hash index on a field (idempotent).
@@ -94,62 +76,41 @@ func (c *Collection) EnsureIndex(field string) {
 	if _, ok := c.indexes[field]; ok {
 		return
 	}
-	idx := make(map[any][]string)
-	for id, d := range c.docs {
+	idx := make(map[any][]int)
+	for pos, d := range c.docs {
 		if v, ok := d[field]; ok {
-			idx[v] = append(idx[v], id)
+			idx[v] = append(idx[v], pos)
 		}
 	}
 	c.indexes[field] = idx
 }
 
-// docID renders the ID of the n-th document inserted into a collection.
-func docID(n int) string { return fmt.Sprintf("doc%08d", n) }
-
-// Insert stores a document and returns its assigned ID.
+// Insert stores a copy of the document and returns its assigned ID.
 func (c *Collection) Insert(d Doc) string {
 	mInsert.Inc()
+	cp := d.clone()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.nextID++
-	id := docID(c.nextID)
-	cp := d.clone()
+	pos := len(c.docs)
+	id := fmt.Sprintf("doc%08d", pos+1)
 	cp["_id"] = id
-	c.docs[id] = cp
+	c.docs = append(c.docs, cp)
 	for field, idx := range c.indexes {
 		if v, ok := cp[field]; ok {
-			idx[v] = append(idx[v], id)
+			idx[v] = append(idx[v], pos)
 		}
 	}
 	return id
 }
 
-// Get returns the document with the given ID.
-func (c *Collection) Get(id string) (Doc, bool) {
-	mGet.Inc()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	d, ok := c.docs[id]
-	if !ok {
-		return nil, false
-	}
-	return d.clone(), true
-}
-
 // Find returns copies of all documents matching the filter (nil filter
-// matches all), in insertion-ID order.
+// matches all), in insertion order.
 func (c *Collection) Find(filter func(Doc) bool) []Doc {
 	mFind.Inc()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	ids := make([]string, 0, len(c.docs))
-	for id := range c.docs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	var out []Doc
-	for _, id := range ids {
-		d := c.docs[id]
+	for _, d := range c.docs {
 		if filter == nil || filter(d) {
 			out = append(out, d.clone())
 		}
@@ -158,47 +119,44 @@ func (c *Collection) Find(filter func(Doc) bool) []Doc {
 }
 
 // FindAfter returns copies of the documents inserted after sequence seq
-// (0 means from the beginning), in insertion-ID order, plus the current
+// (0 means from the beginning), in insertion order, plus the current
 // sequence to pass to the next call. It is the cursor primitive behind
 // PublishAt's freshness pass: each publish consumes only the documents
-// that arrived since the previous one — the walk visits IDs seq+1 through
-// the current sequence and nothing before them. Documents deleted since
-// insertion are simply absent.
+// that arrived since the previous one — the slice tail past the cursor and
+// nothing before it.
 func (c *Collection) FindAfter(seq int) ([]Doc, int) {
 	mFind.Inc()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if seq >= c.nextID {
-		return nil, c.nextID
+	if seq < 0 {
+		seq = 0
 	}
-	out := make([]Doc, 0, c.nextID-seq)
-	for n := seq + 1; n <= c.nextID; n++ {
-		if d, ok := c.docs[docID(n)]; ok {
-			out = append(out, d.clone())
-		}
+	if seq >= len(c.docs) {
+		return nil, len(c.docs)
 	}
-	return out, c.nextID
+	out := make([]Doc, 0, len(c.docs)-seq)
+	for _, d := range c.docs[seq:] {
+		out = append(out, d.clone())
+	}
+	return out, len(c.docs)
 }
 
-// FindEq returns documents whose field equals value, using an index when
-// one exists.
+// FindEq returns copies of the documents whose field equals value, in
+// insertion order, using an index when one exists.
 func (c *Collection) FindEq(field string, value any) []Doc {
 	mFindEq.Inc()
 	c.mu.RLock()
-	if idx, ok := c.indexes[field]; ok {
-		ids := append([]string(nil), idx[value]...)
-		sort.Strings(ids)
-		out := make([]Doc, 0, len(ids))
-		for _, id := range ids {
-			if d, ok := c.docs[id]; ok {
-				out = append(out, d.clone())
-			}
-		}
+	idx, ok := c.indexes[field]
+	if !ok {
 		c.mu.RUnlock()
-		return out
+		return c.Find(func(d Doc) bool { return d[field] == value })
 	}
-	c.mu.RUnlock()
-	return c.Find(func(d Doc) bool { return d[field] == value })
+	defer c.mu.RUnlock()
+	out := make([]Doc, 0, len(idx[value]))
+	for _, pos := range idx[value] {
+		out = append(out, c.docs[pos].clone())
+	}
+	return out
 }
 
 // Distinct returns the distinct string values of a field across all
@@ -210,8 +168,8 @@ func (c *Collection) Distinct(field string) []string {
 	c.mu.RLock()
 	seen := make(map[string]bool)
 	if idx, ok := c.indexes[field]; ok {
-		for v, ids := range idx {
-			if s, isStr := v.(string); isStr && len(ids) > 0 {
+		for v := range idx {
+			if s, isStr := v.(string); isStr {
 				seen[s] = true
 			}
 		}
@@ -229,64 +187,4 @@ func (c *Collection) Distinct(field string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Update merges fields into the document with the given ID.
-func (c *Collection) Update(id string, fields Doc) bool {
-	mUpdate.Inc()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d, ok := c.docs[id]
-	if !ok {
-		return false
-	}
-	for field, idx := range c.indexes {
-		if newV, changes := fields[field]; changes {
-			if oldV, had := d[field]; had {
-				idx[oldV] = removeID(idx[oldV], id)
-			}
-			idx[newV] = append(idx[newV], id)
-		}
-	}
-	for k, v := range fields {
-		if k == "_id" {
-			continue
-		}
-		d[k] = v
-	}
-	return true
-}
-
-// Delete removes a document.
-func (c *Collection) Delete(id string) bool {
-	mDelete.Inc()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d, ok := c.docs[id]
-	if !ok {
-		return false
-	}
-	for field, idx := range c.indexes {
-		if v, had := d[field]; had {
-			idx[v] = removeID(idx[v], id)
-		}
-	}
-	delete(c.docs, id)
-	return true
-}
-
-// Count returns the number of documents.
-func (c *Collection) Count() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.docs)
-}
-
-func removeID(ids []string, id string) []string {
-	for i, v := range ids {
-		if v == id {
-			return append(ids[:i], ids[i+1:]...)
-		}
-	}
-	return ids
 }

@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -11,11 +12,9 @@ func TestDistinct(t *testing.T) {
 	c.EnsureIndex("streamer")
 	c.Insert(Doc{"streamer": "b", "ms": 1})
 	c.Insert(Doc{"streamer": "a", "ms": 2})
-	idDel := c.Insert(Doc{"streamer": "c", "ms": 3})
 	c.Insert(Doc{"streamer": "a", "ms": 4})
 	c.Insert(Doc{"ms": 5})       // field absent
 	c.Insert(Doc{"streamer": 7}) // non-string value ignored
-	c.Delete(idDel)              // deleted docs drop out of the index
 	got := c.Distinct("streamer")
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("Distinct via index = %v", got)
@@ -36,18 +35,18 @@ func TestInsertAndGet(t *testing.T) {
 	s := New()
 	c := s.C("measurements")
 	id := c.Insert(Doc{"streamer": "s1", "ms": 45})
-	if id == "" {
-		t.Fatal("empty id")
+	if id != "doc00000001" {
+		t.Fatalf("first id = %q", id)
 	}
-	d, ok := c.Get(id)
-	if !ok || d["streamer"] != "s1" || d["ms"] != 45 {
-		t.Fatalf("doc = %v", d)
+	if id2 := c.Insert(Doc{"streamer": "s2"}); id2 != "doc00000002" {
+		t.Fatalf("second id = %q", id2)
 	}
-	if d.ID() != id {
-		t.Fatal("ID()")
+	all := c.Find(nil)
+	if len(all) != 2 || all[0]["streamer"] != "s1" || all[0]["ms"] != 45 || all[0]["_id"] != id {
+		t.Fatalf("docs = %v", all)
 	}
-	if _, ok := c.Get("nope"); ok {
-		t.Fatal("missing get")
+	if s.C("measurements") != c || len(s.C("other").Find(nil)) != 0 {
+		t.Fatal("C must return the same collection per name and a fresh one otherwise")
 	}
 }
 
@@ -55,17 +54,25 @@ func TestInsertCopies(t *testing.T) {
 	s := New()
 	c := s.C("x")
 	src := Doc{"a": 1}
-	id := c.Insert(src)
+	c.EnsureIndex("a")
+	c.Insert(src)
 	src["a"] = 2
-	d, _ := c.Get(id)
-	if d["a"] != 1 {
-		t.Fatal("Insert must copy")
+	// Mutating a returned doc must not affect the store, whichever read
+	// returned it.
+	reads := map[string]func() []Doc{
+		"Find":      func() []Doc { return c.Find(nil) },
+		"FindEq":    func() []Doc { return c.FindEq("a", 1) },
+		"FindAfter": func() []Doc { docs, _ := c.FindAfter(0); return docs },
 	}
-	// Mutating the returned doc must not affect the store.
-	d["a"] = 3
-	d2, _ := c.Get(id)
-	if d2["a"] != 1 {
-		t.Fatal("Get must copy")
+	for name, read := range reads {
+		d := read()
+		if len(d) != 1 || d[0]["a"] != 1 {
+			t.Fatalf("%s = %v: Insert must copy", name, d)
+		}
+		d[0]["a"] = 3
+		if again := read(); again[0]["a"] != 1 {
+			t.Fatalf("%s must copy", name)
+		}
 	}
 }
 
@@ -96,70 +103,19 @@ func TestFindEqWithAndWithoutIndex(t *testing.T) {
 	if len(noIdx) != 10 || len(withIdx) != 10 {
 		t.Fatalf("lens %d, %d", len(noIdx), len(withIdx))
 	}
+	// Both paths return insertion order: n = 0, 2, 4, ...
 	for i := range noIdx {
-		if noIdx[i].ID() != withIdx[i].ID() {
-			t.Fatal("index and scan disagree")
+		if noIdx[i]["n"] != 2*i || withIdx[i]["n"] != 2*i || noIdx[i]["_id"] != withIdx[i]["_id"] {
+			t.Fatalf("result %d: scan %v, index %v, want n=%d from both", i, noIdx[i], withIdx[i], 2*i)
 		}
 	}
-	// Index maintained across insert/update/delete.
-	id := c.Insert(Doc{"game": "lol"})
-	if len(c.FindEq("game", "lol")) != 11 {
+	// The index follows later inserts.
+	c.Insert(Doc{"game": "lol", "n": 20})
+	if got := c.FindEq("game", "lol"); len(got) != 11 || got[10]["n"] != 20 {
 		t.Fatal("index not updated on insert")
 	}
-	c.Update(id, Doc{"game": "dota"})
-	if len(c.FindEq("game", "lol")) != 10 || len(c.FindEq("game", "dota")) != 11 {
-		t.Fatal("index not updated on update")
-	}
-	c.Delete(id)
-	if len(c.FindEq("game", "dota")) != 10 {
-		t.Fatal("index not updated on delete")
-	}
-}
-
-func TestUpdate(t *testing.T) {
-	s := New()
-	c := s.C("x")
-	id := c.Insert(Doc{"a": 1})
-	if !c.Update(id, Doc{"b": 2}) {
-		t.Fatal("update failed")
-	}
-	d, _ := c.Get(id)
-	if d["a"] != 1 || d["b"] != 2 {
-		t.Fatalf("doc = %v", d)
-	}
-	// _id cannot be overwritten.
-	c.Update(id, Doc{"_id": "evil"})
-	if d, _ := c.Get(id); d.ID() != id {
-		t.Fatal("_id overwritten")
-	}
-	if c.Update("missing", Doc{"a": 1}) {
-		t.Fatal("update missing should fail")
-	}
-}
-
-func TestDeleteAndCount(t *testing.T) {
-	s := New()
-	c := s.C("x")
-	id := c.Insert(Doc{"a": 1})
-	if c.Count() != 1 {
-		t.Fatal("count")
-	}
-	if !c.Delete(id) || c.Delete(id) {
-		t.Fatal("delete semantics")
-	}
-	if c.Count() != 0 {
-		t.Fatal("count after delete")
-	}
-}
-
-func TestCollections(t *testing.T) {
-	s := New()
-	s.C("b")
-	s.C("a")
-	s.C("b")
-	got := s.Collections()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("collections = %v", got)
+	if got := c.FindEq("game", "none"); len(got) != 0 {
+		t.Fatalf("FindEq of an absent value = %v", got)
 	}
 }
 
@@ -179,16 +135,17 @@ func TestConcurrentInserts(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Count() != 800 {
-		t.Fatalf("count = %d", c.Count())
+	all := c.Find(nil)
+	if len(all) != 800 {
+		t.Fatalf("count = %d", len(all))
 	}
 	// IDs unique.
-	seen := map[string]bool{}
-	for _, d := range c.Find(nil) {
-		if seen[d.ID()] {
+	seen := map[any]bool{}
+	for _, d := range all {
+		if seen[d["_id"]] {
 			t.Fatal("duplicate id")
 		}
-		seen[d.ID()] = true
+		seen[d["_id"]] = true
 	}
 }
 
@@ -222,21 +179,15 @@ func TestFindAfterCursor(t *testing.T) {
 	}
 	// Copies, not aliases.
 	next[0]["i"] = 99
-	if d, _ := c.Get(next[0].ID()); d["i"] == 99 {
+	if again, _ := c.FindAfter(seq); again[0]["i"] != 5 {
 		t.Fatal("FindAfter returned aliased document")
 	}
-
-	// A document deleted inside the tail is skipped, not a gap that ends it.
-	c.Insert(Doc{"i": 7})
-	gone := c.Insert(Doc{"i": 8})
-	c.Insert(Doc{"i": 9})
-	c.Delete(gone)
-	tail, seq4 := c.FindAfter(seq3)
-	if len(tail) != 2 || tail[0]["i"] != 7 || tail[1]["i"] != 9 {
-		t.Fatalf("tail around a deleted document: %v", tail)
+	// A cursor from the future or the past of the sequence is harmless.
+	if docs, at := c.FindAfter(seq3 + 10); len(docs) != 0 || at != seq3 {
+		t.Fatalf("cursor past the end = %d docs, seq %d", len(docs), at)
 	}
-	if seq4 != seq3+3 {
-		t.Fatalf("sequence %d -> %d, want +3 (deleted IDs still count)", seq3, seq4)
+	if docs, _ := c.FindAfter(-1); len(docs) != seq3 {
+		t.Fatalf("negative cursor = %d docs, want all %d", len(docs), seq3)
 	}
 
 	// The walk starts at the cursor: a 3-document tail costs the same behind
@@ -258,5 +209,53 @@ func TestFindAfterCursor(t *testing.T) {
 	}
 	if small, large := tailAllocs(1000), tailAllocs(10000); large > small {
 		t.Fatalf("FindAfter allocates %.0f times behind 10,000 documents, %.0f behind 1,000", large, small)
+	}
+}
+
+// TestConcurrentInsertAndCursor: a reader tailing the collection with
+// FindAfter while writers insert sees every document exactly once, in
+// sequence order; run with -race.
+func TestConcurrentInsertAndCursor(t *testing.T) {
+	c := New().C("m")
+	c.EnsureIndex("g")
+	const writers, each = 4, 250
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				c.Insert(Doc{"g": g, "i": i})
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	var got []Doc
+	seq := 0
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true // one last read below drains what the writers left
+		default:
+		}
+		docs, next := c.FindAfter(seq)
+		if next != seq+len(docs) {
+			t.Fatalf("cursor %d -> %d with %d docs", seq, next, len(docs))
+		}
+		got, seq = append(got, docs...), next
+	}
+	if len(got) != writers*each {
+		t.Fatalf("tailed %d documents, want %d", len(got), writers*each)
+	}
+	last := map[any]int{}
+	for n, d := range got {
+		if want := fmt.Sprintf("doc%08d", n+1); d["_id"] != want {
+			t.Fatalf("document %d has _id %v, want %s", n, d["_id"], want)
+		}
+		if prev, ok := last[d["g"]]; ok && d["i"].(int) != prev+1 {
+			t.Fatalf("writer %v: i=%v after i=%d", d["g"], d["i"], prev)
+		}
+		last[d["g"]] = d["i"].(int)
 	}
 }

@@ -21,50 +21,6 @@ func TestStoreStrings(t *testing.T) {
 	}
 }
 
-func TestStoreTTL(t *testing.T) {
-	s := New()
-	now := time.Unix(1000, 0)
-	s.SetClock(func() time.Time { return now })
-	s.SetEx("k", "v", 10*time.Second)
-	if _, ok := s.Get("k"); !ok {
-		t.Fatal("before expiry")
-	}
-	now = now.Add(11 * time.Second)
-	if _, ok := s.Get("k"); ok {
-		t.Fatal("after expiry")
-	}
-	// Expire on existing key.
-	s.Set("e", "v")
-	if !s.Expire("e", time.Second) {
-		t.Fatal("expire existing")
-	}
-	if s.Expire("nope", time.Second) {
-		t.Fatal("expire missing")
-	}
-	now = now.Add(2 * time.Second)
-	if _, ok := s.Get("e"); ok {
-		t.Fatal("expired key visible")
-	}
-	// Keys skips expired.
-	if len(s.Keys("")) != 0 {
-		t.Fatalf("keys = %v", s.Keys(""))
-	}
-}
-
-func TestStoreIncr(t *testing.T) {
-	s := New()
-	for want := int64(1); want <= 3; want++ {
-		got, err := s.Incr("n")
-		if err != nil || got != want {
-			t.Fatalf("incr = %d, %v", got, err)
-		}
-	}
-	s.Set("bad", "xyz")
-	if _, err := s.Incr("bad"); err == nil {
-		t.Fatal("incr non-integer should error")
-	}
-}
-
 func TestStoreHashes(t *testing.T) {
 	s := New()
 	s.HSet("h", "f1", "v1")
@@ -84,29 +40,28 @@ func TestStoreHashes(t *testing.T) {
 
 func TestStoreLists(t *testing.T) {
 	s := New()
-	s.RPush("l", "a", "b")
-	s.LPush("l", "z")
+	if n := s.RPush("l", "a", "b"); n != 2 {
+		t.Fatalf("rpush = %d", n)
+	}
+	s.RPush("l", "c")
 	if n := s.LLen("l"); n != 3 {
 		t.Fatalf("llen = %d", n)
 	}
-	if got := s.LRange("l", 0, -1); len(got) != 3 || got[0] != "z" || got[2] != "b" {
-		t.Fatalf("lrange = %v", got)
+	for _, want := range []string{"a", "b", "c"} {
+		if v, ok := s.LPop("l"); !ok || v != want {
+			t.Fatalf("lpop = %q %v, want %q", v, ok, want)
+		}
 	}
-	if v, ok := s.LPop("l"); !ok || v != "z" {
-		t.Fatal("lpop")
-	}
-	if v, ok := s.RPop("l"); !ok || v != "b" {
-		t.Fatal("rpop")
-	}
-	s.RPop("l")
-	if _, ok := s.RPop("l"); ok {
+	if _, ok := s.LPop("l"); ok {
 		t.Fatal("pop empty")
 	}
-	if s.LRange("nope", 0, -1) != nil {
-		t.Fatal("range of missing list")
+	if s.LLen("nope") != 0 {
+		t.Fatal("length of missing list")
 	}
 }
 
+// TestStoreConcurrency runs writers against the four readers, which hold
+// only the read lock; run with -race.
 func TestStoreConcurrency(t *testing.T) {
 	s := New()
 	var wg sync.WaitGroup
@@ -115,15 +70,19 @@ func TestStoreConcurrency(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				s.Incr("counter")
+				s.Set("str", fmt.Sprintf("%d-%d", g, i))
 				s.RPush("list", fmt.Sprintf("%d-%d", g, i))
 				s.HSet("hash", fmt.Sprintf("f%d", g), "v")
+				s.Get("str")
+				s.HGet("hash", "f0")
+				s.HGetAll("hash")
+				s.LLen("list")
 			}
 		}(g)
 	}
 	wg.Wait()
-	if v, _ := s.Get("counter"); v != "1600" {
-		t.Fatalf("counter = %s", v)
+	if n := len(s.HGetAll("hash")); n != 8 {
+		t.Fatalf("hash fields = %d", n)
 	}
 	if s.LLen("list") != 1600 {
 		t.Fatalf("list len = %d", s.LLen("list"))
@@ -183,9 +142,8 @@ func TestServerListsAndHashes(t *testing.T) {
 	if rep, err := cl.Do("RPUSH", "l", "a", "b", "c"); err != nil || rep.Int != 3 {
 		t.Fatalf("rpush = %+v %v", rep, err)
 	}
-	rep, err := cl.Do("LRANGE", "l", "0", "-1")
-	if err != nil || len(rep.Array) != 3 || rep.Array[0].Str != "a" {
-		t.Fatalf("lrange = %+v %v", rep, err)
+	if rep, err := cl.Do("LLEN", "l"); err != nil || rep.Int != 3 {
+		t.Fatalf("llen = %+v %v", rep, err)
 	}
 	if rep, err := cl.Do("LPOP", "l"); err != nil || rep.Str != "a" {
 		t.Fatalf("lpop = %+v", rep)
@@ -199,23 +157,6 @@ func TestServerListsAndHashes(t *testing.T) {
 	all, err := cl.Do("HGETALL", "h")
 	if err != nil || len(all.Array) != 2 {
 		t.Fatalf("hgetall = %+v", all)
-	}
-}
-
-func TestServerIncrAndKeys(t *testing.T) {
-	_, cl := newServerClient(t)
-	for i := int64(1); i <= 3; i++ {
-		rep, err := cl.Do("INCR", "c")
-		if err != nil || rep.Int != i {
-			t.Fatalf("incr = %+v %v", rep, err)
-		}
-	}
-	cl.Set("prefix:a", "1")
-	cl.Set("prefix:b", "2")
-	cl.Set("other", "3")
-	rep, err := cl.Do("KEYS", "prefix:")
-	if err != nil || len(rep.Array) != 2 {
-		t.Fatalf("keys = %+v %v", rep, err)
 	}
 }
 
@@ -248,7 +189,7 @@ func TestServerConcurrentClients(t *testing.T) {
 			}
 			defer cl.Close()
 			for i := 0; i < 100; i++ {
-				if _, err := cl.Do("INCR", "shared"); err != nil {
+				if _, err := cl.Do("RPUSH", "shared", "x"); err != nil {
 					errs <- err
 					return
 				}
@@ -262,21 +203,32 @@ func TestServerConcurrentClients(t *testing.T) {
 	}
 	cl, _ := Dial(srv.Addr())
 	defer cl.Close()
-	v, _, _ := cl.Get("shared")
-	if v != "800" {
-		t.Fatalf("shared = %s, want 800", v)
+	if rep, err := cl.Do("LLEN", "shared"); err != nil || rep.Int != 800 {
+		t.Fatalf("shared = %+v, %v, want 800", rep, err)
 	}
 }
 
-func TestServerSetEx(t *testing.T) {
-	_, cl := newServerClient(t)
-	if _, err := cl.Do("SETEX", "k", "100", "v"); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, _ := cl.Get("k"); !ok || v != "v" {
-		t.Fatal("setex value")
-	}
-	if rep, err := cl.Do("EXPIRE", "k", "100"); err != nil || rep.Int != 1 {
-		t.Fatal("expire")
+// TestReadersShareTheLock: with TTLs gone the four readers purge nothing, so
+// they must hold only the read lock — they complete while another reader
+// (here the test itself) holds it.
+func TestReadersShareTheLock(t *testing.T) {
+	s := New()
+	s.Set("s", "v")
+	s.HSet("h", "f", "v")
+	s.RPush("l", "a")
+	s.mu.RLock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Get("s")
+		s.HGet("h", "f")
+		s.HGetAll("h")
+		s.LLen("l")
+	}()
+	select {
+	case <-done:
+		s.mu.RUnlock()
+	case <-time.After(5 * time.Second):
+		t.Fatal("a reader blocked behind a held read lock: it takes the write lock")
 	}
 }

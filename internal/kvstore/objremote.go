@@ -9,8 +9,8 @@ import (
 )
 
 // RemoteObjects adapts a RESP Client to the objstore.API interface: the
-// networked object store distributed workers push thumbnails and extraction
-// results through. Like RemoteStore, the interface itself is error-free;
+// networked object store distributed workers push extraction results (and
+// quarantined thumbnails) through. Like RemoteStore, the interface itself is error-free;
 // the first transport error is recorded in Err and reads then return
 // not-found/zero values.
 type RemoteObjects struct {

@@ -11,7 +11,8 @@ import (
 // Object-store commands over the same RESP connection as the key-value
 // commands (the kvstore is the coordination substrate; attaching the object
 // store to it gives workers one address for both). RESP bulk strings are
-// length-prefixed and binary-safe, so thumbnail payloads ride unmodified.
+// length-prefixed and binary-safe, so result documents and the occasional
+// quarantined thumbnail ride unmodified.
 //
 //	OPUT  bucket key data [field value]...  -> bulk etag
 //	OGET  bucket key                        -> array [etag, modtime-unixnano, data, field, value, ...]
@@ -21,8 +22,9 @@ import (
 //	OSIZE bucket                            -> int
 //
 // Object data is intentionally outside the AOF/replication stream: objects
-// are transit freight (thumbnails are deleted as soon as they are
-// extracted, §7), not durable coordination state.
+// are transit freight (a result is deleted as soon as the coordinator has
+// ingested it; thumbnails never leave the worker that fetched them, §7),
+// not durable coordination state.
 
 // AttachObjects exposes an object store through this server's wire protocol.
 // Must be called before clients issue O* commands; safe to call once around

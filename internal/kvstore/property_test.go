@@ -1,9 +1,9 @@
 package kvstore
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestQuickSetGetRoundTrip(t *testing.T) {
@@ -75,119 +75,73 @@ func TestQuickHashRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuickTTLVisibility: under a virtual clock, a key with TTL d written at
-// t0 is visible strictly before t0+d and invisible at or after it, for
-// arbitrary TTLs and probe offsets.
-func TestQuickTTLVisibility(t *testing.T) {
-	f := func(ttlMs uint16, probeMs uint16) bool {
-		ttl := time.Duration(ttlMs)*time.Millisecond + time.Millisecond // ≥1ms
-		probe := time.Duration(probeMs) * time.Millisecond
-		s := New()
-		now := time.Unix(5000, 0)
-		s.SetClock(func() time.Time { return now })
-		s.SetEx("k", "v", ttl)
-		now = now.Add(probe)
-		_, ok := s.Get("k")
-		return ok == (probe < ttl)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuickTypeTransition checks the store against a reference model for
-// arbitrary interleavings of writes, type changes, expiries and deletes on
-// one key. The model encodes the contract: values of different types may
-// coexist while live, a TTL covers the whole key, and once the deadline
-// passes every incarnation is gone — an expired value must never leak into
-// or survive a later write of another type.
+// arbitrary interleavings of the six mutators on one key. The model is the
+// kept contract: values of different types coexist under a key while live,
+// Del removes every type at once, a drained list or emptied hash leaves no
+// ghost entry behind (Len counts exactly the live types, Del of it reports
+// absent), and every mutator's return value matches.
 func TestQuickTypeTransition(t *testing.T) {
 	f := func(ops []uint8) bool {
 		s := New()
-		now := time.Unix(9000, 0)
-		s.SetClock(func() time.Time { return now })
-		type model struct {
-			str, hash, list bool
-			dl              time.Time
-		}
-		var m model
-		alive := func() bool { return m.str || m.hash || m.list }
-		lapse := func() { // mirror of purgeIfExpired
-			if !m.dl.IsZero() && !now.Before(m.dl) {
-				m = model{}
+		var (
+			str   bool
+			hash  = map[string]bool{}
+			queue []string
+		)
+		live := func() int {
+			n := 0
+			for _, is := range []bool{str, len(hash) > 0, len(queue) > 0} {
+				if is {
+					n++
+				}
 			}
+			return n
 		}
-		for _, op := range ops {
-			lapse()
+		for i, op := range ops {
+			field := "f" + strconv.Itoa(int(op>>4)%3)
 			switch op % 6 {
 			case 0:
 				s.Set("k", "str")
-				m.str, m.dl = true, time.Time{} // Set clears any TTL
+				str = true
 			case 1:
-				s.HSet("k", "f", "hv")
-				m.hash = true
-			case 2:
-				s.RPush("k", "el")
-				m.list = true
-			case 3:
-				if got := s.Expire("k", time.Minute); got != alive() {
-					return false // resurrection or a missed live key
-				}
-				if alive() {
-					m.dl = now.Add(time.Minute)
-				}
-				now = now.Add(2 * time.Minute) // jump past the deadline
-			case 4:
-				if got := s.Del("k"); got != alive() {
+				if created := s.HSet("k", field, "hv"); created == hash[field] {
 					return false
 				}
-				m = model{}
+				hash[field] = true
+			case 2:
+				if existed := s.HDel("k", field); existed != hash[field] {
+					return false
+				}
+				delete(hash, field)
+			case 3:
+				el := strconv.Itoa(i)
+				queue = append(queue, el)
+				if n := s.RPush("k", el); n != len(queue) {
+					return false
+				}
+			case 4:
+				v, ok := s.LPop("k")
+				if ok != (len(queue) > 0) || (ok && v != queue[0]) {
+					return false
+				}
+				if ok {
+					queue = queue[1:]
+				}
 			case 5:
-				s.SetEx("k", "strex", time.Hour)
-				m.str, m.dl = true, now.Add(time.Hour)
+				if got := s.Del("k"); got != (live() > 0) {
+					return false
+				}
+				str, hash, queue = false, map[string]bool{}, nil
+			}
+			if s.Len() != live() {
+				return false // a ghost entry, or a live type lost
 			}
 		}
-		lapse()
 		_, isStr := s.Get("k")
-		_, isHash := s.HGet("k", "f")
-		isList := s.LLen("k") > 0
-		if isStr != m.str || isHash != m.hash || isList != m.list {
-			return false
-		}
-		return alive() || len(s.Keys("")) == 0
+		return isStr == str && len(s.HGetAll("k")) == len(hash) && s.LLen("k") == len(queue)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickDurableTTLRoundTrip: arbitrary absolute deadlines survive a
-// close/reopen cycle exactly — recovery replays SETAT, not a relative TTL.
-func TestQuickDurableTTLRoundTrip(t *testing.T) {
-	f := func(keys []string, ttlMin uint8) bool {
-		dir := t.TempDir()
-		s, err := Open(dir, PersistOptions{Fsync: FsyncAlways})
-		if err != nil {
-			return false
-		}
-		for i, k := range keys {
-			if k == "" {
-				k = "empty"
-			}
-			s.SetEx(k, "v", time.Duration(ttlMin+1)*time.Minute+time.Duration(i)*time.Second)
-		}
-		want := fingerprint(s)
-		if s.Close() != nil {
-			return false
-		}
-		s2, err := Open(dir, PersistOptions{Fsync: FsyncAlways})
-		if err != nil {
-			return false
-		}
-		defer s2.Close()
-		return fingerprint(s2) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -32,7 +32,6 @@ func TestReplicaConvergenceAndPromotion(t *testing.T) {
 	primary.Set("pre", "snapshot")
 	primary.HSet("h", "f1", "v1")
 	primary.RPush("q", "a", "b", "c")
-	primary.SetEx("ttl", "v", time.Hour)
 
 	replica := New()
 	repl, err := StartReplica(srv.Addr(), replica)

@@ -14,6 +14,20 @@ import (
 
 var errProtocol = errors.New("kvstore: protocol error")
 
+// Decoder bounds. The bytes come off a socket or a log file, so what a
+// frame's header claims must not decide how much its reader allocates.
+const (
+	// maxLine caps a header, status or error line; the longest legitimate
+	// one is a REPLINFO or error string.
+	maxLine = 64 << 10
+	// maxReplyDepth bounds array nesting in a reply: every reply the server
+	// writes (HGETALL, OGET/OHEAD/OLIST) is one flat array of bulks.
+	maxReplyDepth = 4
+	// bulkChunk is what a bulk header alone commits its reader to; the
+	// buffer then doubles as the payload actually arrives.
+	bulkChunk = 64 << 10
+)
+
 // writeArray writes an array header.
 func writeArray(w *bufio.Writer, n int) error {
 	_, err := fmt.Fprintf(w, "*%d\r\n", n)
@@ -50,16 +64,36 @@ func writeInt(w *bufio.Writer, n int64) error {
 	return err
 }
 
-// readLine reads one CRLF-terminated line without the terminator.
+// readLine reads one CRLF-terminated line of at most maxLine bytes, without
+// the terminator. Input that ends inside a line is io.ErrUnexpectedEOF, not
+// io.EOF: a log torn inside a header must be truncated like one torn inside
+// a payload (replayFile), or the next append lands behind the fragment.
 func readLine(r *bufio.Reader) (string, error) {
-	line, err := r.ReadString('\n')
-	if err != nil {
-		return "", err
+	var long []byte // only a line longer than the reader's buffer lands here
+	for {
+		frag, err := r.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			if len(long)+len(frag) > maxLine {
+				return "", errProtocol
+			}
+			long = append(long, frag...)
+			continue
+		}
+		if err != nil {
+			if err == io.EOF && len(long)+len(frag) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return "", err
+		}
+		line := frag
+		if long != nil {
+			line = append(long, frag...)
+		}
+		if len(line) < 2 || line[len(line)-2] != '\r' {
+			return "", errProtocol
+		}
+		return string(line[:len(line)-2]), nil
 	}
-	if len(line) < 2 || line[len(line)-2] != '\r' {
-		return "", errProtocol
-	}
-	return line[:len(line)-2], nil
 }
 
 // readCommand reads one request: an array of bulk strings.
@@ -78,6 +112,11 @@ func readCommand(r *bufio.Reader) ([]string, error) {
 	args := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		s, err := readBulk(r)
+		if err == io.EOF {
+			// The header arrived, so running dry here is a torn frame, not
+			// a clean end of stream.
+			err = io.ErrUnexpectedEOF
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -96,12 +135,27 @@ func readBulk(r *bufio.Reader) (string, error) {
 		return "", errProtocol
 	}
 	n, err := strconv.Atoi(line[1:])
-	if err != nil || n < 0 || n > 64<<20 {
+	if err != nil {
 		return "", errProtocol
 	}
-	buf := make([]byte, n+2)
+	return readBulkBody(r, n)
+}
+
+// readBulkBody reads an n-byte payload and its CRLF.
+func readBulkBody(r *bufio.Reader, n int) (string, error) {
+	if n < 0 || n > 64<<20 {
+		return "", errProtocol
+	}
+	buf := make([]byte, min(n+2, bulkChunk))
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return "", err
+	}
+	for len(buf) < n+2 {
+		more := min(n+2-len(buf), len(buf))
+		buf = append(buf, make([]byte, more)...)
+		if _, err := io.ReadFull(r, buf[len(buf)-more:]); err != nil {
+			return "", err
+		}
 	}
 	if buf[n] != '\r' || buf[n+1] != '\n' {
 		return "", errProtocol
@@ -121,7 +175,10 @@ type Reply struct {
 }
 
 // readReply decodes one reply.
-func readReply(r *bufio.Reader) (Reply, error) {
+func readReply(r *bufio.Reader) (Reply, error) { return readReplyAt(r, 0) }
+
+// readReplyAt decodes one reply nested depth arrays deep.
+func readReplyAt(r *bufio.Reader, depth int) (Reply, error) {
 	line, err := readLine(r)
 	if err != nil {
 		return Reply{}, err
@@ -148,28 +205,23 @@ func readReply(r *bufio.Reader) (Reply, error) {
 		if n == -1 {
 			return Reply{Kind: '$', Null: true}, nil
 		}
-		if n < 0 || n > 64<<20 {
-			return Reply{}, errProtocol
-		}
-		buf := make([]byte, n+2)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		str, err := readBulkBody(r, n)
+		if err != nil {
 			return Reply{}, err
 		}
-		if buf[n] != '\r' || buf[n+1] != '\n' {
-			return Reply{}, errProtocol
-		}
-		return Reply{Kind: '$', Str: string(buf[:n])}, nil
+		return Reply{Kind: '$', Str: str}, nil
 	case '*':
 		n, err := strconv.Atoi(line[1:])
-		if err != nil || n < -1 || n > 1<<20 {
+		if err != nil || n < -1 || n > 1<<20 || depth >= maxReplyDepth {
 			return Reply{}, errProtocol
 		}
 		if n == -1 {
 			return Reply{Kind: '*', Null: true}, nil
 		}
-		arr := make([]Reply, 0, n)
+		// Grown as elements arrive: the count is the peer's claim.
+		arr := make([]Reply, 0, min(n, 64))
 		for i := 0; i < n; i++ {
-			el, err := readReply(r)
+			el, err := readReplyAt(r, depth+1)
 			if err != nil {
 				return Reply{}, err
 			}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -216,29 +215,6 @@ func (s *Server) dispatch(w *bufio.Writer, args []string) error {
 		}
 		s.store.Set(args[1], args[2])
 		return writeSimple(w, "OK")
-	case "SETEX":
-		if !wantArgs(4) {
-			return writeError(w, "SETEX needs key seconds value")
-		}
-		secs, err := strconv.Atoi(args[2])
-		if err != nil {
-			return writeError(w, "bad seconds")
-		}
-		s.store.SetEx(args[1], args[3], time.Duration(secs)*time.Second)
-		return writeSimple(w, "OK")
-	case "SETAT":
-		// SET with an absolute expiry deadline (unix nanoseconds) — the
-		// clock-independent form SETEX takes in the AOF and the
-		// replication stream.
-		if !wantArgs(4) {
-			return writeError(w, "SETAT needs key value unixnano")
-		}
-		ns, err := strconv.ParseInt(args[3], 10, 64)
-		if err != nil {
-			return writeError(w, "bad deadline")
-		}
-		s.store.SetAt(args[1], args[2], time.Unix(0, ns))
-		return writeSimple(w, "OK")
 	case "GET":
 		if !wantArgs(2) {
 			return writeError(w, "GET needs key")
@@ -255,29 +231,6 @@ func (s *Server) dispatch(w *bufio.Writer, args []string) error {
 			return writeInt(w, 1)
 		}
 		return writeInt(w, 0)
-	case "INCR":
-		if !wantArgs(2) {
-			return writeError(w, "INCR needs key")
-		}
-		n, err := s.store.Incr(args[1])
-		if err != nil {
-			return writeError(w, "not an integer")
-		}
-		return writeInt(w, n)
-	case "KEYS":
-		if !wantArgs(2) {
-			return writeError(w, "KEYS needs prefix")
-		}
-		keys := s.store.Keys(args[1])
-		if err := writeArray(w, len(keys)); err != nil {
-			return err
-		}
-		for _, k := range keys {
-			if err := writeBulk(w, k); err != nil {
-				return err
-			}
-		}
-		return nil
 	case "HSET":
 		if !wantArgs(4) {
 			return writeError(w, "HSET needs key field value")
@@ -327,80 +280,24 @@ func (s *Server) dispatch(w *bufio.Writer, args []string) error {
 			}
 		}
 		return nil
-	case "LPUSH", "RPUSH":
+	case "RPUSH":
 		if len(args) < 3 {
-			return writeError(w, cmd+" needs key value...")
+			return writeError(w, "RPUSH needs key value...")
 		}
-		var n int
-		if cmd == "LPUSH" {
-			n = s.store.LPush(args[1], args[2:]...)
-		} else {
-			n = s.store.RPush(args[1], args[2:]...)
-		}
-		return writeInt(w, int64(n))
-	case "LPOP", "RPOP":
+		return writeInt(w, int64(s.store.RPush(args[1], args[2:]...)))
+	case "LPOP":
 		if !wantArgs(2) {
-			return writeError(w, cmd+" needs key")
+			return writeError(w, "LPOP needs key")
 		}
-		var v string
-		var ok bool
-		if cmd == "LPOP" {
-			v, ok = s.store.LPop(args[1])
-		} else {
-			v, ok = s.store.RPop(args[1])
+		if v, ok := s.store.LPop(args[1]); ok {
+			return writeBulk(w, v)
 		}
-		if !ok {
-			return writeNull(w)
-		}
-		return writeBulk(w, v)
+		return writeNull(w)
 	case "LLEN":
 		if !wantArgs(2) {
 			return writeError(w, "LLEN needs key")
 		}
 		return writeInt(w, int64(s.store.LLen(args[1])))
-	case "LRANGE":
-		if !wantArgs(4) {
-			return writeError(w, "LRANGE needs key start stop")
-		}
-		start, err1 := strconv.Atoi(args[2])
-		stop, err2 := strconv.Atoi(args[3])
-		if err1 != nil || err2 != nil {
-			return writeError(w, "bad range")
-		}
-		vals := s.store.LRange(args[1], start, stop)
-		if err := writeArray(w, len(vals)); err != nil {
-			return err
-		}
-		for _, v := range vals {
-			if err := writeBulk(w, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	case "EXPIRE":
-		if !wantArgs(3) {
-			return writeError(w, "EXPIRE needs key seconds")
-		}
-		secs, err := strconv.Atoi(args[2])
-		if err != nil {
-			return writeError(w, "bad seconds")
-		}
-		if s.store.Expire(args[1], time.Duration(secs)*time.Second) {
-			return writeInt(w, 1)
-		}
-		return writeInt(w, 0)
-	case "EXPIREAT":
-		if !wantArgs(3) {
-			return writeError(w, "EXPIREAT needs key unixnano")
-		}
-		ns, err := strconv.ParseInt(args[2], 10, 64)
-		if err != nil {
-			return writeError(w, "bad deadline")
-		}
-		if s.store.ExpireAt(args[1], time.Unix(0, ns)) {
-			return writeInt(w, 1)
-		}
-		return writeInt(w, 0)
 	case "REPLICAOF":
 		// REPLICAOF host:port follows a primary; REPLICAOF NO ONE promotes.
 		if len(args) == 3 && strings.EqualFold(args[1], "NO") && strings.EqualFold(args[2], "ONE") {

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"os"
-	"sort"
-	"strconv"
 )
 
 // snapshotChunk caps the arity of one RPUSH in a snapshot so frames stay
@@ -14,30 +12,21 @@ const snapshotChunk = 512
 
 // snapshotCmdsLocked encodes the live store contents as a deterministic
 // RESP command stream: sorted SETs, then sorted HSETs (fields sorted), then
-// sorted RPUSHes, then sorted EXPIREATs. Replaying it through applyLogged
-// reconstructs the exact state, so the same encoding serves both log
-// compaction and replica full-sync. Caller holds at least RLock.
+// sorted RPUSHes. Replaying it through applyLogged reconstructs the exact
+// state, so the same encoding serves both log compaction and replica
+// full-sync. Caller holds at least RLock.
 func (s *Store) snapshotCmdsLocked() [][]string {
 	var cmds [][]string
 	for _, k := range sortedStrKeys(s.strings) {
-		if s.expired(k) {
-			continue
-		}
 		cmds = append(cmds, []string{"SET", k, s.strings[k]})
 	}
 	for _, k := range sortedStrKeys(s.hashes) {
-		if s.expired(k) {
-			continue
-		}
 		h := s.hashes[k]
 		for _, f := range sortedStrKeys(h) {
 			cmds = append(cmds, []string{"HSET", k, f, h[f]})
 		}
 	}
 	for _, k := range sortedStrKeys(s.lists) {
-		if s.expired(k) {
-			continue
-		}
 		vals := s.lists[k].vals()
 		for i := 0; i < len(vals); i += snapshotChunk {
 			end := i + snapshotChunk
@@ -46,19 +35,6 @@ func (s *Store) snapshotCmdsLocked() [][]string {
 			}
 			cmds = append(cmds, append([]string{"RPUSH", k}, vals[i:end]...))
 		}
-	}
-	// SET cleared the strings' TTLs above, so re-arm every live deadline
-	// last (covers hashes and lists too).
-	expKeys := make([]string, 0, len(s.expiry))
-	for k := range s.expiry {
-		if !s.expired(k) {
-			expKeys = append(expKeys, k)
-		}
-	}
-	sort.Strings(expKeys)
-	for _, k := range expKeys {
-		cmds = append(cmds, []string{"EXPIREAT", k,
-			strconv.FormatInt(s.expiry[k].UnixNano(), 10)})
 	}
 	return cmds
 }
@@ -109,9 +85,9 @@ func (s *Store) compactLocked() error {
 	if err := a.syncLocked(); err != nil && a.err == nil {
 		a.err = err
 	}
-	a.f.Close()                        //nolint:errcheck // synced above
-	os.Remove(aofPath(a.dir, a.gen))   //nolint:errcheck
-	os.Remove(snapPath(a.dir, a.gen))  //nolint:errcheck
+	a.f.Close()                       //nolint:errcheck // synced above
+	os.Remove(aofPath(a.dir, a.gen))  //nolint:errcheck
+	os.Remove(snapPath(a.dir, a.gen)) //nolint:errcheck
 	a.gen = next
 	a.f = nf
 	a.w = bufio.NewWriter(nf)

@@ -1,8 +1,11 @@
 // Package kvstore implements the key-value store Tero's micro-services
 // coordinate through (App. A/B uses Redis): an in-memory store with strings,
-// hashes, lists and TTLs, plus a RESP-framed TCP server and client so
-// separate processes can share it, exactly as the paper's coordinator and
-// downloaders do.
+// hashes and lists, plus a RESP-framed TCP server and client so separate
+// processes can share it, exactly as the paper's coordinator and downloaders
+// do. It is sized to the traffic Tero sends, not to Redis: the ten
+// operations of KV (SET GET DEL HSET HGET HDEL HGETALL RPUSH LPOP LLEN) are
+// the whole data surface — no TTLs, counters, key scans or right-end pops —
+// so those ten are all that is logged, replicated, snapshotted and fuzzed.
 //
 // The store is optionally durable and replicated. Open attaches an
 // append-only file of RESP-framed write commands plus periodic snapshots
@@ -12,12 +15,7 @@
 // replica feed and the store itself observe one serialized command order.
 package kvstore
 
-import (
-	"strconv"
-	"strings"
-	"sync"
-	"time"
-)
+import "sync"
 
 // list is a deque with a popped-prefix watermark. Slicing `l = l[1:]` on a
 // plain []string pins every popped element in the backing array forever (the
@@ -53,8 +51,6 @@ type Store struct {
 	strings map[string]string
 	hashes  map[string]map[string]string
 	lists   map[string]*list
-	expiry  map[string]time.Time
-	now     func() time.Time
 
 	// Durability and replication, all manipulated under mu. logging is
 	// true while any sink (AOF or replica feed) is attached; mutators
@@ -72,52 +68,8 @@ func New() *Store {
 		strings: make(map[string]string),
 		hashes:  make(map[string]map[string]string),
 		lists:   make(map[string]*list),
-		expiry:  make(map[string]time.Time),
-		now:     time.Now,
 		feeds:   make(map[*Feed]struct{}),
 	}
-}
-
-// SetClock overrides the store's time source (tests and simulations).
-func (s *Store) SetClock(now func() time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.now = now
-}
-
-// expired reports whether key has a passed TTL; caller holds at least RLock.
-func (s *Store) expired(key string) bool {
-	t, ok := s.expiry[key]
-	return ok && s.now().After(t)
-}
-
-// purge removes an expired key; caller holds Lock.
-func (s *Store) purge(key string) {
-	delete(s.strings, key)
-	delete(s.hashes, key)
-	delete(s.lists, key)
-	delete(s.expiry, key)
-}
-
-func (s *Store) purgeIfExpired(key string) {
-	if s.expired(key) {
-		s.purge(key)
-	}
-}
-
-// dropExpiryIfGone clears a dangling TTL once no value of any type remains
-// under key (a drained list or emptied hash); caller holds Lock.
-func (s *Store) dropExpiryIfGone(key string) {
-	if _, ok := s.strings[key]; ok {
-		return
-	}
-	if _, ok := s.hashes[key]; ok {
-		return
-	}
-	if _, ok := s.lists[key]; ok {
-		return
-	}
-	delete(s.expiry, key)
 }
 
 // logCmd records one applied write command: it advances the replication
@@ -161,117 +113,37 @@ func (s *Store) ReplOffset() int64 {
 func (s *Store) Set(key, value string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.purgeIfExpired(key)
 	s.strings[key] = value
-	delete(s.expiry, key)
 	if s.logging {
 		s.logCmd("SET", key, value)
 	}
 }
 
-// SetEx stores a string value with a time-to-live.
-func (s *Store) SetEx(key, value string, ttl time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.setAtLocked(key, value, s.now().Add(ttl))
-}
-
-// SetAt stores a string value that expires at an absolute deadline. This is
-// what SETEX/EXPIRE become in the AOF and the replication stream: a
-// relative TTL re-anchored at replay time would resurrect keys for however
-// long recovery was delayed, so the log carries the deadline itself.
-func (s *Store) SetAt(key, value string, deadline time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.setAtLocked(key, value, deadline)
-}
-
-func (s *Store) setAtLocked(key, value string, deadline time.Time) {
-	// Purge first: an expired prior value of a different type (hash, list)
-	// must not survive alongside the new string.
-	s.purgeIfExpired(key)
-	s.strings[key] = value
-	s.expiry[key] = deadline
-	if s.logging {
-		s.logCmd("SETAT", key, value, strconv.FormatInt(deadline.UnixNano(), 10))
-	}
-}
-
 // Get returns the string value of key.
 func (s *Store) Get(key string) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.purgeIfExpired(key)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	v, ok := s.strings[key]
 	return v, ok
 }
 
-// Del removes a key of any type. It reports whether something live was
-// removed; an already-expired key counts as absent.
+// Del removes a key of any type. It reports whether something was removed.
 func (s *Store) Del(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.purgeIfExpired(key)
 	_, a := s.strings[key]
 	_, b := s.hashes[key]
 	_, c := s.lists[key]
 	if !(a || b || c) {
 		return false
 	}
-	s.purge(key)
+	delete(s.strings, key)
+	delete(s.hashes, key)
+	delete(s.lists, key)
 	if s.logging {
 		s.logCmd("DEL", key)
 	}
 	return true
-}
-
-// Incr atomically increments the integer stored at key and returns the new
-// value (missing keys start at 0).
-func (s *Store) Incr(key string) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.purgeIfExpired(key)
-	cur := int64(0)
-	if v, ok := s.strings[key]; ok {
-		p, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return 0, err
-		}
-		cur = p
-	}
-	cur++
-	s.strings[key] = strconv.FormatInt(cur, 10)
-	if s.logging {
-		// Logged as INCR, not as the resulting SET: SET would clear a TTL
-		// the original command preserved.
-		s.logCmd("INCR", key)
-	}
-	return cur, nil
-}
-
-// Keys returns all live keys with the given prefix.
-func (s *Store) Keys(prefix string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	add := func(k string) {
-		if s.expired(k) {
-			return
-		}
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, k)
-		}
-	}
-	for k := range s.strings {
-		add(k)
-	}
-	for k := range s.hashes {
-		add(k)
-	}
-	for k := range s.lists {
-		add(k)
-	}
-	return out
 }
 
 // HSet sets a hash field. It reports whether the field was created (true)
@@ -280,7 +152,6 @@ func (s *Store) Keys(prefix string) []string {
 func (s *Store) HSet(key, field, value string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.purgeIfExpired(key)
 	h, ok := s.hashes[key]
 	if !ok {
 		h = make(map[string]string)
@@ -296,20 +167,18 @@ func (s *Store) HSet(key, field, value string) bool {
 
 // HGet returns a hash field.
 func (s *Store) HGet(key, field string) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.purgeIfExpired(key)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	v, ok := s.hashes[key][field]
 	return v, ok
 }
 
 // HDel removes a hash field, reporting whether it existed. The hash entry
-// itself is deleted once its last field goes, so fully-drained hashes stop
-// appearing in Keys/Expire/Del.
+// itself is deleted once its last field goes, so a fully-drained hash stops
+// counting in Len and Del and leaves no empty entry in a snapshot.
 func (s *Store) HDel(key, field string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.purgeIfExpired(key)
 	h, ok := s.hashes[key]
 	if !ok {
 		return false
@@ -320,7 +189,6 @@ func (s *Store) HDel(key, field string) bool {
 	delete(h, field)
 	if len(h) == 0 {
 		delete(s.hashes, key)
-		s.dropExpiryIfGone(key)
 	}
 	if s.logging {
 		s.logCmd("HDEL", key, field)
@@ -330,9 +198,8 @@ func (s *Store) HDel(key, field string) bool {
 
 // HGetAll returns a copy of the whole hash.
 func (s *Store) HGetAll(key string) map[string]string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.purgeIfExpired(key)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	out := make(map[string]string, len(s.hashes[key]))
 	for f, v := range s.hashes[key] {
 		out[f] = v
@@ -340,45 +207,10 @@ func (s *Store) HGetAll(key string) map[string]string {
 	return out
 }
 
-// HLen returns the number of fields in a hash.
-func (s *Store) HLen(key string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.purgeIfExpired(key)
-	return len(s.hashes[key])
-}
-
-// LPush prepends values to a list and returns its new length.
-func (s *Store) LPush(key string, values ...string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.purgeIfExpired(key)
-	l, ok := s.lists[key]
-	if !ok {
-		l = &list{}
-		s.lists[key] = l
-	}
-	for _, v := range values {
-		if l.head > 0 {
-			l.head--
-			l.elems[l.head] = v
-		} else {
-			l.elems = append(l.elems, "")
-			copy(l.elems[1:], l.elems)
-			l.elems[0] = v
-		}
-	}
-	if s.logging {
-		s.logCmd(append([]string{"LPUSH", key}, values...)...)
-	}
-	return l.len()
-}
-
 // RPush appends values to a list and returns its new length.
 func (s *Store) RPush(key string, values ...string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.purgeIfExpired(key)
 	l, ok := s.lists[key]
 	if !ok {
 		l = &list{}
@@ -395,7 +227,6 @@ func (s *Store) RPush(key string, values ...string) int {
 func (s *Store) LPop(key string) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.purgeIfExpired(key)
 	l, ok := s.lists[key]
 	if !ok || l.len() == 0 {
 		return "", false
@@ -405,7 +236,6 @@ func (s *Store) LPop(key string) (string, bool) {
 	l.head++
 	if l.len() == 0 {
 		delete(s.lists, key)
-		s.dropExpiryIfGone(key)
 	} else {
 		l.compact()
 	}
@@ -415,103 +245,20 @@ func (s *Store) LPop(key string) (string, bool) {
 	return v, true
 }
 
-// RPop removes and returns the last element of a list.
-func (s *Store) RPop(key string) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.purgeIfExpired(key)
-	l, ok := s.lists[key]
-	if !ok || l.len() == 0 {
-		return "", false
-	}
-	n := len(l.elems)
-	v := l.elems[n-1]
-	l.elems[n-1] = "" // release before reslicing: cap() keeps the slot alive
-	l.elems = l.elems[:n-1]
-	if l.len() == 0 {
-		delete(s.lists, key)
-		s.dropExpiryIfGone(key)
-	}
-	if s.logging {
-		s.logCmd("RPOP", key)
-	}
-	return v, true
-}
-
 // LLen returns the length of a list.
 func (s *Store) LLen(key string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.purgeIfExpired(key)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if l, ok := s.lists[key]; ok {
 		return l.len()
 	}
 	return 0
 }
 
-// LRange returns a copy of list elements in [start, stop] (inclusive,
-// negative indexes count from the end, Redis-style).
-func (s *Store) LRange(key string, start, stop int) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.purgeIfExpired(key)
-	var l []string
-	if e, ok := s.lists[key]; ok {
-		l = e.vals()
-	}
-	n := len(l)
-	if start < 0 {
-		start += n
-	}
-	if stop < 0 {
-		stop += n
-	}
-	if start < 0 {
-		start = 0
-	}
-	if stop >= n {
-		stop = n - 1
-	}
-	if start > stop || n == 0 {
-		return nil
-	}
-	out := make([]string, stop-start+1)
-	copy(out, l[start:stop+1])
-	return out
-}
-
-// Expire sets a TTL on an existing key; it reports whether the key exists.
-// An already-expired key is purged first, never resurrected.
-func (s *Store) Expire(key string, ttl time.Duration) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.expireAtLocked(key, s.now().Add(ttl))
-}
-
-// ExpireAt sets an absolute expiry deadline on an existing key (the AOF and
-// replication form of Expire; see SetAt).
-func (s *Store) ExpireAt(key string, deadline time.Time) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.expireAtLocked(key, deadline)
-}
-
-func (s *Store) expireAtLocked(key string, deadline time.Time) bool {
-	s.purgeIfExpired(key)
-	_, a := s.strings[key]
-	_, b := s.hashes[key]
-	_, c := s.lists[key]
-	if !(a || b || c) {
-		return false
-	}
-	s.expiry[key] = deadline
-	if s.logging {
-		s.logCmd("EXPIREAT", key, strconv.FormatInt(deadline.UnixNano(), 10))
-	}
-	return true
-}
-
-// Len returns the number of live keys.
+// Len returns the number of live keys; a key holding values of more than
+// one type counts once per type.
 func (s *Store) Len() int {
-	return len(s.Keys(""))
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.strings) + len(s.hashes) + len(s.lists)
 }

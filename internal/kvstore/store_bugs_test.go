@@ -7,22 +7,18 @@ import (
 )
 
 // Regression tests for the latent store bugs durability exposed: pinned
-// list backing arrays, ghost entries for drained lists/hashes, and expired
-// keys leaking through SetEx/Expire/Del.
+// list backing arrays and ghost entries for drained lists/hashes.
 
 func TestDrainedListEntryDeleted(t *testing.T) {
 	s := New()
 	s.RPush("q", "a", "b")
 	s.LPop("q")
 	s.LPop("q")
-	if keys := s.Keys(""); len(keys) != 0 {
-		t.Fatalf("drained list still visible: %v", keys)
+	if n := s.Len(); n != 0 {
+		t.Fatalf("drained list still counted: Len = %d", n)
 	}
 	if s.Del("q") {
 		t.Fatal("Del of a drained list reported a removal")
-	}
-	if s.Expire("q", time.Hour) {
-		t.Fatal("Expire armed a TTL on a drained list")
 	}
 	// The key is fully reusable.
 	s.RPush("q", "again")
@@ -37,28 +33,14 @@ func TestDrainedHashEntryDeleted(t *testing.T) {
 	if !s.HDel("h", "f") {
 		t.Fatal("HDel of existing field returned false")
 	}
-	if keys := s.Keys(""); len(keys) != 0 {
-		t.Fatalf("drained hash still visible: %v", keys)
+	if n := s.Len(); n != 0 {
+		t.Fatalf("drained hash still counted: Len = %d", n)
 	}
 	if s.HDel("h", "f") {
 		t.Fatal("HDel of missing field returned true")
 	}
-	if s.Expire("h", time.Hour) {
-		t.Fatal("Expire armed a TTL on a drained hash")
-	}
-}
-
-func TestDrainedKeyDropsDanglingTTL(t *testing.T) {
-	s := New()
-	now := time.Unix(1000, 0)
-	s.SetClock(func() time.Time { return now })
-	s.RPush("q", "a")
-	s.Expire("q", time.Hour)
-	s.LPop("q") // drains the list; the TTL must go with it
-	s.RPush("q", "b")
-	now = now.Add(2 * time.Hour) // past the stale deadline
-	if _, ok := s.LPop("q"); !ok {
-		t.Fatal("stale TTL from the drained incarnation expired the new list")
+	if s.Del("h") {
+		t.Fatal("Del of a drained hash reported a removal")
 	}
 }
 
@@ -120,86 +102,6 @@ func TestListPoppedPrefixReleasedAndCompacted(t *testing.T) {
 	s.mu.RUnlock()
 }
 
-func TestSetExPurgesExpiredOtherType(t *testing.T) {
-	s := New()
-	now := time.Unix(1000, 0)
-	s.SetClock(func() time.Time { return now })
-	s.HSet("k", "stale", "hash-value")
-	s.Expire("k", time.Second)
-	now = now.Add(2 * time.Second)
-	// SetEx over the expired hash must purge it, not leave a hash and a
-	// string coexisting under one key.
-	s.SetEx("k", "fresh", time.Hour)
-	if v, ok := s.Get("k"); !ok || v != "fresh" {
-		t.Fatalf("string value = %q %v", v, ok)
-	}
-	if h := s.HGetAll("k"); len(h) != 0 {
-		t.Fatalf("expired hash survived SetEx: %v", h)
-	}
-	if _, ok := s.HGet("k", "stale"); ok {
-		t.Fatal("expired hash field visible")
-	}
-	if keys := s.Keys(""); len(keys) != 1 {
-		t.Fatalf("keys = %v", keys)
-	}
-}
-
-func TestExpireNeverResurrects(t *testing.T) {
-	s := New()
-	now := time.Unix(1000, 0)
-	s.SetClock(func() time.Time { return now })
-	s.SetEx("k", "v", time.Second)
-	now = now.Add(2 * time.Second)
-	// The key is dead; Expire must not find it in the raw maps and re-arm
-	// a fresh TTL over the stale value.
-	if s.Expire("k", time.Hour) {
-		t.Fatal("Expire resurrected an expired key")
-	}
-	if _, ok := s.Get("k"); ok {
-		t.Fatal("expired key visible after Expire attempt")
-	}
-	// Same for hashes and lists.
-	s.RPush("l", "a")
-	s.Expire("l", time.Second)
-	now = now.Add(2 * time.Second)
-	if s.Expire("l", time.Hour) {
-		t.Fatal("Expire resurrected an expired list")
-	}
-}
-
-func TestDelExpiredReportsAbsent(t *testing.T) {
-	s := New()
-	now := time.Unix(1000, 0)
-	s.SetClock(func() time.Time { return now })
-	s.SetEx("k", "v", time.Second)
-	now = now.Add(2 * time.Second)
-	if s.Del("k") {
-		t.Fatal("Del reported removing an already-expired key")
-	}
-}
-
-func TestSetAtAndExpireAt(t *testing.T) {
-	s := New()
-	now := time.Unix(1000, 0)
-	s.SetClock(func() time.Time { return now })
-	s.SetAt("k", "v", now.Add(time.Minute))
-	if _, ok := s.Get("k"); !ok {
-		t.Fatal("SetAt value missing before deadline")
-	}
-	now = now.Add(2 * time.Minute)
-	if _, ok := s.Get("k"); ok {
-		t.Fatal("SetAt value visible past deadline")
-	}
-	s.Set("e", "v")
-	if !s.ExpireAt("e", now.Add(time.Second)) {
-		t.Fatal("ExpireAt on live key failed")
-	}
-	now = now.Add(2 * time.Second)
-	if _, ok := s.Get("e"); ok {
-		t.Fatal("ExpireAt deadline ignored")
-	}
-}
-
 func TestServerHGetAllSortedWire(t *testing.T) {
 	_, cl := newServerClient(t)
 	for _, f := range []string{"zeta", "alpha", "mid"} {
@@ -235,24 +137,6 @@ func TestServerHSetHDelCounts(t *testing.T) {
 	}
 	if rep, _ := cl.Do("HDEL", "h", "f"); rep.Int != 0 {
 		t.Fatalf("HDEL missing = %d, want 0", rep.Int)
-	}
-}
-
-func TestServerSetAtExpireAt(t *testing.T) {
-	_, cl := newServerClient(t)
-	future := time.Now().Add(time.Hour).UnixNano()
-	if rep, err := cl.Do("SETAT", "k", "v", strconv.FormatInt(future, 10)); err != nil || rep.Str != "OK" {
-		t.Fatalf("setat = %+v, %v", rep, err)
-	}
-	if v, ok, _ := cl.Get("k"); !ok || v != "v" {
-		t.Fatal("setat value missing")
-	}
-	past := time.Now().Add(-time.Hour).UnixNano()
-	if rep, err := cl.Do("EXPIREAT", "k", strconv.FormatInt(past, 10)); err != nil || rep.Int != 1 {
-		t.Fatalf("expireat = %+v, %v", rep, err)
-	}
-	if _, ok, _ := cl.Get("k"); ok {
-		t.Fatal("key visible past EXPIREAT deadline")
 	}
 }
 

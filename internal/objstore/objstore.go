@@ -60,7 +60,6 @@ type API interface {
 type Store struct {
 	mu      sync.RWMutex
 	buckets map[string]map[string]*Object
-	now     func() time.Time
 
 	// dir, when non-empty, is the spill directory: payloads are written
 	// through to dir/<bucket>/<escaped key> and only read back on Get, so
@@ -73,7 +72,7 @@ var _ API = (*Store)(nil)
 
 // New returns an empty store.
 func New() *Store {
-	return &Store{buckets: make(map[string]map[string]*Object), now: time.Now}
+	return &Store{buckets: make(map[string]map[string]*Object)}
 }
 
 // NewSpill returns a store that writes payloads through to files under dir
@@ -97,22 +96,6 @@ func (s *Store) spillPath(bucket, key string) string {
 	return filepath.Join(s.dir, url.QueryEscape(bucket), url.QueryEscape(key))
 }
 
-// SetClock overrides the store's time source.
-func (s *Store) SetClock(now func() time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.now = now
-}
-
-// CreateBucket creates a bucket (idempotent).
-func (s *Store) CreateBucket(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.buckets[name]; !ok {
-		s.buckets[name] = make(map[string]*Object)
-	}
-}
-
 // Put stores an object, replacing any existing one, and returns its ETag.
 // The bucket is created if needed.
 func (s *Store) Put(bucket, key string, data []byte, meta map[string]string) string {
@@ -134,7 +117,7 @@ func (s *Store) Put(bucket, key string, data []byte, meta map[string]string) str
 		b = make(map[string]*Object)
 		s.buckets[bucket] = b
 	}
-	o := &Object{Key: key, Data: cp, ETag: etag, ModTime: s.now(), Meta: metaCp}
+	o := &Object{Key: key, Data: cp, ETag: etag, ModTime: time.Now(), Meta: metaCp}
 	if s.dir != "" {
 		p := s.spillPath(bucket, key)
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err == nil {

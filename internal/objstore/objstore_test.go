@@ -89,16 +89,6 @@ func TestDeleteAndList(t *testing.T) {
 	}
 }
 
-func TestCreateBucketIdempotent(t *testing.T) {
-	s := New()
-	s.CreateBucket("b")
-	s.Put("b", "k", []byte("v"), nil)
-	s.CreateBucket("b")
-	if s.Size("b") != 1 {
-		t.Fatal("CreateBucket wiped the bucket")
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	s := New()
 	var wg sync.WaitGroup

@@ -1,11 +1,20 @@
 #!/bin/sh
-# Repository health check: vet, build, race-enabled tests (root module and
-# the bench/ module, which the root ./... cannot see), a one-shot pipeline
-# benchmark smoke, and smokes that drive the real binaries. Run from
-# anywhere inside the repo.
+# Repository health check: gofmt, vet, build, race-enabled tests (root module
+# and the bench/ module, which the root ./... cannot see), a few seconds of
+# each decoder fuzz target, a one-shot pipeline benchmark smoke, and smokes
+# that drive the real binaries. Run from anywhere inside the repo.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "== gofmt -l . (root module and bench/) =="
+# Report only: nothing is rewritten, under bench/ least of all.
+UNFORMATTED=$(gofmt -l .)
+if [ -n "$UNFORMATTED" ]; then
+    echo "gofmt -l is not clean:" >&2
+    echo "$UNFORMATTED" >&2
+    exit 1
+fi
 
 echo "== go vet ./... =="
 go vet ./...
@@ -15,6 +24,13 @@ go build ./...
 
 echo "== go test -race ./... =="
 go test -race ./...
+
+echo "== decoder fuzz targets (kvstore wire and log, 5s each) =="
+# The committed seed corpus runs under the plain tests above; this mutates
+# from it. A failing input lands in internal/kvstore/testdata/fuzz/.
+for target in FuzzReadCommand FuzzReadReply FuzzReplayAOF; do
+    go test -run '^$' -fuzz "^$target\$" -fuzztime 5s ./internal/kvstore
+done
 
 echo "== bench module (own go.mod, replace tero => ../: vet + tests) =="
 # An internal/ API removal can break bench/ without the root build noticing.
