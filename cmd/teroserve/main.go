@@ -1,8 +1,8 @@
 // Command teroserve runs the full Tero system end-to-end and serves its
 // output as a latency-information query service (§1, §6): it generates a
 // synthetic world, drives the platform → pipeline stages, publishes the
-// per-{location, game} latency distributions into a sharded in-memory
-// index, and serves them over an HTTP API (JSON by default, the compact
+// per-{location, game} latency distributions into an in-memory index
+// (one immutable snapshot per publish), and serves them over an HTTP API (JSON by default, the compact
 // binary representation via Accept: application/x-tero-bin) —
 // republishing on a virtual -refresh cadence while the observation period
 // runs, without ever taking the API down.

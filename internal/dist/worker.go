@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"tero/internal/download"
@@ -118,7 +119,13 @@ func RunWorker(cfg WorkerConfig) error {
 			}
 		}
 	}()
-	stopBeats := func() { close(beatStop); <-beatExit }
+	// Every return below stops the beats: a worker that has given up must
+	// look dead to the coordinator, which then reaps and requeues its
+	// claims, and an in-process fleet must not keep the goroutine. The clean
+	// exit also stops them itself, before it deletes its liveness record.
+	var stopOnce sync.Once
+	stopBeats := func() { stopOnce.Do(func() { close(beatStop) }); <-beatExit }
+	defer stopBeats()
 
 	// Wait for the run to start.
 	deadline := time.Now().Add(cfg.StartTimeout)
@@ -132,7 +139,6 @@ func RunWorker(cfg WorkerConfig) error {
 			break
 		}
 		if time.Now().After(deadline) {
-			stopBeats()
 			return fmt.Errorf("dist worker %s: no platform announced within %s", cfg.ID, cfg.StartTimeout)
 		}
 		time.Sleep(cfg.PollWait)
@@ -181,7 +187,7 @@ func RunWorker(cfg WorkerConfig) error {
 			return fmt.Errorf("dist worker %s: bad %s %q: %w", cfg.ID, KeyNow, nowStr, err)
 		}
 		if err := workRound(cfg, kv, objects, local, extractor, dls, now, &stats, halted); err != nil {
-			return err
+			return err // not checked in: the coordinator reaps this worker's claims
 		}
 		if halted() {
 			return nil // died before checking in: the round stays incomplete
@@ -194,11 +200,21 @@ func RunWorker(cfg WorkerConfig) error {
 	}
 }
 
+// resultSink is where a round's results and quarantined thumbnails go: the
+// coordinator's object store, through kvstore.RemoteObjects.
+type resultSink interface {
+	Put(bucket, key string, data []byte, meta map[string]string) (etag string, err error)
+}
+
 // workRound does one round at the frozen virtual instant now: service due
 // fetches, claim a fair quota from the queue, extract everything fetched
 // into local and push the results to objects. Repeat rounds at the same
 // instant are harmless — due times are virtual, so nothing comes due twice.
-func workRound(cfg WorkerConfig, kv kvstore.KV, objects objstore.API, local *objstore.Store,
+//
+// A push that fails ends the round with its error and the thumbnail still
+// in local: the reading has not reached the coordinator, so the round must
+// not be checked in as done.
+func workRound(cfg WorkerConfig, kv kvstore.KV, objects resultSink, local *objstore.Store,
 	extractor *imageproc.Extractor, dls []*download.Downloader,
 	now time.Time, stats *WorkerStats, halted func() bool) error {
 	for _, d := range dls {
@@ -260,7 +276,7 @@ func workRound(cfg WorkerConfig, kv kvstore.KV, objects objstore.API, local *obj
 		wstart := time.Now()
 		res := pipeline.ExtractThumb(extractor, obj)
 		wend := time.Now()
-		jctx, _ := trace.DecodeContext(obj.Meta["trace"])
+		jctx, _ := trace.ParseTraceparent(obj.Meta["trace"])
 		errMsg := ""
 		if res.Outcome == pipeline.OutcomeCorrupt {
 			errMsg = "corrupt thumbnail: pgm decode failed"
@@ -277,7 +293,9 @@ func workRound(cfg WorkerConfig, kv kvstore.KV, objects objstore.API, local *obj
 		if res.Outcome == pipeline.OutcomeCorrupt {
 			// Quarantine worker-side so the move happens exactly once, by
 			// whoever decoded it; the coordinator only counts it.
-			objects.Put(pipeline.QuarantineBucket, key, obj.Data, obj.Meta)
+			if _, err := objects.Put(pipeline.QuarantineBucket, key, obj.Data, obj.Meta); err != nil {
+				return fmt.Errorf("dist worker %s: quarantine %s: %w", cfg.ID, key, err)
+			}
 			dlog.Warn("quarantined corrupt thumbnail", "worker", cfg.ID, "key", key)
 		}
 		if res.Outcome == pipeline.OutcomeMeasured {
@@ -288,7 +306,9 @@ func workRound(cfg WorkerConfig, kv kvstore.KV, objects objstore.API, local *obj
 			// stay open until the coordinator publishes them.
 			trace.Finish(jctx.TraceID)
 		}
-		objects.Put(ResultBucket, key, r.Encode(), nil)
+		if _, err := objects.Put(ResultBucket, key, r.Encode(), nil); err != nil {
+			return fmt.Errorf("dist worker %s: push result %s: %w", cfg.ID, key, err)
+		}
 		// §7: the thumbnail is freight, not data — gone once extracted.
 		local.Delete(download.ThumbBucket, key) //nolint:errcheck // just listed; only this goroutine deletes
 	}

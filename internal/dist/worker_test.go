@@ -1,8 +1,10 @@
 package dist
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"tero/internal/download"
 	"tero/internal/imageproc"
@@ -11,48 +13,30 @@ import (
 	"tero/internal/pipeline"
 )
 
-// recordingObjects is the coordinator's object store as a worker sees it,
-// with every call written down.
-type recordingObjects struct {
-	objstore.API
-	ops []string // "Put dist-results <key>", ...
+// recordingSink is the coordinator's object store as a worker sees it, with
+// every Put written down. Its failAt-th Put fails instead of storing.
+type recordingSink struct {
+	store  *objstore.Store
+	ops    []string // "Put dist-results <key>", ...
+	calls  int
+	failAt int
 }
 
-func (r *recordingObjects) Put(bucket, key string, data []byte, meta map[string]string) string {
+var errPush = errors.New("connection lost")
+
+func (r *recordingSink) Put(bucket, key string, data []byte, meta map[string]string) (string, error) {
+	if r.calls++; r.calls == r.failAt {
+		return "", errPush
+	}
 	r.ops = append(r.ops, "Put "+bucket+" "+key)
-	return r.API.Put(bucket, key, data, meta)
-}
-
-func (r *recordingObjects) Get(bucket, key string) (*objstore.Object, error) {
-	r.ops = append(r.ops, "Get "+bucket+" "+key)
-	return r.API.Get(bucket, key)
-}
-
-func (r *recordingObjects) Head(bucket, key string) (*objstore.Object, error) {
-	r.ops = append(r.ops, "Head "+bucket+" "+key)
-	return r.API.Head(bucket, key)
-}
-
-func (r *recordingObjects) Delete(bucket, key string) error {
-	r.ops = append(r.ops, "Delete "+bucket+" "+key)
-	return r.API.Delete(bucket, key)
-}
-
-func (r *recordingObjects) List(bucket, prefix string) []string {
-	r.ops = append(r.ops, "List "+bucket+" "+prefix)
-	return r.API.List(bucket, prefix)
-}
-
-func (r *recordingObjects) Size(bucket string) int {
-	r.ops = append(r.ops, "Size "+bucket)
-	return r.API.Size(bucket)
+	return r.store.Put(bucket, key, data, meta), nil
 }
 
 // TestWorkRoundKeepsThumbnailsLocal drives one worker round against a live
 // platform and a recording wire store. Thumbnails are fetched and extracted,
 // yet the only frames that cross the wire are one result Put per thumbnail
-// and one quarantine Put for the corrupt one — no thumbnail Put, no Delete,
-// no read — and a repeat round quarantines nothing twice.
+// and one quarantine Put for the corrupt one — no thumbnail Put (and the
+// sink has no other method) — and a repeat round quarantines nothing twice.
 func TestWorkRoundKeepsThumbnailsLocal(t *testing.T) {
 	platform := newTestPlatform(t, 41)
 	st := kvstore.New()
@@ -65,7 +49,7 @@ func TestWorkRoundKeepsThumbnailsLocal(t *testing.T) {
 	}
 	st.HSet(KeyWorkers, "w1", "1")
 
-	wire := &recordingObjects{API: objstore.New()}
+	wire := &recordingSink{store: objstore.New()}
 	local := objstore.New()
 	d := download.NewDownloader("w1:dl0", st, local)
 	d.Claim = download.ClaimNone
@@ -105,7 +89,7 @@ func TestWorkRoundKeepsThumbnailsLocal(t *testing.T) {
 	if results != d.Downloads+1 {
 		t.Errorf("%d results pushed for %d fetched thumbnails + 1 corrupt", results, d.Downloads)
 	}
-	if o, err := wire.API.Get(pipeline.QuarantineBucket, corruptKey); err != nil ||
+	if o, err := wire.store.Get(pipeline.QuarantineBucket, corruptKey); err != nil ||
 		string(o.Data) != "P5 truncated" || o.Meta["game"] != "lol" {
 		t.Errorf("quarantined object = %+v, %v", o, err)
 	}
@@ -119,5 +103,84 @@ func TestWorkRoundKeepsThumbnailsLocal(t *testing.T) {
 	round()
 	if len(wire.ops) != sent {
 		t.Errorf("repeat round sent %q", wire.ops[sent:])
+	}
+}
+
+// TestWorkRoundFailedPushKeepsThumbnail: a push that does not arrive — the
+// quarantine copy or the result — ends the round with the error and leaves
+// the thumbnail in the local bucket, so the reading is not silently lost.
+func TestWorkRoundFailedPushKeepsThumbnail(t *testing.T) {
+	const key = "zz-corrupt/0001.pgm"
+	for i, what := range []string{"quarantine", "result"} { // a corrupt thumbnail's two pushes, in order
+		wire := &recordingSink{store: objstore.New(), failAt: i + 1}
+		local := objstore.New()
+		local.Put(download.ThumbBucket, key, []byte("P5 truncated"), nil)
+		var stats WorkerStats
+		round := func() error {
+			return workRound(WorkerConfig{ID: "w1"}, kvstore.New(), wire, local, imageproc.New(), nil,
+				time.Time{}, &stats, func() bool { return false })
+		}
+		if err := round(); !errors.Is(err, errPush) {
+			t.Fatalf("%s push failed, round returned %v", what, err)
+		}
+		if n := local.Size(download.ThumbBucket); n != 1 {
+			t.Fatalf("%s push failed, %d thumbnails left in the local bucket, want 1", what, n)
+		}
+		if n := wire.store.Size(ResultBucket); n != 0 {
+			t.Fatalf("%s push failed, yet %d results arrived", what, n)
+		}
+		// Nothing was dropped: with the wire back, a round delivers it.
+		if err := round(); err != nil {
+			t.Fatal(err)
+		}
+		if l, r, q := local.Size(download.ThumbBucket), wire.store.Size(ResultBucket),
+			wire.store.Size(pipeline.QuarantineBucket); l != 0 || r != 1 || q != 1 {
+			t.Fatalf("after the %s push recovered: %d local, %d results, %d quarantined", what, l, r, q)
+		}
+	}
+}
+
+// TestRunWorkerStopsOnFailedPush runs a worker against a store that refuses
+// every object frame (no object store attached). Its first round fetches
+// thumbnails whose results cannot be delivered: the worker must return the
+// error without checking the round in, and its heartbeats must have stopped
+// by then, so the coordinator declares it dead and requeues its claims.
+func TestRunWorkerStopsOnFailedPush(t *testing.T) {
+	platform := newTestPlatform(t, 41)
+	st := kvstore.New()
+	srv, err := kvstore.Serve(st, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	if err := pipeline.NewWithKV(platform.URL(), 1, st).Coordinator.PollOnce(); err != nil {
+		t.Fatalf("seed queue: %v", err)
+	}
+	st.Set(KeyPlatform, platform.URL())
+	st.Set(KeyNow, platform.Now().UTC().Format(time.RFC3339Nano))
+	st.Set(KeyRound, "0.0")
+
+	halt := make(chan struct{})
+	t.Cleanup(func() { close(halt) })
+	done := make(chan error, 1)
+	go func() {
+		done <- RunWorker(WorkerConfig{ID: "w1", StoreAddr: srv.Addr(), WindowStamp: true,
+			BeatEvery: time.Millisecond, Halt: halt})
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("worker still running after a round whose results never arrived")
+	}
+	if err == nil || !strings.Contains(err.Error(), "no object store attached") {
+		t.Fatalf("RunWorker = %v, want the refused push", err)
+	}
+	if token, ok := st.HGet(KeyDone, "w1"); ok {
+		t.Fatalf("worker checked in round %s, whose results never arrived", token)
+	}
+	beat, _ := st.HGet(KeyBeat, "w1")
+	time.Sleep(20 * time.Millisecond) // twenty beat periods
+	if later, _ := st.HGet(KeyBeat, "w1"); later != beat {
+		t.Fatal("worker returned but is still beating")
 	}
 }

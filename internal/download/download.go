@@ -812,7 +812,7 @@ func (d *Downloader) fetchOnce(id string, tr *tracked, now time.Time) error {
 	}
 	j.SetAttr("key", key)
 	j.SetAttr("seq", seq)
-	if tc := trace.EncodeContext(j.Context()); tc != "" {
+	if tc := trace.Traceparent(j.Context()); tc != "" {
 		meta["trace"] = tc
 	}
 	d.Store.Put(ThumbBucket, key, body, meta)

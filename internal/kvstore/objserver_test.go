@@ -2,9 +2,9 @@ package kvstore
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -28,36 +28,28 @@ func newObjectServerClient(t *testing.T) (*Server, *objstore.Store, *RemoteObjec
 	return srv, backing, ro
 }
 
-// TestObjectWireRoundTrip drives the full objstore.API surface over the RESP
-// wire: binary-safe payloads, metadata, etags, listing and deletion must all
-// match what the backing store holds.
+// TestObjectWireRoundTrip drives the object frame over the RESP wire: a
+// binary-safe payload, its metadata and its etag must all match what the
+// backing store holds afterwards.
 func TestObjectWireRoundTrip(t *testing.T) {
 	_, backing, ro := newObjectServerClient(t)
 
 	// Payload with every byte class RESP framing could trip on.
 	data := []byte("P5\r\n\x00\xff bulk$*-1\r\nframes")
 	meta := map[string]string{"streamer": "s1", "game": "Overwatch 2", "at": "2024-01-01T00:00:00Z"}
-	etag := ro.Put("thumbs", "s1/000017.pgm", data, meta)
-	if etag == "" {
-		t.Fatalf("empty etag (transport err: %v)", ro.Err)
+	etag, err := ro.Put("thumbs", "s1/000017.pgm", data, meta)
+	if err != nil || etag == "" {
+		t.Fatalf("Put = %q, %v", etag, err)
 	}
-	local, err := backing.Get("thumbs", "s1/000017.pgm")
+	got, err := backing.Get("thumbs", "s1/000017.pgm")
 	if err != nil {
 		t.Fatalf("backing store missed the put: %v", err)
 	}
-	if local.ETag != etag {
-		t.Fatalf("etag over wire %q != backing %q", etag, local.ETag)
-	}
-
-	got, err := ro.Get("thumbs", "s1/000017.pgm")
-	if err != nil {
-		t.Fatalf("Get: %v", err)
+	if got.ETag != etag {
+		t.Fatalf("etag over wire %q != backing %q", etag, got.ETag)
 	}
 	if !bytes.Equal(got.Data, data) {
 		t.Fatalf("payload corrupted over wire: %q != %q", got.Data, data)
-	}
-	if got.ETag != etag || got.ModTime.IsZero() {
-		t.Fatalf("etag/modtime lost: %q, %v", got.ETag, got.ModTime)
 	}
 	if len(got.Meta) != len(meta) {
 		t.Fatalf("meta = %v, want %v", got.Meta, meta)
@@ -68,37 +60,37 @@ func TestObjectWireRoundTrip(t *testing.T) {
 		}
 	}
 
-	head, err := ro.Head("thumbs", "s1/000017.pgm")
-	if err != nil {
-		t.Fatalf("Head: %v", err)
+	// No metadata is no metadata, and buckets stay apart.
+	if _, err := ro.Put("thumbs", "s1/000002.pgm", []byte("x"), nil); err != nil {
+		t.Fatal(err)
 	}
-	if head.Data != nil || head.ETag != etag || head.Meta["game"] != "Overwatch 2" {
-		t.Fatalf("Head = %+v", head)
+	if _, err := ro.Put("other", "s1/000099.pgm", []byte("y"), nil); err != nil {
+		t.Fatal(err)
 	}
-
-	ro.Put("thumbs", "s1/000002.pgm", []byte("x"), nil)
-	ro.Put("other", "s1/000099.pgm", []byte("y"), nil)
-	if keys := ro.List("thumbs", "s1/"); len(keys) != 2 ||
+	if keys := backing.List("thumbs", "s1/"); len(keys) != 2 ||
 		keys[0] != "s1/000002.pgm" || keys[1] != "s1/000017.pgm" {
-		t.Fatalf("List = %v", keys)
+		t.Fatalf("thumbs holds %v", keys)
 	}
-	if n := ro.Size("thumbs"); n != 2 {
-		t.Fatalf("Size = %d, want 2", n)
+	if o, err := backing.Get("thumbs", "s1/000002.pgm"); err != nil || len(o.Meta) != 0 {
+		t.Fatalf("bare put = %+v, %v", o, err)
 	}
 
-	if err := ro.Delete("thumbs", "s1/000017.pgm"); err != nil {
-		t.Fatalf("Delete: %v", err)
+	// A frame the arity check refuses stores nothing.
+	for _, bad := range [][]string{
+		{"OPUT", "thumbs", "k"},                     // no data
+		{"OPUT", "thumbs", "k", "data", "dangling"}, // metadata field without a value
+	} {
+		if rep, err := ro.c.Do(bad...); err == nil || !strings.HasPrefix(rep.Str, "ERR OPUT needs") {
+			t.Fatalf("%v = %s, %v; want the arity error", bad, render(rep), err)
+		}
 	}
-	if err := ro.Delete("thumbs", "s1/000017.pgm"); !errors.Is(err, objstore.ErrNotFound) {
-		t.Fatalf("second Delete = %v, want ErrNotFound", err)
-	}
-	if _, err := ro.Get("thumbs", "s1/000017.pgm"); !errors.Is(err, objstore.ErrNotFound) {
-		t.Fatalf("Get after delete = %v, want ErrNotFound", err)
+	if n := backing.Size("thumbs"); n != 2 {
+		t.Fatalf("thumbs holds %d objects after refused frames, want 2", n)
 	}
 }
 
-// TestObjectWireNoStore: O* commands against a server without an attached
-// object store fail loudly instead of pretending.
+// TestObjectWireNoStore: the object frame against a server without an
+// attached object store fails loudly instead of pretending.
 func TestObjectWireNoStore(t *testing.T) {
 	srv, err := Serve(New(), "127.0.0.1:0")
 	if err != nil {
@@ -110,8 +102,12 @@ func TestObjectWireNoStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	if _, err := cl.Do("OGET", "thumbs", "k"); err == nil {
-		t.Fatal("OGET without an attached object store should error")
+	if rep, err := cl.Do("OPUT", "thumbs", "k", "data"); err == nil || rep.Str != "ERR no object store attached" {
+		t.Fatalf("OPUT without an attached object store = %s, %v", render(rep), err)
+	}
+	ro := &RemoteObjects{c: cl}
+	if etag, err := ro.Put("thumbs", "k", []byte("data"), nil); err == nil || etag != "" {
+		t.Fatalf("Put without an attached object store = %q, %v", etag, err)
 	}
 }
 

@@ -20,8 +20,8 @@ const (
 	// maxLine caps a header, status or error line; the longest legitimate
 	// one is a REPLINFO or error string.
 	maxLine = 64 << 10
-	// maxReplyDepth bounds array nesting in a reply: every reply the server
-	// writes (HGETALL, OGET/OHEAD/OLIST) is one flat array of bulks.
+	// maxReplyDepth bounds array nesting in a reply: the one array reply
+	// the server writes (HGETALL) is flat.
 	maxReplyDepth = 4
 	// bulkChunk is what a bulk header alone commits its reader to; the
 	// buffer then doubles as the payload actually arrives.

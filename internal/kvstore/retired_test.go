@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
+
+	"tero/internal/objstore"
 )
 
 // retiredCommands is every Redis command the store once imitated and no
@@ -22,6 +25,16 @@ var retiredCommands = [][]string{
 	{"LPUSH", "k", "v"},
 	{"RPOP", "k"},
 	{"LRANGE", "k", "0", "-1"},
+}
+
+// retiredObjectCommands is the object frames that lost their last sender
+// when thumbnails stopped crossing the wire: only OPUT is left.
+var retiredObjectCommands = [][]string{
+	{"OGET", "b", "k"},
+	{"OHEAD", "b", "k"},
+	{"ODEL", "b", "k"},
+	{"OLIST", "b", ""},
+	{"OSIZE", "b"},
 }
 
 // render flattens a reply for table comparison.
@@ -43,10 +56,14 @@ func render(r Reply) string {
 }
 
 // TestWireCommandTable pins the whole data surface of the wire: the ten kept
-// commands and PING answer as they always did, and every retired name is an
-// unknown command that touches nothing.
+// commands and PING answer as they always did, and every retired name — the
+// object reads too, with an object store attached — is an unknown command
+// that touches nothing.
 func TestWireCommandTable(t *testing.T) {
 	srv, cl := newServerClient(t)
+	objects := objstore.New()
+	objects.Put("b", "k", []byte("v"), nil)
+	srv.AttachObjects(objects)
 	kept := []struct {
 		cmd  []string
 		want string
@@ -75,7 +92,7 @@ func TestWireCommandTable(t *testing.T) {
 		}
 	}
 	before := fingerprint(srv.store)
-	for _, cmd := range retiredCommands {
+	for _, cmd := range slices.Concat(retiredCommands, retiredObjectCommands) {
 		rep, err := cl.Do(cmd...)
 		if err == nil || rep.Kind != '-' || rep.Str != "ERR unknown command "+cmd[0] {
 			t.Fatalf("%v = %s, %v; want -ERR unknown command", cmd, render(rep), err)
@@ -83,6 +100,9 @@ func TestWireCommandTable(t *testing.T) {
 	}
 	if after := fingerprint(srv.store); after != before {
 		t.Fatalf("retired commands changed the store:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+	if o, err := objects.Get("b", "k"); err != nil || string(o.Data) != "v" || objects.Size("b") != 1 {
+		t.Fatalf("retired commands changed the object store: %+v, %v", o, err)
 	}
 }
 

@@ -29,7 +29,7 @@ type Server struct {
 	replMu sync.Mutex
 	repl   *Replica
 
-	// objects, when attached, serves the O* object commands (objserver.go).
+	// objects, when attached, is where OPUT stores (objserver.go).
 	objects *objstore.Store
 }
 
@@ -202,9 +202,6 @@ func (s *Server) dispatch(w *bufio.Writer, args []string) error {
 		return writeError(w, "empty command")
 	}
 	cmd := strings.ToUpper(args[0])
-	if handled, err := s.dispatchObject(w, cmd, args); handled {
-		return err
-	}
 	wantArgs := func(n int) bool { return len(args) == n }
 	switch cmd {
 	case "PING":
@@ -298,6 +295,8 @@ func (s *Server) dispatch(w *bufio.Writer, args []string) error {
 			return writeError(w, "LLEN needs key")
 		}
 		return writeInt(w, int64(s.store.LLen(args[1])))
+	case "OPUT":
+		return s.putObject(w, args)
 	case "REPLICAOF":
 		// REPLICAOF host:port follows a primary; REPLICAOF NO ONE promotes.
 		if len(args) == 3 && strings.EqualFold(args[1], "NO") && strings.EqualFold(args[2], "ONE") {

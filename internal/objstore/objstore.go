@@ -42,10 +42,11 @@ type Object struct {
 	spilled bool
 }
 
-// API is the object-store surface the rest of the system programs against:
-// implemented by the in-memory/spilling *Store and by the RESP wire client
-// (kvstore.RemoteObjects), so the same download/extract code runs embedded
-// or against a shared store over TCP.
+// API is the object-store surface the rest of the system programs against.
+// The in-memory/spilling *Store is its one implementation in the program;
+// being an interface is what lets the benchmark and tests wrap it in
+// decorators. The RESP wire client (kvstore.RemoteObjects) only puts and
+// does not implement it: no process reads another's objects.
 type API interface {
 	Put(bucket, key string, data []byte, meta map[string]string) string
 	Get(bucket, key string) (*Object, error)

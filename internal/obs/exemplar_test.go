@@ -4,34 +4,8 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
 )
-
-// TestSpanEndConcurrent is the Span.End race regression: End from many
-// goroutines (a handler's defer racing a timeout path, say) must record
-// the span exactly once and never double-observe the stage histogram.
-// Meaningful under -race.
-func TestSpanEndConcurrent(t *testing.T) {
-	h := Default.Histogram(Lbl("span_seconds", "stage", "race.stage"), DurationBuckets)
-	base := h.Count()
-	const spans = 40
-	for i := 0; i < spans; i++ {
-		sp := StartSpan("race.stage")
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sp.End()
-			}()
-		}
-		wg.Wait()
-	}
-	if got := h.Count() - base; got != spans {
-		t.Fatalf("histogram observed %d spans, want %d (double End recorded)", got, spans)
-	}
-}
 
 func TestHistogramExemplars(t *testing.T) {
 	reg := NewRegistry()

@@ -130,33 +130,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestSpanMonotonic(t *testing.T) {
-	reg := Default
-	reg.Reset()
-	sp := StartSpan("test.stage")
-	time.Sleep(2 * time.Millisecond)
-	d := sp.End()
-	if d <= 0 {
-		t.Fatalf("span duration = %v, want > 0", d)
-	}
-	if d2 := sp.End(); d2 != 0 {
-		t.Fatalf("second End = %v, want 0 (idempotent)", d2)
-	}
-	h := H(Lbl("span_seconds", "stage", "test.stage"), DurationBuckets)
-	if h.Count() != 1 {
-		t.Fatalf("span histogram count = %d, want 1", h.Count())
-	}
-	if h.Max() < 0.002 {
-		t.Fatalf("span histogram max = %g, want >= 0.002", h.Max())
-	}
-	// Successive spans never record negative or decreasing-time artifacts.
-	for i := 0; i < 10; i++ {
-		if d := StartSpan("test.mono").End(); d < 0 {
-			t.Fatalf("negative span duration %v", d)
-		}
-	}
-}
-
 func TestResetKeepsHandles(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("kept_total")

@@ -9,8 +9,11 @@ import (
 // shape: version-traceid-spanid-flags, hex fields).
 const TraceparentHeader = "traceparent"
 
-// Traceparent renders a context as a W3C-style traceparent value. Tero's
-// IDs are 64-bit, so the 128-bit trace-id field is zero-padded on the left.
+// Traceparent renders a context as a W3C-style traceparent value — the one
+// form a context takes outside a process: the HTTP header, the claim-trace
+// kv hash, object metadata, measurement documents and fleet result frames.
+// Tero's IDs are 64-bit, so the 128-bit trace-id field is zero-padded on the
+// left. An invalid context renders as "".
 func Traceparent(c Context) string {
 	if !c.Valid() {
 		return ""
@@ -33,15 +36,19 @@ func hexPut(dst []byte, v uint64) {
 	}
 }
 
-// ParseTraceparent extracts a context from a traceparent header value.
-// Accepts any version field; the low 64 bits of the trace-id are used.
+// ParseTraceparent extracts a context from a traceparent value. Accepts any
+// version field and any fields after the flags; the low 64 bits of the
+// trace-id are used. It cuts fields off in place instead of splitting, so
+// the empty value every untraced thumbnail carries costs no allocation.
 func ParseTraceparent(h string) (Context, bool) {
-	parts := strings.Split(strings.TrimSpace(h), "-")
-	if len(parts) < 4 || len(parts[1]) != 32 || len(parts[2]) != 16 {
+	_, rest, cut1 := strings.Cut(strings.TrimSpace(h), "-")
+	traceID, rest, cut2 := strings.Cut(rest, "-")
+	spanID, _, cut3 := strings.Cut(rest, "-")
+	if !cut1 || !cut2 || !cut3 || len(traceID) != 32 || len(spanID) != 16 {
 		return Context{}, false
 	}
-	tid, ok1 := hexU64(parts[1][16:])
-	sid, ok2 := hexU64(parts[2])
+	tid, ok1 := hexU64(traceID[16:])
+	sid, ok2 := hexU64(spanID)
 	c := Context{TraceID: tid, SpanID: sid}
 	if !ok1 || !ok2 || !c.Valid() {
 		return Context{}, false
@@ -59,32 +66,4 @@ func hexU64(s string) (uint64, bool) {
 		v = v<<8 | uint64(c)
 	}
 	return v, true
-}
-
-// EncodeContext renders a context for in-repo propagation surfaces that
-// are string maps (object-store metadata, measurement documents) —
-// shorter than a full traceparent and unambiguous.
-func EncodeContext(c Context) string {
-	if !c.Valid() {
-		return ""
-	}
-	var b [33]byte
-	hexPut(b[0:16], c.TraceID)
-	b[16] = '.'
-	hexPut(b[17:33], c.SpanID)
-	return string(b[:])
-}
-
-// DecodeContext parses EncodeContext's form.
-func DecodeContext(s string) (Context, bool) {
-	if len(s) != 33 || s[16] != '.' {
-		return Context{}, false
-	}
-	tid, ok1 := hexU64(s[:16])
-	sid, ok2 := hexU64(s[17:])
-	c := Context{TraceID: tid, SpanID: sid}
-	if !ok1 || !ok2 || !c.Valid() {
-		return Context{}, false
-	}
-	return c, true
 }

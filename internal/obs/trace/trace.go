@@ -6,8 +6,8 @@
 //
 // Two trace shapes exist:
 //
-//   - Request traces (StartTrace / StartRemoteChild): rooted at one
-//     operation — a serve HTTP request, a pipeline stage run — and
+//   - Request traces (StartTrace / StartStage / StartRemoteChild): rooted
+//     at one operation — a serve HTTP request, a pipeline stage run — and
 //     finalized automatically when their last live local span ends.
 //     `traceparent` header propagation lets a LoadGen client span and the
 //     server's request span share one trace.
@@ -16,9 +16,13 @@
 //     accumulating spans across pipeline stages (extract → analyze →
 //     publish) as the reading moves through the system; finalized
 //     explicitly by Finish when the reading becomes queryable (or is
-//     dropped). Their span context travels through object-store metadata
-//     and measurement documents, not a context.Context — the stages run in
-//     different ticks.
+//     dropped). Their span context travels as a traceparent value in
+//     object-store metadata and measurement documents, not in a
+//     context.Context — the stages run in different ticks.
+//
+// There is one span type. A stage span (StartStage) also feeds the
+// span_seconds{stage=…} histogram, tracing or not; every other span exists
+// only while tracing is on.
 //
 // Tracing is off by default and costs one atomic load on instrumented hot
 // paths when disabled; Span methods are nil-safe so call sites need no
@@ -28,7 +32,6 @@
 package trace
 
 import (
-	"context"
 	"encoding/binary"
 	"hash/fnv"
 	"sync/atomic"
@@ -88,6 +91,7 @@ var (
 	ids      atomic.Pointer[IDSource]
 	vclock   atomic.Pointer[func() time.Time]
 	tlog     = obs.L("trace")
+	spanLog  = obs.L("span")
 	mStarted = obs.C("trace_spans_started_total")
 )
 
@@ -143,17 +147,33 @@ func ActiveStore() *Store { return store.Load() }
 
 // Span is one live span. A nil *Span is inert: every method no-ops, so
 // disabled-tracing call sites carry no branches beyond the Enabled check
-// that returned nil.
+// that returned nil. A stage span (StartStage) is never nil; started with
+// tracing off it belongs to no trace (zero ctx) and only times its stage.
 type Span struct {
-	ctx      Context
-	parent   uint64
-	name     string
-	attrs    []Attr
-	start    time.Time
-	vstart   time.Time
-	err      string
-	ended    atomic.Bool
-	finisher bool // this span's End may finalize the trace (auto mode)
+	ctx    Context
+	parent uint64
+	name   string
+	attrs  []Attr
+	start  time.Time
+	vstart time.Time
+	err    string
+	ended  atomic.Bool
+	stage  bool // End observes span_seconds{stage=name}
+}
+
+// StartStage begins timing a pipeline stage. Its End always records the
+// duration into the stage's histogram (`span_seconds{stage=...}` in the
+// Default registry) and, when the global log level admits trace, emits a
+// trace line; with tracing on the span is additionally the root of an
+// auto-finalized trace, so instrumented stages keep their aggregate timings
+// and also appear as traces.
+func StartStage(name string, attrs ...Attr) *Span {
+	s := StartTrace(name, attrs...)
+	if s == nil {
+		s = &Span{name: name, start: time.Now()}
+	}
+	s.stage = true
+	return s
 }
 
 // StartTrace begins a new auto-finalized trace rooted at name: when the
@@ -196,9 +216,10 @@ func StartRemoteChild(parent Context, name string, attrs ...Attr) *Span {
 		parent.SpanID, name, attrs)
 }
 
-// Child begins a child span of s. Nil-safe: a nil receiver yields nil.
+// Child begins a child span of s. Nil-safe: a nil receiver yields nil, and
+// so does a stage span that belongs to no trace.
 func (s *Span) Child(name string, attrs ...Attr) *Span {
-	if s == nil || !Enabled() {
+	if s == nil || !s.ctx.Valid() || !Enabled() {
 		return nil
 	}
 	ActiveStore().joinTrace(s.ctx.TraceID)
@@ -210,7 +231,7 @@ func newSpan(c Context, parent uint64, name string, attrs []Attr) *Span {
 	mStarted.Inc()
 	return &Span{
 		ctx: c, parent: parent, name: name, attrs: attrs,
-		start: time.Now(), vstart: virtualNow(), finisher: true,
+		start: time.Now(), vstart: virtualNow(),
 	}
 }
 
@@ -239,21 +260,37 @@ func (s *Span) SetError(msg string) {
 	}
 }
 
-// End records the span into the store. Idempotent and nil-safe. If this was
-// the last live span of an auto-finalized trace, the trace is finalized.
-func (s *Span) End() {
+// End stops the span and returns its duration, clamped to be non-negative
+// (the monotonic clock makes this a formality). Nil-safe, and safe to call
+// repeatedly or from several goroutines at once — a handler's defer racing
+// a timeout path, say: the CAS lets exactly one caller record, the rest
+// return 0. A span in a trace is recorded into the store, and if it was the
+// last live span of an auto-finalized trace, the trace is finalized; a stage
+// span observes its histogram.
+func (s *Span) End() time.Duration {
 	if s == nil || !s.ended.CompareAndSwap(false, true) {
-		return
+		return 0
 	}
-	st := ActiveStore()
-	st.addSpan(SpanData{
-		TraceID: s.ctx.TraceID, SpanID: s.ctx.SpanID, ParentID: s.parent,
-		Name: s.name, Attrs: s.attrs,
-		Start: s.start, End: time.Now(),
-		VStart: s.vstart, VEnd: virtualNow(),
-		Err: s.err,
-	})
-	st.leaveTrace(s.ctx.TraceID)
+	end := time.Now()
+	d := max(end.Sub(s.start), 0)
+	if s.ctx.Valid() {
+		st := ActiveStore()
+		st.addSpan(SpanData{
+			TraceID: s.ctx.TraceID, SpanID: s.ctx.SpanID, ParentID: s.parent,
+			Name: s.name, Attrs: s.attrs,
+			Start: s.start, End: end,
+			VStart: s.vstart, VEnd: virtualNow(),
+			Err: s.err,
+		})
+		st.leaveTrace(s.ctx.TraceID)
+	}
+	if s.stage {
+		obs.H(obs.Lbl("span_seconds", "stage", s.name), obs.DurationBuckets).Observe(d.Seconds())
+		if spanLog.Enabled(obs.LevelTrace) {
+			spanLog.Trace("span", "stage", s.name, "dur", d)
+		}
+	}
+	return d
 }
 
 // RecordSpan stores an already-timed span under a propagated parent — how
@@ -283,22 +320,4 @@ func Finish(traceID uint64) {
 	if traceID != 0 {
 		ActiveStore().finish(traceID)
 	}
-}
-
-// Context propagation through context.Context, for handler stacks.
-
-type ctxKey struct{}
-
-// ContextWith returns ctx carrying the span.
-func ContextWith(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, s)
-}
-
-// FromContext returns the span carried by ctx, or nil.
-func FromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(ctxKey{}).(*Span)
-	return s
 }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tero/internal/obs"
 )
 
 // restore resets the package globals after a test that enabled tracing.
@@ -50,28 +52,23 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	if !ok || got.TraceID != 0x9900aabbccddeeff || got.SpanID != 0x0011223344556677 {
 		t.Fatalf("foreign parse: %+v ok=%v", got, ok)
 	}
-	for _, bad := range []string{"", "00", "00-zz-xx-01", "00-1234-5678-01"} {
+	// The extremes of both fields survive the trip.
+	c = Context{TraceID: 1, SpanID: ^uint64(0)}
+	if got, ok = ParseTraceparent(Traceparent(c)); !ok || got != c {
+		t.Fatalf("round trip: %+v ok=%v", got, ok)
+	}
+	for _, bad := range []string{"", "00", "00-zz-xx-01", "00-1234-5678-01", "not-a-context"} {
 		if _, ok := ParseTraceparent(bad); ok {
 			t.Errorf("ParseTraceparent(%q) accepted", bad)
 		}
 	}
-}
-
-func TestEncodeContextRoundTrip(t *testing.T) {
-	c := Context{TraceID: 1, SpanID: ^uint64(0)}
-	enc := EncodeContext(c)
-	if len(enc) != 33 {
-		t.Fatalf("EncodeContext length %d", len(enc))
+	if Traceparent(Context{}) != "" {
+		t.Error("Traceparent of an invalid context should be empty")
 	}
-	got, ok := DecodeContext(enc)
-	if !ok || got != c {
-		t.Fatalf("round trip: %+v ok=%v", got, ok)
-	}
-	if _, ok := DecodeContext("not-a-context"); ok {
-		t.Error("DecodeContext accepted junk")
-	}
-	if EncodeContext(Context{}) != "" {
-		t.Error("EncodeContext of invalid context should be empty")
+	// Every untraced thumbnail carries the empty value through
+	// ProcessThumbnails and workRound: rejecting it must cost nothing.
+	if n := testing.AllocsPerRun(100, func() { ParseTraceparent("") }); n != 0 {
+		t.Errorf(`ParseTraceparent("") allocates %v times, want 0`, n)
 	}
 }
 
@@ -94,6 +91,106 @@ func TestDisabledTracingIsInert(t *testing.T) {
 	if got := s.Context(); got.Valid() {
 		t.Fatalf("nil span has valid context %+v", got)
 	}
+
+	// A stage span is never nil, but with tracing off it is a stopwatch
+	// only: it belongs to no trace and its whole life touches no store.
+	st := ActiveStore()
+	stored, started := len(st.Traces()), mStarted.Value()
+	sp := StartStage("inert.stage", A("k", "v"))
+	if sp == nil || sp.Context().Valid() {
+		t.Fatalf("stage span with tracing off: %v, context %+v", sp, sp.Context())
+	}
+	if c := sp.Child("y"); c != nil {
+		t.Fatal("Child of an untraced stage span is non-nil")
+	}
+	sp.End()
+	if ActiveStore() != st || st.Pending() != 0 || len(st.Traces()) != stored || mStarted.Value() != started {
+		t.Fatalf("untraced stage span touched the store: pending %d, traces %d -> %d, spans started %d -> %d",
+			st.Pending(), stored, len(st.Traces()), started, mStarted.Value())
+	}
+}
+
+// stageModes runs a stage-span test once with tracing off (the span only
+// times its stage) and once with it on (the span also roots a trace).
+func stageModes(t *testing.T, fn func(t *testing.T, traced bool)) {
+	for _, traced := range []bool{false, true} {
+		t.Run(fmt.Sprintf("traced=%v", traced), func(t *testing.T) {
+			restore(t)
+			Disable()
+			if traced {
+				Enable(7)
+				SetSampleN(1)
+			}
+			fn(t, traced)
+		})
+	}
+}
+
+func TestSpanMonotonic(t *testing.T) {
+	stageModes(t, func(t *testing.T, traced bool) {
+		h := obs.H(obs.Lbl("span_seconds", "stage", "test.stage"), obs.DurationBuckets)
+		base := h.Count()
+		sp := StartStage("test.stage")
+		time.Sleep(2 * time.Millisecond)
+		d := sp.End()
+		if d <= 0 {
+			t.Fatalf("span duration = %v, want > 0", d)
+		}
+		if d2 := sp.End(); d2 != 0 {
+			t.Fatalf("second End = %v, want 0 (idempotent)", d2)
+		}
+		if got := h.Count() - base; got != 1 {
+			t.Fatalf("span histogram count = %d, want 1", got)
+		}
+		if h.Max() < 0.002 {
+			t.Fatalf("span histogram max = %g, want >= 0.002", h.Max())
+		}
+		if tr, ok := ActiveStore().Get(sp.Context().TraceID); ok != traced || (traced && len(tr.Spans) != 1) {
+			t.Fatalf("stored trace: ok=%v spans=%d, tracing %v", ok, len(tr.Spans), traced)
+		}
+		// Successive spans never record negative or decreasing-time artifacts.
+		for i := 0; i < 10; i++ {
+			if d := StartStage("test.mono").End(); d < 0 {
+				t.Fatalf("negative span duration %v", d)
+			}
+		}
+	})
+}
+
+// TestSpanEndConcurrent is the Span.End race regression: End from many
+// goroutines (a handler's defer racing a timeout path, say) must record
+// the span exactly once — one histogram sample and, when tracing, one
+// stored span. Meaningful under -race.
+func TestSpanEndConcurrent(t *testing.T) {
+	stageModes(t, func(t *testing.T, traced bool) {
+		h := obs.H(obs.Lbl("span_seconds", "stage", "race.stage"), obs.DurationBuckets)
+		base := h.Count()
+		const spans = 40
+		for i := 0; i < spans; i++ {
+			sp := StartStage("race.stage")
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					sp.End()
+				}()
+			}
+			wg.Wait()
+			if !traced {
+				continue
+			}
+			if tr, ok := ActiveStore().Get(sp.Context().TraceID); !ok || len(tr.Spans) != 1 {
+				t.Fatalf("span %d: stored trace ok=%v with %d spans, want exactly 1", i, ok, len(tr.Spans))
+			}
+		}
+		if got := h.Count() - base; got != spans {
+			t.Fatalf("histogram observed %d spans, want %d (double End recorded)", got, spans)
+		}
+		if ActiveStore().Pending() != 0 {
+			t.Fatalf("pending = %d after every span ended", ActiveStore().Pending())
+		}
+	})
 }
 
 func TestAutoTraceLifecycle(t *testing.T) {
@@ -133,7 +230,7 @@ func TestJourneyManualFinish(t *testing.T) {
 		t.Fatal("journey finalized before Finish")
 	}
 	// A later stage chains spans through the propagated context.
-	ec, _ := DecodeContext(EncodeContext(j.Context()))
+	ec, _ := ParseTraceparent(Traceparent(j.Context()))
 	now := time.Now()
 	mid := RecordSpan(ec, "pipeline.extract", now, now.Add(time.Millisecond), "")
 	RecordSpan(mid, "pipeline.publish", now, now.Add(2*time.Millisecond), "")
@@ -332,4 +429,30 @@ func TestConcurrentSpans(t *testing.T) {
 			t.Fatalf("trace %x has %d spans, want 2", tr.ID, len(tr.Spans))
 		}
 	}
+}
+
+// FuzzParseTraceparent: the one trace-context decoder takes bytes from an
+// HTTP header, a kv hash, object metadata, a measurement document and a
+// result frame. It never panics, and whatever it accepts names a real span
+// and survives re-rendering. The seed corpus in testdata/fuzz/ holds a
+// valid value, wrong field widths, non-hex digits, zero IDs, a future
+// version with extra fields, padding and the empty string; scripts/check.sh
+// runs the target for a few seconds.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, h string) {
+		c, ok := ParseTraceparent(h)
+		if !ok {
+			if c != (Context{}) {
+				t.Fatalf("rejected %q yet returned %+v", h, c)
+			}
+			return
+		}
+		if !c.Valid() {
+			t.Fatalf("accepted %q as the invalid context %+v", h, c)
+		}
+		if again, ok := ParseTraceparent(Traceparent(c)); !ok || again != c {
+			t.Fatalf("%q parsed to %+v, which re-renders to %q and parses to %+v, %v",
+				h, c, Traceparent(c), again, ok)
+		}
+	})
 }

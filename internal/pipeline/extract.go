@@ -123,7 +123,7 @@ func (p *Pipeline) IngestResult(r ThumbResult, ctx trace.Context) {
 		if ctx.Valid() {
 			// The measurement document carries the span's context until
 			// PublishAt closes the journey.
-			doc["trace"] = trace.EncodeContext(ctx)
+			doc["trace"] = trace.Traceparent(ctx)
 		}
 		p.Docs.C("measurements").Insert(doc)
 		p.dirty[pairKey{anon, r.Game}] = struct{}{} // the pair's streams changed: Analyze re-runs it

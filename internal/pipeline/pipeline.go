@@ -345,7 +345,7 @@ func (p *Pipeline) ProcessThumbnails() int {
 		// record the extract span as a child of the propagated context.
 		// Readings that die in this stage have their journey finished now;
 		// measured readings stay open until publish.
-		jctx, _ := trace.DecodeContext(r.traceCtx)
+		jctx, _ := trace.ParseTraceparent(r.traceCtx)
 		switch r.res.Outcome {
 		case OutcomeCorrupt:
 			// Corrupt thumbnail: count it and move it aside so it cannot

@@ -108,7 +108,7 @@ func (p *Pipeline) finalizeReadings(now time.Time, tA0, tA1, tP1 time.Time) {
 		}
 		var ref uint64
 		if tc, ok := d["trace"].(string); ok && traced {
-			if ec, ok2 := trace.DecodeContext(tc); ok2 {
+			if ec, ok2 := trace.ParseTraceparent(tc); ok2 {
 				ref = ec.TraceID
 				ac := trace.RecordSpan(ec, "pipeline.analyze", tA0, tA1, "")
 				var attrs []trace.Attr

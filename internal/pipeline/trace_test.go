@@ -223,7 +223,7 @@ func TestFreshnessCursorMatchesFullScan(t *testing.T) {
 
 	want := make(map[uint64]bool)
 	for _, d := range p.Docs.C("measurements").Find(nil) {
-		ec, ok := trace.DecodeContext(d["trace"].(string))
+		ec, ok := trace.ParseTraceparent(d["trace"].(string))
 		if !ok {
 			t.Fatalf("measurement %v carries no trace context", d["_id"])
 		}

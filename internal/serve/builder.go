@@ -232,6 +232,6 @@ func (b *Builder) Build() *Snapshot {
 			entries = append(entries, g.entry)
 		}
 	}
-	b.last = &Snapshot{Entries: entries, Catalog: newCatalog(entries)}
+	b.last = newSnapshot(entries)
 	return b.last
 }

@@ -1,8 +1,8 @@
 // Package serve is Tero's latency-information query service (§1, §6): it
 // ingests the analysis output of the pipeline — per-{location, game}
 // latency distributions derived by core.Analyze/core.Distribution — into a
-// sharded, read-optimized in-memory index and exposes it over a stdlib
-// net/http JSON API. This is the subsystem third parties (game companies,
+// read-optimized in-memory index and exposes it over a stdlib net/http
+// JSON API. This is the subsystem third parties (game companies,
 // ISPs, researchers) query; everything before it is the producer.
 //
 // The moving parts:
@@ -11,9 +11,10 @@
 //     pipeline feeds it via Pipeline.PublishAt) and Build()s an immutable
 //     Snapshot: one Entry per group with every statistic the API serves
 //     precomputed, rendered again only for the groups that changed.
-//   - Index holds the serving state in independently locked shards; Swap
-//     atomically replaces the whole content with a new Snapshot without
-//     ever locking readers out of more than one shard at a time.
+//   - Index holds the current Snapshot behind one atomic pointer; Swap
+//     replaces it with one store, and a request is answered wholly from
+//     the snapshot it loaded, so readers never wait and never mix two
+//     publishes in one response.
 //   - Server is the HTTP layer: /v1/locations, /v1/games, /v1/latency,
 //     /v1/compare, /healthz, /readyz, /metrics, with deterministic ETags
 //     and If-None-Match 304s.
@@ -75,7 +76,7 @@ func SplitPairKey(s string) (locKey, game string, ok bool) {
 // sample plus every derived statistic the API serves, all precomputed at
 // build time — including the marshaled JSON body, the encoded binary body
 // and both representations' ETags — so the steady-state query path is a
-// shard lookup plus one Write, with zero per-request marshaling.
+// map lookup plus one Write, with zero per-request marshaling.
 // Entries are immutable after construction and safe to share across
 // goroutines and snapshots.
 type Entry struct {

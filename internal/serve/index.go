@@ -11,12 +11,6 @@ import (
 	"tero/internal/obs"
 )
 
-// DefaultShards is the index shard count. Shards exist so concurrent reads
-// scale across cores: every lookup locks exactly one shard (read lock), and
-// a Swap write-locks one shard at a time, so readers of the other shards
-// are never blocked.
-const DefaultShards = 16
-
 // mPublishSkipped counts the Swaps that had nothing to install.
 var mPublishSkipped = obs.C("serve_publish_skipped_total")
 
@@ -43,10 +37,10 @@ type GameSummary struct {
 	Points    int    `json:"points"`
 }
 
-// Catalog is the cross-shard listing state of one snapshot: the sorted
-// location and game summaries with their JSON bodies and ETags precomputed
-// at build time (the listings are global, so there is exactly one body per
-// snapshot — no per-request work at all).
+// Catalog is the listing state of one snapshot: the sorted location and game
+// summaries with their JSON bodies and ETags precomputed at build time (the
+// listings are global, so there is exactly one body per snapshot — no
+// per-request work at all).
 type Catalog struct {
 	Locations []LocationSummary
 	Games     []GameSummary
@@ -130,100 +124,85 @@ func bodyETag(body []byte) string {
 	return fmt.Sprintf("\"t1-%016x\"", h.Sum64())
 }
 
-// Snapshot is an immutable build product: the sorted entries plus the
-// catalog. Index.Swap installs it atomically; entries are shared, never
-// copied, so a snapshot can be swapped into several indexes.
+// Snapshot is an immutable build product: the sorted entries, the map that
+// finds one by key, and the catalog. Index.Swap installs it with one pointer
+// store; entries are shared, never copied, so a snapshot can be swapped into
+// several indexes. Builder.Build is the only constructor.
 type Snapshot struct {
 	// Entries is sorted by Entry.Key.
 	Entries []*Entry
 	Catalog *Catalog
+
+	byKey map[string]*Entry
 }
 
-// Lookup finds an entry by key in the sorted snapshot (used by tests and
-// offline consumers; the Index is the serving path).
+// newSnapshot derives the lookup map and the catalog from the sorted
+// entries. Nothing writes to either afterwards, which is what lets readers
+// share the snapshot without a lock.
+func newSnapshot(entries []*Entry) *Snapshot {
+	byKey := make(map[string]*Entry, len(entries))
+	for _, e := range entries {
+		byKey[e.Key] = e
+	}
+	return &Snapshot{Entries: entries, Catalog: newCatalog(entries), byKey: byKey}
+}
+
+// Lookup finds an entry by key.
 func (s *Snapshot) Lookup(key string) (*Entry, bool) {
-	i := sort.Search(len(s.Entries), func(i int) bool { return s.Entries[i].Key >= key })
-	if i < len(s.Entries) && s.Entries[i].Key == key {
-		return s.Entries[i], true
-	}
-	return nil, false
-}
-
-// indexShard is one independently guarded map of the index.
-type indexShard struct {
-	mu      sync.RWMutex
-	entries map[string]*Entry
-}
-
-// Index is the serving store: a set of independently locked shards mapping
-// entry keys to immutable entries, plus an atomically swapped catalog.
-// Reads (Get) take one shard read-lock; Swap replaces content shard by
-// shard under the shard write locks, so the pipeline can republish
-// mid-serve without ever locking readers out globally. A reader during a
-// swap sees either the old or the new entry for its key — both are
-// internally consistent, so no response is ever torn.
-type Index struct {
-	shards  []indexShard
-	catalog atomic.Pointer[Catalog]
-	version atomic.Uint64
-	swapMu  sync.Mutex
-	held    *Snapshot // the last snapshot installed; guarded by swapMu
-}
-
-// NewIndex creates an index with the given shard count (<= 0 means
-// DefaultShards).
-func NewIndex(shards int) *Index {
-	if shards <= 0 {
-		shards = DefaultShards
-	}
-	ix := &Index{shards: make([]indexShard, shards)}
-	for i := range ix.shards {
-		ix.shards[i].entries = make(map[string]*Entry)
-	}
-	return ix
-}
-
-// shardFor hashes a key to its shard.
-func (ix *Index) shardFor(key string) *indexShard {
-	h := fnv.New32a()
-	h.Write([]byte(key)) //nolint:errcheck
-	return &ix.shards[h.Sum32()%uint32(len(ix.shards))]
-}
-
-// Get returns the entry for key, read-locking only that key's shard.
-func (ix *Index) Get(key string) (*Entry, bool) {
-	sh := ix.shardFor(key)
-	sh.mu.RLock()
-	e, ok := sh.entries[key]
-	sh.mu.RUnlock()
+	e, ok := s.byKey[key]
 	return e, ok
 }
 
+// Index is the serving store: the current Snapshot behind one atomic
+// pointer. A reader loads the pointer once and answers wholly from that
+// snapshot, so everything in one response — both sides of a compare, a
+// listing and the entries it names — comes from one publish, and no reader
+// ever waits for a writer.
+type Index struct {
+	snap    atomic.Pointer[Snapshot]
+	version atomic.Uint64
+	swapMu  sync.Mutex // serialises Swap
+}
+
+// NewIndex creates an empty index. The argument was a shard count and is
+// ignored; it stays only because bench/ calls NewIndex(0) and that module
+// changes in benchmark PRs alone.
+func NewIndex(int) *Index { return &Index{} }
+
+// Get returns the entry for key in the current snapshot.
+func (ix *Index) Get(key string) (*Entry, bool) {
+	s := ix.snap.Load()
+	if s == nil {
+		return nil, false
+	}
+	return s.Lookup(key)
+}
+
 // Catalog returns the current catalog, or nil before the first Swap.
-func (ix *Index) Catalog() *Catalog { return ix.catalog.Load() }
+func (ix *Index) Catalog() *Catalog {
+	if s := ix.snap.Load(); s != nil {
+		return s.Catalog
+	}
+	return nil
+}
 
 // Ready reports whether a snapshot has been swapped in.
-func (ix *Index) Ready() bool { return ix.catalog.Load() != nil }
+func (ix *Index) Ready() bool { return ix.snap.Load() != nil }
 
 // Version returns the number of snapshots installed.
 func (ix *Index) Version() uint64 { return ix.version.Load() }
 
-// Len returns the current entry count across all shards.
+// Len returns the current entry count.
 func (ix *Index) Len() int {
-	n := 0
-	for i := range ix.shards {
-		ix.shards[i].mu.RLock()
-		n += len(ix.shards[i].entries)
-		ix.shards[i].mu.RUnlock()
+	if s := ix.snap.Load(); s != nil {
+		return len(s.Entries)
 	}
-	return n
+	return 0
 }
 
-// Swap installs a snapshot as the new index content: the catalog pointer
-// flips first (listings and readiness see the new world atomically), then
-// each shard's map is replaced under that shard's write lock alone.
-// Concurrent swaps are serialized; readers are only ever blocked for the
-// duration of one map-pointer assignment on one shard.
+// Swap installs a snapshot as the new index content: one pointer store,
+// whatever the snapshot's size. Concurrent swaps are serialized so Version
+// and the gauges describe the snapshot that is installed.
 //
 // Handed the snapshot it already holds — what Builder.Build returns when
 // nothing changed — Swap installs nothing, leaves Version alone and counts
@@ -232,34 +211,14 @@ func (ix *Index) Swap(s *Snapshot) int {
 	ix.swapMu.Lock()
 	defer ix.swapMu.Unlock()
 
-	if s == ix.held {
+	if s == ix.snap.Load() {
 		mPublishSkipped.Inc()
 		return len(s.Entries)
 	}
-	ix.held = s
-
-	byShard := make([]map[string]*Entry, len(ix.shards))
-	for i := range byShard {
-		byShard[i] = make(map[string]*Entry)
-	}
-	for _, e := range s.Entries {
-		h := fnv.New32a()
-		h.Write([]byte(e.Key)) //nolint:errcheck
-		byShard[h.Sum32()%uint32(len(ix.shards))][e.Key] = e
-	}
-
-	cat := s.Catalog
-	if cat == nil {
-		cat = newCatalog(s.Entries)
-	}
-	ix.catalog.Store(cat)
-	for i := range ix.shards {
-		ix.shards[i].mu.Lock()
-		ix.shards[i].entries = byShard[i]
-		ix.shards[i].mu.Unlock()
-	}
+	ix.snap.Store(s)
 	v := ix.version.Add(1)
 
+	cat := s.Catalog
 	gIndexEntries.Set(float64(cat.Entries))
 	gIndexPoints.Set(float64(cat.Points))
 	gIndexLocations.Set(float64(len(cat.Locations)))

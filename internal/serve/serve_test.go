@@ -220,7 +220,7 @@ func TestETagRoundTrip(t *testing.T) {
 }
 
 func TestNotReady(t *testing.T) {
-	s := NewServer(NewIndex(4))
+	s := NewServer(NewIndex(0))
 	if w := do(t, s, "/healthz"); w.Code != 200 {
 		t.Fatalf("healthz before swap: %d", w.Code)
 	}
@@ -398,6 +398,79 @@ func TestSwapWhileReading(t *testing.T) {
 	case err := <-errs:
 		t.Fatal(err)
 	default:
+	}
+}
+
+// TestCompareAnswersFromOneSnapshot holds the index to snapshot consistency:
+// a /v1/compare response pairs two entries, and both must come from the
+// same publish. Two snapshots differ in both compared entries; while a
+// swapper flips them, every response's ETag must be the combination of one
+// snapshot's pair — never entry A of one publish with entry B of the other,
+// which would be a distance between distributions never published together.
+func TestCompareAnswersFromOneSnapshot(t *testing.T) {
+	build := func(milan, tokyo float64) *Snapshot {
+		b := NewBuilder(core.DefaultParams())
+		b.Add(testAnalysis("s1", "Fortnite", locMilan, milan, 30),
+			testAnalysis("s4", "Fortnite", locTokyo, tokyo, 40))
+		return b.Build()
+	}
+	snaps := [2]*Snapshot{build(40, 110), build(47, 125)}
+	keyA, keyB := EntryKey(locMilan, "Fortnite"), EntryKey(locTokyo, "Fortnite")
+	want := make(map[string]bool)
+	for _, snap := range snaps {
+		a, okA := snap.Lookup(keyA)
+		b, okB := snap.Lookup(keyB)
+		if !okA || !okB {
+			t.Fatal("fixture snapshot lacks a compared entry")
+		}
+		want[combineETags(a.etag, b.etag)] = true
+	}
+	if len(want) != 2 {
+		t.Fatal("fixture snapshots do not differ")
+	}
+
+	ix := NewIndex(0)
+	ix.Swap(snaps[0])
+	s := NewServer(ix)
+	stop, swapped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(swapped)
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				ix.Swap(snaps[i%2])
+			}
+		}
+	}()
+
+	const readers, requests = 8, 2000
+	path := "/v1/compare?a=" + keyA + "&b=" + keyB
+	mixed := make([]int, readers)
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < requests; i++ {
+				w := httptest.NewRecorder()
+				s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+				if w.Code != 200 || !want[w.Header().Get("ETag")] {
+					mixed[g]++
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-swapped
+	n := 0
+	for _, m := range mixed {
+		n += m
+	}
+	if n > 0 {
+		t.Fatalf("%d of %d compare responses paired entries of two different snapshots", n, readers*requests)
 	}
 }
 

@@ -180,7 +180,6 @@ func instrument(next http.Handler) http.Handler {
 			} else {
 				tsp = trace.StartTrace("serve.request", attrs...)
 			}
-			r = r.WithContext(trace.ContextWith(r.Context(), tsp))
 		}
 		next.ServeHTTP(rec, r)
 		h := handlesFor(routeOf(r.URL.Path))
@@ -249,9 +248,6 @@ func classIdx(code int) int {
 	}
 	return 3
 }
-
-// statusClass maps an HTTP status to its metric label.
-func statusClass(code int) string { return statusClasses[classIdx(code)] }
 
 // errorBody is the JSON error envelope.
 type errorBody struct {
@@ -351,36 +347,39 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// catalogOr503 fetches the catalog, emitting the not-ready error itself.
-func (s *Server) catalogOr503(w http.ResponseWriter) *Catalog {
-	cat := s.ix.Catalog()
-	if cat == nil {
+// snapshotOr503 loads the snapshot a request is answered from, emitting the
+// not-ready error itself. A handler calls it once: everything in a response
+// comes from that snapshot, however many Swaps land while it is written.
+func (s *Server) snapshotOr503(w http.ResponseWriter) *Snapshot {
+	snap := s.ix.snap.Load()
+	if snap == nil {
 		writeError(w, http.StatusServiceUnavailable, "index not ready")
 	}
-	return cat
+	return snap
 }
 
 func (s *Server) handleLocations(w http.ResponseWriter, r *http.Request) {
-	cat := s.catalogOr503(w)
-	if cat == nil {
+	snap := s.snapshotOr503(w)
+	if snap == nil {
 		return
 	}
-	writeJSON(w, r, cat.locationsBody, cat.locationsETag)
+	writeJSON(w, r, snap.Catalog.locationsBody, snap.Catalog.locationsETag)
 }
 
 func (s *Server) handleGames(w http.ResponseWriter, r *http.Request) {
-	cat := s.catalogOr503(w)
-	if cat == nil {
+	snap := s.snapshotOr503(w)
+	if snap == nil {
 		return
 	}
-	writeJSON(w, r, cat.gamesBody, cat.gamesETag)
+	writeJSON(w, r, snap.Catalog.gamesBody, snap.Catalog.gamesETag)
 }
 
 // handleLatency is the hot path: everything it serves — JSON body, binary
 // body, both ETags — was rendered at snapshot build time, so the
-// steady-state request is query parse, one shard lookup and one Write.
+// steady-state request is query parse, one map lookup and one Write.
 func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
-	if s.catalogOr503(w) == nil {
+	snap := s.snapshotOr503(w)
+	if snap == nil {
 		return
 	}
 	q := r.URL.Query()
@@ -391,7 +390,7 @@ func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := strings.ToLower(locKey) + "::" + strings.ToLower(game)
-	e, ok := s.ix.Get(key)
+	e, ok := snap.Lookup(key)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no data for {%s, %s}", locKey, game)
 		return
@@ -404,8 +403,8 @@ func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, r, e.body, e.etag, contentTypeJSON)
 }
 
-// lookupPair resolves one /v1/compare side parameter.
-func (s *Server) lookupPair(w http.ResponseWriter, name, raw string) (*Entry, bool) {
+// lookupPair resolves one /v1/compare side parameter in snap.
+func lookupPair(w http.ResponseWriter, snap *Snapshot, name, raw string) (*Entry, bool) {
 	if raw == "" {
 		writeError(w, http.StatusBadRequest,
 			"missing required parameter: %s (format <location-key>::<game>)", name)
@@ -417,7 +416,7 @@ func (s *Server) lookupPair(w http.ResponseWriter, name, raw string) (*Entry, bo
 			"malformed %s=%q: want <location-key>::<game>", name, raw)
 		return nil, false
 	}
-	e, found := s.ix.Get(strings.ToLower(locKey) + "::" + strings.ToLower(game))
+	e, found := snap.Lookup(strings.ToLower(locKey) + "::" + strings.ToLower(game))
 	if !found {
 		writeError(w, http.StatusNotFound, "no data for %s={%s, %s}", name, locKey, game)
 		return nil, false
@@ -426,15 +425,16 @@ func (s *Server) lookupPair(w http.ResponseWriter, name, raw string) (*Entry, bo
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	if s.catalogOr503(w) == nil {
+	snap := s.snapshotOr503(w)
+	if snap == nil {
 		return
 	}
 	q := r.URL.Query()
-	a, ok := s.lookupPair(w, "a", q.Get("a"))
+	a, ok := lookupPair(w, snap, "a", q.Get("a"))
 	if !ok {
 		return
 	}
-	b, ok := s.lookupPair(w, "b", q.Get("b"))
+	b, ok := lookupPair(w, snap, "b", q.Get("b"))
 	if !ok {
 		return
 	}

@@ -25,23 +25,26 @@ go build ./...
 echo "== go test -race ./... =="
 go test -race ./...
 
-echo "== decoder fuzz targets (kvstore wire and log, 5s each) =="
+echo "== decoder fuzz targets (kvstore wire and log, traceparent; 5s each) =="
 # The committed seed corpus runs under the plain tests above; this mutates
-# from it. A failing input lands in internal/kvstore/testdata/fuzz/.
+# from it. A failing input lands in the package's testdata/fuzz/.
 for target in FuzzReadCommand FuzzReadReply FuzzReplayAOF; do
     go test -run '^$' -fuzz "^$target\$" -fuzztime 5s ./internal/kvstore
 done
+go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime 5s ./internal/obs/trace
 
 echo "== bench module (own go.mod, replace tero => ../: vet + tests) =="
 # An internal/ API removal can break bench/ without the root build noticing.
 go vet -C bench ./...
 go test -C bench ./...
 
-echo "== incremental publish == from scratch (-race -count=5) =="
+echo "== incremental publish == from scratch, one snapshot per response (-race -count=5) =="
 # The two tests that hold dirty-group Build and dirty-pair Analyze to a
-# from-scratch oracle, byte for byte, repeated so the race detector sees the
-# readers on the index against several interleavings.
-go test -race -count=5 -run '^TestIncrementalBuildMatchesFresh$' ./internal/serve
+# from-scratch oracle, byte for byte, and the one that holds the index to
+# snapshot consistency (both sides of a compare from one publish), repeated
+# so the race detector sees the readers on the index against several
+# interleavings.
+go test -race -count=5 -run '^(TestIncrementalBuildMatchesFresh|TestCompareAnswersFromOneSnapshot)$' ./internal/serve
 go test -race -count=5 -run '^TestIncrementalPublishMatchesFromScratch$' ./internal/pipeline
 
 echo "== benchmark smoke (VolumePipeline, 1 iteration) =="
