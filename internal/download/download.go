@@ -64,6 +64,7 @@ var (
 	mFetchRetries  = obs.C("download_fetch_retries_total")
 	mFetchFailures = obs.C("download_fetch_failures_total")
 	mCorruptBody   = obs.C("download_body_corrupt_total")
+	mBodyOversize  = obs.C("download_body_oversize_total")
 	mReleased      = obs.C("download_released_total")
 	mReaped        = obs.C("download_reaped_total")
 )
@@ -679,6 +680,34 @@ func (d *Downloader) offline(id string, verb string) {
 	dlog.Debug("streamer offline", "downloader", d.ID, "streamer", id, "verb", verb)
 }
 
+// maxThumbBytes bounds one thumbnail body: far above the 57.6 KB a thumbnail
+// weighs and below DecodePGM's own 64 Mi-pixel bound, so neither a CDN that
+// declares a huge Content-Length nor one that streams without end sizes the
+// downloader's heap.
+const maxThumbBytes = 8 << 20
+
+var errBodyOversize = fmt.Errorf("body larger than %d bytes", maxThumbBytes)
+
+// readBody reads a response body into one fresh slice: exactly the declared
+// Content-Length when there is one (a body that ends short of it is
+// io.ErrUnexpectedEOF), growing under maxThumbBytes when there is none. The
+// object store keeps the slice it is handed, so a body is never reused.
+func readBody(resp *http.Response) ([]byte, error) {
+	if resp.ContentLength > maxThumbBytes {
+		return nil, errBodyOversize
+	}
+	if resp.ContentLength >= 0 {
+		body := make([]byte, resp.ContentLength)
+		_, err := io.ReadFull(resp.Body, body)
+		return body, err
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxThumbBytes+1))
+	if err == nil && len(body) > maxThumbBytes {
+		err = errBodyOversize
+	}
+	return body, err
+}
+
 // fetchOnce HEADs the thumbnail URL, downloads a new thumbnail if one
 // appeared, and handles the offline redirect. Transient failures are
 // returned as retryableError for fetch's retry loop.
@@ -765,9 +794,15 @@ func (d *Downloader) fetchOnce(id string, tr *tracked, now time.Time) error {
 		trace.Finish(j.Context().TraceID)
 		return nil
 	}
-	body, err := io.ReadAll(getResp.Body)
+	body, err := readBody(getResp)
+	if errors.Is(err, errBodyOversize) {
+		// Not transient: a retry would be offered the same body. The cycle
+		// fails and the streamer takes a strike.
+		mBodyOversize.Inc()
+		return fetchFail(fmt.Errorf("download: GET %s: %w", tr.a.URL, err))
+	}
 	if err != nil {
-		// Truncated mid-body (Content-Length mismatch → unexpected EOF).
+		// Truncated mid-body (short of Content-Length → unexpected EOF).
 		return fetchFail(transient("GET %s: %w", tr.a.URL, err))
 	}
 	if want := getResp.Header.Get("X-Thumbnail-Digest"); want != "" {
@@ -815,7 +850,7 @@ func (d *Downloader) fetchOnce(id string, tr *tracked, now time.Time) error {
 	if tc := trace.Traceparent(j.Context()); tc != "" {
 		meta["trace"] = tc
 	}
-	d.Store.Put(ThumbBucket, key, body, meta)
+	d.Store.Put(ThumbBucket, key, body, meta) // the store's from here on: neither is touched again
 	d.Downloads++
 	mThumbDownloads.Inc()
 	// End records the root span; the journey stays open in the store until

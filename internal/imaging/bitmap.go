@@ -578,9 +578,9 @@ func (b *Bitmap) ConnectedComponents() []Component {
 	if nRuns == 0 {
 		return nil
 	}
-	type brun struct{ y, x0, x1 int32 }
-	runs := make([]brun, 0, nRuns)
-	rowStart := make([]int32, b.H+1)
+	sc := getCCScratch(nRuns, b.H+1)
+	defer ccPool.Put(sc)
+	runs, rowStart := sc.runs[:0], sc.rowStart
 	for y := 0; y < b.H; y++ {
 		rowStart[y] = int32(len(runs))
 		row := b.Row(y)
@@ -596,8 +596,7 @@ func (b *Bitmap) ConnectedComponents() []Component {
 	// Union-find over run indices. Unions keep the smallest run index as
 	// the root, so a component's root is its first run in scan order —
 	// the same discovery order as the scalar flood fill's first pixel.
-	scratch := make([]int32, 2*len(runs))
-	parent, compOf := scratch[:len(runs)], scratch[len(runs):]
+	parent, compOf := sc.uf[:len(runs)], sc.uf[len(runs):]
 	for i := range parent {
 		parent[i] = int32(i)
 	}

@@ -99,3 +99,37 @@ func getF64(n int) []float64 {
 func putF64(s []float64) {
 	f64Pool.Put(&s)
 }
+
+// brun is one horizontal run of set bits: row y, columns [x0, x1).
+type brun struct{ y, x0, x1 int32 }
+
+// ccScratch is the working storage of Bitmap.ConnectedComponents: the run
+// list, the per-row index into it and the union-find arrays. None of it
+// outlives the call (the returned components are a fresh, caller-owned
+// slice), and the OCR engines label several bitmaps per thumbnail.
+type ccScratch struct {
+	runs     []brun
+	rowStart []int32
+	uf       []int32 // parent, then compOf: 2 × runs
+}
+
+var ccPool sync.Pool // holds *ccScratch
+
+// getCCScratch returns scratch sized for nRuns runs over nRows row
+// boundaries. Contents are undefined: the labeller overwrites every element
+// it reads.
+func getCCScratch(nRuns, nRows int) *ccScratch {
+	sc, _ := ccPool.Get().(*ccScratch)
+	if sc == nil {
+		sc = new(ccScratch)
+	}
+	if cap(sc.runs) < nRuns {
+		sc.runs = make([]brun, nRuns)
+		sc.uf = make([]int32, 2*nRuns)
+	}
+	if cap(sc.rowStart) < nRows {
+		sc.rowStart = make([]int32, nRows)
+	}
+	sc.runs, sc.uf, sc.rowStart = sc.runs[:nRuns], sc.uf[:2*nRuns], sc.rowStart[:nRows]
+	return sc
+}

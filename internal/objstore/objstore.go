@@ -5,9 +5,9 @@
 package objstore
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -30,7 +30,8 @@ var (
 // ErrNotFound is returned when a bucket or object does not exist.
 var ErrNotFound = errors.New("objstore: not found")
 
-// Object is a stored value with its metadata.
+// Object is a stored value with its metadata. Data and Meta are the store's
+// own (see API): read them, never write to them.
 type Object struct {
 	Key     string
 	Data    []byte
@@ -47,6 +48,11 @@ type Object struct {
 // being an interface is what lets the benchmark and tests wrap it in
 // decorators. The RESP wire client (kvstore.RemoteObjects) only puts and
 // does not implement it: no process reads another's objects.
+//
+// Payloads change hands, they are not copied: Put takes ownership of data
+// and meta, which the caller must not write to afterwards, and Get returns
+// the stored slice and map, which every reader shares and none may write to.
+// A thumbnail is thus allocated once, by whoever read it off the wire.
 type API interface {
 	Put(bucket, key string, data []byte, meta map[string]string) string
 	Get(bucket, key string) (*Object, error)
@@ -97,20 +103,14 @@ func (s *Store) spillPath(bucket, key string) string {
 	return filepath.Join(s.dir, url.QueryEscape(bucket), url.QueryEscape(key))
 }
 
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // Put stores an object, replacing any existing one, and returns its ETag.
-// The bucket is created if needed.
+// The bucket is created if needed. The store keeps data and meta themselves.
+// The ETag is a change detector (CRC-32C), not an integrity check: whoever
+// needs one verifies a digest before Put, as the downloader does.
 func (s *Store) Put(bucket, key string, data []byte, meta map[string]string) string {
-	sum := sha256.Sum256(data)
-	etag := hex.EncodeToString(sum[:8])
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	var metaCp map[string]string
-	if meta != nil {
-		metaCp = make(map[string]string, len(meta))
-		for k, v := range meta {
-			metaCp[k] = v
-		}
-	}
+	etag := fmt.Sprintf("%08x", crc32.Checksum(data, castagnoli))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.buckets[bucket]
@@ -118,14 +118,14 @@ func (s *Store) Put(bucket, key string, data []byte, meta map[string]string) str
 		b = make(map[string]*Object)
 		s.buckets[bucket] = b
 	}
-	o := &Object{Key: key, Data: cp, ETag: etag, ModTime: time.Now(), Meta: metaCp}
+	o := &Object{Key: key, Data: data, ETag: etag, ModTime: time.Now(), Meta: meta}
 	if s.dir != "" {
 		p := s.spillPath(bucket, key)
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err == nil {
-			if err := os.WriteFile(p, cp, 0o644); err == nil {
+			if err := os.WriteFile(p, data, 0o644); err == nil {
 				o.Data, o.spilled = nil, true
 				mSpillWrites.Inc()
-				mSpillBytes.Add(int64(len(cp)))
+				mSpillBytes.Add(int64(len(data)))
 			}
 		}
 		// On any write failure the payload simply stays in memory: spill is
@@ -135,7 +135,8 @@ func (s *Store) Put(bucket, key string, data []byte, meta map[string]string) str
 	return etag
 }
 
-// Get returns a copy of the object.
+// Get returns the object. Its Data is the stored slice itself, shared with
+// every other reader (a spilled payload is read back into a fresh one).
 func (s *Store) Get(bucket, key string) (*Object, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -151,9 +152,7 @@ func (s *Store) Get(bucket, key string) (*Object, error) {
 		}
 		mSpillReads.Inc()
 		cp.Data, cp.spilled = data, false
-		return &cp, nil
 	}
-	cp.Data = append([]byte(nil), o.Data...)
 	return &cp, nil
 }
 

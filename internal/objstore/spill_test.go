@@ -94,3 +94,31 @@ func TestSpillListSize(t *testing.T) {
 		t.Fatalf("Size = %d, want 3", n)
 	}
 }
+
+// TestSpillGetIsPrivate: a spilled payload lives in a file, so there is no
+// stored slice to share — every Get reads a fresh one, and neither it nor the
+// slice that was Put is the store's.
+func TestSpillGetIsPrivate(t *testing.T) {
+	s, err := NewSpill(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := []byte("spilled body")
+	s.Put("b", "k", buf, nil)
+	o1, err1 := s.Get("b", "k")
+	o2, err2 := s.Get("b", "k")
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if &o1.Data[0] == &buf[0] || &o1.Data[0] == &o2.Data[0] {
+		t.Fatal("a spilled Get must read a fresh slice")
+	}
+	o1.Data[0] = 'X'
+	o3, err := s.Get("b", "k")
+	if err != nil || string(o3.Data) != "spilled body" || string(o2.Data) != "spilled body" {
+		t.Fatalf("Get after writing to an earlier Get's slice = %q, %v", o3.Data, err)
+	}
+	if h, err := s.Head("b", "k"); err != nil || h.Data != nil || h.ETag == "" {
+		t.Fatalf("Head = %+v, %v", h, err)
+	}
+}

@@ -23,15 +23,23 @@ echo "== go build ./... =="
 go build ./...
 
 echo "== go test -race ./... =="
+# Among them the tests that share one object payload between goroutines
+# (objstore's TestSharedPayloadUnderRace, the pipeline's allocation test).
 go test -race ./...
+# sync.Pool drops Puts at random under the race detector, so the
+# one-allocation-per-thumbnail budget is only judged without it.
+go test -run '^TestThumbnailPathAllocationBudget$' ./internal/pipeline
 
-echo "== decoder fuzz targets (kvstore wire and log, traceparent; 5s each) =="
+echo "== decoder fuzz targets (kvstore wire and log, traceparent, PGM; 5s each) =="
 # The committed seed corpus runs under the plain tests above; this mutates
 # from it. A failing input lands in the package's testdata/fuzz/.
 for target in FuzzReadCommand FuzzReadReply FuzzReplayAOF; do
     go test -run '^$' -fuzz "^$target\$" -fuzztime 5s ./internal/kvstore
 done
 go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime 5s ./internal/obs/trace
+# Two PGM seeds are whole thumbnails (57 and 64 KiB): minimising every
+# interesting mutant of those byte by byte would eat the five seconds.
+go test -run '^$' -fuzz '^FuzzDecodePGM$' -fuzztime 5s -fuzzminimizetime 50x ./internal/imaging
 
 echo "== bench module (own go.mod, replace tero => ../: vet + tests) =="
 # An internal/ API removal can break bench/ without the root build noticing.
