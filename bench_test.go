@@ -5,18 +5,9 @@
 package tero
 
 import (
-	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"testing"
-	"time"
 
-	"tero/internal/core"
 	"tero/internal/experiments"
-	"tero/internal/geo"
-	"tero/internal/obs"
-	"tero/internal/obs/trace"
-	"tero/internal/serve"
 )
 
 // runExp executes one experiment per benchmark iteration at a reduced scale
@@ -63,124 +54,3 @@ func BenchmarkFig18Spikes(b *testing.B)         { runExp(b, "fig18", 0.3) }
 func BenchmarkVolumePipeline(b *testing.B)      { runExp(b, "volume", 0.25) }
 func BenchmarkSharedAnomalies(b *testing.B)     { runExp(b, "shared", 1.0) }
 func BenchmarkPELTBaseline(b *testing.B)        { runExp(b, "pelt", 0.5) }
-
-// benchBuilder loads a serving builder with a synthetic fleet: `locs`
-// locations × `games` games × `perGroup` streamers, `points` latency points
-// each. Deterministic, so every iteration builds the same snapshot.
-func benchBuilder(b *testing.B, locs, games, perGroup, points int) *serve.Builder {
-	b.Helper()
-	t0 := time.Date(2022, 6, 1, 0, 0, 0, 0, time.UTC)
-	params := core.DefaultParams()
-	builder := serve.NewBuilder(params)
-	for l := 0; l < locs; l++ {
-		loc := geo.Location{City: fmt.Sprintf("City%d", l), Region: "R", Country: "C"}
-		for g := 0; g < games; g++ {
-			game := fmt.Sprintf("Game%d", g)
-			for s := 0; s < perGroup; s++ {
-				base := 20 + float64(l*7+g*3+s)
-				pts := make([]core.Point, points)
-				for i := range pts {
-					pts[i] = core.Point{
-						T:  t0.Add(time.Duration(i) * 5 * time.Minute),
-						Ms: base + float64(i%5),
-					}
-				}
-				builder.Add(core.Analyze([]core.Stream{{
-					Streamer: fmt.Sprintf("s-%d-%d-%d", l, g, s),
-					Game:     game, Location: loc, Points: pts,
-				}}, params))
-			}
-		}
-	}
-	return builder
-}
-
-// BenchmarkIndexBuild measures snapshot construction: grouping, per-entry
-// stats/histogram/ETag precompute, and the sorted merge that makes the
-// build deterministic at any concurrency.
-func BenchmarkIndexBuild(b *testing.B) {
-	builder := benchBuilder(b, 24, 4, 3, 60)
-	for _, conc := range []struct {
-		name string
-		c    int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(conc.name, func(b *testing.B) {
-			builder.Concurrency = conc.c
-			b.ReportAllocs()
-			b.ResetTimer()
-			entries := 0
-			for i := 0; i < b.N; i++ {
-				snap := builder.Build()
-				entries = len(snap.Entries)
-			}
-			b.ReportMetric(float64(entries), "entries")
-		})
-	}
-}
-
-// BenchmarkServeLatencyQuery measures one /v1/latency request end-to-end
-// through the handler stack. Since publish-time marshaling there is no
-// cold/cached split for latency — every 200 writes a body pre-marshaled at
-// snapshot build — so the dimensions are the representation (JSON vs
-// binary Accept) and the 304 revalidation path.
-func BenchmarkServeLatencyQuery(b *testing.B) {
-	ix := serve.NewIndex(0)
-	if ix.Swap(benchBuilder(b, 24, 4, 3, 60).Build()) == 0 {
-		b.Fatal("no servable entries")
-	}
-	srv := serve.NewServer(ix)
-	path := "/v1/latency?location=city3|r|c&game=Game1"
-	query := func(b *testing.B, req *http.Request, wantCode int) {
-		w := httptest.NewRecorder()
-		srv.ServeHTTP(w, req)
-		if w.Code != wantCode {
-			b.Fatalf("GET %s: %d, want %d (%s)", path, w.Code, wantCode, w.Body.String())
-		}
-	}
-	jsonReq := httptest.NewRequest(http.MethodGet, path, nil)
-	binReq := httptest.NewRequest(http.MethodGet, path, nil)
-	binReq.Header.Set("Accept", serve.ContentTypeBinary)
-	probe := httptest.NewRecorder()
-	srv.ServeHTTP(probe, jsonReq)
-	etagReq := httptest.NewRequest(http.MethodGet, path, nil)
-	etagReq.Header.Set("If-None-Match", probe.Header().Get("ETag"))
-
-	b.Run("json", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			query(b, jsonReq, http.StatusOK)
-		}
-	})
-	b.Run("binary", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			query(b, binReq, http.StatusOK)
-		}
-	})
-	b.Run("etag304", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			query(b, etagReq, http.StatusNotModified)
-		}
-	})
-	// Tracing overhead on the hot path: "json" above is the
-	// tracing-disabled baseline (one atomic load per request); these two
-	// measure the tail-sampled default and the keep-everything worst case.
-	traceBench := func(sampleN int) func(b *testing.B) {
-		return func(b *testing.B) {
-			prev := obs.SetLogLevel(obs.LevelWarn)
-			trace.Enable(1)
-			trace.SetSampleN(sampleN)
-			defer func() {
-				trace.Disable()
-				obs.SetLogLevel(prev)
-			}()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				query(b, jsonReq, http.StatusOK)
-			}
-		}
-	}
-	b.Run("json_trace_sampled", traceBench(16))
-	b.Run("json_trace_always", traceBench(1))
-}

@@ -6,8 +6,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -25,74 +27,115 @@ import (
 )
 
 func main() {
-	var (
-		seed      = flag.Int64("seed", 1, "world seed")
-		streamers = flag.Int("streamers", 300, "synthetic streamer population")
-		days      = flag.Int("days", 2, "observation days (virtual)")
-		workers   = flag.Int("downloaders", 4, "parallel downloaders")
-		conc      = flag.Int("concurrency", 0,
-			"pipeline worker parallelism (0 = GOMAXPROCS, 1 = serial)")
-		debugAddr = flag.String("debug-addr", "",
-			"serve /metrics, /debug/pprof/ and /debug/traces on this address (e.g. localhost:6060 or :0)")
-		traceOn = flag.Bool("trace", false,
-			"record tail-sampled traces (inspect at /debug/traces on -debug-addr)")
-		traceSample = flag.Int("trace-sample", 16,
-			"keep 1 in N unremarkable traces (errors and slowest-per-stage always kept)")
-		metrics = flag.Bool("metrics", false,
-			"print an end-of-run metrics report")
-		logLevel = flag.String("log", "info",
-			"log level: trace, debug, info, warn, error, off")
-		faults = flag.Float64("faults", 0,
-			"platform fault-injection rate (0 = off, 1 = calibrated default mix "+
-				"of 500s, stalls, resets, truncated/corrupt thumbnails, dropped headers)")
-		faultSeed = flag.Int64("fault-seed", 1, "fault-injection schedule seed")
-		kvDir     = flag.String("kv-dir", "",
-			"durable kvstore directory: recover state on start, append-only-log every write "+
-				"(empty = in-memory only)")
-		kvFsync = flag.String("kv-fsync", kvstore.FsyncInterval,
-			"kvstore aof fsync policy: always, interval, never")
-		kvCompact = flag.Int("kv-compact-every", 10000,
-			"kvstore snapshot+compaction threshold in appended commands (0 = never)")
-		distributed = flag.Int("distributed", 0,
-			"coordinator mode: serve the store on -listen, wait for N teroworker "+
-				"processes, and drive the run through them (0 = single-process)")
-		listen = flag.String("listen", "127.0.0.1:7700",
-			"kvstore+objstore listen address in -distributed mode")
-		objDir = flag.String("obj-dir", "",
-			"spill thumbnail payload bytes to files under this directory "+
-				"(write-through; metadata stays in memory)")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if lv, ok := obs.ParseLevel(*logLevel); ok {
+// options is the command's whole flag surface.
+type options struct {
+	seed        int64
+	streamers   int
+	days        int
+	downloaders int
+	concurrency int
+	debugAddr   string
+	trace       bool
+	traceSample int
+	metrics     bool
+	logLevel    string
+	faults      float64
+	faultSeed   int64
+	kvDir       string
+	kvFsync     string
+	kvCompact   int
+	distributed int
+	listen      string
+	objDir      string
+}
+
+// register declares every flag on fs.
+func (o *options) register(fs *flag.FlagSet) {
+	fs.Int64Var(&o.seed, "seed", 1, "world seed")
+	fs.IntVar(&o.streamers, "streamers", 300, "synthetic streamer population")
+	fs.IntVar(&o.days, "days", 2, "observation days (virtual)")
+	fs.IntVar(&o.downloaders, "downloaders", 4, "parallel downloaders")
+	fs.IntVar(&o.concurrency, "concurrency", 0,
+		"pipeline worker parallelism (0 = GOMAXPROCS, 1 = serial)")
+	fs.StringVar(&o.debugAddr, "debug-addr", "",
+		"serve /metrics, /debug/pprof/ and /debug/traces on this address (e.g. localhost:6060 or :0)")
+	fs.BoolVar(&o.trace, "trace", false,
+		"record tail-sampled traces (inspect at /debug/traces on -debug-addr)")
+	fs.IntVar(&o.traceSample, "trace-sample", 16,
+		"keep 1 in N unremarkable traces (errors and slowest-per-stage always kept)")
+	fs.BoolVar(&o.metrics, "metrics", false,
+		"print an end-of-run metrics report")
+	fs.StringVar(&o.logLevel, "log", "info",
+		"log level: trace, debug, info, warn, error, off")
+	fs.Float64Var(&o.faults, "faults", 0,
+		"platform fault-injection rate (0 = off, 1 = calibrated default mix "+
+			"of 500s, stalls, resets, truncated/corrupt thumbnails, dropped headers)")
+	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "fault-injection schedule seed")
+	fs.StringVar(&o.kvDir, "kv-dir", "",
+		"durable kvstore directory: recover state on start, append-only-log every write "+
+			"(empty = in-memory only)")
+	fs.StringVar(&o.kvFsync, "kv-fsync", kvstore.FsyncInterval,
+		"kvstore aof fsync policy: always, interval, never")
+	fs.IntVar(&o.kvCompact, "kv-compact-every", 10000,
+		"kvstore snapshot+compaction threshold in appended commands (0 = never)")
+	fs.IntVar(&o.distributed, "distributed", 0,
+		"coordinator mode: serve the store on -listen, wait for N teroworker "+
+			"processes, and drive the run through them (0 = single-process)")
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:7700",
+		"kvstore+objstore listen address in -distributed mode")
+	fs.StringVar(&o.objDir, "obj-dir", "",
+		"spill thumbnail payload bytes to files under this directory "+
+			"(write-through; metadata stays in memory)")
+}
+
+// run is the whole command behind main: it parses args on its own flag
+// set, writes only to the given streams, and returns the exit code. Every
+// failure returns through the deferred cleanups — the kvstore's Close is
+// what flushes the buffered tail of a durable -kv-dir log.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	var o options
+	fs := flag.NewFlagSet("tero", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o.register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	if lv, ok := obs.ParseLevel(o.logLevel); ok {
 		obs.SetLogLevel(lv)
 	} else {
-		fmt.Fprintf(os.Stderr, "unknown -log level %q\n", *logLevel)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown -log level %q\n", o.logLevel)
+		return 2
 	}
-	if *debugAddr != "" {
-		dbg, err := obs.ServeDebug(*debugAddr)
+	if o.debugAddr != "" {
+		dbg, err := obs.ServeDebug(o.debugAddr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "debug server: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "debug server: %v\n", err)
+			return 1
 		}
 		// Graceful: let an in-flight /metrics scrape or pprof profile finish
 		// before the process exits, instead of cutting the listener.
 		defer dbg.ShutdownTimeout(5 * time.Second) //nolint:errcheck
-		fmt.Printf("debug server listening on http://%s (metrics at /metrics, pprof at /debug/pprof/)\n",
+		fmt.Fprintf(stdout, "debug server listening on http://%s (metrics at /metrics, pprof at /debug/pprof/)\n",
 			dbg.Addr)
 	}
-	if *traceOn {
+	if o.trace {
 		// Seeded with the world seed: serial runs replay identical trace IDs.
-		trace.Enable(uint64(*seed))
-		trace.SetSampleN(*traceSample)
+		trace.Enable(uint64(o.seed))
+		trace.SetSampleN(o.traceSample)
 	}
 
-	cfg := worldsim.DefaultConfig(*seed)
-	cfg.Streamers = *streamers
-	cfg.Days = *days
+	cfg := worldsim.DefaultConfig(o.seed)
+	cfg.Streamers = o.streamers
+	cfg.Days = o.days
 	cfg.LocatableFrac = 0.6
-	fmt.Printf("generating world: %d streamers, %d days (seed %d)...\n",
+	fmt.Fprintf(stdout, "generating world: %d streamers, %d days (seed %d)...\n",
 		cfg.Streamers, cfg.Days, cfg.Seed)
 	world := worldsim.New(cfg)
 
@@ -101,76 +144,81 @@ func main() {
 	// Spans carry both clocks: wall for real durations, virtual for where a
 	// reading sits in the simulated observation period.
 	trace.SetVirtualClock(platform.Now)
-	if *faults > 0 {
-		platform.SetFaults(twitchsim.ScaledFaults(*faultSeed, *faults))
-		fmt.Printf("fault injection on: rate %.2f, seed %d\n", *faults, *faultSeed)
+	if o.faults > 0 {
+		platform.SetFaults(twitchsim.ScaledFaults(o.faultSeed, o.faults))
+		fmt.Fprintf(stdout, "fault injection on: rate %.2f, seed %d\n", o.faults, o.faultSeed)
 	}
-	fmt.Printf("platform serving at %s\n", platform.URL())
+	fmt.Fprintf(stdout, "platform serving at %s\n", platform.URL())
 
 	var st *kvstore.Store
-	if *kvDir != "" {
-		s, err := kvstore.Open(*kvDir, kvstore.PersistOptions{
-			Fsync: *kvFsync, CompactEvery: *kvCompact})
+	if o.kvDir != "" {
+		s, err := kvstore.Open(o.kvDir, kvstore.PersistOptions{
+			Fsync: o.kvFsync, CompactEvery: o.kvCompact})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "kvstore: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "kvstore: %v\n", err)
+			return 1
 		}
-		defer s.Close()
-		fmt.Printf("kvstore durable at %s (fsync=%s, %d keys recovered)\n",
-			*kvDir, *kvFsync, s.Len())
+		defer func() {
+			if err := s.Close(); err != nil {
+				fmt.Fprintf(stderr, "kvstore: close: %v\n", err)
+				code = max(code, 1)
+			}
+		}()
+		fmt.Fprintf(stdout, "kvstore durable at %s (fsync=%s, %d keys recovered)\n",
+			o.kvDir, o.kvFsync, s.Len())
 		st = s
 	} else {
 		st = kvstore.New()
 	}
 	var objects *objstore.Store
-	if *objDir != "" {
-		o, err := objstore.NewSpill(*objDir)
+	if o.objDir != "" {
+		spill, err := objstore.NewSpill(o.objDir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "objstore: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "objstore: %v\n", err)
+			return 1
 		}
-		fmt.Printf("objstore spilling payloads under %s\n", *objDir)
-		objects = o
+		fmt.Fprintf(stdout, "objstore spilling payloads under %s\n", o.objDir)
+		objects = spill
 	} else {
 		objects = objstore.New()
 	}
-	p := pipeline.NewWithKV(platform.URL(), *workers, st)
+	p := pipeline.NewWithKV(platform.URL(), o.downloaders, st)
 	p.Objects = objects
 	for _, d := range p.Downloaders {
 		d.Store = objects
 	}
-	p.Concurrency = *conc
+	p.Concurrency = o.concurrency
 	totalTicks := cfg.Days * 24 * 30
 	start := time.Now()
 	tickErrs := 0
 	var coord *dist.Coordinator
-	if *distributed > 0 {
+	if o.distributed > 0 {
 		// Coordinator mode: serve the store (key-value + object buckets on
 		// one wire), wait for the fleet, then drive lockstep rounds through
 		// it. The embedded downloaders stay idle; the workers fetch.
-		srv, err := kvstore.Serve(st, *listen)
+		srv, err := kvstore.Serve(st, o.listen)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve %s: %v\n", *listen, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "serve %s: %v\n", o.listen, err)
+			return 1
 		}
 		defer srv.Close()
 		srv.AttachObjects(objects)
 		coord = dist.NewCoordinator(p, st, objects)
 		coord.Announce(platform.URL())
-		fmt.Printf("coordinator: store+objects at %s — waiting for %d workers, start each with:\n"+
-			"  teroworker -store %s\n", srv.Addr(), *distributed, srv.Addr())
-		if err := coord.WaitWorkers(*distributed, 60*time.Second); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(1)
+		fmt.Fprintf(stdout, "coordinator: store+objects at %s — waiting for %d workers, start each with:\n"+
+			"  teroworker -store %s\n", srv.Addr(), o.distributed, srv.Addr())
+		if err := coord.WaitWorkers(o.distributed, 60*time.Second); err != nil {
+			fmt.Fprintf(stderr, "%v\n", err)
+			return 1
 		}
-		fmt.Printf("%d workers registered\n", *distributed)
+		fmt.Fprintf(stdout, "%d workers registered\n", o.distributed)
 		for i := 0; i < totalTicks; i++ {
 			if err := coord.Tick(platform.Now(), i, i%3 == 0); err != nil {
-				fmt.Fprintf(os.Stderr, "coordinator: tick %d: %v\n", i, err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "coordinator: tick %d: %v\n", i, err)
+				return 1
 			}
 			if i%(totalTicks/10+1) == 0 {
-				fmt.Printf("  virtual %s — %d thumbnails, %d measurements\n",
+				fmt.Fprintf(stdout, "  virtual %s — %d thumbnails, %d measurements\n",
 					platform.Now().Format("Jan 2 15:04"), p.Processed, p.Extracted)
 			}
 			platform.Advance(2 * time.Minute)
@@ -184,14 +232,14 @@ func main() {
 				// not a reason to abandon the whole observation period.
 				tickErrs++
 				if tickErrs <= 5 {
-					fmt.Fprintf(os.Stderr, "pipeline: tick %d degraded: %v\n", i, err)
+					fmt.Fprintf(stderr, "pipeline: tick %d degraded: %v\n", i, err)
 				}
 			}
 			if i%200 == 0 {
 				p.ProcessThumbnails()
 			}
 			if i%(totalTicks/10+1) == 0 {
-				fmt.Printf("  virtual %s — %d thumbnails, %d measurements\n",
+				fmt.Fprintf(stdout, "  virtual %s — %d thumbnails, %d measurements\n",
 					platform.Now().Format("Jan 2 15:04"), p.Processed, p.Extracted)
 			}
 			platform.Advance(2 * time.Minute)
@@ -199,36 +247,36 @@ func main() {
 		p.ProcessThumbnails()
 	}
 	p.LocateStreamers(platform.Now())
-	fmt.Printf("pipeline done in %s\n\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "pipeline done in %s\n\n", time.Since(start).Round(time.Millisecond))
 	if coord != nil {
-		fmt.Printf("distributed: %d rounds (%d makeup), %d results ingested (%d deduped), "+
+		fmt.Fprintf(stdout, "distributed: %d rounds (%d makeup), %d results ingested (%d deduped), "+
 			"%d workers died, %d claims reaped\n",
 			coord.Rounds, coord.MakeupRounds, coord.Ingested, coord.Deduped,
 			coord.DeadWorkers, coord.ReapedClaims)
 		for _, ws := range coord.Stats() {
-			fmt.Printf("  worker %-12s rounds=%-5d claims=%-5d fetches=%-6d extracted=%d\n",
+			fmt.Fprintf(stdout, "  worker %-12s rounds=%-5d claims=%-5d fetches=%-6d extracted=%d\n",
 				ws.Worker, ws.Rounds, ws.Claims, ws.Fetches, ws.Extracted)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if tickErrs > 0 {
-		fmt.Printf("degraded ticks:        %d of %d (recovered via retry/release)\n",
+		fmt.Fprintf(stdout, "degraded ticks:        %d of %d (recovered via retry/release)\n",
 			tickErrs, totalTicks)
 	}
-	if *faults > 0 {
+	if o.faults > 0 {
 		rels, reaps := 0, 0
 		for _, d := range p.Downloaders {
 			rels += d.Released
 		}
 		reaps = p.Coordinator.Reaped
-		fmt.Printf("faults injected:       %d (releases %d, reaps %d, quarantined %d)\n",
+		fmt.Fprintf(stdout, "faults injected:       %d (releases %d, reaps %d, quarantined %d)\n",
 			platform.FaultsInjected, rels, reaps, p.Quarantined)
 	}
-	fmt.Printf("thumbnails processed:  %d\n", p.Processed)
-	fmt.Printf("measurements:          %d (missed %d, lobby zeros %d)\n",
+	fmt.Fprintf(stdout, "thumbnails processed:  %d\n", p.Processed)
+	fmt.Fprintf(stdout, "measurements:          %d (missed %d, lobby zeros %d)\n",
 		p.Extracted, p.Missed, p.Zero)
-	fmt.Printf("streamers located:     %d (unlocatable %d)\n\n", p.Located, p.Unlocated)
+	fmt.Fprintf(stdout, "streamers located:     %d (unlocatable %d)\n\n", p.Located, p.Unlocated)
 
 	analyses := p.Analyze(core.DefaultParams())
 	groups := core.GroupByLocation(analyses)
@@ -254,19 +302,20 @@ func main() {
 		})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].box.P50 < rows[j].box.P50 })
-	fmt.Println("latency distributions per {location, game} (≥12 measurements):")
+	fmt.Fprintln(stdout, "latency distributions per {location, game} (≥12 measurements):")
 	for _, r := range rows {
-		fmt.Printf("  %-55s n=%-5d p5=%5.0f p25=%5.0f p50=%5.0f p75=%5.0f p95=%5.0f\n",
+		fmt.Fprintf(stdout, "  %-55s n=%-5d p5=%5.0f p25=%5.0f p50=%5.0f p75=%5.0f p95=%5.0f\n",
 			r.name, r.n, r.box.P5, r.box.P25, r.box.P50, r.box.P75, r.box.P95)
 	}
 	if len(rows) == 0 {
-		fmt.Println("  (none with enough data; increase -streamers or -days)")
+		fmt.Fprintln(stdout, "  (none with enough data; increase -streamers or -days)")
 	}
 
-	if *metrics {
-		fmt.Println("\n== metrics ==")
-		if err := obs.Default.WriteText(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
+	if o.metrics {
+		fmt.Fprintln(stdout, "\n== metrics ==")
+		if err := obs.Default.WriteText(stdout); err != nil {
+			fmt.Fprintf(stderr, "metrics: %v\n", err)
 		}
 	}
+	return 0
 }

@@ -8,10 +8,15 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
 	"strconv"
+	"syscall"
 
 	"tero/internal/dist"
 	"tero/internal/obs"
@@ -19,48 +24,83 @@ import (
 )
 
 func main() {
-	var (
-		store = flag.String("store", "",
-			"kvstore address of the coordinator (required), e.g. 127.0.0.1:7700")
-		id = flag.String("id", "",
-			"worker ID (default w<pid>); downloaders are <id>:dl<i>")
-		downloaders = flag.Int("downloaders", 1, "in-worker downloader count")
-		windowStamp = flag.Bool("window-stamp", true,
-			"stamp thumbnails with the CDN's window-open time instead of fetch time "+
-				"(keeps measurement timestamps identical across fleet shapes)")
-		logLevel  = flag.String("log", "warn", "log level: trace, debug, info, warn, error, off")
-		traceOn   = flag.Bool("trace", false, "record tail-sampled traces in this worker")
-		traceSeed = flag.Int64("trace-seed", 1, "trace ID seed when -trace is set")
-	)
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-	if *store == "" {
-		fmt.Fprintln(os.Stderr, "teroworker: -store is required")
-		os.Exit(2)
+// options is the command's whole flag surface.
+type options struct {
+	store     string
+	id        string
+	logLevel  string
+	trace     bool
+	traceSeed int64
+}
+
+// register declares every flag on fs.
+func (o *options) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.store, "store", "",
+		"kvstore address of the coordinator (required), e.g. 127.0.0.1:7700")
+	fs.StringVar(&o.id, "id", "",
+		"worker ID, unique in the fleet (default <hostname>-<pid>); its downloader is <id>:dl0")
+	fs.StringVar(&o.logLevel, "log", "warn", "log level: trace, debug, info, warn, error, off")
+	fs.BoolVar(&o.trace, "trace", false, "record tail-sampled traces in this worker")
+	fs.Int64Var(&o.traceSeed, "trace-seed", 1, "trace ID seed when -trace is set")
+}
+
+// run is the whole command behind main: it parses args on its own flag
+// set, writes only to the given streams, works rounds until the coordinator
+// ends the run or ctx is cancelled (main cancels it on SIGINT/SIGTERM; the
+// worker then stops dead, as if killed, and the coordinator requeues its
+// claims) and returns the exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet("teroworker", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o.register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	if lv, ok := obs.ParseLevel(*logLevel); ok {
+
+	if o.store == "" {
+		fmt.Fprintln(stderr, "teroworker: -store is required")
+		return 2
+	}
+	if lv, ok := obs.ParseLevel(o.logLevel); ok {
 		obs.SetLogLevel(lv)
 	} else {
-		fmt.Fprintf(os.Stderr, "unknown -log level %q\n", *logLevel)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown -log level %q\n", o.logLevel)
+		return 2
 	}
-	if *id == "" {
-		*id = "w" + strconv.Itoa(os.Getpid())
+	if o.id == "" {
+		// The roster is a hash keyed by ID: two workers that share one are
+		// one entry to the coordinator. A pid alone repeats across hosts.
+		host, err := os.Hostname()
+		if err != nil {
+			fmt.Fprintf(stderr, "teroworker: no hostname for a default -id: %v\n", err)
+			return 1
+		}
+		o.id = host + "-" + strconv.Itoa(os.Getpid())
 	}
-	if *traceOn {
-		trace.Enable(uint64(*traceSeed))
+	if o.trace {
+		trace.Enable(uint64(o.traceSeed))
 	}
 
-	fmt.Printf("teroworker %s joining %s\n", *id, *store)
-	err := dist.RunWorker(dist.WorkerConfig{
-		ID:          *id,
-		StoreAddr:   *store,
-		Downloaders: *downloaders,
-		WindowStamp: *windowStamp,
-	})
+	fmt.Fprintf(stdout, "teroworker %s joining %s\n", o.id, o.store)
+	err := dist.RunWorker(dist.WorkerConfig{ID: o.id, StoreAddr: o.store, Halt: ctx.Done()})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "teroworker %s: %v\n", *id, err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "teroworker %s: %v\n", o.id, err)
+		return 1
 	}
-	fmt.Printf("teroworker %s done\n", *id)
+	if ctx.Err() != nil {
+		fmt.Fprintf(stderr, "teroworker %s: interrupted\n", o.id)
+		return 1
+	}
+	fmt.Fprintf(stdout, "teroworker %s done\n", o.id)
+	return 0
 }

@@ -204,21 +204,3 @@ func TestPELTEmpty(t *testing.T) {
 		t.Fatal("empty series")
 	}
 }
-
-func TestSegmentsFromChangepoints(t *testing.T) {
-	segs := SegmentsFromChangepoints([]int{3, 7}, 10)
-	want := [][2]int{{0, 3}, {3, 7}, {7, 10}}
-	if len(segs) != len(want) {
-		t.Fatalf("segments = %v", segs)
-	}
-	for i := range want {
-		if segs[i] != want[i] {
-			t.Fatalf("segments = %v, want %v", segs, want)
-		}
-	}
-	// Out-of-range changepoints ignored.
-	segs = SegmentsFromChangepoints([]int{0, 15}, 10)
-	if len(segs) != 1 || segs[0] != [2]int{0, 10} {
-		t.Fatalf("segments = %v", segs)
-	}
-}

@@ -98,19 +98,3 @@ func DefaultPenalty(values []float64) float64 {
 	}
 	return 2 * sigma2 * math.Log(float64(n))
 }
-
-// SegmentsFromChangepoints converts changepoint indexes into [start, end)
-// segment boundaries over a series of length n.
-func SegmentsFromChangepoints(cps []int, n int) [][2]int {
-	var out [][2]int
-	prev := 0
-	for _, cp := range cps {
-		if cp <= prev || cp >= n {
-			continue
-		}
-		out = append(out, [2]int{prev, cp})
-		prev = cp
-	}
-	out = append(out, [2]int{prev, n})
-	return out
-}

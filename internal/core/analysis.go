@@ -35,8 +35,6 @@ type Analysis struct {
 	// TotalPoints counts all input measurements; KeptPoints those surviving.
 	TotalPoints int
 	KeptPoints  int
-
-	params Params
 }
 
 // Analyze runs the full §3.3 pipeline for one {streamer, game}: stream
@@ -44,7 +42,7 @@ type Analysis struct {
 // correction via alternative values, quality filtering, clustering, and
 // static/mobile classification.
 func Analyze(streams []Stream, p Params) *Analysis {
-	a := &Analysis{params: p}
+	a := &Analysis{}
 	if len(streams) == 0 {
 		a.Discarded = true
 		return a
@@ -110,9 +108,6 @@ func Analyze(streams []Stream, p Params) *Analysis {
 	return a
 }
 
-// Params returns the parameters the analysis ran with.
-func (a *Analysis) Params() Params { return a.params }
-
 // DominantCluster returns the heaviest cluster, or nil.
 func (a *Analysis) DominantCluster() *Cluster {
 	if len(a.Clusters) == 0 {
@@ -143,17 +138,6 @@ func (a *Analysis) LatenciesInCluster(c *Cluster) []float64 {
 	for _, v := range a.KeptLatencies() {
 		if c.Contains(v) {
 			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// KeptSegments returns pointers to the kept segments in order.
-func (a *Analysis) KeptSegments() []*Segment {
-	var out []*Segment
-	for i := range a.Segments {
-		if segmentKept(&a.Segments[i]) {
-			out = append(out, &a.Segments[i])
 		}
 	}
 	return out

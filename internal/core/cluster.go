@@ -14,9 +14,6 @@ type Cluster struct {
 	Weight float64
 }
 
-// Mid returns the center of the cluster interval.
-func (c *Cluster) Mid() float64 { return (c.Min + c.Max) / 2 }
-
 // Contains reports whether a latency value falls inside the cluster range.
 func (c *Cluster) Contains(v float64) bool { return v >= c.Min && v <= c.Max }
 

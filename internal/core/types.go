@@ -81,14 +81,6 @@ type Stream struct {
 	Points   []Point
 }
 
-// Duration returns the time span of the stream.
-func (s *Stream) Duration() time.Duration {
-	if len(s.Points) < 2 {
-		return 0
-	}
-	return s.Points[len(s.Points)-1].T.Sub(s.Points[0].T)
-}
-
 // Flag classifies what happened to a segment during anomaly detection.
 type Flag int
 

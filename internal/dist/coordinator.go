@@ -42,34 +42,44 @@ type Coordinator struct {
 	KV      kvstore.KV
 	Objects objstore.API
 
-	// DeadAfter is how stale (real time) a worker's heartbeat may be
-	// before it is declared dead mid-barrier. Default 1s — beats default
-	// to 25ms, so this is ~40 missed beats, far beyond scheduler jitter.
-	DeadAfter time.Duration
-	// BarrierTimeout bounds one round's barrier wait (default 60s).
-	BarrierTimeout time.Duration
-	// MaxRounds bounds makeup rounds per tick (default 256) — a fuse
-	// against a protocol bug looping forever, far above any real drain.
-	MaxRounds int
-
 	// Counters (mirrored into the obs registry as dist_*_total).
 	Rounds, MakeupRounds      int
 	Ingested, Deduped         int
 	DeadWorkers, ReapedClaims int
 	LostRequeued              int
 
-	seen map[string]bool
+	seen  map[string]bool
+	beats map[string]beatSeen
 }
+
+// beatSeen is the last heartbeat value the coordinator read for a worker
+// and when, on the coordinator's own clock, it first read that value. The
+// value itself is opaque: a worker writes its wall clock, which need not
+// agree with this host's.
+type beatSeen struct {
+	value string
+	at    time.Time
+}
+
+const (
+	// deadAfter is how long a blocking worker's heartbeat may stay unchanged
+	// before the worker is declared dead mid-barrier. Beats default to 25ms,
+	// so this is ~40 missed beats, far beyond scheduler jitter.
+	deadAfter = time.Second
+	// barrierTimeout bounds one round's barrier wait.
+	barrierTimeout = 60 * time.Second
+	// maxRounds bounds makeup rounds per tick — a fuse against a protocol
+	// bug looping forever, far above any real drain.
+	maxRounds = 256
+)
 
 // NewCoordinator builds a coordinator around a pipeline and the store it
 // serves to the fleet.
 func NewCoordinator(p *pipeline.Pipeline, kv kvstore.KV, objects objstore.API) *Coordinator {
 	return &Coordinator{
 		P: p, KV: kv, Objects: objects,
-		DeadAfter:      time.Second,
-		BarrierTimeout: 60 * time.Second,
-		MaxRounds:      256,
-		seen:           make(map[string]bool),
+		seen:  make(map[string]bool),
+		beats: make(map[string]beatSeen),
 	}
 }
 
@@ -110,7 +120,7 @@ func (c *Coordinator) Tick(now time.Time, tick int, pollCoordinator bool) error 
 		}
 	}
 	for r := 0; ; r++ {
-		if r >= c.MaxRounds {
+		if r >= maxRounds {
 			return fmt.Errorf("dist: tick %d still draining after %d rounds", tick, r)
 		}
 		token := strconv.Itoa(tick) + "." + strconv.Itoa(r)
@@ -138,13 +148,14 @@ func (c *Coordinator) Tick(now time.Time, tick int, pollCoordinator bool) error 
 }
 
 // barrier waits until every rostered worker has checked in the round token,
-// declaring workers dead along the way when their real-time heartbeat goes
-// stale. Dead workers come off the roster immediately (so the barrier can
-// complete) but their claims are reaped only after the survivors finish the
-// round — between rounds nobody touches shared state, so the reap cannot
-// race an adoption.
+// declaring workers dead along the way when their heartbeat is missing or
+// has not changed for deadAfter of the coordinator's own time — never by
+// comparing the worker's clock with this one. Dead workers come off the
+// roster immediately (so the barrier can complete) but their claims are
+// reaped only after the survivors finish the round — between rounds nobody
+// touches shared state, so the reap cannot race an adoption.
 func (c *Coordinator) barrier(token string) ([]string, error) {
-	deadline := time.Now().Add(c.BarrierTimeout)
+	deadline := time.Now().Add(barrierTimeout)
 	var dead []string
 	for {
 		roster := c.KV.HGetAll(KeyWorkers)
@@ -162,7 +173,7 @@ func (c *Coordinator) barrier(token string) ([]string, error) {
 		if allDone {
 			return dead, nil
 		}
-		nowNS := time.Now().UnixNano()
+		now := time.Now()
 		ids := make([]string, 0, len(roster))
 		for id := range roster {
 			ids = append(ids, id)
@@ -172,20 +183,23 @@ func (c *Coordinator) barrier(token string) ([]string, error) {
 			if done[id] == token {
 				continue // checked in: not blocking this round
 			}
-			var ns int64
-			err := errors.New("no beat")
-			if v, ok := c.KV.HGet(KeyBeat, id); ok {
-				ns, err = strconv.ParseInt(v, 10, 64)
+			v, ok := c.KV.HGet(KeyBeat, id)
+			last := c.beats[id]
+			if ok && v != last.value {
+				c.beats[id] = beatSeen{value: v, at: now} // still beating
+				continue
 			}
-			if err != nil || nowNS-ns > int64(c.DeadAfter) {
-				c.KV.HDel(KeyWorkers, id)
-				c.KV.HDel(KeyBeat, id)
-				c.KV.HDel(KeyDone, id)
-				dead = append(dead, id)
-				c.DeadWorkers++
-				mDead.Inc()
-				dlog.Warn("worker declared dead", "worker", id, "round", token)
+			if ok && now.Sub(last.at) <= deadAfter {
+				continue // silent, not yet for long enough
 			}
+			delete(c.beats, id)
+			c.KV.HDel(KeyWorkers, id)
+			c.KV.HDel(KeyBeat, id)
+			c.KV.HDel(KeyDone, id)
+			dead = append(dead, id)
+			c.DeadWorkers++
+			mDead.Inc()
+			dlog.Warn("worker declared dead", "worker", id, "round", token)
 		}
 		if time.Now().After(deadline) {
 			return dead, fmt.Errorf("dist: barrier timeout at round %s", token)
@@ -194,9 +208,10 @@ func (c *Coordinator) barrier(token string) ([]string, error) {
 	}
 }
 
-// reapDead requeues every claim owned by a dead worker's downloaders
-// ("<worker>:dl<i>"), chaining a reap span onto the claim's propagated
-// trace so the claim's story stays one trace across processes.
+// reapDead requeues every claim owned by a dead worker's downloader
+// ("<worker>:dl0", found by the "<worker>:" prefix), chaining a reap span
+// onto the claim's propagated trace so the claim's story stays one trace
+// across processes.
 func (c *Coordinator) reapDead(dead []string) {
 	sort.Strings(dead)
 	for _, w := range dead {

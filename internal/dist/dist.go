@@ -22,10 +22,11 @@
 //     queue while everything is quiescent, without locks.
 //
 // Workers prove liveness with real-time heartbeats in dist:beat. A worker
-// whose beat goes stale mid-barrier is declared dead, its claims are
+// whose beat stops changing mid-barrier is declared dead, its claims are
 // requeued, and the survivors re-fetch them within the same virtual tick —
-// the window-stamped metadata (download.Downloader.WindowStamp) makes the
-// re-fetch byte-identical to what the dead worker would have stored.
+// the window-stamped metadata (download.Downloader.WindowStamp, always on
+// in a worker) makes the re-fetch byte-identical to what the dead worker
+// would have stored.
 package dist
 
 import (
@@ -42,9 +43,11 @@ const (
 	// KeyWorkers is a hash: worker ID -> "1". Registration; the roster the
 	// coordinator barriers on.
 	KeyWorkers = "dist:workers"
-	// KeyBeat is a hash: worker ID -> real-time unix nanoseconds of the
-	// worker's last heartbeat. Liveness is real time — virtual time is
-	// frozen while workers work, so it cannot detect a hung process.
+	// KeyBeat is a hash: worker ID -> a value that changes with every
+	// heartbeat (the worker's wall clock in unix nanoseconds, which the
+	// coordinator reads only for change, never against its own clock).
+	// Liveness is real time — virtual time is frozen while workers work, so
+	// it cannot detect a hung process.
 	KeyBeat = "dist:beat"
 	// KeyPlatform carries the platform base URL from coordinator to
 	// workers; its appearance is the run's start signal.

@@ -114,9 +114,7 @@ func distRun(t *testing.T, seed int64, n, crashTick int) (*pipeline.Pipeline, *C
 		w := &testWorker{halt: make(chan struct{}), done: make(chan error, 1)}
 		id := "w" + strconv.Itoa(i+1)
 		go func() {
-			w.done <- RunWorker(WorkerConfig{
-				ID: id, StoreAddr: srv.Addr(), WindowStamp: true, Halt: w.halt,
-			})
+			w.done <- RunWorker(WorkerConfig{ID: id, StoreAddr: srv.Addr(), Halt: w.halt})
 		}()
 		workers[i] = w
 	}
@@ -301,5 +299,105 @@ func TestRescueLost(t *testing.T) {
 	want := []string{`{"id":"s3"}`, `{"id":"s1"}`} // order preserved, rescue appended
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("queue after rescue = %v, want %v", got, want)
+	}
+}
+
+// skewedBeats heartbeats for worker id every 25 ms with a wall clock that is
+// off by skew, the way a worker on another host would, until stop closes.
+// The first beat has landed when it returns.
+func skewedBeats(st *kvstore.Store, id string, skew time.Duration, stop <-chan struct{}) (exited <-chan struct{}) {
+	beat := func() {
+		st.HSet(KeyBeat, id, strconv.FormatInt(time.Now().Add(skew).UnixNano(), 10))
+	}
+	beat()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(25 * time.Millisecond)
+		defer t.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-t.C:
+				beat()
+			}
+		}
+	}()
+	return done
+}
+
+// TestSkewedWorkerCompletesRun: a worker whose clock is an hour behind the
+// coordinator's, beating normally and checking every round in late enough
+// for the barrier to read its beat many times, is never declared dead.
+// (Comparing the two clocks killed it the first time the barrier looked.)
+func TestSkewedWorkerCompletesRun(t *testing.T) {
+	st := kvstore.New()
+	c := NewCoordinator(nil, st, objstore.New())
+	stop := make(chan struct{})
+	beatsExited := skewedBeats(st, "w1", -time.Hour, stop)
+	st.HSet(KeyWorkers, "w1", "1")
+	workerExited := make(chan struct{})
+	go func() { // the round loop of RunWorker, with no work in the rounds
+		defer close(workerExited)
+		last := ""
+		for {
+			token, _ := st.Get(KeyRound)
+			switch token {
+			case RoundDone:
+				return
+			case "", last:
+				time.Sleep(pollWait)
+			default:
+				time.Sleep(50 * time.Millisecond)
+				st.HSet(KeyDone, "w1", token)
+				last = token
+			}
+		}
+	}()
+	for tick := 0; tick < 3; tick++ {
+		if err := c.Tick(time.Unix(0, 0), tick, false); err != nil {
+			t.Fatalf("tick %d: %v", tick, err)
+		}
+	}
+	c.EndRun()
+	<-workerExited
+	close(stop)
+	<-beatsExited
+	if c.DeadWorkers != 0 || c.Rounds != 3 {
+		t.Fatalf("dead=%d rounds=%d, want 0 dead over 3 rounds", c.DeadWorkers, c.Rounds)
+	}
+}
+
+// TestFrozenBeatIsReaped: a beat stamped an hour in the future that never
+// changes again belongs to a dead worker, whatever the stamp says; it is
+// reaped once it has stood still for deadAfter of the coordinator's time.
+// (Measured against the coordinator's clock it outlived its death by the
+// skew, and the barrier timed out.)
+func TestFrozenBeatIsReaped(t *testing.T) {
+	st := kvstore.New()
+	c := NewCoordinator(nil, st, objstore.New())
+	st.HSet(KeyWorkers, "live", "1")
+	st.HSet(KeyDone, "live", "0.0") // already checked in: only "frozen" blocks
+	st.HSet(KeyWorkers, "frozen", "1")
+	st.HSet(KeyBeat, "frozen", strconv.FormatInt(time.Now().Add(time.Hour).UnixNano(), 10))
+
+	start := time.Now()
+	dead, err := c.barrier("0.0")
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dead) != 1 || dead[0] != "frozen" {
+		t.Fatalf("dead = %v, want [frozen]", dead)
+	}
+	if took < deadAfter || took > 3*deadAfter {
+		t.Fatalf("reaped after %v, want about %v", took, deadAfter)
+	}
+	if _, ok := st.HGet(KeyWorkers, "frozen"); ok {
+		t.Fatal("dead worker still on the roster")
+	}
+	if _, ok := st.HGet(KeyWorkers, "live"); !ok {
+		t.Fatal("live worker dropped from the roster")
 	}
 }

@@ -24,52 +24,35 @@ var (
 // WorkerConfig configures one ingest worker (the teroworker binary, or an
 // in-process equivalent in tests and single-binary experiment legs).
 type WorkerConfig struct {
-	// ID names the worker; its downloaders are "<ID>:dl<i>", the prefix
-	// the coordinator uses to find a dead worker's claims.
+	// ID names the worker; its downloader is "<ID>:dl0", the prefix the
+	// coordinator uses to find a dead worker's claims.
 	ID string
 	// StoreAddr is the kvstore server (with attached object buckets) all
 	// coordination, results and quarantined thumbnails go through.
 	StoreAddr string
-	// Downloaders is the in-worker downloader count (default 1). Claims
-	// spread round-robin across them.
-	Downloaders int
-	// WindowStamp is forwarded to the downloaders (see
-	// download.Downloader.WindowStamp); distributed runs set it so
-	// measurement timestamps are fleet-shape-independent.
-	WindowStamp bool
 	// BeatEvery is the real-time heartbeat cadence (default 25ms).
 	BeatEvery time.Duration
-	// PollWait is the pause between round-token polls (default 500µs).
-	PollWait time.Duration
-	// StartTimeout bounds the wait for the coordinator's platform
-	// announcement (default 30s).
-	StartTimeout time.Duration
 	// Halt, when closed, makes the worker stop dead wherever it is — no
 	// deregistration, no goodbye, heartbeats cease. The in-process crash
 	// the worker-crash tests use; SIGKILL is the cross-process form.
 	Halt <-chan struct{}
 }
 
-func (c *WorkerConfig) defaults() {
-	if c.Downloaders < 1 {
-		c.Downloaders = 1
-	}
-	if c.BeatEvery <= 0 {
-		c.BeatEvery = 25 * time.Millisecond
-	}
-	if c.PollWait <= 0 {
-		c.PollWait = 500 * time.Microsecond
-	}
-	if c.StartTimeout <= 0 {
-		c.StartTimeout = 30 * time.Second
-	}
-}
+const (
+	// pollWait is the pause between a worker's round-token polls.
+	pollWait = 500 * time.Microsecond
+	// startTimeout bounds a worker's wait for the coordinator's platform
+	// announcement.
+	startTimeout = 30 * time.Second
+)
 
 // RunWorker joins the fleet at cfg.StoreAddr and works rounds until the
 // coordinator publishes the done sentinel (clean exit) or cfg.Halt closes
 // (simulated crash). See the package comment for the protocol.
 func RunWorker(cfg WorkerConfig) error {
-	cfg.defaults()
+	if cfg.BeatEvery <= 0 {
+		cfg.BeatEvery = 25 * time.Millisecond
+	}
 	halted := func() bool {
 		select {
 		case <-cfg.Halt:
@@ -127,40 +110,37 @@ func RunWorker(cfg WorkerConfig) error {
 	stopBeats := func() { stopOnce.Do(func() { close(beatStop) }); <-beatExit }
 	defer stopBeats()
 
-	// Wait for the run to start.
-	deadline := time.Now().Add(cfg.StartTimeout)
-	var platformURL string
+	// Wait for the run to start. The assignments carry absolute URLs, so the
+	// announced platform URL is only the start signal.
+	deadline := time.Now().Add(startTimeout)
 	for {
 		if halted() {
 			return nil
 		}
-		if u, ok := kv.Get(KeyPlatform); ok {
-			platformURL = u
+		if _, ok := kv.Get(KeyPlatform); ok {
 			break
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("dist worker %s: no platform announced within %s", cfg.ID, cfg.StartTimeout)
+			return fmt.Errorf("dist worker %s: no platform announced within %s", cfg.ID, startTimeout)
 		}
-		time.Sleep(cfg.PollWait)
+		time.Sleep(pollWait)
 	}
-	_ = platformURL // the assignments carry absolute URLs; nothing to dial here
 
-	// Thumbnails never leave the process: the downloaders store into a
+	// Thumbnails never leave the process: the downloader stores into a
 	// local bucket that workRound drains, so a thumbnail costs the wire one
-	// result frame (plus the quarantine copy of a corrupt one).
+	// result frame (plus the quarantine copy of a corrupt one). One
+	// downloader per worker: a round polls and extracts serially, so a
+	// second would only spread the same claims over two owner IDs.
 	local := objstore.New()
 	extractor := imageproc.New()
-	dls := make([]*download.Downloader, cfg.Downloaders)
-	for i := range dls {
-		d := download.NewDownloader(cfg.ID+":dl"+strconv.Itoa(i), kv, local)
-		d.Claim = download.ClaimNone
-		d.WindowStamp = cfg.WindowStamp
-		d.ClaimTraceKey = KeyClaimTrace
-		dls[i] = d
-	}
+	d := download.NewDownloader(cfg.ID+":dl0", kv, local)
+	d.Claim = download.ClaimNone
+	// Window-stamped metadata is what makes a re-fetch after a crash, and a
+	// fleet of any shape, store the bytes a single process would have.
+	d.WindowStamp = true
+	d.ClaimTraceKey = KeyClaimTrace
 
-	dlog.Info("worker joined", "id", cfg.ID, "store", cfg.StoreAddr,
-		"downloaders", cfg.Downloaders)
+	dlog.Info("worker joined", "id", cfg.ID, "store", cfg.StoreAddr)
 
 	stats := WorkerStats{Worker: cfg.ID}
 	last := ""
@@ -170,7 +150,7 @@ func RunWorker(cfg WorkerConfig) error {
 		}
 		token, ok := kv.Get(KeyRound)
 		if !ok || token == last {
-			time.Sleep(cfg.PollWait)
+			time.Sleep(pollWait)
 			continue
 		}
 		if token == RoundDone {
@@ -186,7 +166,7 @@ func RunWorker(cfg WorkerConfig) error {
 		if err != nil {
 			return fmt.Errorf("dist worker %s: bad %s %q: %w", cfg.ID, KeyNow, nowStr, err)
 		}
-		if err := workRound(cfg, kv, objects, local, extractor, dls, now, &stats, halted); err != nil {
+		if err := workRound(cfg.ID, kv, objects, local, extractor, d, now, &stats, halted); err != nil {
 			return err // not checked in: the coordinator reaps this worker's claims
 		}
 		if halted() {
@@ -214,15 +194,13 @@ type resultSink interface {
 // A push that fails ends the round with its error and the thumbnail still
 // in local: the reading has not reached the coordinator, so the round must
 // not be checked in as done.
-func workRound(cfg WorkerConfig, kv kvstore.KV, objects resultSink, local *objstore.Store,
-	extractor *imageproc.Extractor, dls []*download.Downloader,
+func workRound(id string, kv kvstore.KV, objects resultSink, local *objstore.Store,
+	extractor *imageproc.Extractor, d *download.Downloader,
 	now time.Time, stats *WorkerStats, halted func() bool) error {
-	for _, d := range dls {
-		if err := d.PollOnce(now); err != nil {
-			// Degraded, not fatal: the downloader has already applied its
-			// per-streamer backoff/release recovery.
-			dlog.Warn("poll errors", "worker", cfg.ID, "err", err)
-		}
+	if err := d.PollOnce(now); err != nil {
+		// Degraded, not fatal: the downloader has already applied its
+		// per-streamer backoff/release recovery.
+		dlog.Warn("poll errors", "worker", id, "err", err)
 	}
 
 	// Balanced claims: adopt while this worker owns fewer streamers than
@@ -241,24 +219,18 @@ func workRound(cfg WorkerConfig, kv kvstore.KV, objects resultSink, local *objst
 	}
 	claimed := len(kv.HGetAll(download.KeyClaimed))
 	target := (claimed + qlen + alive - 1) / alive
-	own := 0
-	for _, d := range dls {
-		own += d.Assigned()
-	}
-	for c := 0; own < target; c++ {
+	for own := d.Assigned(); own < target; own++ {
 		if halted() {
 			return nil
 		}
-		d := dls[c%len(dls)]
 		_, adopted, err := d.AdoptOne(now)
 		if !adopted {
 			break
 		}
-		own++
 		stats.Claims++
 		mWClaims.Inc()
 		if err != nil {
-			dlog.Warn("adopt fetch failed", "worker", cfg.ID, "err", err)
+			dlog.Warn("adopt fetch failed", "worker", id, "err", err)
 		}
 	}
 
@@ -282,21 +254,21 @@ func workRound(cfg WorkerConfig, kv kvstore.KV, objects resultSink, local *objst
 			errMsg = "corrupt thumbnail: pgm decode failed"
 		}
 		ec := trace.RecordSpan(jctx, "dist.extract", wstart, wend, errMsg,
-			trace.A("worker", cfg.ID), trace.A("outcome", res.Outcome))
+			trace.A("worker", id), trace.A("outcome", res.Outcome))
 		r := Result{
 			Key: key, Outcome: res.Outcome,
 			Ms: res.Ms, Alt: res.Alt, HasAlt: res.HasAlt,
 			Streamer: res.Streamer, Login: res.Login, Game: res.Game,
 			At: res.At, AtUnix: res.AtUnix, AtOK: res.AtOK,
-			Traceparent: trace.Traceparent(ec), Worker: cfg.ID,
+			Traceparent: trace.Traceparent(ec), Worker: id,
 		}
 		if res.Outcome == pipeline.OutcomeCorrupt {
 			// Quarantine worker-side so the move happens exactly once, by
 			// whoever decoded it; the coordinator only counts it.
 			if _, err := objects.Put(pipeline.QuarantineBucket, key, obj.Data, obj.Meta); err != nil {
-				return fmt.Errorf("dist worker %s: quarantine %s: %w", cfg.ID, key, err)
+				return fmt.Errorf("dist worker %s: quarantine %s: %w", id, key, err)
 			}
-			dlog.Warn("quarantined corrupt thumbnail", "worker", cfg.ID, "key", key)
+			dlog.Warn("quarantined corrupt thumbnail", "worker", id, "key", key)
 		}
 		if res.Outcome == pipeline.OutcomeMeasured {
 			stats.Extracted++
@@ -307,15 +279,11 @@ func workRound(cfg WorkerConfig, kv kvstore.KV, objects resultSink, local *objst
 			trace.Finish(jctx.TraceID)
 		}
 		if _, err := objects.Put(ResultBucket, key, r.Encode(), nil); err != nil {
-			return fmt.Errorf("dist worker %s: push result %s: %w", cfg.ID, key, err)
+			return fmt.Errorf("dist worker %s: push result %s: %w", id, key, err)
 		}
 		// §7: the thumbnail is freight, not data — gone once extracted.
 		local.Delete(download.ThumbBucket, key) //nolint:errcheck // just listed; only this goroutine deletes
 	}
-	total := 0
-	for _, d := range dls {
-		total += d.Downloads
-	}
-	stats.Fetches = total
+	stats.Fetches = d.Downloads
 	return nil
 }

@@ -54,14 +54,13 @@ func TestWorkRoundKeepsThumbnailsLocal(t *testing.T) {
 	d := download.NewDownloader("w1:dl0", st, local)
 	d.Claim = download.ClaimNone
 	d.WindowStamp = true
-	dls := []*download.Downloader{d}
 	const corruptKey = "zz-corrupt/0001.pgm"
 	local.Put(download.ThumbBucket, corruptKey, []byte("P5 truncated"), map[string]string{"game": "lol"})
 
 	var stats WorkerStats
 	round := func() {
 		t.Helper()
-		err := workRound(WorkerConfig{ID: "w1"}, st, wire, local, imageproc.New(), dls,
+		err := workRound("w1", st, wire, local, imageproc.New(), d,
 			platform.Now(), &stats, func() bool { return false })
 		if err != nil {
 			t.Fatal(err)
@@ -116,8 +115,11 @@ func TestWorkRoundFailedPushKeepsThumbnail(t *testing.T) {
 		local := objstore.New()
 		local.Put(download.ThumbBucket, key, []byte("P5 truncated"), nil)
 		var stats WorkerStats
+		st := kvstore.New()
+		d := download.NewDownloader("w1:dl0", st, local)
+		d.Claim = download.ClaimNone
 		round := func() error {
-			return workRound(WorkerConfig{ID: "w1"}, kvstore.New(), wire, local, imageproc.New(), nil,
+			return workRound("w1", st, wire, local, imageproc.New(), d,
 				time.Time{}, &stats, func() bool { return false })
 		}
 		if err := round(); !errors.Is(err, errPush) {
@@ -164,7 +166,7 @@ func TestRunWorkerStopsOnFailedPush(t *testing.T) {
 	t.Cleanup(func() { close(halt) })
 	done := make(chan error, 1)
 	go func() {
-		done <- RunWorker(WorkerConfig{ID: "w1", StoreAddr: srv.Addr(), WindowStamp: true,
+		done <- RunWorker(WorkerConfig{ID: "w1", StoreAddr: srv.Addr(),
 			BeatEvery: time.Millisecond, Halt: halt})
 	}()
 	select {

@@ -271,15 +271,8 @@ type Coordinator struct {
 	KV  kvstore.KV
 	API *APIClient
 
-	// ReapAfter is how far (in virtual time) a downloader's heartbeat may
-	// lag the newest heartbeat before its claims are declared orphaned.
-	// 0 means the 15-minute default; negative disables reaping.
-	ReapAfter time.Duration
-
-	// NewlyLive counts streamers enqueued over the coordinator's lifetime.
 	// Reaped counts orphaned claims re-queued.
-	NewlyLive int
-	Reaped    int
+	Reaped int
 }
 
 // NewCoordinator builds a coordinator, recovering active-streamer state
@@ -288,18 +281,15 @@ func NewCoordinator(kv kvstore.KV, api *APIClient) *Coordinator {
 	return &Coordinator{KV: kv, API: api}
 }
 
+// reapAfter is how far (in virtual time) a downloader's heartbeat may lag
+// the newest heartbeat before its claims are declared orphaned.
+const reapAfter = 15 * time.Minute
+
 // reapOrphans re-queues streamers claimed by downloaders whose heartbeat
-// has fallen ReapAfter behind the newest one (a crashed or wedged
+// has fallen reapAfter behind the newest one (a crashed or wedged
 // downloader never releases its claims itself). Virtual time is taken from
 // the heartbeats, so the coordinator needs no clock of its own.
 func (c *Coordinator) reapOrphans() {
-	after := c.ReapAfter
-	if after < 0 {
-		return
-	}
-	if after == 0 {
-		after = 15 * time.Minute
-	}
 	claims := c.KV.HGetAll(KeyClaimed)
 	if len(claims) == 0 {
 		return
@@ -327,7 +317,7 @@ func (c *Coordinator) reapOrphans() {
 	sort.Strings(ids)
 	for _, id := range ids {
 		beat, alive := at[claims[id]]
-		if alive && newest.Sub(beat) <= after {
+		if alive && newest.Sub(beat) <= reapAfter {
 			continue
 		}
 		raw, ok := c.KV.HGet(KeyActive, id)
@@ -379,7 +369,6 @@ func (c *Coordinator) PollOnce() error {
 		if len(row.Tags) > 0 {
 			c.KV.HSet(KeyTags, row.UserID, row.Tags[0])
 		}
-		c.NewlyLive++
 		newly++
 	}
 	mNewlyLive.Add(int64(newly))
@@ -389,11 +378,6 @@ func (c *Coordinator) PollOnce() error {
 		dlog.Debug("coordinator poll", "live_rows", len(rows), "newly_live", newly)
 	}
 	return nil
-}
-
-// ActiveCount returns the number of streamers currently tracked.
-func (c *Coordinator) ActiveCount() int {
-	return len(c.KV.HGetAll(KeyActive))
 }
 
 // ClaimMode selects how a downloader adopts queued streamers in PollOnce.

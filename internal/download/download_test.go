@@ -136,7 +136,7 @@ func TestOfflineDetectionFreesStreamers(t *testing.T) {
 	platform, coord, dls, _ := harness(t, 40)
 	platform.Advance(busiestHour(platform.World))
 	drive(t, platform, coord, dls, 2)
-	if coord.ActiveCount() == 0 {
+	if len(coord.KV.HGetAll(KeyActive)) == 0 {
 		t.Fatal("nothing active during evening")
 	}
 	// Fast-forward past the end of the one-day world: every session over.
@@ -153,7 +153,7 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 	platform, coord, dls, store := harness(t, 40)
 	platform.Advance(busiestHour(platform.World))
 	drive(t, platform, coord, dls, 2)
-	active := coord.ActiveCount()
+	active := len(coord.KV.HGetAll(KeyActive))
 	if active == 0 {
 		t.Fatal("no active streamers")
 	}

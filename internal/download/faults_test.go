@@ -347,16 +347,18 @@ func TestReapOrphans(t *testing.T) {
 	}
 }
 
+// TestReapDisabled: virtual time comes from the heartbeats, so until some
+// downloader has left a readable one there is no clock to call anyone dead
+// by, and nothing is reaped.
 func TestReapDisabled(t *testing.T) {
 	kv := kvstore.New()
 	kv.HSet(KeyActive, "s1", Assignment{StreamerID: "s1"}.encode())
 	kv.HSet(KeyClaimed, "s1", "dead")
-	kv.HSet(KeyWorkers, "alive", time.Date(2026, 1, 1, 12, 0, 0, 0, time.UTC).Format(time.RFC3339))
+	kv.HSet(KeyWorkers, "dead", "not a timestamp")
 	c := NewCoordinator(kv, nil)
-	c.ReapAfter = -1
 	c.reapOrphans()
-	if c.Reaped != 0 {
-		t.Fatal("reaping ran while disabled")
+	if _, claimed := kv.HGet(KeyClaimed, "s1"); c.Reaped != 0 || !claimed {
+		t.Fatal("reaping ran with no heartbeat to tell the time by")
 	}
 }
 

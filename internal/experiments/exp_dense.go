@@ -73,7 +73,7 @@ func runDense(o Options) ([]*Table, error) {
 							bigTrue++
 						}
 						t0 := gs.Times[sp.AtIdx]
-						t1 := gs.Times[minIdx(sp.AtIdx+sp.Len, len(gs.Times)-1)]
+						t1 := gs.Times[min(sp.AtIdx+sp.Len, len(gs.Times)-1)]
 						for _, det := range a.Spikes {
 							if !det.End.Before(t0.Add(-2*time.Minute)) &&
 								!det.Start.After(t1.Add(2*time.Minute)) {
@@ -108,11 +108,4 @@ func runDense(o Options) ([]*Table, error) {
 		"threshold are invisible at any sampling rate — denser data mostly buys",
 		"more points per spike (better size estimates), not more detections")
 	return []*Table{t}, nil
-}
-
-func minIdx(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -302,9 +302,7 @@ func startDistWorker(o Options, id, addr string) (*distWorker, error) {
 	}
 	w := &distWorker{id: id, halt: make(chan struct{}), done: make(chan error, 1)}
 	go func() {
-		w.done <- dist.RunWorker(dist.WorkerConfig{
-			ID: id, StoreAddr: addr, WindowStamp: true, Halt: w.halt,
-		})
+		w.done <- dist.RunWorker(dist.WorkerConfig{ID: id, StoreAddr: addr, Halt: w.halt})
 	}()
 	return w, nil
 }

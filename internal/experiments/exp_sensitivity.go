@@ -231,7 +231,7 @@ func runFig16(o Options) ([]*Table, error) {
 		}
 		label := pct(maxSpikes)
 		b.AddRow(label,
-			pct(1-float64(keptSpikes)/maxFloat(float64(totalSpikes), 1)),
+			pct(1-float64(keptSpikes)/max(float64(totalSpikes), 1)),
 			pct(1-float64(keptPts)/float64(totalPts)))
 		shared := core.DetectAllSharedAnomalies(kept, cfgShared)
 		c.AddRow(label, itoa(keptSpikes), itoa(len(shared)))
@@ -239,11 +239,4 @@ func runFig16(o Options) ([]*Table, error) {
 	b.Notes = append(b.Notes,
 		"paper: lowering MaxSpikes discards many spikes but few data points")
 	return []*Table{a, b, c}, nil
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

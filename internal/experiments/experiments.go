@@ -48,9 +48,6 @@ type Options struct {
 	DistFleets []int
 }
 
-// DefaultOptions returns the standard configuration.
-func DefaultOptions() Options { return Options{Seed: 1, Scale: 1} }
-
 // workers resolves the effective worker count.
 func (o Options) workers() int {
 	if o.Concurrency > 0 {

@@ -29,7 +29,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	if _, err := Run("nope", DefaultOptions()); err == nil {
+	if _, err := Run("nope", Options{Seed: 1, Scale: 1}); err == nil {
 		t.Fatal("unknown experiment must error")
 	}
 }

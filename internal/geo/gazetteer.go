@@ -209,13 +209,3 @@ func (g *Gazetteer) Canonicalize(l Location) Location {
 		return Location{Country: p.Name}
 	}
 }
-
-// ContinentOf returns the continent of a location, resolving through the
-// gazetteer. The second return value is false if the location is unknown.
-func (g *Gazetteer) ContinentOf(l Location) (Continent, bool) {
-	p := g.Resolve(l)
-	if p == nil {
-		return "", false
-	}
-	return p.Continent, true
-}

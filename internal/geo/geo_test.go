@@ -196,8 +196,8 @@ func TestContinentInheritance(t *testing.T) {
 			t.Errorf("%s continent = %s, want %s", name, p.Continent, want)
 		}
 	}
-	if _, ok := g.ContinentOf(Location{Country: "Atlantis"}); ok {
-		t.Fatal("unknown location should have no continent")
+	if g.Resolve(Location{Country: "Atlantis"}) != nil {
+		t.Fatal("unknown location should not resolve")
 	}
 }
 

@@ -8,26 +8,19 @@ import (
 )
 
 // BenchmarkExtract measures the full four-step extraction on one rendered
-// thumbnail (crop → preprocess → 3-engine OCR → vote), scalar reference
-// kernels vs the packed default.
+// thumbnail (crop → preprocess → 3-engine OCR → vote).
 func BenchmarkExtract(b *testing.B) {
 	world := worldsim.New(worldsim.DefaultConfig(1234))
 	st := world.Streamers[0]
 	gs := world.Sessions(st)[0]
 	img, _ := worldsim.RenderDeterministic(gs, 0, worldsim.DefaultRenderOptions())
 	defer imaging.Recycle(img)
-	for _, v := range []struct {
-		name string
-		ex   *Extractor
-	}{{"scalar", NewScalar()}, {"packed", New()}} {
-		b.Run(v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			got := v.ex.Extract(img, gs.Game)
-			for i := 0; i < b.N; i++ {
-				if r := v.ex.Extract(img, gs.Game); r != got {
-					b.Fatalf("unstable extraction: %+v then %+v", got, r)
-				}
-			}
-		})
+	ex := New()
+	b.ReportAllocs()
+	got := ex.Extract(img, gs.Game)
+	for i := 0; i < b.N; i++ {
+		if r := ex.Extract(img, gs.Game); r != got {
+			b.Fatalf("unstable extraction: %+v then %+v", got, r)
+		}
 	}
 }

@@ -2,8 +2,8 @@
 // App. E): it takes a thumbnail and a game, and extracts the latency the
 // game displays in it, in four steps:
 //
-//  1. Pre-processing: crop around the game's latency UI, up-scale, blur,
-//     threshold (Otsu), and close small gaps.
+//  1. Pre-processing: crop around the game's latency UI, up-scale and
+//     blur; each engine binarizes for itself (see preprocess).
 //  2. OCR: run the three engines on the pre-processed crop.
 //  3. Cleanup: per-engine game-specific post-processing (strip the game's
 //     label text, convert confusable letters to digits), then 2-of-3
@@ -56,29 +56,16 @@ type Extractor struct {
 	Upscale int
 	// BlurSigma is the pre-processing Gaussian blur.
 	BlurSigma float64
-	// CloseIter is the number of dilate/erode iterations.
-	CloseIter int
 }
 
-// New returns an Extractor with the paper's default pipeline, running the
-// engines on the default bit-packed kernels.
+// New returns an Extractor with the paper's default pipeline.
 func New() *Extractor {
 	return &Extractor{
 		Engines:   ocr.Engines(),
 		Pad:       4,
 		Upscale:   2,
 		BlurSigma: 0.5,
-		CloseIter: 0,
 	}
-}
-
-// NewScalar returns the same pipeline on the byte-per-pixel reference
-// kernels. It exists for the packed-vs-scalar equivalence tests and
-// benchmarks; Extract results are bit-identical to New's.
-func NewScalar() *Extractor {
-	e := New()
-	e.Engines = ocr.ScalarEngines()
-	return e
 }
 
 // Extract runs the full four-step pipeline on a thumbnail. The crop and the
@@ -115,10 +102,11 @@ func (e *Extractor) Extract(thumb *imaging.Gray, game *games.Game) Extraction {
 	return Extraction{}
 }
 
-// preprocess applies the App. E pipeline: up-scale and blur (plus optional
-// morphological closing). Binarization is deliberately left to each OCR
-// engine: a shared threshold would make the engines see identical bits and
-// err identically, destroying the error diversity the 2-of-3 vote needs.
+// preprocess applies the App. E pipeline: up-scale and blur. Binarization is
+// deliberately left to each OCR engine: a shared threshold would make the
+// engines see identical bits and err identically, destroying the error
+// diversity the 2-of-3 vote needs. App. E's dilate/erode closing is not
+// applied: it only makes sense after a shared binarization.
 func (e *Extractor) preprocess(crop *imaging.Gray) *imaging.Gray {
 	img := crop
 	// step replaces the working image, recycling the superseded
@@ -134,9 +122,6 @@ func (e *Extractor) preprocess(crop *imaging.Gray) *imaging.Gray {
 	}
 	if e.BlurSigma > 0 {
 		step(img.GaussianBlur(e.BlurSigma))
-	}
-	if e.CloseIter > 0 {
-		step(img.Close(e.CloseIter))
 	}
 	return img
 }

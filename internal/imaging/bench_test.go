@@ -42,93 +42,6 @@ func BenchmarkThreshold(b *testing.B) {
 	}
 }
 
-func BenchmarkDilate(b *testing.B) {
-	for _, sz := range benchSizes {
-		g := benchImage(sz.w, sz.h)
-		bin := g.Threshold(140)
-		pb := g.PackGE(140)
-		b.Run(fmt.Sprintf("%dx%d/scalar", sz.w, sz.h), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Recycle(bin.Dilate())
-			}
-		})
-		b.Run(fmt.Sprintf("%dx%d/packed", sz.w, sz.h), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				RecycleBitmap(pb.Dilate())
-			}
-		})
-	}
-}
-
-func BenchmarkErode(b *testing.B) {
-	for _, sz := range benchSizes {
-		g := benchImage(sz.w, sz.h)
-		bin := g.Threshold(140)
-		pb := g.PackGE(140)
-		b.Run(fmt.Sprintf("%dx%d/scalar", sz.w, sz.h), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Recycle(bin.Erode())
-			}
-		})
-		b.Run(fmt.Sprintf("%dx%d/packed", sz.w, sz.h), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				RecycleBitmap(pb.Erode())
-			}
-		})
-	}
-}
-
-func BenchmarkForegroundCount(b *testing.B) {
-	for _, sz := range benchSizes {
-		g := benchImage(sz.w, sz.h)
-		bin := g.Threshold(140)
-		pb := g.PackGE(140)
-		b.Run(fmt.Sprintf("%dx%d/scalar", sz.w, sz.h), func(b *testing.B) {
-			n := 0
-			for i := 0; i < b.N; i++ {
-				n = 0
-				for _, p := range bin.Pix {
-					if p != 0 {
-						n++
-					}
-				}
-			}
-			_ = n
-		})
-		b.Run(fmt.Sprintf("%dx%d/packed", sz.w, sz.h), func(b *testing.B) {
-			n := 0
-			for i := 0; i < b.N; i++ {
-				n = pb.Count()
-			}
-			_ = n
-		})
-	}
-}
-
-func BenchmarkColumnProjection(b *testing.B) {
-	for _, sz := range benchSizes {
-		g := benchImage(sz.w, sz.h)
-		bin := g.Threshold(140)
-		pb := g.PackGE(140)
-		b.Run(fmt.Sprintf("%dx%d/scalar", sz.w, sz.h), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = bin.ColumnProjection()
-			}
-		})
-		b.Run(fmt.Sprintf("%dx%d/packed", sz.w, sz.h), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = pb.ColumnProjection()
-			}
-		})
-	}
-}
-
 func BenchmarkConnectedComponents(b *testing.B) {
 	for _, sz := range benchSizes {
 		g := benchImage(sz.w, sz.h)

@@ -11,11 +11,11 @@ import (
 // bits of the last word of each row (columns >= W) are invariantly zero,
 // which lets every counting kernel popcount whole words without masking.
 //
-// The post-binarization OCR pipeline (threshold → morphology → projections
-// → segmentation → template matching) runs on this representation at word
-// speed: 64 pixels per OR/AND/XOR, foreground counts via
-// math/bits.OnesCount64. The scalar Gray kernels remain the reference
-// implementation; TestBitmapOpsMatchGray pins bit-identical behaviour.
+// The post-binarization OCR pipeline (threshold → segmentation → template
+// matching) runs on this representation at word speed: 64 pixels per
+// OR/AND/XOR, foreground counts via math/bits.OnesCount64. The scalar Gray
+// kernels remain the reference implementation; TestBitmapOpsMatchGray pins
+// bit-identical behaviour.
 type Bitmap struct {
 	W, H   int
 	Stride int // words per row: (W+63)/64
@@ -69,27 +69,9 @@ func (b *Bitmap) Set(x, y int, v bool) {
 	}
 }
 
-// Unpack expands the bitmap to a binary Gray (set bits become 255),
-// the inverse of PackGE(1).
-func (b *Bitmap) Unpack() *Gray {
-	g := New(b.W, b.H)
-	for y := 0; y < b.H; y++ {
-		row := b.Row(y)
-		out := g.Pix[y*b.W : (y+1)*b.W]
-		for k, w := range row {
-			for w != 0 {
-				i := bits.TrailingZeros64(w)
-				out[k<<6+i] = 255
-				w &= w - 1
-			}
-		}
-	}
-	return g
-}
-
-// UnpackIn expands the sub-rectangle r (clamped) to a binary Gray — the
-// packed counterpart of Unpack + Crop(r) without the full-image copy. The
-// returned image may come from the scratch pool; recycle it when done.
+// UnpackIn expands the sub-rectangle r (clamped) to a binary Gray (set bits
+// become 255) — the packed counterpart of Crop(r) on a thresholded Gray.
+// The returned image may come from the scratch pool; recycle it when done.
 func (b *Bitmap) UnpackIn(r Rect) *Gray {
 	r = r.Clamp(b.W, b.H)
 	if r.Empty() {
@@ -219,16 +201,6 @@ func (g *Gray) PackLE(t uint8) *Bitmap {
 	return b
 }
 
-// Count returns the number of foreground pixels — a whole-image popcount
-// (the packed countFg).
-func (b *Bitmap) Count() int {
-	n := 0
-	for _, w := range b.Words {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // rangeMasks returns the word index range [k0, k1] covering columns
 // [x0, x1) and the partial masks for the first and last word.
 func rangeMasks(x0, x1 int) (k0, k1 int, first, last uint64) {
@@ -239,45 +211,12 @@ func rangeMasks(x0, x1 int) (k0, k1 int, first, last uint64) {
 	return
 }
 
-// CountIn returns the number of foreground pixels inside r (clamped).
-func (b *Bitmap) CountIn(r Rect) int {
-	r = r.Clamp(b.W, b.H)
-	if r.Empty() {
-		return 0
-	}
-	k0, k1, first, last := rangeMasks(r.X0, r.X1)
-	n := 0
-	for y := r.Y0; y < r.Y1; y++ {
-		row := b.Words[y*b.Stride : (y+1)*b.Stride]
-		if k0 == k1 {
-			n += bits.OnesCount64(row[k0] & first & last)
-			continue
-		}
-		n += bits.OnesCount64(row[k0] & first)
-		for k := k0 + 1; k < k1; k++ {
-			n += bits.OnesCount64(row[k])
-		}
-		n += bits.OnesCount64(row[k1] & last)
-	}
-	return n
-}
-
-// TightBox returns the bounding box of all foreground pixels, or an empty
-// Rect if there are none.
-func (b *Bitmap) TightBox() Rect {
-	return b.TightBoxIn(Rect{X1: b.W, Y1: b.H})
-}
-
-// TightBoxIn returns the bounding box of the foreground inside r, in
-// coordinates relative to r's origin (mirroring Crop(r) + TightBox() on
-// the scalar path, without the copy). Empty if r holds no foreground.
-func (b *Bitmap) TightBoxIn(r Rect) Rect {
-	box, _ := b.TightBoxCountIn(r)
-	return box
-}
-
-// TightBoxCountIn returns TightBoxIn(r) and CountIn(r) from a single scan
-// of the rectangle (the per-segment speck check needs both).
+// TightBoxCountIn returns the bounding box of the foreground inside r
+// (clamped), in coordinates relative to r's origin — mirroring Crop(r) +
+// TightBox() on the scalar path, without the copy — and the number of
+// foreground pixels in it, from a single scan of the rectangle (the
+// per-segment speck check needs both). The box is empty if r holds no
+// foreground.
 func (b *Bitmap) TightBoxCountIn(r Rect) (Rect, int) {
 	r = r.Clamp(b.W, b.H)
 	if r.Empty() {
@@ -325,121 +264,6 @@ func (b *Bitmap) TightBoxCountIn(r Rect) (Rect, int) {
 		return Rect{}, 0
 	}
 	return Rect{X0: minX - r.X0, Y0: minY - r.Y0, X1: maxX + 1 - r.X0, Y1: maxY + 1 - r.Y0}, n
-}
-
-// Dilate returns the 3×3 morphological dilation: each output word is the
-// OR of its row neighbours (shifted by one bit, with carries across word
-// boundaries) and the rows above and below. Out-of-image pixels contribute
-// nothing, matching the scalar kernel's border behaviour.
-func (b *Bitmap) Dilate() *Bitmap {
-	h := NewBitmap(b.W, b.H) // horizontal pass scratch
-	out := NewBitmap(b.W, b.H)
-	tail := b.tailMask()
-	for y := 0; y < b.H; y++ {
-		src := b.Row(y)
-		dst := h.Row(y)
-		for k, w := range src {
-			v := w | w<<1 | w>>1
-			if k > 0 {
-				v |= src[k-1] >> 63
-			}
-			if k+1 < len(src) {
-				v |= src[k+1] << 63
-			}
-			dst[k] = v
-		}
-		if len(dst) > 0 {
-			dst[len(dst)-1] &= tail
-		}
-	}
-	for y := 0; y < b.H; y++ {
-		dst := out.Row(y)
-		copy(dst, h.Row(y))
-		if y > 0 {
-			up := h.Row(y - 1)
-			for k := range dst {
-				dst[k] |= up[k]
-			}
-		}
-		if y+1 < b.H {
-			down := h.Row(y + 1)
-			for k := range dst {
-				dst[k] |= down[k]
-			}
-		}
-	}
-	RecycleBitmap(h)
-	return out
-}
-
-// Erode returns the 3×3 morphological erosion: shifted ANDs with ones
-// shifted in at the image border (the scalar kernel skips out-of-bounds
-// neighbours, which for a min filter means they never veto).
-func (b *Bitmap) Erode() *Bitmap {
-	h := NewBitmap(b.W, b.H)
-	out := NewBitmap(b.W, b.H)
-	tail := b.tailMask()
-	fill := ^tail // padding columns act as foreground during the AND pass
-	for y := 0; y < b.H; y++ {
-		src := b.Row(y)
-		dst := h.Row(y)
-		last := len(src) - 1
-		// fw reads word k with out-of-row words and padding bits as ones.
-		fw := func(k int) uint64 {
-			if k < 0 || k > last {
-				return ^uint64(0)
-			}
-			w := src[k]
-			if k == last {
-				w |= fill
-			}
-			return w
-		}
-		for k := range src {
-			w := fw(k)
-			left := w<<1 | fw(k-1)>>63
-			right := w>>1 | fw(k+1)<<63
-			dst[k] = w & left & right
-		}
-		if len(dst) > 0 {
-			dst[len(dst)-1] &= tail
-		}
-	}
-	for y := 0; y < b.H; y++ {
-		dst := out.Row(y)
-		copy(dst, h.Row(y))
-		if y > 0 {
-			up := h.Row(y - 1)
-			for k := range dst {
-				dst[k] &= up[k]
-			}
-		}
-		if y+1 < b.H {
-			down := h.Row(y + 1)
-			for k := range dst {
-				dst[k] &= down[k]
-			}
-		}
-	}
-	RecycleBitmap(h)
-	return out
-}
-
-// ColumnProjection returns the per-column foreground counts, iterating set
-// bits only (text images are sparse).
-func (b *Bitmap) ColumnProjection() []int {
-	proj := make([]int, b.W)
-	for y := 0; y < b.H; y++ {
-		row := b.Row(y)
-		for k, w := range row {
-			for w != 0 {
-				i := bits.TrailingZeros64(w)
-				proj[k<<6+i]++
-				w &= w - 1
-			}
-		}
-	}
-	return proj
 }
 
 // SegmentColumns splits the bitmap into vertical strips separated by at

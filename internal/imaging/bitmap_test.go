@@ -11,6 +11,20 @@ func grayEqual(a, b *Gray) bool {
 	return a.W == b.W && a.H == b.H && reflect.DeepEqual(a.Pix, b.Pix)
 }
 
+// unpack expands a bitmap to a binary Gray (set bits become 255) one Get at
+// a time — the comparator for kernels that return a Bitmap.
+func unpack(b *Bitmap) *Gray {
+	g := New(b.W, b.H)
+	for y := 0; y < b.H; y++ {
+		for x := 0; x < b.W; x++ {
+			if b.Get(x, y) {
+				g.Pix[y*b.W+x] = 255
+			}
+		}
+	}
+	return g
+}
+
 // scalarCountFg is the reference foreground counter the packed popcount
 // replaces.
 func scalarCountFg(g *Gray) int {
@@ -56,33 +70,18 @@ func TestBitmapOpsMatchGray(t *testing.T) {
 			bin := g.Threshold(thr)
 			pb := g.PackGE(thr)
 
-			if !grayEqual(pb.Unpack(), bin) {
+			if !grayEqual(unpack(pb), bin) {
 				t.Fatalf("%dx%d thr=%d: PackGE != Threshold", sz.w, sz.h, thr)
 			}
-			if !grayEqual(g.PackLE(thr-1).Unpack(), g.ThresholdBelow(thr)) {
+			if !grayEqual(unpack(g.PackLE(thr-1)), g.ThresholdBelow(thr)) {
 				t.Fatalf("%dx%d thr=%d: PackLE != ThresholdBelow", sz.w, sz.h, thr)
-			}
-			if pb.Count() != scalarCountFg(bin) {
-				t.Fatalf("%dx%d: Count=%d want %d", sz.w, sz.h, pb.Count(), scalarCountFg(bin))
-			}
-			if !reflect.DeepEqual(pb.ColumnProjection(), bin.ColumnProjection()) {
-				t.Fatalf("%dx%d: ColumnProjection mismatch", sz.w, sz.h)
 			}
 			for _, gapMin := range []int{1, 2, 3} {
 				if !reflect.DeepEqual(pb.SegmentColumns(gapMin), bin.SegmentColumns(gapMin)) {
 					t.Fatalf("%dx%d: SegmentColumns(%d) mismatch", sz.w, sz.h, gapMin)
 				}
 			}
-			if pb.TightBox() != bin.TightBox() {
-				t.Fatalf("%dx%d: TightBox %+v want %+v", sz.w, sz.h, pb.TightBox(), bin.TightBox())
-			}
-			if !grayEqual(pb.Dilate().Unpack(), bin.Dilate()) {
-				t.Fatalf("%dx%d: Dilate mismatch", sz.w, sz.h)
-			}
-			if !grayEqual(pb.Erode().Unpack(), bin.Erode()) {
-				t.Fatalf("%dx%d: Erode mismatch", sz.w, sz.h)
-			}
-			if !grayEqual(pb.Upscale2x().Unpack(), bin.ScaleNearest(2)) {
+			if !grayEqual(unpack(pb.Upscale2x()), bin.ScaleNearest(2)) {
 				t.Fatalf("%dx%d: Upscale2x mismatch", sz.w, sz.h)
 			}
 			pc := pb.ConnectedComponents()
@@ -90,17 +89,15 @@ func TestBitmapOpsMatchGray(t *testing.T) {
 			if len(pc) != len(sc) || (len(pc) > 0 && !reflect.DeepEqual(pc, sc)) {
 				t.Fatalf("%dx%d: ConnectedComponents mismatch:\npacked %+v\nscalar %+v", sz.w, sz.h, pc, sc)
 			}
+			if box, cnt := pb.TightBoxCountIn(Rect{X1: sz.w, Y1: sz.h}); box != bin.TightBox() || cnt != scalarCountFg(bin) {
+				t.Fatalf("%dx%d: whole-image TightBoxCountIn=(%+v,%d) want (%+v,%d)",
+					sz.w, sz.h, box, cnt, bin.TightBox(), scalarCountFg(bin))
+			}
 			// Sub-rect kernels against crop-based references.
 			for j := 0; j < 4; j++ {
 				x0, y0 := r.Intn(sz.w), r.Intn(sz.h)
 				rect := Rect{X0: x0, Y0: y0, X1: x0 + 1 + r.Intn(sz.w), Y1: y0 + 1 + r.Intn(sz.h)}
 				sub := bin.Crop(rect)
-				if got, want := pb.CountIn(rect), scalarCountFg(sub); got != want {
-					t.Fatalf("%dx%d %+v: CountIn=%d want %d", sz.w, sz.h, rect, got, want)
-				}
-				if got, want := pb.TightBoxIn(rect), sub.TightBox(); got != want {
-					t.Fatalf("%dx%d %+v: TightBoxIn=%+v want %+v", sz.w, sz.h, rect, got, want)
-				}
 				if !grayEqual(pb.UnpackIn(rect), sub) {
 					t.Fatalf("%dx%d %+v: UnpackIn != Crop", sz.w, sz.h, rect)
 				}
@@ -132,29 +129,35 @@ func TestBitmapGetSetUnpack(t *testing.T) {
 	if b.Get(-1, 0) || b.Get(70, 0) || b.Get(0, 3) {
 		t.Fatal("out-of-bounds reads must be false")
 	}
-	g := b.Unpack()
+	g := b.UnpackIn(Rect{X1: b.W, Y1: b.H})
 	if g.At(0, 0) != 255 || g.At(64, 1) != 255 || g.At(1, 0) != 0 {
-		t.Fatal("Unpack content")
+		t.Fatal("UnpackIn content")
 	}
-	if b.Count() != 3 {
-		t.Fatalf("Count=%d want 3", b.Count())
+	if n := scalarCountFg(g); n != 3 {
+		t.Fatalf("foreground=%d want 3", n)
 	}
 }
 
 func TestBitmapPaddingStaysZero(t *testing.T) {
-	// Dilation of a fully-set 65-wide bitmap must not leak into padding
-	// bits (which would corrupt popcounts).
+	// The kernels that fill whole words — PackLE(255), both packers on an
+	// all-foreground row, the bit-doubling upscale — must leave the padding
+	// bits of each row's last word clear, or every popcount over-counts.
 	g := NewFilled(65, 4, 255)
-	pb := g.PackGE(1)
-	d := pb.Dilate()
-	if got := d.Count(); got != 65*4 {
-		t.Fatalf("dilate leaked into padding: count=%d want %d", got, 65*4)
-	}
-	// Erosion must treat padding as foreground (out-of-image never vetoes):
-	// a fully-set image erodes to itself.
-	e := pb.Erode()
-	if got := e.Count(); got != 65*4 {
-		t.Fatalf("erode consumed border: count=%d want %d", got, 65*4)
+	for name, b := range map[string]*Bitmap{
+		"PackGE":    g.PackGE(1),
+		"PackLE":    g.PackLE(255),
+		"Upscale2x": g.PackGE(1).Upscale2x(),
+	} {
+		tail := b.tailMask()
+		for y := 0; y < b.H; y++ {
+			row := b.Row(y)
+			if pad := row[len(row)-1] &^ tail; pad != 0 {
+				t.Fatalf("%s row %d: padding bits set: %#x", name, y, pad)
+			}
+		}
+		if _, n := b.TightBoxCountIn(Rect{X1: b.W, Y1: b.H}); n != b.W*b.H {
+			t.Fatalf("%s: foreground=%d want %d", name, n, b.W*b.H)
+		}
 	}
 }
 
@@ -168,17 +171,17 @@ func TestBitmapRecycle(t *testing.T) {
 	RecycleBitmap(nil) // must not panic
 	// A fresh bitmap from the pool is zeroed.
 	n := NewBitmap(10, 10)
-	if n.Count() != 0 {
+	if _, fg := n.TightBoxCountIn(Rect{X1: 10, Y1: 10}); fg != 0 {
 		t.Fatal("pooled bitmap not zeroed")
 	}
 }
 
 func TestBitmapEmpty(t *testing.T) {
 	b := NewBitmap(0, 0)
-	if b.Count() != 0 || len(b.ConnectedComponents()) != 0 || len(b.SegmentColumns(1)) != 0 {
+	if len(b.ConnectedComponents()) != 0 || len(b.SegmentColumns(1)) != 0 {
 		t.Fatal("empty bitmap ops")
 	}
-	if !b.TightBox().Empty() {
+	if box, n := b.TightBoxCountIn(Rect{}); !box.Empty() || n != 0 {
 		t.Fatal("empty tight box")
 	}
 }

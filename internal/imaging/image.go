@@ -1,8 +1,11 @@
 // Package imaging implements the grayscale image type and the classic
 // image-processing operations Tero's image-processing module applies before
 // OCR (App. E): cropping, up-scaling, Gaussian blur, global and Otsu
-// thresholding, dilation and erosion, plus connected-component analysis used
-// by the OCR engines for character segmentation.
+// thresholding, plus connected-component analysis used by the OCR engines
+// for character segmentation. The binary kernels exist twice: bit-packed on
+// Bitmap, which is what the engines run, and byte-per-pixel on Gray, the
+// reference TestBitmapOpsMatchGray and internal/ocr's scalar oracle hold the
+// packed ones to.
 package imaging
 
 import "fmt"
@@ -108,18 +111,6 @@ func (g *Gray) FillRect(r Rect, v uint8) {
 			row[i] = v
 		}
 	}
-}
-
-// Mean returns the mean pixel level, or 0 for an empty image.
-func (g *Gray) Mean() float64 {
-	if len(g.Pix) == 0 {
-		return 0
-	}
-	s := 0
-	for _, p := range g.Pix {
-		s += int(p)
-	}
-	return float64(s) / float64(len(g.Pix))
 }
 
 // Histogram256 returns the 256-bin intensity histogram.

@@ -261,17 +261,10 @@ func (g *Gray) ThresholdBelow(t uint8) *Gray {
 	return out
 }
 
-// OtsuThreshold computes the Otsu threshold of the image: the level that
-// maximizes between-class variance of the intensity histogram [Otsu 1979],
-// as cited by the paper's pre-processing step (App. E).
-func (g *Gray) OtsuThreshold() uint8 {
-	hist := g.Histogram256()
-	return OtsuHistogram(&hist, len(g.Pix))
-}
-
-// OtsuHistogram computes the Otsu threshold directly from an intensity
-// histogram with the given pixel total. Callers that already hold the
-// histogram (for polarity detection, or for a synthetically scaled image
+// OtsuHistogram computes the Otsu threshold — the level that maximizes
+// between-class variance of the intensity histogram [Otsu 1979], as cited by
+// the paper's pre-processing step (App. E) — from an intensity histogram
+// with the given pixel total. Callers that already hold the histogram (for polarity detection, or for a synthetically scaled image
 // whose histogram is a known multiple) avoid re-scanning pixels. The
 // returned threshold is always >= 1.
 func OtsuHistogram(hist *[256]int, total int) uint8 {
@@ -315,65 +308,6 @@ func OtsuHistogram(hist *[256]int, total int) uint8 {
 	return uint8(bestThr + 1)
 }
 
-// OtsuBinarize thresholds the image at its Otsu level.
-func (g *Gray) OtsuBinarize() *Gray { return g.Threshold(g.OtsuThreshold()) }
-
-// Dilate returns the morphological dilation with a 3×3 structuring element
-// (max filter), treating 255 as foreground.
-func (g *Gray) Dilate() *Gray { return g.morph(true) }
-
-// Erode returns the morphological erosion with a 3×3 structuring element
-// (min filter).
-func (g *Gray) Erode() *Gray { return g.morph(false) }
-
-func (g *Gray) morph(dilate bool) *Gray {
-	out := New(g.W, g.H)
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			var best uint8
-			if !dilate {
-				best = 255
-			}
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					sx, sy := x+dx, y+dy
-					if sx < 0 || sy < 0 || sx >= g.W || sy >= g.H {
-						continue
-					}
-					v := g.Pix[sy*g.W+sx]
-					if dilate && v > best {
-						best = v
-					}
-					if !dilate && v < best {
-						best = v
-					}
-				}
-			}
-			out.Pix[y*g.W+x] = best
-		}
-	}
-	return out
-}
-
-// Close performs n iterations of dilation followed by n of erosion —
-// the "dilating and eroding ... to merge disjoint regions" step of App. E.
-func (g *Gray) Close(n int) *Gray {
-	out := g
-	step := func(next *Gray) {
-		if out != g {
-			Recycle(out)
-		}
-		out = next
-	}
-	for i := 0; i < n; i++ {
-		step(out.Dilate())
-	}
-	for i := 0; i < n; i++ {
-		step(out.Erode())
-	}
-	return out
-}
-
 // AddNoise adds uniform ±amp noise using the caller's random source (a
 // func returning values in [0,1)), clamping to [0,255].
 func (g *Gray) AddNoise(amp int, rnd func() float64) *Gray {
@@ -405,18 +339,4 @@ func (g *Gray) SaltPepper(p float64, rnd func() float64) *Gray {
 		}
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

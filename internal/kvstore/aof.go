@@ -345,17 +345,6 @@ func Open(dir string, opt PersistOptions) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the persistence directory, or "" for a purely in-memory
-// store.
-func (s *Store) Dir() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.aof == nil {
-		return ""
-	}
-	return s.aof.dir
-}
-
 // Sync forces buffered AOF appends to disk (no-op without persistence).
 func (s *Store) Sync() error {
 	s.mu.RLock()

@@ -355,13 +355,6 @@ func Dial(addr string) (*Client, error) {
 		r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
 }
 
-// Addr returns the address the client (re)dials.
-func (c *Client) Addr() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.addr
-}
-
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 

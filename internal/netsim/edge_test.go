@@ -136,8 +136,8 @@ func TestSimulatorHeapOrderingUnderLoad(t *testing.T) {
 	if !monotone {
 		t.Fatal("event times not monotone")
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("pending = %d", s.Pending())
+	if len(s.events) != 0 {
+		t.Fatalf("pending = %d", len(s.events))
 	}
 }
 

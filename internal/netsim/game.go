@@ -107,5 +107,5 @@ func (s *GameServer) Receive(p Packet) {
 		return
 	}
 	s.Updates++
-	rev.Receive(Packet{Size: s.PktSize, Flow: p.Flow, Seq: p.Seq, SentAt: s.sim.Now(), Echo: p.SentAt})
+	rev.Receive(Packet{Size: s.PktSize, Flow: p.Flow, Seq: p.Seq, SentAt: s.sim.Now()})
 }

@@ -16,10 +16,6 @@ type Packet struct {
 	AckSeq int
 	// SentAt is the sender's virtual timestamp (for RTT measurement).
 	SentAt time.Duration
-	// Echo carries an echoed timestamp or sequence (game updates, probes).
-	Echo time.Duration
-	// Meta carries small endpoint-specific data.
-	Meta int
 }
 
 // Receiver consumes delivered packets.
@@ -104,9 +100,6 @@ func (l *Link) transmit(p Packet) {
 		}
 	})
 }
-
-// QueueLen returns the number of packets waiting (excluding in service).
-func (l *Link) QueueLen() int { return len(l.queue) }
 
 // QueueDelay returns the current queueing delay (time a newly arriving
 // packet would wait behind the queued bytes) — the quantity the testbed

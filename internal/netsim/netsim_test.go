@@ -30,7 +30,7 @@ func TestSimRunStopsAtBoundary(t *testing.T) {
 	if ran {
 		t.Fatal("future event ran early")
 	}
-	if s.Pending() != 1 {
+	if len(s.events) != 1 {
 		t.Fatal("event lost")
 	}
 	s.Run(3 * time.Second)
@@ -64,8 +64,8 @@ func TestLinkQueueDrops(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		l.Send(Packet{Size: 1250})
 	}
-	if l.QueueLen() != 2 {
-		t.Fatalf("queue len = %d", l.QueueLen())
+	if len(l.queue) != 2 {
+		t.Fatalf("queue len = %d", len(l.queue))
 	}
 	if l.Dropped != 2 {
 		t.Fatalf("dropped = %d", l.Dropped)
@@ -156,8 +156,8 @@ func TestTCPRTOEstimation(t *testing.T) {
 	s := NewSim()
 	snd, _, _ := wireTCP(s, 10e6, 100, 20*time.Millisecond, 0, time.Second)
 	s.Run(2 * time.Second)
-	if snd.SRTT() < 40*time.Millisecond || snd.SRTT() > 200*time.Millisecond {
-		t.Fatalf("SRTT = %v, want ≈ 40ms+queueing", snd.SRTT())
+	if snd.srtt < 40*time.Millisecond || snd.srtt > 200*time.Millisecond {
+		t.Fatalf("SRTT = %v, want ≈ 40ms+queueing", snd.srtt)
 	}
 }
 

@@ -52,9 +52,6 @@ func (s *Sim) Run(until time.Duration) {
 	}
 }
 
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return len(s.events) }
-
 type event struct {
 	at  time.Duration
 	seq int64 // FIFO tie-break for simultaneous events

@@ -228,12 +228,6 @@ func (s *TCPSender) updateRTO(sample time.Duration) {
 	}
 }
 
-// SRTT returns the smoothed RTT estimate.
-func (s *TCPSender) SRTT() time.Duration { return s.srtt }
-
-// Cwnd returns the current congestion window in segments.
-func (s *TCPSender) Cwnd() float64 { return s.cwnd }
-
 // TCPReceiver delivers cumulative ACKs back to the sender through the
 // reverse path.
 type TCPReceiver struct {

@@ -50,16 +50,9 @@ func DefaultTestbedConfig(game string, baseOneWay time.Duration, bw float64, que
 		Startup: d(2 * time.Minute), UDPPhase: d(1 * time.Minute),
 		MixedPhase: d(1 * time.Minute), DieDown: d(1 * time.Minute),
 		SampleEvery: 200 * time.Millisecond,
-		AvgWindow:   maxDuration(d(3*time.Second), 500*time.Millisecond),
+		AvgWindow:   max(d(3*time.Second), 500*time.Millisecond),
 		Seed:        seed,
 	}
-}
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // TestbedSample is one 5-Hz measurement row.

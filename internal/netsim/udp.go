@@ -11,9 +11,6 @@ type UDPFlow struct {
 	size int     // packet size bytes
 	stop time.Duration
 	seq  int
-
-	// PacketsSent counts generated packets.
-	PacketsSent int
 }
 
 // NewUDPFlow creates a CBR flow sending packets of `size` bytes at `rate`
@@ -29,7 +26,6 @@ func (f *UDPFlow) tick() {
 		return
 	}
 	f.seq++
-	f.PacketsSent++
 	f.out.Receive(Packet{Size: f.size, Flow: f.id, Seq: f.seq, SentAt: f.sim.Now()})
 	interval := time.Duration(float64(f.size*8) / f.rate * float64(time.Second))
 	if interval <= 0 {
@@ -41,11 +37,9 @@ func (f *UDPFlow) tick() {
 // UDPSink counts received packets.
 type UDPSink struct {
 	Packets int
-	Bytes   int64
 }
 
 // Receive implements Receiver.
 func (s *UDPSink) Receive(p Packet) {
 	s.Packets++
-	s.Bytes += int64(p.Size)
 }

@@ -11,7 +11,7 @@ import (
 // path feeds the engines), scalar reference vs packed default.
 func BenchmarkRecognize(b *testing.B) {
 	packed := Engines()
-	scalar := ScalarEngines()
+	scalar := scalarEngines()
 	img := render("173 ms", 20, 230, 2)
 	for i := range packed {
 		b.Run(packed[i].Name()+"/scalar", func(b *testing.B) {
@@ -36,7 +36,7 @@ func BenchmarkMatchCell(b *testing.B) {
 	bin := img.Threshold(140)
 	cellImg := normalizeCell(bin)
 	pb := img.PackGE(140)
-	box := pb.TightBoxIn(imaging.Rect{X1: pb.W, Y1: pb.H})
+	box, _ := pb.TightBoxCountIn(imaging.Rect{X1: pb.W, Y1: pb.H})
 	cell := normalizeCellPacked(pb, box)
 	b.Run("scalar", func(b *testing.B) {
 		for n := 0; n < b.N; n++ {

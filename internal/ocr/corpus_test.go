@@ -1,14 +1,24 @@
-package imageproc
+package ocr_test
 
 import (
 	"reflect"
 	"testing"
 
+	"tero/internal/imageproc"
 	"tero/internal/imaging"
+	"tero/internal/ocr"
 	"tero/internal/worldsim"
 )
 
-// TestPackedMatchesScalarOnCorpus pins the tentpole acceptance criterion:
+// scalarExtractor is the production extractor with its engines swapped for
+// the byte-per-pixel oracle of scalar_test.go.
+func scalarExtractor() *imageproc.Extractor {
+	e := imageproc.New()
+	e.Engines = ocr.ScalarEngines()
+	return e
+}
+
+// TestPackedMatchesScalarOnCorpus holds the whole extraction to the oracle:
 // over a seeded worldsim corpus of rendered thumbnails (with the default
 // corruption mix — occlusion, noise, clock overlays), the packed-kernel
 // extractor and the scalar reference extractor produce identical
@@ -18,8 +28,8 @@ import (
 func TestPackedMatchesScalarOnCorpus(t *testing.T) {
 	world := worldsim.New(worldsim.DefaultConfig(1234))
 	opt := worldsim.DefaultRenderOptions()
-	packed := New()
-	scalar := NewScalar()
+	packed := imageproc.New()
+	scalar := scalarExtractor()
 
 	thumbs, extracted := 0, 0
 	for _, st := range world.Streamers {
@@ -55,8 +65,8 @@ func TestPackedMatchesScalarOnCorpus(t *testing.T) {
 func TestEngineResultsMatchOnCorpusCrops(t *testing.T) {
 	world := worldsim.New(worldsim.DefaultConfig(99))
 	opt := worldsim.DefaultRenderOptions()
-	packed := New()
-	scalar := NewScalar()
+	packed := imageproc.New()
+	scalar := scalarExtractor()
 
 	checked := 0
 	for _, st := range world.Streamers {

@@ -13,9 +13,6 @@ type Tessera struct {
 	Thr uint8
 	// Tol is the maximum accepted Hamming distance.
 	Tol int
-	// Scalar selects the byte-per-pixel reference kernels instead of the
-	// bit-packed default. Both paths produce identical Results.
-	Scalar bool
 }
 
 // NewTessera returns a Tessera engine with default parameters.
@@ -26,13 +23,6 @@ func (t *Tessera) Name() string { return "tessera" }
 
 // Recognize implements Engine.
 func (t *Tessera) Recognize(img *imaging.Gray) Result {
-	if t.Scalar {
-		bin := img.Threshold(t.Thr)
-		segs := bin.SegmentColumns(1)
-		res := recognizeSegments(bin, segs, t.Tol, 0, 3)
-		imaging.Recycle(bin)
-		return res
-	}
 	bin := img.PackGE(t.Thr)
 	segs := bin.SegmentColumns(1)
 	res := recognizeSegmentsPacked(bin, segs, t.Tol, 0, 3)
@@ -46,8 +36,6 @@ func (t *Tessera) Recognize(img *imaging.Gray) Result {
 // mis-reads more characters — the EasyOCR profile of Table 4.
 type EasyScan struct {
 	Tol int
-	// Scalar selects the byte-per-pixel reference kernels (see Tessera).
-	Scalar bool
 }
 
 // NewEasyScan returns an EasyScan engine with default parameters.
@@ -61,26 +49,13 @@ func (e *EasyScan) Recognize(img *imaging.Gray) Result {
 	// Adaptive binarization with polarity detection: if the foreground is
 	// darker than the background, binarize with text as 255. Polarity is
 	// decided from the Otsu histogram alone — the >= thr tail is exactly
-	// the foreground count of Threshold(thr) — and the flipped polarity
-	// binarizes once with the inverted comparison (p < thr), which equals
-	// the old Clone+Invert+re-Threshold without the two extra image passes.
+	// the foreground count of binarizing at thr — and the flipped polarity
+	// binarizes once with the inverted comparison (p < thr), with no
+	// inverted copy of the image.
 	hist := img.Histogram256()
 	thr := imaging.OtsuHistogram(&hist, len(img.Pix))
-	inverted := histTail(&hist, thr) > len(img.Pix)/2
-	if e.Scalar {
-		var bin *imaging.Gray
-		if inverted {
-			bin = img.ThresholdBelow(thr)
-		} else {
-			bin = img.Threshold(thr)
-		}
-		segs := mergeOverlapping(componentColumns(bin.ConnectedComponents(), bin.H))
-		res := recognizeSegments(bin, segs, e.Tol, 0, 4)
-		imaging.Recycle(bin)
-		return res
-	}
 	var bin *imaging.Bitmap
-	if inverted {
+	if histTail(&hist, thr) > len(img.Pix)/2 {
 		bin = img.PackLE(thr - 1) // OtsuHistogram guarantees thr >= 1
 	} else {
 		bin = img.PackGE(thr)
@@ -98,8 +73,6 @@ func (e *EasyScan) Recognize(img *imaging.Gray) Result {
 type PaddleRead struct {
 	Tol       int
 	DigitBias int
-	// Scalar selects the byte-per-pixel reference kernels (see Tessera).
-	Scalar bool
 }
 
 // NewPaddleRead returns a PaddleRead engine with default parameters.
@@ -108,52 +81,12 @@ func NewPaddleRead() *PaddleRead { return &PaddleRead{Tol: 40, DigitBias: 0} }
 // Name implements Engine.
 func (p *PaddleRead) Name() string { return "paddleread" }
 
-// Recognize implements Engine.
+// Recognize implements Engine. The 2× nearest upscale commutes with
+// per-pixel thresholding, and the upscaled image's histogram is exactly 4×
+// the original's, so the engine thresholds the original directly into packed
+// form and bit-doubles the bitmap — the upscaled grayscale is never
+// materialized.
 func (p *PaddleRead) Recognize(img *imaging.Gray) Result {
-	var res Result
-	if p.Scalar {
-		res = p.recognizeScalar(img)
-	} else {
-		res = p.recognizePacked(img)
-	}
-	// Report character boxes in the caller's coordinate system (the image
-	// was scaled 2× internally).
-	for i := range res.Chars {
-		b := &res.Chars[i].Box
-		b.X0 /= 2
-		b.Y0 /= 2
-		b.X1 = (b.X1 + 1) / 2
-		b.Y1 = (b.Y1 + 1) / 2
-	}
-	return res
-}
-
-// recognizeScalar is the byte-per-pixel reference path.
-func (p *PaddleRead) recognizeScalar(img *imaging.Gray) Result {
-	up := img.ScaleNearest(2)
-	hist := up.Histogram256()
-	thr := imaging.OtsuHistogram(&hist, len(up.Pix))
-	if histTail(&hist, thr) > len(up.Pix)/2 {
-		// Dark-on-light: invert in place (up is private scratch) and rerun
-		// Otsu on the reversed histogram — no clone, no re-scan.
-		up.Invert()
-		rev := reverseHist(&hist)
-		thr = imaging.OtsuHistogram(&rev, len(up.Pix))
-	}
-	bin := up.Threshold(thr)
-	segs := bin.SegmentColumns(2)
-	res := recognizeSegments(bin, segs, p.Tol, p.DigitBias, 8)
-	imaging.Recycle(bin)
-	imaging.Recycle(up)
-	return res
-}
-
-// recognizePacked runs the same pipeline on packed bitmaps. The 2× nearest
-// upscale commutes with per-pixel thresholding, and the upscaled image's
-// histogram is exactly 4× the original's, so the engine thresholds the
-// original directly into packed form and bit-doubles the bitmap — the
-// upscaled grayscale is never materialized.
-func (p *PaddleRead) recognizePacked(img *imaging.Gray) Result {
 	hist := img.Histogram256()
 	for i := range hist {
 		hist[i] *= 4
@@ -174,7 +107,20 @@ func (p *PaddleRead) recognizePacked(img *imaging.Gray) Result {
 	segs := bin.SegmentColumns(2)
 	res := recognizeSegmentsPacked(bin, segs, p.Tol, p.DigitBias, 8)
 	imaging.RecycleBitmap(bin)
+	halveBoxes(&res)
 	return res
+}
+
+// halveBoxes reports character boxes in the caller's coordinate system
+// after an engine worked on the image scaled 2×.
+func halveBoxes(res *Result) {
+	for i := range res.Chars {
+		b := &res.Chars[i].Box
+		b.X0 /= 2
+		b.Y0 /= 2
+		b.X1 = (b.X1 + 1) / 2
+		b.Y1 = (b.Y1 + 1) / 2
+	}
 }
 
 // componentColumns returns one full-height column strip per connected

@@ -9,14 +9,14 @@ import (
 	"tero/internal/imaging"
 )
 
-// TestPackedMatchesScalar pins the tentpole invariant at engine level: for
-// every engine, the bit-packed path and the byte-per-pixel reference path
-// produce identical Results — same Text, and same per-character rune,
+// TestPackedMatchesScalar pins the packed engines at engine level: for
+// every engine, the production path and the byte-per-pixel reference of
+// scalar_test.go produce identical Results — same Text, and same per-character rune,
 // Hamming distance and box — across text content, render scale, polarity,
 // contrast and noise.
 func TestPackedMatchesScalar(t *testing.T) {
 	packed := Engines()
-	scalar := ScalarEngines()
+	scalar := scalarEngines()
 	r := rand.New(rand.NewSource(7))
 
 	type scenario struct {

@@ -22,18 +22,16 @@
 // package initialization and only ever read afterwards. The concurrent
 // image-processing workers of the pipeline rely on this.
 //
-// By default every engine runs on bit-packed binary images
-// (imaging.Bitmap): binarization packs 64 pixels per word, segmentation and
-// speck rejection are popcounts, and template matching is XOR+popcount
-// against a packed template table. Setting an engine's Scalar field selects
-// the original byte-per-pixel kernels; both paths produce bit-identical
-// Results (pinned by the equivalence tests in this package and in
-// internal/imageproc).
+// Every engine runs on bit-packed binary images (imaging.Bitmap):
+// binarization packs 64 pixels per word, segmentation and speck rejection
+// are popcounts, and template matching is XOR+popcount against a packed
+// template table. The byte-per-pixel reference the packed path must equal
+// bit for bit lives in this package's tests (scalar_test.go), composed from
+// imaging's Gray kernels.
 package ocr
 
 import (
 	"sort"
-	"strings"
 
 	"tero/internal/font"
 	"tero/internal/imaging"
@@ -58,23 +56,9 @@ type Engine interface {
 	Recognize(img *imaging.Gray) Result
 }
 
-// Engines returns the three engines in the order the paper lists them,
-// running on the default bit-packed kernels.
+// Engines returns the three engines in the order the paper lists them.
 func Engines() []Engine {
 	return []Engine{NewTessera(), NewEasyScan(), NewPaddleRead()}
-}
-
-// ScalarEngines returns the three engines on the byte-per-pixel reference
-// kernels. The packed and scalar paths produce bit-identical Results; the
-// scalar path exists as the reference implementation and for benchmarking.
-func ScalarEngines() []Engine {
-	t := NewTessera()
-	t.Scalar = true
-	e := NewEasyScan()
-	e.Scalar = true
-	p := NewPaddleRead()
-	p.Scalar = true
-	return []Engine{t, e, p}
 }
 
 // CellW and CellH are the dimensions of the normalized matching grid. A
@@ -89,7 +73,6 @@ const (
 type template struct {
 	r    rune
 	bits [CellW * CellH]bool
-	ink  int
 }
 
 // templateSet holds the normalized glyph templates, shared by all engines.
@@ -112,7 +95,6 @@ func buildTemplates() []template {
 		for i, p := range norm.Pix {
 			if p != 0 {
 				t.bits[i] = true
-				t.ink++
 			}
 		}
 		out = append(out, t)
@@ -136,70 +118,4 @@ func normalizeCell(img *imaging.Gray) *imaging.Gray {
 	return cell
 }
 
-// matchCell returns the best-matching rune for a normalized cell and its
-// Hamming distance. digitBias is subtracted from the distance of digit
-// templates (used by PaddleRead's digit prior).
-func matchCell(cell *imaging.Gray, digitBias int) (rune, int) {
-	bestR := rune(0)
-	bestD := 1 << 30
-	for _, t := range templateSet {
-		d := 0
-		for i, p := range cell.Pix {
-			fg := p != 0
-			if fg != t.bits[i] {
-				d++
-			}
-		}
-		eff := d
-		if t.r >= '0' && t.r <= '9' {
-			eff -= digitBias
-		}
-		if eff < bestD || (eff == bestD && isDigit(t.r) && !isDigit(bestR)) {
-			bestD = eff
-			bestR = t.r
-		}
-	}
-	return bestR, bestD
-}
-
 func isDigit(r rune) bool { return r >= '0' && r <= '9' }
-
-// recognizeSegments matches each segment of a binary image and assembles a
-// Result, rejecting characters whose match distance exceeds tol.
-func recognizeSegments(bin *imaging.Gray, segs []imaging.Rect, tol, digitBias int, minArea int) Result {
-	var res Result
-	var sb strings.Builder
-	for _, s := range segs {
-		sub := bin.Crop(s)
-		box := sub.TightBox()
-		if box.Empty() {
-			imaging.Recycle(sub)
-			continue
-		}
-		area := 0
-		for _, p := range sub.Pix {
-			if p != 0 {
-				area++
-			}
-		}
-		if area < minArea {
-			imaging.Recycle(sub)
-			continue // specks of noise
-		}
-		cell := normalizeCell(sub)
-		imaging.Recycle(sub)
-		if cell == nil {
-			continue
-		}
-		r, d := matchCell(cell, digitBias)
-		imaging.Recycle(cell)
-		if d > tol {
-			continue // unrecognized character: engine stays silent
-		}
-		sb.WriteRune(r)
-		res.Chars = append(res.Chars, Char{R: r, Dist: d, Box: imaging.Rect{
-			X0: s.X0 + box.X0, Y0: s.Y0 + box.Y0, X1: s.X0 + box.X1, Y1: s.Y0 + box.Y1}})
-	}
-	res.Text = sb.String()
-	return res
-}

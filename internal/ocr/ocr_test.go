@@ -162,10 +162,16 @@ func TestNormalizeCell(t *testing.T) {
 
 func TestMatchCellPerfect(t *testing.T) {
 	for _, r := range []rune{'0', '5', '9', 'm'} {
-		cell := normalizeCell(font.RenderGlyph(r))
-		got, d := matchCell(cell, 0)
+		glyph := font.RenderGlyph(r)
+		got, d := matchCell(normalizeCell(glyph), 0)
 		if got != r || d != 0 {
 			t.Errorf("matchCell(%q) = %q dist %d", r, got, d)
+		}
+		bin := glyph.PackGE(1)
+		box, _ := bin.TightBoxCountIn(imaging.Rect{X1: bin.W, Y1: bin.H})
+		got, d = matchCellPacked(normalizeCellPacked(bin, box), 0)
+		if got != r || d != 0 {
+			t.Errorf("matchCellPacked(%q) = %q dist %d", r, got, d)
 		}
 	}
 }

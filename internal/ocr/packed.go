@@ -8,11 +8,11 @@ import (
 )
 
 // The packed matching path: glyph templates and candidate cells live as
-// bit-packed words, and the Hamming distance of matchCell collapses to a
-// handful of XOR+popcount instructions. The 10×14 normalized grid packs
-// 6 rows of 10 bits per 64-bit word (3 words per cell); the template table
-// is packed once at init from the same normalized glyphs the scalar
-// matcher uses, so both matchers score identically.
+// bit-packed words, and the Hamming distance between a cell and a template
+// collapses to a handful of XOR+popcount instructions. The 10×14 normalized
+// grid packs 6 rows of 10 bits per 64-bit word (3 words per cell); the
+// template table is packed once at init from the same normalized glyphs the
+// tests' scalar matcher uses, so both matchers score identically.
 
 // cellRowsPerWord is how many CellW-bit rows share one 64-bit word.
 const cellRowsPerWord = 6
@@ -53,8 +53,9 @@ func buildPackedTemplates() []packedTemplate {
 }
 
 // matchCellPacked returns the best-matching rune for a packed cell and its
-// Hamming distance — XOR+popcount against every packed template, with the
-// same digit bias and tie-breaking as the scalar matchCell.
+// Hamming distance — XOR+popcount against every packed template. digitBias
+// is subtracted from the distance of digit templates (PaddleRead's digit
+// prior); on a tie a digit beats a non-digit.
 func matchCellPacked(cell packedCell, digitBias int) (rune, int) {
 	bestR := rune(0)
 	bestD := 1 << 30
@@ -120,9 +121,10 @@ func normalizeCellPacked(bin *imaging.Bitmap, box imaging.Rect) packedCell {
 	return cell
 }
 
-// recognizeSegmentsPacked is the packed recognizeSegments: segment bounds,
-// speck rejection and cell extraction all run on the bitmap (popcounts and
-// word scans), with no per-segment image allocations.
+// recognizeSegmentsPacked matches each segment of a binary image and
+// assembles a Result, rejecting characters whose match distance exceeds
+// tol: segment bounds, speck rejection and cell extraction all run on the
+// bitmap (popcounts and word scans), with no per-segment image allocations.
 func recognizeSegmentsPacked(bin *imaging.Bitmap, segs []imaging.Rect, tol, digitBias, minArea int) Result {
 	var res Result
 	var sb strings.Builder
@@ -173,18 +175,4 @@ func reverseHist(hist *[256]int) [256]int {
 		out[255-i] = c
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -110,10 +110,9 @@ func TestConcurrentPipelineStress(t *testing.T) {
 		t.Fatal("no analyses")
 	}
 	// The pool must degrade cleanly at the edges too.
-	p.Concurrency = 1
-	p.forEach("edge", 0, func(int) { t.Fatal("forEach(0) must not call fn") })
+	forEach("edge", 1, 0, func(int) { t.Fatal("forEach(0) must not call fn") })
 	calls := 0
-	p.forEach("edge", 3, func(int) { calls++ })
+	forEach("edge", 1, 3, func(int) { calls++ })
 	if calls != 3 {
 		t.Fatalf("serial forEach calls = %d", calls)
 	}

@@ -3,8 +3,10 @@ package pipeline
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"tero/internal/core"
+	"tero/internal/kvstore"
 	"tero/internal/obs"
 )
 
@@ -59,7 +61,6 @@ func TestForEachPanicRecovery(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		obs.Reset()
 		prevW := obs.SetLogOutput(nil) // silence the expected error log
-		p := &Pipeline{Concurrency: workers}
 		ran := make([]bool, 64)
 		func() {
 			defer func() {
@@ -74,7 +75,7 @@ func TestForEachPanicRecovery(t *testing.T) {
 					t.Fatalf("workers=%d: panic lacks stage/item context: %v", workers, r)
 				}
 			}()
-			p.forEach("boom", len(ran), func(i int) {
+			forEach("boom", workers, len(ran), func(i int) {
 				ran[i] = true
 				if i == 7 {
 					panic("kaboom")
@@ -92,6 +93,25 @@ func TestForEachPanicRecovery(t *testing.T) {
 			t.Fatalf("workers=%d: panic counter = %d, want 1", workers, c.Value())
 		}
 	}
+
+	// A stage that caps its fan-out passes the cap down; it does not lower
+	// the pipeline's own setting for the duration, so a lookup that panics
+	// (no API client: the lookup dereferences nil) cannot leave it lowered.
+	prevW := obs.SetLogOutput(nil)
+	defer obs.SetLogOutput(prevW)
+	p := &Pipeline{Concurrency: 16, KV: kvstore.New()}
+	p.KV.HSet("pending-location", "id-1", "login-1")
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "stage locate") {
+				t.Fatalf("LocateStreamers without an API client: recovered %q, want a locate-stage panic", msg)
+			}
+		}()
+		p.LocateStreamers(time.Now())
+	}()
+	if p.Concurrency != 16 {
+		t.Fatalf("Concurrency = %d after a panicking lookup, want 16", p.Concurrency)
+	}
 }
 
 // TestForEachPanicLowestIndexWins pins determinism of the re-panic when
@@ -99,7 +119,6 @@ func TestForEachPanicRecovery(t *testing.T) {
 func TestForEachPanicLowestIndexWins(t *testing.T) {
 	prevW := obs.SetLogOutput(nil)
 	defer obs.SetLogOutput(prevW)
-	p := &Pipeline{Concurrency: 8}
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -109,7 +128,7 @@ func TestForEachPanicLowestIndexWins(t *testing.T) {
 			t.Fatalf("expected lowest item 3 reported, got: %v", r)
 		}
 	}()
-	p.forEach("multi", 32, func(i int) {
+	forEach("multi", 8, 32, func(i int) {
 		if i >= 3 {
 			panic(i)
 		}

@@ -187,12 +187,13 @@ func (p *Pipeline) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forEach runs fn(i) for i in [0, n) on the pipeline's worker pool and
-// blocks until all calls return. With one worker (or n == 1) it degrades to
-// a plain loop on the calling goroutine. fn must confine itself to
-// index-disjoint writes (or internally synchronized stores) — this is the
-// parallel half of every stage; ordered side effects belong in the caller's
-// merge step.
+// forEach runs fn(i) for i in [0, n) on a pool of the given number of
+// workers (a stage passes p.workers(), or fewer when it caps its fan-out)
+// and blocks until all calls return. With one worker (or n == 1) it
+// degrades to a plain loop on the calling goroutine. fn must confine itself
+// to index-disjoint writes (or internally synchronized stores) — this is
+// the parallel half of every stage; ordered side effects belong in the
+// caller's merge step.
 //
 // A panic inside fn no longer kills the process from an anonymous worker
 // goroutine: it is recovered, counted (`pipeline_worker_panics_total`),
@@ -200,7 +201,7 @@ func (p *Pipeline) workers() int {
 // behavior matches at all concurrency levels — re-panicked on the calling
 // goroutine with the stage name attached. When several items panic, the one
 // with the lowest index wins, deterministically.
-func (p *Pipeline) forEach(stage string, n int, fn func(i int)) {
+func forEach(stage string, workers, n int, fn func(i int)) {
 	var panicMu sync.Mutex
 	panicIdx := -1
 	var panicVal any
@@ -220,10 +221,7 @@ func (p *Pipeline) forEach(stage string, n int, fn func(i int)) {
 		}()
 		fn(i)
 	}
-	w := p.workers()
-	if w > n {
-		w = n
-	}
+	w := min(workers, n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			run(i)
@@ -280,7 +278,7 @@ func (p *Pipeline) Tick(now time.Time, pollCoordinator bool) error {
 		}
 	}
 	derrs := make([]error, len(p.Downloaders))
-	p.forEach("download", len(p.Downloaders), func(i int) {
+	forEach("download", p.workers(), len(p.Downloaders), func(i int) {
 		derrs[i] = p.Downloaders[i].PollOnce(now)
 	})
 	for i, err := range derrs {
@@ -322,7 +320,7 @@ func (p *Pipeline) ProcessThumbnails() int {
 	}
 	traced := trace.Enabled()
 	results := make([]thumbResult, len(keys))
-	p.forEach("extract", len(keys), func(i int) {
+	forEach("extract", p.workers(), len(keys), func(i int) {
 		if traced {
 			t0 := time.Now()
 			results[i] = p.extractOne(keys[i])
@@ -456,9 +454,7 @@ func (p *Pipeline) LocateStreamers(now time.Time) int {
 		wstart, wend time.Time
 	}
 	outcomes := make([]locResult, len(ids))
-	save := p.Concurrency
-	p.Concurrency = w
-	p.forEach("locate", len(ids), func(i int) {
+	forEach("locate", w, len(ids), func(i int) {
 		if traced {
 			outcomes[i].wstart = time.Now()
 		}
@@ -467,7 +463,6 @@ func (p *Pipeline) LocateStreamers(now time.Time) int {
 			outcomes[i].wend = time.Now()
 		}
 	})
-	p.Concurrency = save
 
 	located := 0
 	for i, o := range outcomes {
@@ -786,7 +781,7 @@ func (p *Pipeline) Analyze(params core.Params) []*core.Analysis {
 	if traced {
 		timings = make([][2]time.Time, len(tasks))
 	}
-	p.forEach("analyze", len(tasks), func(i int) {
+	forEach("analyze", p.workers(), len(tasks), func(i int) {
 		if traced {
 			timings[i][0] = time.Now()
 		}

@@ -29,24 +29,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the unbiased sample variance of xs (0 for n < 2).
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(n-1)
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Min returns the minimum of xs. It panics on empty input.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -159,9 +141,6 @@ func NewBoxplot(xs []float64) Boxplot {
 	}
 }
 
-// IQR returns the inter-quartile range of the boxplot.
-func (b Boxplot) IQR() float64 { return b.P75 - b.P25 }
-
 // MeanStd returns mean and (unbiased) standard deviation in one pass over xs.
 func MeanStd(xs []float64) (mean, std float64) {
 	n := len(xs)
@@ -178,21 +157,4 @@ func MeanStd(xs []float64) (mean, std float64) {
 		s += d * d
 	}
 	return mean, math.Sqrt(s / float64(n-1))
-}
-
-// Quartiles returns Q1, Q2 (median) and Q3 of xs.
-func Quartiles(xs []float64) (q1, q2, q3 float64) {
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, 25), percentileSorted(sorted, 50), percentileSorted(sorted, 75)
-}
-
-// IQROutlierBounds returns the classic Tukey outlier fences
-// [Q1 - k*IQR, Q3 + k*IQR]; App. J uses k in [0.5, 2.0] for the iForest
-// score cut-off.
-func IQROutlierBounds(xs []float64, k float64) (lo, hi float64) {
-	q1, _, q3 := Quartiles(xs)
-	iqr := q3 - q1
-	return q1 - k*iqr, q3 + k*iqr
 }

@@ -1,14 +1,11 @@
 package stats
 
-import "math"
-
 // Histogram is a fixed-width binned histogram over [Lo, Hi).
 type Histogram struct {
 	Lo, Hi float64
 	Counts []int
 	// Under and Over count samples outside [Lo, Hi).
 	Under, Over int
-	total       int
 }
 
 // NewHistogram creates a histogram with the given range and bin count.
@@ -24,7 +21,6 @@ func NewHistogram(lo, hi float64, bins int) *Histogram {
 
 // Add records one sample.
 func (h *Histogram) Add(x float64) {
-	h.total++
 	if x < h.Lo {
 		h.Under++
 		return
@@ -45,54 +41,4 @@ func (h *Histogram) AddAll(xs []float64) {
 	for _, x := range xs {
 		h.Add(x)
 	}
-}
-
-// Total returns the number of samples added (including out-of-range ones).
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the center value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Fractions returns each bin's fraction of the total sample count.
-func (h *Histogram) Fractions() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(h.total)
-	}
-	return out
-}
-
-// Mode returns the center of the most populated bin.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.BinCenter(best)
-}
-
-// Entropy returns the Shannon entropy (nats) of the bin distribution,
-// ignoring out-of-range samples.
-func (h *Histogram) Entropy() float64 {
-	in := h.total - h.Under - h.Over
-	if in == 0 {
-		return 0
-	}
-	e := 0.0
-	for _, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / float64(in)
-		e -= p * math.Log(p)
-	}
-	return e
 }

@@ -196,15 +196,6 @@ func hessianAt(X [][]float64, y []int, beta []float64) [][]float64 {
 	return hess
 }
 
-// Predict returns Pr[y=1 | x] under the model.
-func (m *ProbitModel) Predict(x []float64) float64 {
-	xb := m.Coef[0]
-	for i, v := range x {
-		xb += m.Coef[i+1] * v
-	}
-	return NormalCDF(xb)
-}
-
 // AverageMarginalEffect returns the average marginal effect of feature
 // `feat` (0-based, excluding intercept): the mean over observations of
 // d Pr[y=1]/d x_feat = phi(x'b) * b_feat. This is the number reported per

@@ -23,7 +23,7 @@ func TestMeanStd(t *testing.T) {
 }
 
 func TestMeanEmpty(t *testing.T) {
-	if Mean(nil) != 0 || Median(nil) != 0 || Variance(nil) != 0 {
+	if Mean(nil) != 0 || Median(nil) != 0 {
 		t.Fatal("empty-input stats should be zero")
 	}
 }
@@ -58,7 +58,6 @@ func TestBoxplot(t *testing.T) {
 	if b.N != 101 {
 		t.Fatalf("N = %d", b.N)
 	}
-	approx(t, b.IQR(), 50, 1e-9, "IQR")
 }
 
 func TestBoxplotMonotonic(t *testing.T) {
@@ -248,21 +247,6 @@ func TestFitProbitNoVariation(t *testing.T) {
 	}
 }
 
-func TestProbitPredictMonotone(t *testing.T) {
-	m := &ProbitModel{Coef: []float64{-0.5, 1.2}}
-	prev := -1.0
-	for x := -3.0; x <= 3; x += 0.25 {
-		p := m.Predict([]float64{x})
-		if p < prev {
-			t.Fatalf("Predict not monotone at %v", x)
-		}
-		if p < 0 || p > 1 {
-			t.Fatalf("Predict out of range: %v", p)
-		}
-		prev = p
-	}
-}
-
 func TestCholeskySolve(t *testing.T) {
 	A := [][]float64{{4, 2}, {2, 3}}
 	b := []float64{2, 5}
@@ -310,36 +294,13 @@ func TestHistogram(t *testing.T) {
 	if h.Counts[0] != 2 || h.Counts[5] != 1 || h.Counts[9] != 1 {
 		t.Fatalf("counts = %v", h.Counts)
 	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	approx(t, h.BinCenter(0), 0.5, 1e-12, "bin center")
-	fr := h.Fractions()
-	approx(t, fr[0], 2.0/7.0, 1e-12, "fraction")
 }
 
 func TestHistogramDegenerate(t *testing.T) {
 	h := NewHistogram(5, 5, 0) // invalid range and bins are fixed up
 	h.Add(5)
-	if h.Total() != 1 {
-		t.Fatal("degenerate histogram should still count")
-	}
-	if h.Mode() != h.BinCenter(0) {
-		t.Fatal("mode of single bin")
-	}
-}
-
-func TestCDFPoints(t *testing.T) {
-	vals, probs := CDFPoints([]float64{3, 1, 2, 2})
-	if len(vals) != 3 {
-		t.Fatalf("vals = %v", vals)
-	}
-	approx(t, vals[0], 1, 0, "v0")
-	approx(t, probs[0], 0.25, 1e-12, "p0")
-	approx(t, probs[1], 0.75, 1e-12, "p1 (duplicate collapsed)")
-	approx(t, probs[2], 1, 1e-12, "p2")
-	if v, p := CDFPoints(nil); v != nil || p != nil {
-		t.Fatal("empty CDF should be nil")
+	if len(h.Counts) != 1 || h.Counts[0] != 1 || h.Under != 0 || h.Over != 0 {
+		t.Fatalf("degenerate histogram should still count: %+v", h)
 	}
 }
 
@@ -350,14 +311,6 @@ func TestCDFAt(t *testing.T) {
 	for i := range want {
 		approx(t, got[i], want[i], 1e-12, "CDFAt")
 	}
-}
-
-func TestIQROutlierBounds(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
-	lo, hi := IQROutlierBounds(xs, 1.5)
-	q1, _, q3 := Quartiles(xs)
-	approx(t, lo, q1-1.5*(q3-q1), 1e-12, "lo")
-	approx(t, hi, q3+1.5*(q3-q1), 1e-12, "hi")
 }
 
 func TestWassersteinAgainstBruteForce(t *testing.T) {

@@ -101,28 +101,6 @@ func UnevennessScore(times []float64, window float64) float64 {
 	return s
 }
 
-// CDFPoints returns the empirical CDF of xs as (value, cumulative
-// probability) pairs, one per distinct sorted sample, suitable for printing
-// the CDF curves in Figs. 8, 13, 15c and 16a.
-func CDFPoints(xs []float64) (values, probs []float64) {
-	n := len(xs)
-	if n == 0 {
-		return nil, nil
-	}
-	sorted := make([]float64, n)
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	for i := 0; i < n; i++ {
-		// Collapse duplicate values to their final (highest) CDF level.
-		if i+1 < n && sorted[i+1] == sorted[i] {
-			continue
-		}
-		values = append(values, sorted[i])
-		probs = append(probs, float64(i+1)/float64(n))
-	}
-	return values, probs
-}
-
 // CDFAt returns the empirical CDF of xs evaluated at each point of at.
 func CDFAt(xs, at []float64) []float64 {
 	sorted := make([]float64, len(xs))

@@ -205,9 +205,6 @@ func (p *Platform) cdnWait() {
 	}
 }
 
-// SetRenderOptions overrides thumbnail corruption settings.
-func (p *Platform) SetRenderOptions(o worldsim.RenderOptions) { p.renderOpt = o }
-
 // SetAPIRate overrides the developer-API rate limit (requests/second and
 // burst) — tests that hammer the API legitimately use this.
 func (p *Platform) SetAPIRate(perSecond, burst float64) {

@@ -269,9 +269,6 @@ func DefaultObservation() ObservationConfig {
 	}
 }
 
-// NoObservationError disables error injection.
-func NoObservationError() ObservationConfig { return ObservationConfig{} }
-
 // ToStream converts a generated session into the core.Stream Tero's
 // data-analysis module consumes, injecting observation errors.
 func (gs *GenStream) ToStream(obs ObservationConfig, rng *rand.Rand) core.Stream {

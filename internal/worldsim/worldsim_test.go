@@ -241,7 +241,7 @@ func TestToStreamObservationErrors(t *testing.T) {
 	// No-error config keeps everything except lobby zeros.
 	rng2 := rand.New(rand.NewSource(6))
 	gs := w.Sessions(w.Streamers[0])[0]
-	cs := gs.ToStream(NoObservationError(), rng2)
+	cs := gs.ToStream(ObservationConfig{}, rng2)
 	if len(cs.Points) != len(gs.TrueMs)-len(gs.ZeroIdx) {
 		t.Fatalf("no-error points = %d, want %d", len(cs.Points), len(gs.TrueMs)-len(gs.ZeroIdx))
 	}

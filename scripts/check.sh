@@ -1,8 +1,9 @@
 #!/bin/sh
-# Repository health check: gofmt, vet, build, race-enabled tests (root module
-# and the bench/ module, which the root ./... cannot see), a few seconds of
-# each decoder fuzz target, a one-shot pipeline benchmark smoke, and smokes
-# that drive the real binaries. Run from anywhere inside the repo.
+# Repository health check: gofmt, vet, build, an os.Exit guard on cmd/,
+# race-enabled tests (root module and the bench/ module, which the root
+# ./... cannot see), a few seconds of each decoder fuzz target, a one-shot
+# pipeline benchmark smoke, and smokes that drive the real binaries. Run
+# from anywhere inside the repo.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -22,9 +23,25 @@ go vet ./...
 echo "== go build ./... =="
 go build ./...
 
+echo "== os.Exit only inside func main (cmd/) =="
+# A command is run(args, stdout, stderr) int behind a main that exits with
+# its result: an os.Exit anywhere else skips the deferred cleanups (the
+# kvstore flush, the debug-server drain) of every frame above it.
+STRAY_EXITS=$(find cmd -name '*.go' ! -name '*_test.go' | sort | xargs awk '
+    /^func main\(\)/ { inmain = 1 }
+    /os\.Exit\(/ && !inmain && $0 !~ /^[ \t]*\/\// { print FILENAME ":" FNR ": " $0 }
+    /^}/ || /^func main\(\).*}[ \t]*$/ { inmain = 0 }')
+if [ -n "$STRAY_EXITS" ]; then
+    echo "os.Exit outside func main:" >&2
+    echo "$STRAY_EXITS" >&2
+    exit 1
+fi
+
 echo "== go test -race ./... =="
 # Among them the tests that share one object payload between goroutines
-# (objstore's TestSharedPayloadUnderRace, the pipeline's allocation test).
+# (objstore's TestSharedPayloadUnderRace, the pipeline's allocation test),
+# the packed-vs-scalar corpus tests of package ocr_test and the boot-and-stop
+# tests of all five binaries.
 go test -race ./...
 # sync.Pool drops Puts at random under the race detector, so the
 # one-allocation-per-thumbnail budget is only judged without it.
