@@ -22,6 +22,7 @@ var (
 	mMakeup     = obs.C("dist_makeup_rounds_total")
 	mIngested   = obs.C("dist_results_ingested_total")
 	mDeduped    = obs.C("dist_results_deduped_total")
+	mRejected   = obs.C("dist_results_rejected_total")
 	mDead       = obs.C("dist_workers_dead_total")
 	mReapClaims = obs.C("dist_claims_reaped_total")
 	mRescued    = obs.C("dist_lost_requeued_total")
@@ -298,9 +299,11 @@ func (c *Coordinator) rescueLost() {
 
 // ingest merges every pushed result into the pipeline, in key order, seen
 // keys deduplicated: a crash-and-refetch pushes the same key again, and the
-// second copy must not double-count. Measured readings get a dist.ingest
-// span chained onto the worker's extract span, so the document's journey
-// crosses the process boundary intact.
+// second copy must not double-count. A document that is not a valid result
+// for its key (DecodeResult) is dropped, counted in
+// dist_results_rejected_total, and merges nothing. Measured readings get a
+// dist.ingest span chained onto the worker's extract span, so the
+// document's journey crosses the process boundary intact.
 func (c *Coordinator) ingest() {
 	for _, key := range c.Objects.List(ResultBucket, "") {
 		if c.seen[key] {
@@ -313,10 +316,13 @@ func (c *Coordinator) ingest() {
 		if err != nil {
 			continue
 		}
-		r, err := DecodeResult(obj.Data)
+		r, err := DecodeResult(key, obj.Data)
 		if err != nil {
-			dlog.Warn("undecodable result dropped", "key", key, "err", err)
+			// Torn, or not a result ExtractThumb produces: dropped, and not
+			// marked seen — the thumbnail's real result may still arrive.
+			dlog.Warn("invalid result dropped", "key", key, "err", err)
 			c.Objects.Delete(ResultBucket, key)
+			mRejected.Inc()
 			continue
 		}
 		res := pipeline.ThumbResult{

@@ -31,8 +31,13 @@ package dist
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
+	"time"
 
+	"tero/internal/games"
 	"tero/internal/obs"
+	"tero/internal/pipeline"
 )
 
 var dlog = obs.L("dist")
@@ -108,12 +113,59 @@ func (r Result) Encode() []byte {
 	return b
 }
 
-// DecodeResult parses the wire form.
-func DecodeResult(b []byte) (Result, error) {
+// DecodeResult parses and validates the result document stored under key.
+// The result bucket is reachable by anything that can reach the store, and
+// what decodes here goes straight to Pipeline.IngestResult — into the
+// counters, pending-location and, for a measured reading, the measurements
+// collection §3.3 analyses — so valid JSON is not enough. A Result is
+// accepted only if it is one ExtractThumb could have produced for that key:
+//
+//   - Outcome is one of the five pipeline.Outcome* constants and Key is key;
+//   - measured, zero and miss (the outcomes filed under a streamer) name the
+//     streamer;
+//   - measured names a game games.ByName knows, Ms is an integer in 1..999
+//     (App. E: at most three digits, and 0 is the lobby placeholder, which is
+//     OutcomeZero), Alt likewise when HasAlt, and AtOK means At is the
+//     RFC 3339 form of AtUnix.
+func DecodeResult(key string, b []byte) (Result, error) {
 	var r Result
-	err := json.Unmarshal(b, &r)
-	return r, err
+	if err := json.Unmarshal(b, &r); err != nil {
+		return Result{}, err
+	}
+	if r.Key != key {
+		return Result{}, fmt.Errorf("dist: result stored under %q is keyed %q", key, r.Key)
+	}
+	switch r.Outcome {
+	case pipeline.OutcomeCorrupt, pipeline.OutcomeUnknown:
+		return r, nil
+	case pipeline.OutcomeMeasured, pipeline.OutcomeZero, pipeline.OutcomeMiss:
+		if r.Streamer == "" {
+			return Result{}, fmt.Errorf("dist: %s result %q names no streamer", r.Outcome, key)
+		}
+	default:
+		return Result{}, fmt.Errorf("dist: result %q has outcome %q", key, r.Outcome)
+	}
+	if r.Outcome != pipeline.OutcomeMeasured {
+		return r, nil
+	}
+	if games.ByName(r.Game) == nil {
+		return Result{}, fmt.Errorf("dist: measured result %q is of unknown game %q", key, r.Game)
+	}
+	if !validMs(r.Ms) || (r.HasAlt && !validMs(r.Alt)) {
+		return Result{}, fmt.Errorf("dist: measured result %q reads %v ms (alt %v): not an integer in 1..999", key, r.Ms, r.Alt)
+	}
+	if r.AtOK {
+		if t, err := time.Parse(time.RFC3339, r.At); err != nil || t.Unix() != r.AtUnix {
+			return Result{}, fmt.Errorf("dist: measured result %q: at %q is not unix %d", key, r.At, r.AtUnix)
+		}
+	}
+	return r, nil
 }
+
+// validMs reports whether v is a latency the image-processing module can
+// return: a whole number of milliseconds in 1..999. NaN and ±Inf fail the
+// comparisons.
+func validMs(v float64) bool { return v >= 1 && v <= 999 && v == math.Trunc(v) }
 
 // WorkerStats is the per-worker balance record published in KeyStats.
 type WorkerStats struct {

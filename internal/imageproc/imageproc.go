@@ -17,6 +17,9 @@ package imageproc
 import (
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
+	"unicode/utf8"
 
 	"tero/internal/games"
 	"tero/internal/imaging"
@@ -27,6 +30,60 @@ import (
 // distBuckets bins per-character Hamming distances (0 = perfect template
 // match); the histogram doubles as a per-engine confidence profile.
 var distBuckets = obs.LinearBuckets(0, 2, 12)
+
+// engineMetrics holds one engine's metric handles, so that a vote costs
+// neither three rendered label strings nor three registry lookups per
+// engine. Handles stay valid across obs.Reset. Registration is lazy, so a
+// metric is listed on /metrics only once it has counted something: the read
+// counter at the engine's first read, the acceptance pair at its first
+// accepted value.
+type engineMetrics struct {
+	name     string
+	reads    *obs.Counter
+	accepted atomic.Pointer[acceptMetrics]
+}
+
+type acceptMetrics struct {
+	accepted *obs.Counter
+	charDist *obs.Histogram
+}
+
+var (
+	engineMetricsMu sync.RWMutex
+	engineMetricsBy map[string]*engineMetrics // made at the first engine's first read
+)
+
+func metricsFor(engine string) *engineMetrics {
+	engineMetricsMu.RLock()
+	m := engineMetricsBy[engine]
+	engineMetricsMu.RUnlock()
+	if m != nil {
+		return m
+	}
+	engineMetricsMu.Lock()
+	defer engineMetricsMu.Unlock()
+	if m = engineMetricsBy[engine]; m == nil {
+		m = &engineMetrics{name: engine, reads: obs.C(obs.Lbl("ocr_engine_reads_total", "engine", engine))}
+		if engineMetricsBy == nil {
+			engineMetricsBy = make(map[string]*engineMetrics)
+		}
+		engineMetricsBy[engine] = m
+	}
+	return m
+}
+
+func (m *engineMetrics) onAccept() *acceptMetrics {
+	am := m.accepted.Load()
+	if am == nil {
+		// Racing first acceptances resolve the same two handles.
+		am = &acceptMetrics{
+			accepted: obs.C(obs.Lbl("ocr_engine_accepted_total", "engine", m.name)),
+			charDist: obs.H(obs.Lbl("ocr_engine_char_dist", "engine", m.name), distBuckets),
+		}
+		m.accepted.Store(am)
+	}
+	return am
+}
 
 // Extraction is the output of the image-processing module for one thumbnail.
 type Extraction struct {
@@ -68,9 +125,9 @@ func New() *Extractor {
 	}
 }
 
-// Extract runs the full four-step pipeline on a thumbnail. The crop and the
-// pre-processed intermediates are scratch images recycled back to the
-// imaging pool before returning.
+// Extract runs the full four-step pipeline on a thumbnail: the crop around
+// the game's latency UI, then ExtractCrop on it. The crop is a scratch image
+// recycled back to the imaging pool before returning.
 func (e *Extractor) Extract(thumb *imaging.Gray, game *games.Game) Extraction {
 	// Defensive: a nil or degenerate image (a corrupt download that slipped
 	// past quarantine) extracts nothing rather than panicking a worker.
@@ -78,7 +135,19 @@ func (e *Extractor) Extract(thumb *imaging.Gray, game *games.Game) Extraction {
 		return Extraction{}
 	}
 	crop := thumb.Crop(game.UI.CropRect(e.Pad))
-	if crop.W == 0 || crop.H == 0 {
+	ex := e.ExtractCrop(crop, game)
+	imaging.Recycle(crop)
+	return ex
+}
+
+// ExtractCrop runs steps 1 to 4 on crop, which must be the game's
+// UI.CropRect(e.Pad) of a thumbnail (clamped to it): the positional filter
+// reads character positions against that rectangle. The pipeline enters
+// here with a crop decoded straight from the stored bytes
+// (imaging.DecodePGMRect). The crop stays the caller's; the pre-processed
+// intermediate is recycled before returning.
+func (e *Extractor) ExtractCrop(crop *imaging.Gray, game *games.Game) Extraction {
+	if crop == nil || game == nil || crop.W <= 0 || crop.H <= 0 {
 		return Extraction{}
 	}
 	// Step 1-3 on the pre-processed crop.
@@ -95,35 +164,27 @@ func (e *Extractor) Extract(thumb *imaging.Gray, game *games.Game) Extraction {
 		// Step 4: reprocess without pre-processing.
 		ex, ok = e.voteOn(crop, game, 1)
 	}
-	imaging.Recycle(crop)
 	if ok {
 		return ex
 	}
 	return Extraction{}
 }
 
-// preprocess applies the App. E pipeline: up-scale and blur. Binarization is
+// preprocess applies the App. E pipeline: up-scale and blur, in one kernel
+// when both are configured (the up-scaled image is never materialised).
+// The result is the crop itself when neither is. Binarization is
 // deliberately left to each OCR engine: a shared threshold would make the
 // engines see identical bits and err identically, destroying the error
 // diversity the 2-of-3 vote needs. App. E's dilate/erode closing is not
 // applied: it only makes sense after a shared binarization.
 func (e *Extractor) preprocess(crop *imaging.Gray) *imaging.Gray {
-	img := crop
-	// step replaces the working image, recycling the superseded
-	// intermediate (never the caller's crop).
-	step := func(next *imaging.Gray) {
-		if img != crop {
-			imaging.Recycle(img)
-		}
-		img = next
+	switch {
+	case e.BlurSigma > 0:
+		return crop.ScaleNearestBlur(e.Upscale, e.BlurSigma)
+	case e.Upscale > 1:
+		return crop.ScaleNearest(e.Upscale)
 	}
-	if e.Upscale > 1 {
-		step(img.ScaleNearest(e.Upscale))
-	}
-	if e.BlurSigma > 0 {
-		step(img.GaussianBlur(e.BlurSigma))
-	}
-	return img
+	return crop
 }
 
 // digitWindow returns the x-range of the crop (scaled by `scale`) where the
@@ -162,25 +223,38 @@ func (e *Extractor) positionalFilter(res ocr.Result, game *games.Game, cropW, sc
 	prefixW := len([]rune(game.UI.Prefix))*adv + adv
 	suffixW := len([]rune(game.UI.Suffix))*adv + adv
 	keepLo, keepHi := lo-prefixW, hi+suffixW
-	var out ocr.Result
-	var sb strings.Builder
-	for _, c := range res.Chars {
+	keep := func(c ocr.Char) bool {
 		center := (c.Box.X0 + c.Box.X1) / 2
 		// Any character centered outside the plausible text area is junk
 		// (custom overlays, subscriber counters).
 		if center < keepLo || center > keepHi {
-			continue
+			return false
 		}
 		// A digit-looking character centered outside the digit window
 		// belongs to the label, not the measurement ('g' of "Ping" → '9').
 		isDigitish := c.R >= '0' && c.R <= '9'
-		if isDigitish && (center < lo || center > hi) {
-			continue
-		}
-		out.Chars = append(out.Chars, c)
-		sb.WriteRune(c.R)
+		return !isDigitish || (center >= lo && center <= hi)
 	}
-	out.Text = sb.String()
+	kept := 0
+	for _, c := range res.Chars {
+		if keep(c) {
+			kept++
+		}
+	}
+	if kept == len(res.Chars) {
+		return res // nothing to drop: the engine's Result as it is
+	}
+	// The engine's Result is not edited in place: it is the engine's to
+	// share (a test double returns the same one every call).
+	out := ocr.Result{Chars: make([]ocr.Char, 0, kept)}
+	text := make([]byte, 0, 64)
+	for _, c := range res.Chars {
+		if keep(c) {
+			out.Chars = append(out.Chars, c)
+			text = utf8.AppendRune(text, c.R)
+		}
+	}
+	out.Text = string(text)
 	return out
 }
 
@@ -193,15 +267,16 @@ func (e *Extractor) voteOn(img *imaging.Gray, game *games.Game, scale int) (Extr
 	values := make([]int, 0, len(e.Engines))
 	for _, eng := range e.Engines {
 		res := e.positionalFilter(eng.Recognize(img), game, img.W, scale)
-		obs.C(obs.Lbl("ocr_engine_reads_total", "engine", eng.Name())).Inc()
+		m := metricsFor(eng.Name())
+		m.reads.Inc()
 		if v, ok := CleanupResult(res, game); ok {
 			values = append(values, v)
-			obs.C(obs.Lbl("ocr_engine_accepted_total", "engine", eng.Name())).Inc()
+			am := m.onAccept()
+			am.accepted.Inc()
 			// Confidence: the match distance of each character the engine
 			// committed to (lower = closer to the font template).
-			h := obs.H(obs.Lbl("ocr_engine_char_dist", "engine", eng.Name()), distBuckets)
 			for _, c := range res.Chars {
-				h.Observe(float64(c.Dist))
+				am.charDist.Observe(float64(c.Dist))
 			}
 		}
 	}

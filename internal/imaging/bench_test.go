@@ -56,7 +56,7 @@ func BenchmarkConnectedComponents(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx%d/packed", sz.w, sz.h), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = pb.ConnectedComponents()
+				_ = pb.ConnectedComponents(nil)
 			}
 		})
 	}
@@ -112,6 +112,45 @@ func BenchmarkGaussianBlur(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				Recycle(g.GaussianBlur(0.5))
+			}
+		})
+	}
+}
+
+// BenchmarkScaleNearestBlur is the extractor's pre-processing on the
+// narrowest and the widest UI crop: the replicating blur against the
+// up-scale-then-blur it replaced (which still pays for the up-scaled image
+// and a second horizontal pass over its duplicated rows).
+func BenchmarkScaleNearestBlur(b *testing.B) {
+	for _, w := range []int{43, 91} {
+		g := benchImage(w, 15)
+		b.Run(fmt.Sprintf("%dx15/replicating", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Recycle(g.ScaleNearestBlur(2, 0.5))
+			}
+		})
+		b.Run(fmt.Sprintf("%dx15/composed", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				up := g.ScaleNearest(2)
+				Recycle(up.GaussianBlur(0.5))
+				Recycle(up)
+			}
+		})
+	}
+}
+
+var histSink [256]int
+
+// BenchmarkHistogram256 counts a pre-processed UI crop that is one flat
+// level — the case where a single-array count serialises on every pixel —
+// and one with text-like blobs on it.
+func BenchmarkHistogram256(b *testing.B) {
+	for name, g := range map[string]*Gray{"flat": NewFilled(182, 30, 20), "blobs": benchImage(182, 30)} {
+		b.Run("182x30/"+name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				histSink = g.Histogram256()
 			}
 		})
 	}

@@ -69,38 +69,6 @@ func (b *Bitmap) Set(x, y int, v bool) {
 	}
 }
 
-// UnpackIn expands the sub-rectangle r (clamped) to a binary Gray (set bits
-// become 255) — the packed counterpart of Crop(r) on a thresholded Gray.
-// The returned image may come from the scratch pool; recycle it when done.
-func (b *Bitmap) UnpackIn(r Rect) *Gray {
-	r = r.Clamp(b.W, b.H)
-	if r.Empty() {
-		return New(0, 0)
-	}
-	w := r.Width()
-	g := New(w, r.Height())
-	k0, k1, first, last := rangeMasks(r.X0, r.X1)
-	for y := r.Y0; y < r.Y1; y++ {
-		row := b.Words[y*b.Stride : (y+1)*b.Stride]
-		out := g.Pix[(y-r.Y0)*w : (y-r.Y0+1)*w]
-		for k := k0; k <= k1; k++ {
-			wd := row[k]
-			if k == k0 {
-				wd &= first
-			}
-			if k == k1 {
-				wd &= last
-			}
-			base := k<<6 - r.X0
-			for wd != 0 {
-				out[base+bits.TrailingZeros64(wd)] = 255
-				wd &= wd - 1
-			}
-		}
-	}
-	return g
-}
-
 // SWAR constants for packGE8: per-byte MSBs, low 7 bits, and the multiplier
 // that gathers the eight byte-MSBs of a word into its top byte.
 const (
@@ -268,16 +236,22 @@ func (b *Bitmap) TightBoxCountIn(r Rect) (Rect, int) {
 
 // SegmentColumns splits the bitmap into vertical strips separated by at
 // least minGap consecutive empty columns — identical output to the scalar
-// Gray.SegmentColumns. Column occupancy is a word-wise OR over rows.
-func (b *Bitmap) SegmentColumns(minGap int) []Rect {
-	occ := make([]uint64, b.Stride)
+// Gray.SegmentColumns. Column occupancy is a word-wise OR over rows. The
+// strips are written over buf when it has the capacity (nil for a fresh
+// slice): the engines segment several bitmaps per thumbnail into one scratch.
+func (b *Bitmap) SegmentColumns(minGap int, buf []Rect) []Rect {
+	var occBuf [8]uint64 // 512 columns; a wider bitmap allocates
+	occ := occBuf[:]
+	if b.Stride > len(occ) {
+		occ = make([]uint64, b.Stride)
+	}
 	for y := 0; y < b.H; y++ {
 		row := b.Row(y)
 		for k, w := range row {
 			occ[k] |= w
 		}
 	}
-	var out []Rect
+	out := buf[:0]
 	inRun := false
 	runStart := 0
 	gap := 0
@@ -384,10 +358,11 @@ func (b *Bitmap) nextClear(row []uint64, x int) int {
 // union-find: horizontal runs are extracted word-wise per row, runs in
 // adjacent rows are merged when their column ranges overlap, and the
 // components come out in exactly the scalar kernel's order (discovery order
-// of the topmost-leftmost pixel, then sorted left-to-right).
-func (b *Bitmap) ConnectedComponents() []Component {
+// of the topmost-leftmost pixel, then sorted left-to-right). They are
+// written over buf when it has the capacity (nil for a fresh slice).
+func (b *Bitmap) ConnectedComponents(buf []Component) []Component {
 	if b.W == 0 || b.H == 0 {
-		return nil
+		return buf[:0]
 	}
 	// Count runs exactly (a run starts at a set bit whose left neighbour is
 	// clear) so every slice below is allocated once, full-size.
@@ -400,7 +375,7 @@ func (b *Bitmap) ConnectedComponents() []Component {
 		}
 	}
 	if nRuns == 0 {
-		return nil
+		return buf[:0]
 	}
 	sc := getCCScratch(nRuns, b.H+1)
 	defer ccPool.Put(sc)
@@ -456,7 +431,7 @@ func (b *Bitmap) ConnectedComponents() []Component {
 	for i := range compOf {
 		compOf[i] = -1
 	}
-	var comps []Component
+	comps := buf[:0]
 	for ri := range runs {
 		root := find(int32(ri))
 		ci := compOf[root]

@@ -77,14 +77,14 @@ func TestBitmapOpsMatchGray(t *testing.T) {
 				t.Fatalf("%dx%d thr=%d: PackLE != ThresholdBelow", sz.w, sz.h, thr)
 			}
 			for _, gapMin := range []int{1, 2, 3} {
-				if !reflect.DeepEqual(pb.SegmentColumns(gapMin), bin.SegmentColumns(gapMin)) {
+				if !reflect.DeepEqual(pb.SegmentColumns(gapMin, nil), bin.SegmentColumns(gapMin)) {
 					t.Fatalf("%dx%d: SegmentColumns(%d) mismatch", sz.w, sz.h, gapMin)
 				}
 			}
 			if !grayEqual(unpack(pb.Upscale2x()), bin.ScaleNearest(2)) {
 				t.Fatalf("%dx%d: Upscale2x mismatch", sz.w, sz.h)
 			}
-			pc := pb.ConnectedComponents()
+			pc := pb.ConnectedComponents(nil)
 			sc := bin.ConnectedComponents()
 			if len(pc) != len(sc) || (len(pc) > 0 && !reflect.DeepEqual(pc, sc)) {
 				t.Fatalf("%dx%d: ConnectedComponents mismatch:\npacked %+v\nscalar %+v", sz.w, sz.h, pc, sc)
@@ -98,8 +98,8 @@ func TestBitmapOpsMatchGray(t *testing.T) {
 				x0, y0 := r.Intn(sz.w), r.Intn(sz.h)
 				rect := Rect{X0: x0, Y0: y0, X1: x0 + 1 + r.Intn(sz.w), Y1: y0 + 1 + r.Intn(sz.h)}
 				sub := bin.Crop(rect)
-				if !grayEqual(pb.UnpackIn(rect), sub) {
-					t.Fatalf("%dx%d %+v: UnpackIn != Crop", sz.w, sz.h, rect)
+				if !grayEqual(unpackIn(pb, rect), sub) {
+					t.Fatalf("%dx%d %+v: unpacked bits != Crop", sz.w, sz.h, rect)
 				}
 				if box, cnt := pb.TightBoxCountIn(rect); box != sub.TightBox() || cnt != scalarCountFg(sub) {
 					t.Fatalf("%dx%d %+v: TightBoxCountIn=(%+v,%d) want (%+v,%d)",
@@ -108,6 +108,25 @@ func TestBitmapOpsMatchGray(t *testing.T) {
 			}
 		}
 	}
+}
+
+// unpackIn expands the sub-rectangle r (clamped) of a bitmap to a binary
+// Gray, set bits as 255: what Crop(r) of the thresholded Gray it was packed
+// from holds.
+func unpackIn(b *Bitmap, r Rect) *Gray {
+	r = r.Clamp(b.W, b.H)
+	if r.Empty() {
+		return New(0, 0)
+	}
+	g := New(r.Width(), r.Height())
+	for y := 0; y < g.H; y++ {
+		for x := 0; x < g.W; x++ {
+			if b.Get(r.X0+x, r.Y0+y) {
+				g.Pix[y*g.W+x] = 255
+			}
+		}
+	}
+	return g
 }
 
 func TestBitmapGetSetUnpack(t *testing.T) {
@@ -129,9 +148,9 @@ func TestBitmapGetSetUnpack(t *testing.T) {
 	if b.Get(-1, 0) || b.Get(70, 0) || b.Get(0, 3) {
 		t.Fatal("out-of-bounds reads must be false")
 	}
-	g := b.UnpackIn(Rect{X1: b.W, Y1: b.H})
+	g := unpackIn(b, Rect{X1: b.W, Y1: b.H})
 	if g.At(0, 0) != 255 || g.At(64, 1) != 255 || g.At(1, 0) != 0 {
-		t.Fatal("UnpackIn content")
+		t.Fatal("unpacked content")
 	}
 	if n := scalarCountFg(g); n != 3 {
 		t.Fatalf("foreground=%d want 3", n)
@@ -178,7 +197,7 @@ func TestBitmapRecycle(t *testing.T) {
 
 func TestBitmapEmpty(t *testing.T) {
 	b := NewBitmap(0, 0)
-	if len(b.ConnectedComponents()) != 0 || len(b.SegmentColumns(1)) != 0 {
+	if len(b.ConnectedComponents(nil)) != 0 || len(b.SegmentColumns(1, nil)) != 0 {
 		t.Fatal("empty bitmap ops")
 	}
 	if box, n := b.TightBoxCountIn(Rect{}); !box.Empty() || n != 0 {

@@ -114,10 +114,29 @@ func (g *Gray) FillRect(r Rect, v uint8) {
 }
 
 // Histogram256 returns the 256-bin intensity histogram.
+//
+// It counts into four lanes and sums them at the end. With one array every
+// increment whose level equals the previous pixel's waits for that store to
+// forward to its load, and a UI crop is mostly flat background; four arrays
+// are four independent chains. A uint32 lane holds a quarter of any image
+// under 16 Gi pixels.
 func (g *Gray) Histogram256() [256]int {
+	var l0, l1, l2, l3 [256]uint32
+	pix := g.Pix
+	i := 0
+	for ; i+4 <= len(pix); i += 4 {
+		q := pix[i : i+4 : i+4]
+		l0[q[0]]++
+		l1[q[1]]++
+		l2[q[2]]++
+		l3[q[3]]++
+	}
+	for ; i < len(pix); i++ {
+		l0[pix[i]]++
+	}
 	var h [256]int
-	for _, p := range g.Pix {
-		h[p]++
+	for v := range h {
+		h[v] = int(l0[v]) + int(l1[v]) + int(l2[v]) + int(l3[v])
 	}
 	return h
 }

@@ -3,6 +3,7 @@ package imaging
 import (
 	"encoding/binary"
 	"math"
+	"sync/atomic"
 )
 
 // ScaleNearest returns the image up- or down-scaled by an integer factor
@@ -20,24 +21,29 @@ func (g *Gray) ScaleNearest(factor int) *Gray {
 	}
 	out := New(g.W*factor, g.H*factor)
 	for sy := 0; sy < g.H; sy++ {
-		src := g.Pix[sy*g.W : (sy+1)*g.W]
 		base := sy * factor * out.W
 		dst := out.Pix[base : base+out.W]
-		if factor == 2 {
-			expandRow2(dst, src)
-		} else {
-			for x, p := range src {
-				d := dst[x*factor : (x+1)*factor]
-				for i := range d {
-					d[i] = p
-				}
-			}
-		}
+		expandRow(dst, g.Pix[sy*g.W:(sy+1)*g.W], factor)
 		for r := 1; r < factor; r++ {
 			copy(out.Pix[base+r*out.W:base+(r+1)*out.W], dst)
 		}
 	}
 	return out
+}
+
+// expandRow writes each src byte factor times into dst
+// (len(dst) = factor*len(src), factor >= 2).
+func expandRow(dst, src []uint8, factor int) {
+	if factor == 2 {
+		expandRow2(dst, src)
+		return
+	}
+	for x, p := range src {
+		d := dst[x*factor : (x+1)*factor]
+		for i := range d {
+			d[i] = p
+		}
+	}
 }
 
 // expandRow2 writes each src byte twice into dst (len(dst) = 2*len(src)),
@@ -67,7 +73,10 @@ func spreadBytesDouble(v uint32) uint64 {
 }
 
 // ScaleBilinear returns the image resampled to (w, h) with bilinear
-// interpolation.
+// interpolation. Every product is rounded by an explicit conversion before
+// it is summed, so the result is the same bytes on an architecture whose
+// compiler would otherwise fuse a multiply into an add: internal/ocr
+// tabulates this expression (buildCellTable) and is tested against it.
 func (g *Gray) ScaleBilinear(w, h int) *Gray {
 	out := New(w, h)
 	if g.W == 0 || g.H == 0 || w == 0 || h == 0 {
@@ -76,19 +85,19 @@ func (g *Gray) ScaleBilinear(w, h int) *Gray {
 	xRatio := float64(g.W-1) / float64(max(w-1, 1))
 	yRatio := float64(g.H-1) / float64(max(h-1, 1))
 	for y := 0; y < h; y++ {
-		fy := float64(y) * yRatio
+		fy := float64(float64(y) * yRatio)
 		y0 := int(fy)
 		dy := fy - float64(y0)
 		y1 := min(y0+1, g.H-1)
 		for x := 0; x < w; x++ {
-			fx := float64(x) * xRatio
+			fx := float64(float64(x) * xRatio)
 			x0 := int(fx)
 			dx := fx - float64(x0)
 			x1 := min(x0+1, g.W-1)
-			v := float64(g.Pix[y0*g.W+x0])*(1-dx)*(1-dy) +
-				float64(g.Pix[y0*g.W+x1])*dx*(1-dy) +
-				float64(g.Pix[y1*g.W+x0])*(1-dx)*dy +
-				float64(g.Pix[y1*g.W+x1])*dx*dy
+			v := float64(float64(g.Pix[y0*g.W+x0])*(1-dx)*(1-dy)) +
+				float64(float64(g.Pix[y0*g.W+x1])*dx*(1-dy)) +
+				float64(float64(g.Pix[y1*g.W+x0])*(1-dx)*dy) +
+				float64(float64(g.Pix[y1*g.W+x1])*dx*dy)
 			out.Pix[y*w+x] = uint8(v + 0.5)
 		}
 	}
@@ -97,41 +106,34 @@ func (g *Gray) ScaleBilinear(w, h int) *Gray {
 
 // GaussianBlur returns the image convolved with a separable Gaussian kernel
 // of the given sigma (radius = ceil(3*sigma)).
-func (g *Gray) GaussianBlur(sigma float64) *Gray {
+func (g *Gray) GaussianBlur(sigma float64) *Gray { return g.ScaleNearestBlur(1, sigma) }
+
+// ScaleNearestBlur returns ScaleNearest(factor).GaussianBlur(sigma), byte
+// for byte, without the up-scaled image ever existing: the blur reads its
+// input through the replication factor. Rows factor·j … factor·j+factor−1
+// of the up-scaled image are identical, so the horizontal pass runs once
+// per source row (on that row expanded into a scratch line) and the vertical
+// pass reads intermediate row y/factor. Every output pixel accumulates the
+// same taps in the same order as the blur of the materialised image.
+func (g *Gray) ScaleNearestBlur(factor int, sigma float64) *Gray {
 	if sigma <= 0 || g.W == 0 || g.H == 0 {
-		return g.Clone()
+		return g.ScaleNearest(factor)
 	}
-	radius := int(math.Ceil(3 * sigma))
-	kernel := make([]float64, 2*radius+1)
-	sum := 0.0
-	for i := range kernel {
-		d := float64(i - radius)
-		kernel[i] = math.Exp(-d * d / (2 * sigma * sigma))
-		sum += kernel[i]
+	if factor < 1 {
+		factor = 1
 	}
-	for i := range kernel {
-		kernel[i] /= sum
-	}
+	bk := blurKernelFor(sigma)
+	radius, kernel, lut := bk.radius, bk.kernel, bk.lut
+	w, h := g.W*factor, g.H*factor // the size blurred, and returned
+	sc := getBlurScratch(g.H*w, w)
+	defer blurPool.Put(sc)
 	// Horizontal pass. The intermediate rows are pure scratch: pooled, and
 	// fully overwritten before the vertical pass reads them. Interior
 	// columns never clamp, so they run as a straight dot product; only the
 	// radius-wide borders pay the clamp branches. The accumulation order is
 	// identical to the naive loop, so the output stays bit-identical.
-	tmp := getF64(g.W * g.H)
-	defer putF64(tmp)
-	// Per-tap lookup tables: lut[k*256+p] = kernel[k] * float64(p). The
-	// products are precomputed exactly, so accumulating table entries in tap
-	// order gives the bit-identical sum while replacing a convert+multiply
-	// per sample with one indexed load.
-	lut := getF64(len(kernel) * 256)
-	defer putF64(lut)
-	for k, kv := range kernel {
-		tab := lut[k*256 : k*256+256]
-		for p := range tab {
-			tab[p] = kv * float64(p)
-		}
-	}
-	inLo, inHi := radius, g.W-radius
+	tmp := sc.tmp
+	inLo, inHi := radius, w-radius
 	if inHi < inLo {
 		inLo, inHi = 0, 0 // image narrower than the kernel: all border
 	}
@@ -142,8 +144,8 @@ func (g *Gray) GaussianBlur(sigma float64) *Gray {
 			if sx < 0 {
 				sx = 0
 			}
-			if sx >= g.W {
-				sx = g.W - 1
+			if sx >= w {
+				sx = w - 1
 			}
 			acc += lut[k*256+int(rowIn[sx])]
 		}
@@ -151,7 +153,11 @@ func (g *Gray) GaussianBlur(sigma float64) *Gray {
 	}
 	for y := 0; y < g.H; y++ {
 		rowIn := g.Pix[y*g.W : (y+1)*g.W]
-		rowOut := tmp[y*g.W : (y+1)*g.W]
+		if factor > 1 {
+			expandRow(sc.line, rowIn, factor)
+			rowIn = sc.line
+		}
+		rowOut := tmp[y*w : (y+1)*w]
 		for x := 0; x < inLo; x++ {
 			borderX(rowIn, rowOut, x)
 		}
@@ -175,7 +181,7 @@ func (g *Gray) GaussianBlur(sigma float64) *Gray {
 				rowOut[x] = acc
 			}
 		}
-		for x := inHi; x < g.W; x++ {
+		for x := inHi; x < w; x++ {
 			borderX(rowIn, rowOut, x)
 		}
 	}
@@ -184,24 +190,25 @@ func (g *Gray) GaussianBlur(sigma float64) *Gray {
 	// down columns. Per output pixel the taps still accumulate in kernel
 	// order (acc = k0*v0, then += k1*v1, ...), so this too is bit-identical
 	// to the naive loop (0.0 + a == a exactly for the non-negative taps).
-	out := New(g.W, g.H)
+	out := New(w, h)
 	clampY := func(sy int) []float64 {
 		if sy < 0 {
 			sy = 0
 		}
-		if sy >= g.H {
-			sy = g.H - 1
+		if sy >= h {
+			sy = h - 1
 		}
-		return tmp[sy*g.W : (sy+1)*g.W]
+		sy /= factor
+		return tmp[sy*w : (sy+1)*w]
 	}
 	if radius == 2 {
 		// 5-tap unroll: one pass per output row, taps accumulated in kernel
 		// order exactly like the accumulator loop below.
 		k0, k1, k2, k3, k4 := kernel[0], kernel[1], kernel[2], kernel[3], kernel[4]
-		for y := 0; y < g.H; y++ {
+		for y := 0; y < h; y++ {
 			r0, r1, r2 := clampY(y-2), clampY(y-1), clampY(y)
 			r3, r4 := clampY(y+1), clampY(y+2)
-			rowOut := out.Pix[y*g.W : (y+1)*g.W]
+			rowOut := out.Pix[y*w : (y+1)*w]
 			for x := range rowOut {
 				v := k0 * r0[x]
 				v += k1 * r1[x]
@@ -213,9 +220,8 @@ func (g *Gray) GaussianBlur(sigma float64) *Gray {
 		}
 		return out
 	}
-	acc := getF64(g.W)
-	defer putF64(acc)
-	for y := 0; y < g.H; y++ {
+	acc := sc.acc
+	for y := 0; y < h; y++ {
 		for k, kv := range kernel {
 			row := clampY(y + k - radius)
 			if k == 0 {
@@ -228,12 +234,59 @@ func (g *Gray) GaussianBlur(sigma float64) *Gray {
 				}
 			}
 		}
-		rowOut := out.Pix[y*g.W : (y+1)*g.W]
+		rowOut := out.Pix[y*w : (y+1)*w]
 		for x, v := range acc {
 			rowOut[x] = uint8(v + 0.5)
 		}
 	}
 	return out
+}
+
+// blurKernel is what a Gaussian blur needs that depends only on sigma: the
+// normalised taps and the per-tap product tables, lut[k*256+p] =
+// kernel[k] * float64(p). The products are precomputed exactly, so
+// accumulating table entries in tap order gives the bit-identical sum while
+// replacing a convert+multiply per sample with one indexed load.
+type blurKernel struct {
+	sigma  float64
+	radius int
+	kernel []float64
+	lut    []float64
+}
+
+// lastBlurKernel memoises the kernel of the sigma last asked for: a process
+// blurs with one sigma (the extractor's), so it is built once; a caller
+// alternating between two merely rebuilds it.
+var lastBlurKernel atomic.Pointer[blurKernel]
+
+func blurKernelFor(sigma float64) *blurKernel {
+	if bk := lastBlurKernel.Load(); bk != nil && bk.sigma == sigma {
+		return bk
+	}
+	radius := int(math.Ceil(3 * sigma))
+	bk := &blurKernel{
+		sigma:  sigma,
+		radius: radius,
+		kernel: make([]float64, 2*radius+1),
+		lut:    make([]float64, (2*radius+1)*256),
+	}
+	sum := 0.0
+	for i := range bk.kernel {
+		d := float64(i - radius)
+		bk.kernel[i] = math.Exp(-d * d / (2 * sigma * sigma))
+		sum += bk.kernel[i]
+	}
+	for i := range bk.kernel {
+		bk.kernel[i] /= sum
+	}
+	for k, kv := range bk.kernel {
+		tab := bk.lut[k*256 : k*256+256]
+		for p := range tab {
+			tab[p] = kv * float64(p)
+		}
+	}
+	lastBlurKernel.Store(bk)
+	return bk
 }
 
 // Threshold returns a binary image: pixels >= t become 255, others 0.

@@ -31,8 +31,8 @@ const (
 	maxPGMPixels = 64 << 20
 )
 
-// byteReader is what the header parser needs: single bytes for the header,
-// bulk reads for the pixels. *bytes.Reader and *bufio.Reader are both.
+// byteReader is what DecodePGM reads a header from one byte at a time before
+// it reads the pixels in bulk. *bytes.Reader and *bufio.Reader are both.
 type byteReader interface {
 	io.Reader
 	io.ByteReader
@@ -49,34 +49,36 @@ type byteReader interface {
 // separator before the pixels — are malformed now; EncodePGM writes none of
 // them. `#` comments were never accepted.
 //
-// A reader that is an io.ByteReader (*bytes.Reader, which is what every
-// caller in the program passes) is read in place, with nothing allocated
-// but the image; any other reader is wrapped in a bufio.Reader.
+// A reader that is an io.ByteReader (*bytes.Reader, *bytes.Buffer) is read
+// in place, with nothing allocated but the image; any other reader is
+// wrapped in a bufio.Reader. The extraction path does not come through
+// here: it holds the object's bytes and decodes only the rows it will read
+// (DecodePGMRect).
 func DecodePGM(r io.Reader) (*Gray, error) {
 	br, ok := r.(byteReader)
 	if !ok {
 		br = bufio.NewReader(r)
 	}
-	if c, err := pgmSkipSpace(br); err != nil || c != 'P' {
-		return nil, ErrBadPGM
+	// The header is copied off the reader — everything up to the whitespace
+	// byte that ends the fourth token, wherever the tokens are malformed —
+	// and judged by the one parser. No valid header is longer than 19 bytes
+	// plus its optional extra whitespace, so the copy stays on the stack.
+	hdr := make([]byte, 0, 64)
+	for tokens, inToken := 0, false; tokens < 4; {
+		c, err := br.ReadByte()
+		if err != nil {
+			return nil, ErrBadPGM
+		}
+		hdr = append(hdr, c)
+		if !pgmSpace(c) {
+			inToken = true
+		} else if inToken {
+			inToken = false
+			tokens++
+		}
 	}
-	if c, err := br.ReadByte(); err != nil || c != '5' {
-		return nil, ErrBadPGM
-	}
-	if c, err := br.ReadByte(); err != nil || !pgmSpace(c) {
-		return nil, ErrBadPGM
-	}
-	w, ok := pgmField(br, maxPGMDim)
+	w, h, _, ok := pgmHeader(hdr)
 	if !ok {
-		return nil, ErrBadPGM
-	}
-	h, ok := pgmField(br, maxPGMDim)
-	if !ok || h > maxPGMPixels/w {
-		return nil, ErrBadPGM
-	}
-	// The whitespace byte that ends the last field is the one that
-	// separates the header from the pixel data.
-	if maxVal, ok := pgmField(br, 255); !ok || maxVal != 255 {
 		return nil, ErrBadPGM
 	}
 	img := New(w, h)
@@ -87,37 +89,86 @@ func DecodePGM(r io.Reader) (*Gray, error) {
 	return img, nil
 }
 
+// DecodePGMRect decodes from the bytes of a PGM only the sub-image r: it is
+// DecodePGM(bytes.NewReader(data)) followed by Crop(r) — the same grammar,
+// the same bounds, ErrBadPGM for exactly the same inputs (pixel bytes that
+// are not all there included; trailing bytes ignored), r clamped to the
+// image and a 0×0 image for an empty one — without the whole image ever
+// being copied. A 320×180 thumbnail is read for a latency display some
+// fifteen rows high; this copies those rows and touches no other pixel.
+func DecodePGMRect(data []byte, r Rect) (*Gray, error) {
+	w, h, off, ok := pgmHeader(data)
+	// h ≤ maxPGMPixels/w, so w*h cannot overflow.
+	if !ok || len(data)-off < w*h {
+		return nil, ErrBadPGM
+	}
+	r = r.Clamp(w, h)
+	if r.Empty() {
+		return New(0, 0), nil
+	}
+	out := New(r.Width(), r.Height())
+	for y := 0; y < out.H; y++ {
+		src := off + (r.Y0+y)*w + r.X0
+		copy(out.Pix[y*out.W:(y+1)*out.W], data[src:src+out.W])
+	}
+	return out, nil
+}
+
+// pgmHeader parses the header at the start of data: the image size, and
+// the offset of the first pixel byte. It is the only judge of the grammar
+// and of the size bounds.
+func pgmHeader(data []byte) (w, h, off int, ok bool) {
+	i := pgmSkipSpace(data, 0)
+	if i+2 >= len(data) || data[i] != 'P' || data[i+1] != '5' || !pgmSpace(data[i+2]) {
+		return 0, 0, 0, false
+	}
+	i += 3
+	if w, i, ok = pgmField(data, i, maxPGMDim); !ok {
+		return 0, 0, 0, false
+	}
+	if h, i, ok = pgmField(data, i, maxPGMDim); !ok || h > maxPGMPixels/w {
+		return 0, 0, 0, false
+	}
+	// The whitespace byte that ends the last field is the one that
+	// separates the header from the pixel data.
+	maxVal, i, ok := pgmField(data, i, 255)
+	if !ok || maxVal != 255 {
+		return 0, 0, 0, false
+	}
+	return w, h, i, true
+}
+
 // pgmSpace reports whether c is PGM header whitespace: space, TAB, LF, VT,
 // FF or CR.
 func pgmSpace(c byte) bool { return c == ' ' || (c >= '\t' && c <= '\r') }
 
-// pgmSkipSpace returns the first byte that is not header whitespace.
-func pgmSkipSpace(br io.ByteReader) (byte, error) {
-	for {
-		c, err := br.ReadByte()
-		if err != nil || !pgmSpace(c) {
-			return c, err
-		}
+// pgmSkipSpace returns the index of the first byte at or after i that is
+// not header whitespace, or len(data).
+func pgmSkipSpace(data []byte, i int) int {
+	for i < len(data) && pgmSpace(data[i]) {
+		i++
 	}
+	return i
 }
 
-// pgmField reads one numeric header field in [1, max], skipping the
-// whitespace before it and consuming the single whitespace byte that ends
-// it. Anything else — no digits, a leading zero, a value over max, a
-// non-space terminator, the input ending — is not ok.
-func pgmField(br io.ByteReader, max int) (n int, ok bool) {
-	c, err := pgmSkipSpace(br)
-	if err != nil || c == '0' {
-		return 0, false
+// pgmField reads one numeric header field in [1, max] starting at i,
+// skipping the whitespace before it, and returns the index just past the
+// single whitespace byte that ends it. Anything else — no digits, a leading
+// zero, a value over max, a non-space terminator, the input ending — is not
+// ok.
+func pgmField(data []byte, i, max int) (n, next int, ok bool) {
+	i = pgmSkipSpace(data, i)
+	if i < len(data) && data[i] == '0' {
+		return 0, 0, false
 	}
-	for c >= '0' && c <= '9' {
-		n = n*10 + int(c-'0')
+	for ; i < len(data) && data[i] >= '0' && data[i] <= '9'; i++ {
+		n = n*10 + int(data[i]-'0')
 		if n > max {
-			return 0, false
-		}
-		if c, err = br.ReadByte(); err != nil {
-			return 0, false
+			return 0, 0, false
 		}
 	}
-	return n, n > 0 && pgmSpace(c)
+	if n == 0 || i >= len(data) || !pgmSpace(data[i]) {
+		return 0, 0, false
+	}
+	return n, i + 1, true
 }

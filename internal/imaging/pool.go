@@ -80,24 +80,35 @@ func RecycleBitmap(b *Bitmap) {
 	bitmapPool.Put(b)
 }
 
-// f64Pool recycles the float64 scratch rows used by the separable Gaussian
-// blur (the single largest per-extraction transient allocation).
-var f64Pool sync.Pool // holds *[]float64
-
-// getF64 returns a length-n float64 scratch slice. Contents are undefined:
-// callers must fully overwrite it before reading.
-func getF64(n int) []float64 {
-	if v := f64Pool.Get(); v != nil {
-		s := *(v.(*[]float64))
-		if cap(s) >= n {
-			return s[:n]
-		}
-	}
-	return make([]float64, n)
+// blurScratch is the working storage of one separable Gaussian blur: the
+// float64 intermediate rows between the two passes (the single largest
+// per-extraction transient), one source row expanded by the replication
+// factor, and the accumulator row of the general-radius vertical pass.
+type blurScratch struct {
+	tmp  []float64
+	acc  []float64
+	line []uint8
 }
 
-func putF64(s []float64) {
-	f64Pool.Put(&s)
+var blurPool sync.Pool // holds *blurScratch
+
+// getBlurScratch returns scratch with nTmp intermediate values and w-wide
+// line and accumulator rows. Contents are undefined: the blur overwrites
+// every element it reads.
+func getBlurScratch(nTmp, w int) *blurScratch {
+	sc, _ := blurPool.Get().(*blurScratch)
+	if sc == nil {
+		sc = new(blurScratch)
+	}
+	if cap(sc.tmp) < nTmp {
+		sc.tmp = make([]float64, nTmp)
+	}
+	if cap(sc.acc) < w {
+		sc.acc = make([]float64, w)
+		sc.line = make([]uint8, w)
+	}
+	sc.tmp, sc.acc, sc.line = sc.tmp[:nTmp], sc.acc[:w], sc.line[:w]
+	return sc
 }
 
 // brun is one horizontal run of set bits: row y, columns [x0, x1).

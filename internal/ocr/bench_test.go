@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tero/internal/imaging"
+	"tero/internal/worldsim"
 )
 
 // BenchmarkRecognize measures each engine end-to-end on a typical latency
@@ -46,6 +47,48 @@ func BenchmarkMatchCell(b *testing.B) {
 	b.Run("packed", func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
 			_, _ = matchCellPacked(cell, 0)
+		}
+	})
+}
+
+var cellSink packedCell
+
+// BenchmarkNormalizeCell normalises the glyph boxes of one corpus crop — a
+// rendered thumbnail's latency display, pre-processed and binarised the way
+// Tessera sees it — by truth table, against the float loop the table
+// replaced (normalize_test.go). One iteration is one box.
+func BenchmarkNormalizeCell(b *testing.B) {
+	world := worldsim.New(worldsim.DefaultConfig(1234))
+	var bin *imaging.Bitmap
+	var boxes []imaging.Rect
+corpus:
+	for _, st := range world.Streamers {
+		for _, gs := range world.Sessions(st) {
+			img, truth := worldsim.RenderDeterministic(gs, 0, worldsim.DefaultRenderOptions())
+			if truth.ShownMs < 100 {
+				continue // a three-digit reading
+			}
+			crop := img.Crop(gs.Game.UI.CropRect(4))
+			bin = crop.ScaleNearestBlur(2, 0.5).PackGE(NewTessera().Thr)
+			for _, s := range bin.SegmentColumns(1, nil) {
+				if box, area := bin.TightBoxCountIn(s); area >= 3 {
+					boxes = append(boxes, imaging.Rect{X0: s.X0 + box.X0, Y0: s.Y0 + box.Y0, X1: s.X0 + box.X1, Y1: s.Y0 + box.Y1})
+				}
+			}
+			break corpus
+		}
+	}
+	if len(boxes) < 3 {
+		b.Fatalf("the corpus crop has %d glyph boxes", len(boxes))
+	}
+	b.Run("table", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			cellSink = normalizeCellPacked(bin, boxes[i%len(boxes)])
+		}
+	})
+	b.Run("float", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			cellSink = normalizeCellFloat(bin, boxes[i%len(boxes)])
 		}
 	})
 }

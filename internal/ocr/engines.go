@@ -1,8 +1,21 @@
 package ocr
 
 import (
+	"sync"
+
 	"tero/internal/imaging"
 )
+
+// scratch is what one Recognize call segments into: the column strips and,
+// for EasyScan, the components they come from. Neither outlives the call —
+// a Result's boxes are copies — and three engines segment one or two images
+// per thumbnail.
+type scratch struct {
+	segs  []imaging.Rect
+	comps []imaging.Component
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // Tessera is the strict engine: fixed global threshold, column-projection
 // segmentation, tight match tolerance. It misses low-contrast text entirely
@@ -24,8 +37,10 @@ func (t *Tessera) Name() string { return "tessera" }
 // Recognize implements Engine.
 func (t *Tessera) Recognize(img *imaging.Gray) Result {
 	bin := img.PackGE(t.Thr)
-	segs := bin.SegmentColumns(1)
-	res := recognizeSegmentsPacked(bin, segs, t.Tol, 0, 3)
+	sc := scratchPool.Get().(*scratch)
+	sc.segs = bin.SegmentColumns(1, sc.segs)
+	res := recognizeSegmentsPacked(bin, sc.segs, t.Tol, 0, 3)
+	scratchPool.Put(sc)
 	imaging.RecycleBitmap(bin)
 	return res
 }
@@ -60,8 +75,11 @@ func (e *EasyScan) Recognize(img *imaging.Gray) Result {
 	} else {
 		bin = img.PackGE(thr)
 	}
-	segs := mergeOverlapping(componentColumns(bin.ConnectedComponents(), bin.H))
-	res := recognizeSegmentsPacked(bin, segs, e.Tol, 0, 4)
+	sc := scratchPool.Get().(*scratch)
+	sc.comps = bin.ConnectedComponents(sc.comps)
+	sc.segs = componentColumns(sc.comps, bin.H, sc.segs)
+	res := recognizeSegmentsPacked(bin, mergeOverlapping(sc.segs), e.Tol, 0, 4)
+	scratchPool.Put(sc)
 	imaging.RecycleBitmap(bin)
 	return res
 }
@@ -104,8 +122,10 @@ func (p *PaddleRead) Recognize(img *imaging.Gray) Result {
 	}
 	bin := small.Upscale2x()
 	imaging.RecycleBitmap(small)
-	segs := bin.SegmentColumns(2)
-	res := recognizeSegmentsPacked(bin, segs, p.Tol, p.DigitBias, 8)
+	sc := scratchPool.Get().(*scratch)
+	sc.segs = bin.SegmentColumns(2, sc.segs)
+	res := recognizeSegmentsPacked(bin, sc.segs, p.Tol, p.DigitBias, 8)
+	scratchPool.Put(sc)
 	imaging.RecycleBitmap(bin)
 	halveBoxes(&res)
 	return res
@@ -124,9 +144,9 @@ func halveBoxes(res *Result) {
 }
 
 // componentColumns returns one full-height column strip per connected
-// component.
-func componentColumns(comps []imaging.Component, h int) []imaging.Rect {
-	out := make([]imaging.Rect, 0, len(comps))
+// component, written over buf when it has the capacity.
+func componentColumns(comps []imaging.Component, h int, buf []imaging.Rect) []imaging.Rect {
+	out := buf[:0]
 	for _, c := range comps {
 		out = append(out, imaging.Rect{X0: c.Box.X0, Y0: 0, X1: c.Box.X1, Y1: h})
 	}

@@ -41,7 +41,7 @@ func (e scalarEasyScan) Recognize(img *imaging.Gray) Result {
 	} else {
 		bin = img.Threshold(thr)
 	}
-	segs := mergeOverlapping(componentColumns(bin.ConnectedComponents(), bin.H))
+	segs := mergeOverlapping(componentColumns(bin.ConnectedComponents(), bin.H, nil))
 	res := recognizeSegments(bin, segs, e.Tol, 0, 4)
 	imaging.Recycle(bin)
 	return res

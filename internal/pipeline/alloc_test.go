@@ -15,6 +15,7 @@ import (
 
 	"tero/internal/download"
 	"tero/internal/imaging"
+	"tero/internal/objstore"
 	"tero/internal/worldsim"
 )
 
@@ -120,5 +121,91 @@ func TestThumbnailPathAllocationBudget(t *testing.T) {
 	if ratio >= 2.5 {
 		t.Fatalf("%.0f B allocated per thumbnail, %.2f× the %d-byte body; budget is 2.5× (one body, allocated once)",
 			perCycle, ratio, len(body))
+	}
+}
+
+// extractCorpus renders n thumbnails of the seeded world — every game, the
+// default corruption mix — as the objects ExtractThumb is handed.
+func extractCorpus(t testing.TB, n int) []*objstore.Object {
+	t.Helper()
+	world := worldsim.New(worldsim.DefaultConfig(1234))
+	opt := worldsim.DefaultRenderOptions()
+	var objs []*objstore.Object
+	for _, st := range world.Streamers {
+		for _, gs := range world.Sessions(st) {
+			for idx := 0; idx < 3; idx++ {
+				img, _ := worldsim.RenderDeterministic(gs, idx, opt)
+				var buf bytes.Buffer
+				if err := img.EncodePGM(&buf); err != nil {
+					t.Fatal(err)
+				}
+				imaging.Recycle(img)
+				objs = append(objs, &objstore.Object{
+					Key:  st.ID + "/" + strconv.Itoa(len(objs)) + ".pgm",
+					Data: buf.Bytes(),
+					Meta: map[string]string{
+						"streamer": st.ID, "login": st.Username, "game": gs.Game.Name,
+						"at": gs.Start.Format(time.RFC3339),
+					},
+				})
+				if len(objs) == n {
+					return objs
+				}
+			}
+		}
+	}
+	t.Fatalf("the world renders only %d thumbnails, want %d", len(objs), n)
+	return nil
+}
+
+// TestExtractThumbAllocationBudget holds extraction alone — what
+// `extract_batch` times — to a bytes-per-thumbnail budget in the steady
+// state: with the imaging pools, the engines' scratch and the cell-table memo
+// warm, ExtractThumb allocates no buffer proportional to the thumbnail
+// (57.6 KB) or to the crop, only the engines' Results — Chars once at its
+// final capacity, Text once — and what the positional filter has to copy.
+// Measured ≈ 1.2 KB a thumbnail (10.2 KB before the engines segmented into
+// pooled scratch, sized their results once and stopped rendering three
+// metric names per engine per vote); the budget is 2 KiB. What it is there
+// to catch costs more than the headroom: the smallest crop is 645 bytes and
+// the average over the games ≈ 1 KB, its 2× pre-processed form 4× that, the
+// blur's float intermediate 20 KB, and a Chars slice back on append-doubling
+// ≈ 2 KB over the three engines. Not judged under the race detector, like
+// the budget above.
+func TestExtractThumbAllocationBudget(t *testing.T) {
+	objs := extractCorpus(t, 300)
+	x := New("http://unused.invalid", 1).Extractor
+	pass := func() (measured int) {
+		for _, obj := range objs {
+			switch r := ExtractThumb(x, obj); r.Outcome {
+			case OutcomeMeasured:
+				measured++
+			case OutcomeCorrupt, OutcomeUnknown:
+				t.Fatalf("%s: outcome %s", obj.Key, r.Outcome)
+			}
+		}
+		return measured
+	}
+	if pass() == 0 { // warms the pools, the scratch and the memo
+		t.Fatal("OCR read nothing: the pass is not doing a thumbnail's work")
+	}
+	// The least of three passes: TotalAlloc is process-wide, and a GC inside
+	// a pass empties the pools once.
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		pass()
+		runtime.ReadMemStats(&m1)
+		least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	per := float64(least) / float64(len(objs))
+	t.Logf("%.0f B allocated per thumbnail", per)
+	if raceEnabled {
+		t.Skip("allocation budget not judged under -race: sync.Pool drops Puts at random")
+	}
+	const budget = 2 << 10
+	if per >= budget {
+		t.Fatalf("%.0f B allocated per thumbnail; budget is %d", per, budget)
 	}
 }

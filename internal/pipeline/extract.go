@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"bytes"
 	"time"
 
 	"tero/internal/docstore"
@@ -38,26 +37,35 @@ type ThumbResult struct {
 	AtOK                      bool
 }
 
-// ExtractThumb runs the pure extraction for one thumbnail object: PGM
-// decode, game lookup, OCR pipeline. No state outside the extractor's
-// internal pools is touched.
+// ExtractThumb runs the pure extraction for one thumbnail object: game
+// lookup, PGM decode of the rows the game's latency display occupies, OCR
+// pipeline. The whole object is validated (header, and every pixel byte
+// present) but only the crop is copied out of it; an object of an unknown
+// game is validated and no pixel of it read. No state outside the
+// extractor's internal pools is touched.
 func ExtractThumb(x *imageproc.Extractor, obj *objstore.Object) ThumbResult {
 	r := ThumbResult{Key: obj.Key}
 	game := games.ByName(obj.Meta["game"])
-	img, err := imaging.DecodePGM(bytes.NewReader(obj.Data))
+	var rect imaging.Rect // empty for an unknown game
+	if game != nil {
+		rect = game.UI.CropRect(x.Pad)
+	}
+	crop, err := imaging.DecodePGMRect(obj.Data, rect)
 	if err != nil {
 		// Undecodable PGM (truncated or bit-corrupted download): flag for
-		// quarantine rather than feeding garbage to OCR.
+		// quarantine rather than feeding garbage to OCR. Corrupt is judged
+		// before the game is: a corrupt object of an unknown game is
+		// quarantined too.
 		r.Outcome = OutcomeCorrupt
 		return r
 	}
 	if game == nil {
-		imaging.Recycle(img)
+		imaging.Recycle(crop)
 		r.Outcome = OutcomeUnknown
 		return r
 	}
-	ex := x.Extract(img, game)
-	imaging.Recycle(img)
+	ex := x.ExtractCrop(crop, game)
+	imaging.Recycle(crop)
 	r.Streamer = obj.Meta["streamer"]
 	r.Login = obj.Meta["login"]
 	r.Game = game.Name

@@ -4,7 +4,7 @@
 # with the harness's own -compare. Not part of check.sh: ten pairs of every
 # workload take a quarter of an hour or more.
 #
-#   scripts/bench_pairs.sh <parent-ref> [pairs=10] [workload/metric]
+#   scripts/bench_pairs.sh <parent-ref> [pairs=10] [workload/metric] [seed=1]
 #
 # Exits with -compare's status (1 on any `regressed` row or a risen failure
 # share) and repeats every `unresolved` row on stderr: a spread wider than
@@ -16,16 +16,23 @@
 # change claims to improve, e.g. serve_mixed/ops_per_s: the k-th parent run
 # is paired with the k-th candidate run, and the script also exits 1 unless
 # the candidate wins at least nine tenths of the pairs (ties win nothing) and
-# the medians lie further apart than the parent's own quartiles.
+# the medians lie further apart than the parent's own quartiles. A fourth
+# argument is the workload seed both sides run with: a claim must also hold
+# on a seed not used while the change was written (pass '' as the third
+# argument to set the seed without a claim).
 set -eu
 
-[ $# -ge 1 ] || { echo "usage: $0 <parent-ref> [pairs=10] [workload/metric]" >&2; exit 2; }
+[ $# -ge 1 ] || { echo "usage: $0 <parent-ref> [pairs=10] [workload/metric] [seed=1]" >&2; exit 2; }
 REF=$1
 PAIRS=${2:-10}
 CLAIM=${3:-}
+SEED=${4:-1}
 case "$CLAIM" in
     ''|?*/?*) ;;
     *) echo "claim must be <workload>/<metric>, got '$CLAIM'" >&2; exit 2 ;;
+esac
+case "$SEED" in
+    ''|*[!0-9]*) echo "seed must be a non-negative integer, got '$SEED'" >&2; exit 2 ;;
 esac
 
 cd "$(dirname "$0")/.."
@@ -57,7 +64,7 @@ WORKLOADS=$(awk '/"workloads"/ {w=1} /"end_to_end"/ {w=0}
 # run_side <parent|candidate> <tree> <commit> <workload>: the harness reads
 # ../BENCHMARK.json, so it runs from its own tree's bench directory.
 run_side() {
-    (cd "$2/bench" && "$OUT/$1.bin" -workload "$4" -trace 0 \
+    (cd "$2/bench" && "$OUT/$1.bin" -workload "$4" -trace 0 -seed "$SEED" \
         -out "$OUT/$1" -commit "$3" > "$OUT/$1.last" 2>&1) \
         || { echo "$1 run of $4 failed:" >&2; cat "$OUT/$1.last" >&2; exit 1; }
 }
@@ -77,7 +84,7 @@ while [ "$i" -le "$PAIRS" ]; do
     i=$((i + 1))
 done
 
-echo "== $PAIRS pairs: a = parent $PARENT_SHA, b = candidate $HEAD_SHA =="
+echo "== $PAIRS pairs, seed $SEED: a = parent $PARENT_SHA, b = candidate $HEAD_SHA =="
 STATUS=0
 (cd "$ROOT/bench" && "$OUT/candidate.bin" -compare \
     "$OUT/parent/results.jsonl" "$OUT/candidate/results.jsonl") \

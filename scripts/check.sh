@@ -40,14 +40,16 @@ fi
 echo "== go test -race ./... =="
 # Among them the tests that share one object payload between goroutines
 # (objstore's TestSharedPayloadUnderRace, the pipeline's allocation test),
-# the packed-vs-scalar corpus tests of package ocr_test and the boot-and-stop
-# tests of all five binaries.
+# the packed-vs-scalar corpus tests of package ocr_test, the goroutines that
+# first-touch one glyph-cell table (TestCellTableFirstTouchIsRaceFree) and the
+# boot-and-stop tests of all five binaries.
 go test -race ./...
 # sync.Pool drops Puts at random under the race detector, so the
-# one-allocation-per-thumbnail budget is only judged without it.
-go test -run '^TestThumbnailPathAllocationBudget$' ./internal/pipeline
+# one-allocation-per-thumbnail budget and the extraction's bytes-per-thumbnail
+# budget are only judged without it.
+go test -run '^(TestThumbnailPathAllocationBudget|TestExtractThumbAllocationBudget)$' ./internal/pipeline
 
-echo "== decoder fuzz targets (kvstore wire and log, traceparent, PGM; 5s each) =="
+echo "== decoder fuzz targets (kvstore wire and log, traceparent, PGM whole and by rows, fleet results; 5s each) =="
 # The committed seed corpus runs under the plain tests above; this mutates
 # from it. A failing input lands in the package's testdata/fuzz/.
 for target in FuzzReadCommand FuzzReadReply FuzzReplayAOF; do
@@ -57,6 +59,8 @@ go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime 5s ./internal/obs/tra
 # Two PGM seeds are whole thumbnails (57 and 64 KiB): minimising every
 # interesting mutant of those byte by byte would eat the five seconds.
 go test -run '^$' -fuzz '^FuzzDecodePGM$' -fuzztime 5s -fuzzminimizetime 50x ./internal/imaging
+go test -run '^$' -fuzz '^FuzzDecodePGMRect$' -fuzztime 5s -fuzzminimizetime 50x ./internal/imaging
+go test -run '^$' -fuzz '^FuzzDecodeResult$' -fuzztime 5s ./internal/dist
 
 echo "== bench module (own go.mod, replace tero => ../: vet + tests) =="
 # An internal/ API removal can break bench/ without the root build noticing.
