@@ -94,3 +94,24 @@ func TestGetJSONRetryMetrics(t *testing.T) {
 		t.Errorf("exhausted counter = %d, want 1", got)
 	}
 }
+
+// TestRetryPauseBaseAndCapAgree pins the in-place fetch retry pause as a
+// pure function of the attempt: it doubles from the effective base and stops
+// at 16 times that same base — also for RetryWait 0, whose 25 ms fallback
+// used to have a cap of 16×0 and therefore never backed off.
+func TestRetryPauseBaseAndCapAgree(t *testing.T) {
+	for _, c := range []struct{ set, base time.Duration }{
+		{0, 25 * time.Millisecond},
+		{2 * time.Millisecond, 2 * time.Millisecond},
+		{25 * time.Millisecond, 25 * time.Millisecond},
+	} {
+		for attempt, mult := range []time.Duration{0, 1, 2, 4, 8, 16, 16, 16, 16} {
+			if attempt == 0 {
+				continue // attempt 0 is the first try: no pause
+			}
+			if got, want := retryPause(c.set, attempt), mult*c.base; got != want {
+				t.Errorf("RetryWait %v, retry %d: pause %v, want %v", c.set, attempt, got, want)
+			}
+		}
+	}
+}

@@ -437,6 +437,7 @@ type Downloader struct {
 	MaxStrikes int
 
 	assigned map[string]*tracked
+	stored   []string // see Stored
 
 	// Downloads and Misses count fetched and lost thumbnails; Retries and
 	// Released count in-place fetch retries and streamers given up on.
@@ -472,6 +473,11 @@ func NewDownloader(id string, kv kvstore.KV, store objstore.API) *Downloader {
 
 // Assigned returns the number of streamers this downloader polls.
 func (d *Downloader) Assigned() int { return len(d.assigned) }
+
+// Stored returns the ThumbBucket keys this downloader has Put since its last
+// PollOnce began (that poll's and any AdoptOne after it), in Put order; a key
+// stored twice appears twice. The slice is reused by the next PollOnce.
+func (d *Downloader) Stored() []string { return d.stored }
 
 // strikeBackoff is the virtual-time pause before re-trying a streamer whose
 // whole fetch cycle failed: 30s doubling per strike, capped at 4 minutes so
@@ -523,6 +529,7 @@ func (d *Downloader) fail(id string, tr *tracked, now time.Time, err error) {
 // in streamer-ID order, for the caller's logs.
 func (d *Downloader) PollOnce(now time.Time) error {
 	mDownloaderPolls.Inc()
+	d.stored = d.stored[:0]
 	// Heartbeat (virtual time): the coordinator reaps claims of downloaders
 	// whose heartbeats stop.
 	d.KV.HSet(KeyWorkers, d.ID, now.UTC().Format(time.RFC3339))
@@ -616,6 +623,20 @@ func transient(format string, args ...any) error {
 	return retryableError{fmt.Errorf(format, args...)}
 }
 
+// retryPause is the real-time pause before in-place retry number attempt
+// (from 1): base, doubled per attempt up to 16×base. A base ≤ 0 counts as
+// 25 ms for the start and the cap alike.
+func retryPause(base time.Duration, attempt int) time.Duration {
+	if base <= 0 {
+		base = 25 * time.Millisecond
+	}
+	wait := base
+	for i := 1; i < attempt && wait < 16*base; i++ {
+		wait *= 2
+	}
+	return wait
+}
+
 // fetch runs one fetch cycle for a streamer, retrying transient failures
 // (5xx, transport errors, truncated/corrupt bodies, missing headers) in
 // place with bounded real-time backoff. The virtual clock does not advance
@@ -631,14 +652,7 @@ func (d *Downloader) fetch(id string, tr *tracked, now time.Time) error {
 		if attempt > 0 {
 			d.Retries++
 			mFetchRetries.Inc()
-			wait := d.RetryWait
-			if wait <= 0 {
-				wait = 25 * time.Millisecond
-			}
-			for i := 1; i < attempt && wait < 16*d.RetryWait; i++ {
-				wait *= 2
-			}
-			time.Sleep(wait)
+			time.Sleep(retryPause(d.RetryWait, attempt))
 		}
 		err := d.fetchOnce(id, tr, now)
 		if err == nil {
@@ -835,6 +849,7 @@ func (d *Downloader) fetchOnce(id string, tr *tracked, now time.Time) error {
 		meta["trace"] = tc
 	}
 	d.Store.Put(ThumbBucket, key, body, meta) // the store's from here on: neither is touched again
+	d.stored = append(d.stored, key)
 	d.Downloads++
 	mThumbDownloads.Inc()
 	// End records the root span; the journey stays open in the store until

@@ -112,6 +112,14 @@ func TestForEachPanicRecovery(t *testing.T) {
 	if p.Concurrency != 16 {
 		t.Fatalf("Concurrency = %d after a panicking lookup, want 16", p.Concurrency)
 	}
+
+	// A panic in a background extraction surfaces in ProcessThumbnails under
+	// the same rule, each one counted as it is re-raised.
+	obs.Reset()
+	panicAhead(t)
+	if c := obs.C(obs.Lbl("pipeline_worker_panics_total", "stage", "extract")); c.Value() != 2 {
+		t.Fatalf("two background extractions panicked, panic counter = %d", c.Value())
+	}
 }
 
 // TestForEachPanicLowestIndexWins pins determinism of the re-panic when

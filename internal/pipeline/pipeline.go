@@ -61,6 +61,14 @@ var (
 	mUnlocated   = obs.C("pipeline_unlocated_total")
 	mStreams     = obs.G("pipeline_streams_built")
 	mPendingQ    = obs.G("pipeline_pending_location")
+
+	// Where ProcessThumbnails found each thumbnail's extraction: done by the
+	// time it asked, still in flight (it waited, for hExtractWait), or never
+	// started ahead (extracted inline).
+	mAheadReady  = obs.C(obs.Lbl("pipeline_extract_ahead_total", "state", "ready"))
+	mAheadWaited = obs.C(obs.Lbl("pipeline_extract_ahead_total", "state", "waited"))
+	mAheadInline = obs.C(obs.Lbl("pipeline_extract_ahead_total", "state", "inline"))
+	hExtractWait = obs.H("pipeline_extract_wait_seconds", obs.DurationBuckets)
 )
 
 // QuarantineBucket holds thumbnails that failed to decode (truncated or
@@ -119,6 +127,13 @@ type Pipeline struct {
 	// publishedTo is the builder the last PublishAt fed: it holds every
 	// pair's published analysis and nothing else.
 	publishedTo *serve.Builder
+
+	// ahead holds, by thumbnail key, the extractions Tick started and
+	// ProcessThumbnails has not merged yet; slots bounds how many run at
+	// once (see extractAhead). Both belong to the goroutine that calls Tick
+	// and ProcessThumbnails.
+	ahead map[string]*aheadResult
+	slots chan struct{}
 }
 
 type pairKey struct{ streamer, game string }
@@ -258,8 +273,11 @@ func (p *Pipeline) Anonymize(id string) string {
 }
 
 // Tick runs one poll round of the download module at virtual time now.
-// Downloaders poll in parallel (they share state only through the key-value
-// and object stores, both safe for concurrent use).
+// Unless Concurrency is 1, the downloaders all poll at once (they share state
+// only through the key-value and object stores, both safe for concurrent use,
+// and the round is socket-bound: like LocateStreamers' it is sized by the
+// work, not the cores), and the thumbnails they stored start extracting in
+// the background (extractAhead) while the caller goes on to the next tick.
 //
 // Failures are isolated, never fail-stop: a coordinator error does not
 // prevent the downloaders from working their existing assignments, and each
@@ -278,12 +296,19 @@ func (p *Pipeline) Tick(now time.Time, pollCoordinator bool) error {
 		}
 	}
 	derrs := make([]error, len(p.Downloaders))
-	forEach("download", p.workers(), len(p.Downloaders), func(i int) {
+	ahead, w := p.Concurrency != 1, 1
+	if ahead {
+		w = len(p.Downloaders)
+	}
+	forEach("download", w, len(p.Downloaders), func(i int) {
 		derrs[i] = p.Downloaders[i].PollOnce(now)
 	})
 	for i, err := range derrs {
 		if err != nil {
 			errs = append(errs, fmt.Errorf("downloader %s: %w", p.Downloaders[i].ID, err))
+		}
+		if ahead {
+			p.extractAhead(p.Downloaders[i].Stored())
 		}
 	}
 	if err := errors.Join(errs...); err != nil {
@@ -300,17 +325,66 @@ type thumbResult struct {
 	res   ThumbResult
 	// Tracing: the journey context propagated in the object metadata, plus
 	// the worker-side extraction timings. Workers only capture; span IDs are
-	// allocated in the serial merge so trace trees are deterministic.
+	// allocated in the serial merge so trace trees are deterministic. An
+	// extraction that ran ahead has its wstart/wend from when it ran, so its
+	// pipeline.extract span starts before the stage span of the
+	// ProcessThumbnails call that records it.
 	traceCtx     string
 	wstart, wend time.Time
+}
+
+// aheadResult is one extraction started by extractAhead. r and panicked are
+// written before done is closed and read only after.
+type aheadResult struct {
+	done     chan struct{}
+	r        thumbResult
+	panicked any // what extractOne panicked with, if it did
+}
+
+// extractAhead starts extractOne in the background for thumbnails a
+// downloader has just stored, so that OCR rides the download instead of
+// waiting for the next refresh; ProcessThumbnails takes the results. At most
+// workers()−1 run at once (the caller's own goroutine is busy on the download
+// path and needs the remaining core), but at least one. Only the pure half
+// runs here: every side effect stays in ProcessThumbnails' key-ordered
+// merge. A key stored again before its merge gets a fresh extraction, which
+// replaces the stale one. Nothing has to be closed: a goroutine finishes its
+// one thumbnail and exits, whether or not anyone takes the result.
+func (p *Pipeline) extractAhead(keys []string) {
+	if len(keys) == 0 {
+		return
+	}
+	if p.ahead == nil {
+		p.ahead = make(map[string]*aheadResult)
+	}
+	if n := max(1, p.workers()-1); cap(p.slots) != n {
+		p.slots = make(chan struct{}, n)
+	}
+	slots, traced := p.slots, trace.Enabled()
+	for _, key := range keys {
+		a := &aheadResult{done: make(chan struct{})}
+		p.ahead[key] = a
+		go func() {
+			slots <- struct{}{}
+			defer func() {
+				a.panicked = recover() // re-raised by ProcessThumbnails
+				<-slots
+				close(a.done)
+			}()
+			a.r = p.extractOne(key, traced)
+		}()
+	}
 }
 
 // ProcessThumbnails drains the thumbnail bucket: extract latency, store the
 // measurement, delete the thumbnail. Returns the number processed.
 //
-// Extraction (PGM decode → OCR → vote) fans out to the worker pool; the
-// results are then merged in thumbnail-key order, so document IDs, counters
-// and pending-location entries are identical to a serial run.
+// Extraction (PGM decode → OCR → vote) fans out to the worker pool — each
+// worker first takes the result extractAhead already has for the key,
+// waiting for it if it is in flight (a panic there is re-raised here, under
+// forEach's rule), and extracts only what was never started; the results
+// are then merged in thumbnail-key order, so document IDs, counters and
+// pending-location entries are identical to a serial run.
 func (p *Pipeline) ProcessThumbnails() int {
 	sp := trace.StartStage("pipeline.extract")
 	defer sp.End()
@@ -321,14 +395,27 @@ func (p *Pipeline) ProcessThumbnails() int {
 	traced := trace.Enabled()
 	results := make([]thumbResult, len(keys))
 	forEach("extract", p.workers(), len(keys), func(i int) {
-		if traced {
-			t0 := time.Now()
-			results[i] = p.extractOne(keys[i])
-			results[i].wstart, results[i].wend = t0, time.Now()
-		} else {
-			results[i] = p.extractOne(keys[i])
+		a := p.ahead[keys[i]]
+		if a == nil {
+			mAheadInline.Inc()
+			results[i] = p.extractOne(keys[i], traced)
+			return
 		}
+		select {
+		case <-a.done:
+			mAheadReady.Inc()
+		default:
+			t0 := time.Now()
+			<-a.done
+			hExtractWait.Observe(time.Since(t0).Seconds())
+			mAheadWaited.Inc()
+		}
+		if a.panicked != nil {
+			panic(fmt.Sprintf("extraction ahead of %s: %v", keys[i], a.panicked))
+		}
+		results[i] = a.r
 	})
+	clear(p.ahead) // every key stored before the List above is merged below
 
 	// Deterministic merge in key order: counters, documents and
 	// pending-location entries via IngestResult (shared with the
@@ -390,17 +477,21 @@ func (p *Pipeline) ProcessThumbnails() int {
 }
 
 // extractOne runs the pure extraction for one thumbnail key: object read,
-// PGM decode, OCR pipeline. No pipeline state is mutated.
-func (p *Pipeline) extractOne(key string) thumbResult {
-	obj, err := p.Objects.Get(download.ThumbBucket, key)
-	if err != nil {
-		return thumbResult{}
+// PGM decode, OCR pipeline, timed when traced. No pipeline state is mutated.
+func (p *Pipeline) extractOne(key string, traced bool) thumbResult {
+	var r thumbResult
+	if traced {
+		r.wstart = time.Now()
 	}
-	return thumbResult{
-		found:    true,
-		res:      ExtractThumb(p.Extractor, obj),
-		traceCtx: obj.Meta["trace"],
+	if obj, err := p.Objects.Get(download.ThumbBucket, key); err == nil {
+		r.found = true
+		r.res = ExtractThumb(p.Extractor, obj)
+		r.traceCtx = obj.Meta["trace"]
 	}
+	if traced {
+		r.wend = time.Now()
+	}
+	return r
 }
 
 // relocateEvery is how often a streamer's profiles are re-examined: a

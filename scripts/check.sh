@@ -76,6 +76,13 @@ echo "== incremental publish == from scratch, one snapshot per response (-race -
 go test -race -count=5 -run '^(TestIncrementalBuildMatchesFresh|TestCompareAnswersFromOneSnapshot)$' ./internal/serve
 go test -race -count=5 -run '^TestIncrementalPublishMatchesFromScratch$' ./internal/pipeline
 
+echo "== extraction ahead of the merge: same tables at 1, 2 and 8 workers, no goroutine left (-race -count=5) =="
+# The background extractions Tick starts (DESIGN.md §6) against several
+# interleavings: the Tick-driven loop byte-identical to the serial one, a
+# re-stored key extracted again, a corrupt one quarantined once, a panic
+# re-raised by the drain, and the goroutine count back at its baseline.
+go test -race -count=5 -run '^(TestExtractAheadDeterminism|TestExtractAheadGoroutines|TestRestoredKeyIsExtractedAgain|TestCorruptThumbnailAheadQuarantinedOnce|TestForEachPanicRecovery)$' ./internal/pipeline
+
 echo "== benchmark smoke (VolumePipeline, 1 iteration) =="
 go test -run '^$' -bench '^BenchmarkVolumePipeline$' -benchtime 1x .
 
