@@ -2,20 +2,19 @@
 // output as a latency-information query service (§1, §6): it generates a
 // synthetic world, drives the platform → pipeline stages, publishes the
 // per-{location, game} latency distributions into an in-memory index
-// (one immutable snapshot per publish), and serves them over an HTTP API (JSON by default, the compact
-// binary representation via Accept: application/x-tero-bin) —
-// republishing on a virtual -refresh cadence while the observation period
-// runs, without ever taking the API down.
+// (one immutable snapshot per publish), and serves them over a JSON HTTP
+// API — republishing on a virtual -refresh cadence while the observation
+// period runs, without ever taking the API down.
 //
 // With -max-inflight / -shed-rate an admission gate sheds overload as 503 +
-// Retry-After instead of queueing into collapse.
+// Retry-After instead of queueing into collapse. A negative limit, or a
+// -shed-burst without a -shed-rate, is a usage error (exit 2).
 //
 // With -loadtest N it additionally hammers its own API with N concurrent
 // clients after the final publish and reports throughput and tail latency,
-// exiting non-zero if any request got a non-shed 5xx. -probe-binary URL
-// checks a running server's binary representation against its JSON
-// float-for-float and exits. Performance numbers come from the benchmark
-// in bench/ (see BENCHMARK.json), not from this command.
+// exiting non-zero if any request got a non-shed 5xx. Performance numbers
+// come from the benchmark in bench/ (see BENCHMARK.json), not from this
+// command.
 package main
 
 import (
@@ -60,7 +59,6 @@ type options struct {
 	shedBurst   float64
 	loadtest    int
 	loadreqs    int
-	probeBinary string
 	logLevel    string
 	faults      float64
 	faultSeed   int64
@@ -89,8 +87,6 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.IntVar(&o.loadtest, "loadtest", 0,
 		"after the final publish, run a load test with this many concurrent clients and exit")
 	fs.IntVar(&o.loadreqs, "loadtest-requests", 200, "load-test requests per client")
-	fs.StringVar(&o.probeBinary, "probe-binary", "",
-		"probe a running server at this base URL: fetch one entry as JSON and binary, verify equality, exit")
 	fs.StringVar(&o.logLevel, "log", "info",
 		"log level: trace, debug, info, warn, error, off")
 	fs.Float64Var(&o.faults, "faults", 0,
@@ -102,6 +98,27 @@ func (o *options) register(fs *flag.FlagSet) {
 		"record tail-sampled traces across pipeline, serve and -loadtest clients (inspect at /debug/traces)")
 	fs.IntVar(&o.traceSample, "trace-sample", 16,
 		"keep 1 in N unremarkable traces (errors and slowest-per-stage always kept)")
+}
+
+// admission returns the gate the admission flags describe, nil when they
+// set no limit. A value that would be silently dropped — a negative limit,
+// or a burst with no rate for it to bound — is an error naming the flag.
+func (o *options) admission() (*serve.Admission, error) {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"max-inflight", float64(o.maxInflight)}, {"shed-rate", o.shedRate}, {"shed-burst", o.shedBurst}} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("-%s must not be negative (got %v)", f.name, f.v)
+		}
+	}
+	if o.shedBurst > 0 && o.shedRate == 0 {
+		return nil, errors.New("-shed-burst needs -shed-rate: a burst bounds nothing without a rate")
+	}
+	if o.maxInflight == 0 && o.shedRate == 0 {
+		return nil, nil
+	}
+	return serve.NewAdmission(o.maxInflight, o.shedRate, o.shedBurst), nil
 }
 
 // run is the whole command behind main: it parses args on its own flag
@@ -125,8 +142,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if o.probeBinary != "" {
-		return probeBinaryEquality(o.probeBinary, stdout, stderr)
+	adm, err := o.admission()
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	if o.trace {
@@ -152,9 +171,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// pipeline produces anything, the way a real deployment rolls out.
 	ix := serve.NewIndex(0)
 	srv := serve.NewServer(ix)
-	if o.maxInflight > 0 || o.shedRate > 0 {
-		srv.SetAdmission(serve.NewAdmission(o.maxInflight, o.shedRate, o.shedBurst))
-	}
+	srv.SetAdmission(adm)
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "listen %s: %v\n", o.addr, err)

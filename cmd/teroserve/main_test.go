@@ -10,7 +10,7 @@ import (
 
 // maxFlags is the ceiling on the command's flag surface; raising it means
 // adding an option on purpose.
-const maxFlags = 19
+const maxFlags = 18
 
 // TestGatedLoadtestShedsAndSurvives is the check.sh shed smoke as a test: a
 // tiny world behind a tight token bucket, load-tested by its own client,
@@ -37,16 +37,44 @@ func TestGatedLoadtestShedsAndSurvives(t *testing.T) {
 	}
 }
 
+// TestAdmissionFlagsRejectNoOps: an admission flag whose value would install
+// no limit — a negative one, or a burst without a rate — is a usage error
+// naming the flag. The tiny world and -loadtest make a run that wrongly
+// accepts the flags end at once instead of serving.
+func TestAdmissionFlagsRejectNoOps(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-shed-burst", "50"}, "-shed-burst"},
+		{[]string{"-shed-burst", "50", "-max-inflight", "4"}, "-shed-burst"},
+		{[]string{"-max-inflight", "-1"}, "-max-inflight"},
+		{[]string{"-shed-rate", "-1"}, "-shed-rate"},
+		{[]string{"-shed-rate", "100", "-shed-burst", "-1"}, "-shed-burst"},
+	} {
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-addr", "127.0.0.1:0", "-streamers", "1", "-days", "0",
+			"-loadtest", "1", "-log", "off"}, tc.args...)
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(stderr.String(), tc.flag) {
+			t.Errorf("%v: stderr does not name %s:\n%s", tc.args, tc.flag, &stderr)
+		}
+	}
+}
+
 // TestRetiredFlagsRejected pins the collapse: every flag that belonged to the
-// deleted bench drivers, the in-proc replicas, the never-set tuning knobs or
-// the streaming index and its spike injector is a usage error, not a
-// silently accepted no-op.
+// deleted bench drivers, the in-proc replicas, the never-set tuning knobs,
+// the streaming index and its spike injector or the binary-representation
+// probe is a usage error, not a silently accepted no-op.
 func TestRetiredFlagsRejected(t *testing.T) {
 	for _, name := range []string{
 		"replicas", "peers", "loadtest-binary", "loadtest-inproc", "loadtest-trace",
 		"bench-serve", "bench-ingest", "ingest-duty", "ingest-pace", "ingest-clients",
 		"window", "windows", "anomaly-threshold", "min-points",
 		"deltas", "spike-game", "spike-ms", "spike-after", "spike-duration",
+		"probe-binary",
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{"-" + name}, &stdout, &stderr); code != 2 {

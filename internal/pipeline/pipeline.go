@@ -711,20 +711,14 @@ func (p *Pipeline) LocationOf(anonID string) (geo.Location, bool) {
 const streamGap = 35 * time.Minute
 
 // pointOf converts a stored measurement document into a core.Point. The
-// timestamp comes from the epoch field written at insert time; documents
-// from older stores fall back to parsing the RFC3339 string.
+// timestamp is the epoch field IngestResult writes whenever the thumbnail's
+// "at" parsed; a measurement without one has no time and is skipped.
 func pointOf(d docstore.Doc) (core.Point, bool) {
-	var pt core.Point
-	if unix, ok := d["atUnix"].(int64); ok {
-		pt.T = time.Unix(unix, 0).UTC()
-	} else {
-		at, err := time.Parse(time.RFC3339, d["at"].(string))
-		if err != nil {
-			return core.Point{}, false
-		}
-		pt.T = at
+	unix, ok := d["atUnix"].(int64)
+	if !ok {
+		return core.Point{}, false
 	}
-	pt.Ms = d["ms"].(float64)
+	pt := core.Point{T: time.Unix(unix, 0).UTC(), Ms: d["ms"].(float64)}
 	if alt, ok := d["alt"].(float64); ok {
 		pt.Alt, pt.HasAlt = alt, true
 	}

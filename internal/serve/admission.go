@@ -17,17 +17,16 @@ import (
 // stays at the knee, p99 of admitted requests stays flat, and the error
 // rate is the excess offered load, all visible as serve_shed_total{route}.
 //
-// Both limits are runtime-adjustable (SetLimits), so a brownout experiment
-// can sweep offered load against a fixed knee, and an operator can tighten
-// a live server without restarting it. A zero limit disables that check;
-// a nil *Admission (the default on Server) admits everything.
+// Both limits are fixed at construction; to change them, install a new
+// gate with Server.SetAdmission. A zero limit disables that check; a nil
+// *Admission (the default on Server) admits everything.
 type Admission struct {
-	maxInFlight atomic.Int64 // 0 = unlimited
+	maxInFlight int64   // 0 = unlimited
+	rate        float64 // tokens per second; 0 = unlimited
+	burst       float64
 	inFlight    atomic.Int64
 
-	mu     sync.Mutex // guards the token bucket
-	rate   float64    // tokens per second; 0 = unlimited
-	burst  float64
+	mu     sync.Mutex // guards the token bucket's fill
 	tokens float64
 	last   time.Time
 }
@@ -36,26 +35,18 @@ var gInFlight = obs.G("serve_inflight_requests")
 
 // NewAdmission returns a gate with the given limits. maxInFlight <= 0 and
 // rate <= 0 each disable that check; burst <= 0 defaults to rate (a one-
-// second burst allowance).
+// second burst allowance). The bucket starts full.
 func NewAdmission(maxInFlight int, rate, burst float64) *Admission {
-	a := &Admission{}
-	a.SetLimits(maxInFlight, rate, burst)
-	return a
-}
-
-// SetLimits replaces both limits atomically enough for serving: requests in
-// flight keep their slots, new requests see the new limits.
-func (a *Admission) SetLimits(maxInFlight int, rate, burst float64) {
-	a.maxInFlight.Store(int64(maxInFlight))
-	a.mu.Lock()
-	a.rate = rate
 	if burst <= 0 {
 		burst = rate
 	}
-	a.burst = burst
-	a.tokens = burst // a fresh limit starts with a full bucket
-	a.last = time.Now()
-	a.mu.Unlock()
+	return &Admission{
+		maxInFlight: int64(maxInFlight),
+		rate:        rate,
+		burst:       burst,
+		tokens:      burst,
+		last:        time.Now(),
+	}
 }
 
 // InFlight returns the number of currently admitted requests.
@@ -65,7 +56,7 @@ func (a *Admission) InFlight() int { return int(a.inFlight.Load()) }
 // release func the caller must invoke when the request finishes. On
 // rejection it returns (nil, false) and the request must be shed.
 func (a *Admission) Admit() (release func(), ok bool) {
-	if m := a.maxInFlight.Load(); m > 0 {
+	if m := a.maxInFlight; m > 0 {
 		// Take a slot only if one is free: adding first and backing out
 		// would let InFlight read above the limit in between.
 		for {
@@ -96,11 +87,11 @@ func (a *Admission) Admit() (release func(), ok bool) {
 
 // takeToken draws one token from the bucket, refilling by elapsed time.
 func (a *Admission) takeToken() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if a.rate <= 0 {
 		return true
 	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	now := time.Now()
 	a.tokens += now.Sub(a.last).Seconds() * a.rate
 	a.last = now

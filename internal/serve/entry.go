@@ -74,9 +74,9 @@ func SplitPairKey(s string) (locKey, game string, ok bool) {
 
 // Entry is one read-optimized {location, game} record: the sorted latency
 // sample plus every derived statistic the API serves, all precomputed at
-// build time — including the marshaled JSON body, the encoded binary body
-// and both representations' ETags — so the steady-state query path is a
-// map lookup plus one Write, with zero per-request marshaling.
+// build time — including the marshaled JSON body and its ETag — so the
+// steady-state query path is a map lookup plus one Write, with zero
+// per-request marshaling.
 // Entries are immutable after construction and safe to share across
 // goroutines and snapshots.
 type Entry struct {
@@ -90,10 +90,8 @@ type Entry struct {
 	// high-quality analyses of the group.
 	Streamers int
 
-	body    []byte // the latency response marshaled as JSON at build time
-	binBody []byte // the same response in the binary wire format
-	etag    string // JSON representation ETag
-	binETag string // binary representation ETag (same hash, distinct tag)
+	body []byte // the latency response marshaled as JSON at build time
+	etag string
 }
 
 // N returns the sample size.
@@ -110,21 +108,13 @@ func (e *Entry) medianMs() float64 {
 // with changed data misses.
 func (e *Entry) ETag() string { return e.etag }
 
-// ETagBinary returns the ETag of the binary representation: same data
-// hash, distinct tag, so a client switching Accept never gets a 304 for a
-// representation it does not hold.
-func (e *Entry) ETagBinary() string { return e.binETag }
-
 // Response derives the latency response from the sorted sample: the value
-// both bodies were rendered from at build time. The entry does not keep it
-// (≈ 1.4 KiB each, and the request path serves the rendered bodies).
+// the body was rendered from at build time. The entry does not keep it
+// (≈ 1.4 KiB each, and the request path serves the rendered body).
 func (e *Entry) Response() LatencyResponse { return e.computeResponse() }
 
 // BodyJSON returns the pre-marshaled JSON body (callers must not mutate).
 func (e *Entry) BodyJSON() []byte { return e.body }
-
-// BodyBinary returns the pre-encoded binary body (callers must not mutate).
-func (e *Entry) BodyBinary() []byte { return e.binBody }
 
 // LocationJSON is the JSON shape of a location tuple.
 type LocationJSON struct {
@@ -226,12 +216,10 @@ func newEntry(key string, gk core.GroupKey, analyses []*core.Analysis,
 		Sorted:    sorted,
 		Streamers: streamers,
 	}
-	e.etag, e.binETag = e.computeETags()
-	// Publish-time marshaling: both representations are rendered here, on
-	// the builder's worker pool, so the request hot path never marshals.
-	resp := e.computeResponse()
-	e.body = mustMarshal(resp)
-	e.binBody = EncodeLatencyBinary(&resp)
+	e.etag = e.computeETag()
+	// Publish-time marshaling: the body is rendered here, on the builder's
+	// worker pool, so the request hot path never marshals.
+	e.body = mustMarshal(e.computeResponse())
 	return e
 }
 
@@ -290,12 +278,11 @@ func (e *Entry) computeResponse() LatencyResponse {
 	}
 }
 
-// computeETags hashes the entry's identity and full sample with FNV-64a.
-// It is a pure function of the data, so serial and concurrent builds (and
-// republishes of unchanged data) produce the same tags. The JSON tag is
-// the historical "t1-" form; the binary representation shares the hash
-// under a distinct "t1b-" prefix, keeping the two cache-incompatible.
-func (e *Entry) computeETags() (jsonTag, binTag string) {
+// computeETag hashes the entry's identity and full sample with FNV-64a
+// into the "t1-" tag. It is a pure function of the data, so serial and
+// concurrent builds (and republishes of unchanged data) produce the same
+// tag.
+func (e *Entry) computeETag() string {
 	h := fnv.New64a()
 	h.Write([]byte(e.Key))                                     //nolint:errcheck — fnv never fails
 	binary.Write(h, binary.LittleEndian, int64(e.Streamers))   //nolint:errcheck
@@ -305,8 +292,7 @@ func (e *Entry) computeETags() (jsonTag, binTag string) {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 		h.Write(buf[:]) //nolint:errcheck
 	}
-	sum := h.Sum64()
-	return fmt.Sprintf("\"t1-%016x\"", sum), fmt.Sprintf("\"t1b-%016x\"", sum)
+	return fmt.Sprintf("\"t1-%016x\"", h.Sum64())
 }
 
 // combineETags derives the deterministic ETag of a response computed from

@@ -36,12 +36,6 @@ type LoadGen struct {
 	Clients int
 	// RequestsPerClient is each client's request budget (default 200).
 	RequestsPerClient int
-	// RevalidateEvery makes every k-th request an If-None-Match replay of
-	// the previous response's ETag (default 4; 0 disables).
-	RevalidateEvery int
-	// CompareEvery makes every k-th request a /v1/compare of two adjacent
-	// pairs (default 8; 0 disables).
-	CompareEvery int
 	// ShedBackoffCap bounds how long a client honors a shed's Retry-After
 	// (default 25ms). The header advertises whole seconds; sleeping the
 	// full second per shed would make an overloaded run mostly measure
@@ -52,6 +46,14 @@ type LoadGen struct {
 	// client's trace (no-op while tracing is disabled).
 	Trace bool
 }
+
+// Every client's request mix: each revalidateEvery-th request is an
+// If-None-Match replay of the pair's last ETag, each compareEvery-th a
+// /v1/compare of two adjacent pairs (the compare, when both apply).
+const (
+	revalidateEvery = 4
+	compareEvery    = 8
+)
 
 // LoadReport is the outcome of one LoadGen run.
 type LoadReport struct {
@@ -216,14 +218,6 @@ func (lg *LoadGen) Run(ctx context.Context) (LoadReport, error) {
 	if perClient <= 0 {
 		perClient = 200
 	}
-	revalidate := lg.RevalidateEvery
-	if revalidate == 0 {
-		revalidate = 4
-	}
-	compare := lg.CompareEvery
-	if compare == 0 {
-		compare = 8
-	}
 	backoffCap := lg.ShedBackoffCap
 	if backoffCap <= 0 {
 		backoffCap = 25 * time.Millisecond
@@ -260,9 +254,9 @@ func (lg *LoadGen) Run(ctx context.Context) (LoadReport, error) {
 				p := &pre[pi]
 				u, hdr := p.latURL, emptyHeader
 				isLatency := true
-				if compare > 0 && i%compare == compare-1 && p.cmpURL != nil {
+				if i%compareEvery == compareEvery-1 && p.cmpURL != nil {
 					u, isLatency = p.cmpURL, false
-				} else if revalidate > 0 && i%revalidate == revalidate-1 && etags[pi] != "" {
+				} else if i%revalidateEvery == revalidateEvery-1 && etags[pi] != "" {
 					hdr = http.Header{"If-None-Match": {etags[pi]}}
 				}
 				cs.requests++

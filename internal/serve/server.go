@@ -74,12 +74,10 @@ func handlesFor(route string) *routeHandles { return routeHandleTab[route] }
 //	GET /metrics                       obs.Default text dump
 //
 // Every /v1 response carries a deterministic ETag and honors
-// If-None-Match with 304. /v1/latency additionally negotiates the compact
-// binary representation via `Accept: application/x-tero-bin`; both
-// representations are rendered at snapshot build time, so the steady-state
-// handler does no marshaling at all. An optional Admission gate
-// (SetAdmission) sheds load with 503 + Retry-After once the configured
-// in-flight or rate limit is exceeded.
+// If-None-Match with 304. Every /v1/latency body is rendered at snapshot
+// build time, so the steady-state handler does no marshaling at all. An
+// optional Admission gate (SetAdmission) sheds load with 503 + Retry-After
+// once the configured in-flight or rate limit is exceeded.
 type Server struct {
 	ix      *Index
 	adm     atomic.Pointer[Admission]
@@ -280,15 +278,14 @@ func etagMatches(header, etag string) bool {
 
 const contentTypeJSON = "application/json; charset=utf-8"
 
-// varyAccept is the Vary value of /v1/latency, the one route whose
-// representation depends on Accept: without it a shared cache may hand a
-// binary body to a JSON client or revalidate the wrong representation.
-// Shared and read-only, so setting it costs no per-request allocation.
-var varyAccept = []string{"Accept"}
+// ContentTypeBinary named the binary representation /v1/latency used to
+// negotiate; a request that Accepts it gets the JSON answer. It stays only
+// because bench/ names it and that module changes in benchmark PRs alone.
+const ContentTypeBinary = "application/x-tero-bin"
 
-// writeBody serves a pre-rendered body with its ETag and content type,
-// answering 304 when the client already holds the current representation.
-func writeBody(w http.ResponseWriter, r *http.Request, body []byte, etag, contentType string) {
+// writeJSON serves a pre-rendered JSON body with its ETag, answering 304
+// when the client already holds the current representation.
+func writeJSON(w http.ResponseWriter, r *http.Request, body []byte, etag string) {
 	h := w.Header()
 	h.Set("ETag", etag)
 	if etagMatches(r.Header.Get("If-None-Match"), etag) {
@@ -296,25 +293,10 @@ func writeBody(w http.ResponseWriter, r *http.Request, body []byte, etag, conten
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	h.Set("Content-Type", contentType)
+	h.Set("Content-Type", contentTypeJSON)
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(body) //nolint:errcheck — nothing to do about a dead client
-}
-
-// writeJSON serves a marshaled JSON body with its ETag.
-func writeJSON(w http.ResponseWriter, r *http.Request, body []byte, etag string) {
-	writeBody(w, r, body, etag, contentTypeJSON)
-}
-
-// wantsBinary reports whether the Accept header selects the binary wire
-// format. Absent or wildcard Accept keeps the JSON default. The exact
-// match is checked first: clients that opt in typically send the bare
-// media type, and the equality test keeps the hot path from scanning a
-// composite header that is not there.
-func wantsBinary(accept string) bool {
-	return accept == ContentTypeBinary ||
-		(accept != "" && strings.Contains(accept, ContentTypeBinary))
 }
 
 func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
@@ -324,7 +306,7 @@ func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprint(w, "tero latency-information service\n"+
 		"  /v1/locations\n  /v1/games\n"+
-		"  /v1/latency?location=<key>&game=<name>  (Accept: "+ContentTypeBinary+" for binary)\n"+
+		"  /v1/latency?location=<key>&game=<name>\n"+
 		"  /v1/compare?a=<key>::<game>&b=<key>::<game>\n"+
 		"  /healthz  /readyz  /metrics\n")
 }
@@ -374,9 +356,9 @@ func (s *Server) handleGames(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, r, snap.Catalog.gamesBody, snap.Catalog.gamesETag)
 }
 
-// handleLatency is the hot path: everything it serves — JSON body, binary
-// body, both ETags — was rendered at snapshot build time, so the
-// steady-state request is query parse, one map lookup and one Write.
+// handleLatency is the hot path: the body and ETag it serves were rendered
+// at snapshot build time, so the steady-state request is query parse, one
+// map lookup and one Write.
 func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
 	snap := s.snapshotOr503(w)
 	if snap == nil {
@@ -395,12 +377,7 @@ func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no data for {%s, %s}", locKey, game)
 		return
 	}
-	w.Header()["Vary"] = varyAccept
-	if wantsBinary(r.Header.Get("Accept")) {
-		writeBody(w, r, e.binBody, e.binETag, ContentTypeBinary)
-		return
-	}
-	writeBody(w, r, e.body, e.etag, contentTypeJSON)
+	writeJSON(w, r, e.body, e.etag)
 }
 
 // lookupPair resolves one /v1/compare side parameter in snap.
