@@ -325,12 +325,6 @@ func (c *Coordinator) ingest() {
 			mRejected.Inc()
 			continue
 		}
-		res := pipeline.ThumbResult{
-			Key: r.Key, Outcome: r.Outcome,
-			Ms: r.Ms, Alt: r.Alt, HasAlt: r.HasAlt,
-			Streamer: r.Streamer, Login: r.Login, Game: r.Game,
-			At: r.At, AtUnix: r.AtUnix, AtOK: r.AtOK,
-		}
 		var ic trace.Context
 		if r.Outcome == pipeline.OutcomeMeasured {
 			if pc, ok := trace.ParseTraceparent(r.Traceparent); ok {
@@ -339,7 +333,7 @@ func (c *Coordinator) ingest() {
 					trace.A("worker", r.Worker))
 			}
 		}
-		c.P.IngestResult(res, ic)
+		c.P.IngestResult(r.ThumbResult, ic)
 		c.Objects.Delete(ResultBucket, key)
 		c.seen[key] = true
 		c.Ingested++

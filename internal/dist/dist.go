@@ -12,11 +12,12 @@
 //   - The coordinator freezes a virtual instant in dist:now, then publishes
 //     a round token in dist:round. Workers poll for the token, do one round
 //     of work at that frozen instant, and check in via dist:done.
-//   - A round is: poll due streamers, then claim a fair quota from
-//     dl:queue (queue/alive+1 — over-claiming is fine, the queue is the
-//     limit). The coordinator repeats rounds at the same instant until the
-//     queue drains, so WHICH VIRTUAL TICK adopts a streamer never depends
-//     on fleet size.
+//   - A round is the worker's own pipeline stage: poll due streamers
+//     (Pipeline.Tick, which starts extracting each thumbnail as it lands),
+//     claim a ceil-share quota from dl:queue, then take every extraction
+//     (Pipeline.TakeExtractions) and push it instead of merging it. The
+//     coordinator repeats rounds at the same instant until the queue drains,
+//     so WHICH VIRTUAL TICK adopts a streamer never depends on fleet size.
 //   - Workers never touch shared state between rounds; the barrier means
 //     the coordinator reaps crashed workers' claims and snapshots the
 //     queue while everything is quiescent, without locks.
@@ -81,23 +82,12 @@ const (
 )
 
 // Result is one extracted thumbnail crossing the worker->coordinator
-// boundary, the wire form of pipeline.ThumbResult plus provenance. The
-// coordinator replays it through Pipeline.IngestResult in key order, so a
-// distributed run writes the same documents and counters as a local one.
+// boundary: pipeline.ThumbResult, whose fields JSON inlines, plus
+// provenance. The coordinator replays it through Pipeline.IngestResult in
+// key order, so a distributed run writes the same documents and counters as
+// a local one.
 type Result struct {
-	Key     string `json:"key"`
-	Outcome string `json:"outcome"` // pipeline.Outcome* constant
-
-	Ms     float64 `json:"ms,omitempty"`
-	Alt    float64 `json:"alt,omitempty"`
-	HasAlt bool    `json:"hasAlt,omitempty"`
-
-	Streamer string `json:"streamer,omitempty"`
-	Login    string `json:"login,omitempty"`
-	Game     string `json:"game,omitempty"`
-	At       string `json:"at,omitempty"`
-	AtUnix   int64  `json:"atUnix,omitempty"`
-	AtOK     bool   `json:"atOK,omitempty"`
+	pipeline.ThumbResult
 
 	// Traceparent is the worker's dist.extract span context; the
 	// coordinator's ingest span chains onto it, so one journey spans both

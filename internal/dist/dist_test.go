@@ -169,13 +169,16 @@ func TestDistByteIdentity(t *testing.T) {
 }
 
 // TestDistCrashRecovery: one of two workers is halted mid-claim (heartbeats
-// stop, no goodbye). The coordinator must declare it dead, requeue whatever
-// it held, and still end byte-identical to the crash-free golden.
+// stop, no goodbye). The coordinator must declare it dead, requeue the
+// claims it held, and still end byte-identical to the crash-free golden.
 func TestDistCrashRecovery(t *testing.T) {
 	gold := goldenRun(t, 43)
 	p, coord, _ := distRun(t, 43, 2, testTicks/3)
 	if coord.DeadWorkers != 1 {
 		t.Fatalf("declared %d workers dead, want 1", coord.DeadWorkers)
+	}
+	if coord.ReapedClaims < 1 {
+		t.Fatal("the killed worker held no claim: the leg never exercised the reap")
 	}
 	if sig := pipelineSignature(p); sig != gold {
 		t.Fatalf("crash leg diverged from golden:\n--- golden:\n%s\n--- crash:\n%s", gold, sig)

@@ -16,10 +16,12 @@ import (
 // validResult is a measured reading as a worker pushes it.
 func validResult(key string) Result {
 	return Result{
-		Key: key, Outcome: pipeline.OutcomeMeasured,
-		Ms: 48, Alt: 43, HasAlt: true,
-		Streamer: "s1", Login: "login1", Game: "League of Legends",
-		At: "2026-01-01T20:00:00Z", AtUnix: 1767297600, AtOK: true,
+		ThumbResult: pipeline.ThumbResult{
+			Key: key, Outcome: pipeline.OutcomeMeasured,
+			Ms: 48, Alt: 43, HasAlt: true,
+			Streamer: "s1", Login: "login1", Game: "League of Legends",
+			At: "2026-01-01T20:00:00Z", AtUnix: 1767297600, AtOK: true,
+		},
 		Worker: "w1",
 	}
 }
@@ -118,15 +120,34 @@ func TestDecodeResultAcceptsWhatWorkersPush(t *testing.T) {
 	noAt.At, noAt.AtUnix, noAt.AtOK = "garbled", 0, false
 	for _, r := range []Result{
 		measured, noAlt, noAt,
-		{Key: key, Outcome: pipeline.OutcomeZero, Streamer: "s1", Login: "login1", Game: "League of Legends"},
-		{Key: key, Outcome: pipeline.OutcomeMiss, Streamer: "s1", Login: "login1", Game: "League of Legends"},
-		{Key: key, Outcome: pipeline.OutcomeUnknown},
-		{Key: key, Outcome: pipeline.OutcomeCorrupt, Worker: "w1"},
+		{ThumbResult: pipeline.ThumbResult{Key: key, Outcome: pipeline.OutcomeZero, Streamer: "s1", Login: "login1", Game: "League of Legends"}},
+		{ThumbResult: pipeline.ThumbResult{Key: key, Outcome: pipeline.OutcomeMiss, Streamer: "s1", Login: "login1", Game: "League of Legends"}},
+		{ThumbResult: pipeline.ThumbResult{Key: key, Outcome: pipeline.OutcomeUnknown}},
+		{ThumbResult: pipeline.ThumbResult{Key: key, Outcome: pipeline.OutcomeCorrupt}, Worker: "w1"},
 	} {
 		got, err := DecodeResult(key, r.Encode())
 		if err != nil || !reflect.DeepEqual(got, r) {
 			t.Errorf("%s: decoded %+v, %v; want %+v", r.Outcome, got, err, r)
 		}
+	}
+}
+
+// TestResultWireBytes pins the result document to its exact bytes: the
+// fields of pipeline.ThumbResult, in order, then the provenance. A worker and
+// a coordinator built from different versions must still read each other.
+func TestResultWireBytes(t *testing.T) {
+	r := validResult("s1/7.pgm")
+	r.Traceparent = "00-0000000000000000deadbeefcafe0001-00000000000000ab-01"
+	const want = `{"key":"s1/7.pgm","outcome":"measured","ms":48,"alt":43,"hasAlt":true,` +
+		`"streamer":"s1","login":"login1","game":"League of Legends",` +
+		`"at":"2026-01-01T20:00:00Z","atUnix":1767297600,"atOK":true,` +
+		`"traceparent":"00-0000000000000000deadbeefcafe0001-00000000000000ab-01","worker":"w1"}`
+	if got := string(r.Encode()); got != want {
+		t.Fatalf("Encode() =\n%s\nwant\n%s", got, want)
+	}
+	corrupt := Result{ThumbResult: pipeline.ThumbResult{Key: "k", Outcome: pipeline.OutcomeCorrupt}}
+	if got := string(corrupt.Encode()); got != `{"key":"k","outcome":"corrupt"}` {
+		t.Fatalf("Encode() of a bare corrupt result = %s", got)
 	}
 }
 
@@ -166,6 +187,24 @@ func FuzzDecodeResult(f *testing.F) {
 		again, err := DecodeResult(key, r.Encode())
 		if err != nil || !reflect.DeepEqual(again, r) {
 			t.Fatalf("accepted %+v; re-encoded it decodes to %+v, %v", r, again, err)
+		}
+	})
+}
+
+// FuzzDecodeWorkerStats feeds DecodeWorkerStats arbitrary strings — a
+// balance record is an HSET anything reaching the store can overwrite, and
+// Coordinator.Stats decodes every one. The committed corpus
+// (testdata/fuzz/FuzzDecodeWorkerStats) is a record as a worker writes it and
+// a few it never writes. Oracles: it never panics, and an accepted record
+// re-encodes to one that decodes to the same value.
+func FuzzDecodeWorkerStats(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		w, err := DecodeWorkerStats(s)
+		if err != nil {
+			return
+		}
+		if again, err := DecodeWorkerStats(w.Encode()); err != nil || again != w {
+			t.Fatalf("accepted %+v; re-encoded it decodes to %+v, %v", w, again, err)
 		}
 	})
 }

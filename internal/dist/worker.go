@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"tero/internal/download"
-	"tero/internal/imageproc"
 	"tero/internal/kvstore"
-	"tero/internal/objstore"
 	"tero/internal/obs"
 	"tero/internal/obs/trace"
 	"tero/internal/pipeline"
@@ -125,20 +123,7 @@ func RunWorker(cfg WorkerConfig) error {
 		}
 		time.Sleep(pollWait)
 	}
-
-	// Thumbnails never leave the process: the downloader stores into a
-	// local bucket that workRound drains, so a thumbnail costs the wire one
-	// result frame (plus the quarantine copy of a corrupt one). One
-	// downloader per worker: a round polls and extracts serially, so a
-	// second would only spread the same claims over two owner IDs.
-	local := objstore.New()
-	extractor := imageproc.New()
-	d := download.NewDownloader(cfg.ID+":dl0", kv, local)
-	d.Claim = download.ClaimNone
-	// Window-stamped metadata is what makes a re-fetch after a crash, and a
-	// fleet of any shape, store the bytes a single process would have.
-	d.WindowStamp = true
-	d.ClaimTraceKey = KeyClaimTrace
+	p := workerPipeline(cfg.ID, kv)
 
 	dlog.Info("worker joined", "id", cfg.ID, "store", cfg.StoreAddr)
 
@@ -149,6 +134,11 @@ func RunWorker(cfg WorkerConfig) error {
 			return nil
 		}
 		token, ok := kv.Get(KeyRound)
+		if kv.Err != nil {
+			// The client does not redial: with the store gone every read
+			// fails, and no round or done sentinel can ever arrive.
+			return fmt.Errorf("dist worker %s: store lost: %w", cfg.ID, kv.Err)
+		}
 		if !ok || token == last {
 			time.Sleep(pollWait)
 			continue
@@ -166,7 +156,7 @@ func RunWorker(cfg WorkerConfig) error {
 		if err != nil {
 			return fmt.Errorf("dist worker %s: bad %s %q: %w", cfg.ID, KeyNow, nowStr, err)
 		}
-		if err := workRound(cfg.ID, kv, objects, local, extractor, d, now, &stats, halted); err != nil {
+		if err := workRound(p, cfg.ID, objects, now, &stats, halted); err != nil {
 			return err // not checked in: the coordinator reaps this worker's claims
 		}
 		if halted() {
@@ -180,28 +170,46 @@ func RunWorker(cfg WorkerConfig) error {
 	}
 }
 
+// workerPipeline is a worker's own pipeline over its store connection. Its
+// object store is the worker's local bucket: a thumbnail never leaves the
+// process and costs the wire one result frame (plus the quarantine copy of a
+// corrupt one). It never calls the platform API — assignments carry absolute
+// URLs — so it has no base URL. Its one downloader, "<id>:dl0", claims only
+// when the round says so, and stamps each thumbnail with its window so that a
+// re-fetch after a crash, or a fleet of any shape, stores the bytes a single
+// process would have.
+func workerPipeline(id string, kv kvstore.KV) *pipeline.Pipeline {
+	p := pipeline.NewWithKV("", 1, kv)
+	d := p.Downloaders[0]
+	d.ID = id + ":dl0"
+	d.Claim = download.ClaimNone
+	d.WindowStamp = true
+	d.ClaimTraceKey = KeyClaimTrace
+	return p
+}
+
 // resultSink is where a round's results and quarantined thumbnails go: the
 // coordinator's object store, through kvstore.RemoteObjects.
 type resultSink interface {
 	Put(bucket, key string, data []byte, meta map[string]string) (etag string, err error)
 }
 
-// workRound does one round at the frozen virtual instant now: service due
-// fetches, claim a fair quota from the queue, extract everything fetched
-// into local and push the results to objects. Repeat rounds at the same
-// instant are harmless — due times are virtual, so nothing comes due twice.
+// workRound does one round at the frozen virtual instant now: the worker's
+// pipeline services due fetches and starts extracting what they store
+// (Tick), the worker claims a fair quota from the queue, and every
+// extraction the pipeline hands over (TakeExtractions) is pushed to objects
+// instead of merged. Repeat rounds at the same instant are harmless — due
+// times are virtual, so nothing comes due twice.
 //
 // A push that fails ends the round with its error and the thumbnail still
-// in local: the reading has not reached the coordinator, so the round must
-// not be checked in as done.
-func workRound(id string, kv kvstore.KV, objects resultSink, local *objstore.Store,
-	extractor *imageproc.Extractor, d *download.Downloader,
+// in the local bucket: the reading has not reached the coordinator, so the
+// round must not be checked in as done.
+func workRound(p *pipeline.Pipeline, id string, objects resultSink,
 	now time.Time, stats *WorkerStats, halted func() bool) error {
-	if err := d.PollOnce(now); err != nil {
-		// Degraded, not fatal: the downloader has already applied its
-		// per-streamer backoff/release recovery.
-		dlog.Warn("poll errors", "worker", id, "err", err)
-	}
+	// Degraded, not fatal: Tick logs the poll errors, and the downloader has
+	// already applied its per-streamer backoff/release recovery.
+	p.Tick(now, false) //nolint:errcheck
+	d := p.Downloaders[0]
 
 	// Balanced claims: adopt while this worker owns fewer streamers than
 	// its ceil-share of everything claimable (already-claimed + queued).
@@ -212,12 +220,12 @@ func workRound(id string, kv kvstore.KV, objects resultSink, local *objstore.Sto
 	// queue, so it still drains within the round; makeup rounds are the
 	// backstop. Reads are racy by a claim or two, which skews balance by
 	// at most that much.
-	qlen := kv.LLen(download.KeyQueue)
-	alive := len(kv.HGetAll(KeyWorkers))
+	qlen := p.KV.LLen(download.KeyQueue)
+	alive := len(p.KV.HGetAll(KeyWorkers))
 	if alive < 1 {
 		alive = 1
 	}
-	claimed := len(kv.HGetAll(download.KeyClaimed))
+	claimed := len(p.KV.HGetAll(download.KeyClaimed))
 	target := (claimed + qlen + alive - 1) / alive
 	for own := d.Assigned(); own < target; own++ {
 		if halted() {
@@ -234,43 +242,32 @@ func workRound(id string, kv kvstore.KV, objects resultSink, local *objstore.Sto
 		}
 	}
 
-	// Extract everything fetched this round and push the results. Results
-	// are keyed by thumbnail key: a re-fetch after a crash overwrites with
-	// identical bytes instead of duplicating.
-	for _, key := range local.List(download.ThumbBucket, "") {
+	// Push every extraction. Results are keyed by thumbnail key: a re-fetch
+	// after a crash overwrites with identical bytes instead of duplicating.
+	for _, r := range p.TakeExtractions() {
 		if halted() {
 			return nil
 		}
-		obj, err := local.Get(download.ThumbBucket, key)
-		if err != nil {
-			continue
-		}
-		wstart := time.Now()
-		res := pipeline.ExtractThumb(extractor, obj)
-		wend := time.Now()
-		jctx, _ := trace.ParseTraceparent(obj.Meta["trace"])
+		jctx, _ := trace.ParseTraceparent(r.Trace)
 		errMsg := ""
-		if res.Outcome == pipeline.OutcomeCorrupt {
+		if r.Outcome == pipeline.OutcomeCorrupt {
 			errMsg = "corrupt thumbnail: pgm decode failed"
 		}
-		ec := trace.RecordSpan(jctx, "dist.extract", wstart, wend, errMsg,
-			trace.A("worker", id), trace.A("outcome", res.Outcome))
-		r := Result{
-			Key: key, Outcome: res.Outcome,
-			Ms: res.Ms, Alt: res.Alt, HasAlt: res.HasAlt,
-			Streamer: res.Streamer, Login: res.Login, Game: res.Game,
-			At: res.At, AtUnix: res.AtUnix, AtOK: res.AtOK,
-			Traceparent: trace.Traceparent(ec), Worker: id,
-		}
-		if res.Outcome == pipeline.OutcomeCorrupt {
+		ec := trace.RecordSpan(jctx, "dist.extract", r.Start, r.End, errMsg,
+			trace.A("worker", id), trace.A("outcome", r.Outcome))
+		if r.Outcome == pipeline.OutcomeCorrupt {
 			// Quarantine worker-side so the move happens exactly once, by
 			// whoever decoded it; the coordinator only counts it.
-			if _, err := objects.Put(pipeline.QuarantineBucket, key, obj.Data, obj.Meta); err != nil {
-				return fmt.Errorf("dist worker %s: quarantine %s: %w", id, key, err)
+			obj, err := p.Objects.Get(download.ThumbBucket, r.Key)
+			if err == nil {
+				_, err = objects.Put(pipeline.QuarantineBucket, r.Key, obj.Data, obj.Meta)
 			}
-			dlog.Warn("quarantined corrupt thumbnail", "worker", id, "key", key)
+			if err != nil {
+				return fmt.Errorf("dist worker %s: quarantine %s: %w", id, r.Key, err)
+			}
+			dlog.Warn("quarantined corrupt thumbnail", "worker", id, "key", r.Key)
 		}
-		if res.Outcome == pipeline.OutcomeMeasured {
+		if r.Outcome == pipeline.OutcomeMeasured {
 			stats.Extracted++
 			mWExtract.Inc()
 		} else {
@@ -278,11 +275,12 @@ func workRound(id string, kv kvstore.KV, objects resultSink, local *objstore.Sto
 			// stay open until the coordinator publishes them.
 			trace.Finish(jctx.TraceID)
 		}
-		if _, err := objects.Put(ResultBucket, key, r.Encode(), nil); err != nil {
-			return fmt.Errorf("dist worker %s: push result %s: %w", id, key, err)
+		res := Result{ThumbResult: r.ThumbResult, Traceparent: trace.Traceparent(ec), Worker: id}
+		if _, err := objects.Put(ResultBucket, r.Key, res.Encode(), nil); err != nil {
+			return fmt.Errorf("dist worker %s: push result %s: %w", id, r.Key, err)
 		}
 		// §7: the thumbnail is freight, not data — gone once extracted.
-		local.Delete(download.ThumbBucket, key) //nolint:errcheck // just listed; only this goroutine deletes
+		p.Objects.Delete(download.ThumbBucket, r.Key) //nolint:errcheck // just taken; only this goroutine deletes
 	}
 	stats.Fetches = d.Downloads
 	return nil

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tero/internal/download"
-	"tero/internal/imageproc"
 	"tero/internal/kvstore"
 	"tero/internal/objstore"
 	"tero/internal/pipeline"
@@ -50,18 +49,15 @@ func TestWorkRoundKeepsThumbnailsLocal(t *testing.T) {
 	st.HSet(KeyWorkers, "w1", "1")
 
 	wire := &recordingSink{store: objstore.New()}
-	local := objstore.New()
-	d := download.NewDownloader("w1:dl0", st, local)
-	d.Claim = download.ClaimNone
-	d.WindowStamp = true
+	wp := workerPipeline("w1", st)
+	local, d := wp.Objects, wp.Downloaders[0]
 	const corruptKey = "zz-corrupt/0001.pgm"
 	local.Put(download.ThumbBucket, corruptKey, []byte("P5 truncated"), map[string]string{"game": "lol"})
 
 	var stats WorkerStats
 	round := func() {
 		t.Helper()
-		err := workRound("w1", st, wire, local, imageproc.New(), d,
-			platform.Now(), &stats, func() bool { return false })
+		err := workRound(wp, "w1", wire, platform.Now(), &stats, func() bool { return false })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,15 +108,12 @@ func TestWorkRoundFailedPushKeepsThumbnail(t *testing.T) {
 	const key = "zz-corrupt/0001.pgm"
 	for i, what := range []string{"quarantine", "result"} { // a corrupt thumbnail's two pushes, in order
 		wire := &recordingSink{store: objstore.New(), failAt: i + 1}
-		local := objstore.New()
+		wp := workerPipeline("w1", kvstore.New())
+		local := wp.Objects
 		local.Put(download.ThumbBucket, key, []byte("P5 truncated"), nil)
 		var stats WorkerStats
-		st := kvstore.New()
-		d := download.NewDownloader("w1:dl0", st, local)
-		d.Claim = download.ClaimNone
 		round := func() error {
-			return workRound("w1", st, wire, local, imageproc.New(), d,
-				time.Time{}, &stats, func() bool { return false })
+			return workRound(wp, "w1", wire, time.Time{}, &stats, func() bool { return false })
 		}
 		if err := round(); !errors.Is(err, errPush) {
 			t.Fatalf("%s push failed, round returned %v", what, err)
@@ -184,5 +177,43 @@ func TestRunWorkerStopsOnFailedPush(t *testing.T) {
 	time.Sleep(20 * time.Millisecond) // twenty beat periods
 	if later, _ := st.HGet(KeyBeat, "w1"); later != beat {
 		t.Fatal("worker returned but is still beating")
+	}
+}
+
+// TestRunWorkerExitsWhenStoreCloses: a worker whose store goes away without
+// publishing the done sentinel (a coordinator that exits on an error) returns
+// the transport error instead of polling a dead connection forever.
+func TestRunWorkerExitsWhenStoreCloses(t *testing.T) {
+	st := kvstore.New()
+	srv, err := kvstore.Serve(st, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	st.Set(KeyPlatform, "http://unused.invalid")
+	st.Set(KeyNow, time.Unix(0, 0).UTC().Format(time.RFC3339Nano))
+	st.Set(KeyRound, "0.0")
+
+	halt := make(chan struct{})
+	t.Cleanup(func() { close(halt) })
+	done := make(chan error, 1)
+	go func() { done <- RunWorker(WorkerConfig{ID: "w1", StoreAddr: srv.Addr(), Halt: halt}) }()
+	// Once it has checked a round in, the worker is polling for the next.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if token, _ := st.HGet(KeyDone, "w1"); token == "0.0" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("worker never checked in its first round")
+		}
+	}
+	srv.Close()
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker still running 10 s after its store closed")
+	}
+	if err == nil {
+		t.Fatal("RunWorker returned nil after its store closed")
 	}
 }

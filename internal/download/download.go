@@ -425,16 +425,8 @@ type Downloader struct {
 	// story is one trace even across processes.
 	ClaimTraceKey string
 
-	// MaxFetchRetries bounds the in-place retries of one fetch cycle
-	// against transient CDN faults (5xx, stalls, resets, truncated or
-	// corrupted bodies, missing headers).
-	MaxFetchRetries int
 	// RetryWait is the real-time base pause between in-place retries.
 	RetryWait time.Duration
-	// MaxStrikes is how many consecutive failed fetch cycles a streamer
-	// survives before the downloader gives up and releases it back to the
-	// queue for a peer to adopt.
-	MaxStrikes int
 
 	assigned map[string]*tracked
 	stored   []string // see Stored
@@ -464,10 +456,8 @@ func NewDownloader(id string, kv kvstore.KV, store objstore.API) *Downloader {
 				return http.ErrUseLastResponse
 			},
 		},
-		MaxFetchRetries: 8,
-		RetryWait:       25 * time.Millisecond,
-		MaxStrikes:      3,
-		assigned:        make(map[string]*tracked),
+		RetryWait: 25 * time.Millisecond,
+		assigned:  make(map[string]*tracked),
 	}
 }
 
@@ -478,6 +468,17 @@ func (d *Downloader) Assigned() int { return len(d.assigned) }
 // PollOnce began (that poll's and any AdoptOne after it), in Put order; a key
 // stored twice appears twice. The slice is reused by the next PollOnce.
 func (d *Downloader) Stored() []string { return d.stored }
+
+const (
+	// maxFetchRetries bounds the in-place retries of one fetch cycle against
+	// transient CDN faults (5xx, stalls, resets, truncated or corrupted
+	// bodies, missing headers).
+	maxFetchRetries = 8
+	// maxStrikes is how many consecutive failed fetch cycles a streamer
+	// survives before the downloader gives up and releases it back to the
+	// queue for a peer to adopt.
+	maxStrikes = 3
+)
 
 // strikeBackoff is the virtual-time pause before re-trying a streamer whose
 // whole fetch cycle failed: 30s doubling per strike, capped at 4 minutes so
@@ -494,16 +495,12 @@ func strikeBackoff(strikes int) time.Duration {
 }
 
 // fail records a failed fetch cycle for one streamer: back the streamer off
-// in virtual time, and after MaxStrikes consecutive failures release it —
+// in virtual time, and after maxStrikes consecutive failures release it —
 // drop the claim and re-queue the assignment so a healthier peer adopts it.
 func (d *Downloader) fail(id string, tr *tracked, now time.Time, err error) {
 	tr.strikes++
 	mFetchFailures.Inc()
-	max := d.MaxStrikes
-	if max <= 0 {
-		max = 3
-	}
-	if tr.strikes >= max {
+	if tr.strikes >= maxStrikes {
 		delete(d.assigned, id)
 		d.KV.HDel(KeyClaimed, id)
 		d.KV.RPush(KeyQueue, tr.a.encode())
@@ -643,12 +640,8 @@ func retryPause(base time.Duration, attempt int) time.Duration {
 // during retries, so a recovered fetch lands in the same thumbnail window
 // as an unfaulted one.
 func (d *Downloader) fetch(id string, tr *tracked, now time.Time) error {
-	retries := d.MaxFetchRetries
-	if retries < 0 {
-		retries = 0
-	}
 	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
+	for attempt := 0; attempt <= maxFetchRetries; attempt++ {
 		if attempt > 0 {
 			d.Retries++
 			mFetchRetries.Inc()

@@ -211,3 +211,21 @@ func TestAssignmentCodec(t *testing.T) {
 		t.Fatal("bad json should error")
 	}
 }
+
+// FuzzDecodeAssignment feeds decodeAssignment arbitrary strings — a queue
+// entry is an RPUSH anything reaching the store can make, and AdoptOne
+// decodes it. The committed corpus (testdata/fuzz/FuzzDecodeAssignment) is
+// an entry as the coordinator queues it and a few it never queues. Oracles:
+// it never panics, and an accepted assignment re-encodes to an entry that
+// decodes to the same value.
+func FuzzDecodeAssignment(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		a, err := decodeAssignment(s)
+		if err != nil {
+			return
+		}
+		if again, err := decodeAssignment(a.encode()); err != nil || again != a {
+			t.Fatalf("accepted %+v; re-encoded it decodes to %+v, %v", a, again, err)
+		}
+	})
+}

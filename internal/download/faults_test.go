@@ -206,7 +206,6 @@ func TestFetchExhaustionKeepsSchedule(t *testing.T) {
 	defer srv.Close()
 
 	d, _, _ := newTestDownloader()
-	d.MaxFetchRetries = 2
 	tr := &tracked{a: Assignment{StreamerID: "s1", URL: srv.URL + "/thumb/s1.pgm"}}
 	d.assigned["s1"] = tr
 	err := d.fetch("s1", tr, now)
@@ -216,8 +215,8 @@ func TestFetchExhaustionKeepsSchedule(t *testing.T) {
 	if !tr.next.Equal(now.Add(5 * time.Minute)) {
 		t.Fatalf("fallback next = %v, want now+5m", tr.next)
 	}
-	if d.Retries != 2 {
-		t.Fatalf("retries = %d, want 2", d.Retries)
+	if d.Retries != maxFetchRetries {
+		t.Fatalf("retries = %d, want %d", d.Retries, maxFetchRetries)
 	}
 }
 
@@ -264,17 +263,20 @@ func TestReleaseAfterMaxStrikes(t *testing.T) {
 	defer badSrv.Close()
 
 	d, _, kv := newTestDownloader()
-	d.MaxStrikes = 2
 	a := Assignment{StreamerID: "s1", URL: badSrv.URL + "/thumb/s1.pgm"}
 	d.assigned["s1"] = &tracked{a: a}
 	kv.HSet(KeyClaimed, "s1", d.ID)
 
-	for i := 0; d.Assigned() > 0 && i < 10; i++ {
+	polls := 0
+	for ; d.Assigned() > 0 && polls < 10; polls++ {
 		d.PollOnce(now)
 		now = now.Add(10 * time.Minute) // past any strike backoff
 	}
 	if d.Assigned() != 0 {
 		t.Fatal("streamer never released")
+	}
+	if polls != maxStrikes {
+		t.Fatalf("released after %d failed polls, want %d", polls, maxStrikes)
 	}
 	if d.Released != 1 {
 		t.Fatalf("Released = %d, want 1", d.Released)

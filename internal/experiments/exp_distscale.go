@@ -76,8 +76,8 @@ func runDistScale(o Options) ([]*Table, error) {
 		fleets = []int{1, 2, 4, 8}
 	}
 	ticks := distTicks(o)
-	crashTick := ticks / 3
-	if crashTick < 1 {
+	crashFrom := ticks / 3
+	if crashFrom < 1 {
 		return nil, fmt.Errorf("dist-scale: %d ticks is too short", ticks)
 	}
 
@@ -118,7 +118,7 @@ func runDistScale(o Options) ([]*Table, error) {
 		}
 	}
 	for _, n := range fleets {
-		tabs, wall, coord, err := runDistLeg(o, n, -1)
+		tabs, wall, coord, _, err := runDistLeg(o, n, -1)
 		if err != nil {
 			return nil, fmt.Errorf("dist-scale fleet=%d: %w", n, err)
 		}
@@ -146,11 +146,12 @@ func runDistScale(o Options) ([]*Table, error) {
 		}
 	}
 
-	// Crash leg: SIGKILL (or halt) one worker of the largest fleet a third
-	// of the way through; the survivors plus the coordinator's reaper must
-	// still reproduce the golden tables exactly.
+	// Crash leg: SIGKILL (or halt) a worker of the largest fleet that holds a
+	// claim, at the first tick from a third of the way through where one
+	// does; the survivors plus the coordinator's reaper must still reproduce
+	// the golden tables exactly.
 	if maxFleet >= 2 {
-		tabs, wall, coord, err := runDistLeg(o, maxFleet, crashTick)
+		tabs, wall, coord, killedAt, err := runDistLeg(o, maxFleet, crashFrom)
 		if err != nil {
 			return nil, fmt.Errorf("dist-scale crash leg: %w", err)
 		}
@@ -160,7 +161,7 @@ func runDistScale(o Options) ([]*Table, error) {
 			summary.Notes = append(summary.Notes,
 				"crash leg first diverging line: "+firstDiffLine(gold, renderTabs(tabs)))
 		}
-		summary.AddRow(fmt.Sprintf("fleet=%d, 1 killed @tick %d", maxFleet, crashTick),
+		summary.AddRow(fmt.Sprintf("fleet=%d, 1 killed @tick %d", maxFleet, killedAt),
 			itoa(maxFleet), wall.Round(time.Millisecond).String(), "-", identical)
 		fmt.Printf("DISTBENCH {\"fleet\":%d,\"crash\":true,\"wall_s\":%.3f,\"identical\":%v,"+
 			"\"dead\":%d,\"claims_reaped\":%d,\"lost_requeued\":%d,\"deduped\":%d}\n",
@@ -173,6 +174,10 @@ func runDistScale(o Options) ([]*Table, error) {
 		if coord.DeadWorkers == 0 {
 			summary.Notes = append(summary.Notes,
 				"WARNING: crash leg never declared the killed worker dead")
+		}
+		if coord.ReapedClaims == 0 {
+			summary.Notes = append(summary.Notes,
+				"WARNING: crash leg reaped no claim: the reap path went unexercised")
 		}
 	}
 	summary.Notes = append(summary.Notes, fmt.Sprintf(
@@ -308,9 +313,12 @@ func startDistWorker(o Options, id, addr string) (*distWorker, error) {
 }
 
 // runDistLeg drives one fleet of n workers through the full observation
-// period. crashTick >= 0 kills worker 0 at that tick; the leg then proves
-// the reap path (claims requeued, duplicates deduped) preserves exactness.
-func runDistLeg(o Options, n, crashTick int) ([]*Table, time.Duration, *dist.Coordinator, error) {
+// period. crashFrom >= 0 kills one worker: at the first tick from crashFrom
+// on where some worker holds a claim, the first such worker in fleet order
+// (a worker holding none would leave the reaper nothing to do). The leg then
+// proves the reap path (claims requeued, duplicates deduped) preserves
+// exactness; killedAt is the tick of the kill, or -1.
+func runDistLeg(o Options, n, crashFrom int) ([]*Table, time.Duration, *dist.Coordinator, int, error) {
 	cfg := distWorld(o)
 	world := worldsim.New(cfg)
 	platform := twitchsim.New(world)
@@ -321,7 +329,7 @@ func runDistLeg(o Options, n, crashTick int) ([]*Table, time.Duration, *dist.Coo
 	st := kvstore.New()
 	srv, err := kvstore.Serve(st, "127.0.0.1:0")
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, nil, -1, err
 	}
 	defer srv.Close()
 	objects := objstore.New()
@@ -349,25 +357,31 @@ func runDistLeg(o Options, n, crashTick int) ([]*Table, time.Duration, *dist.Coo
 	for i := range workers {
 		w, err := startDistWorker(o, fmt.Sprintf("w%d", i+1), srv.Addr())
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, 0, nil, -1, err
 		}
 		workers[i] = w
 	}
 	if err := coord.WaitWorkers(n, 30*time.Second); err != nil {
-		return nil, 0, nil, err
+		return nil, 0, nil, -1, err
 	}
 
 	ticks := distTicks(o)
+	killedAt := -1
 	start := time.Now()
 	for i := 0; i < ticks; i++ {
-		if i == crashTick {
-			mu.Lock()
-			workers[0].kill()
-			killed[0] = true
-			mu.Unlock()
+		if crashFrom >= 0 && killedAt < 0 && i >= crashFrom {
+			// Between ticks the fleet is quiescent: the claim table is the
+			// one the next round starts from.
+			if v := claimHolder(st, workers); v >= 0 {
+				mu.Lock()
+				workers[v].kill()
+				killed[v] = true
+				mu.Unlock()
+				killedAt = i
+			}
 		}
 		if err := coord.Tick(platform.Now(), i, i%3 == 0); err != nil {
-			return nil, 0, nil, err
+			return nil, 0, nil, -1, err
 		}
 		platform.Advance(5 * time.Minute)
 	}
@@ -380,12 +394,26 @@ func runDistLeg(o Options, n, crashTick int) ([]*Table, time.Duration, *dist.Coo
 		}
 		if err := w.wait(); err != nil {
 			mu.Unlock()
-			return nil, 0, nil, fmt.Errorf("worker %s: %w", w.id, err)
+			return nil, 0, nil, -1, fmt.Errorf("worker %s: %w", w.id, err)
 		}
 		killed[i] = true
 	}
 	mu.Unlock()
 
 	p.LocateStreamers(platform.Now())
-	return distTables(p, cfg), wall, coord, nil
+	return distTables(p, cfg), wall, coord, killedAt, nil
+}
+
+// claimHolder returns the index of the first worker, in fleet order, whose
+// downloader ("<id>:dl0") holds a claim in the shared claim table, or -1.
+func claimHolder(kv kvstore.KV, workers []*distWorker) int {
+	claims := kv.HGetAll(download.KeyClaimed)
+	for i, w := range workers {
+		for _, owner := range claims {
+			if strings.HasPrefix(owner, w.id+":") {
+				return i
+			}
+		}
+	}
+	return -1
 }

@@ -199,7 +199,7 @@ func TestRestoredKeyIsExtractedAgain(t *testing.T) {
 		t.Fatal(err)
 	}
 	stored := obj.Meta["at"]
-	if stored == first.r.res.At {
+	if stored == first.r.At {
 		t.Fatalf("both stores of the key carry at=%s: the test stores nothing different", stored)
 	}
 	if n := p.ProcessThumbnails(); n != 2 {

@@ -24,17 +24,22 @@ const (
 // ThumbResult is the pure outcome of extracting one thumbnail — computed by
 // a worker (possibly in another process) with no side effects; IngestResult
 // applies the deterministic merge half. This split is what lets in-process
-// worker pools and remote teroworker processes share one code path.
+// worker pools and remote teroworker processes share one code path. The JSON
+// form is the body of a distributed result document (dist.Result).
 type ThumbResult struct {
-	Key     string
-	Outcome string
+	Key     string `json:"key"`
+	Outcome string `json:"outcome"` // one of the Outcome* constants
 
-	Ms, Alt float64
-	HasAlt  bool
+	Ms     float64 `json:"ms,omitempty"`
+	Alt    float64 `json:"alt,omitempty"`
+	HasAlt bool    `json:"hasAlt,omitempty"`
 
-	Streamer, Login, Game, At string
-	AtUnix                    int64
-	AtOK                      bool
+	Streamer string `json:"streamer,omitempty"`
+	Login    string `json:"login,omitempty"`
+	Game     string `json:"game,omitempty"`
+	At       string `json:"at,omitempty"`
+	AtUnix   int64  `json:"atUnix,omitempty"`
+	AtOK     bool   `json:"atOK,omitempty"`
 }
 
 // ExtractThumb runs the pure extraction for one thumbnail object: game

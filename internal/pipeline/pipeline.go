@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,7 +63,7 @@ var (
 	mStreams     = obs.G("pipeline_streams_built")
 	mPendingQ    = obs.G("pipeline_pending_location")
 
-	// Where ProcessThumbnails found each thumbnail's extraction: done by the
+	// Where TakeExtractions found each thumbnail's extraction: done by the
 	// time it asked, still in flight (it waited, for hExtractWait), or never
 	// started ahead (extracted inline).
 	mAheadReady  = obs.C(obs.Lbl("pipeline_extract_ahead_total", "state", "ready"))
@@ -129,9 +130,9 @@ type Pipeline struct {
 	publishedTo *serve.Builder
 
 	// ahead holds, by thumbnail key, the extractions Tick started and
-	// ProcessThumbnails has not merged yet; slots bounds how many run at
-	// once (see extractAhead). Both belong to the goroutine that calls Tick
-	// and ProcessThumbnails.
+	// TakeExtractions has not taken yet; slots bounds how many run at once
+	// (see extractAhead). Both belong to the goroutine that calls Tick and
+	// TakeExtractions.
 	ahead map[string]*aheadResult
 	slots chan struct{}
 }
@@ -318,36 +319,32 @@ func (p *Pipeline) Tick(now time.Time, pollCoordinator bool) error {
 	return nil
 }
 
-// thumbResult wraps the pure ThumbResult (extract.go) with the in-process
-// bookkeeping the local merge needs.
-type thumbResult struct {
-	found bool // object read succeeded
-	res   ThumbResult
-	// Tracing: the journey context propagated in the object metadata, plus
-	// the worker-side extraction timings. Workers only capture; span IDs are
-	// allocated in the serial merge so trace trees are deterministic. An
-	// extraction that ran ahead has its wstart/wend from when it ran, so its
-	// pipeline.extract span starts before the stage span of the
-	// ProcessThumbnails call that records it.
-	traceCtx     string
-	wstart, wend time.Time
+// Extraction is a ThumbResult (extract.go) plus what the caller's span needs:
+// the journey context from the object metadata and, when tracing, when the
+// extraction ran (ahead of the call that takes it, if it rode the download).
+// Span IDs are allocated by whoever records the span, in key order, so trace
+// trees are deterministic.
+type Extraction struct {
+	ThumbResult
+	Trace      string
+	Start, End time.Time
 }
 
 // aheadResult is one extraction started by extractAhead. r and panicked are
 // written before done is closed and read only after.
 type aheadResult struct {
 	done     chan struct{}
-	r        thumbResult
+	r        Extraction
 	panicked any // what extractOne panicked with, if it did
 }
 
 // extractAhead starts extractOne in the background for thumbnails a
 // downloader has just stored, so that OCR rides the download instead of
-// waiting for the next refresh; ProcessThumbnails takes the results. At most
+// waiting for the next refresh; TakeExtractions takes the results. At most
 // workers()−1 run at once (the caller's own goroutine is busy on the download
 // path and needs the remaining core), but at least one. Only the pure half
-// runs here: every side effect stays in ProcessThumbnails' key-ordered
-// merge. A key stored again before its merge gets a fresh extraction, which
+// runs here: every side effect stays with the caller of TakeExtractions. A
+// key stored again before it is taken gets a fresh extraction, which
 // replaces the stale one. Nothing has to be closed: a goroutine finishes its
 // one thumbnail and exits, whether or not anyone takes the result.
 func (p *Pipeline) extractAhead(keys []string) {
@@ -367,7 +364,7 @@ func (p *Pipeline) extractAhead(keys []string) {
 		go func() {
 			slots <- struct{}{}
 			defer func() {
-				a.panicked = recover() // re-raised by ProcessThumbnails
+				a.panicked = recover() // re-raised by TakeExtractions
 				<-slots
 				close(a.done)
 			}()
@@ -376,24 +373,86 @@ func (p *Pipeline) extractAhead(keys []string) {
 	}
 }
 
-// ProcessThumbnails drains the thumbnail bucket: extract latency, store the
-// measurement, delete the thumbnail. Returns the number processed.
-//
-// Extraction (PGM decode → OCR → vote) fans out to the worker pool — each
-// worker first takes the result extractAhead already has for the key,
-// waiting for it if it is in flight (a panic there is re-raised here, under
-// forEach's rule), and extracts only what was never started; the results
-// are then merged in thumbnail-key order, so document IDs, counters and
-// pending-location entries are identical to a serial run.
+// ProcessThumbnails drains the thumbnail bucket: extract latency
+// (TakeExtractions), store the measurement, delete the thumbnail — merged in
+// thumbnail-key order, so document IDs, counters and pending-location entries
+// are identical to a serial run. Returns the number processed.
 func (p *Pipeline) ProcessThumbnails() int {
 	sp := trace.StartStage("pipeline.extract")
 	defer sp.End()
-	keys := p.Objects.List(download.ThumbBucket, "")
-	if len(keys) == 0 {
+	results := p.TakeExtractions()
+	if len(results) == 0 {
 		return 0
 	}
+
+	// Deterministic merge in key order: counters, documents and
+	// pending-location entries via IngestResult (shared with the
+	// distributed coordinator), object moves and trace spans here.
+	for i := range results {
+		r := &results[i]
+		key := r.Key
+		// The reading's journey (rooted at download.fetch) continues here:
+		// record the extract span as a child of the propagated context.
+		// Readings that die in this stage have their journey finished now;
+		// measured readings stay open until publish.
+		jctx, _ := trace.ParseTraceparent(r.Trace)
+		switch r.Outcome {
+		case OutcomeCorrupt:
+			// Corrupt thumbnail: count it and move it aside so it cannot
+			// poison OCR; the pipeline keeps going on the healthy rest.
+			p.IngestResult(r.ThumbResult, trace.Context{})
+			if obj, err := p.Objects.Get(download.ThumbBucket, key); err == nil {
+				p.Objects.Put(QuarantineBucket, key, obj.Data, obj.Meta)
+			}
+			p.Objects.Delete(download.ThumbBucket, key)
+			plog.Warn("quarantined corrupt thumbnail", "key", key)
+			trace.RecordSpan(jctx, "pipeline.extract", r.Start, r.End,
+				"corrupt thumbnail: pgm decode failed", trace.A("key", key))
+			trace.Finish(jctx.TraceID)
+			continue
+		case OutcomeMeasured:
+			ec := trace.RecordSpan(jctx, "pipeline.extract",
+				r.Start, r.End, "", trace.A("game", r.Game))
+			p.IngestResult(r.ThumbResult, ec)
+		case OutcomeZero:
+			p.IngestResult(r.ThumbResult, trace.Context{})
+			trace.RecordSpan(jctx, "pipeline.extract", r.Start, r.End, "",
+				trace.A("outcome", "lobby_zero"))
+			trace.Finish(jctx.TraceID)
+		case OutcomeMiss:
+			p.IngestResult(r.ThumbResult, trace.Context{})
+			trace.RecordSpan(jctx, "pipeline.extract", r.Start, r.End, "",
+				trace.A("outcome", "ocr_miss"))
+			trace.Finish(jctx.TraceID)
+		default: // OutcomeUnknown
+			// Decoded fine but the game is not recognized: journey ends.
+			trace.RecordSpan(jctx, "pipeline.extract", r.Start, r.End, "",
+				trace.A("outcome", "unknown_game"))
+			trace.Finish(jctx.TraceID)
+		}
+		// §7: delete the thumbnail as soon as it is processed.
+		p.Objects.Delete(download.ThumbBucket, key)
+	}
+	mPendingQ.Set(float64(len(p.KV.HGetAll("pending-location"))))
+	plog.Debug("thumbnails processed", "batch", len(results),
+		"extracted", p.Extracted, "missed", p.Missed, "zero", p.Zero)
+	return len(results)
+}
+
+// TakeExtractions returns the extraction of every thumbnail in the bucket, in
+// key order, and merges nothing: the caller merges (ProcessThumbnails) or
+// pushes (a fleet worker) each result, then deletes the thumbnail. A key gone
+// before it was read is left out. Extraction (PGM decode → OCR → vote) fans
+// out to the worker pool — each worker takes the result extractAhead has for
+// the key, waiting if it is in flight (a panic there is re-raised here, under
+// forEach's rule), and extracts only what was never started.
+func (p *Pipeline) TakeExtractions() []Extraction {
+	keys := p.Objects.List(download.ThumbBucket, "")
+	if len(keys) == 0 {
+		return nil
+	}
 	traced := trace.Enabled()
-	results := make([]thumbResult, len(keys))
+	results := make([]Extraction, len(keys))
 	forEach("extract", p.workers(), len(keys), func(i int) {
 		a := p.ahead[keys[i]]
 		if a == nil {
@@ -415,81 +474,24 @@ func (p *Pipeline) ProcessThumbnails() int {
 		}
 		results[i] = a.r
 	})
-	clear(p.ahead) // every key stored before the List above is merged below
-
-	// Deterministic merge in key order: counters, documents and
-	// pending-location entries via IngestResult (shared with the
-	// distributed coordinator), object moves and trace spans here.
-	n := 0
-	for i, key := range keys {
-		r := &results[i]
-		if !r.found {
-			continue
-		}
-		// The reading's journey (rooted at download.fetch) continues here:
-		// record the extract span as a child of the propagated context.
-		// Readings that die in this stage have their journey finished now;
-		// measured readings stay open until publish.
-		jctx, _ := trace.ParseTraceparent(r.traceCtx)
-		switch r.res.Outcome {
-		case OutcomeCorrupt:
-			// Corrupt thumbnail: count it and move it aside so it cannot
-			// poison OCR; the pipeline keeps going on the healthy rest.
-			p.IngestResult(r.res, trace.Context{})
-			if obj, err := p.Objects.Get(download.ThumbBucket, key); err == nil {
-				p.Objects.Put(QuarantineBucket, key, obj.Data, obj.Meta)
-			}
-			p.Objects.Delete(download.ThumbBucket, key)
-			plog.Warn("quarantined corrupt thumbnail", "key", key)
-			trace.RecordSpan(jctx, "pipeline.extract", r.wstart, r.wend,
-				"corrupt thumbnail: pgm decode failed", trace.A("key", key))
-			trace.Finish(jctx.TraceID)
-			n++
-			continue
-		case OutcomeMeasured:
-			ec := trace.RecordSpan(jctx, "pipeline.extract",
-				r.wstart, r.wend, "", trace.A("game", r.res.Game))
-			p.IngestResult(r.res, ec)
-		case OutcomeZero:
-			p.IngestResult(r.res, trace.Context{})
-			trace.RecordSpan(jctx, "pipeline.extract", r.wstart, r.wend, "",
-				trace.A("outcome", "lobby_zero"))
-			trace.Finish(jctx.TraceID)
-		case OutcomeMiss:
-			p.IngestResult(r.res, trace.Context{})
-			trace.RecordSpan(jctx, "pipeline.extract", r.wstart, r.wend, "",
-				trace.A("outcome", "ocr_miss"))
-			trace.Finish(jctx.TraceID)
-		default: // OutcomeUnknown
-			// Decoded fine but the game is not recognized: journey ends.
-			trace.RecordSpan(jctx, "pipeline.extract", r.wstart, r.wend, "",
-				trace.A("outcome", "unknown_game"))
-			trace.Finish(jctx.TraceID)
-		}
-		// §7: delete the thumbnail as soon as it is processed.
-		p.Objects.Delete(download.ThumbBucket, key)
-		n++
-	}
-	mPendingQ.Set(float64(len(p.KV.HGetAll("pending-location"))))
-	plog.Debug("thumbnails processed", "batch", n,
-		"extracted", p.Extracted, "missed", p.Missed, "zero", p.Zero)
-	return n
+	clear(p.ahead) // every key stored before the List above has been taken
+	return slices.DeleteFunc(results, func(r Extraction) bool { return r.Outcome == "" })
 }
 
 // extractOne runs the pure extraction for one thumbnail key: object read,
 // PGM decode, OCR pipeline, timed when traced. No pipeline state is mutated.
-func (p *Pipeline) extractOne(key string, traced bool) thumbResult {
-	var r thumbResult
+// A key whose object is gone yields an Extraction with no Outcome.
+func (p *Pipeline) extractOne(key string, traced bool) Extraction {
+	var r Extraction
 	if traced {
-		r.wstart = time.Now()
+		r.Start = time.Now()
 	}
 	if obj, err := p.Objects.Get(download.ThumbBucket, key); err == nil {
-		r.found = true
-		r.res = ExtractThumb(p.Extractor, obj)
-		r.traceCtx = obj.Meta["trace"]
+		r.ThumbResult = ExtractThumb(p.Extractor, obj)
+		r.Trace = obj.Meta["trace"]
 	}
 	if traced {
-		r.wend = time.Now()
+		r.End = time.Now()
 	}
 	return r
 }

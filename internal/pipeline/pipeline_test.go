@@ -167,6 +167,20 @@ func TestLocationCodecEscaping(t *testing.T) {
 	}
 }
 
+// FuzzDecodeLocation feeds decodeLocation arbitrary strings — a "loc:" or
+// "lochist:" value is whatever the key-value store hands back. The committed
+// corpus (testdata/fuzz/FuzzDecodeLocation) is plain, escaped and malformed
+// encodings. Oracles: it never panics, and the location it decodes, whatever
+// its fields hold, survives encodeLocation → decodeLocation unchanged.
+func FuzzDecodeLocation(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		l := decodeLocation(s)
+		if got := decodeLocation(encodeLocation(l)); got != l {
+			t.Fatalf("%q decodes to %+v, which round-trips to %+v", s, l, got)
+		}
+	})
+}
+
 func TestMoverLocationHistory(t *testing.T) {
 	// §3.1.1: a streamer who moves and updates their profile gets a second
 	// location in the pipeline's history, and LocationAt resolves the

@@ -49,7 +49,7 @@ go test -race ./...
 # budget are only judged without it.
 go test -run '^(TestThumbnailPathAllocationBudget|TestExtractThumbAllocationBudget)$' ./internal/pipeline
 
-echo "== decoder fuzz targets (kvstore wire and log, traceparent, PGM whole and by rows, fleet results; 5s each) =="
+echo "== decoder fuzz targets (kvstore wire and log, traceparent, PGM whole and by rows, fleet results and balance records, queue entries, stored locations; 5s each) =="
 # The committed seed corpus runs under the plain tests above; this mutates
 # from it. A failing input lands in the package's testdata/fuzz/.
 for target in FuzzReadCommand FuzzReadReply FuzzReplayAOF; do
@@ -61,6 +61,9 @@ go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime 5s ./internal/obs/tra
 go test -run '^$' -fuzz '^FuzzDecodePGM$' -fuzztime 5s -fuzzminimizetime 50x ./internal/imaging
 go test -run '^$' -fuzz '^FuzzDecodePGMRect$' -fuzztime 5s -fuzzminimizetime 50x ./internal/imaging
 go test -run '^$' -fuzz '^FuzzDecodeResult$' -fuzztime 5s ./internal/dist
+go test -run '^$' -fuzz '^FuzzDecodeWorkerStats$' -fuzztime 5s ./internal/dist
+go test -run '^$' -fuzz '^FuzzDecodeAssignment$' -fuzztime 5s ./internal/download
+go test -run '^$' -fuzz '^FuzzDecodeLocation$' -fuzztime 5s ./internal/pipeline
 
 echo "== bench module (own go.mod, replace tero => ../: vet + tests) =="
 # An internal/ API removal can break bench/ without the root build noticing.
@@ -195,7 +198,7 @@ echo "== dist smoke (coordinator + 2 real teroworker processes, tables match gol
 # Boots the shared store on a :0 port, runs fleets of 1 and 2 teroworker
 # child processes plus the kill-one-worker crash leg; every leg's analysis
 # tables must match the single-process golden byte for byte, with the
-# coordinator's dist_* counters lit.
+# coordinator's dist_* counters lit and the killed worker's claims reaped.
 go build -o "$TMPDIR/teroworker-check-$$" ./cmd/teroworker
 "$TMPDIR/teroexp-check-$$" -scale 0.05 -metrics -dist-fleets 1,2 \
     -worker-exec "$TMPDIR/teroworker-check-$$" dist-scale > "$DIST" 2>&1 \
@@ -210,6 +213,8 @@ grep -E '^counter dist_results_ingested_total +[1-9]' "$DIST" > /dev/null \
     || { echo "dist run ingested nothing" >&2; cat "$DIST" >&2; exit 1; }
 grep -E '^counter dist_workers_dead_total +[1-9]' "$DIST" > /dev/null \
     || { echo "dist crash leg never declared the killed worker dead" >&2; cat "$DIST" >&2; exit 1; }
+grep -E '^DISTBENCH .*"crash":true.*"claims_reaped":[1-9]' "$DIST" > /dev/null \
+    || { echo "dist crash leg reaped no claim" >&2; cat "$DIST" >&2; exit 1; }
 echo "dist smoke ok: fleets of real worker processes byte-identical with golden"
 
 echo "== serve smoke (cmd/teroserve: /healthz, /v1/latency, ETag 304, metrics) =="
