@@ -4,17 +4,10 @@
 // per-{location, game} latency distributions into an in-memory index
 // (one immutable snapshot per publish), and serves them over a JSON HTTP
 // API — republishing on a virtual -refresh cadence while the observation
-// period runs, without ever taking the API down.
-//
-// With -max-inflight / -shed-rate an admission gate sheds overload as 503 +
-// Retry-After instead of queueing into collapse. A negative limit, or a
-// -shed-burst without a -shed-rate, is a usage error (exit 2).
-//
-// With -loadtest N it additionally hammers its own API with N concurrent
-// clients after the final publish and reports throughput and tail latency,
-// exiting non-zero if any request got a non-shed 5xx. Performance numbers
-// come from the benchmark in bench/ (see BENCHMARK.json), not from this
-// command.
+// period runs, without ever taking the API down. After the final publish it
+// serves until it is signalled (SIGINT or SIGTERM), then shuts down and
+// exits 0. Performance numbers come from the benchmark in bench/ (see
+// BENCHMARK.json), not from this command.
 package main
 
 import (
@@ -42,7 +35,10 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
 }
 
 // options is the command's whole flag surface.
@@ -54,11 +50,6 @@ type options struct {
 	downloaders int
 	concurrency int
 	refresh     time.Duration
-	maxInflight int
-	shedRate    float64
-	shedBurst   float64
-	loadtest    int
-	loadreqs    int
 	logLevel    string
 	faults      float64
 	faultSeed   int64
@@ -78,15 +69,6 @@ func (o *options) register(fs *flag.FlagSet) {
 		"pipeline and index-build worker parallelism (0 = GOMAXPROCS, 1 = serial)")
 	fs.DurationVar(&o.refresh, "refresh", 6*time.Hour,
 		"virtual time between index republishes while the observation runs")
-	fs.IntVar(&o.maxInflight, "max-inflight", 0,
-		"admission control: max concurrent requests (0 = unlimited)")
-	fs.Float64Var(&o.shedRate, "shed-rate", 0,
-		"admission control: sustained requests/second (0 = unlimited)")
-	fs.Float64Var(&o.shedBurst, "shed-burst", 0,
-		"admission control: token-bucket burst (0 = one second at -shed-rate)")
-	fs.IntVar(&o.loadtest, "loadtest", 0,
-		"after the final publish, run a load test with this many concurrent clients and exit")
-	fs.IntVar(&o.loadreqs, "loadtest-requests", 200, "load-test requests per client")
 	fs.StringVar(&o.logLevel, "log", "info",
 		"log level: trace, debug, info, warn, error, off")
 	fs.Float64Var(&o.faults, "faults", 0,
@@ -95,35 +77,15 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.debugAddr, "debug-addr", "",
 		"serve /metrics, /debug/pprof/ and /debug/traces on this address (e.g. localhost:6060 or :0)")
 	fs.BoolVar(&o.trace, "trace", false,
-		"record tail-sampled traces across pipeline, serve and -loadtest clients (inspect at /debug/traces)")
+		"record tail-sampled traces across pipeline and serve (inspect at /debug/traces)")
 	fs.IntVar(&o.traceSample, "trace-sample", 16,
 		"keep 1 in N unremarkable traces (errors and slowest-per-stage always kept)")
 }
 
-// admission returns the gate the admission flags describe, nil when they
-// set no limit. A value that would be silently dropped — a negative limit,
-// or a burst with no rate for it to bound — is an error naming the flag.
-func (o *options) admission() (*serve.Admission, error) {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"max-inflight", float64(o.maxInflight)}, {"shed-rate", o.shedRate}, {"shed-burst", o.shedBurst}} {
-		if f.v < 0 {
-			return nil, fmt.Errorf("-%s must not be negative (got %v)", f.name, f.v)
-		}
-	}
-	if o.shedBurst > 0 && o.shedRate == 0 {
-		return nil, errors.New("-shed-burst needs -shed-rate: a burst bounds nothing without a rate")
-	}
-	if o.maxInflight == 0 && o.shedRate == 0 {
-		return nil, nil
-	}
-	return serve.NewAdmission(o.maxInflight, o.shedRate, o.shedBurst), nil
-}
-
 // run is the whole command behind main: it parses args on its own flag
-// set, writes only to the given streams, and returns the exit code.
-func run(args []string, stdout, stderr io.Writer) int {
+// set, writes only to the given streams, serves until ctx is done, and
+// returns the exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var o options
 	fs := flag.NewFlagSet("teroserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -139,12 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		obs.SetLogLevel(lv)
 	} else {
 		fmt.Fprintf(stderr, "unknown -log level %q\n", o.logLevel)
-		return 2
-	}
-
-	adm, err := o.admission()
-	if err != nil {
-		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
@@ -164,14 +120,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			dbg.Addr)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	// Serving side first: the API is up (reporting not-ready) before the
 	// pipeline produces anything, the way a real deployment rolls out.
 	ix := serve.NewIndex(0)
 	srv := serve.NewServer(ix)
-	srv.SetAdmission(adm)
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "listen %s: %v\n", o.addr, err)
@@ -293,28 +245,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "sample query: %s/v1/latency?%s\n", baseURL, v.Encode())
 	} else {
 		fmt.Fprintln(stdout, "warning: no servable entries (increase -streamers or -days)")
-	}
-
-	if o.loadtest > 0 {
-		lg := &serve.LoadGen{
-			BaseURL:           baseURL,
-			Clients:           o.loadtest,
-			RequestsPerClient: o.loadreqs,
-			Trace:             o.trace,
-		}
-		rep, err := lg.Run(ctx)
-		if err != nil {
-			fmt.Fprintf(stderr, "loadtest: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "loadtest:\n%s\n", rep)
-		// Sheds are admission control doing its job, not failures; only
-		// genuine 5xx (or the transport falling over) fails the run.
-		if rep.ServerErrors > 0 {
-			fmt.Fprintf(stderr, "loadtest: %d server errors\n", rep.ServerErrors)
-			return 1
-		}
-		return 0
 	}
 
 	fmt.Fprintln(stdout, "serving (Ctrl-C to stop)...")

@@ -3,7 +3,7 @@
 //
 // An Objective pairs an SLI — a cumulative (good, total) event-count
 // source — with a target good-ratio and a set of look-back windows. Each
-// Evaluate call appends a cumulative sample and, per window, computes the
+// Evaluate call records a cumulative sample and, per window, computes the
 // burn rate: the window's bad-ratio divided by the error budget (1 −
 // target). Burn 1 means the budget is being consumed exactly at the rate
 // that exhausts it over the SLO period; multi-window alerting fires only
@@ -86,6 +86,7 @@ type Objective struct {
 	mu      sync.Mutex
 	ring    []sample
 	at      int
+	last    Status
 	gGood   *obs.Gauge
 	gBurn   []*obs.Gauge
 	gTarget *obs.Gauge
@@ -157,8 +158,11 @@ func (o *Objective) now() time.Time {
 	return time.Now()
 }
 
-// Evaluate samples the SLI, appends to the ring, updates the gauges and
-// returns the status. Safe for concurrent use.
+// Evaluate samples the SLI, records the sample, updates the gauges and
+// returns the status. A sample taken at the newest sample's instant replaces
+// it: on a clock that has stopped (a virtual clock after its run ends),
+// repeated evaluations would otherwise fill the ring with one instant and
+// push out every sample a window starts from. Safe for concurrent use.
 func (o *Objective) Evaluate() Status {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -167,9 +171,12 @@ func (o *Objective) Evaluate() Status {
 	good, total := o.SLI.Sample()
 	now := o.now()
 	cur := sample{at: now, good: good, total: total}
-	if len(o.ring) < maxSamples {
+	switch newest := o.newestLocked(); {
+	case newest != nil && newest.at.Equal(now):
+		*newest = cur
+	case len(o.ring) < maxSamples:
 		o.ring = append(o.ring, cur)
-	} else {
+	default:
 		o.ring[o.at] = cur
 		o.at = (o.at + 1) % maxSamples
 	}
@@ -194,7 +201,30 @@ func (o *Objective) Evaluate() Status {
 		st.Windows = append(st.Windows, wb)
 		o.gBurn[i].Set(wb.Burn)
 	}
+	o.last = st
 	return st
+}
+
+// newestLocked returns the most recently recorded sample, nil if none.
+func (o *Objective) newestLocked() *sample {
+	switch {
+	case len(o.ring) == 0:
+		return nil
+	case len(o.ring) < maxSamples:
+		return &o.ring[len(o.ring)-1]
+	}
+	return &o.ring[(o.at+maxSamples-1)%maxSamples]
+}
+
+// lastStatus returns the status of the latest Evaluate: good ratio 1 and no
+// windows before the first.
+func (o *Objective) lastStatus() Status {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if len(o.ring) == 0 {
+		return Status{Name: o.Name, Target: o.Target, GoodRatio: 1}
+	}
+	return o.last
 }
 
 // baseSampleLocked returns the newest sample at or before cutoff, or the
@@ -233,11 +263,16 @@ func (s *Set) Add(objs ...*Objective) {
 	s.mu.Unlock()
 }
 
+// objectives returns the registered objectives in add order.
+func (s *Set) objectives() []*Objective {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]*Objective(nil), s.objs...)
+}
+
 // Evaluate runs every objective and returns their statuses in add order.
 func (s *Set) Evaluate() []Status {
-	s.mu.Lock()
-	objs := append([]*Objective(nil), s.objs...)
-	s.mu.Unlock()
+	objs := s.objectives()
 	out := make([]Status, len(objs))
 	for i, o := range objs {
 		out[i] = o.Evaluate()
@@ -245,11 +280,13 @@ func (s *Set) Evaluate() []Status {
 	return out
 }
 
-// Report renders one line per objective — the readyz appendix.
+// Report renders one line per objective from its latest Evaluate — the
+// readyz appendix. It evaluates nothing: reading the report, as every
+// readiness probe does, must not write SLO history.
 func (s *Set) Report() string {
 	var sb strings.Builder
-	for _, st := range s.Evaluate() {
-		sb.WriteString(st.String())
+	for _, o := range s.objectives() {
+		sb.WriteString(o.lastStatus().String())
 		sb.WriteByte('\n')
 	}
 	return sb.String()

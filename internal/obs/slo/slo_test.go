@@ -103,6 +103,7 @@ func TestSetReport(t *testing.T) {
 	s.Evaluate() // seed the rings
 	aGood, bBad = 10, 10
 	clk.advance(30 * time.Second)
+	s.Evaluate()
 	rep := s.Report()
 	lines := strings.Split(strings.TrimSpace(rep), "\n")
 	if len(lines) != 2 {
@@ -124,5 +125,40 @@ func TestSetReport(t *testing.T) {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("metrics missing %s", want)
 		}
+	}
+}
+
+// TestFrozenClockKeepsHistory: once an objective's clock stops (a virtual
+// clock after its run ends), neither further evaluations nor reading the
+// report may push out the samples a window starts from — the burns stay what
+// the first evaluation at that instant said.
+func TestFrozenClockKeepsHistory(t *testing.T) {
+	obs.Reset()
+	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+	var good, bad float64
+	s := NewSet()
+	s.Add(&Objective{Name: "fresh", Target: 0.99,
+		SLI:     CounterRatio{Good: func() float64 { return good }, Bad: func() float64 { return bad }},
+		Windows: []time.Duration{6 * time.Hour, 24 * time.Hour}, Clock: clk.now})
+	s.Evaluate()
+	good, bad = 90, 10
+	clk.advance(time.Hour)
+	first := s.Evaluate()[0]
+	if first.Windows[0].Burn == 0 || first.Windows[1].Burn == 0 {
+		t.Fatalf("first evaluation saw no burn: %v", first)
+	}
+	for i := 0; i < 2000; i++ {
+		s.Evaluate()
+		s.Report()
+	}
+	last := s.Evaluate()[0]
+	for i, w := range last.Windows {
+		if w.Burn != first.Windows[i].Burn {
+			t.Errorf("burn{%s} = %v after 2,000 frozen evaluations, want %v",
+				w.Window, w.Burn, first.Windows[i].Burn)
+		}
+	}
+	if rep := strings.TrimSpace(s.Report()); rep != first.String() {
+		t.Errorf("report = %q, want %q", rep, first.String())
 	}
 }

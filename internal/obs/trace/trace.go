@@ -9,7 +9,7 @@
 //   - Request traces (StartTrace / StartStage / StartRemoteChild): rooted
 //     at one operation — a serve HTTP request, a pipeline stage run — and
 //     finalized automatically when their last live local span ends.
-//     `traceparent` header propagation lets a LoadGen client span and the
+//     `traceparent` header propagation lets a client's span and the
 //     server's request span share one trace.
 //
 //   - Journey traces (StartJourney): rooted at a thumbnail CDN fetch and

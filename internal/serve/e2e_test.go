@@ -6,7 +6,6 @@ package serve_test
 // snapshot swap mid-run without a single failed or torn response.
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -15,6 +14,8 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -168,8 +169,9 @@ func TestServeMatchesOfflineAnalysis(t *testing.T) {
 }
 
 // TestLoadWithSwap is the serving acceptance run at test scale: 32
-// concurrent clients hammer the API while the index is re-published
-// mid-run. Zero 5xx, zero transport errors, and the p99 is reported.
+// concurrent clients hammer the API over TCP while the index is re-published
+// mid-run. Every request is answered 200 or 304: zero 4xx, 5xx or transport
+// errors.
 func TestLoadWithSwap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives a full pipeline and a load test")
@@ -214,27 +216,96 @@ func TestLoadWithSwap(t *testing.T) {
 		}
 	}()
 
-	lg := &serve.LoadGen{BaseURL: ts.URL, Clients: 32, RequestsPerClient: 50}
-	rep, err := lg.Run(context.Background())
+	// 32 clients × 50 requests round-robin over the listed pairs; every 4th
+	// request replays the pair's last ETag as If-None-Match.
+	pairs := listedPairs(t, ts)
+	const clients, perClient = 32, 50
+	var ok, notModified, clientErrs, serverErrs, transportErrs atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			etags := make([]string, len(pairs))
+			for i := 0; i < perClient; i++ {
+				pi := (c + i) % len(pairs)
+				req, err := http.NewRequest(http.MethodGet, pairs[pi], nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if i%4 == 3 && etags[pi] != "" {
+					req.Header.Set("If-None-Match", etags[pi])
+				}
+				resp, err := ts.Client().Do(req)
+				if err != nil {
+					transportErrs.Add(1)
+					continue
+				}
+				_, err = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				switch {
+				case err != nil:
+					transportErrs.Add(1)
+				case resp.StatusCode == http.StatusOK:
+					ok.Add(1)
+					etags[pi] = resp.Header.Get("ETag")
+				case resp.StatusCode == http.StatusNotModified:
+					notModified.Add(1)
+				case resp.StatusCode >= 500:
+					serverErrs.Add(1)
+				case resp.StatusCode >= 400:
+					clientErrs.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 	close(stop)
 	swaps := <-swapDone
-	if err != nil {
-		t.Fatal(err)
+	if n := serverErrs.Load(); n != 0 {
+		t.Fatalf("%d server errors under load", n)
 	}
-	if rep.ServerErrors != 0 {
-		t.Fatalf("%d server errors under load", rep.ServerErrors)
+	if n := transportErrs.Load(); n != 0 {
+		t.Fatalf("%d transport errors under load", n)
 	}
-	if rep.TransportErrs != 0 {
-		t.Fatalf("%d transport errors under load", rep.TransportErrs)
+	if n := clientErrs.Load(); n != 0 {
+		t.Fatalf("%d client errors under load (the clients query only listed pairs)", n)
 	}
-	if rep.ClientErrors != 0 {
-		t.Fatalf("%d client errors under load (loadgen queries only listed pairs)", rep.ClientErrors)
-	}
-	if rep.OK == 0 || rep.Requests != 32*50 {
-		t.Fatalf("unexpected volume: %+v", rep)
+	if ok.Load() == 0 || ok.Load()+notModified.Load() != clients*perClient {
+		t.Fatalf("unexpected volume: %d ok + %d not modified, want %d answers",
+			ok.Load(), notModified.Load(), clients*perClient)
 	}
 	if swaps == 0 {
 		t.Fatal("no swap happened during the load run")
 	}
-	t.Logf("load with %d mid-run swaps: %s", swaps, rep.String())
+	t.Logf("load with %d mid-run swaps: %d ok, %d not modified", swaps, ok.Load(), notModified.Load())
+}
+
+// listedPairs returns the /v1/latency URL of every {location, game} pair
+// the server's /v1/locations lists.
+func listedPairs(t *testing.T, ts *httptest.Server) []string {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/v1/locations")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var listing struct {
+		Locations []serve.LocationSummary `json:"locations"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&listing); err != nil {
+		t.Fatal(err)
+	}
+	var urls []string
+	for _, l := range listing.Locations {
+		for _, g := range l.Games {
+			v := url.Values{"location": {l.Location.Key}, "game": {g}}
+			urls = append(urls, ts.URL+"/v1/latency?"+v.Encode())
+		}
+	}
+	if len(urls) == 0 {
+		t.Fatal("the server lists no {location, game} pairs")
+	}
+	return urls
 }

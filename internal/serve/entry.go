@@ -18,8 +18,6 @@
 //   - Server is the HTTP layer: /v1/locations, /v1/games, /v1/latency,
 //     /v1/compare, /healthz, /readyz, /metrics, with deterministic ETags
 //     and If-None-Match 304s.
-//   - LoadGen hammers a running server with N concurrent clients and
-//     reports throughput and tail latency.
 //
 // Determinism: an Entry is a pure function of its group's analyses, groups
 // are processed in sorted key order, and all floats flowing into JSON pass

@@ -242,6 +242,31 @@ func TestNotReady(t *testing.T) {
 	}
 }
 
+// TestRequestTotalsCountQueriesOnly: the availability SLI is judged on /v1
+// queries. Probes and scrapes move neither total, not even /readyz's 503 on
+// an unready server; a query the unready server cannot answer is one bad
+// request.
+func TestRequestTotalsCountQueriesOnly(t *testing.T) {
+	s := NewServer(NewIndex(0))
+	good0, bad0 := RequestTotals() // process-global: other tests add to them
+	for i := 0; i < 5; i++ {
+		if w := do(t, s, "/readyz"); w.Code != http.StatusServiceUnavailable {
+			t.Fatalf("readyz before swap: %d want 503", w.Code)
+		}
+	}
+	do(t, s, "/healthz")
+	do(t, s, "/metrics")
+	if good, bad := RequestTotals(); good != good0 || bad != bad0 {
+		t.Fatalf("probes moved the totals: good %v → %v, bad %v → %v", good0, good, bad0, bad)
+	}
+	if w := do(t, s, "/v1/latency?location="+milanKey+"&game=Fortnite"); w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("latency before swap: %d want 503", w.Code)
+	}
+	if good, bad := RequestTotals(); good != good0 || bad != bad0+1 {
+		t.Fatalf("one unanswered query: good %v → %v, bad %v → %v, want bad +1", good0, good, bad0, bad)
+	}
+}
+
 func TestListings(t *testing.T) {
 	s := testServer(t)
 	var locs struct {

@@ -33,20 +33,19 @@ var (
 type routeHandles struct {
 	classes [4]*obs.Counter // 2xx, 3xx, 4xx, 5xx
 	seconds *obs.Histogram
-	shed    *obs.Counter
 }
 
 var statusClasses = [4]string{"2xx", "3xx", "4xx", "5xx"}
 
+// apiRoutes are the route labels of the /v1 query API.
+var apiRoutes = []string{"locations", "games", "latency", "compare"}
+
 // routeHandleTab maps every known route label to its handles.
 var routeHandleTab = func() map[string]*routeHandles {
 	m := make(map[string]*routeHandles)
-	for _, route := range []string{
-		"locations", "games", "latency", "compare", "health", "metrics", "other",
-	} {
+	for _, route := range append([]string{"health", "metrics", "other"}, apiRoutes...) {
 		h := &routeHandles{
 			seconds: obs.H(obs.Lbl("serve_http_seconds", "route", route), obs.DurationBuckets),
-			shed:    obs.C(obs.Lbl("serve_shed_total", "route", route)),
 		}
 		for i, class := range statusClasses {
 			h.classes[i] = obs.C(obs.Lbl("serve_http_requests_total", "route", route, "class", class))
@@ -75,12 +74,9 @@ func handlesFor(route string) *routeHandles { return routeHandleTab[route] }
 //
 // Every /v1 response carries a deterministic ETag and honors
 // If-None-Match with 304. Every /v1/latency body is rendered at snapshot
-// build time, so the steady-state handler does no marshaling at all. An
-// optional Admission gate (SetAdmission) sheds load with 503 + Retry-After
-// once the configured in-flight or rate limit is exceeded.
+// build time, so the steady-state handler does no marshaling at all.
 type Server struct {
 	ix      *Index
-	adm     atomic.Pointer[Admission]
 	report  atomic.Pointer[func() string]
 	handler http.Handler
 }
@@ -97,13 +93,9 @@ func NewServer(ix *Index) *Server {
 	mux.HandleFunc("/v1/games", s.handleGames)
 	mux.HandleFunc("/v1/latency", s.handleLatency)
 	mux.HandleFunc("/v1/compare", s.handleCompare)
-	s.handler = instrument(s.admitted(mux))
+	s.handler = instrument(mux)
 	return s
 }
-
-// SetAdmission installs (or, with nil, removes) the overload gate. Safe to
-// call while serving; in-flight requests keep their slots.
-func (s *Server) SetAdmission(a *Admission) { s.adm.Store(a) }
 
 // SetStatusReport installs a function whose output is appended to the
 // /readyz body — the SLO burn-rate report, typically. Nil removes it. The
@@ -120,26 +112,6 @@ func (s *Server) SetStatusReport(fn func() string) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.handler.ServeHTTP(w, r)
-}
-
-// admitted is the overload-gate middleware: when an Admission is installed
-// and the request is not exempt (health, readiness, metrics), it must win
-// a slot or be shed with 503 + Retry-After.
-func (s *Server) admitted(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		a := s.adm.Load()
-		if a == nil || admissionExempt(r.URL.Path) {
-			next.ServeHTTP(w, r)
-			return
-		}
-		release, ok := a.Admit()
-		if !ok {
-			shed(w, routeOf(r.URL.Path))
-			return
-		}
-		defer release()
-		next.ServeHTTP(w, r)
-	})
 }
 
 // statusRecorder captures the status a handler writes (twitchsim idiom).
@@ -159,11 +131,11 @@ func (w *statusRecorder) WriteHeader(code int) {
 //
 // With tracing enabled each request additionally runs under a
 // "serve.request" span. An incoming traceparent header joins the request to
-// the caller's trace (the LoadGen client, or anything speaking W3C trace
-// context); otherwise the request roots a fresh trace. The latency
-// histogram records the span's trace ID as a bucket exemplar, so a /metrics
-// reader can jump from "p99 is high" straight to a stored trace. Tracing
-// disabled costs one atomic load and a nil check.
+// the caller's trace (any client speaking W3C trace context); otherwise the
+// request roots a fresh trace. The latency histogram records the span's
+// trace ID as a bucket exemplar, so a /metrics reader can jump from "p99 is
+// high" straight to a stored trace. Tracing disabled costs one atomic load
+// and a nil check.
 func instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
@@ -196,15 +168,15 @@ func instrument(next http.Handler) http.Handler {
 	})
 }
 
-// RequestTotals sums the serve tier's cumulative request outcomes across
-// every route: bad is what availability SLOs count against the budget —
-// the 5xx class, which already includes requests shed at admission (shed
-// writes its 503 through the instrument middleware, so counting the shed
-// counter again would double-book them). Reads a handful of atomics;
-// cheap enough for per-tick SLO evaluation.
+// RequestTotals sums the serve tier's cumulative request outcomes over the
+// /v1 query routes: bad is what availability SLOs count against the budget,
+// the 5xx class. Probes and scrapes are not queries: /readyz's 503 before
+// the first publish is not a failed request, and /healthz or /metrics hits
+// are not served answers. Reads a handful of atomics; cheap enough for
+// per-tick SLO evaluation.
 func RequestTotals() (good, bad float64) {
-	for _, h := range routeHandleTab {
-		for i, c := range h.classes {
+	for _, route := range apiRoutes {
+		for i, c := range handlesFor(route).classes {
 			if i == 3 {
 				bad += float64(c.Value())
 			} else {

@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"context"
-	"net/http/httptest"
 	"testing"
 
-	"tero/internal/obs"
 	"tero/internal/obs/trace"
 )
 
@@ -77,43 +74,4 @@ func TestRequestTraceRootsWithoutHeader(t *testing.T) {
 	if !lit {
 		t.Fatalf("serve_http_seconds{route=latency} has no exemplar for trace %016x", root.ID)
 	}
-}
-
-// TestLoadGenTraceJoinsServer is the cross-process acceptance path: a
-// traced LoadGen client propagates traceparent over real HTTP, so one
-// stored trace holds both the loadgen.request client span (root) and the
-// serve.request server span under it.
-func TestLoadGenTraceJoinsServer(t *testing.T) {
-	prev := obs.SetLogLevel(obs.LevelWarn)
-	defer obs.SetLogLevel(prev)
-	enableTrace(t, 3)
-
-	ts := httptest.NewServer(testServer(t))
-	t.Cleanup(ts.Close)
-	lg := &LoadGen{BaseURL: ts.URL, Clients: 2, RequestsPerClient: 5, Trace: true}
-	rep, err := lg.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK == 0 {
-		t.Fatalf("no successful requests: %+v", rep)
-	}
-
-	for _, tr := range trace.ActiveStore().Traces() {
-		if tr.Root != "loadgen.request" {
-			continue
-		}
-		var clientID uint64
-		for _, s := range tr.Spans {
-			if s.Name == "loadgen.request" && s.ParentID == 0 {
-				clientID = s.SpanID
-			}
-		}
-		for _, s := range tr.Spans {
-			if s.Name == "serve.request" && s.ParentID == clientID {
-				return // client and server halves joined in one trace
-			}
-		}
-	}
-	t.Fatal("no trace joins a loadgen.request client span with its serve.request server span")
 }

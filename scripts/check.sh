@@ -111,7 +111,7 @@ cleanup() {
         "$TMPDIR/teroworker-check-$$" \
         "$OUT" "$OUT.metrics" \
         "$GOLD" "$GOLD.tables" "$CHAOS" "$CHAOS.err" "$CHAOS.tables" \
-        "$SERVE" "$SERVE.hdr" "$SERVE.binhdr" "$SERVE.metrics" "$SERVE.shed" \
+        "$SERVE" "$SERVE.hdr" "$SERVE.binhdr" "$SERVE.metrics" \
         "$TRACE" "$TRACE.list" "$TRACE.detail" "$TRACE.metrics" "$TRACE.hdr" \
         "$TRACE.readyz" "$STORE" "$DIST"
 }
@@ -217,7 +217,7 @@ grep -E '^DISTBENCH .*"crash":true.*"claims_reaped":[1-9]' "$DIST" > /dev/null \
     || { echo "dist crash leg reaped no claim" >&2; cat "$DIST" >&2; exit 1; }
 echo "dist smoke ok: fleets of real worker processes byte-identical with golden"
 
-echo "== serve smoke (cmd/teroserve: /healthz, /v1/latency, ETag 304, metrics) =="
+echo "== serve smoke (cmd/teroserve: /healthz, /v1/latency, ETag 304, metrics, SIGTERM exit 0) =="
 go build -o "$TMPDIR/teroserve-check-$$" ./cmd/teroserve
 # -refresh 2m republishes on every tick, so the ticks between thumbnail
 # rounds have nothing new: Build must hand back the snapshot the index
@@ -281,21 +281,17 @@ grep -q '^counter serve_not_modified_total' "$SERVE.metrics" \
 grep -Eq '^counter serve_publish_skipped_total +[1-9]' "$SERVE.metrics" \
     || { echo "serve run never skipped an idle republish" >&2; exit 1; }
 echo "serve smoke ok: $SQUERY -> 200, ETag $ETAG replay -> 304, Accept x-tero-bin -> same JSON"
-kill "$SERVE_PID" 2>/dev/null || true
 
-echo "== shed smoke (admission control: overload sheds 503s, run survives) =="
-# A tightly gated server under a load test must shed (Retry-After 503s,
-# counted separately), finish every request, and still exit 0 — sheds are
-# backpressure, not failures.
-"$TMPDIR/teroserve-check-$$" -streamers 12 -days 1 -addr 127.0.0.1:0 -log warn \
-    -shed-rate 1000 -shed-burst 50 -loadtest 16 -loadtest-requests 50 \
-    > "$SERVE.shed" 2>&1 \
-    || { echo "gated loadtest exited non-zero:" >&2; cat "$SERVE.shed" >&2; exit 1; }
-grep -Eq 'shed [1-9][0-9]*' "$SERVE.shed" \
-    || { echo "gated loadtest shed nothing:" >&2; cat "$SERVE.shed" >&2; exit 1; }
-grep -q 'transport-errors 0' "$SERVE.shed" \
-    || { echo "gated loadtest hit transport errors:" >&2; cat "$SERVE.shed" >&2; exit 1; }
-echo "shed smoke ok: $(grep -Eo 'shed [0-9]+' "$SERVE.shed" | head -n 1) of 800 requests, zero hard errors"
+# Graceful shutdown: SIGTERM must drain the server and exit 0.
+kill -TERM "$SERVE_PID"
+SCODE=0
+wait "$SERVE_PID" || SCODE=$?
+SERVE_PID=""
+[ "$SCODE" = 0 ] \
+    || { echo "teroserve exited $SCODE on SIGTERM, want 0:" >&2; cat "$SERVE" >&2; exit 1; }
+grep -q '^shutting down$' "$SERVE" \
+    || { echo "teroserve did not report shutting down:" >&2; cat "$SERVE" >&2; exit 1; }
+echo "serve shutdown ok: SIGTERM -> exit 0"
 
 echo "== trace/SLO smoke (teroserve -trace: traceparent join, journey chain, freshness SLO) =="
 "$TMPDIR/teroserve-check-$$" -streamers 12 -days 1 -addr 127.0.0.1:0 \
