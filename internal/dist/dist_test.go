@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"tero/internal/core"
-	"tero/internal/docstore"
 	"tero/internal/download"
 	"tero/internal/kvstore"
 	"tero/internal/objstore"
@@ -39,17 +38,17 @@ func newTestPlatform(t *testing.T, seed int64) *twitchsim.Platform {
 }
 
 // pipelineSignature renders the pipeline's end state — counters plus every
-// measurement document — as comparable text. Distributed legs must match the
+// stored measurement — as comparable text. Distributed legs must match the
 // single-process golden byte for byte.
 func pipelineSignature(p *pipeline.Pipeline) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "processed=%d extracted=%d zero=%d missed=%d quarantined=%d located=%d unlocated=%d\n",
 		p.Processed, p.Extracted, p.Zero, p.Missed, p.Quarantined, p.Located, p.Unlocated)
-	docs := p.Docs.C("measurements").Find(func(docstore.Doc) bool { return true })
-	lines := make([]string, 0, len(docs))
-	for _, d := range docs {
-		lines = append(lines, fmt.Sprintf("%v|%v|%v|%v|%v|%v",
-			d["streamer"], d["game"], d["at"], d["ms"], d["alt"], d["atUnix"]))
+	rows, _ := p.Docs.After(0)
+	lines := make([]string, 0, len(rows))
+	for _, m := range rows {
+		lines = append(lines, fmt.Sprintf("%s|%s|%s|%v|%t|%v|%t|%d",
+			m.Streamer, m.Game, m.At, m.Ms, m.HasAlt, m.Alt, m.AtOK, m.AtUnix))
 	}
 	sort.Strings(lines)
 	sb.WriteString(strings.Join(lines, "\n"))

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"tero/internal/docstore"
 	"tero/internal/games"
 	"tero/internal/kvstore"
 	"tero/internal/objstore"
@@ -89,8 +88,8 @@ func TestIngestRejectsMalformedResults(t *testing.T) {
 			if c.Ingested != 0 || p.Processed != 0 || p.Extracted != 0 || p.Zero != 0 || p.Missed != 0 || p.Quarantined != 0 {
 				t.Errorf("counters moved: ingested %d, pipeline %+v", c.Ingested, []int{p.Processed, p.Extracted, p.Zero, p.Missed, p.Quarantined})
 			}
-			if n := len(p.Docs.C("measurements").Find(func(docstore.Doc) bool { return true })); n != 0 {
-				t.Errorf("%d measurement documents inserted", n)
+			if rows, _ := p.Docs.After(0); len(rows) != 0 {
+				t.Errorf("%d measurements inserted", len(rows))
 			}
 			if pl := st.HGetAll("pending-location"); len(pl) != 0 {
 				t.Errorf("pending-location = %v, want empty", pl)

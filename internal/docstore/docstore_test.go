@@ -2,236 +2,142 @@ package docstore
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
 
-func TestDistinct(t *testing.T) {
+// TestTableMatchesLinearScan inserts seeded random rows and, after every
+// insert, checks each read against a linear scan of everything inserted so
+// far: Of per streamer (and for one never inserted), Streamers, After at a
+// random cursor (negative and past the end included), and Find's rendering.
+func TestTableMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	streamers := []string{"anon-a", "anon-b", "anon-c", "anon-d", "anon-e"}
 	s := New()
-	c := s.C("m")
-	c.EnsureIndex("streamer")
-	c.Insert(Doc{"streamer": "b", "ms": 1})
-	c.Insert(Doc{"streamer": "a", "ms": 2})
-	c.Insert(Doc{"streamer": "a", "ms": 4})
-	c.Insert(Doc{"ms": 5})       // field absent
-	c.Insert(Doc{"streamer": 7}) // non-string value ignored
-	got := c.Distinct("streamer")
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Distinct via index = %v", got)
+	var all []Measurement
+	for n := 0; n < 400; n++ {
+		m := Measurement{
+			Streamer: streamers[rng.Intn(len(streamers))],
+			Game:     []string{"lol", "dota", "cs"}[rng.Intn(3)],
+			At:       fmt.Sprintf("t%d", n),
+			AtUnix:   int64(rng.Intn(1000)),
+			AtOK:     rng.Intn(4) != 0,
+			Ms:       float64(rng.Intn(200)),
+			Alt:      float64(rng.Intn(200)),
+			HasAlt:   rng.Intn(3) == 0,
+			Trace:    fmt.Sprintf("tp%d", rng.Intn(5)),
+		}
+		s.Insert(m)
+		all = append(all, m)
+
+		distinct := map[string]bool{}
+		for _, st := range append(streamers, "anon-never") {
+			var want []Measurement
+			for _, r := range all {
+				if r.Streamer == st {
+					want = append(want, r)
+					distinct[st] = true
+				}
+			}
+			if got := s.Of(st); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("after %d inserts: Of(%s) = %d rows, scan finds %d", n+1, st, len(got), len(want))
+			}
+		}
+		var want []string
+		for st := range distinct {
+			want = append(want, st)
+		}
+		sort.Strings(want)
+		if got := s.Streamers(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %d inserts: Streamers = %v, scan finds %v", n+1, got, want)
+		}
+
+		seq := rng.Intn(len(all)+4) - 2
+		rows, next := s.After(seq)
+		from := min(max(seq, 0), len(all))
+		if next != len(all) || len(rows) != len(all)-from || (len(rows) > 0 && !reflect.DeepEqual(rows, all[from:])) {
+			t.Fatalf("after %d inserts: After(%d) = %d rows, next %d", n+1, seq, len(rows), next)
+		}
 	}
-	// Unindexed field: falls back to a scan with the same semantics.
-	if gotGame := c.Distinct("ms"); len(gotGame) != 0 {
-		t.Fatalf("non-string Distinct = %v", gotGame)
+
+	docs := s.Find(nil)
+	if len(docs) != len(all) {
+		t.Fatalf("Find(nil) = %d docs, want %d", len(docs), len(all))
 	}
-	c2 := s.C("unindexed")
-	c2.Insert(Doc{"g": "y"})
-	c2.Insert(Doc{"g": "x"})
-	if got := c2.Distinct("g"); len(got) != 2 || got[0] != "x" || got[1] != "y" {
-		t.Fatalf("Distinct via scan = %v", got)
+	for i, d := range docs {
+		m := all[i]
+		want := Doc{"streamer": m.Streamer, "game": m.Game, "at": m.At, "ms": m.Ms}
+		if m.HasAlt {
+			want["alt"] = m.Alt
+		}
+		if !reflect.DeepEqual(d, want) {
+			t.Fatalf("Find row %d = %v, want %v", i, d, want)
+		}
+	}
+	if got := s.C("any name").Find(func(d Doc) bool { return d["game"] == "cs" }); len(got) == 0 || len(got) == len(all) {
+		t.Fatalf("filtered Find = %d of %d rows", len(got), len(all))
 	}
 }
 
-func TestInsertAndGet(t *testing.T) {
-	s := New()
-	c := s.C("measurements")
-	id := c.Insert(Doc{"streamer": "s1", "ms": 45})
-	if id != "doc00000001" {
-		t.Fatalf("first id = %q", id)
-	}
-	if id2 := c.Insert(Doc{"streamer": "s2"}); id2 != "doc00000002" {
-		t.Fatalf("second id = %q", id2)
-	}
-	all := c.Find(nil)
-	if len(all) != 2 || all[0]["streamer"] != "s1" || all[0]["ms"] != 45 || all[0]["_id"] != id {
-		t.Fatalf("docs = %v", all)
-	}
-	if s.C("measurements") != c || len(s.C("other").Find(nil)) != 0 {
-		t.Fatal("C must return the same collection per name and a fresh one otherwise")
-	}
-}
-
+// TestInsertCopies: writing to the inserted value, or to a row any read
+// returned, leaves the table unchanged; and a read allocates one slice, not
+// one copy per row.
 func TestInsertCopies(t *testing.T) {
 	s := New()
-	c := s.C("x")
-	src := Doc{"a": 1}
-	c.EnsureIndex("a")
-	c.Insert(src)
-	src["a"] = 2
-	// Mutating a returned doc must not affect the store, whichever read
-	// returned it.
-	reads := map[string]func() []Doc{
-		"Find":      func() []Doc { return c.Find(nil) },
-		"FindEq":    func() []Doc { return c.FindEq("a", 1) },
-		"FindAfter": func() []Doc { docs, _ := c.FindAfter(0); return docs },
+	src := Measurement{Streamer: "anon-a", Game: "lol", Ms: 45}
+	s.Insert(src)
+	src.Ms = 99
+	reads := map[string]func() []Measurement{
+		"Of":    func() []Measurement { return s.Of("anon-a") },
+		"After": func() []Measurement { rows, _ := s.After(0); return rows },
 	}
 	for name, read := range reads {
-		d := read()
-		if len(d) != 1 || d[0]["a"] != 1 {
-			t.Fatalf("%s = %v: Insert must copy", name, d)
+		rows := read()
+		if len(rows) != 1 || rows[0].Ms != 45 {
+			t.Fatalf("%s = %+v: Insert must copy", name, rows)
 		}
-		d[0]["a"] = 3
-		if again := read(); again[0]["a"] != 1 {
+		rows[0].Ms, rows[0].Streamer = 3, "anon-z"
+		if again := read(); again[0].Ms != 45 || again[0].Streamer != "anon-a" {
 			t.Fatalf("%s must copy", name)
 		}
 	}
-}
-
-func TestFindWithFilter(t *testing.T) {
-	s := New()
-	c := s.C("x")
-	for i := 0; i < 10; i++ {
-		c.Insert(Doc{"n": i})
+	for i := 0; i < 999; i++ {
+		s.Insert(Measurement{Streamer: "anon-a"})
 	}
-	got := c.Find(func(d Doc) bool { return d["n"].(int) >= 7 })
-	if len(got) != 3 {
-		t.Fatalf("found %d", len(got))
-	}
-	if len(c.Find(nil)) != 10 {
-		t.Fatal("nil filter should match all")
+	for name, read := range reads {
+		if allocs := testing.AllocsPerRun(20, func() { read() }); allocs > 1 {
+			t.Fatalf("%s of 1,000 rows allocates %.0f times, want one slice", name, allocs)
+		}
 	}
 }
 
-func TestFindEqWithAndWithoutIndex(t *testing.T) {
-	s := New()
-	c := s.C("x")
-	for i := 0; i < 20; i++ {
-		c.Insert(Doc{"game": []string{"lol", "dota"}[i%2], "n": i})
-	}
-	noIdx := c.FindEq("game", "lol")
-	c.EnsureIndex("game")
-	withIdx := c.FindEq("game", "lol")
-	if len(noIdx) != 10 || len(withIdx) != 10 {
-		t.Fatalf("lens %d, %d", len(noIdx), len(withIdx))
-	}
-	// Both paths return insertion order: n = 0, 2, 4, ...
-	for i := range noIdx {
-		if noIdx[i]["n"] != 2*i || withIdx[i]["n"] != 2*i || noIdx[i]["_id"] != withIdx[i]["_id"] {
-			t.Fatalf("result %d: scan %v, index %v, want n=%d from both", i, noIdx[i], withIdx[i], 2*i)
-		}
-	}
-	// The index follows later inserts.
-	c.Insert(Doc{"game": "lol", "n": 20})
-	if got := c.FindEq("game", "lol"); len(got) != 11 || got[10]["n"] != 20 {
-		t.Fatal("index not updated on insert")
-	}
-	if got := c.FindEq("game", "none"); len(got) != 0 {
-		t.Fatalf("FindEq of an absent value = %v", got)
-	}
-}
-
-func TestConcurrentInserts(t *testing.T) {
-	s := New()
-	c := s.C("x")
-	c.EnsureIndex("g")
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				c.Insert(Doc{"g": g, "i": i})
-				c.FindEq("g", g)
-			}
-		}(g)
-	}
-	wg.Wait()
-	all := c.Find(nil)
-	if len(all) != 800 {
-		t.Fatalf("count = %d", len(all))
-	}
-	// IDs unique.
-	seen := map[any]bool{}
-	for _, d := range all {
-		if seen[d["_id"]] {
-			t.Fatal("duplicate id")
-		}
-		seen[d["_id"]] = true
-	}
-}
-
-func TestFindAfterCursor(t *testing.T) {
-	s := New()
-	c := s.C("m")
-	for i := 0; i < 5; i++ {
-		c.Insert(Doc{"i": i})
-	}
-	first, seq := c.FindAfter(0)
-	if len(first) != 5 {
-		t.Fatalf("initial batch = %d docs, want 5", len(first))
-	}
-	for i, d := range first {
-		if d["i"] != i {
-			t.Fatalf("doc %d out of insertion order: %v", i, d["i"])
-		}
-	}
-	// Drained: same cursor returns nothing.
-	if again, seq2 := c.FindAfter(seq); len(again) != 0 || seq2 != seq {
-		t.Fatalf("drained cursor returned %d docs, seq %d->%d", len(again), seq, seq2)
-	}
-	c.Insert(Doc{"i": 5})
-	c.Insert(Doc{"i": 6})
-	next, seq3 := c.FindAfter(seq)
-	if len(next) != 2 || next[0]["i"] != 5 || next[1]["i"] != 6 {
-		t.Fatalf("incremental batch wrong: %v", next)
-	}
-	if seq3 <= seq {
-		t.Fatalf("sequence did not advance: %d -> %d", seq, seq3)
-	}
-	// Copies, not aliases.
-	next[0]["i"] = 99
-	if again, _ := c.FindAfter(seq); again[0]["i"] != 5 {
-		t.Fatal("FindAfter returned aliased document")
-	}
-	// A cursor from the future or the past of the sequence is harmless.
-	if docs, at := c.FindAfter(seq3 + 10); len(docs) != 0 || at != seq3 {
-		t.Fatalf("cursor past the end = %d docs, seq %d", len(docs), at)
-	}
-	if docs, _ := c.FindAfter(-1); len(docs) != seq3 {
-		t.Fatalf("negative cursor = %d docs, want all %d", len(docs), seq3)
-	}
-
-	// The walk starts at the cursor: a 3-document tail costs the same behind
-	// 10,000 documents as behind 1,000.
-	tailAllocs := func(prefix int) float64 {
-		c := New().C("m")
-		for i := 0; i < prefix; i++ {
-			c.Insert(Doc{"i": i})
-		}
-		_, seq := c.FindAfter(0)
-		for i := 0; i < 3; i++ {
-			c.Insert(Doc{"i": prefix + i})
-		}
-		return testing.AllocsPerRun(20, func() {
-			if docs, _ := c.FindAfter(seq); len(docs) != 3 || docs[0]["i"] != prefix {
-				t.Fatalf("tail behind %d documents: %v", prefix, docs)
-			}
-		})
-	}
-	if small, large := tailAllocs(1000), tailAllocs(10000); large > small {
-		t.Fatalf("FindAfter allocates %.0f times behind 10,000 documents, %.0f behind 1,000", large, small)
-	}
-}
-
-// TestConcurrentInsertAndCursor: a reader tailing the collection with
-// FindAfter while writers insert sees every document exactly once, in
+// TestConcurrentInsertAndCursor: a reader tailing the table with After while
+// writers insert (and read their own rows) sees every row exactly once, in
 // sequence order; run with -race.
 func TestConcurrentInsertAndCursor(t *testing.T) {
-	c := New().C("m")
-	c.EnsureIndex("g")
+	s := New()
 	const writers, each = 4, 250
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			streamer := fmt.Sprintf("anon-%d", g)
 			for i := 0; i < each; i++ {
-				c.Insert(Doc{"g": g, "i": i})
+				s.Insert(Measurement{Streamer: streamer, Ms: float64(i)})
+				if n := len(s.Of(streamer)); n != i+1 {
+					t.Errorf("writer %d: Of = %d rows after %d inserts", g, n, i+1)
+				}
+				s.Streamers()
 			}
 		}(g)
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
-	var got []Doc
+	var got []Measurement
 	seq := 0
 	for finished := false; !finished; {
 		select {
@@ -239,23 +145,20 @@ func TestConcurrentInsertAndCursor(t *testing.T) {
 			finished = true // one last read below drains what the writers left
 		default:
 		}
-		docs, next := c.FindAfter(seq)
-		if next != seq+len(docs) {
-			t.Fatalf("cursor %d -> %d with %d docs", seq, next, len(docs))
+		rows, next := s.After(seq)
+		if next != seq+len(rows) {
+			t.Fatalf("cursor %d -> %d with %d rows", seq, next, len(rows))
 		}
-		got, seq = append(got, docs...), next
+		got, seq = append(got, rows...), next
 	}
 	if len(got) != writers*each {
-		t.Fatalf("tailed %d documents, want %d", len(got), writers*each)
+		t.Fatalf("tailed %d rows, want %d", len(got), writers*each)
 	}
-	last := map[any]int{}
-	for n, d := range got {
-		if want := fmt.Sprintf("doc%08d", n+1); d["_id"] != want {
-			t.Fatalf("document %d has _id %v, want %s", n, d["_id"], want)
+	last := map[string]float64{}
+	for _, m := range got {
+		if prev, ok := last[m.Streamer]; (ok && m.Ms != prev+1) || (!ok && m.Ms != 0) {
+			t.Fatalf("writer %s: ms=%v after %v", m.Streamer, m.Ms, prev)
 		}
-		if prev, ok := last[d["g"]]; ok && d["i"].(int) != prev+1 {
-			t.Fatalf("writer %v: i=%v after i=%d", d["g"], d["i"], prev)
-		}
-		last[d["g"]] = d["i"].(int)
+		last[m.Streamer] = m.Ms
 	}
 }

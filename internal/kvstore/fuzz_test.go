@@ -12,8 +12,8 @@ import (
 )
 
 // Native fuzz targets for the byte-level decoders: the command reader (the
-// server's socket, the AOF), the reply reader (every client) and log replay
-// under Open. The seed corpus in
+// server's socket, the AOF), the reply reader (every client), and log replay
+// and snapshot load under Open. The seed corpus in
 // testdata/fuzz/ holds scribble's frames, a torn tail, each retired command
 // form and the hostile headers of TestDecoderBounds; scripts/check.sh runs
 // each target for a few seconds.
@@ -118,6 +118,44 @@ func FuzzReplayAOF(f *testing.F) {
 		defer s2.Close()
 		if got := fingerprint(s2); got != want {
 			t.Fatalf("second recovery differs:\nwant:\n%s\ngot:\n%s", want, got)
+		}
+	})
+}
+
+// FuzzLoadSnapshot plants arbitrary bytes as the committed snapshot of a
+// store directory. A snapshot is loaded strictly, so Open may refuse it, but
+// it must not panic or allocate more than FuzzReplayAOF's bound; and a load
+// it accepts, plus one write after it, is exactly what a second Open
+// replays.
+func FuzzLoadSnapshot(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		defer obs.SetLogOutput(obs.SetLogOutput(io.Discard))
+		dir := t.TempDir()
+		if err := os.WriteFile(snapPath(dir, 1), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		opt := PersistOptions{Fsync: FsyncNever}
+		var s *Store
+		var err error
+		alloc := allocatedBy(func() { s, err = Open(dir, opt) })
+		if bound := uint64(64*len(data) + 1<<20); alloc > bound {
+			t.Fatalf("Open allocated %d bytes loading %d, bound %d", alloc, len(data), bound)
+		}
+		if err != nil {
+			return
+		}
+		s.Set("fuzz:after-load", "acknowledged")
+		want := fingerprint(s)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := Open(dir, opt)
+		if err != nil {
+			t.Fatalf("second Open: %v", err)
+		}
+		defer s2.Close()
+		if got := fingerprint(s2); got != want {
+			t.Fatalf("second load differs:\nwant:\n%s\ngot:\n%s", want, got)
 		}
 	})
 }

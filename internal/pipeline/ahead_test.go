@@ -205,11 +205,11 @@ func TestRestoredKeyIsExtractedAgain(t *testing.T) {
 	if n := p.ProcessThumbnails(); n != 2 {
 		t.Fatalf("drained %d thumbnails, want 2", n)
 	}
-	docs := p.Docs.C("measurements").Find(nil)
-	if len(docs) != 2 {
-		t.Fatalf("%d measurements, want 2 (the rendered thumbnail must be legible)", len(docs))
+	rows, _ := p.Docs.After(0)
+	if len(rows) != 2 {
+		t.Fatalf("%d measurements, want 2 (the rendered thumbnail must be legible)", len(rows))
 	}
-	if got := docs[0]["at"]; got != stored { // documents are in key order: …/5.pgm first
+	if got := rows[0].At; got != stored { // rows are in key order: …/5.pgm first
 		t.Fatalf("measurement of the re-stored key has at=%v, the bucket held at=%s", got, stored)
 	}
 }

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -42,22 +41,15 @@ func driveWorld(t *testing.T, seed int64, streamers int, hours float64, concurre
 }
 
 // snapshot renders everything the pipeline stored or derived into one
-// canonical string: stats, every measurement document (IDs included, so
-// insertion order is pinned), built streams and full analyses.
+// canonical string: stats, every stored measurement (in insertion order, so
+// that order is pinned), built streams and full analyses.
 func snapshot(p *Pipeline) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "stats %d %d %d %d %d %d\n",
 		p.Processed, p.Extracted, p.Zero, p.Missed, p.Located, p.Unlocated)
-	for _, d := range p.Docs.C("measurements").Find(nil) {
-		keys := make([]string, 0, len(d))
-		for k := range d {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&sb, "%s=%v;", k, d[k])
-		}
-		sb.WriteByte('\n')
+	rows, _ := p.Docs.After(0)
+	for _, m := range rows {
+		fmt.Fprintf(&sb, "%+v\n", m)
 	}
 	for _, s := range p.BuildStreams() {
 		sum := 0.0

@@ -94,13 +94,13 @@ func ExtractThumb(x *imageproc.Extractor, obj *objstore.Object) ThumbResult {
 }
 
 // IngestResult applies the serial merge half for one extracted thumbnail:
-// counters, measurement insert (it is the only writer of the measurements
-// collection), the pending-location entry. ctx, when
+// counters, measurement insert (it is the only writer of the measurement
+// table), the pending-location entry. ctx, when
 // valid, is the span context the stored measurement propagates (the extract
 // span locally; a dist.ingest span when the result crossed a process
 // boundary). Callers are responsible for calling in a deterministic order —
 // this is the same code the single-process merge and the distributed
-// coordinator run, so both produce identical documents and counters.
+// coordinator run, so both produce identical rows and counters.
 func (p *Pipeline) IngestResult(r ThumbResult, ctx trace.Context) {
 	switch r.Outcome {
 	case OutcomeCorrupt:
@@ -117,28 +117,16 @@ func (p *Pipeline) IngestResult(r ThumbResult, ctx trace.Context) {
 		p.Extracted++
 		mExtracted.Inc()
 		anon := p.Anonymize(r.Streamer)
-		doc := docstore.Doc{
-			"streamer": anon,
-			"login":    r.Login, // kept transiently for location lookup
-			"game":     r.Game,
-			"at":       r.At,
-			"ms":       r.Ms,
-		}
-		if r.AtOK {
-			// Parsed once here so the analysis hot loop never re-parses
-			// RFC3339 strings (see BuildStreams).
-			doc["atUnix"] = r.AtUnix
-		}
-		if r.HasAlt {
-			doc["alt"] = r.Alt
-			doc["hasAlt"] = true
-		}
+		// The row keeps the pseudonym only; the login waits for the
+		// location lookup in the pending-location hash below.
+		m := docstore.Measurement{Streamer: anon, Game: r.Game, At: r.At,
+			AtUnix: r.AtUnix, AtOK: r.AtOK, Ms: r.Ms, Alt: r.Alt, HasAlt: r.HasAlt}
 		if ctx.Valid() {
-			// The measurement document carries the span's context until
-			// PublishAt closes the journey.
-			doc["trace"] = trace.Traceparent(ctx)
+			// The row carries the span's context until PublishAt closes
+			// the journey.
+			m.Trace = trace.Traceparent(ctx)
 		}
-		p.Docs.C("measurements").Insert(doc)
+		p.Docs.Insert(m)
 		p.dirty[pairKey{anon, r.Game}] = struct{}{} // the pair's streams changed: Analyze re-runs it
 	case OutcomeZero:
 		p.Zero++

@@ -109,8 +109,8 @@ type Pipeline struct {
 	// freshMark is the high-water OCR timestamp (unix seconds) across all
 	// readings already seen by a publish; PublishAt treats readings above it
 	// as newly queryable (freshness observation + journey finalization).
-	// freshSeq is the measurement-collection cursor behind it: a publish
-	// reads only the documents inserted since the previous one.
+	// freshSeq is the measurement-table cursor behind it: a publish reads
+	// only the rows inserted since the previous one.
 	freshMark int64
 	freshSeq  int
 
@@ -179,7 +179,6 @@ func NewWithKV(baseURL string, downloaders int, kv kvstore.KV) *Pipeline {
 		p.Downloaders = append(p.Downloaders,
 			download.NewDownloader("dl"+strconv.Itoa(i), kv, objects))
 	}
-	p.Docs.C("measurements").EnsureIndex("streamer")
 	return p
 }
 
@@ -712,17 +711,17 @@ func (p *Pipeline) LocationOf(anonID string) (geo.Location, bool) {
 // and skipped thumbnails.
 const streamGap = 35 * time.Minute
 
-// pointOf converts a stored measurement document into a core.Point. The
-// timestamp is the epoch field IngestResult writes whenever the thumbnail's
-// "at" parsed; a measurement without one has no time and is skipped.
-func pointOf(d docstore.Doc) (core.Point, bool) {
-	unix, ok := d["atUnix"].(int64)
-	if !ok {
+// pointOf converts a stored measurement into a core.Point. The timestamp
+// is AtUnix, parsed once at extraction so the analysis never re-parses
+// RFC3339 strings; a measurement whose "at" did not parse has no time and is
+// skipped.
+func pointOf(m docstore.Measurement) (core.Point, bool) {
+	if !m.AtOK {
 		return core.Point{}, false
 	}
-	pt := core.Point{T: time.Unix(unix, 0).UTC(), Ms: d["ms"].(float64)}
-	if alt, ok := d["alt"].(float64); ok {
-		pt.Alt, pt.HasAlt = alt, true
+	pt := core.Point{T: time.Unix(m.AtUnix, 0).UTC(), Ms: m.Ms}
+	if m.HasAlt {
+		pt.Alt, pt.HasAlt = m.Alt, true
 	}
 	return pt, true
 }
@@ -731,13 +730,12 @@ func pointOf(d docstore.Doc) (core.Point, bool) {
 // {streamer, game}, chronologically ordered, split where the measurement
 // gap exceeds streamGap, each with the location on record at its first
 // point (none for a streamer never located). Measurements are fetched per
-// streamer through the collection's streamer index rather than a
-// full-collection scan.
+// streamer (docstore.Store.Of) rather than by a full-table scan.
 func (p *Pipeline) BuildStreams() []core.Stream {
 	sp := trace.StartStage("pipeline.build_streams")
 	defer sp.End()
 	var out []core.Stream
-	for _, streamer := range p.Docs.C("measurements").Distinct("streamer") {
+	for _, streamer := range p.Docs.Streamers() {
 		out = append(out, p.streamsOf(streamer)...)
 	}
 	mStreams.Set(float64(len(out)))
@@ -748,13 +746,10 @@ func (p *Pipeline) BuildStreams() []core.Stream {
 // order and chronological within a game.
 func (p *Pipeline) streamsOf(streamer string) []core.Stream {
 	byGame := make(map[string][]core.Point)
-	for _, d := range p.Docs.C("measurements").FindEq("streamer", streamer) {
-		pt, ok := pointOf(d)
-		if !ok {
-			continue
+	for _, m := range p.Docs.Of(streamer) {
+		if pt, ok := pointOf(m); ok {
+			byGame[m.Game] = append(byGame[m.Game], pt)
 		}
-		game := d["game"].(string)
-		byGame[game] = append(byGame[game], pt)
 	}
 	games := make([]string, 0, len(byGame))
 	for g := range byGame {
@@ -805,7 +800,7 @@ func (p *Pipeline) Analyze(params core.Params) []*core.Analysis {
 	all := !p.analyzed || params != p.analyzedBy
 	var streamers []string
 	if all {
-		streamers = p.Docs.C("measurements").Distinct("streamer")
+		streamers = p.Docs.Streamers()
 	} else {
 		written := make(map[string]struct{}, len(p.dirty)+len(p.moved))
 		for k := range p.dirty {

@@ -1,6 +1,10 @@
 package pipeline
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -55,14 +59,41 @@ func TestEndToEndPipeline(t *testing.T) {
 	if p.Objects.Size("thumbs") != 0 {
 		t.Fatalf("%d thumbnails retained", p.Objects.Size("thumbs"))
 	}
-	// Measurements stored under pseudonyms, never raw platform IDs.
-	for _, d := range p.Docs.C("measurements").Find(nil) {
-		id := d["streamer"].(string)
-		if len(id) < 5 || id[:5] != "anon-" {
-			t.Fatalf("raw ID leaked: %q", id)
+	// Measurements stored under pseudonyms (§7): no field of a stored
+	// reading, typed or as Find renders it, holds a platform ID or a login.
+	known := make(map[string]bool)
+	for _, st := range world.Streamers {
+		known[st.ID], known[st.Username] = true, true
+	}
+	rows, _ := p.Docs.After(0)
+	for _, m := range rows {
+		if len(m.Streamer) < 5 || m.Streamer[:5] != "anon-" {
+			t.Fatalf("raw ID leaked: %q", m.Streamer)
+		}
+		v := reflect.ValueOf(m)
+		for i := 0; i < v.NumField(); i++ {
+			if f := fmt.Sprint(v.Field(i)); known[f] {
+				t.Fatalf("measurement field %s holds the streamer identity %q", v.Type().Field(i).Name, f)
+			}
 		}
 	}
-	_ = world
+	for _, d := range p.Docs.Find(nil) {
+		for k, f := range d {
+			if known[fmt.Sprint(f)] {
+				t.Fatalf("rendered measurement field %s holds the streamer identity %q", k, f)
+			}
+		}
+	}
+	// The stored readings, in insertion order, are pinned: the typed table
+	// stores what the document store did.
+	h := sha256.New()
+	for _, m := range rows {
+		fmt.Fprintf(h, "%s|%s|%s|%d|%v|%t|%v\n", m.Streamer, m.Game, m.At, m.AtUnix, m.Ms, m.HasAlt, m.Alt)
+	}
+	const readingsDigest = "f05901e4c728f1e9a6661db0aa277e5eeb67ae755cc2e145186a31a238d571c4"
+	if got := hex.EncodeToString(h.Sum(nil)); len(rows) != 822 || got != readingsDigest {
+		t.Fatalf("%d stored readings, digest %s; want 822, %s", len(rows), got, readingsDigest)
+	}
 }
 
 func TestPipelineStreamsAndAnalysis(t *testing.T) {

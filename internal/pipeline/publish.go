@@ -48,11 +48,11 @@ func FreshnessHistogram() *obs.Histogram { return hFreshness }
 // all of them, not the changed ones. Safe to call repeatedly while the
 // service is live — Swap never locks readers out (see serve.Index).
 //
-// now is the pipeline's virtual time: readings that became queryable with
-// this publish are observed into the freshness histogram (virtual seconds
-// from OCR timestamp to now), and their journey traces — open since
-// download.fetch — get their analyze/publish spans and are finalized. A
-// zero now skips the freshness observation only.
+// now is the pipeline's virtual time and is required: readings that became
+// queryable with this publish are observed into the freshness histogram
+// (virtual seconds from OCR timestamp to now), and their journey traces —
+// open since download.fetch — get their analyze/publish spans and are
+// finalized.
 func (p *Pipeline) PublishAt(b *serve.Builder, params core.Params, now time.Time) int {
 	sp := trace.StartStage("pipeline.publish")
 	defer sp.End()
@@ -91,40 +91,28 @@ func (p *Pipeline) PublishAt(b *serve.Builder, params core.Params, now time.Time
 // order, so journey span IDs are deterministic.
 func (p *Pipeline) finalizeReadings(now time.Time, tA0, tA1, tP1 time.Time) {
 	traced := trace.Enabled()
-	useClock := !now.IsZero()
-	if !traced && !useClock {
-		return
-	}
 	newMark := p.freshMark
-	docs, seq := p.Docs.C("measurements").FindAfter(p.freshSeq)
+	rows, seq := p.Docs.After(p.freshSeq)
 	p.freshSeq = seq
-	for _, d := range docs {
-		au, ok := d["atUnix"].(int64)
-		if !ok || au <= p.freshMark {
+	for _, m := range rows {
+		au := m.AtUnix
+		if !m.AtOK || au <= p.freshMark {
 			continue
 		}
-		if au > newMark {
-			newMark = au
-		}
+		newMark = max(newMark, au)
 		var ref uint64
-		if tc, ok := d["trace"].(string); ok && traced {
-			if ec, ok2 := trace.ParseTraceparent(tc); ok2 {
+		if traced {
+			if ec, ok := trace.ParseTraceparent(m.Trace); ok {
 				ref = ec.TraceID
 				ac := trace.RecordSpan(ec, "pipeline.analyze", tA0, tA1, "")
-				var attrs []trace.Attr
-				if useClock {
-					attrs = append(attrs, trace.A("freshness_virtual_s",
-						fmt.Sprintf("%d", now.Unix()-au)))
-				}
-				trace.RecordSpan(ac, "pipeline.publish", tA1, tP1, "", attrs...)
+				trace.RecordSpan(ac, "pipeline.publish", tA1, tP1, "",
+					trace.A("freshness_virtual_s", fmt.Sprintf("%d", now.Unix()-au)))
 				trace.Finish(ec.TraceID)
 			}
 		}
-		if useClock {
-			hFreshness.ObserveExemplar(float64(now.Unix()-au), ref)
-		}
+		hFreshness.ObserveExemplar(float64(now.Unix()-au), ref)
 	}
-	if useClock && newMark > 0 {
+	if newMark > 0 {
 		gFreshnessLatest.Set(float64(now.Unix() - newMark))
 	}
 	p.freshMark = newMark

@@ -173,7 +173,7 @@ func TestFreshnessObserved(t *testing.T) {
 }
 
 // TestFreshnessCursorMatchesFullScan pins the cursor walk of
-// finalizeReadings to what a full scan of the measurement collection
+// finalizeReadings to what a full scan of the measurement table
 // derives, publish by publish: the freshness histogram count, the latest
 // gauge, and the set of journey traces finished.
 func TestFreshnessCursorMatchesFullScan(t *testing.T) {
@@ -194,8 +194,9 @@ func TestFreshnessCursorMatchesFullScan(t *testing.T) {
 		p.ProcessThumbnails()
 		p.LocateStreamers(platform.Now())
 		fresh, newest := 0, mark
-		for _, d := range p.Docs.C("measurements").Find(nil) {
-			if au := d["atUnix"].(int64); au > mark {
+		rows, _ := p.Docs.After(0)
+		for _, m := range rows {
+			if au := m.AtUnix; au > mark {
 				fresh++
 				if au > newest {
 					newest = au
@@ -222,10 +223,11 @@ func TestFreshnessCursorMatchesFullScan(t *testing.T) {
 	}
 
 	want := make(map[uint64]bool)
-	for _, d := range p.Docs.C("measurements").Find(nil) {
-		ec, ok := trace.ParseTraceparent(d["trace"].(string))
+	rows, _ := p.Docs.After(0)
+	for n, m := range rows {
+		ec, ok := trace.ParseTraceparent(m.Trace)
 		if !ok {
-			t.Fatalf("measurement %v carries no trace context", d["_id"])
+			t.Fatalf("measurement %d carries no trace context", n)
 		}
 		want[ec.TraceID] = true
 	}

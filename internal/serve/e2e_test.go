@@ -34,8 +34,9 @@ import (
 // downloader that adopts every queued streamer in the tick that queues it
 // (three idle-one downloaders race for them), and an API quota high enough
 // that the platform's real-time token bucket never decides which calls of a
-// tick succeed.
-func runPipeline(t testing.TB, streamers int, hours float64) *pipeline.Pipeline {
+// tick succeed. The platform is returned for its virtual clock, which
+// PublishAt requires.
+func runPipeline(t testing.TB, streamers int, hours float64) (*pipeline.Pipeline, *twitchsim.Platform) {
 	t.Helper()
 	cfg := worldsim.DefaultConfig(23)
 	cfg.Streamers = streamers
@@ -58,7 +59,7 @@ func runPipeline(t testing.TB, streamers int, hours float64) *pipeline.Pipeline 
 	}
 	p.ProcessThumbnails()
 	p.LocateStreamers(platform.Now())
-	return p
+	return p, platform
 }
 
 // servedDigest is the SHA-256 over the JSON body and ETag of every entry
@@ -69,11 +70,11 @@ func TestServeMatchesOfflineAnalysis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives a full pipeline")
 	}
-	p := runPipeline(t, 120, 6)
+	p, platform := runPipeline(t, 120, 6)
 	params := core.DefaultParams()
 
 	builder := serve.NewBuilder(params)
-	if n := p.PublishAt(builder, params, time.Time{}); n == 0 {
+	if n := p.PublishAt(builder, params, platform.Now()); n == 0 {
 		t.Fatal("pipeline published no analyses")
 	}
 	snap := builder.Build()
@@ -178,10 +179,10 @@ func TestLoadWithSwap(t *testing.T) {
 	}
 	prev := obs.SetLogLevel(obs.LevelWarn) // the swap loop logs per swap
 	defer obs.SetLogLevel(prev)
-	p := runPipeline(t, 120, 6)
+	p, platform := runPipeline(t, 120, 6)
 	params := core.DefaultParams()
 	builder := serve.NewBuilder(params)
-	p.PublishAt(builder, params, time.Time{})
+	p.PublishAt(builder, params, platform.Now())
 	snap := builder.Build()
 	if len(snap.Entries) == 0 {
 		t.Fatal("no servable entries")
@@ -207,7 +208,7 @@ func TestLoadWithSwap(t *testing.T) {
 				return
 			default:
 				b := builders[(n+1)%2]
-				p.PublishAt(b, params, time.Time{})
+				p.PublishAt(b, params, platform.Now())
 				v := ix.Version()
 				ix.Swap(b.Build())
 				n += int(ix.Version() - v)

@@ -49,10 +49,10 @@ go test -race ./...
 # budget are only judged without it.
 go test -run '^(TestThumbnailPathAllocationBudget|TestExtractThumbAllocationBudget)$' ./internal/pipeline
 
-echo "== decoder fuzz targets (kvstore wire and log, traceparent, PGM whole and by rows, fleet results and balance records, queue entries, stored locations; 5s each) =="
+echo "== decoder fuzz targets (kvstore wire, log and snapshot, traceparent, PGM whole and by rows, fleet results and balance records, queue entries, stored locations; 5s each) =="
 # The committed seed corpus runs under the plain tests above; this mutates
 # from it. A failing input lands in the package's testdata/fuzz/.
-for target in FuzzReadCommand FuzzReadReply FuzzReplayAOF; do
+for target in FuzzReadCommand FuzzReadReply FuzzReplayAOF FuzzLoadSnapshot; do
     go test -run '^$' -fuzz "^$target\$" -fuzztime 5s ./internal/kvstore
 done
 go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime 5s ./internal/obs/trace
