@@ -15,7 +15,9 @@ import (
 )
 
 // runWorld drives platform + pipeline for `hours` of virtual time starting
-// at the given virtual offset.
+// at the given virtual offset. The platform API quota is raised so that
+// wall-clock 429 retries cannot change what is stored (TestEndToEndPipeline
+// pins it).
 func runWorld(t *testing.T, streamers int, offset time.Duration, hours float64) (*worldsim.World, *Pipeline) {
 	t.Helper()
 	cfg := worldsim.DefaultConfig(23)
@@ -24,6 +26,7 @@ func runWorld(t *testing.T, streamers int, offset time.Duration, hours float64) 
 	cfg.LocatableFrac = 0.8 // dense locations so assertions have data
 	world := worldsim.New(cfg)
 	platform := twitchsim.New(world)
+	platform.SetAPIRate(5000, 5000)
 	t.Cleanup(platform.Close)
 
 	p := New(platform.URL(), 3)
