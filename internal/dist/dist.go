@@ -12,12 +12,15 @@
 //   - The coordinator freezes a virtual instant in dist:now, then publishes
 //     a round token in dist:round. Workers poll for the token, do one round
 //     of work at that frozen instant, and check in via dist:done.
-//   - A round is the worker's own pipeline stage: poll due streamers
-//     (Pipeline.Tick, which starts extracting each thumbnail as it lands),
-//     claim a ceil-share quota from dl:queue, then take every extraction
+//   - A round is the worker's own pipeline stage: poll due streamers, take
+//     a ceil-share of dl:queue with the roster as the fleet's size
+//     (Pipeline.TickShare, download.Deal — the one adoption policy, which a
+//     single process runs over its own downloaders), start extracting each
+//     thumbnail as it lands, then take every extraction
 //     (Pipeline.TakeExtractions) and push it instead of merging it. The
-//     coordinator repeats rounds at the same instant until the queue drains,
-//     so WHICH VIRTUAL TICK adopts a streamer never depends on fleet size.
+//     shares cover the queue and the coordinator repeats rounds at the same
+//     instant until it drains, so WHICH VIRTUAL TICK adopts a streamer never
+//     depends on fleet size.
 //   - Workers never touch shared state between rounds; the barrier means
 //     the coordinator reaps crashed workers' claims and snapshots the
 //     queue while everything is quiescent, without locks.
@@ -25,9 +28,8 @@
 // Workers prove liveness with real-time heartbeats in dist:beat. A worker
 // whose beat stops changing mid-barrier is declared dead, its claims are
 // requeued, and the survivors re-fetch them within the same virtual tick —
-// the window-stamped metadata (download.Downloader.WindowStamp, always on
-// in a worker) makes the re-fetch byte-identical to what the dead worker
-// would have stored.
+// every downloader stamps a thumbnail with its CDN window, so the re-fetch
+// is byte-identical to what the dead worker would have stored.
 package dist
 
 import (

@@ -55,16 +55,12 @@ func pipelineSignature(p *pipeline.Pipeline) string {
 	return sb.String()
 }
 
-// goldenRun is the single-process reference: one ClaimAll downloader with
-// window-stamped thumbnails, serial merge.
+// goldenRun is the single-process reference: the unmodified production
+// pipeline, four downloaders at the default concurrency.
 func goldenRun(t *testing.T, seed int64) string {
 	t.Helper()
 	platform := newTestPlatform(t, seed)
-	p := pipeline.New(platform.URL(), 1)
-	p.Concurrency = 1
-	d := p.Downloaders[0]
-	d.Claim = download.ClaimAll
-	d.WindowStamp = true
+	p := pipeline.New(platform.URL(), 4)
 	for i := 0; i < testTicks; i++ {
 		if err := p.Tick(platform.Now(), i%3 == 0); err != nil {
 			t.Fatalf("golden tick %d: %v", i, err)

@@ -174,16 +174,11 @@ func RunWorker(cfg WorkerConfig) error {
 // object store is the worker's local bucket: a thumbnail never leaves the
 // process and costs the wire one result frame (plus the quarantine copy of a
 // corrupt one). It never calls the platform API — assignments carry absolute
-// URLs — so it has no base URL. Its one downloader, "<id>:dl0", claims only
-// when the round says so, and stamps each thumbnail with its window so that a
-// re-fetch after a crash, or a fleet of any shape, stores the bytes a single
-// process would have.
+// URLs — so it has no base URL. Its one downloader is "<id>:dl0".
 func workerPipeline(id string, kv kvstore.KV) *pipeline.Pipeline {
 	p := pipeline.NewWithKV("", 1, kv)
 	d := p.Downloaders[0]
 	d.ID = id + ":dl0"
-	d.Claim = download.ClaimNone
-	d.WindowStamp = true
 	d.ClaimTraceKey = KeyClaimTrace
 	return p
 }
@@ -195,52 +190,28 @@ type resultSink interface {
 }
 
 // workRound does one round at the frozen virtual instant now: the worker's
-// pipeline services due fetches and starts extracting what they store
-// (Tick), the worker claims a fair quota from the queue, and every
-// extraction the pipeline hands over (TakeExtractions) is pushed to objects
-// instead of merged. Repeat rounds at the same instant are harmless — due
-// times are virtual, so nothing comes due twice.
+// pipeline services due fetches, takes its ceil-share of the queue with the
+// fleet roster as the number of downloaders sharing it (TickShare), and
+// starts extracting what it stores; every extraction the pipeline hands over
+// (TakeExtractions) is pushed to objects instead of merged. Workers deal
+// concurrently, each to itself, but the shares cover the queue, so it drains
+// within the round; makeup rounds are the backstop. Repeat rounds at the
+// same instant are harmless — due times are virtual, so nothing comes due
+// twice.
 //
 // A push that fails ends the round with its error and the thumbnail still
 // in the local bucket: the reading has not reached the coordinator, so the
 // round must not be checked in as done.
 func workRound(p *pipeline.Pipeline, id string, objects resultSink,
 	now time.Time, stats *WorkerStats, halted func() bool) error {
-	// Degraded, not fatal: Tick logs the poll errors, and the downloader has
-	// already applied its per-streamer backoff/release recovery.
-	p.Tick(now, false) //nolint:errcheck
 	d := p.Downloaders[0]
-
-	// Balanced claims: adopt while this worker owns fewer streamers than
-	// its ceil-share of everything claimable (already-claimed + queued).
-	// The per-round critical path is the busiest worker's fetch count, so
-	// ownership balance — not just queue fair-share — is what lets a fleet
-	// overlap CDN latency. Workers race LPOP on slightly stale counts, but
-	// the capacity sum (alive x ceil-share - claimed) always covers the
-	// queue, so it still drains within the round; makeup rounds are the
-	// backstop. Reads are racy by a claim or two, which skews balance by
-	// at most that much.
-	qlen := p.KV.LLen(download.KeyQueue)
-	alive := len(p.KV.HGetAll(KeyWorkers))
-	if alive < 1 {
-		alive = 1
-	}
-	claimed := len(p.KV.HGetAll(download.KeyClaimed))
-	target := (claimed + qlen + alive - 1) / alive
-	for own := d.Assigned(); own < target; own++ {
-		if halted() {
-			return nil
-		}
-		_, adopted, err := d.AdoptOne(now)
-		if !adopted {
-			break
-		}
-		stats.Claims++
-		mWClaims.Inc()
-		if err != nil {
-			dlog.Warn("adopt fetch failed", "worker", id, "err", err)
-		}
-	}
+	claims := d.Claims
+	roster := func() int { return len(p.KV.HGetAll(KeyWorkers)) }
+	// Degraded, not fatal: TickShare logs the poll errors, and the downloader
+	// has already applied its per-streamer backoff/release recovery.
+	p.TickShare(now, false, roster, halted) //nolint:errcheck
+	stats.Claims = d.Claims
+	mWClaims.Add(int64(d.Claims - claims))
 
 	// Push every extraction. Results are keyed by thumbnail key: a re-fetch
 	// after a crash overwrites with identical bytes instead of duplicating.

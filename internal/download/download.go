@@ -6,10 +6,12 @@
 // recovery.
 //
 // Distinct Downloaders may poll concurrently (the pipeline fans them out on
-// its worker pool): they coordinate only through the key-value store's
-// atomic list/hash operations, and claiming is a single LPop, so a queue
-// entry is adopted by exactly one downloader. A single Downloader is not
-// safe for concurrent PollOnce calls (it owns its assignment map).
+// its worker pool): they coordinate only through the key-value store. They
+// adopt queued streamers in one serial step per tick, Deal, which tops each
+// downloader up to a ceil-share of everything claimable; a claim is a single
+// LPop, so a queue entry is adopted by exactly one downloader even when
+// fleet workers deal concurrently. A single Downloader is not safe for
+// concurrent calls (it owns its assignment map).
 //
 // The real CDN is unreliable — requests stall, bodies arrive truncated or
 // corrupted, streamers vanish mid-poll — so the fetch path is built to
@@ -380,23 +382,11 @@ func (c *Coordinator) PollOnce() error {
 	return nil
 }
 
-// ClaimMode selects how a downloader adopts queued streamers in PollOnce.
+// Deprecated: nothing reads a ClaimMode; every downloader adopts through Deal.
 type ClaimMode int
 
-const (
-	// ClaimIdleOne claims one assignment per idle poll — the idle-based
-	// load balancing of App. A and the default.
-	ClaimIdleOne ClaimMode = iota
-	// ClaimAll drains the whole queue every poll, whether or not the
-	// downloader had due work. This pins WHICH TICK every streamer is
-	// adopted independently of fleet size — the determinism discipline the
-	// distributed topology's golden runs rely on.
-	ClaimAll
-	// ClaimNone never claims from PollOnce; an external scheduler (a
-	// distributed worker balancing a claim quota across its fleet) calls
-	// AdoptOne explicitly.
-	ClaimNone
-)
+// Deprecated: ignored, like every ClaimMode.
+const ClaimAll ClaimMode = 1
 
 // Downloader fetches thumbnails for its assigned streamers. It is
 // deliberately lean: all state handling beyond plain downloading lives in
@@ -407,16 +397,8 @@ type Downloader struct {
 	Store objstore.API
 	HTTP  *http.Client
 
-	// Claim selects the queue-adoption policy of PollOnce.
+	// Deprecated: not read; Deal is the one adoption policy.
 	Claim ClaimMode
-
-	// WindowStamp, when true, stamps stored thumbnails with the CDN's
-	// X-Thumbnail-At header (the instant the thumbnail window opened)
-	// instead of the local virtual fetch time. Window time is a property of
-	// the data, not of who fetched it when — so runs that re-fetch after a
-	// worker crash, or fetch from a differently-shaped fleet, produce
-	// byte-identical measurement documents.
-	WindowStamp bool
 
 	// ClaimTraceKey, when set (and tracing is enabled), records a W3C
 	// traceparent for every claim this downloader takes into that kv hash
@@ -429,12 +411,15 @@ type Downloader struct {
 	RetryWait time.Duration
 
 	assigned map[string]*tracked
-	stored   []string // see Stored
+	claimed  []*tracked // what Deal claimed that FetchClaimed has not fetched yet
+	stored   []string   // see Stored
 
 	// Downloads and Misses count fetched and lost thumbnails; Retries and
-	// Released count in-place fetch retries and streamers given up on.
+	// Released count in-place fetch retries and streamers given up on;
+	// Claims counts queue entries Deal claimed for this downloader.
 	Downloads, Misses int
 	Retries, Released int
+	Claims            int
 }
 
 type tracked struct {
@@ -465,8 +450,8 @@ func NewDownloader(id string, kv kvstore.KV, store objstore.API) *Downloader {
 func (d *Downloader) Assigned() int { return len(d.assigned) }
 
 // Stored returns the ThumbBucket keys this downloader has Put since its last
-// PollOnce began (that poll's and any AdoptOne after it), in Put order; a key
-// stored twice appears twice. The slice is reused by the next PollOnce.
+// PollOnce began (that poll's and the FetchClaimed after it), in Put order; a
+// key stored twice appears twice. The slice is reused by the next PollOnce.
 func (d *Downloader) Stored() []string { return d.stored }
 
 const (
@@ -516,9 +501,9 @@ func (d *Downloader) fail(id string, tr *tracked, now time.Time, err error) {
 		"retry_at", tr.next.Format(time.RFC3339), "err", err)
 }
 
-// PollOnce processes all due assignments at virtual time now, then — if
-// idle — claims new streamers from the queue (the idle-based load balancing
-// of App. A).
+// PollOnce heartbeats and runs the fetch cycle of every assignment due at
+// virtual time now. It claims nothing: adoption is Deal's, once per tick
+// after every downloader has polled.
 //
 // Errors are isolated per assignment: one failing streamer cannot starve
 // its peers or abort the cycle. Each failure backs off (or releases) that
@@ -536,60 +521,67 @@ func (d *Downloader) PollOnce(now time.Time) error {
 	}
 	sort.Strings(ids)
 	var errs []error
-	due := 0
 	for _, id := range ids {
-		tr := d.assigned[id]
-		if tr.next.After(now) {
-			continue
-		}
-		due++
-		if err := d.fetch(id, tr, now); err != nil {
-			d.fail(id, tr, now, err)
-			errs = append(errs, fmt.Errorf("streamer %s: %w", id, err))
-			continue
-		}
-		tr.strikes = 0
-	}
-	switch d.Claim {
-	case ClaimNone:
-		// Claims are driven externally via AdoptOne.
-	case ClaimAll:
-		for {
-			_, adopted, err := d.AdoptOne(now)
-			if err != nil {
-				errs = append(errs, err)
-			}
-			if !adopted {
-				break
-			}
-		}
-	default: // ClaimIdleOne
-		if due == 0 {
-			// Idle: adopt one new streamer (claiming one at a time keeps the
-			// fleet balanced — a single fast downloader cannot drain the whole
-			// queue before its peers get a chance).
-			if _, _, err := d.AdoptOne(now); err != nil {
-				errs = append(errs, err)
-			}
+		if tr := d.assigned[id]; !tr.next.After(now) {
+			errs = d.cycle(errs, tr, now)
 		}
 	}
 	return errors.Join(errs...)
 }
 
-// AdoptOne claims the next queued assignment (if any) and immediately runs
-// its first fetch cycle at virtual time now. It reports whether a queue
-// entry was consumed; a fetch failure is handled with the usual
-// backoff/release discipline and returned for the caller's logs.
-func (d *Downloader) AdoptOne(now time.Time) (Assignment, bool, error) {
+// cycle runs one fetch cycle for an assigned streamer, applies the
+// backoff/release discipline if it fails, and returns errs with the failure,
+// naming the streamer, appended.
+func (d *Downloader) cycle(errs []error, tr *tracked, now time.Time) []error {
+	id := tr.a.StreamerID
+	if err := d.fetch(id, tr, now); err != nil {
+		d.fail(id, tr, now, err)
+		return append(errs, fmt.Errorf("streamer %s: %w", id, err))
+	}
+	tr.strikes = 0
+	return errs
+}
+
+// Deal is the one adoption step (App. A's load balancing), run serially
+// once per tick after every downloader has polled. It tops the downloaders
+// up, in dls order, to the ceil-share ⌈(claimed + queued) / alive⌉, where
+// alive counts the downloaders sharing the queue (nil: len(dls); a fleet
+// worker passes its roster's size). Claiming keeps claimed + queued fixed,
+// and alive shares cover the queue, so it drains on the tick that filled it,
+// and one caller's deal depends on the store alone. Deal only claims; each
+// downloader's FetchClaimed runs the first fetches. halted, if not nil, is
+// checked before every claim. An empty queue costs one LLen.
+func Deal(kv kvstore.KV, dls []*Downloader, alive func() int, halted func() bool) {
+	queued := kv.LLen(KeyQueue)
+	if queued == 0 {
+		return
+	}
+	n := len(dls)
+	if alive != nil {
+		n = alive()
+	}
+	n = max(n, 1)
+	share := (len(kv.HGetAll(KeyClaimed)) + queued + n - 1) / n
+	for _, d := range dls {
+		for d.Assigned() < share {
+			if halted != nil && halted() || !d.claim() {
+				return
+			}
+		}
+	}
+}
+
+// claim pops the next queue entry and claims it for d. It reports whether
+// an entry was consumed: a corrupt one is consumed (so it cannot wedge the
+// queue) but never claimed.
+func (d *Downloader) claim() bool {
 	raw, ok := d.KV.LPop(KeyQueue)
 	if !ok {
-		return Assignment{}, false, nil
+		return false
 	}
 	a, err := decodeAssignment(raw)
 	if err != nil {
-		// A corrupt queue entry is consumed (so it cannot wedge the queue)
-		// but never claimed.
-		return Assignment{}, true, nil
+		return true
 	}
 	d.KV.HSet(KeyClaimed, a.StreamerID, d.ID)
 	if d.ClaimTraceKey != "" && trace.Enabled() {
@@ -602,12 +594,22 @@ func (d *Downloader) AdoptOne(now time.Time) (Assignment, bool, error) {
 	}
 	tr := &tracked{a: a}
 	d.assigned[a.StreamerID] = tr
-	if err := d.fetch(a.StreamerID, tr, now); err != nil {
-		d.fail(a.StreamerID, tr, now, err)
-		return a, true, fmt.Errorf("streamer %s: %w", a.StreamerID, err)
+	d.claimed = append(d.claimed, tr)
+	d.Claims++
+	return true
+}
+
+// FetchClaimed runs, at virtual time now, the first fetch cycle of every
+// streamer Deal has claimed for d since the last call, in claim order. A
+// failure is handled with the usual backoff/release discipline; the joined
+// error of the failed ones is returned for the caller's logs.
+func (d *Downloader) FetchClaimed(now time.Time) error {
+	var errs []error
+	for _, tr := range d.claimed {
+		errs = d.cycle(errs, tr, now)
 	}
-	tr.strikes = 0
-	return a, true, nil
+	d.claimed = d.claimed[:0]
+	return errors.Join(errs...)
 }
 
 // retryable wraps transient fetch errors worth an in-place retry.
@@ -820,14 +822,14 @@ func (d *Downloader) fetchOnce(id string, tr *tracked, now time.Time) error {
 	}
 	tr.lastSeq = seq
 	key := fmt.Sprintf("%s/%s.pgm", id, seq)
+	// Stamp with the window-open time the CDN reports: a property of the
+	// thumbnail itself, identical no matter which downloader fetched it or
+	// when within the window, so a re-fetch after a crash or a fleet of any
+	// shape stores the same bytes. The header is outside input: without a
+	// parsable one, the local virtual fetch time stands in.
 	at := now.UTC().Format(time.RFC3339)
-	if d.WindowStamp {
-		// Stamp with the window-open time the CDN reports: a property of
-		// the thumbnail itself, identical no matter which downloader
-		// fetched it or when within the window (see the field's doc).
-		if t, err := time.Parse(time.RFC3339, getResp.Header.Get("X-Thumbnail-At")); err == nil {
-			at = t.UTC().Format(time.RFC3339)
-		}
+	if t, err := time.Parse(time.RFC3339, getResp.Header.Get("X-Thumbnail-At")); err == nil {
+		at = t.UTC().Format(time.RFC3339)
 	}
 	meta := map[string]string{
 		"streamer": id,

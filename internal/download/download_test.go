@@ -2,6 +2,10 @@ package download
 
 import (
 	"bytes"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -59,9 +63,9 @@ func busiestHour(world *worldsim.World) time.Duration {
 }
 
 // drive advances virtual time in 1-minute ticks (finer than the 5-minute
-// thumbnail cadence, so downloaders are idle between thumbnails and the
-// idle-based load balancing of App. A can engage), polling the coordinator
-// every 5 minutes and every downloader each tick.
+// thumbnail cadence), polling the coordinator every 5 minutes and, each
+// tick, every downloader, then dealing the queue among them and running the
+// dealt streamers' first fetches — the pipeline's tick, serially.
 func drive(t *testing.T, platform *twitchsim.Platform, coord *Coordinator, dls []*Downloader, hours float64) {
 	t.Helper()
 	ticks := int(hours * 60)
@@ -73,6 +77,12 @@ func drive(t *testing.T, platform *twitchsim.Platform, coord *Coordinator, dls [
 		}
 		for _, d := range dls {
 			if err := d.PollOnce(platform.Now()); err != nil {
+				t.Fatalf("downloader %s: %v", d.ID, err)
+			}
+		}
+		Deal(dls[0].KV, dls, nil, nil)
+		for _, d := range dls {
+			if err := d.FetchClaimed(platform.Now()); err != nil {
 				t.Fatalf("downloader %s: %v", d.ID, err)
 			}
 		}
@@ -212,10 +222,69 @@ func TestAssignmentCodec(t *testing.T) {
 	}
 }
 
+// TestDealByCeilShare: four downloaders and a queue of ten valid entries
+// plus one corrupt one. After one tick's poll and the deal, the queue is
+// empty, the valid entries are dealt 3/3/3/1 in downloader order — the
+// ceil-share ⌈11/4⌉ fills the first three — each dealt streamer has had its
+// first fetch, and the corrupt entry is consumed without a claim.
+func TestDealByCeilShare(t *testing.T) {
+	now := time.Date(2026, 1, 1, 12, 0, 0, 0, time.UTC)
+	body := []byte("P5 4 2 255\n01234567")
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serveThumb(w, r, 1, now.Add(5*time.Minute), body)
+	}))
+	defer srv.Close()
+
+	kv, store := kvstore.New(), objstore.New()
+	var dls []*Downloader
+	for _, id := range []string{"A", "B", "C", "D"} {
+		dls = append(dls, NewDownloader(id, kv, store))
+	}
+	for i := 0; i < 10; i++ {
+		if i == 4 {
+			kv.RPush(KeyQueue, "{corrupt")
+		}
+		id := fmt.Sprintf("s%02d", i)
+		kv.RPush(KeyQueue, Assignment{StreamerID: id, URL: srv.URL + "/thumb/" + id + ".pgm"}.encode())
+	}
+
+	for _, d := range dls {
+		if err := d.PollOnce(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	Deal(kv, dls, nil, nil)
+	for _, d := range dls {
+		if err := d.FetchClaimed(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if n := kv.LLen(KeyQueue); n != 0 {
+		t.Fatalf("%d entries left queued", n)
+	}
+	want := map[string]string{}
+	for i, owner := range []string{"A", "A", "A", "B", "B", "B", "C", "C", "C", "D"} {
+		want[fmt.Sprintf("s%02d", i)] = owner
+	}
+	if got := kv.HGetAll(KeyClaimed); !reflect.DeepEqual(got, want) {
+		t.Fatalf("claims = %v, want %v", got, want)
+	}
+	for i, n := range []int{3, 3, 3, 1} {
+		if d := dls[i]; d.Assigned() != n || d.Claims != n || d.Downloads != n {
+			t.Errorf("downloader %s: %d assigned, %d claims, %d downloads; want %d each",
+				d.ID, d.Assigned(), d.Claims, d.Downloads, n)
+		}
+	}
+	if n := store.Size(ThumbBucket); n != 10 {
+		t.Fatalf("%d thumbnails stored, want one per dealt streamer", n)
+	}
+}
+
 // FuzzDecodeAssignment feeds decodeAssignment arbitrary strings — a queue
-// entry is an RPUSH anything reaching the store can make, and AdoptOne
-// decodes it. The committed corpus (testdata/fuzz/FuzzDecodeAssignment) is
-// an entry as the coordinator queues it and a few it never queues. Oracles:
+// entry is an RPUSH anything reaching the store can make, and Deal decodes
+// it. The committed corpus (testdata/fuzz/FuzzDecodeAssignment) is an entry
+// as the coordinator queues it and a few it never queues. Oracles:
 // it never panics, and an accepted assignment re-encodes to an entry that
 // decodes to the same value.
 func FuzzDecodeAssignment(f *testing.F) {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -131,8 +130,6 @@ func runFig13(o Options) ([]*Table, error) {
 	cfg := worldsim.DefaultConfig(o.Seed)
 	cfg.Streamers = o.scaled(2000)
 	world := worldsim.New(cfg)
-	rng := rand.New(rand.NewSource(o.Seed))
-	_ = rng
 
 	var gaps []float64
 	for _, st := range world.Streamers {

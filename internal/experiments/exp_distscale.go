@@ -25,11 +25,12 @@ func init() {
 }
 
 // distCDNLatency is the simulated CDN round-trip each thumbnail fetch pays
-// (a pure real-time sleep; no data changes). It is what a worker fleet
-// overlaps: the single-process run pays it serially, N workers pay it N
-// ways in parallel — so the experiment measures coordination overhead and
-// scaling honestly even on a single-core machine, where the CPU half of
-// the work cannot parallelize at all.
+// (a pure real-time sleep; no data changes). It is what parallel fetchers
+// overlap: one worker pays it serially, N workers pay it N ways in
+// parallel, as the golden's four downloaders do four ways — so the
+// experiment measures coordination overhead and scaling honestly even on a
+// single-core machine, where the CPU half of the work cannot parallelize
+// at all.
 const distCDNLatency = 100 * time.Millisecond
 
 // distWorld is the dist-scale world: smaller than the volume run (every
@@ -181,8 +182,8 @@ func runDistScale(o Options) ([]*Table, error) {
 		}
 	}
 	summary.Notes = append(summary.Notes, fmt.Sprintf(
-		"every fetch pays a %s simulated CDN RTT (pure sleep): fleets overlap it, "+
-			"the single process pays it serially", distCDNLatency))
+		"every fetch pays a %s simulated CDN RTT (pure sleep): a fleet overlaps it "+
+			"across its workers, the golden across its 4 downloaders", distCDNLatency))
 	summary.Notes = append(summary.Notes,
 		"identical means the full analysis tables match the single-process golden byte for byte")
 	return append([]*Table{summary, balance}, goldTabs...), nil
@@ -229,9 +230,10 @@ func distTables(p *pipeline.Pipeline, cfg worldsim.Config) []*Table {
 	return []*Table{t}
 }
 
-// distGolden is the single-process reference: one downloader in ClaimAll
-// mode (drain the queue every poll, so adoption ticks match a fleet of any
-// size) with window-stamped thumbnails, everything in one process.
+// distGolden is the single-process reference: the production pipeline, four
+// downloaders, everything in one process. Deal adopts every queued streamer
+// on the tick that queued it and thumbnails carry their window's time, so a
+// fleet of any size must store the same readings.
 func distGolden(o Options) ([]*Table, time.Duration, error) {
 	cfg := distWorld(o)
 	world := worldsim.New(cfg)
@@ -240,11 +242,8 @@ func distGolden(o Options) ([]*Table, time.Duration, error) {
 	platform.SetAPIRate(5000, 5000)
 	platform.SetCDNLatency(distCDNLatency)
 
-	p := pipeline.New(platform.URL(), 1)
+	p := pipeline.New(platform.URL(), 4)
 	p.Concurrency = o.workers()
-	d := p.Downloaders[0]
-	d.Claim = download.ClaimAll
-	d.WindowStamp = true
 
 	ticks := distTicks(o)
 	start := time.Now()

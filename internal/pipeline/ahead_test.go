@@ -28,9 +28,9 @@ import (
 
 // driveLoop runs the production loop — two-minute ticks, a refresh (drain,
 // locate, publish, build) every 15 — against twitchsim and renders all it
-// stored, queued and would serve into one string. The downloaders claim with
-// ClaimAll and the API quota is lifted, so which tick a streamer is adopted
-// on, and with it every document, does not depend on goroutine scheduling.
+// stored, queued and would serve into one string. The API quota is lifted,
+// so the platform's real-time token bucket never decides which calls of a
+// tick succeed; adoption is a serial deal, so nothing else does either.
 func driveLoop(t *testing.T, concurrency int) string {
 	t.Helper()
 	cfg := worldsim.DefaultConfig(5)
@@ -43,9 +43,6 @@ func driveLoop(t *testing.T, concurrency int) string {
 
 	p := New(platform.URL(), 4)
 	p.Concurrency = concurrency
-	for _, d := range p.Downloaders {
-		d.Claim = download.ClaimAll
-	}
 	params := core.DefaultParams()
 	b := serve.NewBuilder(params)
 	var sb strings.Builder

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -20,12 +21,13 @@ import (
 )
 
 // TestThumbnailPathAllocationBudget holds the whole per-thumbnail path —
-// CDN socket → Downloader.PollOnce → object store → ExtractThumb → Delete —
-// to one allocation of the body: the exact-size slice the downloader reads
-// it into, which the store keeps and hands to the decoder as it is. The
-// budget is 2.5× the body per cycle, HEAD, GET, the in-process CDN's own
-// handlers, the metadata map, the journey trace and OCR included (measured
-// 1.5×: a 57.6 KB body costs a 64 KiB size class, i.e. 1.14×). When the read
+// CDN socket → Downloader.PollOnce and the tick's deal → object store →
+// ExtractThumb → Delete — to one allocation of the body: the exact-size
+// slice the downloader reads it into, which the store keeps and hands to the
+// decoder as it is. The budget is 2.5× the body per cycle, HEAD, GET, the
+// in-process CDN's own handlers, the metadata map, the journey trace and OCR
+// included (measured 1.5×: a 57.6 KB body costs a 64 KiB size class, i.e.
+// 1.14×). When the read
 // was io.ReadAll and Put and Get each copied, the same cycle cost 7.7×; any
 // one of those copies coming back adds 1.14× and fails this. It is the
 // tier-1 guard for the benchmark's `ingest_replay` alloc_kb_per_op. Under the
@@ -76,7 +78,10 @@ func TestThumbnailPathAllocationBudget(t *testing.T) {
 	measured := 0
 	cycle := func() {
 		n := window.Load()
-		if err := d.PollOnce(start.Add(time.Duration(n) * 5 * time.Minute)); err != nil {
+		now := start.Add(time.Duration(n) * 5 * time.Minute)
+		err := d.PollOnce(now)
+		download.Deal(p.KV, p.Downloaders, nil, nil)
+		if err = errors.Join(err, d.FetchClaimed(now)); err != nil {
 			t.Fatalf("window %d: %v", n, err)
 		}
 		key := st.ID + "/" + strconv.FormatInt(n, 10) + ".pgm"

@@ -11,10 +11,10 @@ import (
 	"tero/internal/worldsim"
 )
 
-// driveWorld runs platform + pipeline end to end at the given concurrency.
-// The platform API quota is raised so wall-clock 429 retries cannot make
-// runs diverge in anything but speed.
-func driveWorld(t *testing.T, seed int64, streamers int, hours float64, concurrency int) *Pipeline {
+// driveWorld runs platform + pipeline end to end with the given number of
+// downloaders at the given concurrency. The platform API quota is raised so
+// wall-clock 429 retries cannot make runs diverge in anything but speed.
+func driveWorld(t *testing.T, seed int64, streamers int, hours float64, downloaders, concurrency int) *Pipeline {
 	t.Helper()
 	cfg := worldsim.DefaultConfig(seed)
 	cfg.Streamers = streamers
@@ -25,7 +25,7 @@ func driveWorld(t *testing.T, seed int64, streamers int, hours float64, concurre
 	platform.SetAPIRate(5000, 5000)
 	t.Cleanup(platform.Close)
 
-	p := New(platform.URL(), 4)
+	p := New(platform.URL(), downloaders)
 	p.Concurrency = concurrency
 	platform.Advance(23 * time.Hour)
 	ticks := int(hours * 30) // 2-minute ticks
@@ -69,13 +69,15 @@ func snapshot(p *Pipeline) string {
 
 // TestConcurrencyDeterminism pins the tentpole guarantee: the pipeline's
 // stored documents, counters, streams and analyses are byte-identical
-// whether the stages run serially or on 8 workers.
+// whether one downloader runs every stage serially or four downloaders run
+// them on 8 workers — adoption is dealt, and thumbnails carry their window's
+// time, so neither the scheduler nor the fleet's shape shows in the data.
 func TestConcurrencyDeterminism(t *testing.T) {
-	serial := snapshot(driveWorld(t, 77, 60, 2, 1))
-	parallel := snapshot(driveWorld(t, 77, 60, 2, 8))
+	serial := snapshot(driveWorld(t, 77, 60, 2, 1, 1))
+	parallel := snapshot(driveWorld(t, 77, 60, 2, 4, 8))
 	if serial != parallel {
 		a, b := diffLine(serial, parallel)
-		t.Fatalf("serial and 8-worker runs diverge:\n serial:   %s\n parallel: %s", a, b)
+		t.Fatalf("1 serial downloader and 4 on 8 workers diverge:\n serial:   %s\n parallel: %s", a, b)
 	}
 }
 
@@ -94,7 +96,7 @@ func diffLine(a, b string) (string, string) {
 // so the race detector can observe the worker pool, the shared stores and
 // the OCR engines under real contention (run via `go test -race`).
 func TestConcurrentPipelineStress(t *testing.T) {
-	p := driveWorld(t, 91, 80, 1.5, 16)
+	p := driveWorld(t, 91, 80, 1.5, 4, 16)
 	if p.Processed == 0 || p.Extracted == 0 {
 		t.Fatalf("stress run extracted nothing: %+v", *p)
 	}

@@ -272,12 +272,16 @@ func (p *Pipeline) Anonymize(id string) string {
 	return "anon-" + hex.EncodeToString(sum[:8])
 }
 
-// Tick runs one poll round of the download module at virtual time now.
-// Unless Concurrency is 1, the downloaders all poll at once (they share state
-// only through the key-value and object stores, both safe for concurrent use,
-// and the round is socket-bound: like LocateStreamers' it is sized by the
-// work, not the cores), and the thumbnails they stored start extracting in
-// the background (extractAhead) while the caller goes on to the next tick.
+// Tick runs one poll round of the download module at virtual time now: the
+// downloaders service their due streamers, download.Deal deals the queue
+// among them serially — so a streamer is adopted on the tick that queued it,
+// by the same downloader at every Concurrency — and each runs the first
+// fetches of what it was dealt. Unless Concurrency is 1, the downloaders poll
+// and fetch at once (they share state only through the key-value and object
+// stores, both safe for concurrent use, and the round is socket-bound: like
+// LocateStreamers' it is sized by the work, not the cores), and the
+// thumbnails they stored start extracting in the background (extractAhead)
+// while the caller goes on to the next tick.
 //
 // Failures are isolated, never fail-stop: a coordinator error does not
 // prevent the downloaders from working their existing assignments, and each
@@ -287,6 +291,13 @@ func (p *Pipeline) Anonymize(id string) string {
 // depend on goroutine scheduling; callers may treat it as a warning — the
 // download module has already applied its backoff/release recovery.
 func (p *Pipeline) Tick(now time.Time, pollCoordinator bool) error {
+	return p.TickShare(now, pollCoordinator, nil, nil)
+}
+
+// TickShare is Tick for a pipeline whose downloaders are some of a larger
+// fleet's: alive, if not nil, reports how many downloaders share the queue,
+// and halted, if not nil, stops the deal (see download.Deal).
+func (p *Pipeline) TickShare(now time.Time, pollCoordinator bool, alive func() int, halted func() bool) error {
 	sp := trace.StartStage("pipeline.download")
 	defer sp.End()
 	var errs []error
@@ -302,6 +313,10 @@ func (p *Pipeline) Tick(now time.Time, pollCoordinator bool) error {
 	}
 	forEach("download", w, len(p.Downloaders), func(i int) {
 		derrs[i] = p.Downloaders[i].PollOnce(now)
+	})
+	download.Deal(p.KV, p.Downloaders, alive, halted)
+	forEach("download", w, len(p.Downloaders), func(i int) {
+		derrs[i] = errors.Join(derrs[i], p.Downloaders[i].FetchClaimed(now))
 	})
 	for i, err := range derrs {
 		if err != nil {

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"tero/internal/core"
-	"tero/internal/download"
 	"tero/internal/obs"
 	"tero/internal/pipeline"
 	"tero/internal/serve"
@@ -29,12 +28,11 @@ import (
 	"tero/internal/worldsim"
 )
 
-// runPipeline drives platform + pipeline for `hours` of virtual time. The
-// world is pinned so that what it ingests does not depend on scheduling: one
-// downloader that adopts every queued streamer in the tick that queues it
-// (three idle-one downloaders race for them), and an API quota high enough
-// that the platform's real-time token bucket never decides which calls of a
-// tick succeed. The platform is returned for its virtual clock, which
+// runPipeline drives the production pipeline (four downloaders) over
+// platform for `hours` of virtual time. The API quota is raised so that the
+// platform's real-time token bucket never decides which calls of a tick
+// succeed; adoption is a serial deal, so what is ingested does not depend on
+// scheduling. The platform is returned for its virtual clock, which
 // PublishAt requires.
 func runPipeline(t testing.TB, streamers int, hours float64) (*pipeline.Pipeline, *twitchsim.Platform) {
 	t.Helper()
@@ -47,8 +45,7 @@ func runPipeline(t testing.TB, streamers int, hours float64) (*pipeline.Pipeline
 	t.Cleanup(platform.Close)
 	platform.SetAPIRate(5000, 5000)
 
-	p := pipeline.New(platform.URL(), 1)
-	p.Downloaders[0].Claim = download.ClaimAll
+	p := pipeline.New(platform.URL(), 4)
 	platform.Advance(23 * time.Hour)
 	ticks := int(hours * 30)
 	for i := 0; i < ticks; i++ {
@@ -63,7 +60,11 @@ func runPipeline(t testing.TB, streamers int, hours float64) (*pipeline.Pipeline
 }
 
 // servedDigest is the SHA-256 over the JSON body and ETag of every entry
-// TestServeMatchesOfflineAnalysis builds (seed 23, 120 streamers, 6 h).
+// TestServeMatchesOfflineAnalysis builds (seed 23, 120 streamers, 6 h). The
+// value comes from dealing plus window stamps and reproduces at 1 and at 4
+// downloaders. It is the value the single draining downloader produced
+// before adoption was dealt: that downloader adopted on the same ticks, and
+// a window stamp moves no served byte here.
 const servedDigest = "eb3735834534c13ac506eec2e7693217e6098c3d75d3afc2503820fced842265"
 
 func TestServeMatchesOfflineAnalysis(t *testing.T) {

@@ -391,7 +391,7 @@ func (p *Platform) handleThumb(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Thumbnail-Seq", strconv.Itoa(idx))
 	}
 	// When this thumbnail window opened — a property of the data, not of
-	// the request. Downloaders with WindowStamp use it so re-fetches after
+	// the request. Downloaders stamp thumbnails with it so re-fetches after
 	// crashes stamp identically.
 	w.Header().Set("X-Thumbnail-At", gs.Times[idx].UTC().Format(time.RFC3339))
 	w.Header().Set("Content-Type", "image/x-portable-graymap")

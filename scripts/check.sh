@@ -2,8 +2,9 @@
 # Repository health check: gofmt, vet, build, an os.Exit guard on cmd/,
 # race-enabled tests (root module and the bench/ module, which the root
 # ./... cannot see), a few seconds of each decoder fuzz target, a one-shot
-# pipeline benchmark smoke, and smokes that drive the real binaries. Run
-# from anywhere inside the repo.
+# pipeline benchmark smoke, smokes that drive the real binaries, and a
+# determinism smoke (teroexp volume at -workers 8, three times, against
+# -workers 1). Run from anywhere inside the repo.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -102,6 +103,7 @@ go build -o "$TMPDIR/tero-check-$$" ./cmd/tero
 TERO_PID=$!
 STORE="$TMPDIR/tero-store-$$.out"
 DIST="$TMPDIR/tero-dist-$$.out"
+DET="$TMPDIR/tero-det-$$"
 cleanup() {
     kill "$TERO_PID" 2>/dev/null || true
     kill "${SERVE_PID:-}" 2>/dev/null || true
@@ -113,7 +115,7 @@ cleanup() {
         "$GOLD" "$GOLD.tables" "$CHAOS" "$CHAOS.err" "$CHAOS.tables" \
         "$SERVE" "$SERVE.hdr" "$SERVE.binhdr" "$SERVE.metrics" \
         "$TRACE" "$TRACE.list" "$TRACE.detail" "$TRACE.metrics" "$TRACE.hdr" \
-        "$TRACE.readyz" "$STORE" "$DIST"
+        "$TRACE.readyz" "$STORE" "$DIST" "$DET.out" "$DET.serial" "$DET.parallel"
 }
 trap cleanup EXIT
 
@@ -193,6 +195,26 @@ grep -E '^counter kvstore_aof_replayed_total +[1-9]' "$STORE" > /dev/null \
 grep -E '^counter kvstore_client_redials_total +[1-9]' "$STORE" > /dev/null \
     || { echo "chaos-store crash cut no live connection" >&2; cat "$STORE" >&2; exit 1; }
 echo "store-crash smoke ok: all crash legs byte-identical with golden"
+
+echo "== determinism smoke (teroexp volume: -workers 8 three times, each as -workers 1) =="
+# The production pipeline is a function of its seed: adoption is one serial
+# deal per tick, so goroutine scheduling cannot pick the tick that adopts a
+# streamer. Each 8-worker run must print the serial run's tables; only the
+# wall-time line may differ.
+volume_tables() {
+    "$TMPDIR/teroexp-check-$$" -scale 1 -workers "$1" volume > "$DET.out"
+    grep -v '^\[volume completed in ' "$DET.out"
+}
+volume_tables 1 > "$DET.serial"
+[ -s "$DET.serial" ] || { echo "serial volume run printed no tables" >&2; exit 1; }
+for run in 1 2 3; do
+    volume_tables 8 > "$DET.parallel"
+    if ! diff -u "$DET.serial" "$DET.parallel"; then
+        echo "volume at -workers 8 (run $run) diverged from -workers 1" >&2
+        exit 1
+    fi
+done
+echo "determinism smoke ok: three 8-worker volume runs byte-identical with the serial one"
 
 echo "== dist smoke (coordinator + 2 real teroworker processes, tables match golden) =="
 # Boots the shared store on a :0 port, runs fleets of 1 and 2 teroworker
