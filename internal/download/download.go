@@ -23,8 +23,6 @@
 package download
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -798,9 +796,12 @@ func (d *Downloader) fetchOnce(id string, tr *tracked, now time.Time) error {
 		// Truncated mid-body (short of Content-Length → unexpected EOF).
 		return fetchFail(transient("GET %s: %w", tr.a.URL, err))
 	}
+	// The digest is the CRC-32C the CDN computed over the true thumbnail
+	// (objstore.Checksum). Sent with the body it authenticates nothing; it
+	// detects transfer damage, which is all it is asked to do. It is
+	// compared as a number, so upper-case hex matches too.
 	if want := getResp.Header.Get("X-Thumbnail-Digest"); want != "" {
-		sum := sha256.Sum256(body)
-		if got := hex.EncodeToString(sum[:]); got != want {
+		if sum, err := strconv.ParseUint(want, 16, 32); err != nil || uint32(sum) != objstore.Checksum(body) {
 			mCorruptBody.Inc()
 			return fetchFail(transient("GET %s: body digest mismatch", tr.a.URL))
 		}

@@ -1,8 +1,8 @@
 package download
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -13,14 +13,14 @@ import (
 
 	"tero/internal/kvstore"
 	"tero/internal/objstore"
+	"tero/internal/worldsim"
 )
 
 // serveThumb writes a well-formed CDN thumbnail response.
 func serveThumb(w http.ResponseWriter, r *http.Request, seq int, next time.Time, body []byte) {
 	w.Header().Set("X-Thumbnail-Seq", strconv.Itoa(seq))
 	w.Header().Set("X-Next-Thumbnail", next.Format(time.RFC3339))
-	sum := sha256.Sum256(body)
-	w.Header().Set("X-Thumbnail-Digest", hex.EncodeToString(sum[:]))
+	w.Header().Set("X-Thumbnail-Digest", objstore.ChecksumHex(body))
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	if r.Method == http.MethodHead {
 		return
@@ -108,10 +108,9 @@ func TestFetchFaultRecovery(t *testing.T) {
 					// Digest of the true body, corrupted bytes on the wire.
 					bad := append([]byte(nil), body...)
 					bad[3] ^= 0xA5
-					sum := sha256.Sum256(body)
 					w.Header().Set("X-Thumbnail-Seq", "7")
 					w.Header().Set("X-Next-Thumbnail", next.Format(time.RFC3339))
-					w.Header().Set("X-Thumbnail-Digest", hex.EncodeToString(sum[:]))
+					w.Header().Set("X-Thumbnail-Digest", objstore.ChecksumHex(body))
 					w.Header().Set("Content-Length", strconv.Itoa(len(bad)))
 					w.Write(bad)
 					return
@@ -192,6 +191,84 @@ func TestFetchFaultRecovery(t *testing.T) {
 				t.Fatalf("retries = %d, wantRetries %v", d.Retries, tc.wantRetries)
 			}
 		})
+	}
+}
+
+// TestDigestDetectsTransferDamage fetches a real rendered thumbnail whose
+// X-Thumbnail-Digest is the true body's CRC-32C while the wire carries the
+// body with one bit flipped, for bits at a stride through the body, and once
+// with a 32-bit burst: every attempt must fail with a digest mismatch, store
+// nothing and count one corrupt body. An upper-case digest of a clean body
+// is accepted.
+func TestDigestDetectsTransferDamage(t *testing.T) {
+	world := worldsim.New(worldsim.DefaultConfig(1234))
+	gs := world.Sessions(world.Streamers[0])[0]
+	img, _ := worldsim.RenderDeterministic(gs, 0, worldsim.DefaultRenderOptions())
+	var buf bytes.Buffer
+	if err := img.EncodePGM(&buf); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+	now := time.Date(2026, 1, 1, 12, 0, 0, 0, time.UTC)
+	digest := objstore.ChecksumHex(body)
+	var wire atomic.Pointer[[]byte]
+	var header atomic.Pointer[string]
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h := w.Header()
+		h.Set("X-Thumbnail-Seq", "7")
+		h.Set("X-Next-Thumbnail", now.Add(5*time.Minute).Format(time.RFC3339))
+		h.Set("X-Thumbnail-Digest", *header.Load())
+		if r.Method == http.MethodGet {
+			w.Write(*wire.Load())
+		}
+	}))
+	defer srv.Close()
+	d, store, _ := newTestDownloader()
+	fetch := func(sent []byte, hdr string) error {
+		wire.Store(&sent)
+		header.Store(&hdr)
+		tr := &tracked{a: Assignment{StreamerID: "s1", URL: srv.URL + "/thumb/s1.pgm"}}
+		d.assigned["s1"] = tr
+		return d.fetchOnce("s1", tr, now)
+	}
+	damaged := func(what string, sent []byte) {
+		t.Helper()
+		before := mCorruptBody.Value()
+		err := fetch(sent, digest)
+		if err == nil || !strings.Contains(err.Error(), "body digest mismatch") {
+			t.Fatalf("%s: fetch err = %v, want a body digest mismatch", what, err)
+		}
+		if n := store.Size(ThumbBucket); n != 0 {
+			t.Fatalf("%s: %d thumbnails stored", what, n)
+		}
+		if got := mCorruptBody.Value() - before; got != 1 {
+			t.Fatalf("%s: download_body_corrupt_total rose by %d, want 1", what, got)
+		}
+	}
+
+	const stride = 8*509 + 3 // bits: lands on every bit position of a byte in turn
+	flips := 0
+	for bit := 0; bit < 8*len(body); bit += stride {
+		sent := bytes.Clone(body)
+		sent[bit/8] ^= 1 << (bit % 8)
+		damaged(fmt.Sprintf("bit %d flipped", bit), sent)
+		flips++
+	}
+	if flips < 100 {
+		t.Fatalf("only %d flips through a %d-byte body", flips, len(body))
+	}
+	sent := bytes.Clone(body)
+	at := len(sent) / 2
+	for i := at; i < at+4; i++ {
+		sent[i] = ^sent[i]
+	}
+	damaged("32-bit burst", sent)
+
+	if err := fetch(body, strings.ToUpper(digest)); err != nil {
+		t.Fatalf("clean body, upper-case digest %s: %v", strings.ToUpper(digest), err)
+	}
+	if _, err := store.Get(ThumbBucket, "s1/7.pgm"); err != nil {
+		t.Fatalf("clean body not stored: %v", err)
 	}
 }
 

@@ -16,7 +16,17 @@ type Gazetteer struct {
 	country map[string]*Place // canonical lowercase country name -> place
 	region  map[string]*Place // "region|country" -> place
 	cityKey map[string]*Place // "city|country" -> place
+	stems   []stem            // see PrefixOf
 }
+
+// stem is a place whose normalised name is long enough to match as a prefix.
+type stem struct {
+	name  string
+	place *Place
+}
+
+// minStem is the shortest normalised name PrefixOf matches.
+const minStem = 5
 
 var (
 	worldOnce sync.Once
@@ -53,6 +63,9 @@ func NewGazetteer(entries []Place) *Gazetteer {
 			g.region[Normalize(p.Name)+"|"+Normalize(p.Country)] = p
 		case KindCity:
 			g.cityKey[Normalize(p.Name)+"|"+Normalize(p.Country)] = p
+		}
+		if n := Normalize(p.Name); len(n) >= minStem {
+			g.stems = append(g.stems, stem{n, p})
 		}
 		names := append([]string{p.Name}, p.Aliases...)
 		seen := make(map[string]bool, len(names))
@@ -171,6 +184,18 @@ func (g *Gazetteer) All(k Kind) []*Place { return g.byKind[k] }
 
 // Places returns every place.
 func (g *Gazetteer) Places() []*Place { return g.places }
+
+// PrefixOf returns the first place, in Places() order, whose normalised name
+// is at least 5 bytes long and a prefix of token ("denmarkian" → Denmark),
+// or nil. token must already be normalised; aliases are not considered.
+func (g *Gazetteer) PrefixOf(token string) *Place {
+	for _, s := range g.stems {
+		if strings.HasPrefix(token, s.name) {
+			return s.place
+		}
+	}
+	return nil
+}
 
 // Resolve maps a location tuple to the finest-granularity place it denotes,
 // or nil if the tuple does not match the gazetteer.

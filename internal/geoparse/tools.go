@@ -200,12 +200,9 @@ func (x *Xponents) Extract(text string) []geo.Location {
 		}
 		// Prefix fallback for single long tokens: "Denmarkian" → Denmark.
 		if n == 1 && len(norm) >= 6 {
-			for _, p := range x.Gaz.Places() {
-				pn := geo.Normalize(p.Name)
-				if len(pn) >= 5 && strings.HasPrefix(norm, pn) {
-					consider(p)
-					return true
-				}
+			if p := x.Gaz.PrefixOf(norm); p != nil {
+				consider(p)
+				return true
 			}
 		}
 		return false

@@ -61,12 +61,22 @@ func New() *Store {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// Checksum is the CRC-32C (Castagnoli) of data: the store's ETag and the
+// CDN's X-Thumbnail-Digest, both written by ChecksumHex. It detects
+// accidental damage, not tampering.
+func Checksum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
+
+// ChecksumHex is Checksum(data) as 8 lower-case hex digits, the one text
+// form of the ETag and the X-Thumbnail-Digest header.
+func ChecksumHex(data []byte) string { return fmt.Sprintf("%08x", Checksum(data)) }
+
 // Put stores an object, replacing any existing one, and returns its ETag.
 // The bucket is created if needed. The store keeps data and meta themselves.
-// The ETag is a change detector (CRC-32C), not an integrity check: whoever
-// needs one verifies a digest before Put, as the downloader does.
+// The ETag is ChecksumHex(data), so a thumbnail's ETag is the digest the CDN
+// sent with it and the downloader verified before Put. It is a change
+// detector, not an integrity check.
 func (s *Store) Put(bucket, key string, data []byte, meta map[string]string) string {
-	etag := fmt.Sprintf("%08x", crc32.Checksum(data, castagnoli))
+	etag := ChecksumHex(data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.buckets[bucket]

@@ -2,8 +2,6 @@ package pipeline
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -44,8 +42,7 @@ func TestThumbnailPathAllocationBudget(t *testing.T) {
 	}
 	imaging.Recycle(img)
 	body := buf.Bytes()
-	sum := sha256.Sum256(body)
-	digest := hex.EncodeToString(sum[:])
+	digest := objstore.ChecksumHex(body)
 	length := strconv.Itoa(len(body))
 
 	// The CDN: one streamer whose thumbnail window (and seq) the test

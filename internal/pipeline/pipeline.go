@@ -204,11 +204,11 @@ func (p *Pipeline) workers() int {
 
 // forEach runs fn(i) for i in [0, n) on a pool of the given number of
 // workers (a stage passes p.workers(), or fewer when it caps its fan-out)
-// and blocks until all calls return. With one worker (or n == 1) it
-// degrades to a plain loop on the calling goroutine. fn must confine itself
-// to index-disjoint writes (or internally synchronized stores) — this is
-// the parallel half of every stage; ordered side effects belong in the
-// caller's merge step.
+// and blocks until all calls return. The calling goroutine is one of the
+// workers, so with one worker (or n == 1) it is a plain loop on it. fn must
+// confine itself to index-disjoint writes (or internally synchronized
+// stores) — this is the parallel half of every stage; ordered side effects
+// belong in the caller's merge step.
 //
 // A panic inside fn no longer kills the process from an anonymous worker
 // goroutine: it is recovered, counted (`pipeline_worker_panics_total`),
@@ -236,29 +236,23 @@ func forEach(stage string, workers, n int, fn func(i int)) {
 		}()
 		fn(i)
 	}
-	w := min(workers, n)
-	if w <= 1 {
-		for i := 0; i < n; i++ {
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 			run(i)
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(w)
-		for k := 0; k < w; k++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					run(i)
-				}
-			}()
-		}
-		wg.Wait()
 	}
+	var wg sync.WaitGroup
+	w := min(workers, n)
+	wg.Add(max(w-1, 0))
+	for k := 1; k < w; k++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work() // the caller is one of the w workers
+	wg.Wait()
 	if panicIdx >= 0 {
 		panic(fmt.Sprintf("pipeline: stage %s: worker panicked on item %d: %v",
 			stage, panicIdx, panicVal))
@@ -355,8 +349,8 @@ type aheadResult struct {
 // extractAhead starts extractOne in the background for thumbnails a
 // downloader has just stored, so that OCR rides the download instead of
 // waiting for the next refresh; TakeExtractions takes the results. At most
-// workers()−1 run at once (the caller's own goroutine is busy on the download
-// path and needs the remaining core), but at least one. Only the pure half
+// workers() run at once: with the digest a CRC-32C, the tick phase is
+// socket-bound and needs no core of its own. Only the pure half
 // runs here: every side effect stays with the caller of TakeExtractions. A
 // key stored again before it is taken gets a fresh extraction, which
 // replaces the stale one. Nothing has to be closed: a goroutine finishes its
@@ -368,7 +362,7 @@ func (p *Pipeline) extractAhead(keys []string) {
 	if p.ahead == nil {
 		p.ahead = make(map[string]*aheadResult)
 	}
-	if n := max(1, p.workers()-1); cap(p.slots) != n {
+	if n := p.workers(); cap(p.slots) != n {
 		p.slots = make(chan struct{}, n)
 	}
 	slots, traced := p.slots, trace.Enabled()

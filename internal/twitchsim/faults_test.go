@@ -1,14 +1,14 @@
 package twitchsim
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"testing"
 	"time"
+
+	"tero/internal/objstore"
 )
 
 func TestFaultInjectorDeterministic(t *testing.T) {
@@ -107,8 +107,7 @@ func observe(client *http.Client, url string) outcome {
 		hasNext: resp.Header.Get("X-Next-Thumbnail") != "",
 	}
 	if want := resp.Header.Get("X-Thumbnail-Digest"); want != "" {
-		sum := sha256.Sum256(body)
-		o.digestOK = hex.EncodeToString(sum[:]) == want
+		o.digestOK = objstore.ChecksumHex(body) == want
 	}
 	return o
 }

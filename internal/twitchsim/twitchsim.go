@@ -12,8 +12,6 @@ package twitchsim
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -25,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tero/internal/objstore"
 	"tero/internal/obs"
 	"tero/internal/worldsim"
 )
@@ -407,11 +406,11 @@ func (p *Platform) handleThumb(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := buf.Bytes()
-	// The digest describes the true thumbnail, computed before any body
-	// fault: a downloader that verifies it detects bit corruption and can
-	// re-fetch instead of storing a poisoned PGM.
-	sum := sha256.Sum256(body)
-	w.Header().Set("X-Thumbnail-Digest", hex.EncodeToString(sum[:]))
+	// The digest is the true thumbnail's CRC-32C (objstore.ChecksumHex),
+	// computed before any body fault: a downloader that verifies it detects
+	// transfer damage and re-fetches instead of storing a poisoned PGM. Sent
+	// with the body it authenticates nothing, and is not meant to.
+	w.Header().Set("X-Thumbnail-Digest", objstore.ChecksumHex(body))
 	// Declare the true length so a truncated body is detectable by the
 	// client as an unexpected EOF instead of a silent short read.
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))

@@ -2,9 +2,11 @@
 # Repository health check: gofmt, vet, build, an os.Exit guard on cmd/,
 # race-enabled tests (root module and the bench/ module, which the root
 # ./... cannot see), a few seconds of each decoder fuzz target, a one-shot
-# pipeline benchmark smoke, smokes that drive the real binaries, and a
-# determinism smoke (teroexp volume at -workers 8, three times, against
-# -workers 1). Run from anywhere inside the repo.
+# pipeline benchmark smoke, smokes that drive the real binaries (the chaos
+# smoke requires the downloader's digest check to catch at least one of the
+# corrupted bodies the CDN sent), and a determinism smoke (teroexp volume at
+# -workers 8, three times, against -workers 1). Run from anywhere inside the
+# repo.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -160,6 +162,17 @@ grep -q '^counter twitchsim_faults_injected_total' "$CHAOS" \
     || { echo "faulted run injected no faults" >&2; exit 1; }
 if grep '^counter pipeline_worker_panics_total' "$CHAOS" | grep -qv ' 0$'; then
     echo "faulted run recorded worker panics" >&2
+    exit 1
+fi
+# The downloader's digest check must catch corrupted bodies: the quarantine
+# downstream would hide a digest that stopped verifying. Not every corrupted
+# body reaches the check (one may also be truncated, lack its seq header, or
+# repeat the seq already stored), so the bound is 1 <= caught <= sent.
+counter() { awk -v n="$1" '$1 == "counter" && $2 == n { print $3 }' "$CHAOS"; }
+CORRUPT_SENT=$(counter 'twitchsim_faults_injected_total{kind=corrupt}')
+CORRUPT_CAUGHT=$(counter download_body_corrupt_total)
+if [ "${CORRUPT_CAUGHT:-0}" -lt 1 ] || [ "$CORRUPT_CAUGHT" -gt "${CORRUPT_SENT:-0}" ]; then
+    echo "digest caught ${CORRUPT_CAUGHT:-0} corrupt bodies of ${CORRUPT_SENT:-0} sent (want 1 <= caught <= sent)" >&2
     exit 1
 fi
 # Everything from the "thumbnails processed:" marker to the metrics report
