@@ -6,12 +6,14 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"tero/internal/core"
@@ -170,7 +172,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	p.Concurrency = o.concurrency
 	totalTicks := cfg.Days * 24 * 30
 	start := time.Now()
-	tickErrs := 0
+	var fleet pipeline.Fleet
 	var coord *dist.Coordinator
 	if o.distributed > 0 {
 		// Coordinator mode: serve the store (key-value + object buckets on
@@ -194,41 +196,28 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			return 1
 		}
 		fmt.Fprintf(stdout, "%d workers registered\n", o.distributed)
-		for i := 0; i < totalTicks; i++ {
-			if err := coord.Tick(platform.Now(), i, i%3 == 0); err != nil {
-				fmt.Fprintf(stderr, "coordinator: tick %d: %v\n", i, err)
-				return 1
-			}
-			if i%(totalTicks/10+1) == 0 {
-				fmt.Fprintf(stdout, "  virtual %s — %d thumbnails, %d measurements\n",
-					platform.Now().Format("Jan 2 15:04"), p.Processed, p.Extracted)
-			}
-			platform.Advance(2 * time.Minute)
-		}
-		coord.EndRun()
-	} else {
-		for i := 0; i < totalTicks; i++ {
-			if err := p.Tick(platform.Now(), i%3 == 0); err != nil {
-				// The download module has already applied its per-streamer
-				// backoff/release recovery: a tick error is a degraded round,
-				// not a reason to abandon the whole observation period.
-				tickErrs++
-				if tickErrs <= 5 {
-					fmt.Fprintf(stderr, "pipeline: tick %d degraded: %v\n", i, err)
-				}
-			}
-			if i%200 == 0 {
-				p.ProcessThumbnails()
-			}
-			if i%(totalTicks/10+1) == 0 {
-				fmt.Fprintf(stdout, "  virtual %s — %d thumbnails, %d measurements\n",
-					platform.Now().Format("Jan 2 15:04"), p.Processed, p.Extracted)
-			}
-			platform.Advance(2 * time.Minute)
-		}
-		p.ProcessThumbnails()
+		fleet = coord
 	}
-	p.LocateStreamers(platform.Now())
+	progress := func(i int) error {
+		if i%(totalTicks/10+1) == 0 {
+			fmt.Fprintf(stdout, "  virtual %s — %d thumbnails, %d measurements\n",
+				platform.Now().Format("Jan 2 15:04"), p.Processed, p.Extracted)
+		}
+		return nil
+	}
+	// A degraded tick is a degraded round, not a reason to abandon the whole
+	// observation period: the download module has already applied its
+	// per-streamer backoff/release recovery.
+	var degraded pipeline.Degraded
+	if err := pipeline.Drive(platform, p, fleet, totalTicks, pipeline.TickEvery, progress); errors.As(err, &degraded) {
+		fmt.Fprintf(stderr, "pipeline: %v\n", err)
+	} else if err != nil {
+		fmt.Fprintf(stderr, "coordinator: %v\n", err)
+		return 1
+	}
+	if coord != nil {
+		coord.EndRun()
+	}
 	fmt.Fprintf(stdout, "pipeline done in %s\n\n", time.Since(start).Round(time.Millisecond))
 	if coord != nil {
 		fmt.Fprintf(stdout, "distributed: %d rounds (%d makeup), %d results ingested (%d deduped), "+
@@ -242,9 +231,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stdout)
 	}
 
-	if tickErrs > 0 {
+	if len(degraded) > 0 {
 		fmt.Fprintf(stdout, "degraded ticks:        %d of %d (recovered via retry/release)\n",
-			tickErrs, totalTicks)
+			len(degraded), totalTicks)
 	}
 	if o.faults > 0 {
 		rels, reaps := 0, 0
@@ -263,12 +252,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	analyses := p.Analyze(core.DefaultParams())
 	groups := core.GroupByLocation(analyses)
 
-	type row struct {
-		name string
-		n    int
-		box  stats.Boxplot
-	}
-	var rows []row
+	var rows []distRow
 	for key, as := range groups {
 		if key.Loc.IsZero() {
 			continue
@@ -277,21 +261,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if len(dist) < 12 {
 			continue
 		}
-		rows = append(rows, row{
-			name: fmt.Sprintf("%s / %s", key.Loc, key.Game),
-			n:    len(dist),
-			box:  stats.NewBoxplot(dist),
-		})
+		rows = append(rows, distRow{name: fmt.Sprintf("%s / %s", key.Loc, key.Game), box: stats.NewBoxplot(dist)})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].box.P50 < rows[j].box.P50 })
-	fmt.Fprintln(stdout, "latency distributions per {location, game} (≥12 measurements):")
-	for _, r := range rows {
-		fmt.Fprintf(stdout, "  %-55s n=%-5d p5=%5.0f p25=%5.0f p50=%5.0f p75=%5.0f p95=%5.0f\n",
-			r.name, r.n, r.box.P5, r.box.P25, r.box.P50, r.box.P75, r.box.P95)
-	}
-	if len(rows) == 0 {
-		fmt.Fprintln(stdout, "  (none with enough data; increase -streamers or -days)")
-	}
+	writeDistributions(stdout, rows)
 
 	if o.metrics {
 		fmt.Fprintln(stdout, "\n== metrics ==")
@@ -300,4 +272,26 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 	return 0
+}
+
+// distRow is one {location, game} line of the distribution table.
+type distRow struct {
+	name string
+	box  stats.Boxplot
+}
+
+// writeDistributions prints the distribution table by p50, ties broken by
+// name: the rows come from a map, so the table must not keep its order.
+func writeDistributions(w io.Writer, rows []distRow) {
+	slices.SortFunc(rows, func(a, b distRow) int {
+		return cmp.Or(cmp.Compare(a.box.P50, b.box.P50), strings.Compare(a.name, b.name))
+	})
+	fmt.Fprintln(w, "latency distributions per {location, game} (≥12 measurements):")
+	for _, r := range rows {
+		fmt.Fprintf(w, "  %-55s n=%-5d p5=%5.0f p25=%5.0f p50=%5.0f p75=%5.0f p95=%5.0f\n",
+			r.name, r.box.N, r.box.P5, r.box.P25, r.box.P50, r.box.P75, r.box.P95)
+	}
+	if len(rows) == 0 {
+		fmt.Fprintln(w, "  (none with enough data; increase -streamers or -days)")
+	}
 }

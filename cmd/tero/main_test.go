@@ -12,6 +12,7 @@ import (
 
 	"tero/internal/dist"
 	"tero/internal/kvstore"
+	"tero/internal/stats"
 )
 
 // maxFlags is the ceiling on the command's flag surface; raising it means
@@ -176,5 +177,19 @@ func TestFlagSurfaceBounded(t *testing.T) {
 	fs.VisitAll(func(*flag.Flag) { n++ })
 	if n > maxFlags {
 		t.Errorf("tero declares %d flags, want at most %d", n, maxFlags)
+	}
+}
+
+// TestDistributionsBreakTiesByName: the rows come from a map, so rows with
+// tied p50s must print in one order (by name) whatever order they arrive in.
+func TestDistributionsBreakTiesByName(t *testing.T) {
+	tied := stats.Boxplot{P5: 20, P25: 25, P50: 30, P75: 35, P95: 40, N: 12}
+	paris, turkey := distRow{"Paris, FR / League of Legends", tied}, distRow{"Istanbul, TR / Dota 2", tied}
+	us := distRow{"Dallas, US / Valorant", stats.Boxplot{P50: 20, N: 30}}
+	var a, b strings.Builder
+	writeDistributions(&a, []distRow{paris, turkey, us})
+	writeDistributions(&b, []distRow{turkey, us, paris})
+	if a.String() != b.String() || !regexp.MustCompile(`(?s)Dallas.*Istanbul.*Paris`).MatchString(a.String()) {
+		t.Fatalf("want one table, by p50 then name:\n%s\n%s", &a, &b)
 	}
 }

@@ -191,11 +191,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	)
 	srv.SetStatusReport(slos.Report)
 
-	// One refresh, the loop bench/ runs too. The builder knows what changed:
-	// on an idle tick Build returns the snapshot the index already holds and
-	// Swap skips it (serve_publish_skipped_total).
+	// One refresh, the one bench/ runs too, of what the run has drained so
+	// far. The builder knows what changed: on an idle refresh Build returns
+	// the snapshot the index already holds and Swap skips it
+	// (serve_publish_skipped_total).
 	publish := func() {
-		p.ProcessThumbnails()
 		p.LocateStreamers(platform.Now())
 		n := p.PublishAt(builder, params, platform.Now())
 		before := ix.Version()
@@ -206,36 +206,32 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				n, entries, ix.Version())
 		}
 	}
-
-	tickEvery := 2 * time.Minute
-	refreshTicks := int(o.refresh / tickEvery)
-	if refreshTicks < 1 {
-		refreshTicks = 1
-	}
-	totalTicks := cfg.Days * 24 * 30
-	start := time.Now()
-	tickErrs := 0
-	for i := 0; i < totalTicks && ctx.Err() == nil; i++ {
-		if err := p.Tick(platform.Now(), i%3 == 0); err != nil {
-			tickErrs++
-			if tickErrs <= 5 {
-				fmt.Fprintf(stderr, "pipeline: tick %d degraded: %v\n", i, err)
-			}
+	// Incremental republish mid-serve, every -refresh of virtual time:
+	// readers keep getting answers from the previous snapshot while the new
+	// one is built and swapped in.
+	last := platform.Now()
+	refresh := func(int) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		if i%200 == 0 {
-			p.ProcessThumbnails()
-		}
-		// Incremental republish mid-serve: readers keep getting answers
-		// from the previous snapshot while the new one is built and
-		// swapped in.
-		if i > 0 && i%refreshTicks == 0 {
+		if now := platform.Now(); now.Sub(last) >= o.refresh {
 			publish()
+			last = now
 		}
-		platform.Advance(tickEvery)
+		return nil
+	}
+
+	start := time.Now()
+	var degraded pipeline.Degraded
+	if err := pipeline.Drive(platform, p, nil, cfg.Days*24*30, pipeline.TickEvery, refresh); errors.As(err, &degraded) {
+		fmt.Fprintf(stderr, "pipeline: %v\n", err)
+	} else if err != nil { // cancelled mid-run
+		fmt.Fprintln(stdout, "shutting down")
+		return 0
 	}
 	publish()
 	fmt.Fprintf(stdout, "pipeline done in %s (%d measurements, %d located, %d degraded ticks)\n",
-		time.Since(start).Round(time.Millisecond), p.Extracted, p.Located, tickErrs)
+		time.Since(start).Round(time.Millisecond), p.Extracted, p.Located, len(degraded))
 
 	if cat := ix.Catalog(); cat != nil && len(cat.Locations) > 0 {
 		l := cat.Locations[0]

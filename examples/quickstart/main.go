@@ -32,16 +32,12 @@ func main() {
 	// 3. The Tero pipeline wired against it.
 	p := pipeline.New(platform.URL(), 2)
 
-	// 4. Drive six virtual hours of the evening in 2-minute ticks.
+	// 4. Drive six virtual hours of the evening on App. A's schedule:
+	//    2-minute ticks, thumbnails drained as they land, then location.
 	platform.Advance(22 * time.Hour)
-	for i := 0; i < 6*30; i++ {
-		if err := p.Tick(platform.Now(), i%3 == 0); err != nil {
-			log.Fatal(err)
-		}
-		platform.Advance(2 * time.Minute)
+	if err := pipeline.Drive(platform, p, nil, 6*30, pipeline.TickEvery, nil); err != nil {
+		log.Fatal(err)
 	}
-	p.ProcessThumbnails()
-	p.LocateStreamers(platform.Now())
 
 	fmt.Printf("thumbnails: %d, measurements: %d, missed: %d\n",
 		p.Processed, p.Extracted, p.Missed)

@@ -61,17 +61,9 @@ func goldenRun(t *testing.T, seed int64) string {
 	t.Helper()
 	platform := newTestPlatform(t, seed)
 	p := pipeline.New(platform.URL(), 4)
-	for i := 0; i < testTicks; i++ {
-		if err := p.Tick(platform.Now(), i%3 == 0); err != nil {
-			t.Fatalf("golden tick %d: %v", i, err)
-		}
-		if i%20 == 0 {
-			p.ProcessThumbnails()
-		}
-		platform.Advance(2 * time.Minute)
+	if err := pipeline.Drive(platform, p, nil, testTicks, pipeline.TickEvery, nil); err != nil {
+		t.Fatalf("golden: %v", err)
 	}
-	p.ProcessThumbnails()
-	p.LocateStreamers(platform.Now())
 	return pipelineSignature(p)
 }
 
@@ -83,8 +75,8 @@ type testWorker struct {
 func (w *testWorker) kill() { close(w.halt); <-w.done }
 
 // distRun drives a fleet of n in-process workers over real TCP through the
-// same observation window as goldenRun. crashTick >= 0 halts worker 0 at
-// that tick mid-run.
+// same observation window as goldenRun. crashTick >= 0 halts worker 0 after
+// that tick.
 func distRun(t *testing.T, seed int64, n, crashTick int) (*pipeline.Pipeline, *Coordinator, *twitchsim.Platform) {
 	t.Helper()
 	platform := newTestPlatform(t, seed)
@@ -117,27 +109,24 @@ func distRun(t *testing.T, seed int64, n, crashTick int) (*pipeline.Pipeline, *C
 		t.Fatalf("wait workers: %v", err)
 	}
 
-	killed := map[int]bool{}
-	for i := 0; i < testTicks; i++ {
+	crash := func(i int) error {
 		if i == crashTick {
 			workers[0].kill()
-			killed[0] = true
 		}
-		if err := coord.Tick(platform.Now(), i, i%3 == 0); err != nil {
-			t.Fatalf("tick %d: %v", i, err)
-		}
-		platform.Advance(2 * time.Minute)
+		return nil
+	}
+	if err := pipeline.Drive(platform, p, coord, testTicks, pipeline.TickEvery, crash); err != nil {
+		t.Fatal(err)
 	}
 	coord.EndRun()
 	for i, w := range workers {
-		if killed[i] {
-			continue
+		if i == 0 && crashTick >= 0 {
+			continue // killed
 		}
 		if err := <-w.done; err != nil {
 			t.Fatalf("worker %d: %v", i+1, err)
 		}
 	}
-	p.LocateStreamers(platform.Now())
 	return p, coord, platform
 }
 

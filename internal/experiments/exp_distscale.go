@@ -5,10 +5,8 @@ import (
 	"os"
 	"os/exec"
 	"strings"
-	"sync"
 	"time"
 
-	"tero/internal/core"
 	"tero/internal/dist"
 	"tero/internal/download"
 	"tero/internal/kvstore"
@@ -39,13 +37,16 @@ const distCDNLatency = 100 * time.Millisecond
 func distWorld(o Options) worldsim.Config {
 	cfg := worldsim.DefaultConfig(o.Seed)
 	cfg.Streamers = o.scaled(150)
-	ticks := distTicks(o)
-	cfg.Days = (ticks*5)/(60*24) + 1 // cover the tick span in virtual days
+	span := time.Duration(distTicks(o)) * distTickEvery
+	cfg.Days = int(span/(24*time.Hour)) + 1 // cover the tick span in virtual days
 	cfg.LocatableFrac = 0.6
 	return cfg
 }
 
-// distTicks is the number of 5-minute virtual ticks each leg drives —
+// distTickEvery is dist-scale's tick, 5 virtual minutes instead of App. A's 2.
+const distTickEvery = 5 * time.Minute
+
+// distTicks is the number of distTickEvery ticks each leg drives —
 // floored at one full virtual day, because sessions start in each
 // streamer's local evening: a shorter window would see only one sliver of
 // the world's longitudes. The tick matches the platform's thumbnail
@@ -55,11 +56,7 @@ func distWorld(o Options) worldsim.Config {
 // finer tick most rounds carry 0–2 due fetches and even a large fleet
 // serializes on them.)
 func distTicks(o Options) int {
-	t := o.scaled(288)
-	if t < 288 {
-		t = 288
-	}
-	return t
+	return max(o.scaled(288), 288)
 }
 
 // runDistScale runs the distributed-ingest scaling experiment: a
@@ -189,42 +186,10 @@ func runDistScale(o Options) ([]*Table, error) {
 	return append([]*Table{summary, balance}, goldTabs...), nil
 }
 
-// distTables renders the leg's end state: the same volume/coverage metrics
-// the volume experiment reports, computed from the pipeline after
-// locate+analyze. Golden and every fleet leg must agree on every byte.
+// distTables renders the leg's end state: the volume experiment's coverage
+// metrics. Golden and every fleet leg must agree on every byte.
 func distTables(p *pipeline.Pipeline, cfg worldsim.Config) []*Table {
-	analyses := p.Analyze(core.DefaultParams())
-	streams := p.BuildStreams()
-	kept, keptPoints := 0, 0
-	streamerSet := map[string]bool{}
-	countrySet := map[string]bool{}
-	for _, a := range analyses {
-		if a.Discarded {
-			continue
-		}
-		kept++
-		keptPoints += a.KeptPoints
-		streamerSet[a.Streamer] = true
-		if c := a.Location().Country; c != "" {
-			countrySet[c] = true
-		}
-	}
-	t := &Table{
-		Title:  "Distributed ingest — volume and coverage",
-		Header: []string{"metric", "value"},
-	}
-	t.AddRow("thumbnails processed", itoa(p.Processed))
-	t.AddRow("latency measurements extracted", itoa(p.Extracted))
-	t.AddRow("lobby zeros discarded", itoa(p.Zero))
-	t.AddRow("extraction misses", itoa(p.Missed))
-	t.AddRow("thumbnails quarantined", itoa(p.Quarantined))
-	t.AddRow("streams", itoa(len(streams)))
-	t.AddRow("{streamer, game} tuples analyzed", itoa(len(analyses)))
-	t.AddRow("tuples kept after analysis", itoa(kept))
-	t.AddRow("measurements retained", itoa(keptPoints))
-	t.AddRow("distinct streamers with data", itoa(len(streamerSet)))
-	t.AddRow("streamers located", itoa(p.Located))
-	t.AddRow("countries covered", itoa(len(countrySet)))
+	t := coverageTable(p, "Distributed ingest — volume and coverage", true)
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"world: %d streamers, %d virtual days", cfg.Streamers, cfg.Days))
 	return []*Table{t}
@@ -245,21 +210,11 @@ func distGolden(o Options) ([]*Table, time.Duration, error) {
 	p := pipeline.New(platform.URL(), 4)
 	p.Concurrency = o.workers()
 
-	ticks := distTicks(o)
 	start := time.Now()
-	for i := 0; i < ticks; i++ {
-		if err := p.Tick(platform.Now(), i%3 == 0); err != nil {
-			return nil, 0, err
-		}
-		if i%200 == 0 {
-			p.ProcessThumbnails()
-		}
-		platform.Advance(5 * time.Minute)
+	if err := pipeline.Drive(platform, p, nil, distTicks(o), distTickEvery, nil); err != nil {
+		return nil, 0, err
 	}
-	p.ProcessThumbnails()
-	wall := time.Since(start)
-	p.LocateStreamers(platform.Now())
-	return distTables(p, cfg), wall, nil
+	return distTables(p, cfg), time.Since(start), nil
 }
 
 // distWorker is one member of a leg's fleet: a child process (WorkerExec)
@@ -270,12 +225,14 @@ type distWorker struct {
 	cmd  *exec.Cmd
 	halt chan struct{}
 	done chan error
+	gone bool // killed or reaped
 }
 
 // kill crashes the worker: SIGKILL for a child process, closing the halt
 // channel for an in-process one. Either way heartbeats stop and the
 // coordinator must notice on its own.
 func (w *distWorker) kill() {
+	w.gone = true
 	if w.cmd != nil {
 		w.cmd.Process.Kill() //nolint:errcheck
 		w.cmd.Wait()         //nolint:errcheck
@@ -287,6 +244,7 @@ func (w *distWorker) kill() {
 
 // wait reaps a cleanly exiting worker.
 func (w *distWorker) wait() error {
+	w.gone = true
 	if w.cmd != nil {
 		return w.cmd.Wait()
 	}
@@ -312,11 +270,12 @@ func startDistWorker(o Options, id, addr string) (*distWorker, error) {
 }
 
 // runDistLeg drives one fleet of n workers through the full observation
-// period. crashFrom >= 0 kills one worker: at the first tick from crashFrom
-// on where some worker holds a claim, the first such worker in fleet order
-// (a worker holding none would leave the reaper nothing to do). The leg then
-// proves the reap path (claims requeued, duplicates deduped) preserves
-// exactness; killedAt is the tick of the kill, or -1.
+// period. crashFrom >= 0 kills one worker: after the first tick from
+// crashFrom on that leaves some worker holding a claim, the first such
+// worker in fleet order (a worker holding none would leave the reaper
+// nothing to do). The leg then proves the reap path (claims requeued,
+// duplicates deduped) preserves exactness; killedAt is the tick the kill
+// followed, or -1.
 func runDistLeg(o Options, n, crashFrom int) ([]*Table, time.Duration, *dist.Coordinator, int, error) {
 	cfg := distWorld(o)
 	world := worldsim.New(cfg)
@@ -341,15 +300,10 @@ func runDistLeg(o Options, n, crashFrom int) ([]*Table, time.Duration, *dist.Coo
 	coord.Announce(platform.URL())
 
 	workers := make([]*distWorker, n)
-	var mu sync.Mutex
-	killed := map[int]bool{}
 	defer func() {
-		mu.Lock()
-		defer mu.Unlock()
-		for i, w := range workers {
-			if w != nil && !killed[i] {
+		for _, w := range workers {
+			if w != nil && !w.gone {
 				w.kill() // leg failed mid-run: don't leak processes/goroutines
-				killed[i] = true
 			}
 		}
 	}()
@@ -364,42 +318,32 @@ func runDistLeg(o Options, n, crashFrom int) ([]*Table, time.Duration, *dist.Coo
 		return nil, 0, nil, -1, err
 	}
 
-	ticks := distTicks(o)
 	killedAt := -1
 	start := time.Now()
-	for i := 0; i < ticks; i++ {
+	crash := func(i int) error {
 		if crashFrom >= 0 && killedAt < 0 && i >= crashFrom {
 			// Between ticks the fleet is quiescent: the claim table is the
 			// one the next round starts from.
 			if v := claimHolder(st, workers); v >= 0 {
-				mu.Lock()
 				workers[v].kill()
-				killed[v] = true
-				mu.Unlock()
 				killedAt = i
 			}
 		}
-		if err := coord.Tick(platform.Now(), i, i%3 == 0); err != nil {
-			return nil, 0, nil, -1, err
-		}
-		platform.Advance(5 * time.Minute)
+		return nil
+	}
+	if err := pipeline.Drive(platform, p, coord, distTicks(o), distTickEvery, crash); err != nil {
+		return nil, 0, nil, -1, err
 	}
 	wall := time.Since(start)
 	coord.EndRun()
-	mu.Lock()
-	for i, w := range workers {
-		if killed[i] {
+	for _, w := range workers {
+		if w.gone {
 			continue
 		}
 		if err := w.wait(); err != nil {
-			mu.Unlock()
 			return nil, 0, nil, -1, fmt.Errorf("worker %s: %w", w.id, err)
 		}
-		killed[i] = true
 	}
-	mu.Unlock()
-
-	p.LocateStreamers(platform.Now())
 	return distTables(p, cfg), wall, coord, killedAt, nil
 }
 

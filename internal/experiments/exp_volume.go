@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -30,10 +31,10 @@ func volumeTickCount(o Options) int {
 	return o.scaled(2) * 24 * 30
 }
 
-// runVolumeWith is the volume driver with two extension points: kv replaces
-// the pipeline's private in-memory store (a RemoteStore over TCP, a durable
-// store), and onTick runs before each tick — the chaos-store experiment's
-// crash/restart hook. Either may be nil.
+// runVolumeWith is the volume run with two arguments for chaos-store: kv
+// replaces the pipeline's private in-memory store (a RemoteStore over TCP, a
+// durable store), and onTick is Drive's hook, which runs after each tick —
+// the crash/restart. Either may be nil.
 func runVolumeWith(o Options, kv kvstore.KV, onTick func(i int) error) ([]*Table, error) {
 	cfg := worldsim.DefaultConfig(o.Seed)
 	cfg.Streamers = o.scaled(250)
@@ -48,12 +49,10 @@ func runVolumeWith(o Options, kv kvstore.KV, onTick func(i int) error) ([]*Table
 	// changing a single row. Raise it so the run is CPU-bound.
 	platform.SetAPIRate(5000, 5000)
 
-	var p *pipeline.Pipeline
-	if kv != nil {
-		p = pipeline.NewWithKV(platform.URL(), 4, kv)
-	} else {
-		p = pipeline.New(platform.URL(), 4)
+	if kv == nil {
+		kv = kvstore.New()
 	}
+	p := pipeline.NewWithKV(platform.URL(), 4, kv)
 	p.Concurrency = o.workers()
 	if o.Faults > 0 {
 		f := twitchsim.ScaledFaults(o.FaultSeed, o.Faults)
@@ -77,37 +76,28 @@ func runVolumeWith(o Options, kv kvstore.KV, onTick func(i int) error) ([]*Table
 		p.API.HTTP.Transport = noReuse
 	}
 
-	// Drive the virtual clock across the whole observation period in
-	// 2-minute ticks, processing thumbnails as they accumulate.
-	totalTicks := cfg.Days * 24 * 30
-	for i := 0; i < totalTicks; i++ {
-		if onTick != nil {
-			if err := onTick(i); err != nil {
-				return nil, err
-			}
-		}
-		if err := p.Tick(platform.Now(), i%3 == 0); err != nil {
-			// Under fault injection a degraded tick is expected: the
-			// download module has already retried, backed off or released,
-			// and the recovery surfaces in the obs counters. Fault-free,
-			// an error is a real bug and aborts.
-			if o.Faults <= 0 {
-				return nil, err
-			}
-		}
-		if i%200 == 0 {
-			p.ProcessThumbnails()
-		}
-		platform.Advance(2 * time.Minute)
+	// Under fault injection a degraded tick is expected: the download module
+	// has already retried, backed off or released, and the recovery surfaces
+	// in the obs counters. Fault-free, any error is a bug.
+	err := pipeline.Drive(platform, p, nil, volumeTickCount(o), pipeline.TickEvery, onTick)
+	var degraded pipeline.Degraded
+	if err != nil && (o.Faults <= 0 || !errors.As(err, &degraded)) {
+		return nil, err
 	}
-	p.ProcessThumbnails()
-	p.LocateStreamers(platform.Now())
 
+	t := coverageTable(p, "Volume and coverage (§5.1) — full pipeline over HTTP", false)
+	t.Notes = append(t.Notes, fmt.Sprintf(
+		"scaled world: %d streamers over %d days (the paper: 26M streamers, 2 years)",
+		cfg.Streamers, cfg.Days))
+	return []*Table{t}, nil
+}
+
+// coverageTable renders a finished run's §5.1 volume and coverage metrics;
+// quarantined adds the count of corrupt thumbnails moved aside.
+func coverageTable(p *pipeline.Pipeline, title string, quarantined bool) *Table {
 	analyses := p.Analyze(core.DefaultParams())
 	streams := p.BuildStreams()
-
-	kept := 0
-	keptPoints := 0
+	kept, keptPoints := 0, 0
 	streamerSet := map[string]bool{}
 	countrySet := map[string]bool{}
 	for _, a := range analyses {
@@ -121,15 +111,14 @@ func runVolumeWith(o Options, kv kvstore.KV, onTick func(i int) error) ([]*Table
 			countrySet[c] = true
 		}
 	}
-
-	t := &Table{
-		Title:  "Volume and coverage (§5.1) — full pipeline over HTTP",
-		Header: []string{"metric", "value"},
-	}
+	t := &Table{Title: title, Header: []string{"metric", "value"}}
 	t.AddRow("thumbnails processed", itoa(p.Processed))
 	t.AddRow("latency measurements extracted", itoa(p.Extracted))
 	t.AddRow("lobby zeros discarded", itoa(p.Zero))
 	t.AddRow("extraction misses", itoa(p.Missed))
+	if quarantined {
+		t.AddRow("thumbnails quarantined", itoa(p.Quarantined))
+	}
 	t.AddRow("streams", itoa(len(streams)))
 	t.AddRow("{streamer, game} tuples analyzed", itoa(len(analyses)))
 	t.AddRow("tuples kept after analysis", itoa(kept))
@@ -137,8 +126,5 @@ func runVolumeWith(o Options, kv kvstore.KV, onTick func(i int) error) ([]*Table
 	t.AddRow("distinct streamers with data", itoa(len(streamerSet)))
 	t.AddRow("streamers located", itoa(p.Located))
 	t.AddRow("countries covered", itoa(len(countrySet)))
-	t.Notes = append(t.Notes, fmt.Sprintf(
-		"scaled world: %d streamers over %d days (the paper: 26M streamers, 2 years)",
-		cfg.Streamers, cfg.Days))
-	return []*Table{t}, nil
+	return t
 }

@@ -2,104 +2,22 @@ package pipeline
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"tero/internal/core"
 	"tero/internal/download"
 	"tero/internal/imaging"
 	"tero/internal/objstore"
 	"tero/internal/obs"
-	"tero/internal/serve"
-	"tero/internal/twitchsim"
 	"tero/internal/worldsim"
 )
-
-// driveLoop runs the production loop — two-minute ticks, a refresh (drain,
-// locate, publish, build) every 15 — against twitchsim and renders all it
-// stored, queued and would serve into one string. The API quota is lifted,
-// so the platform's real-time token bucket never decides which calls of a
-// tick succeed; adoption is a serial deal, so nothing else does either.
-func driveLoop(t *testing.T, concurrency int) string {
-	t.Helper()
-	cfg := worldsim.DefaultConfig(5)
-	cfg.Streamers = 60
-	cfg.Days = 1
-	cfg.LocatableFrac = 0.8
-	platform := twitchsim.New(worldsim.New(cfg))
-	platform.SetAPIRate(1e9, 1e9)
-	defer platform.Close()
-
-	p := New(platform.URL(), 4)
-	p.Concurrency = concurrency
-	params := core.DefaultParams()
-	b := serve.NewBuilder(params)
-	var sb strings.Builder
-	refresh := func() {
-		n := p.ProcessThumbnails()
-		pending := p.KV.HGetAll("pending-location")
-		ids := make([]string, 0, len(pending))
-		for id := range pending {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		fmt.Fprintf(&sb, "drained %d pending", n)
-		for _, id := range ids {
-			fmt.Fprintf(&sb, " %s=%s", id, pending[id])
-		}
-		p.LocateStreamers(platform.Now())
-		p.PublishAt(b, params, platform.Now())
-		h := sha256.New()
-		for _, e := range b.Build().Entries {
-			h.Write(e.BodyJSON())
-		}
-		fmt.Fprintf(&sb, "\nbodies %s\n", hex.EncodeToString(h.Sum(nil)))
-	}
-	platform.Advance(22 * time.Hour)
-	const ticks = 100 // not a multiple of 15: the last refresh takes in a partial round
-	for i := 0; i < ticks; i++ {
-		if err := p.Tick(platform.Now(), i%3 == 0); err != nil {
-			t.Fatalf("concurrency %d, tick %d: %v", concurrency, i, err)
-		}
-		if i > 0 && i%15 == 0 {
-			refresh()
-		}
-		platform.Advance(2 * time.Minute)
-	}
-	refresh()
-	if p.Extracted == 0 || p.Located == 0 {
-		t.Fatalf("concurrency %d: the loop measured %d readings and located %d streamers", concurrency, p.Extracted, p.Located)
-	}
-	if n := p.Objects.Size(download.ThumbBucket); n != 0 || len(p.ahead) != 0 {
-		t.Fatalf("concurrency %d: the last refresh left %d thumbnails and %d extractions behind", concurrency, n, len(p.ahead))
-	}
-	return sb.String() + snapshot(p)
-}
-
-// TestExtractAheadDeterminism holds the loop with extraction riding the
-// download (Concurrency 2 and 8) to the serial one: counters, measurement
-// documents with their IDs, pending-location entries before every location
-// round and the bodies every publish would serve.
-func TestExtractAheadDeterminism(t *testing.T) {
-	serial := driveLoop(t, 1)
-	for _, c := range []int{2, 8} {
-		if got := driveLoop(t, c); got != serial {
-			a, b := diffLine(serial, got)
-			t.Fatalf("Concurrency 1 and %d diverge:\n serial: %s\n ahead:  %s", c, a, b)
-		}
-	}
-}
 
 // handCDN is a CDN for one streamer whose current thumbnail (sequence number
 // and body) the test sets by hand; a thumbnail is due on every poll.
@@ -171,6 +89,19 @@ func settle(t *testing.T, base int, when string) {
 			t.Fatalf("%s: %d goroutines, %d before", when, runtime.NumGoroutine(), base)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestExtractAheadDeterminism runs one downloader through the production
+// loop serially and with extraction riding the download on 2 or 8 workers:
+// refresh by refresh, all three store, queue, serve and derive the same bytes.
+func TestExtractAheadDeterminism(t *testing.T) {
+	serial := driveLoop(t, 1, 1)
+	for _, c := range []int{2, 8} {
+		if got := driveLoop(t, 1, c); got != serial {
+			a, b := diffLine(serial, got)
+			t.Fatalf("Concurrency 1 and %d diverge:\n serial: %s\n ahead:  %s", c, a, b)
+		}
 	}
 }
 

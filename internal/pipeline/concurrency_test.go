@@ -7,19 +7,21 @@ import (
 	"time"
 
 	"tero/internal/core"
+	"tero/internal/serve"
 	"tero/internal/twitchsim"
 	"tero/internal/worldsim"
 )
 
-// driveWorld runs platform + pipeline end to end with the given number of
-// downloaders at the given concurrency. The platform API quota is raised so
-// wall-clock 429 retries cannot make runs diverge in anything but speed.
-func driveWorld(t *testing.T, seed int64, streamers int, hours float64, downloaders, concurrency int) *Pipeline {
+// driveWorld drives platform + pipeline for ticks ticks from 23:00 and holds
+// the run to Drive's contract; refresh, if not nil, runs after every drain
+// and after the run. The API quota is raised so that wall-clock 429 retries
+// cannot change what is stored (TestEndToEndPipeline pins it).
+func driveWorld(t *testing.T, seed int64, streamers, ticks, downloaders, concurrency int, refresh func(p *Pipeline, now time.Time)) (*worldsim.World, *Pipeline) {
 	t.Helper()
 	cfg := worldsim.DefaultConfig(seed)
 	cfg.Streamers = streamers
 	cfg.Days = 1
-	cfg.LocatableFrac = 0.8
+	cfg.LocatableFrac = 0.8 // dense locations so assertions have data
 	world := worldsim.New(cfg)
 	platform := twitchsim.New(world)
 	platform.SetAPIRate(5000, 5000)
@@ -28,16 +30,45 @@ func driveWorld(t *testing.T, seed int64, streamers int, hours float64, download
 	p := New(platform.URL(), downloaders)
 	p.Concurrency = concurrency
 	platform.Advance(23 * time.Hour)
-	ticks := int(hours * 30) // 2-minute ticks
-	for i := 0; i < ticks; i++ {
-		if err := p.Tick(platform.Now(), i%3 == 0); err != nil {
-			t.Fatalf("tick %d: %v", i, err)
+	check := drainCheck(t, p)
+	err := Drive(platform, p, nil, ticks, TickEvery, func(i int) error {
+		if refresh != nil && i%DrainEvery == 0 {
+			refresh(p, platform.Now())
 		}
-		platform.Advance(2 * time.Minute)
+		return check(i)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	p.ProcessThumbnails()
-	p.LocateStreamers(platform.Now())
-	return p
+	checkDrained(t, p)
+	if refresh != nil {
+		refresh(p, platform.Now())
+	}
+	return world, p
+}
+
+// driveLoop runs the production loop, a refresh (locate, publish, build)
+// after every drain, and renders all it stored, queued and would serve.
+func driveLoop(t *testing.T, downloaders, concurrency int) string {
+	t.Helper()
+	params := core.DefaultParams()
+	b := serve.NewBuilder(params)
+	var sb strings.Builder
+	// 100 ticks, not a multiple of DrainEvery: the last drain takes in a
+	// partial round.
+	_, p := driveWorld(t, 5, 60, 100, downloaders, concurrency, func(p *Pipeline, now time.Time) {
+		// fmt prints a map in key order.
+		fmt.Fprintf(&sb, "processed %d pending %v\n", p.Processed, p.KV.HGetAll("pending-location"))
+		p.LocateStreamers(now)
+		p.PublishAt(b, params, now)
+		for _, e := range b.Build().Entries {
+			fmt.Fprintf(&sb, "body %s\n", e.BodyJSON())
+		}
+	})
+	if p.Extracted == 0 || p.Located == 0 {
+		t.Fatalf("the loop measured %d readings and located %d streamers", p.Extracted, p.Located)
+	}
+	return sb.String() + snapshot(p)
 }
 
 // snapshot renders everything the pipeline stored or derived into one
@@ -67,17 +98,17 @@ func snapshot(p *Pipeline) string {
 	return sb.String()
 }
 
-// TestConcurrencyDeterminism pins the tentpole guarantee: the pipeline's
-// stored documents, counters, streams and analyses are byte-identical
-// whether one downloader runs every stage serially or four downloaders run
-// them on 8 workers — adoption is dealt, and thumbnails carry their window's
-// time, so neither the scheduler nor the fleet's shape shows in the data.
+// TestConcurrencyDeterminism pins the tentpole guarantee: one downloader
+// running every stage serially and four, serial or with extraction riding
+// the download on 2 or 8 workers, store, queue, serve and derive the same
+// bytes: adoption is dealt and thumbnails carry their window's time.
 func TestConcurrencyDeterminism(t *testing.T) {
-	serial := snapshot(driveWorld(t, 77, 60, 2, 1, 1))
-	parallel := snapshot(driveWorld(t, 77, 60, 2, 4, 8))
-	if serial != parallel {
-		a, b := diffLine(serial, parallel)
-		t.Fatalf("1 serial downloader and 4 on 8 workers diverge:\n serial:   %s\n parallel: %s", a, b)
+	serial := driveLoop(t, 1, 1)
+	for _, c := range []int{1, 2, 8} {
+		if got := driveLoop(t, 4, c); got != serial {
+			a, b := diffLine(serial, got)
+			t.Fatalf("1 serial downloader and 4 at Concurrency %d diverge:\n serial: %s\n four:   %s", c, a, b)
+		}
 	}
 }
 
@@ -96,7 +127,7 @@ func diffLine(a, b string) (string, string) {
 // so the race detector can observe the worker pool, the shared stores and
 // the OCR engines under real contention (run via `go test -race`).
 func TestConcurrentPipelineStress(t *testing.T) {
-	p := driveWorld(t, 91, 80, 1.5, 4, 16)
+	_, p := driveWorld(t, 91, 80, 45, 4, 16, nil)
 	if p.Processed == 0 || p.Extracted == 0 {
 		t.Fatalf("stress run extracted nothing: %+v", *p)
 	}

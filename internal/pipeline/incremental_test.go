@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"tero/internal/core"
 	"tero/internal/geo"
@@ -163,13 +162,8 @@ func TestIncrementalPublishMatchesFromScratch(t *testing.T) {
 	}
 
 	const refreshTicks = 8 * 30 // every 8 virtual hours
-	for i := 0; i < cfg.Days*24*30; i++ {
-		if err := p.Tick(platform.Now(), i%3 == 0); err != nil {
-			t.Fatalf("tick %d: %v", i, err)
-		}
-		platform.Advance(2 * time.Minute)
+	err := Drive(platform, p, nil, cfg.Days*24*30, TickEvery, func(i int) error {
 		if i%refreshTicks == refreshTicks-1 {
-			p.ProcessThumbnails()
 			publish()
 			// As in TestMoverLocationHistory, every streamer is due for a
 			// look: a mover is then seen at both addresses, not only at the
@@ -180,6 +174,10 @@ func TestIncrementalPublishMatchesFromScratch(t *testing.T) {
 			p.LocateStreamers(platform.Now())
 			publish()
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	// A mover shows as a streamer whose streams carry more than one location.
 	seen := map[string]geo.Location{}

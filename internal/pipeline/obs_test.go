@@ -15,7 +15,7 @@ import (
 // struct counters, and every pipeline stage span was recorded.
 func TestStageCountersMatchPipeline(t *testing.T) {
 	obs.Reset()
-	p := driveWorld(t, 31, 40, 1.5, 4, 4)
+	_, p := driveWorld(t, 31, 40, 45, 4, 4, nil)
 	p.Analyze(core.DefaultParams())
 
 	if p.Processed == 0 || p.Extracted == 0 {

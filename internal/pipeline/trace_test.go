@@ -48,14 +48,9 @@ func traceSetup(t *testing.T, seed uint64, streamers int) (*Pipeline, *twitchsim
 func traceWorld(t *testing.T, seed uint64, streamers int, hours float64) *Pipeline {
 	t.Helper()
 	p, platform := traceSetup(t, seed, streamers)
-	for i := 0; i < int(hours*30); i++ {
-		if err := p.Tick(platform.Now(), i%3 == 0); err != nil {
-			t.Fatalf("tick %d: %v", i, err)
-		}
-		platform.Advance(2 * time.Minute)
+	if err := Drive(platform, p, nil, int(hours*30), TickEvery, nil); err != nil {
+		t.Fatal(err)
 	}
-	p.ProcessThumbnails()
-	p.LocateStreamers(platform.Now())
 	b := serve.NewBuilder(core.DefaultParams())
 	p.PublishAt(b, core.DefaultParams(), platform.Now())
 	return p
@@ -183,15 +178,7 @@ func TestFreshnessCursorMatchesFullScan(t *testing.T) {
 
 	var mark int64 // the full scan's watermark: newest atUnix already published
 	publishes, nonEmpty := 0, 0
-	for i := 0; i < 45; i++ {
-		if err := p.Tick(platform.Now(), i%3 == 0); err != nil {
-			t.Fatalf("tick %d: %v", i, err)
-		}
-		platform.Advance(2 * time.Minute)
-		if i%15 != 14 {
-			continue
-		}
-		p.ProcessThumbnails()
+	publish := func() {
 		p.LocateStreamers(platform.Now())
 		fresh, newest := 0, mark
 		rows, _ := p.Docs.After(0)
@@ -218,6 +205,17 @@ func TestFreshnessCursorMatchesFullScan(t *testing.T) {
 			nonEmpty++
 		}
 	}
+	afterDrains := func(i int) error {
+		if i%DrainEvery == 0 {
+			publish()
+		}
+		return nil
+	}
+	if err := Drive(platform, p, nil, 3*DrainEvery, TickEvery, afterDrains); err != nil {
+		t.Fatal(err)
+	}
+	publish() // after the final drain
+
 	if nonEmpty < 2 {
 		t.Fatalf("%d of %d publishes saw new readings; the cursor must be exercised across several", nonEmpty, publishes)
 	}

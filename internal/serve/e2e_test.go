@@ -47,15 +47,9 @@ func runPipeline(t testing.TB, streamers int, hours float64) (*pipeline.Pipeline
 
 	p := pipeline.New(platform.URL(), 4)
 	platform.Advance(23 * time.Hour)
-	ticks := int(hours * 30)
-	for i := 0; i < ticks; i++ {
-		if err := p.Tick(platform.Now(), i%3 == 0); err != nil {
-			t.Fatalf("tick %d: %v", i, err)
-		}
-		platform.Advance(2 * time.Minute)
+	if err := pipeline.Drive(platform, p, nil, int(hours*30), pipeline.TickEvery, nil); err != nil {
+		t.Fatal(err)
 	}
-	p.ProcessThumbnails()
-	p.LocateStreamers(platform.Now())
 	return p, platform
 }
 

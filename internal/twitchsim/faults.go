@@ -215,9 +215,8 @@ func (p *Platform) injectFaults(next http.Handler) http.Handler {
 			}
 			route, prefix, cdnBody = fi.opt.CDN, "cdn", true
 		default:
-			// Social and admin routes are never faulted: the test driver
-			// must stay reliable, and social faults belong to a future
-			// location-module fault model.
+			// Social routes are never faulted: social faults belong to a
+			// future location-module fault model.
 			next.ServeHTTP(w, r)
 			return
 		}

@@ -5,8 +5,9 @@
 // window and the thumbnail is gone), an offline redirect, and social-media
 // profile endpoints (Twitter/Steam) for the location module.
 //
-// Time is virtual: the platform holds a clock that the test driver
-// advances; all HTTP exchanges are real TCP/HTTP.
+// Time is virtual: the platform holds a clock that its caller advances
+// (pipeline.Drive, between ticks) and no route moves; all HTTP exchanges
+// are real TCP/HTTP.
 package twitchsim
 
 import (
@@ -81,8 +82,6 @@ func New(w *worldsim.World) *Platform {
 	mux.HandleFunc("/offline.pgm", p.handleOffline)
 	mux.HandleFunc("/twitter/", p.handleTwitter)
 	mux.HandleFunc("/steam/", p.handleSteam)
-	mux.HandleFunc("/admin/advance", p.handleAdvance)
-	mux.HandleFunc("/admin/now", p.handleNow)
 	p.srv = httptest.NewServer(instrument(p.injectFaults(mux)))
 	return p
 }
@@ -147,8 +146,6 @@ func routeOf(path string) string {
 		return "cdn"
 	case strings.HasPrefix(path, "/twitter/"), strings.HasPrefix(path, "/steam/"):
 		return "social"
-	case strings.HasPrefix(path, "/admin/"):
-		return "admin"
 	}
 	return "other"
 }
@@ -497,18 +494,4 @@ func (p *Platform) handleSteam(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	http.NotFound(w, r)
-}
-
-func (p *Platform) handleAdvance(w http.ResponseWriter, r *http.Request) {
-	d, err := time.ParseDuration(r.URL.Query().Get("by"))
-	if err != nil || d < 0 {
-		http.Error(w, "bad duration", http.StatusBadRequest)
-		return
-	}
-	p.Advance(d)
-	fmt.Fprint(w, p.Now().UTC().Format(time.RFC3339))
-}
-
-func (p *Platform) handleNow(w http.ResponseWriter, r *http.Request) {
-	fmt.Fprint(w, p.Now().UTC().Format(time.RFC3339))
 }

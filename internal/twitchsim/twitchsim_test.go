@@ -240,28 +240,6 @@ func TestSocialEndpoints(t *testing.T) {
 	}
 }
 
-func TestAdminClock(t *testing.T) {
-	p, world := testPlatform(t, 10)
-	before := p.Now()
-	resp, err := http.Get(p.URL() + "/admin/advance?by=30m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := p.Now().Sub(before); got != 30*time.Minute {
-		t.Fatalf("advanced %v", got)
-	}
-	if p.Now() != world.Cfg.Start.Add(30*time.Minute) {
-		t.Fatal("clock base")
-	}
-	// Bad duration is rejected.
-	resp, _ = http.Get(p.URL() + "/admin/advance?by=banana")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad duration status %d", resp.StatusCode)
-	}
-}
-
 func TestTagsServed(t *testing.T) {
 	p, world := testPlatform(t, 400)
 	p.Advance(25 * time.Hour)

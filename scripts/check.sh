@@ -5,8 +5,8 @@
 # pipeline benchmark smoke, smokes that drive the real binaries (the chaos
 # smoke requires the downloader's digest check to catch at least one of the
 # corrupted bodies the CDN sent), and a determinism smoke (teroexp volume at
-# -workers 8, three times, against -workers 1). Run from anywhere inside the
-# repo.
+# -workers 8, three times, against -workers 1) whose serial run also gates
+# the peak live heap at 48 MB. Run from anywhere inside the repo.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -87,7 +87,7 @@ echo "== extraction ahead of the merge: same tables at 1, 2 and 8 workers, no go
 # interleavings: the Tick-driven loop byte-identical to the serial one, a
 # re-stored key extracted again, a corrupt one quarantined once, a panic
 # re-raised by the drain, and the goroutine count back at its baseline.
-go test -race -count=5 -run '^(TestExtractAheadDeterminism|TestExtractAheadGoroutines|TestRestoredKeyIsExtractedAgain|TestCorruptThumbnailAheadQuarantinedOnce|TestForEachPanicRecovery)$' ./internal/pipeline
+go test -race -count=5 -run '^(TestExtractAheadDeterminism|TestConcurrencyDeterminism|TestExtractAheadGoroutines|TestRestoredKeyIsExtractedAgain|TestCorruptThumbnailAheadQuarantinedOnce|TestForEachPanicRecovery)$' ./internal/pipeline
 
 echo "== benchmark smoke (VolumePipeline, 1 iteration) =="
 go test -run '^$' -bench '^BenchmarkVolumePipeline$' -benchtime 1x .
@@ -117,7 +117,7 @@ cleanup() {
         "$GOLD" "$GOLD.tables" "$CHAOS" "$CHAOS.err" "$CHAOS.tables" \
         "$SERVE" "$SERVE.hdr" "$SERVE.binhdr" "$SERVE.metrics" \
         "$TRACE" "$TRACE.list" "$TRACE.detail" "$TRACE.metrics" "$TRACE.hdr" \
-        "$TRACE.readyz" "$STORE" "$DIST" "$DET.out" "$DET.serial" "$DET.parallel"
+        "$TRACE.readyz" "$STORE" "$DIST" "$DET.out" "$DET.gc" "$DET.serial" "$DET.parallel"
 }
 trap cleanup EXIT
 
@@ -214,12 +214,24 @@ echo "== determinism smoke (teroexp volume: -workers 8 three times, each as -wor
 # deal per tick, so goroutine scheduling cannot pick the tick that adopts a
 # streamer. Each 8-worker run must print the serial run's tables; only the
 # wall-time line may differ.
+# The serial run also gates the heap: Drive drains the thumbnail bucket every
+# 15 ticks, so the peak live heap (the third "A->B->C MB" figure of a
+# gctrace line) stays near 16 MB; a backlog of 200 ticks held 120-140 MB.
 volume_tables() {
     "$TMPDIR/teroexp-check-$$" -scale 1 -workers "$1" volume > "$DET.out"
     grep -v '^\[volume completed in ' "$DET.out"
 }
-volume_tables 1 > "$DET.serial"
+GODEBUG=gctrace=1 "$TMPDIR/teroexp-check-$$" -scale 1 -workers 1 volume > "$DET.out" 2> "$DET.gc"
+grep -v '^\[volume completed in ' "$DET.out" > "$DET.serial"
 [ -s "$DET.serial" ] || { echo "serial volume run printed no tables" >&2; exit 1; }
+PEAK_MB=$(awk '/^gc / { for (i = 1; i < NF; i++) if ($(i+1) == "MB," && split($i, mb, "->") == 3 && mb[3] + 0 > peak) peak = mb[3] + 0 }
+    END { print peak + 0 }' "$DET.gc")
+[ "$PEAK_MB" -gt 0 ] || { echo "no gctrace line in the serial volume run" >&2; exit 1; }
+if [ "$PEAK_MB" -gt 48 ]; then
+    echo "serial volume run peaked at $PEAK_MB MB of live heap, over the 48 MB gate" >&2
+    exit 1
+fi
+echo "heap gate ok: serial volume run peaked at $PEAK_MB MB of live heap (gate 48 MB)"
 for run in 1 2 3; do
     volume_tables 8 > "$DET.parallel"
     if ! diff -u "$DET.serial" "$DET.parallel"; then
