@@ -41,9 +41,6 @@ func (s *syncBuffer) String() string {
 // and holds the run to the summary lines check.sh's chaos smoke cuts its
 // tables from.
 func TestSingleProcessRunPrintsSummary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the simulated platform's rate limit makes this ~16 s of wall sleep")
-	}
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-streamers", "5", "-days", "1", "-log", "error"}, &stdout, &stderr)
 	if code != 0 {

@@ -40,9 +40,6 @@ func (s *syncBuffer) String() string {
 // with the SLO report, and cancelling the context — what SIGTERM does under
 // main — shuts it down with exit 0.
 func TestServesUntilCancelled(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the simulated platform's rate limit makes this ~15 s of wall sleep")
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var stdout, stderr syncBuffer
 	var code int

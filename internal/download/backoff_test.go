@@ -2,6 +2,7 @@ package download
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -42,15 +43,15 @@ func TestRetryBackoffDefaults(t *testing.T) {
 	}
 }
 
-// TestGetJSONRetryMetrics pins that a 429 storm shows up in the retry
-// counters and that the retry budget is honored.
+// TestGetJSONRetryMetrics pins that a 503 storm shows up in the retry
+// counters, that the retry budget is honored, and that a 429 is not retried.
 func TestGetJSONRetryMetrics(t *testing.T) {
 	obs.Reset()
 	fails := 3
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if fails > 0 {
 			fails--
-			http.Error(w, "slow down", http.StatusTooManyRequests)
+			http.Error(w, "unavailable", http.StatusServiceUnavailable)
 			return
 		}
 		json.NewEncoder(w).Encode(map[string]any{"ok": true})
@@ -65,9 +66,6 @@ func TestGetJSONRetryMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := obs.Default.Snapshot()
-	if got := snap.Counters["download_api_429_total"]; got != 3 {
-		t.Errorf("429 counter = %d, want 3", got)
-	}
 	if got := snap.Counters["download_api_retries_total"]; got != 3 {
 		t.Errorf("retry counter = %d, want 3", got)
 	}
@@ -75,12 +73,12 @@ func TestGetJSONRetryMetrics(t *testing.T) {
 		t.Errorf("request counter = %d, want 4", got)
 	}
 
-	// A permanently throttled endpoint exhausts the bounded budget.
+	// A permanently failing endpoint exhausts the bounded budget.
 	obs.Reset()
 	prevW := obs.SetLogOutput(nil) // expected warn line
 	defer obs.SetLogOutput(prevW)
 	always := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "no", http.StatusTooManyRequests)
+		http.Error(w, "no", http.StatusServiceUnavailable)
 	}))
 	defer always.Close()
 	c2 := NewAPIClient(always.URL)
@@ -90,8 +88,32 @@ func TestGetJSONRetryMetrics(t *testing.T) {
 	if err := c2.getJSON(always.URL, &out); err == nil {
 		t.Fatal("expected retry exhaustion error")
 	}
-	if got := obs.Default.Snapshot().Counters["download_api_retry_exhausted_total"]; got != 1 {
+	snap = obs.Default.Snapshot()
+	if got := snap.Counters["download_api_retry_exhausted_total"]; got != 1 {
 		t.Errorf("exhausted counter = %d, want 1", got)
+	}
+	if got := snap.Counters["download_api_requests_total"]; got != 6 {
+		t.Errorf("request counter = %d, want 6", got)
+	}
+
+	// A 429 is an answer: one request, no retry.
+	obs.Reset()
+	limited := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "slow down", http.StatusTooManyRequests)
+	}))
+	defer limited.Close()
+	if err := NewAPIClient(limited.URL).getJSON(limited.URL, &out); !errors.Is(err, ErrRateLimited) {
+		t.Fatalf("429: %v, want ErrRateLimited", err)
+	}
+	snap = obs.Default.Snapshot()
+	for name, want := range map[string]int64{
+		"download_api_requests_total": 1,
+		"download_api_429_total":      1,
+		"download_api_retries_total":  0,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("after a 429: %s = %d, want %d", name, got, want)
+		}
 	}
 }
 

@@ -99,16 +99,20 @@ func decodeAssignment(s string) (Assignment, error) {
 	return a, err
 }
 
-// APIClient talks to the platform's developer API with 429 handling and
-// bounded retries for transient failures (5xx, stalled or reset
-// connections).
+// ErrRateLimited marks a request the API quota refused (429). It is not
+// retried: the quota refills on the platform's clock, so the caller asks
+// again after that clock has moved (App. A: "respects the rate limit").
+var ErrRateLimited = errors.New("rate limited")
+
+// APIClient talks to the platform's developer API: a 429 comes back as
+// ErrRateLimited after the one request, and transient failures (5xx,
+// stalled or reset connections, cut bodies) get bounded retries.
 type APIClient struct {
 	Base string
 	HTTP *http.Client
-	// MaxRetries bounds retries per request (429s, 5xx, transport errors).
+	// MaxRetries bounds retries per request of a transient failure.
 	MaxRetries int
-	// RetryWait is the base pause after a retryable failure (the coordinator
-	// "issues these queries in a way that respects the rate limit").
+	// RetryWait is the base real-time pause after a transient failure.
 	// Successive retries back off exponentially from here.
 	RetryWait time.Duration
 	// MaxRetryWait caps the exponential backoff; 0 means 8×RetryWait.
@@ -128,8 +132,7 @@ func NewAPIClient(base string) *APIClient {
 
 // retryBackoff returns the pause before retry `attempt` (0-based): an
 // exponential backoff from RetryWait capped at MaxRetryWait, with ±50%
-// jitter so a fleet of workers released by the same 429 burst does not
-// re-stampede the rate limiter in lockstep.
+// jitter so clients that failed together do not retry in lockstep.
 func (c *APIClient) retryBackoff(attempt int) time.Duration {
 	base := c.RetryWait
 	if base <= 0 {
@@ -167,10 +170,10 @@ type streamsPage struct {
 	} `json:"pagination"`
 }
 
-// getJSON fetches a URL, absorbing transient failures with bounded,
-// jittered exponential backoff: 429s (rate limit), 5xx (injected or real
-// server faults) and transport errors (stalls that hit the client timeout,
-// reset connections) are all retried up to MaxRetries.
+// getJSON fetches a URL, retrying transient failures — 5xx (injected or
+// real server faults), transport errors (stalls, resets), cut bodies — up
+// to MaxRetries with bounded, jittered exponential backoff. A 429 returns
+// ErrRateLimited at once.
 func (c *APIClient) getJSON(url string, out any) error {
 	retry := func(attempt int, reason string) bool {
 		if attempt >= c.MaxRetries {
@@ -197,10 +200,7 @@ func (c *APIClient) getJSON(url string, out any) error {
 		case resp.StatusCode == http.StatusTooManyRequests:
 			resp.Body.Close()
 			mAPI429.Inc()
-			if retry(attempt, "429") {
-				continue
-			}
-			return fmt.Errorf("download: rate limited after %d retries", attempt)
+			return fmt.Errorf("download: %s: %w", url, ErrRateLimited)
 		case resp.StatusCode >= 500:
 			resp.Body.Close()
 			if retry(attempt, resp.Status) {
@@ -332,7 +332,8 @@ func (c *Coordinator) reapOrphans() {
 }
 
 // PollOnce queries the API once, enqueues newly live streamers, processes
-// offline notices from downloaders, and reaps orphaned claims.
+// offline notices from downloaders, and reaps orphaned claims. A refused
+// page fails it (ErrRateLimited); the next poll pages again.
 func (c *Coordinator) PollOnce() error {
 	mCoordPolls.Inc()
 	// Offline notices first: free the streamer for future re-detection.

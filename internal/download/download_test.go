@@ -2,6 +2,7 @@ package download
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"tero/internal/imaging"
 	"tero/internal/kvstore"
 	"tero/internal/objstore"
+	"tero/internal/obs"
 	"tero/internal/twitchsim"
 	"tero/internal/worldsim"
 )
@@ -182,18 +184,36 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 	_ = store
 }
 
+// TestAPIClientRateLimitRetries: a page the quota refuses fails the
+// coordinator's poll with ErrRateLimited after exactly one request — no
+// retry, no sleep — and the next poll, once the platform's clock has
+// refilled the quota, succeeds.
 func TestAPIClientRateLimitRetries(t *testing.T) {
 	platform, coord, _, _ := harness(t, 30)
 	platform.Advance(busiestHour(platform.World))
-	// Hammer the API well past the burst budget: the client's retry logic
-	// must absorb the 429s.
-	for i := 0; i < 40; i++ {
-		if err := coord.PollOnce(); err != nil {
-			t.Fatalf("poll %d: %v", i, err)
+	platform.SetAPIRate(1.0/60, 1) // one token a virtual minute; 30 streamers are one page
+	if err := coord.PollOnce(); err != nil {
+		t.Fatal(err)
+	}
+	obs.Reset()
+	prevW := obs.SetLogOutput(nil) // expected warn line
+	defer obs.SetLogOutput(prevW)
+	if err := coord.PollOnce(); !errors.Is(err, ErrRateLimited) {
+		t.Fatalf("poll at a frozen instant: %v, want ErrRateLimited", err)
+	}
+	snap := obs.Default.Snapshot()
+	for name, want := range map[string]int64{
+		"download_api_requests_total": 1,
+		"download_api_429_total":      1,
+		"download_api_retries_total":  0,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	if platform.Throttled == 0 {
-		t.Fatal("expected throttling to have occurred")
+	platform.Advance(time.Minute)
+	if err := coord.PollOnce(); err != nil {
+		t.Fatalf("poll a virtual minute later: %v", err)
 	}
 }
 

@@ -204,7 +204,6 @@ func distGolden(o Options) ([]*Table, time.Duration, error) {
 	world := worldsim.New(cfg)
 	platform := twitchsim.New(world)
 	defer platform.Close()
-	platform.SetAPIRate(5000, 5000)
 	platform.SetCDNLatency(distCDNLatency)
 
 	p := pipeline.New(platform.URL(), 4)
@@ -281,7 +280,6 @@ func runDistLeg(o Options, n, crashFrom int) ([]*Table, time.Duration, *dist.Coo
 	world := worldsim.New(cfg)
 	platform := twitchsim.New(world)
 	defer platform.Close()
-	platform.SetAPIRate(5000, 5000)
 	platform.SetCDNLatency(distCDNLatency)
 
 	st := kvstore.New()

@@ -43,11 +43,6 @@ func runVolumeWith(o Options, kv kvstore.KV, onTick func(i int) error) ([]*Table
 	world := worldsim.New(cfg)
 	platform := twitchsim.New(world)
 	defer platform.Close()
-	// The experiment measures what the pipeline makes of the data, not the
-	// platform's simulated API quota: the default rate limit turns the run
-	// into mostly real-time 429-retry sleeps (~95% of wall clock) without
-	// changing a single row. Raise it so the run is CPU-bound.
-	platform.SetAPIRate(5000, 5000)
 
 	if kv == nil {
 		kv = kvstore.New()

@@ -14,8 +14,7 @@ import (
 
 // driveWorld drives platform + pipeline for ticks ticks from 23:00 and holds
 // the run to Drive's contract; refresh, if not nil, runs after every drain
-// and after the run. The API quota is raised so that wall-clock 429 retries
-// cannot change what is stored (TestEndToEndPipeline pins it).
+// and after the run.
 func driveWorld(t *testing.T, seed int64, streamers, ticks, downloaders, concurrency int, refresh func(p *Pipeline, now time.Time)) (*worldsim.World, *Pipeline) {
 	t.Helper()
 	cfg := worldsim.DefaultConfig(seed)
@@ -24,7 +23,6 @@ func driveWorld(t *testing.T, seed int64, streamers, ticks, downloaders, concurr
 	cfg.LocatableFrac = 0.8 // dense locations so assertions have data
 	world := worldsim.New(cfg)
 	platform := twitchsim.New(world)
-	platform.SetAPIRate(5000, 5000)
 	t.Cleanup(platform.Close)
 
 	p := New(platform.URL(), downloaders)

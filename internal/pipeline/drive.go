@@ -42,7 +42,8 @@ func (d Degraded) Error() string {
 // not nil. Behind p's own downloaders Drive drains the thumbnail bucket
 // (ProcessThumbnails) after ticks 0, DrainEvery, 2·DrainEvery, … and at the
 // end. After tick i and its drain, before the clock advances, it calls
-// onTick(i) if that is not nil. Last, it locates the streamers.
+// onTick(i) if that is not nil. Last, it locates the streamers, advancing
+// the clock by every and locating again while the API quota refuses a lookup.
 //
 // An error from fleet or onTick stops the run and is returned. A degraded
 // Tick of p does not: Drive returns a Degraded after the run. So a caller
@@ -72,7 +73,10 @@ func Drive(platform Clock, p *Pipeline, fleet Fleet, ticks int, every time.Durat
 	if fleet == nil {
 		p.ProcessThumbnails()
 	}
-	p.LocateStreamers(platform.Now())
+	_, refused := p.LocateStreamers(platform.Now())
+	for ; refused; _, refused = p.LocateStreamers(platform.Now()) {
+		platform.Advance(every)
+	}
 	if degraded != nil {
 		return degraded
 	}

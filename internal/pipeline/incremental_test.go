@@ -96,7 +96,6 @@ func TestIncrementalPublishMatchesFromScratch(t *testing.T) {
 	cfg.MoverFrac = 0.5
 	world := worldsim.New(cfg)
 	platform := twitchsim.New(world)
-	platform.SetAPIRate(5000, 5000)
 	t.Cleanup(platform.Close)
 
 	p := New(platform.URL(), 1) // one downloader: which tick adopts a streamer does not depend on scheduling

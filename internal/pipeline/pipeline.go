@@ -521,10 +521,13 @@ const (
 // measurements, maintaining a {pseudonym -> location history} and
 // forgetting the real ID. `now` is the pipeline's virtual time.
 //
-// Lookups fan out to the worker pool: each streamer's API and social
-// requests touch only that streamer's keys, so the parallel half is
-// conflict-free, and the counters are merged in sorted-streamer order.
-func (p *Pipeline) LocateStreamers(now time.Time) int {
+// Descriptions are asked of the API one at a time in sorted-streamer order;
+// the first the quota refuses ends the round (refused), and that streamer
+// and the rest stay pending, as does one whose lookup failed otherwise. So a
+// round describes the same sorted prefix at any Concurrency. The worker pool
+// meanwhile runs the described streamers' social lookups and Locator, each
+// on its own keys; the counters are merged in sorted-streamer order.
+func (p *Pipeline) LocateStreamers(now time.Time) (located int, refused bool) {
 	sp := trace.StartStage("pipeline.locate")
 	defer sp.End()
 	pending := p.KV.HGetAll("pending-location")
@@ -534,20 +537,6 @@ func (p *Pipeline) LocateStreamers(now time.Time) int {
 	}
 	sort.Strings(ids)
 
-	// The platform API enforces its rate limit in real time, so N workers
-	// sharing it multiply each request's expected 429-retry wait by N:
-	// scale the per-request retry budget accordingly (capped fan-out — the
-	// lookups are I/O-bound, more workers only add contention).
-	w := p.workers()
-	if w > 8 {
-		w = 8
-	}
-	if w > 1 && p.API != nil {
-		if base := p.API.MaxRetries; base > 0 && base < 20*w {
-			p.API.MaxRetries = 20 * w
-		}
-	}
-
 	traced := trace.Enabled()
 	type locResult struct {
 		outcome      int
@@ -555,17 +544,36 @@ func (p *Pipeline) LocateStreamers(now time.Time) int {
 		wstart, wend time.Time
 	}
 	outcomes := make([]locResult, len(ids))
-	forEach("locate", w, len(ids), func(i int) {
-		if traced {
-			outcomes[i].wstart = time.Now()
+	// turn[i] closes once streamer i-1 is past the API, so refused is only
+	// touched in turn. The lookups are I/O-bound: 8 workers are plenty.
+	turn := make([]chan struct{}, len(ids)+1)
+	for i := range turn {
+		turn[i] = make(chan struct{})
+	}
+	close(turn[0])
+	forEach("locate", min(p.workers(), 8), len(ids), func(i int) {
+		o := &outcomes[i]
+		<-turn[i]
+		desc, ok := func() (string, bool) {
+			defer close(turn[i+1])
+			if refused {
+				return "", false
+			}
+			if traced {
+				o.wstart = time.Now()
+			}
+			desc, ok, err := p.describe(ids[i], now)
+			refused = errors.Is(err, download.ErrRateLimited)
+			return desc, ok
+		}()
+		if ok {
+			o.outcome, o.moved = p.locateOne(ids[i], pending[ids[i]], desc, now)
 		}
-		outcomes[i].outcome, outcomes[i].moved = p.locateOne(ids[i], pending[ids[i]], now)
 		if traced {
-			outcomes[i].wend = time.Now()
+			o.wend = time.Now()
 		}
 	})
 
-	located := 0
 	for i, o := range outcomes {
 		switch o.outcome {
 		case locLocated:
@@ -581,7 +589,7 @@ func (p *Pipeline) LocateStreamers(now time.Time) int {
 			// the history that just changed.
 			p.moved[p.Anonymize(ids[i])] = struct{}{}
 		}
-		if traced {
+		if traced && !o.wstart.IsZero() {
 			// Per-streamer child spans under the stage trace, recorded in
 			// sorted-streamer order. Only the pseudonym is attached (§7).
 			out := [...]string{"pending", "located", "unlocated"}[o.outcome]
@@ -592,26 +600,29 @@ func (p *Pipeline) LocateStreamers(now time.Time) int {
 	}
 	mPendingQ.Set(float64(len(p.KV.HGetAll("pending-location"))))
 	plog.Debug("location round", "pending", len(ids), "located", located)
-	return located
+	return located, refused
 }
 
-// locateOne runs the serial location procedure for a single streamer. All
-// key-value writes are under keys derived from this streamer alone. moved
-// reports that the streamer's location history gained an entry (the empty
-// "tried, unknown" marker resolves to no location, as its absence did).
-func (p *Pipeline) locateOne(realID, login string, now time.Time) (outcome int, moved bool) {
-	anon := p.Anonymize(realID)
-	if last, ok := p.KV.Get("locat:" + anon); ok {
+// describe asks the API for a streamer's profile description, unless it was
+// located less than relocateEvery ago: then it is no longer pending.
+func (p *Pipeline) describe(realID string, now time.Time) (desc string, described bool, err error) {
+	if last, ok := p.KV.Get("locat:" + p.Anonymize(realID)); ok {
 		if t, err := time.Parse(time.RFC3339, last); err == nil &&
 			now.Sub(t) < relocateEvery {
 			p.KV.HDel("pending-location", realID)
-			return locNone, false
+			return "", false, nil
 		}
 	}
-	_, desc, err := p.API.UserDescription(realID)
-	if err != nil {
-		return locNone, false // stays pending for the next round
-	}
+	_, desc, err = p.API.UserDescription(realID)
+	return desc, err == nil, err
+}
+
+// locateOne runs the location procedure for a single described streamer. All
+// key-value writes are under keys derived from this streamer alone. moved
+// reports that the streamer's location history gained an entry (the empty
+// "tried, unknown" marker resolves to no location, as its absence did).
+func (p *Pipeline) locateOne(realID, login, desc string, now time.Time) (outcome int, moved bool) {
+	anon := p.Anonymize(realID)
 	tag, _ := p.KV.HGet(download.KeyTags, realID)
 	res := p.Locator.Locate(login, desc, tag, p.Social)
 	p.KV.Set("locat:"+anon, now.UTC().Format(time.RFC3339))

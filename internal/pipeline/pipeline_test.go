@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -187,6 +189,73 @@ func FuzzDecodeLocation(f *testing.F) {
 	})
 }
 
+// TestLocateUnderQuotaIsDeterministic: with more streamers pending than the
+// API quota holds, one location round at Concurrency 1 and at 8 describes
+// the same sorted prefix, stops at the first refusal and leaves the same
+// pending streamers and loc:* keys; Drive advances the clock, a tick at a
+// time, until nothing is pending.
+func TestLocateUnderQuotaIsDeterministic(t *testing.T) {
+	const burst = 10
+	cfg := worldsim.DefaultConfig(31)
+	cfg.Streamers = 4 * burst
+	cfg.Days = 1
+	cfg.LocatableFrac = 1.0
+	world := worldsim.New(cfg)
+	ids := make([]string, 0, len(world.Streamers))
+	for _, st := range world.Streamers {
+		ids = append(ids, st.ID)
+	}
+	sort.Strings(ids)
+
+	round := func(concurrency int) string {
+		platform := twitchsim.New(world)
+		defer platform.Close()
+		platform.SetAPIRate(burst/TickEvery.Seconds(), burst) // a tick refills the bucket
+		p := New(platform.URL(), 1)
+		p.Concurrency = concurrency
+		for _, st := range world.Streamers {
+			p.KV.HSet("pending-location", st.ID, st.Username)
+		}
+		if _, refused := p.LocateStreamers(platform.Now()); !refused {
+			t.Fatalf("Concurrency %d: a round over the quota reports no refusal", concurrency)
+		}
+		var left []string
+		for id := range p.KV.HGetAll("pending-location") {
+			left = append(left, id)
+		}
+		sort.Strings(left)
+		if !reflect.DeepEqual(left, ids[burst:]) {
+			t.Fatalf("Concurrency %d: pending after the round %v, want the sorted streamers after the first %d", concurrency, left, burst)
+		}
+		var sb strings.Builder
+		for _, id := range ids {
+			loc, ok := p.KV.Get("loc:" + p.Anonymize(id))
+			fmt.Fprintf(&sb, "%s %v %q\n", id, ok, loc)
+		}
+
+		start := platform.Now()
+		if err := Drive(platform, p, nil, 0, TickEvery, nil); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(p.KV.HGetAll("pending-location")); n != 0 {
+			t.Fatalf("Concurrency %d: %d streamers pending after Drive", concurrency, n)
+		}
+		if got, want := platform.Now().Sub(start), 3*TickEvery; got != want {
+			t.Fatalf("Concurrency %d: Drive advanced the clock %v, want %v (one tick per refused round)", concurrency, got, want)
+		}
+		return sb.String()
+	}
+	serial := round(1)
+	if strings.Count(serial, " true ") != burst {
+		t.Fatalf("the first round left loc:* keys for other than %d streamers:\n%s", burst, serial)
+	}
+	for run := 0; run < 5; run++ { // a prefix that depends on the schedule shows in some runs only
+		if got := round(8); got != serial {
+			t.Fatalf("Concurrency 8 left other loc:* keys than 1:\n%s\nvs\n%s", got, serial)
+		}
+	}
+}
+
 func TestMoverLocationHistory(t *testing.T) {
 	// §3.1.1: a streamer who moves and updates their profile gets a second
 	// location in the pipeline's history, and LocationAt resolves the
@@ -199,7 +268,6 @@ func TestMoverLocationHistory(t *testing.T) {
 	cfg.MoverFrac = 0.5
 	world := worldsim.New(cfg)
 	platform := twitchsim.New(world)
-	platform.SetAPIRate(5000, 5000) // this test drives thousands of lookups
 	t.Cleanup(platform.Close)
 
 	p := New(platform.URL(), 1)

@@ -29,11 +29,9 @@ import (
 )
 
 // runPipeline drives the production pipeline (four downloaders) over
-// platform for `hours` of virtual time. The API quota is raised so that the
-// platform's real-time token bucket never decides which calls of a tick
-// succeed; adoption is a serial deal, so what is ingested does not depend on
-// scheduling. The platform is returned for its virtual clock, which
-// PublishAt requires.
+// platform for `hours` of virtual time. Adoption is a serial deal, so what
+// is ingested does not depend on scheduling. The platform is returned for
+// its virtual clock, which PublishAt requires.
 func runPipeline(t testing.TB, streamers int, hours float64) (*pipeline.Pipeline, *twitchsim.Platform) {
 	t.Helper()
 	cfg := worldsim.DefaultConfig(23)
@@ -43,7 +41,6 @@ func runPipeline(t testing.TB, streamers int, hours float64) (*pipeline.Pipeline
 	world := worldsim.New(cfg)
 	platform := twitchsim.New(world)
 	t.Cleanup(platform.Close)
-	platform.SetAPIRate(5000, 5000)
 
 	p := pipeline.New(platform.URL(), 4)
 	platform.Advance(23 * time.Hour)

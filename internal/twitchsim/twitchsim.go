@@ -6,8 +6,8 @@
 // profile endpoints (Twitter/Steam) for the location module.
 //
 // Time is virtual: the platform holds a clock that its caller advances
-// (pipeline.Drive, between ticks) and no route moves; all HTTP exchanges
-// are real TCP/HTTP.
+// (pipeline.Drive, between ticks), and the API quota refills on it; no
+// route moves it. All HTTP exchanges are real TCP/HTTP.
 package twitchsim
 
 import (
@@ -38,11 +38,10 @@ type Platform struct {
 	sessions map[string][]*worldsim.GenStream // streamer ID -> sessions
 	srv      *httptest.Server
 
-	// Rate limiting for the developer API: a refilling token bucket.
-	apiTokens    float64
-	apiRatePerS  float64
-	apiBurst     float64
-	lastRefillAt time.Time
+	// The developer-API quota: a token bucket that Advance refills.
+	apiTokens   float64
+	apiRatePerS float64
+	apiBurst    float64
 
 	renderOpt worldsim.RenderOptions
 
@@ -53,8 +52,6 @@ type Platform struct {
 	// CDN request; see SetCDNLatency.
 	cdnLatency atomic.Int64
 
-	// Requests counters (observability in tests).
-	APIRequests, CDNRequests, Throttled int
 	// FaultsInjected counts injected faults of every kind.
 	FaultsInjected int
 }
@@ -63,14 +60,13 @@ type Platform struct {
 // world's start time.
 func New(w *worldsim.World) *Platform {
 	p := &Platform{
-		World:        w,
-		now:          w.Cfg.Start,
-		sessions:     make(map[string][]*worldsim.GenStream),
-		apiRatePerS:  13, // ≈800 requests/minute, Twitch-like
-		apiBurst:     30,
-		apiTokens:    30,
-		lastRefillAt: time.Now(),
-		renderOpt:    worldsim.DefaultRenderOptions(),
+		World:       w,
+		now:         w.Cfg.Start,
+		sessions:    make(map[string][]*worldsim.GenStream),
+		apiRatePerS: 800.0 / 60, // Helix's app-token bucket: 800 points, 800 a minute
+		apiBurst:    800,
+		apiTokens:   800,
+		renderOpt:   worldsim.DefaultRenderOptions(),
 	}
 	for _, st := range w.Streamers {
 		p.sessions[st.ID] = w.Sessions(st)
@@ -119,9 +115,8 @@ func (w *statusRecorder) WriteHeader(code int) {
 }
 
 // instrument is the platform's HTTP middleware: per-route request counters
-// split by status class (429 counted apart from other 4xx — it is the
-// signal the download module's retry behavior is judged by) and a per-route
-// latency histogram.
+// split by status class (429 counted apart from other 4xx: it is the API
+// quota's refusal) and a per-route latency histogram.
 func instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
@@ -179,10 +174,11 @@ func (p *Platform) Now() time.Time {
 	return p.now
 }
 
-// Advance moves the virtual clock forward.
+// Advance moves the virtual clock forward, refilling the API quota.
 func (p *Platform) Advance(d time.Duration) {
 	p.mu.Lock()
 	p.now = p.now.Add(d)
+	p.apiTokens = min(p.apiBurst, p.apiTokens+p.apiRatePerS*d.Seconds())
 	p.mu.Unlock()
 }
 
@@ -201,8 +197,8 @@ func (p *Platform) cdnWait() {
 	}
 }
 
-// SetAPIRate overrides the developer-API rate limit (requests/second and
-// burst) — tests that hammer the API legitimately use this.
+// SetAPIRate replaces the API quota with a full bucket of burst tokens
+// refilled at perSecond (> 0) per virtual second.
 func (p *Platform) SetAPIRate(perSecond, burst float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -233,23 +229,20 @@ func (p *Platform) liveSession(id string, t time.Time) (*worldsim.GenStream, int
 	return nil, 0
 }
 
-// allowAPI consumes one API token (real-time token bucket).
-func (p *Platform) allowAPI() bool {
+// allowAPI takes one token from the API quota. Without one it answers 429,
+// with Ratelimit-Reset at the virtual second (rounded up) the next token is
+// due, and reports false.
+func (p *Platform) allowAPI(w http.ResponseWriter) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	now := time.Now()
-	p.apiTokens += p.apiRatePerS * now.Sub(p.lastRefillAt).Seconds()
-	if p.apiTokens > p.apiBurst {
-		p.apiTokens = p.apiBurst
+	if p.apiTokens >= 1 {
+		p.apiTokens--
+		return true
 	}
-	p.lastRefillAt = now
-	if p.apiTokens < 1 {
-		p.Throttled++
-		return false
-	}
-	p.apiTokens--
-	p.APIRequests++
-	return true
+	reset := p.now.Add(time.Duration((1 - p.apiTokens) / p.apiRatePerS * float64(time.Second)))
+	w.Header().Set("Ratelimit-Reset", strconv.FormatInt(reset.Add(time.Second-1).Unix(), 10))
+	http.Error(w, `{"error":"Too Many Requests"}`, http.StatusTooManyRequests)
+	return false
 }
 
 // StreamInfo is one row of the Get Streams response.
@@ -271,9 +264,7 @@ type streamsResponse struct {
 }
 
 func (p *Platform) handleStreams(w http.ResponseWriter, r *http.Request) {
-	if !p.allowAPI() {
-		w.Header().Set("Ratelimit-Reset", strconv.FormatInt(time.Now().Add(time.Second).Unix(), 10))
-		http.Error(w, `{"error":"Too Many Requests"}`, http.StatusTooManyRequests)
+	if !p.allowAPI(w) {
 		return
 	}
 	first, _ := strconv.Atoi(r.URL.Query().Get("first"))
@@ -327,8 +318,7 @@ type userResponse struct {
 }
 
 func (p *Platform) handleUsers(w http.ResponseWriter, r *http.Request) {
-	if !p.allowAPI() {
-		http.Error(w, `{"error":"Too Many Requests"}`, http.StatusTooManyRequests)
+	if !p.allowAPI(w) {
 		return
 	}
 	var resp userResponse
@@ -357,9 +347,6 @@ func (p *Platform) handleUsers(w http.ResponseWriter, r *http.Request) {
 
 func (p *Platform) handleThumb(w http.ResponseWriter, r *http.Request) {
 	p.cdnWait()
-	p.mu.Lock()
-	p.CDNRequests++
-	p.mu.Unlock()
 	id := strings.TrimSuffix(strings.TrimPrefix(r.URL.Path, "/thumb/"), ".pgm")
 	now := p.Now()
 	gs, idx := p.liveSession(id, now)

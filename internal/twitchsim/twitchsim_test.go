@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"testing"
 	"time"
 
@@ -153,26 +154,39 @@ func TestThumbnailLifecycle(t *testing.T) {
 	_ = world
 }
 
+// TestRateLimiting: the API quota counts platform time. With one token a
+// minute, a second request at the same virtual instant is refused, with
+// Ratelimit-Reset at the instant the next token is due, on either API route;
+// advancing the clock a minute refills it, with no wall-clock wait.
 func TestRateLimiting(t *testing.T) {
-	p, _ := testPlatform(t, 30)
-	// Exhaust the burst budget.
-	throttled := false
-	for i := 0; i < 100; i++ {
-		resp, err := http.Get(p.URL() + "/helix/streams")
+	p, world := testPlatform(t, 30)
+	p.SetAPIRate(1.0/60, 1)
+	get := func(path string) *http.Response {
+		t.Helper()
+		resp, err := http.Get(p.URL() + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode == http.StatusTooManyRequests {
-			throttled = true
-			break
+		return resp
+	}
+	users := "/helix/users?id=" + world.Streamers[0].ID
+	if resp := get("/helix/streams"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first request: %s", resp.Status)
+	}
+	for _, path := range []string{"/helix/streams", users} {
+		resp := get(path)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("%s at a frozen instant: %s, want 429", path, resp.Status)
+		}
+		want := strconv.FormatInt(p.Now().Add(time.Minute).Unix(), 10)
+		if got := resp.Header.Get("Ratelimit-Reset"); got != want {
+			t.Fatalf("%s: Ratelimit-Reset %q, want %q", path, got, want)
 		}
 	}
-	if !throttled {
-		t.Fatal("API never throttled under hammering")
-	}
-	if p.Throttled == 0 {
-		t.Fatal("throttle counter not incremented")
+	p.Advance(time.Minute)
+	if resp := get(users); resp.StatusCode != http.StatusOK {
+		t.Fatalf("a virtual minute later: %s, want 200", resp.Status)
 	}
 }
 

@@ -4,9 +4,10 @@
 # ./... cannot see), a few seconds of each decoder fuzz target, a one-shot
 # pipeline benchmark smoke, smokes that drive the real binaries (the chaos
 # smoke requires the downloader's digest check to catch at least one of the
-# corrupted bodies the CDN sent), and a determinism smoke (teroexp volume at
-# -workers 8, three times, against -workers 1) whose serial run also gates
-# the peak live heap at 48 MB. Run from anywhere inside the repo.
+# corrupted bodies the CDN sent, and three faulted tero runs must print the
+# same output), and a determinism smoke (teroexp volume at -workers 8, three
+# times, against -workers 1) whose serial run also gates the peak live heap
+# at 48 MB. Run from anywhere inside the repo.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -100,7 +101,9 @@ CHAOS="$TMPDIR/tero-chaos-$$.out"
 SERVE="$TMPDIR/tero-serve-$$.out"
 TRACE="$TMPDIR/tero-trace-$$.out"
 go build -o "$TMPDIR/tero-check-$$" ./cmd/tero
-"$TMPDIR/tero-check-$$" -streamers 15 -days 1 -debug-addr 127.0.0.1:0 -log warn \
+# The default world (300 streamers, 2 days): a run of seconds, not a tenth
+# of one, so there is a live debug server to scrape.
+"$TMPDIR/tero-check-$$" -streamers 300 -days 2 -debug-addr 127.0.0.1:0 -log warn \
     > "$OUT" 2>&1 &
 TERO_PID=$!
 STORE="$TMPDIR/tero-store-$$.out"
@@ -115,6 +118,7 @@ cleanup() {
         "$TMPDIR/teroworker-check-$$" \
         "$OUT" "$OUT.metrics" \
         "$GOLD" "$GOLD.tables" "$CHAOS" "$CHAOS.err" "$CHAOS.tables" \
+        "$CHAOS.steady" "$CHAOS.again" "$CHAOS.again.steady" \
         "$SERVE" "$SERVE.hdr" "$SERVE.binhdr" "$SERVE.metrics" \
         "$TRACE" "$TRACE.list" "$TRACE.detail" "$TRACE.metrics" "$TRACE.hdr" \
         "$TRACE.readyz" "$STORE" "$DIST" "$DET.out" "$DET.gc" "$DET.serial" "$DET.parallel"
@@ -137,16 +141,19 @@ while [ $i -lt 100 ]; do
 done
 [ -n "$ADDR" ] || { echo "debug server never announced an address" >&2; exit 1; }
 
-# Let the pipeline record a few rounds, then scrape.
-sleep 2
-curl -fsS "http://$ADDR/metrics" > "$OUT.metrics"
-[ -s "$OUT.metrics" ] || { echo "/metrics returned empty output" >&2; exit 1; }
-grep -q '^counter ' "$OUT.metrics" || { echo "/metrics has no counters" >&2; exit 1; }
-grep -q '^histogram span_seconds' "$OUT.metrics" \
-    || { echo "/metrics has no stage spans" >&2; exit 1; }
+# Scrape once the pipeline has recorded a stage span, then let the run end.
 curl -fsS -o /dev/null "http://$ADDR/debug/pprof/" \
     || { echo "/debug/pprof/ not served" >&2; exit 1; }
+i=0
+until curl -fsS "http://$ADDR/metrics" > "$OUT.metrics" \
+    && grep -q '^histogram span_seconds' "$OUT.metrics"; do
+    i=$((i + 1))
+    [ $i -lt 100 ] || { echo "/metrics showed no stage span in 10 s" >&2; exit 1; }
+    sleep 0.1
+done
+grep -q '^counter ' "$OUT.metrics" || { echo "/metrics has no counters" >&2; exit 1; }
 echo "scraped $(wc -l < "$OUT.metrics") metric lines from http://$ADDR/metrics"
+wait "$TERO_PID" || { echo "the scraped tero run failed:" >&2; cat "$OUT" >&2; exit 1; }
 
 echo "== chaos smoke (seeded faults: no panics, counters lit, tables match golden) =="
 "$TMPDIR/tero-check-$$" -streamers 15 -days 1 -seed 4 -log error \
@@ -189,6 +196,28 @@ if ! diff -u "$GOLD.tables" "$CHAOS.tables"; then
     exit 1
 fi
 echo "faulted tables match golden ($(grep -c '^counter twitchsim_faults_injected' "$CHAOS") fault kinds injected)"
+
+echo "== faulted-run determinism (the whole output, three runs) =="
+# The API quota counts platform time and a fault is a function of (seed,
+# URI, per-URI ordinal), so the faulted run repeats byte for byte: tables,
+# the faults-injected line, every counter. Left out are the wall-clock
+# lines (run time, the platform's port, *_seconds histograms) and
+# pipeline_extract_ahead_total, whose ready/waited split races extraction
+# against the next drain.
+steady() {
+    grep -Ev '^(pipeline done in|platform serving at) |^histogram [a-z_]+_seconds|^counter pipeline_extract_ahead_total' "$1" || true
+}
+steady "$CHAOS" > "$CHAOS.steady"
+for run in 2 3; do
+    "$TMPDIR/tero-check-$$" -streamers 15 -days 1 -seed 4 -log error \
+        -faults 1 -fault-seed 2 -metrics > "$CHAOS.again" 2>/dev/null
+    steady "$CHAOS.again" > "$CHAOS.again.steady"
+    if ! diff -u "$CHAOS.steady" "$CHAOS.again.steady"; then
+        echo "faulted run $run printed other output than run 1" >&2
+        exit 1
+    fi
+done
+echo "3 faulted runs identical ($(grep '^faults injected:' "$CHAOS"))"
 
 echo "== store-crash smoke (chaos-store: SIGKILL terokv mid-run, recovery exact) =="
 # Every chaos-store leg — restart-from-AOF in process and a real terokv
