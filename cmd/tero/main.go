@@ -48,7 +48,6 @@ type options struct {
 	faultSeed   int64
 	kvDir       string
 	kvFsync     string
-	kvCompact   int
 	distributed int
 	listen      string
 }
@@ -76,12 +75,10 @@ func (o *options) register(fs *flag.FlagSet) {
 			"of 500s, stalls, resets, truncated/corrupt thumbnails, dropped headers)")
 	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "fault-injection schedule seed")
 	fs.StringVar(&o.kvDir, "kv-dir", "",
-		"durable kvstore directory: recover state on start, append-only-log every write "+
+		"durable kvstore directory, empty or new: append-only-log every write "+
 			"(empty = in-memory only)")
 	fs.StringVar(&o.kvFsync, "kv-fsync", kvstore.FsyncInterval,
 		"kvstore aof fsync policy: always, interval, never")
-	fs.IntVar(&o.kvCompact, "kv-compact-every", 10000,
-		"kvstore snapshot+compaction threshold in appended commands (0 = never)")
 	fs.IntVar(&o.distributed, "distributed", 0,
 		"coordinator mode: serve the store on -listen, wait for N teroworker "+
 			"processes, and drive the run through them (0 = single-process)")
@@ -151,7 +148,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	var st *kvstore.Store
 	if o.kvDir != "" {
 		s, err := kvstore.Open(o.kvDir, kvstore.PersistOptions{
-			Fsync: o.kvFsync, CompactEvery: o.kvCompact})
+			Fsync: o.kvFsync, CompactEvery: kvstore.DefaultCompactEvery})
 		if err != nil {
 			fmt.Fprintf(stderr, "kvstore: %v\n", err)
 			return 1
@@ -162,8 +159,15 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				code = max(code, 1)
 			}
 		}()
-		fmt.Fprintf(stdout, "kvstore durable at %s (fsync=%s, %d keys recovered)\n",
-			o.kvDir, o.kvFsync, s.Len())
+		// A run cannot resume: the keys an earlier run left name downloads,
+		// claims and locations whose measurements died with its process, so
+		// the coordinator would never enqueue those streamers again.
+		if n := s.Len(); n > 0 {
+			fmt.Fprintf(stderr, "kvstore: %s holds %d keys from an earlier run; tero cannot resume a run, point -kv-dir at an empty directory\n",
+				o.kvDir, n)
+			return 1
+		}
+		fmt.Fprintf(stdout, "kvstore durable at %s (fsync=%s)\n", o.kvDir, o.kvFsync)
 		st = s
 	} else {
 		st = kvstore.New()

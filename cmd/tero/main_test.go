@@ -17,7 +17,7 @@ import (
 
 // maxFlags is the ceiling on the command's flag surface; raising it means
 // adding an option on purpose.
-const maxFlags = 17
+const maxFlags = 16
 
 // syncBuffer is a bytes.Buffer the command can write while the test reads.
 type syncBuffer struct {
@@ -143,6 +143,37 @@ func TestDistributedRunFailureFlushesStore(t *testing.T) {
 	}
 	if _, ok := st.HGet(dist.KeyWorkers, "w1"); ok {
 		t.Errorf("w1 still on the recovered roster: the log's tail was not flushed")
+	}
+}
+
+// TestKVDirOfEarlierRunExitsOne: a second run on the -kv-dir a first run
+// left behind exits 1 before it drives anything. The first run's keys name
+// downloads, claims and locations whose measurements died with its process;
+// recovering them made the second run skip those streamers and print a
+// shorter table with exit 0.
+func TestKVDirOfEarlierRunExitsOne(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-streamers", "5", "-days", "1", "-log", "error", "-kv-dir", dir}
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("first run: exit %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
+	}
+	st, err := kvstore.Open(dir, kvstore.PersistOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := st.Len()
+	if err := st.Close(); err != nil || n == 0 {
+		t.Fatalf("first run left %d keys (close: %v): nothing to refuse", n, err)
+	}
+	stdout.Reset()
+	stderr.Reset()
+	code := run(args, &stdout, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), "keys from an earlier run") {
+		t.Fatalf("second run: exit %d, want 1 and a refusal\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
+	}
+	if strings.Contains(stdout.String(), "thumbnails processed") {
+		t.Errorf("second run drove the pipeline before refusing:\n%s", &stdout)
 	}
 }
 

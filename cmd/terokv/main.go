@@ -32,7 +32,6 @@ type options struct {
 	addr         string
 	dir          string
 	fsync        string
-	fsyncEvery   time.Duration
 	compactEvery int
 	debugAddr    string
 	logLevel     string
@@ -44,9 +43,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.dir, "dir", "", "persistence directory (empty = in-memory only)")
 	fs.StringVar(&o.fsync, "fsync", kvstore.FsyncInterval,
 		"aof fsync policy: always, interval, never")
-	fs.DurationVar(&o.fsyncEvery, "fsync-every", 100*time.Millisecond,
-		"fsync interval for -fsync interval")
-	fs.IntVar(&o.compactEvery, "compact-every", 10000,
+	fs.IntVar(&o.compactEvery, "compact-every", kvstore.DefaultCompactEvery,
 		"snapshot+compact the log after this many appended commands (0 = never)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "",
 		"serve /metrics and /debug/pprof/ on this address")
@@ -90,7 +87,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		var err error
 		store, err = kvstore.Open(o.dir, kvstore.PersistOptions{
 			Fsync:        o.fsync,
-			FsyncEvery:   o.fsyncEvery,
 			CompactEvery: o.compactEvery,
 		})
 		if err != nil {

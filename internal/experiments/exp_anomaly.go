@@ -285,7 +285,6 @@ func runPELT(o Options) ([]*Table, error) {
 		Header: []string{"metric", "value"},
 	}
 	var nSeries, nCps int
-	var elapsed time.Duration
 	for _, st := range world.Streamers {
 		for _, gs := range world.Sessions(st) {
 			cs := gs.ToStream(obs, rng)
@@ -296,16 +295,13 @@ func runPELT(o Options) ([]*Table, error) {
 			for i, p := range cs.Points {
 				vals[i] = p.Ms
 			}
-			start := time.Now()
 			cps := anomaly.PELT(vals, anomaly.DefaultPenalty(vals))
-			elapsed += time.Since(start)
 			nSeries++
 			nCps += len(cps)
 		}
 	}
 	t.AddRow("series processed", itoa(nSeries))
 	t.AddRow("changepoints found", itoa(nCps))
-	t.AddRow("total time", elapsed.Round(time.Millisecond).String())
 	t.Notes = append(t.Notes,
 		"the paper found PELT impractical on their data; here it runs but has no",
 		"notion of explainable changes (server/location switches) or glitch repair")

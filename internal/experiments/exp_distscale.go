@@ -11,6 +11,7 @@ import (
 	"tero/internal/download"
 	"tero/internal/kvstore"
 	"tero/internal/objstore"
+	"tero/internal/par"
 	"tero/internal/pipeline"
 	"tero/internal/twitchsim"
 	"tero/internal/worldsim"
@@ -207,7 +208,7 @@ func distGolden(o Options) ([]*Table, time.Duration, error) {
 	platform.SetCDNLatency(distCDNLatency)
 
 	p := pipeline.New(platform.URL(), 4)
-	p.Concurrency = o.workers()
+	p.Concurrency = par.Workers(o.Concurrency)
 
 	start := time.Now()
 	if err := pipeline.Drive(platform, p, nil, distTicks(o), distTickEvery, nil); err != nil {
@@ -293,7 +294,7 @@ func runDistLeg(o Options, n, crashFrom int) ([]*Table, time.Duration, *dist.Coo
 
 	p := pipeline.NewWithKV(platform.URL(), 1, st)
 	p.Objects = objects
-	p.Concurrency = o.workers()
+	p.Concurrency = par.Workers(o.Concurrency)
 	coord := dist.NewCoordinator(p, st, objects)
 	coord.Announce(platform.URL())
 

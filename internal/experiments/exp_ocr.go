@@ -10,6 +10,7 @@ import (
 	"tero/internal/imageproc"
 	"tero/internal/imaging"
 	"tero/internal/ocr"
+	"tero/internal/par"
 	"tero/internal/stats"
 	"tero/internal/worldsim"
 )
@@ -62,11 +63,11 @@ func runTab4(o Options) ([]*Table, error) {
 		tMissed, tWrong, tDrop bool
 	}
 	const batchSize = 64
-	workers := o.workers()
+	workers := par.Workers(o.Concurrency)
 	jobs := make([]job, 0, batchSize)
 	outs := make([]outcome, batchSize)
 	flush := func() {
-		parallelFor(workers, len(jobs), func(i int) {
+		par.For("ocr-corpus", workers, len(jobs), func(i int) {
 			j := jobs[i]
 			out := outcome{
 				missed: make([]bool, len(engines)),

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tero/internal/netsim"
+	"tero/internal/par"
 	"tero/internal/stats"
 )
 
@@ -72,7 +73,7 @@ func runFig4(o Options) ([]*Table, error) {
 			control []float64
 		}
 		outs := make([]sweepOut, len(sweep))
-		parallelFor(o.workers(), len(sweep), func(si int) {
+		par.For("testbed", par.Workers(o.Concurrency), len(sweep), func(si int) {
 			cfg := sweep[si]
 			out := &outs[si]
 			for rep := 0; rep < reps; rep++ {

@@ -8,6 +8,7 @@ import (
 
 	"tero/internal/core"
 	"tero/internal/kvstore"
+	"tero/internal/par"
 	"tero/internal/pipeline"
 	"tero/internal/twitchsim"
 	"tero/internal/worldsim"
@@ -48,7 +49,7 @@ func runVolumeWith(o Options, kv kvstore.KV, onTick func(i int) error) ([]*Table
 		kv = kvstore.New()
 	}
 	p := pipeline.NewWithKV(platform.URL(), 4, kv)
-	p.Concurrency = o.workers()
+	p.Concurrency = par.Workers(o.Concurrency)
 	if o.Faults > 0 {
 		f := twitchsim.ScaledFaults(o.FaultSeed, o.Faults)
 		// Stalls become short delays here: the experiment exercises the

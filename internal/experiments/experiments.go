@@ -7,11 +7,8 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Options tunes experiment scale.
@@ -46,45 +43,6 @@ type Options struct {
 	// DistFleets overrides the dist-scale experiment's fleet sizes
 	// (default 1, 2, 4, 8).
 	DistFleets []int
-}
-
-// workers resolves the effective worker count.
-func (o Options) workers() int {
-	if o.Concurrency > 0 {
-		return o.Concurrency
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// parallelFor runs fn(i) for i in [0, n) on up to `workers` goroutines and
-// waits for completion. fn must restrict itself to index-disjoint writes;
-// any ordered side effects belong in a serial merge after the call.
-func parallelFor(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for k := 0; k < workers; k++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func (o Options) scaled(n int) int {

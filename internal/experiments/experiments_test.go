@@ -66,8 +66,6 @@ func TestOptionsScaling(t *testing.T) {
 // Smoke tests at tiny scale for the cheaper experiments: rows exist and the
 // run is deterministic given the seed.
 func TestExperimentsSmoke(t *testing.T) {
-	// pelt is excluded from the determinism check below: its table reports
-	// wall-clock time.
 	for _, id := range []string{"fig7", "fig13", "pelt", "dense"} {
 		o := Options{Seed: 3, Scale: 0.2}
 		t1, err := Run(id, o)
@@ -80,9 +78,6 @@ func TestExperimentsSmoke(t *testing.T) {
 		}
 		if rows == 0 {
 			t.Fatalf("%s: no rows", id)
-		}
-		if id == "pelt" {
-			continue
 		}
 		t2, err := Run(id, o)
 		if err != nil {

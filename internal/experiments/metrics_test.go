@@ -14,8 +14,7 @@ import (
 // TestMetricsDoNotPerturbTables is the observability determinism
 // regression: the experiment suite renders byte-identical tables whether
 // the obs layer is silenced or fully enabled (trace logging to a live sink,
-// debug server up and scraped mid-run). pelt is excluded — its table
-// reports wall-clock time by design.
+// debug server up and scraped mid-run).
 func TestMetricsDoNotPerturbTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite twice is not short")

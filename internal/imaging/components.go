@@ -77,27 +77,19 @@ func sortComponents(comps []Component) {
 	}
 }
 
-// ColumnProjection returns, for each column, the count of foreground
-// (non-zero) pixels — the classic projection-profile used for character
-// segmentation.
-func (g *Gray) ColumnProjection() []int {
+// SegmentColumns splits the image into vertical strips separated by at
+// least minGap consecutive empty columns, returning the X ranges of the
+// non-empty runs. This is how the simplest OCR engine finds characters.
+func (g *Gray) SegmentColumns(minGap int) []Rect {
+	// The projection profile: the foreground (non-zero) pixels of each column.
 	proj := make([]int, g.W)
 	for y := 0; y < g.H; y++ {
-		row := g.Pix[y*g.W : (y+1)*g.W]
-		for x, p := range row {
+		for x, p := range g.Pix[y*g.W : (y+1)*g.W] {
 			if p != 0 {
 				proj[x]++
 			}
 		}
 	}
-	return proj
-}
-
-// SegmentColumns splits the image into vertical strips separated by at
-// least minGap consecutive empty columns, returning the X ranges of the
-// non-empty runs. This is how the simplest OCR engine finds characters.
-func (g *Gray) SegmentColumns(minGap int) []Rect {
-	proj := g.ColumnProjection()
 	var out []Rect
 	inRun := false
 	runStart := 0

@@ -36,20 +36,24 @@ var (
 const (
 	// FsyncAlways syncs after every appended command: zero loss on crash.
 	FsyncAlways = "always"
-	// FsyncInterval flushes+syncs on a background ticker (default 100ms):
+	// FsyncInterval flushes+syncs every FsyncEvery on a background ticker:
 	// bounded loss, near-memory write latency.
 	FsyncInterval = "interval"
 	// FsyncNever leaves syncing to the OS page cache.
 	FsyncNever = "never"
 )
 
+// FsyncEvery is the FsyncInterval period.
+const FsyncEvery = 100 * time.Millisecond
+
+// DefaultCompactEvery is the CompactEvery that terokv and tero run with.
+const DefaultCompactEvery = 10000
+
 // PersistOptions configures Open.
 type PersistOptions struct {
 	// Fsync is one of FsyncAlways, FsyncInterval, FsyncNever
 	// (default FsyncInterval).
 	Fsync string
-	// FsyncEvery is the interval for FsyncInterval (default 100ms).
-	FsyncEvery time.Duration
 	// CompactEvery rewrites the log as a snapshot after this many appended
 	// commands (0 = never).
 	CompactEvery int
@@ -62,9 +66,6 @@ func (o *PersistOptions) fill() error {
 	case FsyncAlways, FsyncInterval, FsyncNever:
 	default:
 		return fmt.Errorf("kvstore: unknown fsync policy %q", o.Fsync)
-	}
-	if o.FsyncEvery <= 0 {
-		o.FsyncEvery = 100 * time.Millisecond
 	}
 	return nil
 }
@@ -168,7 +169,7 @@ func (a *aofWriter) Sync() error {
 // flushLoop is the FsyncInterval background ticker.
 func (a *aofWriter) flushLoop() {
 	defer close(a.done)
-	t := time.NewTicker(a.opt.FsyncEvery)
+	t := time.NewTicker(FsyncEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -334,17 +335,6 @@ func Open(dir string, opt PersistOptions) (*Store, error) {
 	s.aof = a
 	s.mu.Unlock()
 	return s, nil
-}
-
-// Sync forces buffered AOF appends to disk (no-op without persistence).
-func (s *Store) Sync() error {
-	s.mu.RLock()
-	a := s.aof
-	s.mu.RUnlock()
-	if a == nil {
-		return nil
-	}
-	return a.Sync()
 }
 
 // Close flushes and closes the AOF and detaches it; in-memory operation

@@ -252,14 +252,33 @@ func TestTornAofTailTruncated(t *testing.T) {
 }
 
 // TestAofConcurrentWriters exercises the AOF writer, the background fsync
-// ticker and auto-compaction under parallel mutators; run with -race.
+// ticker and auto-compaction under parallel mutators; run with -race. The
+// writers finish well inside one FsyncEvery, so a goroutine makes the
+// ticker's call, aof.Sync, every millisecond beside them.
 func TestAofConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
-	opt := PersistOptions{Fsync: FsyncInterval, FsyncEvery: time.Millisecond, CompactEvery: 50}
+	opt := PersistOptions{Fsync: FsyncInterval, CompactEvery: 50}
 	s, err := Open(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stop, synced := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(synced)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				s.mu.RLock()
+				a := s.aof
+				s.mu.RUnlock()
+				a.Sync() //nolint:errcheck // sticky in a.err, which Close reports
+			case <-stop:
+				return
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -276,6 +295,8 @@ func TestAofConcurrentWriters(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	close(stop)
+	<-synced
 	want := fingerprint(s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

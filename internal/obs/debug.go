@@ -70,7 +70,7 @@ type DebugServer struct {
 }
 
 // ServeDebug starts a debug server on addr (e.g. "localhost:6060" or ":0")
-// and returns once it is listening. Callers should Close it on shutdown.
+// and returns once it is listening. Callers should Shutdown it on exit.
 func ServeDebug(addr string) (*DebugServer, error) {
 	return ServeDebugRegistry(addr, Default)
 }
@@ -126,31 +126,13 @@ func ServeDebugRegistry(addr string, reg *Registry) (*DebugServer, error) {
 		srv:    &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
 		routes: routes,
 	}
-	go d.srv.Serve(ln) //nolint:errcheck — Serve returns ErrServerClosed on Close
+	go d.srv.Serve(ln) //nolint:errcheck — Serve returns ErrServerClosed on Shutdown
 	L("obs").Info("debug server listening", "addr", d.Addr)
 	return d, nil
 }
 
-// Routes returns the mounted route patterns in index order.
-func (d *DebugServer) Routes() []string {
-	out := make([]string, len(d.routes))
-	for i, rt := range d.routes {
-		out[i] = rt.pattern
-	}
-	return out
-}
-
 // URL returns the server's base URL.
 func (d *DebugServer) URL() string { return "http://" + d.Addr }
-
-// Close shuts the server down immediately, dropping in-flight requests.
-// Prefer Shutdown on orderly exits.
-func (d *DebugServer) Close() error {
-	if d == nil || d.srv == nil {
-		return nil
-	}
-	return d.srv.Close()
-}
 
 // Shutdown gracefully shuts the server down: the listener closes right away
 // (no new connections), in-flight requests — a /metrics scrape or a pprof

@@ -106,3 +106,20 @@ func TestDebugServerGracefulShutdown(t *testing.T) {
 		t.Fatalf("nil Shutdown: %v", err)
 	}
 }
+
+// Routes returns the mounted route patterns in index order.
+func (d *DebugServer) Routes() []string {
+	out := make([]string, len(d.routes))
+	for i, rt := range d.routes {
+		out[i] = rt.pattern
+	}
+	return out
+}
+
+// Close shuts the server down immediately, dropping in-flight requests.
+func (d *DebugServer) Close() error {
+	if d == nil || d.srv == nil {
+		return nil
+	}
+	return d.srv.Close()
+}

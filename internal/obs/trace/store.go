@@ -378,10 +378,3 @@ func (st *Store) Get(id uint64) (*Trace, bool) {
 	}
 	return nil, false
 }
-
-// Pending returns the number of traces still accumulating spans.
-func (st *Store) Pending() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.pending)
-}

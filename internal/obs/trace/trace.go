@@ -216,17 +216,6 @@ func StartRemoteChild(parent Context, name string, attrs ...Attr) *Span {
 		parent.SpanID, name, attrs)
 }
 
-// Child begins a child span of s. Nil-safe: a nil receiver yields nil, and
-// so does a stage span that belongs to no trace.
-func (s *Span) Child(name string, attrs ...Attr) *Span {
-	if s == nil || !s.ctx.Valid() || !Enabled() {
-		return nil
-	}
-	ActiveStore().joinTrace(s.ctx.TraceID)
-	return newSpan(Context{TraceID: s.ctx.TraceID, SpanID: ids.Load().Next()},
-		s.ctx.SpanID, name, attrs)
-}
-
 func newSpan(c Context, parent uint64, name string, attrs []Attr) *Span {
 	mStarted.Inc()
 	return &Span{

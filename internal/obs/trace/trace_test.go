@@ -456,3 +456,21 @@ func FuzzParseTraceparent(f *testing.F) {
 		}
 	})
 }
+
+// Pending returns the number of traces still accumulating spans.
+func (st *Store) Pending() int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return len(st.pending)
+}
+
+// Child begins a child span of s. Nil-safe: a nil receiver yields nil, and
+// so does a stage span that belongs to no trace.
+func (s *Span) Child(name string, attrs ...Attr) *Span {
+	if s == nil || !s.ctx.Valid() || !Enabled() {
+		return nil
+	}
+	ActiveStore().joinTrace(s.ctx.TraceID)
+	return newSpan(Context{TraceID: s.ctx.TraceID, SpanID: ids.Load().Next()},
+		s.ctx.SpanID, name, attrs)
+}

@@ -248,7 +248,7 @@ func (s poisonStore) Get(bucket, key string) (*objstore.Object, error) {
 	return s.API.Get(bucket, key)
 }
 
-// panicAhead is TestForEachPanicRecovery's background case: of six
+// panicAhead is TestStagePanicRecovery's background case: of six
 // thumbnails stored tick by tick, the extractions of two panic in their
 // background goroutines. ProcessThumbnails re-raises the one with the lower
 // index, naming stage and key, and merges nothing; once the two are out of

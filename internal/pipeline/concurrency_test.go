@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tero/internal/core"
+	"tero/internal/par"
 	"tero/internal/serve"
 	"tero/internal/twitchsim"
 	"tero/internal/worldsim"
@@ -133,10 +134,10 @@ func TestConcurrentPipelineStress(t *testing.T) {
 		t.Fatal("no analyses")
 	}
 	// The pool must degrade cleanly at the edges too.
-	forEach("edge", 1, 0, func(int) { t.Fatal("forEach(0) must not call fn") })
+	par.For("edge", 1, 0, func(int) { t.Fatal("par.For(0) must not call fn") })
 	calls := 0
-	forEach("edge", 1, 3, func(int) { calls++ })
+	par.For("edge", 1, 3, func(int) { calls++ })
 	if calls != 3 {
-		t.Fatalf("serial forEach calls = %d", calls)
+		t.Fatalf("serial par.For calls = %d", calls)
 	}
 }

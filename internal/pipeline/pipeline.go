@@ -25,13 +25,10 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"tero/internal/core"
@@ -44,6 +41,7 @@ import (
 	"tero/internal/objstore"
 	"tero/internal/obs"
 	"tero/internal/obs/trace"
+	"tero/internal/par"
 	"tero/internal/serve"
 )
 
@@ -194,71 +192,6 @@ func (p *Pipeline) SetKV(kv kvstore.KV) {
 	}
 }
 
-// workers resolves the effective worker count.
-func (p *Pipeline) workers() int {
-	if p.Concurrency > 0 {
-		return p.Concurrency
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// forEach runs fn(i) for i in [0, n) on a pool of the given number of
-// workers (a stage passes p.workers(), or fewer when it caps its fan-out)
-// and blocks until all calls return. The calling goroutine is one of the
-// workers, so with one worker (or n == 1) it is a plain loop on it. fn must
-// confine itself to index-disjoint writes (or internally synchronized
-// stores) — this is the parallel half of every stage; ordered side effects
-// belong in the caller's merge step.
-//
-// A panic inside fn no longer kills the process from an anonymous worker
-// goroutine: it is recovered, counted (`pipeline_worker_panics_total`),
-// logged with its item index, and — after every remaining item has run, so
-// behavior matches at all concurrency levels — re-panicked on the calling
-// goroutine with the stage name attached. When several items panic, the one
-// with the lowest index wins, deterministically.
-func forEach(stage string, workers, n int, fn func(i int)) {
-	var panicMu sync.Mutex
-	panicIdx := -1
-	var panicVal any
-	run := func(i int) {
-		defer func() {
-			r := recover()
-			if r == nil {
-				return
-			}
-			obs.C(obs.Lbl("pipeline_worker_panics_total", "stage", stage)).Inc()
-			plog.Error("worker panic", "stage", stage, "item", i, "panic", fmt.Sprint(r))
-			panicMu.Lock()
-			if panicIdx < 0 || i < panicIdx {
-				panicIdx, panicVal = i, r
-			}
-			panicMu.Unlock()
-		}()
-		fn(i)
-	}
-	var next atomic.Int64
-	work := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			run(i)
-		}
-	}
-	var wg sync.WaitGroup
-	w := min(workers, n)
-	wg.Add(max(w-1, 0))
-	for k := 1; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work() // the caller is one of the w workers
-	wg.Wait()
-	if panicIdx >= 0 {
-		panic(fmt.Sprintf("pipeline: stage %s: worker panicked on item %d: %v",
-			stage, panicIdx, panicVal))
-	}
-}
-
 // Anonymize maps a platform streamer ID to the stable pseudonymous ID used
 // in all stored data (§7).
 func (p *Pipeline) Anonymize(id string) string {
@@ -305,11 +238,11 @@ func (p *Pipeline) TickShare(now time.Time, pollCoordinator bool, alive func() i
 	if ahead {
 		w = len(p.Downloaders)
 	}
-	forEach("download", w, len(p.Downloaders), func(i int) {
+	par.For("download", w, len(p.Downloaders), func(i int) {
 		derrs[i] = p.Downloaders[i].PollOnce(now)
 	})
 	download.Deal(p.KV, p.Downloaders, alive, halted)
-	forEach("download", w, len(p.Downloaders), func(i int) {
+	par.For("download", w, len(p.Downloaders), func(i int) {
 		derrs[i] = errors.Join(derrs[i], p.Downloaders[i].FetchClaimed(now))
 	})
 	for i, err := range derrs {
@@ -349,8 +282,8 @@ type aheadResult struct {
 // extractAhead starts extractOne in the background for thumbnails a
 // downloader has just stored, so that OCR rides the download instead of
 // waiting for the next refresh; TakeExtractions takes the results. At most
-// workers() run at once: with the digest a CRC-32C, the tick phase is
-// socket-bound and needs no core of its own. Only the pure half
+// par.Workers(p.Concurrency) run at once: with the digest a CRC-32C, the
+// tick phase is socket-bound and needs no core of its own. Only the pure half
 // runs here: every side effect stays with the caller of TakeExtractions. A
 // key stored again before it is taken gets a fresh extraction, which
 // replaces the stale one. Nothing has to be closed: a goroutine finishes its
@@ -362,7 +295,7 @@ func (p *Pipeline) extractAhead(keys []string) {
 	if p.ahead == nil {
 		p.ahead = make(map[string]*aheadResult)
 	}
-	if n := p.workers(); cap(p.slots) != n {
+	if n := par.Workers(p.Concurrency); cap(p.slots) != n {
 		p.slots = make(chan struct{}, n)
 	}
 	slots, traced := p.slots, trace.Enabled()
@@ -453,7 +386,7 @@ func (p *Pipeline) ProcessThumbnails() int {
 // before it was read is left out. Extraction (PGM decode → OCR → vote) fans
 // out to the worker pool — each worker takes the result extractAhead has for
 // the key, waiting if it is in flight (a panic there is re-raised here, under
-// forEach's rule), and extracts only what was never started.
+// par.For's rule), and extracts only what was never started.
 func (p *Pipeline) TakeExtractions() []Extraction {
 	keys := p.Objects.List(download.ThumbBucket, "")
 	if len(keys) == 0 {
@@ -461,7 +394,7 @@ func (p *Pipeline) TakeExtractions() []Extraction {
 	}
 	traced := trace.Enabled()
 	results := make([]Extraction, len(keys))
-	forEach("extract", p.workers(), len(keys), func(i int) {
+	par.For("extract", par.Workers(p.Concurrency), len(keys), func(i int) {
 		a := p.ahead[keys[i]]
 		if a == nil {
 			mAheadInline.Inc()
@@ -551,7 +484,7 @@ func (p *Pipeline) LocateStreamers(now time.Time) (located int, refused bool) {
 		turn[i] = make(chan struct{})
 	}
 	close(turn[0])
-	forEach("locate", min(p.workers(), 8), len(ids), func(i int) {
+	par.For("locate", min(par.Workers(p.Concurrency), 8), len(ids), func(i int) {
 		o := &outcomes[i]
 		<-turn[i]
 		desc, ok := func() (string, bool) {
@@ -883,7 +816,7 @@ func (p *Pipeline) Analyze(params core.Params) []*core.Analysis {
 	if traced {
 		timings = make([][2]time.Time, len(tasks))
 	}
-	forEach("analyze", p.workers(), len(tasks), func(i int) {
+	par.For("analyze", par.Workers(p.Concurrency), len(tasks), func(i int) {
 		if traced {
 			timings[i][0] = time.Now()
 		}

@@ -1,14 +1,13 @@
 package serve
 
 import (
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"tero/internal/core"
 	"tero/internal/obs/trace"
+	"tero/internal/par"
 )
 
 // group is one {location, game} of the builder's input set: the analyses
@@ -142,45 +141,6 @@ func (b *Builder) Reset() {
 	b.mu.Unlock()
 }
 
-// workers resolves the effective Build parallelism.
-func (b *Builder) workers() int {
-	if b.Concurrency > 0 {
-		return b.Concurrency
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// runTasks executes fn(0..n-1) on up to `workers` goroutines via an atomic
-// work-stealing counter. Caller observes completion; result placement is
-// indexed, so output is deterministic regardless of scheduling.
-func runTasks(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for k := 0; k < workers; k++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // Build renders the groups that changed since the previous Build and
 // returns a snapshot of every servable entry in key order. Entries of
 // unchanged groups are the previous snapshot's own; when nothing changed at
@@ -207,7 +167,7 @@ func (b *Builder) Build() *Snapshot {
 	// Parallel half: each entry is computed purely from its own group.
 	dirty := b.dirty
 	b.dirty = nil
-	runTasks(len(dirty), b.workers(), func(i int) {
+	par.For("serve.build", par.Workers(b.Concurrency), len(dirty), func(i int) {
 		g := dirty[i]
 		g.entry = newEntry(g.key, g.gk, g.analyses, b.Params, minPoints)
 		g.dirty = false

@@ -81,3 +81,8 @@ func TestPreMarshaledBodiesMatchHandler(t *testing.T) {
 		t.Error("handler body differs from pre-marshaled entry body")
 	}
 }
+
+// Response derives the latency response from the sorted sample: the value
+// the body was rendered from at build time. The entry does not keep it
+// (≈ 1.4 KiB each, and the request path serves the rendered body).
+func (e *Entry) Response() LatencyResponse { return e.computeResponse() }

@@ -106,11 +106,6 @@ func (e *Entry) medianMs() float64 {
 // with changed data misses.
 func (e *Entry) ETag() string { return e.etag }
 
-// Response derives the latency response from the sorted sample: the value
-// the body was rendered from at build time. The entry does not keep it
-// (≈ 1.4 KiB each, and the request path serves the rendered body).
-func (e *Entry) Response() LatencyResponse { return e.computeResponse() }
-
 // BodyJSON returns the pre-marshaled JSON body (callers must not mutate).
 func (e *Entry) BodyJSON() []byte { return e.body }
 

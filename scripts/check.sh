@@ -5,9 +5,11 @@
 # pipeline benchmark smoke, smokes that drive the real binaries (the chaos
 # smoke requires the downloader's digest check to catch at least one of the
 # corrupted bodies the CDN sent, and three faulted tero runs must print the
-# same output), and a determinism smoke (teroexp volume at -workers 8, three
+# same output), a determinism smoke (teroexp volume at -workers 8, three
 # times, against -workers 1) whose serial run also gates the peak live heap
-# at 48 MB. Run from anywhere inside the repo.
+# at 48 MB, a reachability gate (scripts/reach: no function that no binary
+# links, unless allowlisted) and the regeneration of every measured block of
+# EXPERIMENTS.md. Run from anywhere inside the repo.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -40,6 +42,14 @@ if [ -n "$STRAY_EXITS" ]; then
     echo "$STRAY_EXITS" >&2
     exit 1
 fi
+
+echo "== reachability gate (every function linked by a binary or allowlisted) =="
+# Builds every cmd/ and examples/ binary with inlining off and fails on a
+# function no binary links that scripts/reach/allowlist.txt does not name, or
+# on an allowlist line that no longer holds.
+GATE_START=$(date +%s)
+go run ./scripts/reach
+echo "reachability gate ok in $(( $(date +%s) - GATE_START )) s"
 
 echo "== go test -race ./... =="
 # Among them the tests that share one object payload between goroutines
@@ -88,7 +98,8 @@ echo "== extraction ahead of the merge: same tables at 1, 2 and 8 workers, no go
 # interleavings: the Tick-driven loop byte-identical to the serial one, a
 # re-stored key extracted again, a corrupt one quarantined once, a panic
 # re-raised by the drain, and the goroutine count back at its baseline.
-go test -race -count=5 -run '^(TestExtractAheadDeterminism|TestConcurrencyDeterminism|TestExtractAheadGoroutines|TestRestoredKeyIsExtractedAgain|TestCorruptThumbnailAheadQuarantinedOnce|TestForEachPanicRecovery)$' ./internal/pipeline
+go test -race -count=5 -run '^(TestExtractAheadDeterminism|TestConcurrencyDeterminism|TestExtractAheadGoroutines|TestRestoredKeyIsExtractedAgain|TestCorruptThumbnailAheadQuarantinedOnce|TestStagePanicRecovery)$' ./internal/pipeline
+go test -race -count=5 -run '^TestForEachPanicRecovery$' ./internal/par
 
 echo "== benchmark smoke (VolumePipeline, 1 iteration) =="
 go test -run '^$' -bench '^BenchmarkVolumePipeline$' -benchtime 1x .
@@ -109,6 +120,7 @@ TERO_PID=$!
 STORE="$TMPDIR/tero-store-$$.out"
 DIST="$TMPDIR/tero-dist-$$.out"
 DET="$TMPDIR/tero-det-$$"
+EXP="$TMPDIR/tero-exp-$$"
 cleanup() {
     kill "$TERO_PID" 2>/dev/null || true
     kill "${SERVE_PID:-}" 2>/dev/null || true
@@ -121,7 +133,8 @@ cleanup() {
         "$CHAOS.steady" "$CHAOS.again" "$CHAOS.again.steady" \
         "$SERVE" "$SERVE.hdr" "$SERVE.binhdr" "$SERVE.metrics" \
         "$TRACE" "$TRACE.list" "$TRACE.detail" "$TRACE.metrics" "$TRACE.hdr" \
-        "$TRACE.readyz" "$STORE" "$DIST" "$DET.out" "$DET.gc" "$DET.serial" "$DET.parallel"
+        "$TRACE.readyz" "$STORE" "$DIST" "$DET.out" "$DET.gc" "$DET.serial" "$DET.parallel" \
+        "$EXP.want" "$EXP.have" "$EXP.block" "$EXP.doc" "$EXP.raw" "$EXP.out"
 }
 trap cleanup EXIT
 
@@ -269,6 +282,44 @@ for run in 1 2 3; do
     fi
 done
 echo "determinism smoke ok: three 8-worker volume runs byte-identical with the serial one"
+
+echo "== EXPERIMENTS.md blocks (teroexp -seed 1 -scale 1, every experiment but the three robustness ones) =="
+# Each measured block of EXPERIMENTS.md sits between "<!-- teroexp <id> -->"
+# and "<!-- /teroexp -->" in a fence: it must be that experiment's output,
+# less its "[<id> completed in ...]" line, trailing blanks and trailing blank
+# lines. Every experiment but chaos, chaos-store and dist-scale has one.
+EXP_START=$(date +%s)
+experiment_block() {
+    awk -v id="$1" '$0 == "<!-- teroexp " id " -->" { on = 1; next }
+        on && $0 == "<!-- /teroexp -->" { exit }
+        on' EXPERIMENTS.md
+}
+normalise() {
+    awk '{ sub(/[ \t]+$/, ""); if ($0 == "") blank++; else { for (; blank > 0; blank--) print ""; print } }'
+}
+"$TMPDIR/teroexp-check-$$" -list | awk '{ print $1 }' \
+    | grep -vxE 'chaos|chaos-store|dist-scale' | LC_ALL=C sort > "$EXP.want"
+sed -n 's/^<!-- teroexp \([a-z0-9-]*\) -->$/\1/p' EXPERIMENTS.md | LC_ALL=C sort > "$EXP.have"
+if ! diff -u "$EXP.want" "$EXP.have"; then
+    echo "EXPERIMENTS.md blocks (+) differ from teroexp's experiments (-)" >&2
+    exit 1
+fi
+for id in $(cat "$EXP.want"); do
+    experiment_block "$id" > "$EXP.block"
+    if [ "$(head -n 1 "$EXP.block")" != '```' ] || [ "$(tail -n 1 "$EXP.block")" != '```' ]; then
+        echo "EXPERIMENTS.md: the $id block is not one fenced block" >&2
+        exit 1
+    fi
+    sed '1d;$d' "$EXP.block" | normalise > "$EXP.doc"
+    "$TMPDIR/teroexp-check-$$" -seed 1 -scale 1 "$id" > "$EXP.raw" \
+        || { echo "teroexp $id failed" >&2; exit 1; }
+    grep -v "^\[$id completed in " "$EXP.raw" | normalise > "$EXP.out"
+    if ! diff -u "$EXP.doc" "$EXP.out"; then
+        echo "EXPERIMENTS.md: the $id block (-) is not what teroexp $id prints (+): paste the new output" >&2
+        exit 1
+    fi
+done
+echo "EXPERIMENTS.md ok: $(wc -l < "$EXP.want") blocks regenerated byte-identical in $(( $(date +%s) - EXP_START )) s"
 
 echo "== dist smoke (coordinator + 2 real teroworker processes, tables match golden) =="
 # Boots the shared store on a :0 port, runs fleets of 1 and 2 teroworker
