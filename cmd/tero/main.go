@@ -19,7 +19,6 @@ import (
 	"tero/internal/core"
 	"tero/internal/dist"
 	"tero/internal/kvstore"
-	"tero/internal/objstore"
 	"tero/internal/obs"
 	"tero/internal/obs/trace"
 	"tero/internal/pipeline"
@@ -83,7 +82,7 @@ func (o *options) register(fs *flag.FlagSet) {
 		"coordinator mode: serve the store on -listen, wait for N teroworker "+
 			"processes, and drive the run through them (0 = single-process)")
 	fs.StringVar(&o.listen, "listen", "127.0.0.1:7700",
-		"kvstore+objstore listen address in -distributed mode")
+		"kvstore listen address in -distributed mode")
 }
 
 // run is the whole command behind main: it parses args on its own flag
@@ -179,21 +178,18 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	var fleet pipeline.Fleet
 	var coord *dist.Coordinator
 	if o.distributed > 0 {
-		// Coordinator mode: serve the store (key-value + object buckets on
-		// one wire), wait for the fleet, then drive lockstep rounds through
-		// it. The embedded downloaders stay idle; the workers fetch.
+		// Coordinator mode: serve the store, wait for the fleet, then drive
+		// lockstep rounds through it. The embedded downloaders stay idle;
+		// the workers fetch.
 		srv, err := kvstore.Serve(st, o.listen)
 		if err != nil {
 			fmt.Fprintf(stderr, "serve %s: %v\n", o.listen, err)
 			return 1
 		}
 		defer srv.Close()
-		objects := objstore.New()
-		srv.AttachObjects(objects)
-		p.Objects = objects
-		coord = dist.NewCoordinator(p, st, objects)
+		coord = dist.NewCoordinator(p, st)
 		coord.Announce(platform.URL())
-		fmt.Fprintf(stdout, "coordinator: store+objects at %s — waiting for %d workers, start each with:\n"+
+		fmt.Fprintf(stdout, "coordinator: store at %s — waiting for %d workers, start each with:\n"+
 			"  teroworker -store %s\n", srv.Addr(), o.distributed, srv.Addr())
 		if err := coord.WaitWorkers(o.distributed, 60*time.Second); err != nil {
 			fmt.Fprintf(stderr, "%v\n", err)
@@ -240,13 +236,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			len(degraded), totalTicks)
 	}
 	if o.faults > 0 {
-		rels, reaps := 0, 0
+		rels := 0
 		for _, d := range p.Downloaders {
 			rels += d.Released
 		}
-		reaps = p.Coordinator.Reaped
-		fmt.Fprintf(stdout, "faults injected:       %d (releases %d, reaps %d, quarantined %d)\n",
-			platform.FaultsInjected, rels, reaps, p.Quarantined)
+		fmt.Fprintf(stdout, "faults injected:       %d (releases %d, quarantined %d)\n",
+			platform.FaultsInjected, rels, p.Quarantined)
 	}
 	fmt.Fprintf(stdout, "thumbnails processed:  %d\n", p.Processed)
 	fmt.Fprintf(stdout, "measurements:          %d (missed %d, lobby zeros %d)\n",

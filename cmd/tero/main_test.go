@@ -123,7 +123,7 @@ func TestDistributedRunFailureFlushesStore(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	addr := awaitLine(`(?m)^coordinator: store\+objects at (\S+) `)[1]
+	addr := awaitLine(`(?m)^coordinator: store at (\S+) `)[1]
 	halt := make(chan struct{})
 	worker := make(chan error, 1)
 	go func() { worker <- dist.RunWorker(dist.WorkerConfig{ID: "w1", StoreAddr: addr, Halt: halt}) }()
@@ -141,7 +141,7 @@ func TestDistributedRunFailureFlushesStore(t *testing.T) {
 	if _, ok := st.Get(dist.KeyPlatform); !ok {
 		t.Errorf("%s not recovered: the run's first write is missing", dist.KeyPlatform)
 	}
-	if _, ok := st.HGet(dist.KeyWorkers, "w1"); ok {
+	if _, ok := st.HGet(dist.KeyRoster, "w1"); ok {
 		t.Errorf("w1 still on the recovered roster: the log's tail was not flushed")
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"tero/internal/dist"
 	"tero/internal/kvstore"
-	"tero/internal/objstore"
 )
 
 // maxFlags is the ceiling on the command's flag surface; raising it means
@@ -28,9 +27,7 @@ func TestJoinsAndLeavesWithTheRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	objects := objstore.New()
-	srv.AttachObjects(objects)
-	coord := dist.NewCoordinator(nil, st, objects)
+	coord := dist.NewCoordinator(nil, st)
 
 	var stdout, stderr bytes.Buffer
 	exit := make(chan int, 1)
@@ -41,7 +38,7 @@ func TestJoinsAndLeavesWithTheRun(t *testing.T) {
 	if err := coord.WaitWorkers(1, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	for id := range st.HGetAll(dist.KeyWorkers) {
+	for id := range st.HGetAll(dist.KeyRoster) {
 		if !regexp.MustCompile(`^.+-[0-9]+$`).MatchString(id) {
 			t.Errorf("default worker ID %q, want <hostname>-<pid>", id)
 		}
@@ -53,7 +50,7 @@ func TestJoinsAndLeavesWithTheRun(t *testing.T) {
 	if !regexp.MustCompile(`(?m)^teroworker \S+ done$`).MatchString(stdout.String()) {
 		t.Errorf("no farewell line on stdout:\n%s", &stdout)
 	}
-	if n := len(st.HGetAll(dist.KeyWorkers)); n != 0 {
+	if n := len(st.HGetAll(dist.KeyRoster)); n != 0 {
 		t.Errorf("%d workers still on the roster after a clean exit", n)
 	}
 }

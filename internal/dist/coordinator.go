@@ -11,7 +11,6 @@ import (
 
 	"tero/internal/download"
 	"tero/internal/kvstore"
-	"tero/internal/objstore"
 	"tero/internal/obs"
 	"tero/internal/obs/trace"
 	"tero/internal/pipeline"
@@ -38,10 +37,9 @@ type Coordinator struct {
 	// P is the pipeline results merge into. Its own downloaders are idle
 	// in a distributed run; the fleet does the fetching.
 	P *pipeline.Pipeline
-	// KV and Objects are the coordination store and object buckets — the
-	// same store workers reach over TCP, accessed directly here.
-	KV      kvstore.KV
-	Objects objstore.API
+	// KV is the coordination store — the same store workers reach over
+	// TCP, accessed directly here.
+	KV kvstore.KV
 
 	// Counters (mirrored into the obs registry as dist_*_total).
 	Rounds, MakeupRounds      int
@@ -76,9 +74,9 @@ const (
 
 // NewCoordinator builds a coordinator around a pipeline and the store it
 // serves to the fleet.
-func NewCoordinator(p *pipeline.Pipeline, kv kvstore.KV, objects objstore.API) *Coordinator {
+func NewCoordinator(p *pipeline.Pipeline, kv kvstore.KV) *Coordinator {
 	return &Coordinator{
-		P: p, KV: kv, Objects: objects,
+		P: p, KV: kv,
 		seen:  make(map[string]bool),
 		beats: make(map[string]beatSeen),
 	}
@@ -93,12 +91,12 @@ func (c *Coordinator) Announce(platformURL string) {
 func (c *Coordinator) WaitWorkers(n int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		if len(c.KV.HGetAll(KeyWorkers)) >= n {
+		if len(c.KV.HGetAll(KeyRoster)) >= n {
 			return nil
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("dist: %d workers never registered (have %d)",
-				n, len(c.KV.HGetAll(KeyWorkers)))
+				n, len(c.KV.HGetAll(KeyRoster)))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -159,7 +157,7 @@ func (c *Coordinator) barrier(token string) ([]string, error) {
 	deadline := time.Now().Add(barrierTimeout)
 	var dead []string
 	for {
-		roster := c.KV.HGetAll(KeyWorkers)
+		roster := c.KV.HGetAll(KeyRoster)
 		if len(roster) == 0 {
 			return dead, errors.New("dist: no live workers")
 		}
@@ -194,7 +192,7 @@ func (c *Coordinator) barrier(token string) ([]string, error) {
 				continue // silent, not yet for long enough
 			}
 			delete(c.beats, id)
-			c.KV.HDel(KeyWorkers, id)
+			c.KV.HDel(KeyRoster, id)
 			c.KV.HDel(KeyBeat, id)
 			c.KV.HDel(KeyDone, id)
 			dead = append(dead, id)
@@ -243,13 +241,6 @@ func (c *Coordinator) reapDead(dead []string) {
 			c.ReapedClaims++
 			mReapClaims.Inc()
 			dlog.Warn("reaped dead worker's claim", "worker", w, "streamer", sid)
-		}
-		// Drop the dead worker's downloader heartbeats so the download
-		// module's own orphan reaper never has to guess about them.
-		for dlid := range c.KV.HGetAll(download.KeyWorkers) {
-			if strings.HasPrefix(dlid, prefix) {
-				c.KV.HDel(download.KeyWorkers, dlid)
-			}
 		}
 	}
 }
@@ -303,25 +294,27 @@ func (c *Coordinator) rescueLost() {
 // for its key (DecodeResult) is dropped, counted in
 // dist_results_rejected_total, and merges nothing. Measured readings get a
 // dist.ingest span chained onto the worker's extract span, so the
-// document's journey crosses the process boundary intact.
+// document's journey crosses the process boundary intact. Every field read
+// is deleted, so a durable store logs one HSET and one HDEL per thumbnail.
 func (c *Coordinator) ingest() {
-	for _, key := range c.Objects.List(ResultBucket, "") {
+	docs := c.KV.HGetAll(KeyResults)
+	keys := make([]string, 0, len(docs))
+	for key := range docs {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		c.KV.HDel(KeyResults, key)
 		if c.seen[key] {
-			c.Objects.Delete(ResultBucket, key)
 			c.Deduped++
 			mDeduped.Inc()
 			continue
 		}
-		obj, err := c.Objects.Get(ResultBucket, key)
-		if err != nil {
-			continue
-		}
-		r, err := DecodeResult(key, obj.Data)
+		r, err := DecodeResult(key, []byte(docs[key]))
 		if err != nil {
 			// Torn, or not a result ExtractThumb produces: dropped, and not
 			// marked seen — the thumbnail's real result may still arrive.
 			dlog.Warn("invalid result dropped", "key", key, "err", err)
-			c.Objects.Delete(ResultBucket, key)
 			mRejected.Inc()
 			continue
 		}
@@ -334,7 +327,6 @@ func (c *Coordinator) ingest() {
 			}
 		}
 		c.P.IngestResult(r.ThumbResult, ic)
-		c.Objects.Delete(ResultBucket, key)
 		c.seen[key] = true
 		c.Ingested++
 		mIngested.Inc()

@@ -2,9 +2,9 @@
 // drives the virtual clock and runs the serial stages (queue seeding,
 // result merge, location, analysis), while N teroworker processes — on the
 // same host or not — claim streamers, fetch thumbnails and run OCR, all
-// coordinating through one kvstore address that serves both the key-value
-// protocol and the object buckets (App. A's Redis + S3 collapsed onto one
-// wire).
+// coordinating through one kvstore address and its ten key-value commands
+// (App. A's Redis). Thumbnails never leave the worker that fetched them;
+// what crosses the wire is one result document per thumbnail, in a hash.
 //
 // The protocol is lockstep rounds over plain keys, chosen so a fleet of
 // any size produces byte-identical analysis tables to a single process:
@@ -17,17 +17,18 @@
 //     (Pipeline.TickShare, download.Deal — the one adoption policy, which a
 //     single process runs over its own downloaders), start extracting each
 //     thumbnail as it lands, then take every extraction
-//     (Pipeline.TakeExtractions) and push it instead of merging it. The
-//     shares cover the queue and the coordinator repeats rounds at the same
-//     instant until it drains, so WHICH VIRTUAL TICK adopts a streamer never
-//     depends on fleet size.
+//     (Pipeline.TakeExtractions) and push it into dist:results instead of
+//     merging it. The shares cover the queue and the coordinator repeats
+//     rounds at the same instant until it drains, so WHICH VIRTUAL TICK
+//     adopts a streamer never depends on fleet size.
 //   - Workers never touch shared state between rounds; the barrier means
 //     the coordinator reaps crashed workers' claims and snapshots the
 //     queue while everything is quiescent, without locks.
 //
-// Workers prove liveness with real-time heartbeats in dist:beat. A worker
-// whose beat stops changing mid-barrier is declared dead, its claims are
-// requeued, and the survivors re-fetch them within the same virtual tick —
+// Workers prove liveness with real-time heartbeats in dist:beat, the one
+// liveness rule of the fleet. A worker whose beat stops changing
+// mid-barrier is declared dead, its claims are requeued, and the survivors
+// re-fetch them within the same virtual tick —
 // every downloader stamps a thumbnail with its CDN window, so the re-fetch
 // is byte-identical to what the dead worker would have stored.
 package dist
@@ -48,9 +49,9 @@ var dlog = obs.L("dist")
 // Store layout of the distributed-run protocol. Everything lives in the
 // same kvstore the download module already coordinates through.
 const (
-	// KeyWorkers is a hash: worker ID -> "1". Registration; the roster the
+	// KeyRoster is a hash: worker ID -> "1". Registration; the roster the
 	// coordinator barriers on.
-	KeyWorkers = "dist:workers"
+	KeyRoster = "dist:workers"
 	// KeyBeat is a hash: worker ID -> a value that changes with every
 	// heartbeat (the worker's wall clock in unix nanoseconds, which the
 	// coordinator reads only for change, never against its own clock).
@@ -75,10 +76,10 @@ const (
 	// claim's trace, written by the claiming downloader so a reap after a
 	// worker crash can chain onto the same story.
 	KeyClaimTrace = "dist:claimtrace"
-	// ResultBucket is the object bucket workers push extraction results
-	// through, keyed by the thumbnail key: crash-and-refetch overwrites
-	// with identical content instead of duplicating.
-	ResultBucket = "dist-results"
+	// KeyResults is a hash: thumbnail key -> Result JSON, what workers push
+	// their extractions through. Crash-and-refetch overwrites the field with
+	// identical content instead of duplicating.
+	KeyResults = "dist:results"
 	// RoundDone is the KeyRound sentinel that tells workers to exit.
 	RoundDone = "done"
 )
@@ -106,7 +107,7 @@ func (r Result) Encode() []byte {
 }
 
 // DecodeResult parses and validates the result document stored under key.
-// The result bucket is reachable by anything that can reach the store, and
+// The result hash is writable by anything that can reach the store, and
 // what decodes here goes straight to Pipeline.IngestResult — into the
 // counters, pending-location and, for a measured reading, the measurements
 // collection §3.3 analyses — so valid JSON is not enough. A Result is

@@ -11,7 +11,6 @@ import (
 	"tero/internal/core"
 	"tero/internal/download"
 	"tero/internal/kvstore"
-	"tero/internal/objstore"
 	"tero/internal/obs/trace"
 	"tero/internal/pipeline"
 	"tero/internal/serve"
@@ -87,13 +86,10 @@ func distRun(t *testing.T, seed int64, n, crashTick int) (*pipeline.Pipeline, *C
 		t.Fatalf("serve: %v", err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	objects := objstore.New()
-	srv.AttachObjects(objects)
 
 	p := pipeline.NewWithKV(platform.URL(), 1, st)
-	p.Objects = objects
 	p.Concurrency = 1
-	coord := NewCoordinator(p, st, objects)
+	coord := NewCoordinator(p, st)
 	coord.Announce(platform.URL())
 
 	workers := make([]*testWorker, n)
@@ -228,13 +224,11 @@ func TestDistTraceChain(t *testing.T) {
 // workers' claims are untouched.
 func TestReapDead(t *testing.T) {
 	st := kvstore.New()
-	c := NewCoordinator(nil, st, objstore.New())
+	c := NewCoordinator(nil, st)
 	st.HSet(download.KeyActive, "s1", `{"id":"s1"}`)
 	st.HSet(download.KeyClaimed, "s1", "w1:dl0")
 	st.HSet(download.KeyActive, "s2", `{"id":"s2"}`)
 	st.HSet(download.KeyClaimed, "s2", "w2:dl0")
-	st.HSet(download.KeyWorkers, "w1:dl0", "beat")
-	st.HSet(download.KeyWorkers, "w2:dl0", "beat")
 
 	c.reapDead([]string{"w1"})
 
@@ -250,9 +244,6 @@ func TestReapDead(t *testing.T) {
 	if _, ok := st.LPop(download.KeyQueue); ok {
 		t.Fatal("more than one assignment requeued")
 	}
-	if _, ok := st.HGet(download.KeyWorkers, "w1:dl0"); ok {
-		t.Fatal("dead worker's downloader heartbeat not dropped")
-	}
 	if c.ReapedClaims != 1 {
 		t.Fatalf("ReapedClaims = %d, want 1", c.ReapedClaims)
 	}
@@ -263,7 +254,7 @@ func TestReapDead(t *testing.T) {
 // claimed and already-queued streamers do not.
 func TestRescueLost(t *testing.T) {
 	st := kvstore.New()
-	c := NewCoordinator(nil, st, objstore.New())
+	c := NewCoordinator(nil, st)
 	st.HSet(download.KeyActive, "s1", `{"id":"s1"}`) // lost: not claimed, not queued
 	st.HSet(download.KeyActive, "s2", `{"id":"s2"}`) // claimed
 	st.HSet(download.KeyClaimed, "s2", "w1:dl0")
@@ -320,10 +311,10 @@ func skewedBeats(st *kvstore.Store, id string, skew time.Duration, stop <-chan s
 // (Comparing the two clocks killed it the first time the barrier looked.)
 func TestSkewedWorkerCompletesRun(t *testing.T) {
 	st := kvstore.New()
-	c := NewCoordinator(nil, st, objstore.New())
+	c := NewCoordinator(nil, st)
 	stop := make(chan struct{})
 	beatsExited := skewedBeats(st, "w1", -time.Hour, stop)
-	st.HSet(KeyWorkers, "w1", "1")
+	st.HSet(KeyRoster, "w1", "1")
 	workerExited := make(chan struct{})
 	go func() { // the round loop of RunWorker, with no work in the rounds
 		defer close(workerExited)
@@ -363,10 +354,10 @@ func TestSkewedWorkerCompletesRun(t *testing.T) {
 // skew, and the barrier timed out.)
 func TestFrozenBeatIsReaped(t *testing.T) {
 	st := kvstore.New()
-	c := NewCoordinator(nil, st, objstore.New())
-	st.HSet(KeyWorkers, "live", "1")
+	c := NewCoordinator(nil, st)
+	st.HSet(KeyRoster, "live", "1")
 	st.HSet(KeyDone, "live", "0.0") // already checked in: only "frozen" blocks
-	st.HSet(KeyWorkers, "frozen", "1")
+	st.HSet(KeyRoster, "frozen", "1")
 	st.HSet(KeyBeat, "frozen", strconv.FormatInt(time.Now().Add(time.Hour).UnixNano(), 10))
 
 	start := time.Now()
@@ -381,10 +372,10 @@ func TestFrozenBeatIsReaped(t *testing.T) {
 	if took < deadAfter || took > 3*deadAfter {
 		t.Fatalf("reaped after %v, want about %v", took, deadAfter)
 	}
-	if _, ok := st.HGet(KeyWorkers, "frozen"); ok {
+	if _, ok := st.HGet(KeyRoster, "frozen"); ok {
 		t.Fatal("dead worker still on the roster")
 	}
-	if _, ok := st.HGet(KeyWorkers, "live"); !ok {
+	if _, ok := st.HGet(KeyRoster, "live"); !ok {
 		t.Fatal("live worker dropped from the roster")
 	}
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,7 +9,6 @@ import (
 
 	"tero/internal/games"
 	"tero/internal/kvstore"
-	"tero/internal/objstore"
 	"tero/internal/pipeline"
 )
 
@@ -61,7 +61,7 @@ func mutate(f func(*Result)) string {
 	return string(r.Encode())
 }
 
-// TestIngestRejectsMalformedResults: whatever lands in the result bucket
+// TestIngestRejectsMalformedResults: whatever lands in the result hash
 // that is not a valid result is dropped and counted — it never reaches
 // IngestResult, so the pipeline's counters, the measurements collection and
 // pending-location stay as they were, and the key is not marked seen: the
@@ -74,12 +74,11 @@ func TestIngestRejectsMalformedResults(t *testing.T) {
 				t.Fatalf("DecodeResult accepted %s", tc.doc)
 			}
 			st := kvstore.New()
-			objects := objstore.New()
 			p := pipeline.NewWithKV("http://unused.invalid", 1, st)
-			c := NewCoordinator(p, st, objects)
+			c := NewCoordinator(p, st)
 			rejected0 := mRejected.Value()
 
-			objects.Put(ResultBucket, key, []byte(tc.doc), nil)
+			st.HSet(KeyResults, key, tc.doc)
 			c.ingest()
 
 			if got := mRejected.Value() - rejected0; got != 1 {
@@ -94,17 +93,63 @@ func TestIngestRejectsMalformedResults(t *testing.T) {
 			if pl := st.HGetAll("pending-location"); len(pl) != 0 {
 				t.Errorf("pending-location = %v, want empty", pl)
 			}
-			if keys := objects.List(ResultBucket, ""); len(keys) != 0 {
-				t.Errorf("rejected result left in the bucket: %v", keys)
+			if left := st.HGetAll(KeyResults); len(left) != 0 {
+				t.Errorf("rejected result left in the hash: %v", left)
 			}
 
-			objects.Put(ResultBucket, key, validResult(key).Encode(), nil)
+			st.HSet(KeyResults, key, string(validResult(key).Encode()))
 			c.ingest()
 			if c.Ingested != 1 || p.Extracted != 1 || c.Deduped != 0 {
 				t.Errorf("the real result after a rejected one: ingested %d, extracted %d, deduped %d; want 1, 1, 0",
 					c.Ingested, p.Extracted, c.Deduped)
 			}
 		})
+	}
+}
+
+// TestIngestInKeyOrder: two workers push results over the wire in reverse
+// key order, interleaved. The coordinator ingests them in thumbnail-key
+// order — HGETALL hands back a map, so only the sort makes the measurement
+// table's insertion order the same run to run — and leaves the hash empty.
+func TestIngestInKeyOrder(t *testing.T) {
+	st := kvstore.New()
+	srv, err := kvstore.Serve(st, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	var workers [2]*kvstore.RemoteStore
+	for i := range workers {
+		if workers[i], err = kvstore.DialStore(srv.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { workers[i].Close() })
+	}
+	const n = 8
+	for i := n; i >= 1; i-- { // key i reads i ms
+		r := validResult(fmt.Sprintf("s%d/7.pgm", i))
+		r.Streamer, r.Ms, r.Worker = fmt.Sprintf("s%d", i), float64(i), fmt.Sprintf("w%d", i%2+1)
+		w := workers[i%2]
+		w.HSet(KeyResults, r.Key, string(r.Encode()))
+		if w.Err != nil {
+			t.Fatal(w.Err)
+		}
+	}
+
+	p := pipeline.NewWithKV("http://unused.invalid", 1, st)
+	c := NewCoordinator(p, st)
+	c.ingest()
+	rows, _ := p.Docs.After(0)
+	if len(rows) != n || c.Ingested != n {
+		t.Fatalf("%d rows, %d ingested; want %d", len(rows), c.Ingested, n)
+	}
+	for i, m := range rows {
+		if m.Ms != float64(i+1) {
+			t.Fatalf("row %d reads %v ms: rows not in key order", i, m.Ms)
+		}
+	}
+	if left := st.HGetAll(KeyResults); len(left) != 0 {
+		t.Fatalf("%d results left in %s after ingest", len(left), KeyResults)
 	}
 }
 
@@ -151,7 +196,7 @@ func TestResultWireBytes(t *testing.T) {
 }
 
 // FuzzDecodeResult feeds DecodeResult arbitrary bytes under an arbitrary key
-// — the result bucket takes an OPUT from anything that reaches the store.
+// — the result hash takes an HSET from anything that reaches the store.
 // The committed corpus (testdata/fuzz/FuzzDecodeResult) is one valid result
 // of each outcome and every document of malformedResults.
 // Oracles: it never panics; whatever it accepts satisfies, field by field,

@@ -25,8 +25,8 @@ type WorkerConfig struct {
 	// ID names the worker; its downloader is "<ID>:dl0", the prefix the
 	// coordinator uses to find a dead worker's claims.
 	ID string
-	// StoreAddr is the kvstore server (with attached object buckets) all
-	// coordination, results and quarantined thumbnails go through.
+	// StoreAddr is the kvstore server all coordination and results go
+	// through.
 	StoreAddr string
 	// BeatEvery is the real-time heartbeat cadence (default 25ms).
 	BeatEvery time.Duration
@@ -65,14 +65,9 @@ func RunWorker(cfg WorkerConfig) error {
 		return fmt.Errorf("dist worker %s: dial store: %w", cfg.ID, err)
 	}
 	defer kv.Close()
-	objects, err := kvstore.DialObjects(cfg.StoreAddr)
-	if err != nil {
-		return fmt.Errorf("dist worker %s: dial objects: %w", cfg.ID, err)
-	}
-	defer objects.Close()
 
-	// Heartbeats get their own connection so a large object frame on the
-	// main one can never delay a beat past the coordinator's deadline.
+	// Heartbeats get their own connection, so a round's traffic on the main
+	// one can never delay a beat past the coordinator's deadline.
 	beatKV, err := kvstore.DialStore(cfg.StoreAddr)
 	if err != nil {
 		return fmt.Errorf("dist worker %s: dial beat: %w", cfg.ID, err)
@@ -83,7 +78,7 @@ func RunWorker(cfg WorkerConfig) error {
 	// First beat lands before the roster entry: the coordinator must never
 	// see a registered worker without a liveness record.
 	beat()
-	kv.HSet(KeyWorkers, cfg.ID, "1")
+	kv.HSet(KeyRoster, cfg.ID, "1")
 	go func() {
 		defer close(beatExit)
 		defer beatKV.Close()
@@ -118,12 +113,19 @@ func RunWorker(cfg WorkerConfig) error {
 		if _, ok := kv.Get(KeyPlatform); ok {
 			break
 		}
+		if kv.Err != nil {
+			return fmt.Errorf("dist worker %s: store lost: %w", cfg.ID, kv.Err)
+		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("dist worker %s: no platform announced within %s", cfg.ID, startTimeout)
 		}
 		time.Sleep(pollWait)
 	}
 	p := workerPipeline(cfg.ID, kv)
+	push := func(key, doc string) error {
+		kv.HSet(KeyResults, key, doc)
+		return kv.Err // the client does not redial: a lost store fails every push
+	}
 
 	dlog.Info("worker joined", "id", cfg.ID, "store", cfg.StoreAddr)
 
@@ -145,7 +147,7 @@ func RunWorker(cfg WorkerConfig) error {
 		}
 		if token == RoundDone {
 			stopBeats()
-			kv.HDel(KeyWorkers, cfg.ID)
+			kv.HDel(KeyRoster, cfg.ID)
 			kv.HDel(KeyBeat, cfg.ID)
 			dlog.Info("worker done", "id", cfg.ID, "rounds", stats.Rounds,
 				"claims", stats.Claims, "extracted", stats.Extracted)
@@ -156,7 +158,7 @@ func RunWorker(cfg WorkerConfig) error {
 		if err != nil {
 			return fmt.Errorf("dist worker %s: bad %s %q: %w", cfg.ID, KeyNow, nowStr, err)
 		}
-		if err := workRound(p, cfg.ID, objects, now, &stats, halted); err != nil {
+		if err := workRound(p, cfg.ID, push, now, &stats, halted); err != nil {
 			return err // not checked in: the coordinator reaps this worker's claims
 		}
 		if halted() {
@@ -172,8 +174,8 @@ func RunWorker(cfg WorkerConfig) error {
 
 // workerPipeline is a worker's own pipeline over its store connection. Its
 // object store is the worker's local bucket: a thumbnail never leaves the
-// process and costs the wire one result frame (plus the quarantine copy of a
-// corrupt one). It never calls the platform API — assignments carry absolute
+// process — a corrupt one is quarantined there too — and costs the wire one
+// result HSET. It never calls the platform API — assignments carry absolute
 // URLs — so it has no base URL. Its one downloader is "<id>:dl0".
 func workerPipeline(id string, kv kvstore.KV) *pipeline.Pipeline {
 	p := pipeline.NewWithKV("", 1, kv)
@@ -183,17 +185,12 @@ func workerPipeline(id string, kv kvstore.KV) *pipeline.Pipeline {
 	return p
 }
 
-// resultSink is where a round's results and quarantined thumbnails go: the
-// coordinator's object store, through kvstore.RemoteObjects.
-type resultSink interface {
-	Put(bucket, key string, data []byte, meta map[string]string) (etag string, err error)
-}
-
 // workRound does one round at the frozen virtual instant now: the worker's
 // pipeline services due fetches, takes its ceil-share of the queue with the
 // fleet roster as the number of downloaders sharing it (TickShare), and
 // starts extracting what it stores; every extraction the pipeline hands over
-// (TakeExtractions) is pushed to objects instead of merged. Workers deal
+// (TakeExtractions) is pushed — push(key, doc) stores the doc in KeyResults
+// and returns the transport's error — instead of merged. Workers deal
 // concurrently, each to itself, but the shares cover the queue, so it drains
 // within the round; makeup rounds are the backstop. Repeat rounds at the
 // same instant are harmless — due times are virtual, so nothing comes due
@@ -202,11 +199,11 @@ type resultSink interface {
 // A push that fails ends the round with its error and the thumbnail still
 // in the local bucket: the reading has not reached the coordinator, so the
 // round must not be checked in as done.
-func workRound(p *pipeline.Pipeline, id string, objects resultSink,
+func workRound(p *pipeline.Pipeline, id string, push func(key, doc string) error,
 	now time.Time, stats *WorkerStats, halted func() bool) error {
 	d := p.Downloaders[0]
 	claims := d.Claims
-	roster := func() int { return len(p.KV.HGetAll(KeyWorkers)) }
+	roster := func() int { return len(p.KV.HGetAll(KeyRoster)) }
 	// Degraded, not fatal: TickShare logs the poll errors, and the downloader
 	// has already applied its per-streamer backoff/release recovery.
 	p.TickShare(now, false, roster, halted) //nolint:errcheck
@@ -226,18 +223,6 @@ func workRound(p *pipeline.Pipeline, id string, objects resultSink,
 		}
 		ec := trace.RecordSpan(jctx, "dist.extract", r.Start, r.End, errMsg,
 			trace.A("worker", id), trace.A("outcome", r.Outcome))
-		if r.Outcome == pipeline.OutcomeCorrupt {
-			// Quarantine worker-side so the move happens exactly once, by
-			// whoever decoded it; the coordinator only counts it.
-			obj, err := p.Objects.Get(download.ThumbBucket, r.Key)
-			if err == nil {
-				_, err = objects.Put(pipeline.QuarantineBucket, r.Key, obj.Data, obj.Meta)
-			}
-			if err != nil {
-				return fmt.Errorf("dist worker %s: quarantine %s: %w", id, r.Key, err)
-			}
-			dlog.Warn("quarantined corrupt thumbnail", "worker", id, "key", r.Key)
-		}
 		if r.Outcome == pipeline.OutcomeMeasured {
 			stats.Extracted++
 			mWExtract.Inc()
@@ -247,8 +232,14 @@ func workRound(p *pipeline.Pipeline, id string, objects resultSink,
 			trace.Finish(jctx.TraceID)
 		}
 		res := Result{ThumbResult: r.ThumbResult, Traceparent: trace.Traceparent(ec), Worker: id}
-		if _, err := objects.Put(ResultBucket, r.Key, res.Encode(), nil); err != nil {
+		if err := push(r.Key, string(res.Encode())); err != nil {
 			return fmt.Errorf("dist worker %s: push result %s: %w", id, r.Key, err)
+		}
+		if r.Outcome == pipeline.OutcomeCorrupt {
+			// Quarantined by whoever decoded it, as a single process does in
+			// its own bucket; the coordinator only counts it.
+			p.Quarantine(r.Key)
+			continue
 		}
 		// §7: the thumbnail is freight, not data — gone once extracted.
 		p.Objects.Delete(download.ThumbBucket, r.Key) //nolint:errcheck // just taken; only this goroutine deletes

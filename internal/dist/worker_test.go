@@ -1,41 +1,56 @@
 package dist
 
 import (
+	"bytes"
 	"errors"
+	"io"
+	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"tero/internal/download"
 	"tero/internal/kvstore"
-	"tero/internal/objstore"
 	"tero/internal/pipeline"
 )
 
-// recordingSink is the coordinator's object store as a worker sees it, with
-// every Put written down. Its failAt-th Put fails instead of storing.
-type recordingSink struct {
-	store  *objstore.Store
-	ops    []string // "Put dist-results <key>", ...
-	calls  int
-	failAt int
+// wireKV is a worker's store connection with every write it sends written
+// down: the command and key (and field), and the values it carried.
+type wireKV struct {
+	kvstore.KV
+	mu     sync.Mutex
+	ops    []string // "HSET dist:results <key>", "RPUSH dl:queue", ...
+	values []string
+}
+
+func (w *wireKV) sent(op string, values ...string) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.ops = append(w.ops, op)
+	w.values = append(w.values, values...)
+}
+
+func (w *wireKV) Set(key, value string) { w.sent("SET "+key, value); w.KV.Set(key, value) }
+
+func (w *wireKV) HSet(key, field, value string) bool {
+	w.sent("HSET "+key+" "+field, value)
+	return w.KV.HSet(key, field, value)
+}
+
+func (w *wireKV) RPush(key string, values ...string) int {
+	w.sent("RPUSH "+key, values...)
+	return w.KV.RPush(key, values...)
 }
 
 var errPush = errors.New("connection lost")
 
-func (r *recordingSink) Put(bucket, key string, data []byte, meta map[string]string) (string, error) {
-	if r.calls++; r.calls == r.failAt {
-		return "", errPush
-	}
-	r.ops = append(r.ops, "Put "+bucket+" "+key)
-	return r.store.Put(bucket, key, data, meta), nil
-}
-
 // TestWorkRoundKeepsThumbnailsLocal drives one worker round against a live
-// platform and a recording wire store. Thumbnails are fetched and extracted,
-// yet the only frames that cross the wire are one result Put per thumbnail
-// and one quarantine Put for the corrupt one — no thumbnail Put (and the
-// sink has no other method) — and a repeat round quarantines nothing twice.
+// platform, every write to the store recorded. Thumbnails are fetched and
+// extracted, yet the only result traffic is one dist:results HSET per
+// thumbnail, no value on the wire is a thumbnail (PGM magic "P5"), and the
+// corrupt thumbnail lands once, in the worker's local quarantine bucket; a
+// repeat round sends nothing.
 func TestWorkRoundKeepsThumbnailsLocal(t *testing.T) {
 	platform := newTestPlatform(t, 41)
 	st := kvstore.New()
@@ -46,10 +61,11 @@ func TestWorkRoundKeepsThumbnailsLocal(t *testing.T) {
 	if st.LLen(download.KeyQueue) == 0 {
 		t.Fatal("no live streamer queued: the round would fetch nothing")
 	}
-	st.HSet(KeyWorkers, "w1", "1")
+	st.HSet(KeyRoster, "w1", "1")
 
-	wire := &recordingSink{store: objstore.New()}
-	wp := workerPipeline("w1", st)
+	wire := &wireKV{KV: st}
+	push := func(key, doc string) error { wire.HSet(KeyResults, key, doc); return nil }
+	wp := workerPipeline("w1", wire)
 	local, d := wp.Objects, wp.Downloaders[0]
 	const corruptKey = "zz-corrupt/0001.pgm"
 	local.Put(download.ThumbBucket, corruptKey, []byte("P5 truncated"), map[string]string{"game": "lol"})
@@ -57,8 +73,7 @@ func TestWorkRoundKeepsThumbnailsLocal(t *testing.T) {
 	var stats WorkerStats
 	round := func() {
 		t.Helper()
-		err := workRound(wp, "w1", wire, platform.Now(), &stats, func() bool { return false })
-		if err != nil {
+		if err := workRound(wp, "w1", push, platform.Now(), &stats, func() bool { return false }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,24 +82,31 @@ func TestWorkRoundKeepsThumbnailsLocal(t *testing.T) {
 		t.Fatalf("round fetched nothing: %+v, %d downloads", stats, d.Downloads)
 	}
 
-	results, quarantined := 0, 0
+	pushed := map[string]int{}
 	for _, op := range wire.ops {
-		switch {
-		case op == "Put "+pipeline.QuarantineBucket+" "+corruptKey:
-			quarantined++
-		case strings.HasPrefix(op, "Put "+ResultBucket+" "):
-			results++
-		default:
-			t.Errorf("unexpected wire operation %q", op)
+		if key, ok := strings.CutPrefix(op, "HSET "+KeyResults+" "); ok {
+			pushed[key]++
+		} else if strings.Contains(op, KeyResults) {
+			t.Errorf("unexpected result traffic %q", op)
 		}
 	}
-	if quarantined != 1 {
-		t.Errorf("corrupt thumbnail quarantined %d times, want once", quarantined)
+	if len(pushed) != d.Downloads+1 {
+		t.Errorf("%d results pushed for %d fetched thumbnails + 1 corrupt", len(pushed), d.Downloads)
 	}
-	if results != d.Downloads+1 {
-		t.Errorf("%d results pushed for %d fetched thumbnails + 1 corrupt", results, d.Downloads)
+	for key, n := range pushed {
+		if n != 1 {
+			t.Errorf("result %s pushed %d times, want once", key, n)
+		}
 	}
-	if o, err := wire.store.Get(pipeline.QuarantineBucket, corruptKey); err != nil ||
+	for _, v := range wire.values {
+		if strings.HasPrefix(v, "P5") {
+			t.Errorf("a thumbnail crossed the wire (%d bytes)", len(v))
+		}
+	}
+	if n := local.Size(pipeline.QuarantineBucket); n != 1 {
+		t.Errorf("%d thumbnails in the local quarantine bucket, want the corrupt one", n)
+	}
+	if o, err := local.Get(pipeline.QuarantineBucket, corruptKey); err != nil ||
 		string(o.Data) != "P5 truncated" || o.Meta["game"] != "lol" {
 		t.Errorf("quarantined object = %+v, %v", o, err)
 	}
@@ -99,47 +121,99 @@ func TestWorkRoundKeepsThumbnailsLocal(t *testing.T) {
 	if len(wire.ops) != sent {
 		t.Errorf("repeat round sent %q", wire.ops[sent:])
 	}
-}
-
-// TestWorkRoundFailedPushKeepsThumbnail: a push that does not arrive — the
-// quarantine copy or the result — ends the round with the error and leaves
-// the thumbnail in the local bucket, so the reading is not silently lost.
-func TestWorkRoundFailedPushKeepsThumbnail(t *testing.T) {
-	const key = "zz-corrupt/0001.pgm"
-	for i, what := range []string{"quarantine", "result"} { // a corrupt thumbnail's two pushes, in order
-		wire := &recordingSink{store: objstore.New(), failAt: i + 1}
-		wp := workerPipeline("w1", kvstore.New())
-		local := wp.Objects
-		local.Put(download.ThumbBucket, key, []byte("P5 truncated"), nil)
-		var stats WorkerStats
-		round := func() error {
-			return workRound(wp, "w1", wire, time.Time{}, &stats, func() bool { return false })
-		}
-		if err := round(); !errors.Is(err, errPush) {
-			t.Fatalf("%s push failed, round returned %v", what, err)
-		}
-		if n := local.Size(download.ThumbBucket); n != 1 {
-			t.Fatalf("%s push failed, %d thumbnails left in the local bucket, want 1", what, n)
-		}
-		if n := wire.store.Size(ResultBucket); n != 0 {
-			t.Fatalf("%s push failed, yet %d results arrived", what, n)
-		}
-		// Nothing was dropped: with the wire back, a round delivers it.
-		if err := round(); err != nil {
-			t.Fatal(err)
-		}
-		if l, r, q := local.Size(download.ThumbBucket), wire.store.Size(ResultBucket),
-			wire.store.Size(pipeline.QuarantineBucket); l != 0 || r != 1 || q != 1 {
-			t.Fatalf("after the %s push recovered: %d local, %d results, %d quarantined", what, l, r, q)
-		}
+	if n := local.Size(pipeline.QuarantineBucket); n != 1 {
+		t.Errorf("%d thumbnails in the local quarantine bucket after a repeat round, want 1", n)
 	}
 }
 
-// TestRunWorkerStopsOnFailedPush runs a worker against a store that refuses
-// every object frame (no object store attached). Its first round fetches
-// thumbnails whose results cannot be delivered: the worker must return the
-// error without checking the round in, and its heartbeats must have stopped
-// by then, so the coordinator declares it dead and requeues its claims.
+// TestWorkRoundFailedPushKeepsThumbnail: a result push that does not arrive
+// ends the round with the error and leaves the thumbnail in the local
+// bucket, so the reading is not silently lost.
+func TestWorkRoundFailedPushKeepsThumbnail(t *testing.T) {
+	const key = "zz-corrupt/0001.pgm"
+	st := kvstore.New()
+	calls := 0
+	push := func(key, doc string) error {
+		if calls++; calls == 1 {
+			return errPush
+		}
+		st.HSet(KeyResults, key, doc)
+		return nil
+	}
+	wp := workerPipeline("w1", st)
+	local := wp.Objects
+	local.Put(download.ThumbBucket, key, []byte("P5 truncated"), nil)
+	var stats WorkerStats
+	round := func() error {
+		return workRound(wp, "w1", push, time.Time{}, &stats, func() bool { return false })
+	}
+	if err := round(); !errors.Is(err, errPush) {
+		t.Fatalf("push failed, round returned %v", err)
+	}
+	if n := local.Size(download.ThumbBucket); n != 1 {
+		t.Fatalf("push failed, %d thumbnails left in the local bucket, want 1", n)
+	}
+	if n := len(st.HGetAll(KeyResults)); n != 0 {
+		t.Fatalf("push failed, yet %d results arrived", n)
+	}
+	// Nothing was dropped: with the wire back, a round delivers it.
+	if err := round(); err != nil {
+		t.Fatal(err)
+	}
+	if l, r, q := local.Size(download.ThumbBucket), len(st.HGetAll(KeyResults)),
+		local.Size(pipeline.QuarantineBucket); l != 0 || r != 1 || q != 1 {
+		t.Fatalf("after the push recovered: %d local, %d results, %d quarantined", l, r, q)
+	}
+}
+
+// cutProxy forwards connections to addr until a client sends a command that
+// contains cut: that command is not delivered, and its connection is closed.
+func cutProxy(t *testing.T, addr, cut string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			s, err := net.Dial("tcp", addr)
+			if err != nil {
+				c.Close()
+				continue
+			}
+			go func() { io.Copy(c, s); c.Close() }() //nolint:errcheck // ends when either side closes
+			go func() {
+				defer c.Close()
+				defer s.Close()
+				var tail []byte // a command split across two reads still matches
+				buf := make([]byte, 64<<10)
+				for {
+					n, err := c.Read(buf)
+					seen := append(tail, buf[:n]...)
+					if bytes.Contains(seen, []byte(cut)) {
+						return
+					}
+					tail = seen[max(0, len(seen)-len(cut)):]
+					if _, werr := s.Write(buf[:n]); werr != nil || err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestRunWorkerStopsOnFailedPush runs a worker whose store connection closes
+// on its first result push. Its first round fetches thumbnails whose results
+// cannot be delivered: the worker must return the error without checking the
+// round in, and its heartbeats must have stopped by then, so the coordinator
+// declares it dead and requeues its claims.
 func TestRunWorkerStopsOnFailedPush(t *testing.T) {
 	platform := newTestPlatform(t, 41)
 	st := kvstore.New()
@@ -159,7 +233,7 @@ func TestRunWorkerStopsOnFailedPush(t *testing.T) {
 	t.Cleanup(func() { close(halt) })
 	done := make(chan error, 1)
 	go func() {
-		done <- RunWorker(WorkerConfig{ID: "w1", StoreAddr: srv.Addr(),
+		done <- RunWorker(WorkerConfig{ID: "w1", StoreAddr: cutProxy(t, srv.Addr(), KeyResults),
 			BeatEvery: time.Millisecond, Halt: halt})
 	}()
 	select {
@@ -167,8 +241,11 @@ func TestRunWorkerStopsOnFailedPush(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("worker still running after a round whose results never arrived")
 	}
-	if err == nil || !strings.Contains(err.Error(), "no object store attached") {
-		t.Fatalf("RunWorker = %v, want the refused push", err)
+	if err == nil || !strings.Contains(err.Error(), "push result") {
+		t.Fatalf("RunWorker = %v, want the failed push", err)
+	}
+	if n := len(st.HGetAll(KeyResults)); n != 0 {
+		t.Fatalf("%d results arrived over a cut connection", n)
 	}
 	if token, ok := st.HGet(KeyDone, "w1"); ok {
 		t.Fatalf("worker checked in round %s, whose results never arrived", token)
@@ -215,5 +292,38 @@ func TestRunWorkerExitsWhenStoreCloses(t *testing.T) {
 	}
 	if err == nil {
 		t.Fatal("RunWorker returned nil after its store closed")
+	}
+}
+
+// TestRunWorkerStoreLostBeforeStart: a worker whose store closes after it
+// registered but before the run is announced returns "store lost" at once,
+// not "no platform announced" when the start timeout runs out.
+func TestRunWorkerStoreLostBeforeStart(t *testing.T) {
+	st := kvstore.New()
+	srv, err := kvstore.Serve(st, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	halt := make(chan struct{})
+	t.Cleanup(func() { close(halt) })
+	done := make(chan error, 1)
+	go func() { done <- RunWorker(WorkerConfig{ID: "w1", StoreAddr: srv.Addr(), Halt: halt}) }()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, ok := st.HGet(KeyRoster, "w1"); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("worker never registered")
+		}
+	}
+	srv.Close()
+	select {
+	case err = <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("worker still waiting for the run 2 s after its store closed")
+	}
+	if err == nil || !strings.Contains(err.Error(), "store lost") {
+		t.Fatalf("RunWorker = %v, want store lost", err)
 	}
 }

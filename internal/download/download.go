@@ -18,8 +18,10 @@
 // degrade gracefully rather than fail-stop: transient errors are retried
 // in-place with bounded backoff, a streamer whose fetches keep failing is
 // backed off and eventually released back to the shared queue for a peer to
-// adopt, downloaders heartbeat through the store, and the coordinator reaps
-// claims whose downloader has stopped heartbeating.
+// adopt. A downloader that dies keeps its claims until something that
+// outlives it requeues them: in a single process nothing does, since the
+// coordinator dies with it; in a fleet, the dist coordinator's barrier
+// declares the worker dead and requeues its claims.
 package download
 
 import (
@@ -42,7 +44,7 @@ import (
 
 // Observability: API request/429/retry counters, thumbnail fetch outcome
 // counters (downloaded / unchanged / missed / offline), fault-recovery
-// counters (fetch retries/failures, releases, reaps, corrupt bodies) and
+// counters (fetch retries/failures, releases, corrupt bodies) and
 // poll-cycle latency feed the obs.Default registry.
 var (
 	dlog = obs.L("download")
@@ -66,7 +68,6 @@ var (
 	mCorruptBody   = obs.C("download_body_corrupt_total")
 	mBodyOversize  = obs.C("download_body_oversize_total")
 	mReleased      = obs.C("download_released_total")
-	mReaped        = obs.C("download_reaped_total")
 )
 
 // Key-value store layout.
@@ -76,7 +77,6 @@ const (
 	KeyOffline  = "dl:offline" // list: streamer ids reported offline
 	KeyClaimed  = "dl:claimed" // hash: streamer id -> downloader id
 	KeyTags     = "dl:tags"    // hash: streamer id -> country-level tag
-	KeyWorkers  = "dl:workers" // hash: downloader id -> last heartbeat (RFC3339)
 	ThumbBucket = "thumbs"     // object-store bucket for thumbnails
 )
 
@@ -264,15 +264,10 @@ func (c *APIClient) UserDescription(id string) (login, description string, err e
 }
 
 // Coordinator detects streamers going live and hands their thumbnail URLs
-// to downloaders via the key-value store (App. A). It also reaps orphaned
-// claims: a streamer claimed by a downloader that stopped heartbeating is
-// re-queued so a live peer can adopt it.
+// to downloaders via the key-value store (App. A).
 type Coordinator struct {
 	KV  kvstore.KV
 	API *APIClient
-
-	// Reaped counts orphaned claims re-queued.
-	Reaped int
 }
 
 // NewCoordinator builds a coordinator, recovering active-streamer state
@@ -281,58 +276,8 @@ func NewCoordinator(kv kvstore.KV, api *APIClient) *Coordinator {
 	return &Coordinator{KV: kv, API: api}
 }
 
-// reapAfter is how far (in virtual time) a downloader's heartbeat may lag
-// the newest heartbeat before its claims are declared orphaned.
-const reapAfter = 15 * time.Minute
-
-// reapOrphans re-queues streamers claimed by downloaders whose heartbeat
-// has fallen reapAfter behind the newest one (a crashed or wedged
-// downloader never releases its claims itself). Virtual time is taken from
-// the heartbeats, so the coordinator needs no clock of its own.
-func (c *Coordinator) reapOrphans() {
-	claims := c.KV.HGetAll(KeyClaimed)
-	if len(claims) == 0 {
-		return
-	}
-	beats := c.KV.HGetAll(KeyWorkers)
-	var newest time.Time
-	at := make(map[string]time.Time, len(beats))
-	for id, stamp := range beats {
-		t, err := time.Parse(time.RFC3339, stamp)
-		if err != nil {
-			continue
-		}
-		at[id] = t
-		if t.After(newest) {
-			newest = t
-		}
-	}
-	if newest.IsZero() {
-		return // nobody has ever heartbeat: no basis to call anyone dead
-	}
-	ids := make([]string, 0, len(claims))
-	for id := range claims {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		beat, alive := at[claims[id]]
-		if alive && newest.Sub(beat) <= reapAfter {
-			continue
-		}
-		raw, ok := c.KV.HGet(KeyActive, id)
-		c.KV.HDel(KeyClaimed, id)
-		if ok {
-			c.KV.RPush(KeyQueue, raw)
-		}
-		c.Reaped++
-		mReaped.Inc()
-		dlog.Warn("reaped orphaned claim", "streamer", id, "downloader", claims[id])
-	}
-}
-
-// PollOnce queries the API once, enqueues newly live streamers, processes
-// offline notices from downloaders, and reaps orphaned claims. A refused
+// PollOnce queries the API once, enqueues newly live streamers and
+// processes offline notices from downloaders. A refused
 // page fails it (ErrRateLimited); the next poll pages again.
 func (c *Coordinator) PollOnce() error {
 	mCoordPolls.Inc()
@@ -345,7 +290,6 @@ func (c *Coordinator) PollOnce() error {
 		c.KV.HDel(KeyActive, id)
 		c.KV.HDel(KeyClaimed, id)
 	}
-	c.reapOrphans()
 
 	rows, err := c.API.LiveStreams()
 	if err != nil {
@@ -500,7 +444,7 @@ func (d *Downloader) fail(id string, tr *tracked, now time.Time, err error) {
 		"retry_at", tr.next.Format(time.RFC3339), "err", err)
 }
 
-// PollOnce heartbeats and runs the fetch cycle of every assignment due at
+// PollOnce runs the fetch cycle of every assignment due at
 // virtual time now. It claims nothing: adoption is Deal's, once per tick
 // after every downloader has polled.
 //
@@ -511,9 +455,6 @@ func (d *Downloader) fail(id string, tr *tracked, now time.Time, err error) {
 func (d *Downloader) PollOnce(now time.Time) error {
 	mDownloaderPolls.Inc()
 	d.stored = d.stored[:0]
-	// Heartbeat (virtual time): the coordinator reaps claims of downloaders
-	// whose heartbeats stop.
-	d.KV.HSet(KeyWorkers, d.ID, now.UTC().Format(time.RFC3339))
 	ids := make([]string, 0, len(d.assigned))
 	for id := range d.assigned {
 		ids = append(ids, id)

@@ -382,65 +382,6 @@ func TestStrikeBackoffBounded(t *testing.T) {
 	}
 }
 
-func TestReapOrphans(t *testing.T) {
-	kv := kvstore.New()
-	t0 := time.Date(2026, 1, 1, 12, 0, 0, 0, time.UTC)
-	mk := func(id string) Assignment { return Assignment{StreamerID: id, URL: "http://x/" + id} }
-	for _, id := range []string{"s1", "s2", "s3"} {
-		kv.HSet(KeyActive, id, mk(id).encode())
-	}
-	kv.HSet(KeyClaimed, "s1", "dead")    // heartbeat 20m stale
-	kv.HSet(KeyClaimed, "s2", "alive")   // fresh heartbeat
-	kv.HSet(KeyClaimed, "s3", "unknown") // never heartbeat at all
-	kv.HSet(KeyWorkers, "dead", t0.Format(time.RFC3339))
-	kv.HSet(KeyWorkers, "alive", t0.Add(20*time.Minute).Format(time.RFC3339))
-
-	c := NewCoordinator(kv, nil)
-	c.reapOrphans()
-	if c.Reaped != 2 {
-		t.Fatalf("Reaped = %d, want 2 (dead + unknown)", c.Reaped)
-	}
-	if _, ok := kv.HGet(KeyClaimed, "s2"); !ok {
-		t.Fatal("live claim reaped")
-	}
-	for _, id := range []string{"s1", "s3"} {
-		if _, ok := kv.HGet(KeyClaimed, id); ok {
-			t.Fatalf("claim %s not reaped", id)
-		}
-	}
-	// Both orphans back on the queue, adoptable.
-	got := map[string]bool{}
-	for {
-		raw, ok := kv.LPop(KeyQueue)
-		if !ok {
-			break
-		}
-		a, err := decodeAssignment(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got[a.StreamerID] = true
-	}
-	if !got["s1"] || !got["s3"] || got["s2"] {
-		t.Fatalf("re-queued set = %v", got)
-	}
-}
-
-// TestReapDisabled: virtual time comes from the heartbeats, so until some
-// downloader has left a readable one there is no clock to call anyone dead
-// by, and nothing is reaped.
-func TestReapDisabled(t *testing.T) {
-	kv := kvstore.New()
-	kv.HSet(KeyActive, "s1", Assignment{StreamerID: "s1"}.encode())
-	kv.HSet(KeyClaimed, "s1", "dead")
-	kv.HSet(KeyWorkers, "dead", "not a timestamp")
-	c := NewCoordinator(kv, nil)
-	c.reapOrphans()
-	if _, claimed := kv.HGet(KeyClaimed, "s1"); c.Reaped != 0 || !claimed {
-		t.Fatal("reaping ran with no heartbeat to tell the time by")
-	}
-}
-
 func TestGetSeqIsAuthoritative(t *testing.T) {
 	// The thumbnail rotates between HEAD and GET: the stored object must be
 	// keyed by the seq of the body actually received, not the HEAD's.

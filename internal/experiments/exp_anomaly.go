@@ -255,7 +255,8 @@ func runShared(o Options) ([]*Table, error) {
 	for _, sa := range shared {
 		byGame[sa.Key.Game] = append(byGame[sa.Key.Game], sa)
 	}
-	for game, sas := range byGame {
+	for _, game := range sortedKeys(byGame) {
+		sas := byGame[game]
 		inWindow := 0
 		regions := map[string]bool{}
 		for _, sa := range sas {

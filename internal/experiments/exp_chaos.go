@@ -96,7 +96,6 @@ func runChaos(o Options) ([]*Table, error) {
 	t.AddRow("corrupt bodies detected", itoa(int(d["download_body_corrupt_total"])))
 	t.AddRow("api retries", itoa(int(d["download_api_retries_total"])))
 	t.AddRow("streamers released", itoa(int(d["download_released_total"])))
-	t.AddRow("orphaned claims reaped", itoa(int(d["download_reaped_total"])))
 	t.AddRow("thumbnails quarantined", itoa(int(d["pipeline_thumbs_quarantined_total"])))
 	panics := int64(0)
 	for name, v := range d {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"tero/internal/download"
 	"tero/internal/kvstore"
 )
 
@@ -24,15 +25,16 @@ func init() {
 // process, and (when Options.StoreExec names a terokv binary) once more as a
 // real child process killed with SIGKILL. Crashes happen at quiescent points
 // (between ticks, no command in flight), the discipline a deployment gets
-// from draining before restart; within it, recovery must be exact: every
-// leg's final tables must be byte-identical to a crash-free golden run.
+// from draining before restart, and only once the store holds a claim
+// (crashPoint); within it, recovery must be exact: every leg's final tables
+// must be byte-identical to a crash-free golden run.
 func runChaosStore(o Options) ([]*Table, error) {
 	o.Faults = 0 // isolate store crashes from platform fault injection
 	total := volumeTickCount(o)
 	if total < 3 {
 		return nil, fmt.Errorf("chaos-store: %d ticks is too short to crash mid-run", total)
 	}
-	crashTick := total / 3
+	crashFrom := total / 3
 
 	renderTabs := func(ts []*Table) string {
 		var sb strings.Builder
@@ -58,9 +60,10 @@ func runChaosStore(o Options) ([]*Table, error) {
 	gold := renderTabs(goldTabs)
 	summary.AddRow("golden (no crash)", "-", "baseline")
 
-	runLeg := func(name string, leg func() ([]*Table, error), watch []string) error {
+	runLeg := func(name string, leg func(*crashPoint) ([]*Table, error), watch []string) error {
 		delta := counterDelta()
-		tabs, err := leg()
+		crash := &crashPoint{from: crashFrom, at: -1}
+		tabs, err := leg(crash)
 		if err != nil {
 			return fmt.Errorf("chaos-store %s: %w", name, err)
 		}
@@ -72,7 +75,13 @@ func runChaosStore(o Options) ([]*Table, error) {
 			summary.Notes = append(summary.Notes,
 				name+" first diverging line: "+firstDiffLine(gold, out))
 		}
-		summary.AddRow(name, itoa(crashTick), identical)
+		crashTick := itoa(crash.at)
+		if crash.at < 0 {
+			crashTick = "-"
+			summary.Notes = append(summary.Notes, fmt.Sprintf(
+				"WARNING: %s never crashed the store: no tick from %d on left a claim in it", name, crashFrom))
+		}
+		summary.AddRow(name, crashTick, identical)
 		for _, c := range watch {
 			counters.AddRow(name, c, itoa(int(d[c])))
 		}
@@ -80,14 +89,14 @@ func runChaosStore(o Options) ([]*Table, error) {
 	}
 
 	if err := runLeg("restart-from-aof",
-		func() ([]*Table, error) { return legRestart(o, crashTick) },
+		func(crash *crashPoint) ([]*Table, error) { return legRestart(o, crash) },
 		[]string{"kvstore_aof_appends_total", "kvstore_snapshots_total",
 			"kvstore_aof_replayed_total", "kvstore_client_redials_total"}); err != nil {
 		return nil, err
 	}
 	if o.StoreExec != "" {
 		if err := runLeg("sigkill-exec",
-			func() ([]*Table, error) { return legExec(o, crashTick) },
+			func(crash *crashPoint) ([]*Table, error) { return legExec(o, crash) },
 			[]string{"kvstore_client_redials_total"}); err != nil {
 			return nil, err
 		}
@@ -99,6 +108,21 @@ func runChaosStore(o Options) ([]*Table, error) {
 			"AOF (fsync=always) and the clients redial-and-resume — so the crashed "+
 			"runs measure exactly what the crash-free run measures")
 	return append([]*Table{summary, counters}, goldTabs...), nil
+}
+
+// crashPoint is where a leg crashes the store: after the first tick from
+// `from` on that leaves a claim in it. A claim means a downloader's state is
+// in the store; a crash before any streamer went live would leave recovery
+// nothing to restore. at is the tick it crashed after, -1 until then.
+type crashPoint struct{ from, at int }
+
+// due reports, once, whether the store kv should crash after tick i.
+func (c *crashPoint) due(kv kvstore.KV, i int) bool {
+	if c.at >= 0 || i < c.from || len(kv.HGetAll(download.KeyClaimed)) == 0 {
+		return false
+	}
+	c.at = i
+	return true
 }
 
 // dialRetry dials the store with a redial budget generous enough to ride
@@ -136,12 +160,12 @@ func persistOpts() kvstore.PersistOptions {
 	return kvstore.PersistOptions{Fsync: kvstore.FsyncAlways, CompactEvery: 800}
 }
 
-// legRestart crashes the store at crashTick and recovers it from disk: the
+// legRestart crashes the store at crash and recovers it from disk: the
 // server is hard-stopped and its store abandoned unclosed (everything is
 // already fsynced), then a fresh store Opens the same directory — snapshot
 // load plus AOF tail replay — and rebinds the same address so the
 // pipeline's clients reconnect and resume.
-func legRestart(o Options, crashTick int) ([]*Table, error) {
+func legRestart(o Options, crash *crashPoint) ([]*Table, error) {
 	dir, err := os.MkdirTemp("", "tero-chaos-store-")
 	if err != nil {
 		return nil, err
@@ -165,7 +189,7 @@ func legRestart(o Options, crashTick int) ([]*Table, error) {
 	defer func() { srv.Close(); st.Close() }()
 
 	onTick := func(i int) error {
-		if i != crashTick {
+		if !crash.due(rs, i) {
 			return nil
 		}
 		srv.Close() // crash: no store.Close, no flush — disk state is what it is
@@ -232,7 +256,7 @@ func (p *storeProc) kill() {
 // legExec is legRestart with a real process boundary: the store runs as a
 // terokv child, dies by SIGKILL, and a fresh child recovers from the same
 // directory on the same port.
-func legExec(o Options, crashTick int) ([]*Table, error) {
+func legExec(o Options, crash *crashPoint) ([]*Table, error) {
 	dir, err := os.MkdirTemp("", "tero-chaos-exec-")
 	if err != nil {
 		return nil, err
@@ -250,7 +274,7 @@ func legExec(o Options, crashTick int) ([]*Table, error) {
 	defer rs.Close()
 
 	onTick := func(i int) error {
-		if i != crashTick {
+		if !crash.due(rs, i) {
 			return nil
 		}
 		addr := proc.addr

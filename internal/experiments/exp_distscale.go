@@ -10,7 +10,6 @@ import (
 	"tero/internal/dist"
 	"tero/internal/download"
 	"tero/internal/kvstore"
-	"tero/internal/objstore"
 	"tero/internal/par"
 	"tero/internal/pipeline"
 	"tero/internal/twitchsim"
@@ -289,13 +288,10 @@ func runDistLeg(o Options, n, crashFrom int) ([]*Table, time.Duration, *dist.Coo
 		return nil, 0, nil, -1, err
 	}
 	defer srv.Close()
-	objects := objstore.New()
-	srv.AttachObjects(objects)
 
 	p := pipeline.NewWithKV(platform.URL(), 1, st)
-	p.Objects = objects
 	p.Concurrency = par.Workers(o.Concurrency)
-	coord := dist.NewCoordinator(p, st, objects)
+	coord := dist.NewCoordinator(p, st)
 	coord.Announce(platform.URL())
 
 	workers := make([]*distWorker, n)

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -203,6 +204,85 @@ func TestServerConcurrentClients(t *testing.T) {
 	defer cl.Close()
 	if rep, err := cl.Do("LLEN", "shared"); err != nil || rep.Int != 800 {
 		t.Fatalf("shared = %+v, %v, want 800", rep, err)
+	}
+}
+
+// TestLPopClaimContention is the distributed claim race in miniature: many
+// real client connections hammer LPOP on one queue — as a teroworker fleet
+// does at the top of every round — and every item must be claimed exactly
+// once. Runs under -race via the normal test build.
+func TestLPopClaimContention(t *testing.T) {
+	srv, cl := newServerClient(t)
+
+	const items = 1000
+	const clients = 8
+	vals := make([]string, items)
+	for i := range vals {
+		vals[i] = "item-" + strconv.Itoa(i)
+	}
+	if rep, err := cl.Do(append([]string{"RPUSH", "q"}, vals...)...); err != nil || rep.Int != items {
+		t.Fatalf("seed RPUSH: %v %v", rep, err)
+	}
+
+	claims := make([][]string, clients)
+	var wg sync.WaitGroup
+	wg.Add(clients)
+	for c := 0; c < clients; c++ {
+		go func(c int) {
+			defer wg.Done()
+			conn, err := Dial(srv.Addr())
+			if err != nil {
+				t.Errorf("client %d dial: %v", c, err)
+				return
+			}
+			defer conn.Close()
+			for {
+				rep, err := conn.Do("LPOP", "q")
+				if err != nil {
+					t.Errorf("client %d LPOP: %v", c, err)
+					return
+				}
+				if rep.Null {
+					return // drained
+				}
+				claims[c] = append(claims[c], rep.Str)
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	seen := make(map[string]int, items)
+	total := 0
+	for c := range claims {
+		total += len(claims[c])
+		for _, v := range claims[c] {
+			seen[v]++
+		}
+	}
+	if total != items {
+		t.Fatalf("claimed %d items, want %d", total, items)
+	}
+	for i := range vals {
+		if n := seen[vals[i]]; n != 1 {
+			t.Fatalf("%s claimed %d times", vals[i], n)
+		}
+	}
+	if rep, err := cl.Do("LLEN", "q"); err != nil || rep.Int != 0 {
+		t.Fatalf("queue not drained: %v %v", rep, err)
+	}
+	// The race only counts as exercised if the pops actually interleaved.
+	busiest, idlest := 0, items
+	for c := range claims {
+		if len(claims[c]) > busiest {
+			busiest = len(claims[c])
+		}
+		if len(claims[c]) < idlest {
+			idlest = len(claims[c])
+		}
+	}
+	t.Logf("claim spread across %d clients: min %d, max %d", clients, idlest, busiest)
+	if busiest == items {
+		fmt.Println("warning: one client claimed everything; contention not exercised")
 	}
 }
 

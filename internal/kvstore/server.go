@@ -8,8 +8,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"tero/internal/objstore"
 )
 
 // Server exposes a Store over TCP with RESP framing.
@@ -21,9 +19,6 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
-
-	// objects, when attached, is where OPUT stores (objserver.go).
-	objects *objstore.Store
 }
 
 // Serve starts a server on addr (e.g. "127.0.0.1:0") and returns it; the
@@ -202,8 +197,6 @@ func (s *Server) dispatch(w *bufio.Writer, args []string) error {
 			return writeError(w, "LLEN needs key")
 		}
 		return writeInt(w, int64(s.store.LLen(args[1])))
-	case "OPUT":
-		return s.putObject(w, args)
 	default:
 		return writeError(w, "unknown command "+cmd)
 	}

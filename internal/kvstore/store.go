@@ -5,7 +5,9 @@
 // do. It is sized to the traffic Tero sends, not to Redis: the ten
 // operations of KV (SET GET DEL HSET HGET HDEL HGETALL RPUSH LPOP LLEN) are
 // the whole data surface — no TTLs, counters, key scans or right-end pops —
-// so those ten are all that is logged, snapshotted and fuzzed.
+// so those ten are all that is logged, snapshotted and fuzzed. They are
+// the whole wire too: a distributed run's coordination and extraction
+// results both ride them, and no object crosses it.
 //
 // The store is optionally durable, and restarting from disk is its one
 // recovery story. Open attaches an append-only file of RESP-framed write

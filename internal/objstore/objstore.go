@@ -1,7 +1,9 @@
 // Package objstore implements the S3-like object store Tero uses for
 // thumbnails and intermediate image-processing products (App. B uses a
 // Ceph-based store): named buckets of binary objects with metadata,
-// safe for concurrent use.
+// safe for concurrent use. A store is local to its process: no object
+// crosses a process boundary, and a fleet worker's thumbnails stay in its
+// own store.
 package objstore
 
 import (
@@ -29,9 +31,7 @@ type Object struct {
 
 // API is the object-store surface the rest of the system programs against.
 // The in-memory *Store is its one implementation in the program; being an
-// interface is what lets the benchmark and tests wrap it in decorators. The
-// RESP wire client (kvstore.RemoteObjects) only puts and does not implement
-// it: no process reads another's objects.
+// interface is what lets the benchmark and tests wrap it in decorators.
 //
 // Payloads change hands, they are not copied: Put takes ownership of data
 // and meta, which the caller must not write to afterwards, and Get returns

@@ -342,11 +342,7 @@ func (p *Pipeline) ProcessThumbnails() int {
 			// Corrupt thumbnail: count it and move it aside so it cannot
 			// poison OCR; the pipeline keeps going on the healthy rest.
 			p.IngestResult(r.ThumbResult, trace.Context{})
-			if obj, err := p.Objects.Get(download.ThumbBucket, key); err == nil {
-				p.Objects.Put(QuarantineBucket, key, obj.Data, obj.Meta)
-			}
-			p.Objects.Delete(download.ThumbBucket, key)
-			plog.Warn("quarantined corrupt thumbnail", "key", key)
+			p.Quarantine(key)
 			trace.RecordSpan(jctx, "pipeline.extract", r.Start, r.End,
 				"corrupt thumbnail: pgm decode failed", trace.A("key", key))
 			trace.Finish(jctx.TraceID)
@@ -378,6 +374,17 @@ func (p *Pipeline) ProcessThumbnails() int {
 	plog.Debug("thumbnails processed", "batch", len(results),
 		"extracted", p.Extracted, "missed", p.Missed, "zero", p.Zero)
 	return len(results)
+}
+
+// Quarantine moves the thumbnail stored under key from the thumbnail bucket
+// to QuarantineBucket: run by whichever process decoded it corrupt, a single
+// process or a fleet worker.
+func (p *Pipeline) Quarantine(key string) {
+	if obj, err := p.Objects.Get(download.ThumbBucket, key); err == nil {
+		p.Objects.Put(QuarantineBucket, key, obj.Data, obj.Meta)
+	}
+	p.Objects.Delete(download.ThumbBucket, key)
+	plog.Warn("quarantined corrupt thumbnail", "key", key)
 }
 
 // TakeExtractions returns the extraction of every thumbnail in the bucket, in

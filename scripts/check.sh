@@ -325,7 +325,8 @@ echo "== dist smoke (coordinator + 2 real teroworker processes, tables match gol
 # Boots the shared store on a :0 port, runs fleets of 1 and 2 teroworker
 # child processes plus the kill-one-worker crash leg; every leg's analysis
 # tables must match the single-process golden byte for byte, with the
-# coordinator's dist_* counters lit and the killed worker's claims reaped.
+# coordinator's dist_* counters lit, no result rejected and the killed
+# worker's claims reaped.
 go build -o "$TMPDIR/teroworker-check-$$" ./cmd/teroworker
 "$TMPDIR/teroexp-check-$$" -scale 0.05 -metrics -dist-fleets 1,2 \
     -worker-exec "$TMPDIR/teroworker-check-$$" dist-scale > "$DIST" 2>&1 \
@@ -338,6 +339,9 @@ grep -E '^counter dist_rounds_total +[1-9]' "$DIST" > /dev/null \
     || { echo "dist run drove no rounds" >&2; cat "$DIST" >&2; exit 1; }
 grep -E '^counter dist_results_ingested_total +[1-9]' "$DIST" > /dev/null \
     || { echo "dist run ingested nothing" >&2; cat "$DIST" >&2; exit 1; }
+# A fleet's own results are all valid: the coordinator rejects none.
+grep -E '^counter dist_results_rejected_total +0$' "$DIST" > /dev/null \
+    || { echo "dist run rejected results its own fleet pushed" >&2; cat "$DIST" >&2; exit 1; }
 grep -E '^counter dist_workers_dead_total +[1-9]' "$DIST" > /dev/null \
     || { echo "dist crash leg never declared the killed worker dead" >&2; cat "$DIST" >&2; exit 1; }
 grep -E '^DISTBENCH .*"crash":true.*"claims_reaped":[1-9]' "$DIST" > /dev/null \
