@@ -45,8 +45,6 @@ type options struct {
 	logLevel    string
 	faults      float64
 	faultSeed   int64
-	kvDir       string
-	kvFsync     string
 	distributed int
 	listen      string
 }
@@ -73,11 +71,6 @@ func (o *options) register(fs *flag.FlagSet) {
 		"platform fault-injection rate (0 = off, 1 = calibrated default mix "+
 			"of 500s, stalls, resets, truncated/corrupt thumbnails, dropped headers)")
 	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "fault-injection schedule seed")
-	fs.StringVar(&o.kvDir, "kv-dir", "",
-		"durable kvstore directory, empty or new: append-only-log every write "+
-			"(empty = in-memory only)")
-	fs.StringVar(&o.kvFsync, "kv-fsync", kvstore.FsyncInterval,
-		"kvstore aof fsync policy: always, interval, never")
 	fs.IntVar(&o.distributed, "distributed", 0,
 		"coordinator mode: serve the store on -listen, wait for N teroworker "+
 			"processes, and drive the run through them (0 = single-process)")
@@ -86,10 +79,9 @@ func (o *options) register(fs *flag.FlagSet) {
 }
 
 // run is the whole command behind main: it parses args on its own flag
-// set, writes only to the given streams, and returns the exit code. Every
-// failure returns through the deferred cleanups — the kvstore's Close is
-// what flushes the buffered tail of a durable -kv-dir log.
-func run(args []string, stdout, stderr io.Writer) (code int) {
+// set, writes only to the given streams, and returns the exit code. The
+// store is in memory: a run cannot resume, so it keeps nothing on disk.
+func run(args []string, stdout, stderr io.Writer) int {
 	var o options
 	fs := flag.NewFlagSet("tero", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -144,33 +136,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	fmt.Fprintf(stdout, "platform serving at %s\n", platform.URL())
 
-	var st *kvstore.Store
-	if o.kvDir != "" {
-		s, err := kvstore.Open(o.kvDir, kvstore.PersistOptions{
-			Fsync: o.kvFsync, CompactEvery: kvstore.DefaultCompactEvery})
-		if err != nil {
-			fmt.Fprintf(stderr, "kvstore: %v\n", err)
-			return 1
-		}
-		defer func() {
-			if err := s.Close(); err != nil {
-				fmt.Fprintf(stderr, "kvstore: close: %v\n", err)
-				code = max(code, 1)
-			}
-		}()
-		// A run cannot resume: the keys an earlier run left name downloads,
-		// claims and locations whose measurements died with its process, so
-		// the coordinator would never enqueue those streamers again.
-		if n := s.Len(); n > 0 {
-			fmt.Fprintf(stderr, "kvstore: %s holds %d keys from an earlier run; tero cannot resume a run, point -kv-dir at an empty directory\n",
-				o.kvDir, n)
-			return 1
-		}
-		fmt.Fprintf(stdout, "kvstore durable at %s (fsync=%s)\n", o.kvDir, o.kvFsync)
-		st = s
-	} else {
-		st = kvstore.New()
-	}
+	st := kvstore.New()
 	p := pipeline.NewWithKV(platform.URL(), o.downloaders, st)
 	p.Concurrency = o.concurrency
 	totalTicks := cfg.Days * 24 * 30

@@ -11,13 +11,12 @@ import (
 	"time"
 
 	"tero/internal/dist"
-	"tero/internal/kvstore"
 	"tero/internal/stats"
 )
 
 // maxFlags is the ceiling on the command's flag surface; raising it means
 // adding an option on purpose.
-const maxFlags = 16
+const maxFlags = 14
 
 // syncBuffer is a bytes.Buffer the command can write while the test reads.
 type syncBuffer struct {
@@ -59,49 +58,30 @@ func TestSingleProcessRunPrintsSummary(t *testing.T) {
 	}
 }
 
-// reopen reads a -kv-dir back the way the next run would.
-func reopen(t *testing.T, dir string) *kvstore.Store {
-	t.Helper()
-	st, err := kvstore.Open(dir, kvstore.PersistOptions{})
-	if err != nil {
-		t.Fatalf("the failed run left a store that does not reopen: %v", err)
-	}
-	t.Cleanup(func() { st.Close() })
-	return st
-}
-
 // TestDistributedListenFailureExitsOne: a coordinator that cannot listen
-// returns 1 through its deferred cleanups, and the durable store it had
-// already opened reopens cleanly.
+// returns 1 through its deferred cleanups.
 func TestDistributedListenFailureExitsOne(t *testing.T) {
 	occupied, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer occupied.Close()
-	dir := t.TempDir()
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-streamers", "5", "-days", "1", "-log", "error",
-		"-distributed", "1", "-listen", occupied.Addr().String(), "-kv-dir", dir}, &stdout, &stderr)
+		"-distributed", "1", "-listen", occupied.Addr().String()}, &stdout, &stderr)
 	if code != 1 || !strings.Contains(stderr.String(), "serve "+occupied.Addr().String()) {
 		t.Fatalf("exit %d, want 1 and a listen error\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
 	}
-	reopen(t, dir)
 }
 
-// TestDistributedRunFailureFlushesStore: the fleet's only worker joins and
-// then dies, so the run fails mid-tick ("no live workers") with writes still
-// in the append-only log's buffer — -kv-fsync never flushes only on Close.
-// The store read back must hold the run's state up to its last write, the
-// dead worker's removal from the roster.
-func TestDistributedRunFailureFlushesStore(t *testing.T) {
-	dir := t.TempDir()
+// TestDistributedRunFailureExitsOne: the fleet's only worker joins and then
+// dies, so the run fails mid-tick ("no live workers") and exits 1.
+func TestDistributedRunFailureExitsOne(t *testing.T) {
 	var stdout, stderr syncBuffer
 	exit := make(chan int, 1)
 	go func() {
 		exit <- run([]string{"-streamers", "5", "-days", "1", "-log", "error",
-			"-distributed", "1", "-listen", "127.0.0.1:0",
-			"-kv-dir", dir, "-kv-fsync", kvstore.FsyncNever}, &stdout, &stderr)
+			"-distributed", "1", "-listen", "127.0.0.1:0"}, &stdout, &stderr)
 	}()
 	// awaitLine polls the command's stdout for a line and returns its match.
 	awaitLine := func(re string) []string {
@@ -136,45 +116,6 @@ func TestDistributedRunFailureFlushesStore(t *testing.T) {
 		t.Fatalf("exit %d, want 1 and \"no live workers\"\nstdout:\n%s\nstderr:\n%s",
 			code, stdout.String(), stderr.String())
 	}
-
-	st := reopen(t, dir)
-	if _, ok := st.Get(dist.KeyPlatform); !ok {
-		t.Errorf("%s not recovered: the run's first write is missing", dist.KeyPlatform)
-	}
-	if _, ok := st.HGet(dist.KeyRoster, "w1"); ok {
-		t.Errorf("w1 still on the recovered roster: the log's tail was not flushed")
-	}
-}
-
-// TestKVDirOfEarlierRunExitsOne: a second run on the -kv-dir a first run
-// left behind exits 1 before it drives anything. The first run's keys name
-// downloads, claims and locations whose measurements died with its process;
-// recovering them made the second run skip those streamers and print a
-// shorter table with exit 0.
-func TestKVDirOfEarlierRunExitsOne(t *testing.T) {
-	dir := t.TempDir()
-	args := []string{"-streamers", "5", "-days", "1", "-log", "error", "-kv-dir", dir}
-	var stdout, stderr bytes.Buffer
-	if code := run(args, &stdout, &stderr); code != 0 {
-		t.Fatalf("first run: exit %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
-	}
-	st, err := kvstore.Open(dir, kvstore.PersistOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := st.Len()
-	if err := st.Close(); err != nil || n == 0 {
-		t.Fatalf("first run left %d keys (close: %v): nothing to refuse", n, err)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	code := run(args, &stdout, &stderr)
-	if code != 1 || !strings.Contains(stderr.String(), "keys from an earlier run") {
-		t.Fatalf("second run: exit %d, want 1 and a refusal\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
-	}
-	if strings.Contains(stdout.String(), "thumbnails processed") {
-		t.Errorf("second run drove the pipeline before refusing:\n%s", &stdout)
-	}
 }
 
 func TestUnknownFlagExitsTwo(t *testing.T) {
@@ -192,8 +133,8 @@ func TestHelpExitsZero(t *testing.T) {
 	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
 		t.Errorf("exit %d, want 0", code)
 	}
-	if !strings.Contains(stderr.String(), "-kv-dir") {
-		t.Errorf("usage lacks -kv-dir:\n%s", &stderr)
+	if !strings.Contains(stderr.String(), "-distributed") {
+		t.Errorf("usage lacks -distributed:\n%s", &stderr)
 	}
 }
 

@@ -29,12 +29,11 @@ func main() {
 
 // options is the command's whole flag surface.
 type options struct {
-	addr         string
-	dir          string
-	fsync        string
-	compactEvery int
-	debugAddr    string
-	logLevel     string
+	addr      string
+	dir       string
+	fsync     string
+	debugAddr string
+	logLevel  string
 }
 
 // register declares every flag on fs.
@@ -42,9 +41,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:0", "listen address")
 	fs.StringVar(&o.dir, "dir", "", "persistence directory (empty = in-memory only)")
 	fs.StringVar(&o.fsync, "fsync", kvstore.FsyncInterval,
-		"aof fsync policy: always, interval, never")
-	fs.IntVar(&o.compactEvery, "compact-every", kvstore.DefaultCompactEvery,
-		"snapshot+compact the log after this many appended commands (0 = never)")
+		"aof fsync policy: always or interval")
 	fs.StringVar(&o.debugAddr, "debug-addr", "",
 		"serve /metrics and /debug/pprof/ on this address")
 	fs.StringVar(&o.logLevel, "log", "info",
@@ -85,10 +82,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var store *kvstore.Store
 	if o.dir != "" {
 		var err error
-		store, err = kvstore.Open(o.dir, kvstore.PersistOptions{
-			Fsync:        o.fsync,
-			CompactEvery: o.compactEvery,
-		})
+		store, err = kvstore.Open(o.dir, o.fsync)
 		if err != nil {
 			fmt.Fprintf(stderr, "open %s: %v\n", o.dir, err)
 			return 1

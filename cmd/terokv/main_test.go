@@ -15,7 +15,7 @@ import (
 
 // maxFlags is the ceiling on the command's flag surface; raising it means
 // adding an option on purpose.
-const maxFlags = 6
+const maxFlags = 5
 
 // syncBuffer is a bytes.Buffer the command can write while the test reads.
 type syncBuffer struct {

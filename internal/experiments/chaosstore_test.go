@@ -35,6 +35,11 @@ func TestChaosStoreRecoveryExact(t *testing.T) {
 	if got := storeRow(t, sum, func(r []string) bool { return r[0] == "restart-from-aof" }, 2); got != "yes" {
 		t.Fatalf("restart-from-aof diverged from golden:\n%s", sum)
 	}
+	// The leg crashed the store, after a committed snapshot...
+	tick := storeRow(t, sum, func(r []string) bool { return r[0] == "restart-from-aof" }, 1)
+	if _, err := strconv.Atoi(tick); err != nil {
+		t.Fatalf("restart-from-aof crash tick = %q, want a tick — the store never crashed:\n%s", tick, sum)
+	}
 
 	counter := func(leg, name string) int {
 		v := storeRow(t, counters, func(r []string) bool {
@@ -46,14 +51,17 @@ func TestChaosStoreRecoveryExact(t *testing.T) {
 		}
 		return n
 	}
-	// The restart leg must actually have replayed state from disk...
+	// ...must actually have replayed state from disk...
 	if n := counter("restart-from-aof", "kvstore_aof_replayed_total"); n == 0 {
 		t.Fatal("restart leg replayed nothing — the crash never exercised recovery")
 	}
 	if n := counter("restart-from-aof", "kvstore_aof_appends_total"); n == 0 {
 		t.Fatal("restart leg appended nothing to the AOF")
 	}
-	// ...and the crash must really have cut the pipeline's live connections.
+	if n := counter("restart-from-aof", "kvstore_snapshots_total"); n == 0 {
+		t.Fatal("restart leg took no snapshot — recovery replayed the AOF alone")
+	}
+	// ...and must really have cut the pipeline's live connections.
 	if n := counter("restart-from-aof", "kvstore_client_redials_total"); n < 1 {
 		t.Fatal("restart leg redialled nothing — the crash never cut a live connection")
 	}

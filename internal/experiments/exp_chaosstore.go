@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 
 func init() {
 	register("chaos-store",
-		"store-crash durability: kill the kvstore mid-run and restart it from its AOF vs crash-free golden",
+		"store-crash durability: kill the kvstore mid-run and restart it from its log vs crash-free golden",
 		runChaosStore)
 }
 
@@ -25,9 +26,10 @@ func init() {
 // process, and (when Options.StoreExec names a terokv binary) once more as a
 // real child process killed with SIGKILL. Crashes happen at quiescent points
 // (between ticks, no command in flight), the discipline a deployment gets
-// from draining before restart, and only once the store holds a claim
-// (crashPoint); within it, recovery must be exact: every leg's final tables
-// must be byte-identical to a crash-free golden run.
+// from draining before restart, and only once the store holds a claim and
+// its log a committed snapshot (crashPoint); within it, recovery must be
+// exact: every leg's final tables must be byte-identical to a crash-free
+// golden run.
 func runChaosStore(o Options) ([]*Table, error) {
 	o.Faults = 0 // isolate store crashes from platform fault injection
 	total := volumeTickCount(o)
@@ -79,7 +81,8 @@ func runChaosStore(o Options) ([]*Table, error) {
 		if crash.at < 0 {
 			crashTick = "-"
 			summary.Notes = append(summary.Notes, fmt.Sprintf(
-				"WARNING: %s never crashed the store: no tick from %d on left a claim in it", name, crashFrom))
+				"WARNING: %s never crashed the store: no tick from %d on left a claim in it and a snapshot on disk",
+				name, crashFrom))
 		}
 		summary.AddRow(name, crashTick, identical)
 		for _, c := range watch {
@@ -104,21 +107,28 @@ func runChaosStore(o Options) ([]*Table, error) {
 			"sigkill-exec AOF/replay counters live in the terokv child process, not this registry")
 	}
 	summary.Notes = append(summary.Notes,
-		"crashes land at quiescent points (between ticks); recovery replays the "+
-			"AOF (fsync=always) and the clients redial-and-resume — so the crashed "+
-			"runs measure exactly what the crash-free run measures")
+		"crashes land at quiescent points (between ticks); recovery loads the "+
+			"snapshot, replays the AOF tail (fsync=always) and the clients "+
+			"redial-and-resume — so the crashed runs measure exactly what the "+
+			"crash-free run measures")
 	return append([]*Table{summary, counters}, goldTabs...), nil
 }
 
 // crashPoint is where a leg crashes the store: after the first tick from
-// `from` on that leaves a claim in it. A claim means a downloader's state is
-// in the store; a crash before any streamer went live would leave recovery
-// nothing to restore. at is the tick it crashed after, -1 until then.
+// `from` on that leaves a claim in it and a committed snapshot in its
+// directory. A claim means a downloader's state is in the store; a crash
+// before any streamer went live would leave recovery nothing to restore,
+// and one before the first snapshot would test the AOF replay alone. at is
+// the tick it crashed after, -1 until then.
 type crashPoint struct{ from, at int }
 
-// due reports, once, whether the store kv should crash after tick i.
-func (c *crashPoint) due(kv kvstore.KV, i int) bool {
+// due reports, once, whether the store kv, logging under dir, should crash
+// after tick i.
+func (c *crashPoint) due(kv kvstore.KV, dir string, i int) bool {
 	if c.at >= 0 || i < c.from || len(kv.HGetAll(download.KeyClaimed)) == 0 {
+		return false
+	}
+	if snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.resp")); len(snaps) == 0 {
 		return false
 	}
 	c.at = i
@@ -153,25 +163,19 @@ func legGolden(o Options) ([]*Table, error) {
 	return runVolumeWith(o, rs, nil)
 }
 
-// persistOpts is the durability configuration the crash legs run under:
-// fsync-always so a kill at any instant loses nothing, compacting often
-// enough that recovery exercises snapshot load + AOF tail replay.
-func persistOpts() kvstore.PersistOptions {
-	return kvstore.PersistOptions{Fsync: kvstore.FsyncAlways, CompactEvery: 800}
-}
-
-// legRestart crashes the store at crash and recovers it from disk: the
-// server is hard-stopped and its store abandoned unclosed (everything is
-// already fsynced), then a fresh store Opens the same directory — snapshot
-// load plus AOF tail replay — and rebinds the same address so the
-// pipeline's clients reconnect and resume.
+// legRestart crashes the store at crash and recovers it from disk, written
+// under fsync-always so a kill at any instant loses nothing: the server is
+// hard-stopped and its store abandoned unclosed (everything is already
+// fsynced), then a fresh store Opens the same directory — snapshot load
+// plus AOF tail replay — and rebinds the same address so the pipeline's
+// clients reconnect and resume.
 func legRestart(o Options, crash *crashPoint) ([]*Table, error) {
 	dir, err := os.MkdirTemp("", "tero-chaos-store-")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	st, err := kvstore.Open(dir, persistOpts())
+	st, err := kvstore.Open(dir, kvstore.FsyncAlways)
 	if err != nil {
 		return nil, err
 	}
@@ -189,11 +193,11 @@ func legRestart(o Options, crash *crashPoint) ([]*Table, error) {
 	defer func() { srv.Close(); st.Close() }()
 
 	onTick := func(i int) error {
-		if !crash.due(rs, i) {
+		if !crash.due(rs, dir, i) {
 			return nil
 		}
 		srv.Close() // crash: no store.Close, no flush — disk state is what it is
-		st2, err := kvstore.Open(dir, persistOpts())
+		st2, err := kvstore.Open(dir, kvstore.FsyncAlways)
 		if err != nil {
 			return fmt.Errorf("recovery open: %w", err)
 		}
@@ -216,7 +220,7 @@ type storeProc struct {
 // startStoreProc launches terokv and waits for its address announcement.
 func startStoreProc(bin, addr, dir string) (*storeProc, error) {
 	cmd := exec.Command(bin, "-addr", addr, "-dir", dir,
-		"-fsync", kvstore.FsyncAlways, "-compact-every", "800", "-log", "warn")
+		"-fsync", kvstore.FsyncAlways, "-log", "warn")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return nil, err
@@ -274,7 +278,7 @@ func legExec(o Options, crash *crashPoint) ([]*Table, error) {
 	defer rs.Close()
 
 	onTick := func(i int) error {
-		if !crash.due(rs, i) {
+		if !crash.due(rs, dir, i) {
 			return nil
 		}
 		addr := proc.addr

@@ -39,36 +39,18 @@ const (
 	// FsyncInterval flushes+syncs every FsyncEvery on a background ticker:
 	// bounded loss, near-memory write latency.
 	FsyncInterval = "interval"
-	// FsyncNever leaves syncing to the OS page cache.
-	FsyncNever = "never"
 )
 
 // FsyncEvery is the FsyncInterval period.
 const FsyncEvery = 100 * time.Millisecond
 
-// DefaultCompactEvery is the CompactEvery that terokv and tero run with.
-const DefaultCompactEvery = 10000
-
-// PersistOptions configures Open.
-type PersistOptions struct {
-	// Fsync is one of FsyncAlways, FsyncInterval, FsyncNever
-	// (default FsyncInterval).
-	Fsync string
-	// CompactEvery rewrites the log as a snapshot after this many appended
-	// commands (0 = never).
-	CompactEvery int
-}
-
-func (o *PersistOptions) fill() error {
-	switch o.Fsync {
-	case "":
-		o.Fsync = FsyncInterval
-	case FsyncAlways, FsyncInterval, FsyncNever:
-	default:
-		return fmt.Errorf("kvstore: unknown fsync policy %q", o.Fsync)
-	}
-	return nil
-}
+// compactFloor is the fewest appends between two compactions. The log
+// compacts once the appends since the last one reach the store's own size
+// (live, the commands its snapshot took), Redis's 100%-growth rule: the log
+// stays under 2·live + compactFloor commands, and the snapshot commands
+// written stay under twice the appends. Without the floor, a nearly empty
+// store would rewrite its snapshot on almost every write.
+const compactFloor = 64
 
 // Log file layout: snap-<gen>.resp + aof-<gen>.resp pairs. A snapshot is a
 // deterministic RESP command stream reconstructing the store; the AOF of the
@@ -101,8 +83,9 @@ func parseGen(name, prefix string) (int, bool) {
 // serializes them against the background fsync ticker and Close.
 type aofWriter struct {
 	dir     string
-	opt     PersistOptions
+	fsync   string
 	appends int // since the last compaction attempt
+	live    int // commands in the store's snapshot at Open or the last compaction
 
 	mu    sync.Mutex
 	gen   int
@@ -126,7 +109,7 @@ func (a *aofWriter) append(args []string) {
 	a.size += int64(n)
 	a.appends++
 	a.dirty = true
-	if err == nil && a.opt.Fsync == FsyncAlways {
+	if err == nil && a.fsync == FsyncAlways {
 		err = a.syncLocked()
 	}
 	if err != nil && a.err == nil {
@@ -240,10 +223,11 @@ func intDigits(v int) int {
 // Open loads (or creates) a durable store rooted at dir: it picks the
 // newest complete generation, loads its snapshot, replays the AOF tail —
 // truncating a torn final record from a mid-write crash — and attaches an
-// appender so every subsequent write is logged.
-func Open(dir string, opt PersistOptions) (*Store, error) {
-	if err := opt.fill(); err != nil {
-		return nil, err
+// appender so every subsequent write is logged. fsync is FsyncAlways or
+// FsyncInterval.
+func Open(dir, fsync string) (*Store, error) {
+	if fsync != FsyncAlways && fsync != FsyncInterval {
+		return nil, fmt.Errorf("kvstore: unknown fsync policy %q", fsync)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -318,14 +302,15 @@ func Open(dir string, opt PersistOptions) (*Store, error) {
 		return nil, err
 	}
 	a := &aofWriter{
-		dir:  dir,
-		opt:  opt,
-		gen:  gen,
-		f:    f,
-		w:    bufio.NewWriter(f),
-		size: st.Size(),
+		dir:   dir,
+		fsync: fsync,
+		live:  len(s.snapshotCmdsLocked()),
+		gen:   gen,
+		f:     f,
+		w:     bufio.NewWriter(f),
+		size:  st.Size(),
 	}
-	if opt.Fsync == FsyncInterval {
+	if fsync == FsyncInterval {
 		a.stop = make(chan struct{})
 		a.done = make(chan struct{})
 		go a.flushLoop()

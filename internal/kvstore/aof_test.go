@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bufio"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -53,7 +54,7 @@ func scribble(s *Store) {
 
 func TestOpenRecoversState(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, PersistOptions{Fsync: FsyncAlways})
+	s, err := Open(dir, FsyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestOpenRecoversState(t *testing.T) {
 	}
 
 	before := mAofReplayed.Value()
-	s2, err := Open(dir, PersistOptions{Fsync: FsyncAlways})
+	s2, err := Open(dir, FsyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +83,9 @@ func TestOpenRecoversState(t *testing.T) {
 
 func TestRecoveryAfterCompaction(t *testing.T) {
 	dir := t.TempDir()
-	// Compact aggressively so recovery exercises snapshot load + AOF tail.
-	opt := PersistOptions{Fsync: FsyncAlways, CompactEvery: 25}
-	s, err := Open(dir, opt)
+	// scribble's 78 appends pass compactFloor, so recovery exercises
+	// snapshot load + AOF tail.
+	s, err := Open(dir, FsyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestRecoveryAfterCompaction(t *testing.T) {
 		t.Fatalf("expected an advanced snapshot generation, got %v", names)
 	}
 
-	s2, err := Open(dir, opt)
+	s2, err := Open(dir, FsyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +128,11 @@ func TestRecoveryAfterCompaction(t *testing.T) {
 
 // TestFailedCompactionWaitsItsTurn: an auto-compaction that fails is
 // reported, not swallowed, and is not retried on the very next write — the
-// next attempt comes CompactEvery appends later, and until then every write
-// still lands in the current generation.
+// next attempt comes as many appends later (compactFloor, for a store this
+// small), and until then every write still lands in the current generation.
 func TestFailedCompactionWaitsItsTurn(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, PersistOptions{Fsync: FsyncAlways, CompactEvery: 10})
+	s, err := Open(dir, FsyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,29 +145,29 @@ func TestFailedCompactionWaitsItsTurn(t *testing.T) {
 			s.Set("k"+strconv.Itoa(i), strconv.Itoa(i))
 		}
 	}
-	set(0, 10)
+	set(0, compactFloor)
 	if err := os.Remove(aofPath(dir, 2)); err != nil {
 		t.Fatal(err)
 	}
-	set(10, 11)
+	set(compactFloor, compactFloor+1)
 	if _, err := os.Stat(snapPath(dir, 2)); !os.IsNotExist(err) {
 		t.Fatalf("compaction retried on the write after the failure: stat snap-2 = %v", err)
 	}
-	set(11, 20)
+	set(compactFloor+1, 2*compactFloor)
 	if _, err := os.Stat(snapPath(dir, 2)); err != nil {
-		t.Fatalf("compaction not retried CompactEvery appends later: %v", err)
+		t.Fatalf("compaction not retried compactFloor appends later: %v", err)
 	}
 	want := fingerprint(s)
 	if err := s.Close(); err == nil {
 		t.Fatal("Close reported no error after a failed compaction")
 	}
-	s2, err := Open(dir, PersistOptions{Fsync: FsyncAlways})
+	s2, err := Open(dir, FsyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Len() != 20 {
-		t.Fatalf("recovered %d keys, want 20", s2.Len())
+	if s2.Len() != 2*compactFloor {
+		t.Fatalf("recovered %d keys, want %d", s2.Len(), 2*compactFloor)
 	}
 	if got := fingerprint(s2); got != want {
 		t.Fatalf("recovery after a failed compaction differs:\nwant:\n%s\ngot:\n%s", want, got)
@@ -175,7 +176,7 @@ func TestFailedCompactionWaitsItsTurn(t *testing.T) {
 
 func TestCrashWithoutCloseRecovers(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, PersistOptions{Fsync: FsyncAlways})
+	s, err := Open(dir, FsyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestCrashWithoutCloseRecovers(t *testing.T) {
 	want := fingerprint(s)
 	// No Close: simulate a crash by abandoning the store. fsync=always
 	// means every append already hit disk.
-	s2, err := Open(dir, PersistOptions{Fsync: FsyncAlways})
+	s2, err := Open(dir, FsyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestCrashWithoutCloseRecovers(t *testing.T) {
 
 func TestTornAofTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, PersistOptions{Fsync: FsyncAlways})
+	s, err := Open(dir, FsyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestTornAofTailTruncated(t *testing.T) {
 	f.Close()
 
 	before := mAofTruncated.Value()
-	s2, err := Open(dir, PersistOptions{Fsync: FsyncAlways})
+	s2, err := Open(dir, FsyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestTornAofTailTruncated(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s3, err := Open(dir, PersistOptions{Fsync: FsyncAlways})
+	s3, err := Open(dir, FsyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,13 +253,13 @@ func TestTornAofTailTruncated(t *testing.T) {
 }
 
 // TestAofConcurrentWriters exercises the AOF writer, the background fsync
-// ticker and auto-compaction under parallel mutators; run with -race. The
-// writers finish well inside one FsyncEvery, so a goroutine makes the
-// ticker's call, aof.Sync, every millisecond beside them.
+// ticker and auto-compaction (about forty of them: the store stays a few
+// dozen commands big) under parallel mutators; run with -race. The writers
+// finish well inside one FsyncEvery, so a goroutine makes the ticker's
+// call, aof.Sync, every millisecond beside them.
 func TestAofConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
-	opt := PersistOptions{Fsync: FsyncInterval, CompactEvery: 50}
-	s, err := Open(dir, opt)
+	s, err := Open(dir, FsyncInterval)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestAofConcurrentWriters(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(dir, opt)
+	s2, err := Open(dir, FsyncInterval)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +318,101 @@ func TestAofConcurrentWriters(t *testing.T) {
 }
 
 func TestOpenRejectsBadFsyncPolicy(t *testing.T) {
-	if _, err := Open(t.TempDir(), PersistOptions{Fsync: "sometimes"}); err == nil {
-		t.Fatal("bad fsync policy accepted")
+	for _, policy := range []string{"sometimes", "never", ""} {
+		if _, err := Open(t.TempDir(), policy); err == nil {
+			t.Fatalf("fsync policy %q accepted", policy)
+		}
+	}
+}
+
+// logOnDisk syncs the store's log and counts the commands its files hold:
+// what a recovery from dir would replay. It also returns the generation of
+// the committed snapshot, 0 if there is none.
+func logOnDisk(t *testing.T, s *Store, dir string) (cmds, gen int) {
+	t.Helper()
+	if err := s.aof.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if g, ok := parseGen(e.Name(), "snap-"); ok {
+			gen = g
+		}
+		f, err := os.Open(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(f)
+		for {
+			if _, err := readCommand(br); err != nil {
+				break
+			}
+			cmds++
+		}
+		f.Close()
+	}
+	return cmds, gen
+}
+
+// TestCompactionPacedByLiveSize, churn: a store that never holds more than
+// ten keys compacts every compactFloor appends, so however many writes it
+// takes, its log stays under 2·live + compactFloor commands.
+func TestCompactionPacedByLiveSize(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, FsyncInterval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const maxLive = 10
+	gen := 0
+	for i := 0; i < 10000; i++ {
+		s.HSet("churn:"+strconv.Itoa(i%maxLive), "f", strconv.Itoa(i))
+		s.HDel("churn:"+strconv.Itoa((i+maxLive/2)%maxLive), "f")
+		if i%500 == 499 {
+			var n int
+			n, gen = logOnDisk(t, s, dir)
+			if n > 2*maxLive+compactFloor {
+				t.Fatalf("after %d pairs the log holds %d commands, want at most %d",
+					i+1, n, 2*maxLive+compactFloor)
+			}
+		}
+	}
+	if gen < 101 {
+		t.Fatalf("20000 appends took %d snapshots, want at least 100", gen-1)
+	}
+}
+
+// TestCompactionUnderGrowth: a store that only grows doubles between
+// compactions, so the snapshot commands written stay under twice the
+// appends, and recovery reads back the same store.
+func TestCompactionUnderGrowth(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, FsyncInterval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const appends = 5000
+	before := mSnapCmds.Value()
+	for i := 0; i < appends; i++ {
+		s.Set("k"+strconv.Itoa(i), strconv.Itoa(i))
+	}
+	if n := mSnapCmds.Value() - before; n == 0 || n > 2*appends {
+		t.Fatalf("%d appends wrote %d snapshot commands, want 1 to %d", appends, n, 2*appends)
+	}
+	want := fingerprint(s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir, FsyncInterval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := fingerprint(s2); got != want {
+		t.Fatal("recovery after growth differs")
 	}
 }

@@ -96,10 +96,9 @@ func FuzzReplayAOF(f *testing.F) {
 		if err := os.WriteFile(aofPath(dir, 1), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		opt := PersistOptions{Fsync: FsyncNever}
 		var s *Store
 		var err error
-		alloc := allocatedBy(func() { s, err = Open(dir, opt) })
+		alloc := allocatedBy(func() { s, err = Open(dir, FsyncInterval) })
 		if err != nil {
 			t.Fatalf("Open over a damaged AOF tail: %v", err)
 		}
@@ -111,7 +110,7 @@ func FuzzReplayAOF(f *testing.F) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := Open(dir, opt)
+		s2, err := Open(dir, FsyncInterval)
 		if err != nil {
 			t.Fatalf("second Open: %v", err)
 		}
@@ -134,10 +133,9 @@ func FuzzLoadSnapshot(f *testing.F) {
 		if err := os.WriteFile(snapPath(dir, 1), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		opt := PersistOptions{Fsync: FsyncNever}
 		var s *Store
 		var err error
-		alloc := allocatedBy(func() { s, err = Open(dir, opt) })
+		alloc := allocatedBy(func() { s, err = Open(dir, FsyncInterval) })
 		if bound := uint64(64*len(data) + 1<<20); alloc > bound {
 			t.Fatalf("Open allocated %d bytes loading %d, bound %d", alloc, len(data), bound)
 		}
@@ -149,7 +147,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := Open(dir, opt)
+		s2, err := Open(dir, FsyncInterval)
 		if err != nil {
 			t.Fatalf("second Open: %v", err)
 		}

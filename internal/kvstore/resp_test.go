@@ -111,7 +111,6 @@ func TestTornTailAtEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Flush()
-	opt := PersistOptions{Fsync: FsyncAlways}
 	for cut := 1; cut < frame.Len(); cut++ {
 		dir := t.TempDir()
 		writeLog(t, aofPath(dir, 1), []string{"SET", "whole", "1"})
@@ -122,7 +121,7 @@ func TestTornTailAtEveryOffset(t *testing.T) {
 		f.Write(frame.Bytes()[:cut])
 		f.Close()
 
-		s, err := Open(dir, opt)
+		s, err := Open(dir, FsyncAlways)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -131,7 +130,7 @@ func TestTornTailAtEveryOffset(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := Open(dir, opt)
+		s2, err := Open(dir, FsyncAlways)
 		if err != nil {
 			t.Fatalf("cut %d, second open: %v", cut, err)
 		}

@@ -38,11 +38,13 @@ func (s *Store) snapshotCmdsLocked() [][]string {
 }
 
 // compactLocked rewrites the log as a fresh snapshot + empty AOF
-// generation. Either way the next attempt is CompactEvery appends away: a
-// failure stays in a.err, which Sync and Close report, and appends go on to
-// the current generation, which is still complete. Retrying at once would
-// re-snapshot the whole store under the write lock on every write. Caller
-// holds Lock and has checked that a log is attached.
+// generation. Either way the next attempt waits for logCmd's rule again:
+// max(compactFloor, live) appends, on the live size this one left or,
+// after a failure, kept. A failure stays in a.err, which Sync and Close
+// report, and appends go on to the current generation, which is still
+// complete. Retrying at once would re-snapshot the whole store under the
+// write lock on every write. Caller holds Lock and has checked that a log
+// is attached.
 func (s *Store) compactLocked() {
 	a := s.aof
 	a.mu.Lock()
@@ -92,6 +94,7 @@ func (s *Store) nextGenLocked(a *aofWriter) error {
 	a.w = bufio.NewWriter(nf)
 	a.size = 0
 	a.dirty = false
+	a.live = len(cmds)
 	mSnapshots.Inc()
 	mSnapCmds.Add(int64(len(cmds)))
 	mAofSize.Set(0)

@@ -11,9 +11,9 @@
 //
 // The store is optionally durable, and restarting from disk is its one
 // recovery story. Open attaches an append-only file of RESP-framed write
-// commands plus periodic snapshots (aof.go, snapshot.go); every mutator that
-// changed state calls logCmd under the write lock, so the AOF and the store
-// observe one serialized command order.
+// commands plus snapshots paced by the store's own size (aof.go,
+// snapshot.go); every mutator that changed state calls logCmd under the
+// write lock, so the AOF and the store observe one serialized command order.
 package kvstore
 
 import "sync"
@@ -68,12 +68,13 @@ func New() *Store {
 	}
 }
 
-// logCmd appends one applied write command to the AOF and, every
-// CompactEvery appends, compacts the log. Caller holds Lock, has already
-// applied the mutation and has checked that a log is attached.
+// logCmd appends one applied write command to the AOF and compacts the log
+// once the appends since the last compaction reach the store's own size
+// (see compactFloor). Caller holds Lock, has already applied the mutation
+// and has checked that a log is attached.
 func (s *Store) logCmd(args ...string) {
 	s.aof.append(args)
-	if n := s.aof.opt.CompactEvery; n > 0 && s.aof.appends >= n {
+	if s.aof.appends >= max(compactFloor, s.aof.live) {
 		s.compactLocked()
 	}
 }

@@ -150,8 +150,9 @@ func New(baseURL string, downloaders int) *Pipeline {
 }
 
 // NewWithKV wires a pipeline like New but coordinating through the given
-// store — a RemoteStore over TCP (shared-store deployment) or a durable
-// kvstore.Open store (crash recovery), instead of a private in-memory one.
+// store — a RemoteStore over TCP (shared-store deployment) or a store the
+// caller also serves to a fleet (tero -distributed) — instead of a private
+// one.
 func NewWithKV(baseURL string, downloaders int, kv kvstore.KV) *Pipeline {
 	objects := objstore.New()
 	docs := docstore.New()

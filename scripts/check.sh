@@ -234,17 +234,23 @@ echo "3 faulted runs identical ($(grep '^faults injected:' "$CHAOS"))"
 
 echo "== store-crash smoke (chaos-store: SIGKILL terokv mid-run, recovery exact) =="
 # Every chaos-store leg — restart-from-AOF in process and a real terokv
-# child killed with SIGKILL — must produce tables byte-identical to the
-# crash-free golden, with the recovery counters actually lit.
+# child killed with SIGKILL — must crash the store (a numeric crash tick,
+# which comes only after a committed snapshot) and produce tables
+# byte-identical to the crash-free golden, with the recovery counters
+# actually lit: a snapshot taken, an AOF tail replayed, a connection cut.
 go build -o "$TMPDIR/terokv-check-$$" ./cmd/terokv
 go build -o "$TMPDIR/teroexp-check-$$" ./cmd/teroexp
 "$TMPDIR/teroexp-check-$$" -scale 0.1 -workers 4 -metrics \
     -store-exec "$TMPDIR/terokv-check-$$" chaos-store > "$STORE" 2>&1 \
     || { echo "chaos-store run failed:" >&2; cat "$STORE" >&2; exit 1; }
 for leg in restart-from-aof sigkill-exec; do
+    grep -E "^ *$leg +[0-9]+ " "$STORE" > /dev/null \
+        || { echo "chaos-store leg $leg never crashed the store:" >&2; cat "$STORE" >&2; exit 1; }
     grep -E "^ *$leg +[0-9]+ +yes" "$STORE" > /dev/null \
         || { echo "chaos-store leg $leg not byte-identical:" >&2; cat "$STORE" >&2; exit 1; }
 done
+grep -E '^counter kvstore_snapshots_total +[1-9]' "$STORE" > /dev/null \
+    || { echo "chaos-store took no snapshot: recovery never loaded one" >&2; cat "$STORE" >&2; exit 1; }
 grep -E '^counter kvstore_aof_replayed_total +[1-9]' "$STORE" > /dev/null \
     || { echo "chaos-store replayed nothing from the AOF" >&2; cat "$STORE" >&2; exit 1; }
 grep -E '^counter kvstore_client_redials_total +[1-9]' "$STORE" > /dev/null \
