@@ -18,6 +18,7 @@ func BenchmarkExtract(b *testing.B) {
 	ex := New()
 	b.ReportAllocs()
 	got := ex.Extract(img, gs.Game)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if r := ex.Extract(img, gs.Game); r != got {
 			b.Fatalf("unstable extraction: %+v then %+v", got, r)

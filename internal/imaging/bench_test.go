@@ -42,46 +42,6 @@ func BenchmarkThreshold(b *testing.B) {
 	}
 }
 
-func BenchmarkConnectedComponents(b *testing.B) {
-	for _, sz := range benchSizes {
-		g := benchImage(sz.w, sz.h)
-		bin := g.Threshold(140)
-		pb := g.PackGE(140)
-		b.Run(fmt.Sprintf("%dx%d/scalar", sz.w, sz.h), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = bin.ConnectedComponents()
-			}
-		})
-		b.Run(fmt.Sprintf("%dx%d/packed", sz.w, sz.h), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = pb.ConnectedComponents(nil)
-			}
-		})
-	}
-}
-
-func BenchmarkUpscale2x(b *testing.B) {
-	for _, sz := range benchSizes {
-		g := benchImage(sz.w, sz.h)
-		bin := g.Threshold(140)
-		pb := g.PackGE(140)
-		b.Run(fmt.Sprintf("%dx%d/scalar", sz.w, sz.h), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Recycle(bin.ScaleNearest(2))
-			}
-		})
-		b.Run(fmt.Sprintf("%dx%d/packed", sz.w, sz.h), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				RecycleBitmap(pb.Upscale2x())
-			}
-		})
-	}
-}
-
 // BenchmarkScaleNearest compares the seed per-pixel upscaler (scalar) with
 // the row-expand + row-copy / SWAR factor-2 rework (packed) on grayscale
 // input; outputs are pinned bit-identical by FuzzScaleNearest.

@@ -277,185 +277,3 @@ func (b *Bitmap) SegmentColumns(minGap int, buf []Rect) []Rect {
 	}
 	return out
 }
-
-// spread2 doubles each of the 32 input bits: bit i maps to bits 2i and
-// 2i+1 (the bit-level nearest-neighbour 2× upscale).
-func spread2(v uint32) uint64 {
-	x := uint64(v)
-	x = (x | x<<16) & 0x0000FFFF0000FFFF
-	x = (x | x<<8) & 0x00FF00FF00FF00FF
-	x = (x | x<<4) & 0x0F0F0F0F0F0F0F0F
-	x = (x | x<<2) & 0x3333333333333333
-	x = (x | x<<1) & 0x5555555555555555
-	return x | x<<1
-}
-
-// Upscale2x returns the bitmap scaled 2× with nearest-neighbour sampling:
-// every bit is spread to a 2×2 block. Because nearest-neighbour scaling
-// commutes with per-pixel thresholding, PackGE(t).Upscale2x() equals
-// ScaleNearest(2).Threshold(t) without materializing the upscaled image.
-func (b *Bitmap) Upscale2x() *Bitmap {
-	out := NewBitmap(b.W*2, b.H*2)
-	for y := 0; y < b.H; y++ {
-		src := b.Row(y)
-		d0 := out.Row(2 * y)
-		for k, w := range src {
-			if lo := spread2(uint32(w)); 2*k < len(d0) {
-				d0[2*k] = lo
-			}
-			if hi := spread2(uint32(w >> 32)); 2*k+1 < len(d0) {
-				d0[2*k+1] = hi
-			}
-		}
-		copy(out.Row(2*y+1), d0)
-	}
-	return out
-}
-
-// nextSet returns the first column >= x with a set bit in row, or b.W.
-func (b *Bitmap) nextSet(row []uint64, x int) int {
-	if x >= b.W {
-		return b.W
-	}
-	k := x >> 6
-	w := row[k] &^ ((uint64(1) << (uint(x) & 63)) - 1)
-	for {
-		if w != 0 {
-			return k<<6 + bits.TrailingZeros64(w) // padding bits are zero
-		}
-		k++
-		if k >= len(row) {
-			return b.W
-		}
-		w = row[k]
-	}
-}
-
-// nextClear returns the first column >= x with a clear bit in row, or b.W.
-func (b *Bitmap) nextClear(row []uint64, x int) int {
-	if x >= b.W {
-		return b.W
-	}
-	k := x >> 6
-	w := ^row[k] &^ ((uint64(1) << (uint(x) & 63)) - 1)
-	for {
-		if w != 0 {
-			p := k<<6 + bits.TrailingZeros64(w)
-			if p > b.W {
-				p = b.W
-			}
-			return p
-		}
-		k++
-		if k >= len(row) {
-			return b.W
-		}
-		w = ^row[k]
-	}
-}
-
-// ConnectedComponents labels 4-connected foreground regions using run-based
-// union-find: horizontal runs are extracted word-wise per row, runs in
-// adjacent rows are merged when their column ranges overlap, and the
-// components come out in exactly the scalar kernel's order (discovery order
-// of the topmost-leftmost pixel, then sorted left-to-right). They are
-// written over buf when it has the capacity (nil for a fresh slice).
-func (b *Bitmap) ConnectedComponents(buf []Component) []Component {
-	if b.W == 0 || b.H == 0 {
-		return buf[:0]
-	}
-	// Count runs exactly (a run starts at a set bit whose left neighbour is
-	// clear) so every slice below is allocated once, full-size.
-	nRuns := 0
-	for y := 0; y < b.H; y++ {
-		var carry uint64
-		for _, w := range b.Row(y) {
-			nRuns += bits.OnesCount64(w &^ (w<<1 | carry))
-			carry = w >> 63
-		}
-	}
-	if nRuns == 0 {
-		return buf[:0]
-	}
-	sc := getCCScratch(nRuns, b.H+1)
-	defer ccPool.Put(sc)
-	runs, rowStart := sc.runs[:0], sc.rowStart
-	for y := 0; y < b.H; y++ {
-		rowStart[y] = int32(len(runs))
-		row := b.Row(y)
-		x := b.nextSet(row, 0)
-		for x < b.W {
-			e := b.nextClear(row, x)
-			runs = append(runs, brun{int32(y), int32(x), int32(e)})
-			x = b.nextSet(row, e)
-		}
-	}
-	rowStart[b.H] = int32(len(runs))
-
-	// Union-find over run indices. Unions keep the smallest run index as
-	// the root, so a component's root is its first run in scan order —
-	// the same discovery order as the scalar flood fill's first pixel.
-	parent, compOf := sc.uf[:len(runs)], sc.uf[len(runs):]
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	find := func(i int32) int32 {
-		for parent[i] != i {
-			parent[i] = parent[parent[i]]
-			i = parent[i]
-		}
-		return i
-	}
-	for y := 1; y < b.H; y++ {
-		i, iEnd := rowStart[y-1], rowStart[y]
-		j, jEnd := rowStart[y], rowStart[y+1]
-		for i < iEnd && j < jEnd {
-			a, c := runs[i], runs[j]
-			if a.x0 < c.x1 && c.x0 < a.x1 {
-				ra, rc := find(i), find(j)
-				if ra < rc {
-					parent[rc] = ra
-				} else if rc < ra {
-					parent[ra] = rc
-				}
-			}
-			if a.x1 < c.x1 {
-				i++
-			} else {
-				j++
-			}
-		}
-	}
-
-	// Aggregate per root in run order; first run of a component appends it.
-	for i := range compOf {
-		compOf[i] = -1
-	}
-	comps := buf[:0]
-	for ri := range runs {
-		root := find(int32(ri))
-		ci := compOf[root]
-		if ci < 0 {
-			ci = int32(len(comps))
-			compOf[root] = ci
-			comps = append(comps, Component{Box: Rect{X0: b.W, Y0: b.H}})
-		}
-		r := runs[ri]
-		c := &comps[ci]
-		c.Area += int(r.x1 - r.x0)
-		if int(r.x0) < c.Box.X0 {
-			c.Box.X0 = int(r.x0)
-		}
-		if int(r.x1) > c.Box.X1 {
-			c.Box.X1 = int(r.x1)
-		}
-		if int(r.y) < c.Box.Y0 {
-			c.Box.Y0 = int(r.y)
-		}
-		if int(r.y)+1 > c.Box.Y1 {
-			c.Box.Y1 = int(r.y) + 1
-		}
-	}
-	sortComponents(comps)
-	return comps
-}

@@ -81,14 +81,6 @@ func TestBitmapOpsMatchGray(t *testing.T) {
 					t.Fatalf("%dx%d: SegmentColumns(%d) mismatch", sz.w, sz.h, gapMin)
 				}
 			}
-			if !grayEqual(unpack(pb.Upscale2x()), bin.ScaleNearest(2)) {
-				t.Fatalf("%dx%d: Upscale2x mismatch", sz.w, sz.h)
-			}
-			pc := pb.ConnectedComponents(nil)
-			sc := bin.ConnectedComponents()
-			if len(pc) != len(sc) || (len(pc) > 0 && !reflect.DeepEqual(pc, sc)) {
-				t.Fatalf("%dx%d: ConnectedComponents mismatch:\npacked %+v\nscalar %+v", sz.w, sz.h, pc, sc)
-			}
 			if box, cnt := pb.TightBoxCountIn(Rect{X1: sz.w, Y1: sz.h}); box != bin.TightBox() || cnt != scalarCountFg(bin) {
 				t.Fatalf("%dx%d: whole-image TightBoxCountIn=(%+v,%d) want (%+v,%d)",
 					sz.w, sz.h, box, cnt, bin.TightBox(), scalarCountFg(bin))
@@ -158,14 +150,13 @@ func TestBitmapGetSetUnpack(t *testing.T) {
 }
 
 func TestBitmapPaddingStaysZero(t *testing.T) {
-	// The kernels that fill whole words — PackLE(255), both packers on an
-	// all-foreground row, the bit-doubling upscale — must leave the padding
-	// bits of each row's last word clear, or every popcount over-counts.
+	// The kernels that fill whole words — PackLE(255) and both packers on
+	// an all-foreground row — must leave the padding bits of each row's last
+	// word clear, or every popcount over-counts.
 	g := NewFilled(65, 4, 255)
 	for name, b := range map[string]*Bitmap{
-		"PackGE":    g.PackGE(1),
-		"PackLE":    g.PackLE(255),
-		"Upscale2x": g.PackGE(1).Upscale2x(),
+		"PackGE": g.PackGE(1),
+		"PackLE": g.PackLE(255),
 	} {
 		tail := b.tailMask()
 		for y := 0; y < b.H; y++ {
@@ -197,7 +188,7 @@ func TestBitmapRecycle(t *testing.T) {
 
 func TestBitmapEmpty(t *testing.T) {
 	b := NewBitmap(0, 0)
-	if len(b.ConnectedComponents(nil)) != 0 || len(b.SegmentColumns(1, nil)) != 0 {
+	if len(b.SegmentColumns(1, nil)) != 0 {
 		t.Fatal("empty bitmap ops")
 	}
 	if box, n := b.TightBoxCountIn(Rect{}); !box.Empty() || n != 0 {

@@ -1,5 +1,10 @@
 package imaging
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Component is a 4-connected region of foreground (non-zero) pixels.
 type Component struct {
 	Box  Rect
@@ -57,24 +62,12 @@ func (g *Gray) ConnectedComponents() []Component {
 		}
 		comps = append(comps, comp)
 	}
-	sortComponents(comps)
+	// Stable, so components that start in the same column and row keep
+	// their discovery order.
+	slices.SortStableFunc(comps, func(a, b Component) int {
+		return cmp.Or(cmp.Compare(a.Box.X0, b.Box.X0), cmp.Compare(a.Box.Y0, b.Box.Y0))
+	})
 	return comps
-}
-
-// sortComponents orders components left-to-right (stable for equal X0 by
-// Y0, then by discovery order) — shared by the scalar flood fill and the
-// packed run-based labeller so both emit identical sequences.
-func sortComponents(comps []Component) {
-	for i := 1; i < len(comps); i++ {
-		for j := i; j > 0; j-- {
-			a, b := comps[j-1], comps[j]
-			if b.Box.X0 < a.Box.X0 || (b.Box.X0 == a.Box.X0 && b.Box.Y0 < a.Box.Y0) {
-				comps[j-1], comps[j] = comps[j], comps[j-1]
-			} else {
-				break
-			}
-		}
-	}
 }
 
 // SegmentColumns splits the image into vertical strips separated by at

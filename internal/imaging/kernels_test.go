@@ -10,9 +10,12 @@ import (
 // gaussianBlurRef is GaussianBlur as it stood before the blur learned to
 // read its input through a replication factor — the kernel and the product
 // tables rebuilt per call, the horizontal pass run on every row of the
-// image it is handed — kept verbatim, but for the pooled scratch, as the
-// oracle ScaleNearestBlur is held to: composed with scaleNearestRef it is
-// the up-scale-then-blur the extractor used to materialise.
+// image it is handed — kept as it was but for one change: every product of
+// the vertical pass is rounded by an explicit conversion, which leaves
+// amd64's instructions as they were (Go fuses no multiply into an add
+// there) and keeps an FMA architecture from fusing it. It is the oracle
+// ScaleNearestBlur is held to: composed with scaleNearestRef it is the
+// up-scale-then-blur the extractor used to materialise.
 func gaussianBlurRef(g *Gray, sigma float64) *Gray {
 	if sigma <= 0 || g.W == 0 || g.H == 0 {
 		return g.Clone()
@@ -98,11 +101,11 @@ func gaussianBlurRef(g *Gray, sigma float64) *Gray {
 			r3, r4 := clampY(y+1), clampY(y+2)
 			rowOut := out.Pix[y*g.W : (y+1)*g.W]
 			for x := range rowOut {
-				v := k0 * r0[x]
-				v += k1 * r1[x]
-				v += k2 * r2[x]
-				v += k3 * r3[x]
-				v += k4 * r4[x]
+				v := float64(k0 * r0[x])
+				v += float64(k1 * r1[x])
+				v += float64(k2 * r2[x])
+				v += float64(k3 * r3[x])
+				v += float64(k4 * r4[x])
 				rowOut[x] = uint8(v + 0.5)
 			}
 		}
@@ -118,7 +121,7 @@ func gaussianBlurRef(g *Gray, sigma float64) *Gray {
 				}
 			} else {
 				for x, v := range row {
-					acc[x] += kv * v
+					acc[x] += float64(kv * v)
 				}
 			}
 		}
@@ -148,8 +151,8 @@ func randomGray(r *rand.Rand, w, h int) *Gray {
 }
 
 // TestScaleNearestBlurMatchesComposition: for replication factors 1, 2 and 3
-// and both radii the unrolled and the general pass serve (sigma 0.5 is the
-// extractor's, radius 2; sigma 1.0 is radius 3), on random images from 1×1
+// and both radii (sigma 0.5 is the extractor's, radius 2, which the pair
+// kernel takes at factor 2; sigma 1.0 is radius 3), on random images from 1×1
 // up — narrower than the kernel, one row high, widths around the SWAR
 // expansion's eight — the replicating blur is byte for byte the pre-PR
 // up-scale followed by the pre-PR blur. GaussianBlur is factor 1 of it.
@@ -195,6 +198,47 @@ func TestScaleNearestBlurMatchesComposition(t *testing.T) {
 	}
 	if e := New(0, 0).ScaleNearestBlur(2, 0.5); e.W != 0 || e.H != 0 {
 		t.Errorf("blur of the empty image is %dx%d", e.W, e.H)
+	}
+}
+
+// TestScale2Blur5SumsInTheGeneralOrder: the pair kernel's sums have the
+// bits of the general loop's five-term sums, operands and order alike.
+// The composition oracle above compares rounded bytes, and a last-place
+// difference from reordering a sum almost never crosses a rounding
+// boundary, so the sums are compared here before rounding.
+func TestScale2Blur5SumsInTheGeneralOrder(t *testing.T) {
+	bk := blurKernelFor(0.5)
+	lut, kernel := bk.lut, bk.kernel
+	l0, l1, l2 := lut[0:256], lut[256:512], lut[512:768]
+	l3, l4 := lut[768:1024], lut[1024:1280]
+	vertical := func(r0, r1, r2, r3, r4 float64) float64 {
+		v := float64(kernel[0] * r0)
+		v += float64(kernel[1] * r1)
+		v += float64(kernel[2] * r2)
+		v += float64(kernel[3] * r3)
+		v += float64(kernel[4] * r4)
+		return v
+	}
+	r := rand.New(rand.NewSource(3))
+	px := func() uint8 { return uint8(r.Intn(256)) }
+	row := func() float64 { return l0[px()] + l1[px()] + l2[px()] + l3[px()] + l4[px()] }
+	for i := 0; i < 20000; i++ {
+		a, b, c := px(), px(), px()
+		h0, h1 := pairTaps5(l0[a], l1[a], l1[b], l2[b], l0[c], l1[c])
+		if want := l0[a] + l1[a] + l2[b] + l3[b] + l4[c]; math.Float64bits(h0) != math.Float64bits(want) {
+			t.Fatalf("pixels %d %d %d: column 2i sums to %v, the general loop to %v", a, b, c, h0, want)
+		}
+		if want := l0[a] + l1[b] + l2[b] + l3[c] + l4[c]; math.Float64bits(h1) != math.Float64bits(want) {
+			t.Fatalf("pixels %d %d %d: column 2i+1 sums to %v, the general loop to %v", a, b, c, h1, want)
+		}
+		ra, rb, rc := row(), row(), row()
+		v0, v1 := pairRows5(kernel[0], kernel[1], kernel[2], ra, rb, rc)
+		if want := vertical(ra, ra, rb, rb, rc); math.Float64bits(v0) != math.Float64bits(want) {
+			t.Fatalf("rows %v %v %v: row 2j sums to %v, the general loop to %v", ra, rb, rc, v0, want)
+		}
+		if want := vertical(ra, rb, rb, rc, rc); math.Float64bits(v1) != math.Float64bits(want) {
+			t.Fatalf("rows %v %v %v: row 2j+1 sums to %v, the general loop to %v", ra, rb, rc, v1, want)
+		}
 	}
 }
 
@@ -271,4 +315,95 @@ func FuzzDecodePGMRect(f *testing.F) {
 				r, whole.W, whole.H, got.W, got.H, want.W, want.H)
 		}
 	})
+}
+
+// otsuHistogramRef is OtsuHistogram as it stood before it skipped the empty
+// levels, kept verbatim as the oracle the skipping loop is held to.
+func otsuHistogramRef(hist *[256]int, total int) uint8 {
+	if total == 0 {
+		return 128
+	}
+	var sumAll float64
+	for i, c := range hist {
+		sumAll += float64(i) * float64(c)
+	}
+	var (
+		wB, wF   float64
+		sumB     float64
+		maxVar   float64
+		bestThr  int
+		totalF   = float64(total)
+		foundAny bool
+	)
+	for t := 0; t < 256; t++ {
+		wB += float64(hist[t])
+		if wB == 0 {
+			continue
+		}
+		wF = totalF - wB
+		if wF == 0 {
+			break
+		}
+		sumB += float64(t) * float64(hist[t])
+		mB := sumB / wB
+		mF := (sumAll - sumB) / wF
+		between := wB * wF * (mB - mF) * (mB - mF)
+		if between > maxVar {
+			maxVar = between
+			bestThr = t
+			foundAny = true
+		}
+	}
+	if !foundAny {
+		return 128
+	}
+	return uint8(bestThr + 1)
+}
+
+// TestOtsuHistogramMatchesRef: skipping the empty levels picks the level the
+// full scan picks, on dense, sparse, single-level, two-adjacent-level and
+// all-zero histograms (the last with a zero total and with a total nothing
+// was counted towards). Four times a histogram has the same threshold: the
+// identity PaddleRead's hist[i] *= 4 for its 2× image rests on.
+func TestOtsuHistogramMatchesRef(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	kinds := []string{"dense", "sparse", "single-level", "two-adjacent-level", "all-zero"}
+	for i := 0; i < 5000; i++ {
+		var h [256]int
+		total := 0
+		// Counts of one and two as well as large ones: a level that holds
+		// one pixel is not empty, and must not be skipped.
+		top := []int{2, 3, 5000}[r.Intn(3)]
+		switch kind := i % len(kinds); kind {
+		case 0:
+			for l := range h {
+				h[l] = r.Intn(top)
+			}
+		case 1:
+			for k := 1 + r.Intn(8); k > 0; k-- {
+				h[r.Intn(256)] += 1 + r.Intn(top)
+			}
+		case 2:
+			h[r.Intn(256)] = 1 + r.Intn(top)
+		case 3:
+			l := r.Intn(255)
+			h[l], h[l+1] = 1+r.Intn(top), 1+r.Intn(top)
+		case 4:
+			total = r.Intn(2) * (1 + r.Intn(100))
+		}
+		for _, c := range h {
+			total += c
+		}
+		want := otsuHistogramRef(&h, total)
+		if got := OtsuHistogram(&h, total); got != want {
+			t.Fatalf("%s histogram %d (total %d): threshold %d, the full scan's %d", kinds[i%len(kinds)], i, total, got, want)
+		}
+		h4 := h
+		for l := range h4 {
+			h4[l] *= 4
+		}
+		if got := OtsuHistogram(&h4, 4*total); got != want {
+			t.Fatalf("%s histogram %d: ×4 threshold %d, want %d", kinds[i%len(kinds)], i, got, want)
+		}
+	}
 }

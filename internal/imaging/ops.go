@@ -109,23 +109,25 @@ func (g *Gray) ScaleBilinear(w, h int) *Gray {
 func (g *Gray) GaussianBlur(sigma float64) *Gray { return g.ScaleNearestBlur(1, sigma) }
 
 // ScaleNearestBlur returns ScaleNearest(factor).GaussianBlur(sigma), byte
-// for byte, without the up-scaled image ever existing: the blur reads its
-// input through the replication factor. Rows factor·j … factor·j+factor−1
-// of the up-scaled image are identical, so the horizontal pass runs once
-// per source row (on that row expanded into a scratch line) and the vertical
-// pass reads intermediate row y/factor. Every output pixel accumulates the
-// same taps in the same order as the blur of the materialised image.
+// for byte. The extractor's setting, factor 2 with a five-tap kernel, never
+// builds the up-scaled image (scale2Blur5); another factor above 1 blurs a
+// pooled up-scaled image.
 func (g *Gray) ScaleNearestBlur(factor int, sigma float64) *Gray {
 	if sigma <= 0 || g.W == 0 || g.H == 0 {
 		return g.ScaleNearest(factor)
 	}
-	if factor < 1 {
-		factor = 1
-	}
 	bk := blurKernelFor(sigma)
+	if factor == 2 && bk.radius == 2 {
+		return g.scale2Blur5(bk)
+	}
+	if factor > 1 {
+		up := g.ScaleNearest(factor)
+		defer Recycle(up)
+		return up.ScaleNearestBlur(1, sigma)
+	}
 	radius, kernel, lut := bk.radius, bk.kernel, bk.lut
-	w, h := g.W*factor, g.H*factor // the size blurred, and returned
-	sc := getBlurScratch(g.H*w, w)
+	w, h := g.W, g.H
+	sc := getBlurScratch(h*w, w)
 	defer blurPool.Put(sc)
 	// Horizontal pass. The intermediate rows are pure scratch: pooled, and
 	// fully overwritten before the vertical pass reads them. Interior
@@ -151,12 +153,8 @@ func (g *Gray) ScaleNearestBlur(factor int, sigma float64) *Gray {
 		}
 		rowOut[x] = acc
 	}
-	for y := 0; y < g.H; y++ {
-		rowIn := g.Pix[y*g.W : (y+1)*g.W]
-		if factor > 1 {
-			expandRow(sc.line, rowIn, factor)
-			rowIn = sc.line
-		}
+	for y := 0; y < h; y++ {
+		rowIn := g.Pix[y*w : (y+1)*w]
 		rowOut := tmp[y*w : (y+1)*w]
 		for x := 0; x < inLo; x++ {
 			borderX(rowIn, rowOut, x)
@@ -190,15 +188,13 @@ func (g *Gray) ScaleNearestBlur(factor int, sigma float64) *Gray {
 	// down columns. Per output pixel the taps still accumulate in kernel
 	// order (acc = k0*v0, then += k1*v1, ...), so this too is bit-identical
 	// to the naive loop (0.0 + a == a exactly for the non-negative taps).
+	// Every product is rounded by an explicit conversion before it is added,
+	// as in ScaleBilinear: where Go fuses a multiply into an add (arm64, not
+	// amd64) it may fuse scale2Blur5's shared products otherwise than these,
+	// and the bytes would follow the architecture.
 	out := New(w, h)
 	clampY := func(sy int) []float64 {
-		if sy < 0 {
-			sy = 0
-		}
-		if sy >= h {
-			sy = h - 1
-		}
-		sy /= factor
+		sy = min(max(sy, 0), h-1)
 		return tmp[sy*w : (sy+1)*w]
 	}
 	if radius == 2 {
@@ -210,11 +206,11 @@ func (g *Gray) ScaleNearestBlur(factor int, sigma float64) *Gray {
 			r3, r4 := clampY(y+1), clampY(y+2)
 			rowOut := out.Pix[y*w : (y+1)*w]
 			for x := range rowOut {
-				v := k0 * r0[x]
-				v += k1 * r1[x]
-				v += k2 * r2[x]
-				v += k3 * r3[x]
-				v += k4 * r4[x]
+				v := float64(k0 * r0[x])
+				v += float64(k1 * r1[x])
+				v += float64(k2 * r2[x])
+				v += float64(k3 * r3[x])
+				v += float64(k4 * r4[x])
 				rowOut[x] = uint8(v + 0.5)
 			}
 		}
@@ -230,7 +226,7 @@ func (g *Gray) ScaleNearestBlur(factor int, sigma float64) *Gray {
 				}
 			} else {
 				for x, v := range row {
-					acc[x] += kv * v
+					acc[x] += float64(kv * v)
 				}
 			}
 		}
@@ -240,6 +236,71 @@ func (g *Gray) ScaleNearestBlur(factor int, sigma float64) *Gray {
 		}
 	}
 	return out
+}
+
+// scale2Blur5 is ScaleNearestBlur(2, sigma) for a five-tap kernel. Taps
+// mirror bit for bit (kernel[i] depends on (i−radius)² alone), so the
+// tables l3 = l1 and l4 = l0. Output columns 2i and 2i+1 read source pixels
+// a, b, c = i−1, i, i+1 (clamped), and rows 2j and 2j+1 read intermediate
+// rows j−1, j and j+1 (clamped): pairTaps5 and pairRows5 give the two
+// sums. Rolled along the row, each source pixel costs three table loads,
+// not the expanded row's ten per pair, and two output pixels cost three
+// loads and six products, not ten and ten.
+func (g *Gray) scale2Blur5(bk *blurKernel) *Gray {
+	w, last := 2*g.W, g.W-1
+	sc := getBlurScratch(g.H*w, w)
+	defer blurPool.Put(sc)
+	tmp := sc.tmp
+	l0, l1, l2 := bk.lut[0:256], bk.lut[256:512], bk.lut[512:768]
+	for y := 0; y < g.H; y++ {
+		row := g.Pix[y*g.W : (y+1)*g.W]
+		out := tmp[y*w : (y+1)*w]
+		p := row[0]
+		a0, a1 := l0[p], l1[p]
+		b0, b1, b2 := a0, a1, l2[p]
+		for i := range row {
+			q := row[min(i+1, last)]
+			c0, c1, c2 := l0[q], l1[q], l2[q]
+			pair := out[2*i : 2*i+2]
+			pair[0], pair[1] = pairTaps5(a0, a1, b1, b2, c0, c1)
+			a0, a1 = b0, b1
+			b0, b1, b2 = c0, c1, c2
+		}
+	}
+	out := New(w, 2*g.H)
+	k0, k1, k2 := bk.kernel[0], bk.kernel[1], bk.kernel[2]
+	for j := 0; j < g.H; j++ {
+		ra := tmp[max(j-1, 0)*w:][:w]
+		rb := tmp[j*w:][:w]
+		rc := tmp[min(j+1, g.H-1)*w:][:w]
+		o0 := out.Pix[2*j*w:][:w]
+		o1 := out.Pix[(2*j+1)*w:][:w]
+		for x := range o0 {
+			v0, v1 := pairRows5(k0, k1, k2, ra[x], rb[x], rc[x])
+			o0[x] = uint8(v0 + 0.5)
+			o1[x] = uint8(v1 + 0.5)
+		}
+	}
+	return out
+}
+
+// pairTaps5 returns the horizontal sums of output columns 2i and 2i+1 from
+// the table entries of source pixels a, b, c (xk = lk[x]): the general
+// loop's l0[a] + l1[a] + l2[b] + l3[b] + l4[c] and
+// l0[a] + l1[b] + l2[b] + l3[c] + l4[c], term for term in its order.
+func pairTaps5(a0, a1, b1, b2, c0, c1 float64) (float64, float64) {
+	return a0 + a1 + b2 + b1 + c0, a0 + b1 + b2 + c1 + c0
+}
+
+// pairRows5 returns the vertical sums of output rows 2j and 2j+1 from
+// intermediate values a, b, c of rows j−1, j, j+1: the general loop's
+// k0·r0 + k1·r1 + k2·r2 + k3·r3 + k4·r4 over rows (a, a, b, b, c) and
+// (a, b, b, c, c), every product rounded, term for term in its order.
+func pairRows5(k0, k1, k2, a, b, c float64) (float64, float64) {
+	p0a, p1a := float64(k0*a), float64(k1*a)
+	p2b, p1b := float64(k2*b), float64(k1*b)
+	p1c, p0c := float64(k1*c), float64(k0*c)
+	return p0a + p1a + p2b + p1b + p0c, p0a + p1b + p2b + p1c + p0c
 }
 
 // blurKernel is what a Gaussian blur needs that depends only on sigma: the
@@ -337,6 +398,11 @@ func OtsuHistogram(hist *[256]int, total int) uint8 {
 		foundAny bool
 	)
 	for t := 0; t < 256; t++ {
+		if hist[t] == 0 {
+			// Nothing moves: between would repeat the last level's value,
+			// which cannot exceed maxVar.
+			continue
+		}
 		wB += float64(hist[t])
 		if wB == 0 {
 			continue

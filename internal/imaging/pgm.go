@@ -61,21 +61,29 @@ func DecodePGM(r io.Reader) (*Gray, error) {
 	}
 	// The header is copied off the reader — everything up to the whitespace
 	// byte that ends the fourth token, wherever the tokens are malformed —
-	// and judged by the one parser. No valid header is longer than 19 bytes
-	// plus its optional extra whitespace, so the copy stays on the stack.
+	// and judged by the one parser, which reads a run of whitespace as it
+	// reads its first byte. So one byte of each run is copied, and a token
+	// longer than five bytes is refused on the spot: no valid one is longer
+	// (maxPGMDim has five digits). The copy is at most 25 bytes and stays on
+	// the stack, whatever the reader holds.
 	hdr := make([]byte, 0, 64)
-	for tokens, inToken := 0, false; tokens < 4; {
+	for tokens, run := 0, 0; tokens < 4; {
 		c, err := br.ReadByte()
 		if err != nil {
 			return nil, ErrBadPGM
 		}
-		hdr = append(hdr, c)
-		if !pgmSpace(c) {
-			inToken = true
-		} else if inToken {
-			inToken = false
+		switch {
+		case !pgmSpace(c):
+			if run++; run > 5 {
+				return nil, ErrBadPGM
+			}
+		case run > 0:
+			run = 0
 			tokens++
+		case len(hdr) > 0:
+			continue
 		}
+		hdr = append(hdr, c)
 	}
 	w, h, _, ok := pgmHeader(hdr)
 	if !ok {

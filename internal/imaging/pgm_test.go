@@ -66,8 +66,11 @@ func allocatedBy(fn func(), enough uint64) uint64 {
 // a CDN response and the OCR engines. The committed corpus
 // (testdata/fuzz/FuzzDecodePGM) holds a real rendered thumbnail, the edges
 // of what EncodePGM can write (1×1, a 65,536-wide row, sizes just over each
-// bound), torn headers and pixels, twitchsim's bit-flip pattern, and every
-// numeral and separator form the old fmt.Fscan header parser took.
+// bound), torn headers and pixels, twitchsim's bit-flip pattern, every
+// numeral and separator form the old fmt.Fscan header parser took, and two
+// out-of-bounds headers whose copy once outgrew the refusal bound below (a
+// fourth token running on for 13 KB, found by the fuzzer, and a width over
+// 65,536 followed by 16 KiB of spaces).
 //
 // Oracles: DecodePGM never panics; a header whose declared size is out of
 // bounds is refused before anything of that size is allocated; a decoded

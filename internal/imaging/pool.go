@@ -82,18 +82,17 @@ func RecycleBitmap(b *Bitmap) {
 
 // blurScratch is the working storage of one separable Gaussian blur: the
 // float64 intermediate rows between the two passes (the single largest
-// per-extraction transient), one source row expanded by the replication
-// factor, and the accumulator row of the general-radius vertical pass.
+// per-extraction transient) and the accumulator row of the general-radius
+// vertical pass.
 type blurScratch struct {
-	tmp  []float64
-	acc  []float64
-	line []uint8
+	tmp []float64
+	acc []float64
 }
 
 var blurPool sync.Pool // holds *blurScratch
 
-// getBlurScratch returns scratch with nTmp intermediate values and w-wide
-// line and accumulator rows. Contents are undefined: the blur overwrites
+// getBlurScratch returns scratch with nTmp intermediate values and a w-wide
+// accumulator row. Contents are undefined: the blur overwrites
 // every element it reads.
 func getBlurScratch(nTmp, w int) *blurScratch {
 	sc, _ := blurPool.Get().(*blurScratch)
@@ -105,42 +104,7 @@ func getBlurScratch(nTmp, w int) *blurScratch {
 	}
 	if cap(sc.acc) < w {
 		sc.acc = make([]float64, w)
-		sc.line = make([]uint8, w)
 	}
-	sc.tmp, sc.acc, sc.line = sc.tmp[:nTmp], sc.acc[:w], sc.line[:w]
-	return sc
-}
-
-// brun is one horizontal run of set bits: row y, columns [x0, x1).
-type brun struct{ y, x0, x1 int32 }
-
-// ccScratch is the working storage of Bitmap.ConnectedComponents: the run
-// list, the per-row index into it and the union-find arrays. None of it
-// outlives the call (the returned components are a fresh, caller-owned
-// slice), and the OCR engines label several bitmaps per thumbnail.
-type ccScratch struct {
-	runs     []brun
-	rowStart []int32
-	uf       []int32 // parent, then compOf: 2 × runs
-}
-
-var ccPool sync.Pool // holds *ccScratch
-
-// getCCScratch returns scratch sized for nRuns runs over nRows row
-// boundaries. Contents are undefined: the labeller overwrites every element
-// it reads.
-func getCCScratch(nRuns, nRows int) *ccScratch {
-	sc, _ := ccPool.Get().(*ccScratch)
-	if sc == nil {
-		sc = new(ccScratch)
-	}
-	if cap(sc.runs) < nRuns {
-		sc.runs = make([]brun, nRuns)
-		sc.uf = make([]int32, 2*nRuns)
-	}
-	if cap(sc.rowStart) < nRows {
-		sc.rowStart = make([]int32, nRows)
-	}
-	sc.runs, sc.uf, sc.rowStart = sc.runs[:nRuns], sc.uf[:2*nRuns], sc.rowStart[:nRows]
+	sc.tmp, sc.acc = sc.tmp[:nTmp], sc.acc[:w]
 	return sc
 }

@@ -38,7 +38,7 @@ func BenchmarkMatchCell(b *testing.B) {
 	cellImg := normalizeCell(bin)
 	pb := img.PackGE(140)
 	box, _ := pb.TightBoxCountIn(imaging.Rect{X1: pb.W, Y1: pb.H})
-	cell := normalizeCellPacked(pb, box)
+	cell := normalizeCellPacked(pb, box, 0)
 	b.Run("scalar", func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
 			_, _ = matchCell(cellImg, 0)
@@ -83,7 +83,7 @@ corpus:
 	}
 	b.Run("table", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cellSink = normalizeCellPacked(bin, boxes[i%len(boxes)])
+			cellSink = normalizeCellPacked(bin, boxes[i%len(boxes)], 0)
 		}
 	})
 	b.Run("float", func(b *testing.B) {

@@ -6,13 +6,11 @@ import (
 	"tero/internal/imaging"
 )
 
-// scratch is what one Recognize call segments into: the column strips and,
-// for EasyScan, the components they come from. Neither outlives the call —
-// a Result's boxes are copies — and three engines segment one or two images
-// per thumbnail.
+// scratch holds the column strips one Recognize call segments into. They do
+// not outlive the call — a Result's boxes are copies — and three engines
+// segment an image each per thumbnail.
 type scratch struct {
-	segs  []imaging.Rect
-	comps []imaging.Component
+	segs []imaging.Rect
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -39,16 +37,22 @@ func (t *Tessera) Recognize(img *imaging.Gray) Result {
 	bin := img.PackGE(t.Thr)
 	sc := scratchPool.Get().(*scratch)
 	sc.segs = bin.SegmentColumns(1, sc.segs)
-	res := recognizeSegmentsPacked(bin, sc.segs, t.Tol, 0, 3)
+	res := recognizeSegmentsPacked(bin, sc.segs, t.Tol, 0, 3, 0)
 	scratchPool.Put(sc)
 	imaging.RecycleBitmap(bin)
 	return res
 }
 
 // EasyScan is the lenient engine: Otsu binarization (adapts to low
-// contrast), connected-component segmentation merged into column groups,
-// and a generous match tolerance. It extracts almost everything but
-// mis-reads more characters — the EasyOCR profile of Table 4.
+// contrast) with polarity detection, column-projection segmentation and a
+// generous match tolerance. It extracts almost everything but mis-reads
+// more characters — the EasyOCR profile of Table 4.
+//
+// It has no segmentation step of its own. Its connected components, each
+// widened to a full-height strip and merged where strips overlap or touch,
+// are exactly the maximal runs of occupied columns, so it cuts the strips
+// SegmentColumns(1) cuts; scalar_test.go keeps the component route as the
+// oracle, and TestComponentStripsAreColumnRuns checks the identity.
 type EasyScan struct {
 	Tol int
 }
@@ -76,9 +80,8 @@ func (e *EasyScan) Recognize(img *imaging.Gray) Result {
 		bin = img.PackGE(thr)
 	}
 	sc := scratchPool.Get().(*scratch)
-	sc.comps = bin.ConnectedComponents(sc.comps)
-	sc.segs = componentColumns(sc.comps, bin.H, sc.segs)
-	res := recognizeSegmentsPacked(bin, mergeOverlapping(sc.segs), e.Tol, 0, 4)
+	sc.segs = bin.SegmentColumns(1, sc.segs)
+	res := recognizeSegmentsPacked(bin, sc.segs, e.Tol, 0, 4, 0)
 	scratchPool.Put(sc)
 	imaging.RecycleBitmap(bin)
 	return res
@@ -99,11 +102,17 @@ func NewPaddleRead() *PaddleRead { return &PaddleRead{Tol: 40, DigitBias: 0} }
 // Name implements Engine.
 func (p *PaddleRead) Name() string { return "paddleread" }
 
-// Recognize implements Engine. The 2× nearest upscale commutes with
-// per-pixel thresholding, and the upscaled image's histogram is exactly 4×
-// the original's, so the engine thresholds the original directly into packed
-// form and bit-doubles the bitmap — the upscaled grayscale is never
-// materialized.
+// Recognize implements Engine. The engine works on the image up-scaled 2×
+// (nearest), but the 2× only changes coordinates, so nothing is up-scaled:
+// the histogram of the 2× image is 4× the original's, thresholding commutes
+// with the replication, and bit (X, Y) of the doubled bitmap is bit
+// (X>>1, Y>>1) of the original's. A gap of k empty columns doubles to 2k,
+// which reaches the 2× engine's minimum gap of 2 exactly when k ≥ 1, so its
+// strips are SegmentColumns(1)'s doubled; a tight box doubles and its area
+// quadruples, so a speck under 8 pixels at 2× is one under 2 here; and the
+// cells are sampled from the 2× box's table through halved coordinates
+// (normalizeCellPacked's shift). The boxes it reports are the 1× boxes the
+// 2× ones halve to.
 func (p *PaddleRead) Recognize(img *imaging.Gray) Result {
 	hist := img.Histogram256()
 	for i := range hist {
@@ -111,65 +120,19 @@ func (p *PaddleRead) Recognize(img *imaging.Gray) Result {
 	}
 	total := 4 * len(img.Pix)
 	thr := imaging.OtsuHistogram(&hist, total)
-	var small *imaging.Bitmap
+	var bin *imaging.Bitmap
 	if histTail(&hist, thr) > total/2 {
 		rev := reverseHist(&hist)
 		thr2 := imaging.OtsuHistogram(&rev, total)
 		// Inverted pixel >= thr2 is original pixel <= 255-thr2.
-		small = img.PackLE(255 - thr2)
+		bin = img.PackLE(255 - thr2)
 	} else {
-		small = img.PackGE(thr)
+		bin = img.PackGE(thr)
 	}
-	bin := small.Upscale2x()
-	imaging.RecycleBitmap(small)
 	sc := scratchPool.Get().(*scratch)
-	sc.segs = bin.SegmentColumns(2, sc.segs)
-	res := recognizeSegmentsPacked(bin, sc.segs, p.Tol, p.DigitBias, 8)
+	sc.segs = bin.SegmentColumns(1, sc.segs)
+	res := recognizeSegmentsPacked(bin, sc.segs, p.Tol, p.DigitBias, 2, 1)
 	scratchPool.Put(sc)
 	imaging.RecycleBitmap(bin)
-	halveBoxes(&res)
 	return res
-}
-
-// halveBoxes reports character boxes in the caller's coordinate system
-// after an engine worked on the image scaled 2×.
-func halveBoxes(res *Result) {
-	for i := range res.Chars {
-		b := &res.Chars[i].Box
-		b.X0 /= 2
-		b.Y0 /= 2
-		b.X1 = (b.X1 + 1) / 2
-		b.Y1 = (b.Y1 + 1) / 2
-	}
-}
-
-// componentColumns returns one full-height column strip per connected
-// component, written over buf when it has the capacity.
-func componentColumns(comps []imaging.Component, h int, buf []imaging.Rect) []imaging.Rect {
-	out := buf[:0]
-	for _, c := range comps {
-		out = append(out, imaging.Rect{X0: c.Box.X0, Y0: 0, X1: c.Box.X1, Y1: h})
-	}
-	return out
-}
-
-// mergeOverlapping merges column strips whose X ranges overlap (pieces of
-// the same character found as separate components).
-func mergeOverlapping(rs []imaging.Rect) []imaging.Rect {
-	if len(rs) == 0 {
-		return rs
-	}
-	// rs is sorted by X0 (component order). Merge onto a stack.
-	out := rs[:1]
-	for _, r := range rs[1:] {
-		last := &out[len(out)-1]
-		if r.X0 <= last.X1 {
-			if r.X1 > last.X1 {
-				last.X1 = r.X1
-			}
-		} else {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tero/internal/imaging"
@@ -69,5 +70,62 @@ func TestPackedMatchesScalar(t *testing.T) {
 					packed[i].Name(), c.name, pres, sres)
 			}
 		}
+	}
+}
+
+// TestComponentStripsAreColumnRuns holds the identity EasyScan's
+// segmentation rests on: the connected components of a binary image, each
+// widened to a full-height strip and merged where strips overlap or touch,
+// are the maximal runs of occupied columns — Bitmap.SegmentColumns(1) — on
+// seeded random images of touching and diagonal blobs, single-column
+// glyphs and noise, at widths around the 64-bit word boundary, and on empty
+// and full images.
+func TestComponentStripsAreColumnRuns(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	widths := []int{1, 2, 3, 7, 31, 63, 64, 65, 100, 127, 128, 129, 191, 192, 193}
+	kinds := []string{"blobs", "diagonals", "single-column glyphs", "noise", "empty", "full"}
+	for i := 0; i < 3000; i++ {
+		w := widths[i%len(widths)]
+		if i%3 == 0 {
+			w = 1 + r.Intn(200)
+		}
+		h := 1 + r.Intn(24)
+		kind := (i / len(widths)) % len(kinds)
+		g := imaging.New(w, h)
+		switch kind {
+		case 0: // rectangles that overlap, touch or stand apart
+			for k := r.Intn(12); k > 0; k-- {
+				x, y := r.Intn(w), r.Intn(h)
+				g.FillRect(imaging.Rect{X0: x, Y0: y, X1: x + 1 + r.Intn(6), Y1: y + 1 + r.Intn(6)}, 255)
+			}
+		case 1: // pixels meeting only at corners: apart, but their columns touch
+			for k := r.Intn(6); k > 0; k-- {
+				x, y, dy := r.Intn(w), r.Intn(h), 1-2*r.Intn(2)
+				for n := r.Intn(8); n >= 0; n-- {
+					g.Set(x, y, 255)
+					x, y = x+1, y+dy
+				}
+			}
+		case 2: // one-column strokes at gaps of 0, 1 or 2 columns
+			for x := r.Intn(3); x < w; x += 1 + r.Intn(3) {
+				y0 := r.Intn(h)
+				g.FillRect(imaging.Rect{X0: x, Y0: y0, X1: x + 1, Y1: y0 + 1 + r.Intn(h)}, 255)
+			}
+		case 3:
+			for j := range g.Pix {
+				if r.Intn(4) == 0 {
+					g.Pix[j] = 255
+				}
+			}
+		case 5:
+			g.FillRect(imaging.Rect{X1: w, Y1: h}, 255)
+		}
+		strips := mergeOverlapping(componentColumns(g.ConnectedComponents(), h, nil))
+		bin := g.PackGE(1)
+		runs := bin.SegmentColumns(1, nil)
+		if !slices.Equal(strips, runs) {
+			t.Fatalf("%s %dx%d: component strips %v, column runs %v", kinds[kind], w, h, strips, runs)
+		}
+		imaging.RecycleBitmap(bin)
 	}
 }

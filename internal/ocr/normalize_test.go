@@ -79,7 +79,7 @@ func TestNormalizeCellTableMatchesFloat(t *testing.T) {
 			for _, x0 := range []int{0, 3, 64 - (tw+1)/2, 128 - 1} {
 				y0 := r.Intn(bin.H - th + 1)
 				box := imaging.Rect{X0: x0, Y0: y0, X1: x0 + tw, Y1: y0 + th}
-				if got, want := normalizeCellPacked(bin, box), normalizeCellFloat(bin, box); got != want {
+				if got, want := normalizeCellPacked(bin, box, 0), normalizeCellFloat(bin, box); got != want {
 					t.Fatalf("%dx%d box at (%d,%d): table cell %x, float cell %x", tw, th, x0, y0, got, want)
 				}
 			}
@@ -96,7 +96,7 @@ func TestNormalizeCellBeyondMemo(t *testing.T) {
 	for _, sz := range []struct{ tw, th int }{{65, 14}, {10, 65}, {182, 30}, {364, 120}, {129, 7}} {
 		for _, x0 := range []int{0, 5, 30} {
 			box := imaging.Rect{X0: x0, Y0: 9, X1: x0 + sz.tw, Y1: 9 + sz.th}
-			if got, want := normalizeCellPacked(bin, box), normalizeCellFloat(bin, box); got != want {
+			if got, want := normalizeCellPacked(bin, box, 0), normalizeCellFloat(bin, box); got != want {
 				t.Fatalf("%dx%d box at x=%d: table cell %x, float cell %x", sz.tw, sz.th, x0, got, want)
 			}
 		}
@@ -122,7 +122,7 @@ func TestCellTableFirstTouchIsRaceFree(t *testing.T) {
 			go func(g int) {
 				defer done.Done()
 				start.Wait()
-				cells[g] = normalizeCellPacked(bin, box)
+				cells[g] = normalizeCellPacked(bin, box, 0)
 			}(g)
 		}
 		start.Done()
@@ -132,5 +132,39 @@ func TestCellTableFirstTouchIsRaceFree(t *testing.T) {
 				t.Errorf("round %d goroutine %d: cell %x, want %x", round, g, c, want)
 			}
 		}
+	}
+}
+
+// TestNormalizeCellShiftReadsTheDoubledBitmap: with shift 1 the cell of a
+// box is the float loop's cell of the doubled box on the bitmap scaled 2×
+// (every bit a 2×2 block) — PaddleRead's coordinate shift — for every box
+// whose doubled size the memo holds, with the box inside one word of either
+// bitmap and across two, and for a few doubled sizes beyond the memo.
+func TestNormalizeCellShiftReadsTheDoubledBitmap(t *testing.T) {
+	r := rand.New(rand.NewSource(45))
+	small := randomBitmap(r, 100, 40)
+	doubled := imaging.NewBitmap(2*small.W, 2*small.H)
+	for y := 0; y < doubled.H; y++ {
+		for x := 0; x < doubled.W; x++ {
+			doubled.Set(x, y, small.Get(x>>1, y>>1))
+		}
+	}
+	check := func(tw, th, x0 int) {
+		y0 := r.Intn(small.H - th + 1)
+		box := imaging.Rect{X0: x0, Y0: y0, X1: x0 + tw, Y1: y0 + th}
+		dbl := imaging.Rect{X0: 2 * box.X0, Y0: 2 * box.Y0, X1: 2 * box.X1, Y1: 2 * box.Y1}
+		if got, want := normalizeCellPacked(small, box, 1), normalizeCellFloat(doubled, dbl); got != want {
+			t.Fatalf("%dx%d box at (%d,%d): shifted cell %x, doubled bitmap's float cell %x", tw, th, x0, y0, got, want)
+		}
+	}
+	for tw := 1; tw <= cellTableMemoDim/2; tw++ {
+		for th := 1; th <= cellTableMemoDim/2; th++ {
+			for _, x0 := range []int{0, 3, 32 - (tw+1)/2, 63} {
+				check(tw, th, x0)
+			}
+		}
+	}
+	for _, sz := range []struct{ tw, th int }{{33, 7}, {91, 15}, {12, 40}} {
+		check(sz.tw, sz.th, 5)
 	}
 }

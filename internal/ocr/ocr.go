@@ -5,17 +5,21 @@
 // the three genuinely disagree on hard inputs, which is what Tero's
 // 2-of-3 voting combiner exploits.
 //
-// All engines are template matchers over the embedded 5×7 font: a candidate
-// character region is tight-cropped, resampled to the glyph grid, and
-// matched against every known glyph by Hamming distance. The engines differ
-// in how they find regions and how strictly they accept a match:
+// All engines are template matchers over the embedded 5×7 font: a line is
+// cut into characters at its empty columns (the maximal runs of occupied
+// columns are the candidates), each candidate is tight-cropped, resampled
+// to the glyph grid, and matched against every known glyph by Hamming
+// distance. The engines differ in how they binarize, how they sample a
+// glyph and how strictly they accept a match:
 //
 //   - Tessera uses a fixed global threshold (fails on low-contrast text)
 //     and strict matching (more misses, like Tesseract's 15.5% miss rate).
-//   - EasyScan uses Otsu binarization and lenient matching (fewer misses,
-//     more confusions).
-//   - PaddleRead up-scales and blurs before Otsu, with a digit prior
-//     (different confusion profile).
+//   - EasyScan uses Otsu binarization with polarity detection and lenient
+//     matching (fewer misses, more confusions).
+//   - PaddleRead reads the image up-scaled 2×, with a digit prior: in the
+//     normal polarity its Otsu level, bitmap and strips are EasyScan's, and
+//     it differs in sampling each glyph on the 2× grid, in its tolerance and
+//     in its speck size (a different confusion profile).
 //
 // All engines are safe for concurrent use: recognition keeps no per-call
 // state on the engine, and the shared glyph template table is built once at

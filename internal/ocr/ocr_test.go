@@ -169,7 +169,7 @@ func TestMatchCellPerfect(t *testing.T) {
 		}
 		bin := glyph.PackGE(1)
 		box, _ := bin.TightBoxCountIn(imaging.Rect{X1: bin.W, Y1: bin.H})
-		got, d = matchCellPacked(normalizeCellPacked(bin, box), 0)
+		got, d = matchCellPacked(normalizeCellPacked(bin, box, 0), 0)
 		if got != r || d != 0 {
 			t.Errorf("matchCellPacked(%q) = %q dist %d", r, got, d)
 		}

@@ -162,20 +162,24 @@ func cellTableFor(tw, th int) *cellTable {
 // packed: the scalar normalizeCell's crop → ScaleBilinear → Threshold(128),
 // bit for bit, as 140 four-bit lookups in the box size's table on bits read
 // straight off the bitmap's row words — nothing unpacked, no arithmetic on
-// samples.
-func normalizeCellPacked(bin *imaging.Bitmap, box imaging.Rect) packedCell {
-	t := cellTableFor(box.Width(), box.Height())
+// samples. It reads bin as if scaled 2^shift× (nearest): the table is the
+// scaled box's, and bit (X, Y) of the scaled bitmap is bit (X>>shift,
+// Y>>shift) of bin.
+func normalizeCellPacked(bin *imaging.Bitmap, box imaging.Rect, shift uint) packedCell {
+	t := cellTableFor(box.Width()<<shift, box.Height()<<shift)
 	var c0, c1 [CellW]uint
+	bx := uint(box.X0) << shift
 	for x := range c0 {
-		c0[x], c1[x] = uint(box.X0)+uint(t.x0[x]), uint(box.X0)+uint(t.x1[x])
+		c0[x], c1[x] = (bx+uint(t.x0[x]))>>shift, (bx+uint(t.x1[x]))>>shift
 	}
-	// gather reads a source row's bits at the sample columns, four bits per
-	// cell column with the last column lowest: bit 0 of a nibble is the
-	// sample at x0, bit 1 the one at x1, bits 2 and 3 are left for the row
-	// below. Neighbouring cell rows share source rows (a glyph is rarely
-	// taller than the grid), so the two rows last gathered are kept.
+	// gather reads bin's row sy at the sample columns, four bits per cell
+	// column with the last column lowest: bit 0 of a nibble is the sample at
+	// x0, bit 1 the one at x1, bits 2 and 3 are left for the row below.
+	// Neighbouring cell rows share source rows (a glyph is rarely taller
+	// than the grid, and under a shift two scaled rows are one row of bin),
+	// so the two rows last gathered are kept.
 	gather := func(sy int32) uint64 {
-		row := bin.Row(box.Y0 + int(sy))
+		row := bin.Row(int(sy))
 		var g uint64
 		for x := 0; x < CellW; x++ {
 			a, b := c0[x], c1[x]
@@ -183,11 +187,12 @@ func normalizeCellPacked(bin *imaging.Bitmap, box imaging.Rect) packedCell {
 		}
 		return g
 	}
+	by := int32(box.Y0) << shift
 	var cell packedCell
 	ya, yb := int32(-1), int32(-1)
 	var ga, gb uint64
 	for y := 0; y < CellH; y++ {
-		y0, y1 := t.y0[y], t.y1[y]
+		y0, y1 := (by+t.y0[y])>>shift, (by+t.y1[y])>>shift
 		if y0 == yb {
 			ya, ga, yb = yb, gb, -1
 		} else if y0 != ya {
@@ -214,10 +219,12 @@ func normalizeCellPacked(bin *imaging.Bitmap, box imaging.Rect) packedCell {
 // assembles a Result, rejecting characters whose match distance exceeds
 // tol: segment bounds, speck rejection and cell extraction all run on the
 // bitmap (popcounts and word scans), with no per-segment image allocations.
+// Cells are sampled as from bin scaled 2^shift× (normalizeCellPacked); the
+// segments, minArea and the reported boxes are in bin's own coordinates.
 // The Result is the caller's: Chars is allocated once, at the first accepted
 // character and for as many as there are segments left, and Text once, at
 // its final length.
-func recognizeSegmentsPacked(bin *imaging.Bitmap, segs []imaging.Rect, tol, digitBias, minArea int) Result {
+func recognizeSegmentsPacked(bin *imaging.Bitmap, segs []imaging.Rect, tol, digitBias, minArea int, shift uint) Result {
 	var res Result
 	text := make([]byte, 0, 64) // on the stack unless a line has more glyphs than a latency display
 	for i, s := range segs {
@@ -236,7 +243,7 @@ func recognizeSegmentsPacked(bin *imaging.Bitmap, segs []imaging.Rect, tol, digi
 			X0: s.X0 + box.X0, Y0: s.Y0 + box.Y0,
 			X1: s.X0 + box.X1, Y1: s.Y0 + box.Y1,
 		}
-		cell := normalizeCellPacked(bin, abs)
+		cell := normalizeCellPacked(bin, abs, shift)
 		r, d := matchCellPacked(cell, digitBias)
 		if d > tol {
 			continue // unrecognized character: engine stays silent

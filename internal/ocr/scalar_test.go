@@ -8,7 +8,9 @@ import (
 
 // The byte-per-pixel reference: the three engines composed from imaging's
 // Gray kernels (Threshold, SegmentColumns, ConnectedComponents, Crop,
-// TightBox, ScaleBilinear) and a bool-per-pixel template matcher. It is the
+// TightBox, ScaleBilinear) and a bool-per-pixel template matcher, each
+// engine on the image it describes: EasyScan segments by connected
+// component and PaddleRead works on the materialised 2× image. It is the
 // oracle the packed production engines must equal bit for bit — same Text,
 // and same per-character rune, Hamming distance and box — in
 // TestPackedMatchesScalar here and, through export_test.go, in the corpus
@@ -133,4 +135,47 @@ func recognizeSegments(bin *imaging.Gray, segs []imaging.Rect, tol, digitBias in
 	}
 	res.Text = sb.String()
 	return res
+}
+
+// halveBoxes reports character boxes in the caller's coordinate system
+// after an engine worked on the image scaled 2×.
+func halveBoxes(res *Result) {
+	for i := range res.Chars {
+		b := &res.Chars[i].Box
+		b.X0 /= 2
+		b.Y0 /= 2
+		b.X1 = (b.X1 + 1) / 2
+		b.Y1 = (b.Y1 + 1) / 2
+	}
+}
+
+// componentColumns returns one full-height column strip per connected
+// component, written over buf when it has the capacity.
+func componentColumns(comps []imaging.Component, h int, buf []imaging.Rect) []imaging.Rect {
+	out := buf[:0]
+	for _, c := range comps {
+		out = append(out, imaging.Rect{X0: c.Box.X0, Y0: 0, X1: c.Box.X1, Y1: h})
+	}
+	return out
+}
+
+// mergeOverlapping merges column strips whose X ranges overlap (pieces of
+// the same character found as separate components).
+func mergeOverlapping(rs []imaging.Rect) []imaging.Rect {
+	if len(rs) == 0 {
+		return rs
+	}
+	// rs is sorted by X0 (component order). Merge onto a stack.
+	out := rs[:1]
+	for _, r := range rs[1:] {
+		last := &out[len(out)-1]
+		if r.X0 <= last.X1 {
+			if r.X1 > last.X1 {
+				last.X1 = r.X1
+			}
+		} else {
+			out = append(out, r)
+		}
+	}
+	return out
 }

@@ -1,11 +1,12 @@
 #!/bin/sh
 # Repository health check: gofmt, vet, build, an os.Exit guard on cmd/,
 # race-enabled tests (root module and the bench/ module, which the root
-# ./... cannot see), a few seconds of each decoder fuzz target, a one-shot
-# pipeline benchmark smoke, smokes that drive the real binaries (the chaos
-# smoke requires the downloader's digest check to catch at least one of the
-# corrupted bodies the CDN sent, and three faulted tero runs must print the
-# same output), a determinism smoke (teroexp volume at -workers 8, three
+# ./... cannot see), a few seconds of each decoder fuzz target, one-shot
+# benchmark smokes (the pipeline, and one extraction that must repeat),
+# smokes that drive the real binaries (the chaos smoke requires the
+# downloader's digest check to catch at least one of the corrupted bodies
+# the CDN sent, and three faulted tero runs must print the same output), a
+# determinism smoke (teroexp volume at -workers 8, three
 # times, against -workers 1) whose serial run also gates the peak live heap
 # at 48 MB, a reachability gate (scripts/reach: no function that no binary
 # links, unless allowlisted) and the regeneration of every measured block of
@@ -101,8 +102,12 @@ echo "== extraction ahead of the merge: same tables at 1, 2 and 8 workers, no go
 go test -race -count=5 -run '^(TestExtractAheadDeterminism|TestConcurrencyDeterminism|TestExtractAheadGoroutines|TestRestoredKeyIsExtractedAgain|TestCorruptThumbnailAheadQuarantinedOnce|TestStagePanicRecovery)$' ./internal/pipeline
 go test -race -count=5 -run '^TestForEachPanicRecovery$' ./internal/par
 
-echo "== benchmark smoke (VolumePipeline, 1 iteration) =="
+echo "== benchmark smoke (VolumePipeline and Extract, 1 iteration each) =="
 go test -run '^$' -bench '^BenchmarkVolumePipeline$' -benchtime 1x .
+# BenchmarkExtract extracts one rendered thumbnail again after a first
+# extraction and fails if the two differ: pooled scratch (bitmaps, strips,
+# blur rows) must carry nothing from one call into the next.
+go test -run '^$' -bench '^BenchmarkExtract$' -benchtime 1x ./internal/imageproc
 
 echo "== observability smoke (cmd/tero -debug-addr, scrape /metrics) =="
 TMPDIR="${TMPDIR:-/tmp}"
