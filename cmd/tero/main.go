@@ -154,7 +154,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer srv.Close()
 		coord = dist.NewCoordinator(p, st)
-		coord.Announce(platform.URL())
 		fmt.Fprintf(stdout, "coordinator: store at %s — waiting for %d workers, start each with:\n"+
 			"  teroworker -store %s\n", srv.Addr(), o.distributed, srv.Addr())
 		if err := coord.WaitWorkers(o.distributed, 60*time.Second); err != nil {

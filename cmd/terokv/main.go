@@ -31,7 +31,6 @@ func main() {
 type options struct {
 	addr      string
 	dir       string
-	fsync     string
 	debugAddr string
 	logLevel  string
 }
@@ -39,9 +38,8 @@ type options struct {
 // register declares every flag on fs.
 func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:0", "listen address")
-	fs.StringVar(&o.dir, "dir", "", "persistence directory (empty = in-memory only)")
-	fs.StringVar(&o.fsync, "fsync", kvstore.FsyncInterval,
-		"aof fsync policy: always or interval")
+	fs.StringVar(&o.dir, "dir", "",
+		"persistence directory, every write fsynced (empty = in-memory only)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "",
 		"serve /metrics and /debug/pprof/ on this address")
 	fs.StringVar(&o.logLevel, "log", "info",
@@ -82,14 +80,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var store *kvstore.Store
 	if o.dir != "" {
 		var err error
-		store, err = kvstore.Open(o.dir, o.fsync)
+		store, err = kvstore.Open(o.dir)
 		if err != nil {
 			fmt.Fprintf(stderr, "open %s: %v\n", o.dir, err)
 			return 1
 		}
 		defer store.Close()
-		fmt.Fprintf(stdout, "terokv durable at %s (fsync=%s, %d keys recovered)\n",
-			o.dir, o.fsync, store.Len())
+		fmt.Fprintf(stdout, "terokv durable at %s (%d keys recovered)\n",
+			o.dir, store.Len())
 	} else {
 		store = kvstore.New()
 	}

@@ -15,7 +15,7 @@ import (
 
 // maxFlags is the ceiling on the command's flag surface; raising it means
 // adding an option on purpose.
-const maxFlags = 5
+const maxFlags = 4
 
 // syncBuffer is a bytes.Buffer the command can write while the test reads.
 type syncBuffer struct {
@@ -98,7 +98,7 @@ func speak(t *testing.T, cl *kvstore.Client, when string, session []exchange) {
 // back.
 func TestServeStopRecover(t *testing.T) {
 	dir := t.TempDir()
-	args := []string{"-addr", "127.0.0.1:0", "-dir", dir, "-fsync", "always", "-log", "warn"}
+	args := []string{"-addr", "127.0.0.1:0", "-dir", dir, "-log", "warn"}
 	addr, stop := boot(t, args...)
 	cl, err := kvstore.Dial(addr)
 	if err != nil {
@@ -154,13 +154,17 @@ func TestServeStopRecover(t *testing.T) {
 	}
 }
 
+// TestUnknownFlagExitsTwo: an unknown flag, and -fsync (a durable store
+// fsyncs every write; there is no policy to pick), are usage errors.
 func TestUnknownFlagExitsTwo(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run(context.Background(), []string{"-ttl"}, &stdout, &stderr); code != 2 {
-		t.Errorf("exit %d, want 2", code)
-	}
-	if want := "flag provided but not defined: -ttl"; !strings.Contains(stderr.String(), want) {
-		t.Errorf("stderr lacks %q:\n%s", want, &stderr)
+	for _, name := range []string{"ttl", "fsync"} {
+		var stdout, stderr bytes.Buffer
+		if code := run(context.Background(), []string{"-" + name}, &stdout, &stderr); code != 2 {
+			t.Errorf("-%s: exit %d, want 2", name, code)
+		}
+		if want := "flag provided but not defined: -" + name; !strings.Contains(stderr.String(), want) {
+			t.Errorf("-%s: stderr lacks %q:\n%s", name, want, &stderr)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
-// Command teroworker is one distributed-ingest worker: it connects to the
-// coordinator's kvstore address (key-value protocol + object buckets on one
-// wire), registers with a real-time heartbeat, and works lockstep rounds —
+// Command teroworker is one distributed-ingest worker: it opens one
+// connection to the coordinator's kvstore address, registers with a
+// real-time heartbeat over it, and works lockstep rounds —
 // claim streamers from the shared queue, fetch their thumbnails from the
 // platform CDN, run OCR extraction, push results — until the coordinator
 // signals the end of the run. Run N of these against one `tero
@@ -12,6 +12,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
 	"os/signal"
@@ -32,11 +33,10 @@ func main() {
 
 // options is the command's whole flag surface.
 type options struct {
-	store     string
-	id        string
-	logLevel  string
-	trace     bool
-	traceSeed int64
+	store    string
+	id       string
+	logLevel string
+	trace    bool
 }
 
 // register declares every flag on fs.
@@ -46,8 +46,8 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.id, "id", "",
 		"worker ID, unique in the fleet (default <hostname>-<pid>); its downloader is <id>:dl0")
 	fs.StringVar(&o.logLevel, "log", "warn", "log level: trace, debug, info, warn, error, off")
-	fs.BoolVar(&o.trace, "trace", false, "record tail-sampled traces in this worker")
-	fs.Int64Var(&o.traceSeed, "trace-seed", 1, "trace ID seed when -trace is set")
+	fs.BoolVar(&o.trace, "trace", false,
+		"record tail-sampled traces in this worker (IDs seeded by its -id)")
 }
 
 // run is the whole command behind main: it parses args on its own flag
@@ -88,7 +88,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		o.id = host + "-" + strconv.Itoa(os.Getpid())
 	}
 	if o.trace {
-		trace.Enable(uint64(o.traceSeed))
+		// Seeded by the ID, unique in the fleet: the coordinator records
+		// spans under the trace IDs workers draw, so two workers, or a
+		// worker and the coordinator (seeded with the world seed), drawing
+		// one sequence would merge unrelated journeys.
+		h := fnv.New64a()
+		h.Write([]byte(o.id)) //nolint:errcheck — hash.Write never fails
+		trace.Enable(h.Sum64())
 	}
 
 	fmt.Fprintf(stdout, "teroworker %s joining %s\n", o.id, o.store)

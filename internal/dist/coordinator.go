@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -28,9 +27,10 @@ var (
 )
 
 // Coordinator drives a distributed run from the process that owns the
-// store: it freezes virtual instants, publishes round tokens, barriers on
-// worker check-ins, declares stale-hearted workers dead (and requeues
-// their claims), and merges pushed results into the pipeline in key order.
+// store: it publishes round tokens carrying frozen virtual instants,
+// barriers on worker check-ins, declares stale-hearted workers dead (and
+// requeues their claims), and merges pushed results into the pipeline in
+// key order.
 // The serial stages — queue seeding, location, analysis, publish — stay on
 // the embedded pipeline exactly as in a single-process run.
 type Coordinator struct {
@@ -62,8 +62,8 @@ type beatSeen struct {
 
 const (
 	// deadAfter is how long a blocking worker's heartbeat may stay unchanged
-	// before the worker is declared dead mid-barrier. Beats default to 25ms,
-	// so this is ~40 missed beats, far beyond scheduler jitter.
+	// before the worker is declared dead mid-barrier: ~40 missed beats
+	// (beatEvery), far beyond scheduler jitter.
 	deadAfter = time.Second
 	// barrierTimeout bounds one round's barrier wait.
 	barrierTimeout = 60 * time.Second
@@ -80,11 +80,6 @@ func NewCoordinator(p *pipeline.Pipeline, kv kvstore.KV) *Coordinator {
 		seen:  make(map[string]bool),
 		beats: make(map[string]beatSeen),
 	}
-}
-
-// Announce publishes the platform base URL — the fleet's start signal.
-func (c *Coordinator) Announce(platformURL string) {
-	c.KV.Set(KeyPlatform, platformURL)
 }
 
 // WaitWorkers blocks until n workers have registered.
@@ -105,13 +100,12 @@ func (c *Coordinator) WaitWorkers(n int, timeout time.Duration) error {
 // EndRun tells the fleet to exit cleanly.
 func (c *Coordinator) EndRun() { c.KV.Set(KeyRound, RoundDone) }
 
-// Tick runs one virtual tick: freeze the instant, optionally run the
-// coordinator poll (queue seeding + offline processing), then drive rounds
-// until the queue is drained — makeup rounds keep the virtual clock frozen,
-// so WHICH TICK adopts a streamer never depends on fleet size or crashes —
-// and finally merge every pushed result.
+// Tick runs one virtual tick: optionally run the coordinator poll (queue
+// seeding + offline processing), then drive rounds frozen at now until the
+// queue is drained — makeup rounds keep the virtual clock frozen, so WHICH
+// TICK adopts a streamer never depends on fleet size or crashes — and
+// finally merge every pushed result.
 func (c *Coordinator) Tick(now time.Time, tick int, pollCoordinator bool) error {
-	c.KV.Set(KeyNow, now.UTC().Format(time.RFC3339Nano))
 	if pollCoordinator {
 		if err := c.P.Coordinator.PollOnce(); err != nil {
 			// Degraded, not fatal — same contract as Pipeline.Tick.
@@ -122,7 +116,7 @@ func (c *Coordinator) Tick(now time.Time, tick int, pollCoordinator bool) error 
 		if r >= maxRounds {
 			return fmt.Errorf("dist: tick %d still draining after %d rounds", tick, r)
 		}
-		token := strconv.Itoa(tick) + "." + strconv.Itoa(r)
+		token := roundToken(tick, r, now)
 		c.KV.Set(KeyRound, token)
 		dead, err := c.barrier(token)
 		if err != nil {
@@ -134,10 +128,11 @@ func (c *Coordinator) Tick(now time.Time, tick int, pollCoordinator bool) error 
 			c.MakeupRounds++
 			mMakeup.Inc()
 		}
-		// Post-barrier the fleet is quiescent: reap and rescue without
-		// racing a claim in flight.
-		c.reapDead(dead)
-		c.rescueLost()
+		if len(dead) > 0 {
+			// Post-barrier the fleet is quiescent: reap without racing a
+			// claim in flight.
+			c.reapDead(dead)
+		}
 		if c.KV.LLen(download.KeyQueue) == 0 {
 			break
 		}
@@ -162,26 +157,18 @@ func (c *Coordinator) barrier(token string) ([]string, error) {
 			return dead, errors.New("dist: no live workers")
 		}
 		done := c.KV.HGetAll(KeyDone)
-		allDone := true
-		for id := range roster {
-			if done[id] != token {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
-			return dead, nil
-		}
 		now := time.Now()
 		ids := make([]string, 0, len(roster))
 		for id := range roster {
 			ids = append(ids, id)
 		}
 		sort.Strings(ids)
+		waiting := false
 		for _, id := range ids {
-			if done[id] == token {
-				continue // checked in: not blocking this round
+			if checkedIn(done[id], token) {
+				continue // not blocking this round
 			}
+			waiting = true
 			v, ok := c.KV.HGet(KeyBeat, id)
 			last := c.beats[id]
 			if ok && v != last.value {
@@ -193,12 +180,14 @@ func (c *Coordinator) barrier(token string) ([]string, error) {
 			}
 			delete(c.beats, id)
 			c.KV.HDel(KeyRoster, id)
-			c.KV.HDel(KeyBeat, id)
-			c.KV.HDel(KeyDone, id)
+			c.KV.HDel(KeyBeat, id) // its check-in stays: Stats lists it
 			dead = append(dead, id)
 			c.DeadWorkers++
 			mDead.Inc()
 			dlog.Warn("worker declared dead", "worker", id, "round", token)
+		}
+		if !waiting {
+			return dead, nil
 		}
 		if time.Now().After(deadline) {
 			return dead, fmt.Errorf("dist: barrier timeout at round %s", token)
@@ -207,10 +196,22 @@ func (c *Coordinator) barrier(token string) ([]string, error) {
 	}
 }
 
-// reapDead requeues every claim owned by a dead worker's downloader
-// ("<worker>:dl0", found by the "<worker>:" prefix), chaining a reap span
-// onto the claim's propagated trace so the claim's story stays one trace
-// across processes.
+// checkedIn reports whether the check-in record v completes round token.
+func checkedIn(v, token string) bool {
+	s, err := DecodeWorkerStats(v)
+	return err == nil && s.Round == token
+}
+
+// reapDead runs after a barrier that declared workers dead, with the
+// survivors quiescent. It requeues every claim owned by a dead worker's
+// downloader ("<worker>:dl0", found by the "<worker>:" prefix), chaining a
+// reap span onto the claim's propagated trace so the claim's story stays
+// one trace across processes. Then it catches the loss the claim record
+// cannot: a worker killed between popping the queue and recording the
+// claim, or between releasing a claim and requeueing it. A live worker
+// finishes both pairs before it checks in, so only a death leaves an active
+// streamer neither claimed nor queued; the queue is snapshotted (drain +
+// re-push, order preserved) and every such streamer goes back on it.
 func (c *Coordinator) reapDead(dead []string) {
 	sort.Strings(dead)
 	for _, w := range dead {
@@ -243,14 +244,7 @@ func (c *Coordinator) reapDead(dead []string) {
 			dlog.Warn("reaped dead worker's claim", "worker", w, "streamer", sid)
 		}
 	}
-}
 
-// rescueLost catches the one loss the claim record cannot: a worker killed
-// between popping the queue and recording the claim. Post-barrier the queue
-// is stable, so it can be snapshotted (drain + re-push, order preserved)
-// and every active streamer that is neither claimed nor queued goes back on
-// the queue.
-func (c *Coordinator) rescueLost() {
 	var queued []string
 	for {
 		raw, ok := c.KV.LPop(download.KeyQueue)
@@ -333,11 +327,12 @@ func (c *Coordinator) ingest() {
 	}
 }
 
-// Stats reads the fleet's balance records, sorted by worker ID. Dead
-// workers' last published records are included — the imbalance a crash
-// leaves behind is exactly what the balance table should show.
+// Stats reads the fleet's balance records — their last check-ins — sorted
+// by worker ID. Dead and departed workers' records are included — the
+// imbalance a crash leaves behind is exactly what the balance table should
+// show.
 func (c *Coordinator) Stats() []WorkerStats {
-	m := c.KV.HGetAll(KeyStats)
+	m := c.KV.HGetAll(KeyDone)
 	ids := make([]string, 0, len(m))
 	for id := range m {
 		ids = append(ids, id)

@@ -9,9 +9,10 @@
 // The protocol is lockstep rounds over plain keys, chosen so a fleet of
 // any size produces byte-identical analysis tables to a single process:
 //
-//   - The coordinator freezes a virtual instant in dist:now, then publishes
-//     a round token in dist:round. Workers poll for the token, do one round
-//     of work at that frozen instant, and check in via dist:done.
+//   - The coordinator publishes a round token in dist:round that carries
+//     the round's frozen virtual instant. Workers poll for the token, do one
+//     round of work at that instant, and check in via dist:done with their
+//     balance record. A worker starts on the first token it reads.
 //   - A round is the worker's own pipeline stage: poll due streamers, take
 //     a ceil-share of dl:queue with the roster as the fleet's size
 //     (Pipeline.TickShare, download.Deal — the one adoption policy, which a
@@ -21,14 +22,18 @@
 //     merging it. The shares cover the queue and the coordinator repeats
 //     rounds at the same instant until it drains, so WHICH VIRTUAL TICK
 //     adopts a streamer never depends on fleet size.
-//   - Workers never touch shared state between rounds; the barrier means
-//     the coordinator reaps crashed workers' claims and snapshots the
-//     queue while everything is quiescent, without locks.
+//   - Workers never touch shared state between rounds: a live worker
+//     finishes every claim (LPOP + HSET) and release (HDEL + RPUSH) before
+//     it checks in. After a barrier that declared a worker dead, the
+//     coordinator reaps its claims and sweeps for streamers lost between
+//     the two halves of a pair while everything is quiescent, without
+//     locks; a barrier without a death leaves the queue alone.
 //
-// Workers prove liveness with real-time heartbeats in dist:beat, the one
-// liveness rule of the fleet. A worker whose beat stops changing
-// mid-barrier is declared dead, its claims are requeued, and the survivors
-// re-fetch them within the same virtual tick —
+// Workers prove liveness with real-time heartbeats in dist:beat, sent over
+// the worker's one store connection — the one liveness rule of the fleet.
+// A worker whose beat stops changing mid-barrier is declared dead, its
+// claims are requeued, and the survivors re-fetch them within the same
+// virtual tick —
 // every downloader stamps a thumbnail with its CDN window, so the re-fetch
 // is byte-identical to what the dead worker would have stored.
 package dist
@@ -37,6 +42,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"time"
 
 	"tero/internal/games"
@@ -58,20 +65,15 @@ const (
 	// Liveness is real time — virtual time is frozen while workers work, so
 	// it cannot detect a hung process.
 	KeyBeat = "dist:beat"
-	// KeyPlatform carries the platform base URL from coordinator to
-	// workers; its appearance is the run's start signal.
-	KeyPlatform = "dist:platform"
-	// KeyNow is the frozen virtual instant (RFC3339Nano) of the current
-	// round.
-	KeyNow = "dist:now"
-	// KeyRound is the current round token, "tick.round" — or RoundDone
-	// when the run is over and workers should exit.
+	// KeyRound is the current round token, "tick.round@instant" with the
+	// round's frozen virtual instant in RFC 3339 (roundToken) — or
+	// RoundDone when the run is over and workers should exit.
 	KeyRound = "dist:round"
-	// KeyDone is a hash: worker ID -> last round token completed.
+	// KeyDone is a hash: worker ID -> WorkerStats JSON, the worker's
+	// check-in, whose Round is the last round token it completed. The
+	// barrier reads it for the token, the balance table for the rest; a
+	// dead or departed worker's last record stays.
 	KeyDone = "dist:done"
-	// KeyStats is a hash: worker ID -> WorkerStats JSON, refreshed each
-	// round; the coordinator's balance table reads it.
-	KeyStats = "dist:stats"
 	// KeyClaimTrace is a hash: streamer ID -> W3C traceparent of the
 	// claim's trace, written by the claiming downloader so a reap after a
 	// worker crash can chain onto the same story.
@@ -160,9 +162,11 @@ func DecodeResult(key string, b []byte) (Result, error) {
 // comparisons.
 func validMs(v float64) bool { return v >= 1 && v <= 999 && v == math.Trunc(v) }
 
-// WorkerStats is the per-worker balance record published in KeyStats.
+// WorkerStats is a worker's check-in in KeyDone: its balance record,
+// stamped with the round token it has just completed.
 type WorkerStats struct {
 	Worker    string `json:"worker"`
+	Round     string `json:"round,omitempty"`
 	Rounds    int    `json:"rounds"`
 	Claims    int    `json:"claims"`
 	Fetches   int    `json:"fetches"`
@@ -180,4 +184,18 @@ func DecodeWorkerStats(s string) (WorkerStats, error) {
 	var w WorkerStats
 	err := json.Unmarshal([]byte(s), &w)
 	return w, err
+}
+
+// roundToken is the KeyRound value of round r of tick, frozen at now.
+func roundToken(tick, r int, now time.Time) string {
+	return strconv.Itoa(tick) + "." + strconv.Itoa(r) + "@" + now.UTC().Format(time.RFC3339Nano)
+}
+
+// roundInstant is the frozen virtual instant a round token carries.
+func roundInstant(token string) (time.Time, error) {
+	_, at, ok := strings.Cut(token, "@")
+	if !ok {
+		return time.Time{}, fmt.Errorf("dist: round token %q carries no instant", token)
+	}
+	return time.Parse(time.RFC3339Nano, at)
 }

@@ -66,6 +66,27 @@ func goldenRun(t *testing.T, seed int64) string {
 	return pipelineSignature(p)
 }
 
+// queueKV is the coordinator's store with every LPOP and RPUSH it sends to
+// the download queue counted.
+type queueKV struct {
+	kvstore.KV
+	pops, pushes int
+}
+
+func (q *queueKV) LPop(key string) (string, bool) {
+	if key == download.KeyQueue {
+		q.pops++
+	}
+	return q.KV.LPop(key)
+}
+
+func (q *queueKV) RPush(key string, values ...string) int {
+	if key == download.KeyQueue {
+		q.pushes++
+	}
+	return q.KV.RPush(key, values...)
+}
+
 type testWorker struct {
 	halt chan struct{}
 	done chan error
@@ -75,7 +96,7 @@ func (w *testWorker) kill() { close(w.halt); <-w.done }
 
 // distRun drives a fleet of n in-process workers over real TCP through the
 // same observation window as goldenRun. crashTick >= 0 halts worker 0 after
-// that tick.
+// that tick. The coordinator's store is a *queueKV.
 func distRun(t *testing.T, seed int64, n, crashTick int) (*pipeline.Pipeline, *Coordinator, *twitchsim.Platform) {
 	t.Helper()
 	platform := newTestPlatform(t, seed)
@@ -89,8 +110,7 @@ func distRun(t *testing.T, seed int64, n, crashTick int) (*pipeline.Pipeline, *C
 
 	p := pipeline.NewWithKV(platform.URL(), 1, st)
 	p.Concurrency = 1
-	coord := NewCoordinator(p, st)
-	coord.Announce(platform.URL())
+	coord := NewCoordinator(p, &queueKV{KV: st})
 
 	workers := make([]*testWorker, n)
 	for i := range workers {
@@ -145,6 +165,15 @@ func TestDistByteIdentity(t *testing.T) {
 		if coord.DeadWorkers != 0 {
 			t.Fatalf("fleet=%d declared %d workers dead in a crash-free run", n, coord.DeadWorkers)
 		}
+		// Without a death the coordinator never touches the queue in a round:
+		// the lost-claim sweep waits for a death.
+		if q := coord.KV.(*queueKV); q.pops != 0 || q.pushes != 0 {
+			t.Fatalf("fleet=%d: a crash-free run's rounds sent %d LPOPs and %d RPUSHes to %s",
+				n, q.pops, q.pushes, download.KeyQueue)
+		}
+		if got := len(coord.Stats()); got != n {
+			t.Fatalf("fleet=%d: %d balance records after the fleet left, want %d", n, got, n)
+		}
 	}
 }
 
@@ -159,6 +188,9 @@ func TestDistCrashRecovery(t *testing.T) {
 	}
 	if coord.ReapedClaims < 1 {
 		t.Fatal("the killed worker held no claim: the leg never exercised the reap")
+	}
+	if stats := coord.Stats(); len(stats) != 2 || stats[0].Worker != "w1" {
+		t.Fatalf("balance records %+v, want the killed w1's and w2's", stats)
 	}
 	if sig := pipelineSignature(p); sig != gold {
 		t.Fatalf("crash leg diverged from golden:\n--- golden:\n%s\n--- crash:\n%s", gold, sig)
@@ -249,22 +281,38 @@ func TestReapDead(t *testing.T) {
 	}
 }
 
-// TestRescueLost: an active streamer that is neither claimed nor queued (the
-// worker died between LPop and recording its claim) goes back on the queue;
-// claimed and already-queued streamers do not.
+// TestRescueLost: an active streamer that is neither claimed nor queued (a
+// worker died between LPOP and recording its claim) stays lost through a
+// round without a death, and goes back on the queue in the reap after one,
+// behind the dead worker's requeued claim; claimed and already-queued
+// streamers do not.
 func TestRescueLost(t *testing.T) {
 	st := kvstore.New()
 	c := NewCoordinator(nil, st)
 	st.HSet(download.KeyActive, "s1", `{"id":"s1"}`) // lost: not claimed, not queued
-	st.HSet(download.KeyActive, "s2", `{"id":"s2"}`) // claimed
+	st.HSet(download.KeyActive, "s2", `{"id":"s2"}`) // claimed by a live worker
 	st.HSet(download.KeyClaimed, "s2", "w1:dl0")
+	st.HSet(download.KeyActive, "s4", `{"id":"s4"}`) // claimed by the worker that dies
+	st.HSet(download.KeyClaimed, "s4", "w2:dl0")
+
+	st.HSet(KeyBeat, "w1", "1")
+	st.HSet(KeyRoster, "w1", "1")
+	exited := checkInRounds(st, "w1", 0)
+	if err := c.Tick(time.Unix(0, 0), 0, false); err != nil {
+		t.Fatal(err)
+	}
+	c.EndRun()
+	<-exited
+	if n := st.LLen(download.KeyQueue); n != 0 || c.LostRequeued != 0 {
+		t.Fatalf("a round without a death queued %d, requeued %d lost", n, c.LostRequeued)
+	}
+
 	st.HSet(download.KeyActive, "s3", `{"id":"s3"}`) // already queued
 	st.RPush(download.KeyQueue, `{"id":"s3"}`)
+	c.reapDead([]string{"w2"})
 
-	c.rescueLost()
-
-	if c.LostRequeued != 1 {
-		t.Fatalf("LostRequeued = %d, want 1", c.LostRequeued)
+	if c.ReapedClaims != 1 || c.LostRequeued != 1 {
+		t.Fatalf("ReapedClaims = %d, LostRequeued = %d, want 1, 1", c.ReapedClaims, c.LostRequeued)
 	}
 	var got []string
 	for {
@@ -274,10 +322,37 @@ func TestRescueLost(t *testing.T) {
 		}
 		got = append(got, raw)
 	}
-	want := []string{`{"id":"s3"}`, `{"id":"s1"}`} // order preserved, rescue appended
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("queue after rescue = %v, want %v", got, want)
+	// Order preserved, the reaped claim appended, then the rescue.
+	want := []string{`{"id":"s3"}`, `{"id":"s4"}`, `{"id":"s1"}`}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("queue after the reap = %v, want %v", got, want)
 	}
+}
+
+// checkInRounds is RunWorker's round loop with no work in the rounds: it
+// checks in every round token it reads for worker id, delay after reading
+// it, until the done sentinel.
+func checkInRounds(st *kvstore.Store, id string, delay time.Duration) (exited <-chan struct{}) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		stats := WorkerStats{Worker: id}
+		for {
+			token, _ := st.Get(KeyRound)
+			switch token {
+			case RoundDone:
+				return
+			case "", stats.Round:
+				time.Sleep(pollWait)
+			default:
+				time.Sleep(delay)
+				stats.Round = token
+				stats.Rounds++
+				st.HSet(KeyDone, id, stats.Encode())
+			}
+		}
+	}()
+	return done
 }
 
 // skewedBeats heartbeats for worker id every 25 ms with a wall clock that is
@@ -315,24 +390,7 @@ func TestSkewedWorkerCompletesRun(t *testing.T) {
 	stop := make(chan struct{})
 	beatsExited := skewedBeats(st, "w1", -time.Hour, stop)
 	st.HSet(KeyRoster, "w1", "1")
-	workerExited := make(chan struct{})
-	go func() { // the round loop of RunWorker, with no work in the rounds
-		defer close(workerExited)
-		last := ""
-		for {
-			token, _ := st.Get(KeyRound)
-			switch token {
-			case RoundDone:
-				return
-			case "", last:
-				time.Sleep(pollWait)
-			default:
-				time.Sleep(50 * time.Millisecond)
-				st.HSet(KeyDone, "w1", token)
-				last = token
-			}
-		}
-	}()
+	workerExited := checkInRounds(st, "w1", 50*time.Millisecond)
 	for tick := 0; tick < 3; tick++ {
 		if err := c.Tick(time.Unix(0, 0), tick, false); err != nil {
 			t.Fatalf("tick %d: %v", tick, err)
@@ -356,12 +414,14 @@ func TestFrozenBeatIsReaped(t *testing.T) {
 	st := kvstore.New()
 	c := NewCoordinator(nil, st)
 	st.HSet(KeyRoster, "live", "1")
-	st.HSet(KeyDone, "live", "0.0") // already checked in: only "frozen" blocks
+	token := roundToken(0, 0, time.Unix(0, 0))
+	// Already checked in: only "frozen" blocks.
+	st.HSet(KeyDone, "live", WorkerStats{Worker: "live", Round: token}.Encode())
 	st.HSet(KeyRoster, "frozen", "1")
 	st.HSet(KeyBeat, "frozen", strconv.FormatInt(time.Now().Add(time.Hour).UnixNano(), 10))
 
 	start := time.Now()
-	dead, err := c.barrier("0.0")
+	dead, err := c.barrier(token)
 	took := time.Since(start)
 	if err != nil {
 		t.Fatal(err)

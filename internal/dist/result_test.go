@@ -131,8 +131,8 @@ func TestIngestInKeyOrder(t *testing.T) {
 		r.Streamer, r.Ms, r.Worker = fmt.Sprintf("s%d", i), float64(i), fmt.Sprintf("w%d", i%2+1)
 		w := workers[i%2]
 		w.HSet(KeyResults, r.Key, string(r.Encode()))
-		if w.Err != nil {
-			t.Fatal(w.Err)
+		if err := w.Err(); err != nil {
+			t.Fatal(err)
 		}
 	}
 
@@ -236,10 +236,10 @@ func FuzzDecodeResult(f *testing.F) {
 }
 
 // FuzzDecodeWorkerStats feeds DecodeWorkerStats arbitrary strings — a
-// balance record is an HSET anything reaching the store can overwrite, and
-// Coordinator.Stats decodes every one. The committed corpus
-// (testdata/fuzz/FuzzDecodeWorkerStats) is a record as a worker writes it and
-// a few it never writes. Oracles: it never panics, and an accepted record
+// check-in is an HSET anything reaching the store can overwrite, and the
+// barrier and Coordinator.Stats decode every one. The committed corpus
+// (testdata/fuzz/FuzzDecodeWorkerStats) is a check-in as a worker writes it,
+// the same record without its round, and a few a worker never writes. Oracles: it never panics, and an accepted record
 // re-encodes to one that decodes to the same value.
 func FuzzDecodeWorkerStats(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {

@@ -28,8 +28,6 @@ type WorkerConfig struct {
 	// StoreAddr is the kvstore server all coordination and results go
 	// through.
 	StoreAddr string
-	// BeatEvery is the real-time heartbeat cadence (default 25ms).
-	BeatEvery time.Duration
 	// Halt, when closed, makes the worker stop dead wherever it is — no
 	// deregistration, no goodbye, heartbeats cease. The in-process crash
 	// the worker-crash tests use; SIGKILL is the cross-process form.
@@ -39,18 +37,14 @@ type WorkerConfig struct {
 const (
 	// pollWait is the pause between a worker's round-token polls.
 	pollWait = 500 * time.Microsecond
-	// startTimeout bounds a worker's wait for the coordinator's platform
-	// announcement.
-	startTimeout = 30 * time.Second
+	// beatEvery is the real-time heartbeat cadence.
+	beatEvery = 25 * time.Millisecond
 )
 
 // RunWorker joins the fleet at cfg.StoreAddr and works rounds until the
 // coordinator publishes the done sentinel (clean exit) or cfg.Halt closes
 // (simulated crash). See the package comment for the protocol.
 func RunWorker(cfg WorkerConfig) error {
-	if cfg.BeatEvery <= 0 {
-		cfg.BeatEvery = 25 * time.Millisecond
-	}
 	halted := func() bool {
 		select {
 		case <-cfg.Halt:
@@ -66,13 +60,10 @@ func RunWorker(cfg WorkerConfig) error {
 	}
 	defer kv.Close()
 
-	// Heartbeats get their own connection, so a round's traffic on the main
-	// one can never delay a beat past the coordinator's deadline.
-	beatKV, err := kvstore.DialStore(cfg.StoreAddr)
-	if err != nil {
-		return fmt.Errorf("dist worker %s: dial beat: %w", cfg.ID, err)
-	}
-	beat := func() { beatKV.HSet(KeyBeat, cfg.ID, strconv.FormatInt(time.Now().UnixNano(), 10)) }
+	// Heartbeats share the round's connection: the client sends one command
+	// at a time, so a beat waits behind one command at most, far inside the
+	// coordinator's deadAfter.
+	beat := func() { kv.HSet(KeyBeat, cfg.ID, strconv.FormatInt(time.Now().UnixNano(), 10)) }
 	beatStop := make(chan struct{})
 	beatExit := make(chan struct{})
 	// First beat lands before the roster entry: the coordinator must never
@@ -81,8 +72,7 @@ func RunWorker(cfg WorkerConfig) error {
 	kv.HSet(KeyRoster, cfg.ID, "1")
 	go func() {
 		defer close(beatExit)
-		defer beatKV.Close()
-		t := time.NewTicker(cfg.BeatEvery)
+		t := time.NewTicker(beatEvery)
 		defer t.Stop()
 		for {
 			select {
@@ -103,45 +93,28 @@ func RunWorker(cfg WorkerConfig) error {
 	stopBeats := func() { stopOnce.Do(func() { close(beatStop) }); <-beatExit }
 	defer stopBeats()
 
-	// Wait for the run to start. The assignments carry absolute URLs, so the
-	// announced platform URL is only the start signal.
-	deadline := time.Now().Add(startTimeout)
-	for {
-		if halted() {
-			return nil
-		}
-		if _, ok := kv.Get(KeyPlatform); ok {
-			break
-		}
-		if kv.Err != nil {
-			return fmt.Errorf("dist worker %s: store lost: %w", cfg.ID, kv.Err)
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("dist worker %s: no platform announced within %s", cfg.ID, startTimeout)
-		}
-		time.Sleep(pollWait)
-	}
 	p := workerPipeline(cfg.ID, kv)
 	push := func(key, doc string) error {
 		kv.HSet(KeyResults, key, doc)
-		return kv.Err // the client does not redial: a lost store fails every push
+		return kv.Err() // the client does not redial: a lost store fails every push
 	}
 
 	dlog.Info("worker joined", "id", cfg.ID, "store", cfg.StoreAddr)
 
+	// The worker starts on the first round token it reads; until then, as
+	// between rounds, it polls.
 	stats := WorkerStats{Worker: cfg.ID}
-	last := ""
 	for {
 		if halted() {
 			return nil
 		}
 		token, ok := kv.Get(KeyRound)
-		if kv.Err != nil {
+		if err := kv.Err(); err != nil {
 			// The client does not redial: with the store gone every read
 			// fails, and no round or done sentinel can ever arrive.
-			return fmt.Errorf("dist worker %s: store lost: %w", cfg.ID, kv.Err)
+			return fmt.Errorf("dist worker %s: store lost: %w", cfg.ID, err)
 		}
-		if !ok || token == last {
+		if !ok || token == stats.Round {
 			time.Sleep(pollWait)
 			continue
 		}
@@ -153,10 +126,9 @@ func RunWorker(cfg WorkerConfig) error {
 				"claims", stats.Claims, "extracted", stats.Extracted)
 			return nil
 		}
-		nowStr, _ := kv.Get(KeyNow)
-		now, err := time.Parse(time.RFC3339Nano, nowStr)
+		now, err := roundInstant(token)
 		if err != nil {
-			return fmt.Errorf("dist worker %s: bad %s %q: %w", cfg.ID, KeyNow, nowStr, err)
+			return fmt.Errorf("dist worker %s: %w", cfg.ID, err)
 		}
 		if err := workRound(p, cfg.ID, push, now, &stats, halted); err != nil {
 			return err // not checked in: the coordinator reaps this worker's claims
@@ -164,11 +136,10 @@ func RunWorker(cfg WorkerConfig) error {
 		if halted() {
 			return nil // died before checking in: the round stays incomplete
 		}
+		stats.Round = token
 		stats.Rounds++
 		mWRounds.Inc()
-		kv.HSet(KeyStats, cfg.ID, stats.Encode())
-		kv.HSet(KeyDone, cfg.ID, token)
-		last = token
+		kv.HSet(KeyDone, cfg.ID, stats.Encode())
 	}
 }
 

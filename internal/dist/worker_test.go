@@ -1,8 +1,10 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -166,15 +168,52 @@ func TestWorkRoundFailedPushKeepsThumbnail(t *testing.T) {
 	}
 }
 
-// cutProxy forwards connections to addr until a client sends a command that
-// contains cut: that command is not delivered, and its connection is closed.
-func cutProxy(t *testing.T, addr, cut string) string {
+// wireTap is what a tapProxy's clients sent, one buffer per connection in
+// the order they were accepted.
+type wireTap struct {
+	mu    sync.Mutex
+	conns []*bytes.Buffer
+}
+
+// commands parses what each connection sent into its commands.
+func (w *wireTap) commands() [][][]string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	out := make([][][]string, len(w.conns))
+	for i, b := range w.conns {
+		r := bufio.NewReader(bytes.NewReader(b.Bytes()))
+		for {
+			var n int
+			if _, err := fmt.Fscanf(r, "*%d\r\n", &n); err != nil {
+				break
+			}
+			cmd := make([]string, n)
+			for j := range cmd {
+				var size int
+				if _, err := fmt.Fscanf(r, "$%d\r\n", &size); err != nil {
+					break
+				}
+				arg := make([]byte, size+2)
+				io.ReadFull(r, arg) //nolint:errcheck // a torn tail parses short
+				cmd[j] = string(arg[:size])
+			}
+			out[i] = append(out[i], cmd)
+		}
+	}
+	return out
+}
+
+// tapProxy forwards connections to addr, writing down what every client
+// sends, until a client sends a command that contains cut (when cut is not
+// empty): that command is not delivered, and its connection is closed.
+func tapProxy(t *testing.T, addr, cut string) (string, *wireTap) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
+	tap := &wireTap{}
 	go func() {
 		for {
 			c, err := ln.Accept()
@@ -186,6 +225,10 @@ func cutProxy(t *testing.T, addr, cut string) string {
 				c.Close()
 				continue
 			}
+			sent := &bytes.Buffer{}
+			tap.mu.Lock()
+			tap.conns = append(tap.conns, sent)
+			tap.mu.Unlock()
 			go func() { io.Copy(c, s); c.Close() }() //nolint:errcheck // ends when either side closes
 			go func() {
 				defer c.Close()
@@ -195,10 +238,13 @@ func cutProxy(t *testing.T, addr, cut string) string {
 				for {
 					n, err := c.Read(buf)
 					seen := append(tail, buf[:n]...)
-					if bytes.Contains(seen, []byte(cut)) {
+					if cut != "" && bytes.Contains(seen, []byte(cut)) {
 						return
 					}
 					tail = seen[max(0, len(seen)-len(cut)):]
+					tap.mu.Lock()
+					sent.Write(buf[:n])
+					tap.mu.Unlock()
 					if _, werr := s.Write(buf[:n]); werr != nil || err != nil {
 						return
 					}
@@ -206,7 +252,89 @@ func cutProxy(t *testing.T, addr, cut string) string {
 			}()
 		}
 	}()
-	return ln.Addr().String()
+	return ln.Addr().String(), tap
+}
+
+// TestWorkerRoundTraffic runs a worker through two rounds with nothing to
+// fetch, every command it sends written down. It holds one store connection,
+// beats included; the only key it reads with GET is the round token, which
+// carries the round's instant; and it checks each round in with a single
+// HSET of dist:done, a balance record naming the round. Nothing else it
+// writes is protocol state.
+func TestWorkerRoundTraffic(t *testing.T) {
+	st := kvstore.New()
+	srv, err := kvstore.Serve(st, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	addr, tap := tapProxy(t, srv.Addr(), "")
+	halt := make(chan struct{})
+	t.Cleanup(func() { close(halt) })
+	done := make(chan error, 1)
+	go func() { done <- RunWorker(WorkerConfig{ID: "w1", StoreAddr: addr, Halt: halt}) }()
+
+	at := time.Unix(0, 0)
+	tokens := []string{roundToken(0, 0, at), roundToken(0, 1, at)}
+	for _, token := range tokens {
+		st.Set(KeyRound, token)
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			if v, _ := st.HGet(KeyDone, "w1"); checkedIn(v, token) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("worker never checked in round %s", token)
+			}
+		}
+	}
+	time.Sleep(2 * beatEvery) // a beat or two between rounds
+	st.Set(KeyRound, RoundDone)
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker still running after the run ended")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	conns := tap.commands()
+	if len(conns) != 1 {
+		t.Fatalf("worker opened %d store connections, want 1", len(conns))
+	}
+	var checkIns []WorkerStats
+	beats := 0
+	for _, cmd := range conns[0] {
+		switch {
+		case cmd[0] == "GET" && cmd[1] != KeyRound:
+			t.Errorf("worker read %s", cmd[1])
+		case cmd[0] == "HSET" && cmd[1] == KeyDone:
+			ws, err := DecodeWorkerStats(cmd[3])
+			if err != nil {
+				t.Fatalf("check-in %q: %v", cmd[3], err)
+			}
+			checkIns = append(checkIns, ws)
+		case cmd[0] == "HSET" && cmd[1] == KeyBeat:
+			beats++
+		case cmd[0] == "HSET" || cmd[0] == "HDEL":
+			if cmd[1] != KeyRoster && cmd[1] != KeyBeat {
+				t.Errorf("worker wrote %q", cmd[:2])
+			}
+		case cmd[0] != "GET" && cmd[0] != "LLEN":
+			t.Errorf("worker sent %q", cmd[:2])
+		}
+	}
+	if len(checkIns) != len(tokens) {
+		t.Fatalf("%d check-ins over %d rounds: %+v", len(checkIns), len(tokens), checkIns)
+	}
+	for i, ws := range checkIns {
+		if ws.Worker != "w1" || ws.Round != tokens[i] || ws.Rounds != i+1 {
+			t.Errorf("check-in %d = %+v, want round %s, %d rounds", i, ws, tokens[i], i+1)
+		}
+	}
+	if beats < 2 {
+		t.Errorf("%d beats over the connection, want the first one and more", beats)
+	}
 }
 
 // TestRunWorkerStopsOnFailedPush runs a worker whose store connection closes
@@ -225,17 +353,13 @@ func TestRunWorkerStopsOnFailedPush(t *testing.T) {
 	if err := pipeline.NewWithKV(platform.URL(), 1, st).Coordinator.PollOnce(); err != nil {
 		t.Fatalf("seed queue: %v", err)
 	}
-	st.Set(KeyPlatform, platform.URL())
-	st.Set(KeyNow, platform.Now().UTC().Format(time.RFC3339Nano))
-	st.Set(KeyRound, "0.0")
+	st.Set(KeyRound, roundToken(0, 0, platform.Now()))
+	addr, _ := tapProxy(t, srv.Addr(), KeyResults)
 
 	halt := make(chan struct{})
 	t.Cleanup(func() { close(halt) })
 	done := make(chan error, 1)
-	go func() {
-		done <- RunWorker(WorkerConfig{ID: "w1", StoreAddr: cutProxy(t, srv.Addr(), KeyResults),
-			BeatEvery: time.Millisecond, Halt: halt})
-	}()
+	go func() { done <- RunWorker(WorkerConfig{ID: "w1", StoreAddr: addr, Halt: halt}) }()
 	select {
 	case err = <-done:
 	case <-time.After(30 * time.Second):
@@ -251,7 +375,7 @@ func TestRunWorkerStopsOnFailedPush(t *testing.T) {
 		t.Fatalf("worker checked in round %s, whose results never arrived", token)
 	}
 	beat, _ := st.HGet(KeyBeat, "w1")
-	time.Sleep(20 * time.Millisecond) // twenty beat periods
+	time.Sleep(3 * beatEvery)
 	if later, _ := st.HGet(KeyBeat, "w1"); later != beat {
 		t.Fatal("worker returned but is still beating")
 	}
@@ -267,9 +391,8 @@ func TestRunWorkerExitsWhenStoreCloses(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	st.Set(KeyPlatform, "http://unused.invalid")
-	st.Set(KeyNow, time.Unix(0, 0).UTC().Format(time.RFC3339Nano))
-	st.Set(KeyRound, "0.0")
+	token := roundToken(0, 0, time.Unix(0, 0))
+	st.Set(KeyRound, token)
 
 	halt := make(chan struct{})
 	t.Cleanup(func() { close(halt) })
@@ -277,7 +400,7 @@ func TestRunWorkerExitsWhenStoreCloses(t *testing.T) {
 	go func() { done <- RunWorker(WorkerConfig{ID: "w1", StoreAddr: srv.Addr(), Halt: halt}) }()
 	// Once it has checked a round in, the worker is polling for the next.
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if token, _ := st.HGet(KeyDone, "w1"); token == "0.0" {
+		if v, _ := st.HGet(KeyDone, "w1"); checkedIn(v, token) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -296,8 +419,8 @@ func TestRunWorkerExitsWhenStoreCloses(t *testing.T) {
 }
 
 // TestRunWorkerStoreLostBeforeStart: a worker whose store closes after it
-// registered but before the run is announced returns "store lost" at once,
-// not "no platform announced" when the start timeout runs out.
+// registered but before the first round token returns "store lost" at once
+// instead of polling a dead connection for a round that cannot arrive.
 func TestRunWorkerStoreLostBeforeStart(t *testing.T) {
 	st := kvstore.New()
 	srv, err := kvstore.Serve(st, "127.0.0.1:0")
@@ -321,7 +444,7 @@ func TestRunWorkerStoreLostBeforeStart(t *testing.T) {
 	select {
 	case err = <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("worker still waiting for the run 2 s after its store closed")
+		t.Fatal("worker still waiting for its first round 2 s after its store closed")
 	}
 	if err == nil || !strings.Contains(err.Error(), "store lost") {
 		t.Fatalf("RunWorker = %v, want store lost", err)

@@ -60,11 +60,11 @@ func TestDistributedDownloadOverRESP(t *testing.T) {
 	}
 	// No transport errors on any connection.
 	for _, d := range dls {
-		if r, ok := d.KV.(*kvstore.RemoteStore); ok && r.Err != nil {
-			t.Fatalf("downloader %s transport error: %v", d.ID, r.Err)
+		if r, ok := d.KV.(*kvstore.RemoteStore); ok && r.Err() != nil {
+			t.Fatalf("downloader %s transport error: %v", d.ID, r.Err())
 		}
 	}
-	if r, ok := coord.KV.(*kvstore.RemoteStore); ok && r.Err != nil {
-		t.Fatalf("coordinator transport error: %v", r.Err)
+	if r, ok := coord.KV.(*kvstore.RemoteStore); ok && r.Err() != nil {
+		t.Fatalf("coordinator transport error: %v", r.Err())
 	}
 }

@@ -718,15 +718,6 @@ func (d *Downloader) fetchOnce(id string, tr *tracked, now time.Time) error {
 	if seq == "" {
 		return fetchFail(transient("GET %s: missing X-Thumbnail-Seq", tr.a.URL))
 	}
-	if seq == tr.lastSeq {
-		// Already have this one (e.g. the HEAD seq header was dropped):
-		// do not re-store it — a rewrite would re-stamp its download time.
-		mThumbUnchanged.Inc()
-		j.SetAttr("outcome", "unchanged")
-		j.End()
-		trace.Finish(j.Context().TraceID)
-		return nil
-	}
 	body, err := readBody(getResp)
 	if errors.Is(err, errBodyOversize) {
 		// Not transient: a retry would be offered the same body. The cycle
@@ -747,6 +738,16 @@ func (d *Downloader) fetchOnce(id string, tr *tracked, now time.Time) error {
 			mCorruptBody.Inc()
 			return fetchFail(transient("GET %s: body digest mismatch", tr.a.URL))
 		}
+	}
+	if seq == tr.lastSeq {
+		// Already have this one (e.g. the HEAD seq header was dropped):
+		// do not re-store it — a rewrite would re-stamp its download time.
+		// Checked after the digest, so a damaged repeat is caught as damage.
+		mThumbUnchanged.Inc()
+		j.SetAttr("outcome", "unchanged")
+		j.End()
+		trace.Finish(j.Context().TraceID)
+		return nil
 	}
 	if tr.lastSeq != "" {
 		if prev, cur, ok := seqGap(tr.lastSeq, seq); ok {

@@ -415,6 +415,53 @@ func TestGetSeqIsAuthoritative(t *testing.T) {
 	}
 }
 
+// TestCorruptedRepeatCaught: the HEAD drops its seq, so the GET re-fetches
+// the thumbnail already stored, and the body arrives damaged. The digest is
+// checked before the repeat is recognised: the fetch fails as a corrupt
+// body, counted, and nothing is stored; the clean repeat after it is the
+// unchanged thumbnail it always was.
+func TestCorruptedRepeatCaught(t *testing.T) {
+	now := time.Date(2026, 1, 1, 12, 0, 0, 0, time.UTC)
+	body := []byte("P5 4 2 255\n01234567")
+	var damaged atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Next-Thumbnail", now.Add(5*time.Minute).Format(time.RFC3339))
+		if r.Method == http.MethodHead {
+			return // no X-Thumbnail-Seq
+		}
+		w.Header().Set("X-Thumbnail-Seq", "7")
+		w.Header().Set("X-Thumbnail-Digest", objstore.ChecksumHex(body))
+		sent := bytes.Clone(body)
+		if damaged.Load() {
+			sent[len(sent)-1] ^= 0xA5
+		}
+		w.Write(sent)
+	}))
+	defer srv.Close()
+
+	d, store, _ := newTestDownloader()
+	tr := &tracked{a: Assignment{StreamerID: "s1", URL: srv.URL + "/thumb/s1.pgm"}, lastSeq: "7"}
+	d.assigned["s1"] = tr
+	damaged.Store(true)
+	corrupt, unchanged := mCorruptBody.Value(), mThumbUnchanged.Value()
+	if err := d.fetchOnce("s1", tr, now); err == nil || !strings.Contains(err.Error(), "body digest mismatch") {
+		t.Fatalf("damaged repeat: fetch err = %v, want a body digest mismatch", err)
+	}
+	if got := mCorruptBody.Value() - corrupt; got != 1 {
+		t.Fatalf("damaged repeat: download_body_corrupt_total rose by %d, want 1", got)
+	}
+	damaged.Store(false)
+	if err := d.fetchOnce("s1", tr, now); err != nil {
+		t.Fatalf("clean repeat: %v", err)
+	}
+	if got := mThumbUnchanged.Value() - unchanged; got != 1 {
+		t.Fatalf("clean repeat: counted %d unchanged, want 1", got)
+	}
+	if n := store.Size(ThumbBucket); n != 0 || tr.lastSeq != "7" {
+		t.Fatalf("%d thumbnails stored, lastSeq %q; want 0 and 7", n, tr.lastSeq)
+	}
+}
+
 func TestSeqResetClampsGap(t *testing.T) {
 	now := time.Date(2026, 1, 1, 12, 0, 0, 0, time.UTC)
 	next := now.Add(5 * time.Minute)

@@ -108,7 +108,7 @@ func runChaosStore(o Options) ([]*Table, error) {
 	}
 	summary.Notes = append(summary.Notes,
 		"crashes land at quiescent points (between ticks); recovery loads the "+
-			"snapshot, replays the AOF tail (fsync=always) and the clients "+
+			"snapshot, replays the AOF tail (fsynced per write) and the clients "+
 			"redial-and-resume — so the crashed runs measure exactly what the "+
 			"crash-free run measures")
 	return append([]*Table{summary, counters}, goldTabs...), nil
@@ -163,8 +163,8 @@ func legGolden(o Options) ([]*Table, error) {
 	return runVolumeWith(o, rs, nil)
 }
 
-// legRestart crashes the store at crash and recovers it from disk, written
-// under fsync-always so a kill at any instant loses nothing: the server is
+// legRestart crashes the store at crash and recovers it from disk, which
+// fsyncs every write, so a kill at any instant loses nothing: the server is
 // hard-stopped and its store abandoned unclosed (everything is already
 // fsynced), then a fresh store Opens the same directory — snapshot load
 // plus AOF tail replay — and rebinds the same address so the pipeline's
@@ -175,7 +175,7 @@ func legRestart(o Options, crash *crashPoint) ([]*Table, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	st, err := kvstore.Open(dir, kvstore.FsyncAlways)
+	st, err := kvstore.Open(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +197,7 @@ func legRestart(o Options, crash *crashPoint) ([]*Table, error) {
 			return nil
 		}
 		srv.Close() // crash: no store.Close, no flush — disk state is what it is
-		st2, err := kvstore.Open(dir, kvstore.FsyncAlways)
+		st2, err := kvstore.Open(dir)
 		if err != nil {
 			return fmt.Errorf("recovery open: %w", err)
 		}
@@ -219,8 +219,7 @@ type storeProc struct {
 
 // startStoreProc launches terokv and waits for its address announcement.
 func startStoreProc(bin, addr, dir string) (*storeProc, error) {
-	cmd := exec.Command(bin, "-addr", addr, "-dir", dir,
-		"-fsync", kvstore.FsyncAlways, "-log", "warn")
+	cmd := exec.Command(bin, "-addr", addr, "-dir", dir, "-log", "warn")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return nil, err

@@ -292,7 +292,6 @@ func runDistLeg(o Options, n, crashFrom int) ([]*Table, time.Duration, *dist.Coo
 	p := pipeline.NewWithKV(platform.URL(), 1, st)
 	p.Concurrency = par.Workers(o.Concurrency)
 	coord := dist.NewCoordinator(p, st)
-	coord.Announce(platform.URL())
 
 	workers := make([]*distWorker, n)
 	defer func() {

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"tero/internal/obs"
 )
@@ -31,18 +30,6 @@ var (
 	mSnapCmds     = obs.C("kvstore_snapshot_cmds_total")
 	mRedials      = obs.C("kvstore_client_redials_total")
 )
-
-// Fsync policies for the append-only file.
-const (
-	// FsyncAlways syncs after every appended command: zero loss on crash.
-	FsyncAlways = "always"
-	// FsyncInterval flushes+syncs every FsyncEvery on a background ticker:
-	// bounded loss, near-memory write latency.
-	FsyncInterval = "interval"
-)
-
-// FsyncEvery is the FsyncInterval period.
-const FsyncEvery = 100 * time.Millisecond
 
 // compactFloor is the fewest appends between two compactions. The log
 // compacts once the appends since the last one reach the store's own size
@@ -79,11 +66,11 @@ func parseGen(name, prefix string) (int, bool) {
 }
 
 // aofWriter appends RESP-framed commands to the current generation's log
-// file. Appends arrive under the store's write lock; mu additionally
-// serializes them against the background fsync ticker and Close.
+// file, flushing and fsyncing after every one: a crash at any instant loses
+// no acknowledged write. Appends arrive under the store's write lock; mu
+// additionally serializes them against Close.
 type aofWriter struct {
 	dir     string
-	fsync   string
 	appends int // since the last compaction attempt
 	live    int // commands in the store's snapshot at Open or the last compaction
 
@@ -94,9 +81,6 @@ type aofWriter struct {
 	size  int64
 	dirty bool
 	err   error // first write/sync/compaction error, sticky
-
-	stop chan struct{}
-	done chan struct{}
 }
 
 // append marshals one command onto the log. Called with the store lock
@@ -109,7 +93,7 @@ func (a *aofWriter) append(args []string) {
 	a.size += int64(n)
 	a.appends++
 	a.dirty = true
-	if err == nil && a.fsync == FsyncAlways {
+	if err == nil {
 		err = a.syncLocked()
 	}
 	if err != nil && a.err == nil {
@@ -136,41 +120,8 @@ func (a *aofWriter) syncLocked() error {
 	return nil
 }
 
-// Sync forces a flush+fsync of any buffered appends.
-func (a *aofWriter) Sync() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.syncLocked(); err != nil {
-		if a.err == nil {
-			a.err = err
-		}
-		return err
-	}
-	return a.err
-}
-
-// flushLoop is the FsyncInterval background ticker.
-func (a *aofWriter) flushLoop() {
-	defer close(a.done)
-	t := time.NewTicker(FsyncEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			a.Sync() //nolint:errcheck // sticky in a.err
-		case <-a.stop:
-			return
-		}
-	}
-}
-
-// close stops the flusher and closes the file after a final sync.
+// close closes the file after a final sync.
 func (a *aofWriter) close() error {
-	if a.stop != nil {
-		close(a.stop)
-		<-a.done
-		a.stop = nil
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	serr := a.syncLocked()
@@ -223,12 +174,8 @@ func intDigits(v int) int {
 // Open loads (or creates) a durable store rooted at dir: it picks the
 // newest complete generation, loads its snapshot, replays the AOF tail —
 // truncating a torn final record from a mid-write crash — and attaches an
-// appender so every subsequent write is logged. fsync is FsyncAlways or
-// FsyncInterval.
-func Open(dir, fsync string) (*Store, error) {
-	if fsync != FsyncAlways && fsync != FsyncInterval {
-		return nil, fmt.Errorf("kvstore: unknown fsync policy %q", fsync)
-	}
+// appender so every subsequent write is logged and fsynced.
+func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -302,18 +249,12 @@ func Open(dir, fsync string) (*Store, error) {
 		return nil, err
 	}
 	a := &aofWriter{
-		dir:   dir,
-		fsync: fsync,
-		live:  len(s.snapshotCmdsLocked()),
-		gen:   gen,
-		f:     f,
-		w:     bufio.NewWriter(f),
-		size:  st.Size(),
-	}
-	if fsync == FsyncInterval {
-		a.stop = make(chan struct{})
-		a.done = make(chan struct{})
-		go a.flushLoop()
+		dir:  dir,
+		live: len(s.snapshotCmdsLocked()),
+		gen:  gen,
+		f:    f,
+		w:    bufio.NewWriter(f),
+		size: st.Size(),
 	}
 	mAofSize.Set(float64(a.size))
 	s.mu.Lock()

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // fingerprint renders the complete store state as one deterministic string
@@ -54,7 +53,7 @@ func scribble(s *Store) {
 
 func TestOpenRecoversState(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, FsyncAlways)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +67,7 @@ func TestOpenRecoversState(t *testing.T) {
 	}
 
 	before := mAofReplayed.Value()
-	s2, err := Open(dir, FsyncAlways)
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestRecoveryAfterCompaction(t *testing.T) {
 	dir := t.TempDir()
 	// scribble's 78 appends pass compactFloor, so recovery exercises
 	// snapshot load + AOF tail.
-	s, err := Open(dir, FsyncAlways)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +115,7 @@ func TestRecoveryAfterCompaction(t *testing.T) {
 		t.Fatalf("expected an advanced snapshot generation, got %v", names)
 	}
 
-	s2, err := Open(dir, FsyncAlways)
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +131,7 @@ func TestRecoveryAfterCompaction(t *testing.T) {
 // small), and until then every write still lands in the current generation.
 func TestFailedCompactionWaitsItsTurn(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, FsyncAlways)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +160,7 @@ func TestFailedCompactionWaitsItsTurn(t *testing.T) {
 	if err := s.Close(); err == nil {
 		t.Fatal("Close reported no error after a failed compaction")
 	}
-	s2, err := Open(dir, FsyncAlways)
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +175,7 @@ func TestFailedCompactionWaitsItsTurn(t *testing.T) {
 
 func TestCrashWithoutCloseRecovers(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, FsyncAlways)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +183,7 @@ func TestCrashWithoutCloseRecovers(t *testing.T) {
 	want := fingerprint(s)
 	// No Close: simulate a crash by abandoning the store. fsync=always
 	// means every append already hit disk.
-	s2, err := Open(dir, FsyncAlways)
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +195,7 @@ func TestCrashWithoutCloseRecovers(t *testing.T) {
 
 func TestTornAofTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, FsyncAlways)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +226,7 @@ func TestTornAofTailTruncated(t *testing.T) {
 	f.Close()
 
 	before := mAofTruncated.Value()
-	s2, err := Open(dir, FsyncAlways)
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +241,7 @@ func TestTornAofTailTruncated(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s3, err := Open(dir, FsyncAlways)
+	s3, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,34 +251,15 @@ func TestTornAofTailTruncated(t *testing.T) {
 	}
 }
 
-// TestAofConcurrentWriters exercises the AOF writer, the background fsync
-// ticker and auto-compaction (about forty of them: the store stays a few
-// dozen commands big) under parallel mutators; run with -race. The writers
-// finish well inside one FsyncEvery, so a goroutine makes the ticker's
-// call, aof.Sync, every millisecond beside them.
+// TestAofConcurrentWriters exercises the AOF writer and auto-compaction
+// (about forty of them: the store stays a few dozen commands big) under
+// parallel mutators; run with -race.
 func TestAofConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, FsyncInterval)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop, synced := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(synced)
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				s.mu.RLock()
-				a := s.aof
-				s.mu.RUnlock()
-				a.Sync() //nolint:errcheck // sticky in a.err, which Close reports
-			case <-stop:
-				return
-			}
-		}
-	}()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -296,13 +276,11 @@ func TestAofConcurrentWriters(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	close(stop)
-	<-synced
 	want := fingerprint(s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(dir, FsyncInterval)
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,20 +295,13 @@ func TestAofConcurrentWriters(t *testing.T) {
 	}
 }
 
-func TestOpenRejectsBadFsyncPolicy(t *testing.T) {
-	for _, policy := range []string{"sometimes", "never", ""} {
-		if _, err := Open(t.TempDir(), policy); err == nil {
-			t.Fatalf("fsync policy %q accepted", policy)
-		}
-	}
-}
-
-// logOnDisk syncs the store's log and counts the commands its files hold:
-// what a recovery from dir would replay. It also returns the generation of
-// the committed snapshot, 0 if there is none.
+// logOnDisk counts the commands the store's log files hold — every append
+// is flushed and fsynced before it returns, so this is what a recovery from
+// dir would replay. It also returns the generation of the committed
+// snapshot, 0 if there is none.
 func logOnDisk(t *testing.T, s *Store, dir string) (cmds, gen int) {
 	t.Helper()
-	if err := s.aof.Sync(); err != nil {
+	if err := s.aof.err; err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -362,7 +333,7 @@ func logOnDisk(t *testing.T, s *Store, dir string) (cmds, gen int) {
 // takes, its log stays under 2·live + compactFloor commands.
 func TestCompactionPacedByLiveSize(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, FsyncInterval)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +362,7 @@ func TestCompactionPacedByLiveSize(t *testing.T) {
 // appends, and recovery reads back the same store.
 func TestCompactionUnderGrowth(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, FsyncInterval)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +378,7 @@ func TestCompactionUnderGrowth(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(dir, FsyncInterval)
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

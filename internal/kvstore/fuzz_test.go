@@ -98,7 +98,7 @@ func FuzzReplayAOF(f *testing.F) {
 		}
 		var s *Store
 		var err error
-		alloc := allocatedBy(func() { s, err = Open(dir, FsyncInterval) })
+		alloc := allocatedBy(func() { s, err = Open(dir) })
 		if err != nil {
 			t.Fatalf("Open over a damaged AOF tail: %v", err)
 		}
@@ -110,7 +110,7 @@ func FuzzReplayAOF(f *testing.F) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := Open(dir, FsyncInterval)
+		s2, err := Open(dir)
 		if err != nil {
 			t.Fatalf("second Open: %v", err)
 		}
@@ -135,7 +135,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 		}
 		var s *Store
 		var err error
-		alloc := allocatedBy(func() { s, err = Open(dir, FsyncInterval) })
+		alloc := allocatedBy(func() { s, err = Open(dir) })
 		if bound := uint64(64*len(data) + 1<<20); alloc > bound {
 			t.Fatalf("Open allocated %d bytes loading %d, bound %d", alloc, len(data), bound)
 		}
@@ -147,7 +147,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := Open(dir, FsyncInterval)
+		s2, err := Open(dir)
 		if err != nil {
 			t.Fatalf("second Open: %v", err)
 		}

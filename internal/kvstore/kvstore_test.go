@@ -207,6 +207,33 @@ func TestServerConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestRemoteStoreErrConcurrent: two commands that fail at once on one
+// RemoteStore (a worker's round and its heartbeat, say) both record the
+// transport error; run with -race, which caught the unsynchronised write.
+func TestRemoteStoreErrConcurrent(t *testing.T) {
+	srv, _ := newServerClient(t)
+	rs, err := DialStore(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	srv.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, ok := rs.Get("k"); ok {
+				t.Error("a Get against a closed server found its key")
+			}
+		}()
+	}
+	wg.Wait()
+	if rs.Err() == nil {
+		t.Fatal("two failed commands recorded no error")
+	}
+}
+
 // TestLPopClaimContention is the distributed claim race in miniature: many
 // real client connections hammer LPOP on one queue — as a teroworker fleet
 // does at the top of every round — and every item must be claimed exactly

@@ -1,5 +1,7 @@
 package kvstore
 
+import "sync"
+
 // KV is the store surface shared by the in-process Store and the RESP
 // client: the operations Tero's micro-services coordinate through (App. A).
 // The download module and pipeline depend on this interface, so the same
@@ -25,11 +27,13 @@ var _ KV = (*Store)(nil)
 // RemoteStore adapts a RESP Client to the KV interface, so processes can
 // share one store over TCP exactly as the paper's containers share Redis.
 // Transport errors surface through Err (the KV interface itself is
-// error-free; a lost connection makes reads return zero values).
+// error-free; a lost connection makes reads return zero values). Like the
+// Client, it is safe for concurrent use.
 type RemoteStore struct {
 	c *Client
-	// Err records the first transport error encountered.
-	Err error
+
+	mu  sync.Mutex
+	err error // the first transport error
 }
 
 // DialStore connects to a kvstore server and returns a KV over it.
@@ -48,12 +52,21 @@ func (r *RemoteStore) Close() error { return r.c.Close() }
 // budget before a run that expects the store to crash and come back).
 func (r *RemoteStore) Client() *Client { return r.c }
 
+// Err returns the first transport error any command met, or nil.
+func (r *RemoteStore) Err() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.err
+}
+
 func (r *RemoteStore) do(args ...string) (Reply, bool) {
 	rep, err := r.c.Do(args...)
 	if err != nil {
-		if r.Err == nil {
-			r.Err = err
+		r.mu.Lock()
+		if r.err == nil {
+			r.err = err
 		}
+		r.mu.Unlock()
 		return Reply{}, false
 	}
 	return rep, true

@@ -121,7 +121,7 @@ func TestTornTailAtEveryOffset(t *testing.T) {
 		f.Write(frame.Bytes()[:cut])
 		f.Close()
 
-		s, err := Open(dir, FsyncAlways)
+		s, err := Open(dir)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -130,7 +130,7 @@ func TestTornTailAtEveryOffset(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := Open(dir, FsyncAlways)
+		s2, err := Open(dir)
 		if err != nil {
 			t.Fatalf("cut %d, second open: %v", cut, err)
 		}

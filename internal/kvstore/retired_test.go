@@ -170,7 +170,7 @@ func TestRetiredFormsInLogs(t *testing.T) {
 	for _, cmd := range retiredCommands {
 		dir := t.TempDir()
 		writeLog(t, aofPath(dir, 1), []string{"SET", "before", "1"}, cmd, []string{"SET", "after", "2"})
-		s, err := Open(dir, FsyncInterval)
+		s, err := Open(dir)
 		if err != nil {
 			t.Fatalf("aof holding %v: %v", cmd, err)
 		}
@@ -185,7 +185,7 @@ func TestRetiredFormsInLogs(t *testing.T) {
 
 		dir = t.TempDir()
 		writeLog(t, snapPath(dir, 1), []string{"SET", "before", "1"}, cmd)
-		if s, err := Open(dir, FsyncInterval); err == nil ||
+		if s, err := Open(dir); err == nil ||
 			!strings.Contains(err.Error(), "unknown logged command") {
 			if s != nil {
 				s.Close()

@@ -40,8 +40,8 @@ func (s *Store) snapshotCmdsLocked() [][]string {
 // compactLocked rewrites the log as a fresh snapshot + empty AOF
 // generation. Either way the next attempt waits for logCmd's rule again:
 // max(compactFloor, live) appends, on the live size this one left or,
-// after a failure, kept. A failure stays in a.err, which Sync and Close
-// report, and appends go on to the current generation, which is still
+// after a failure, kept. A failure stays in a.err, which Close reports,
+// and appends go on to the current generation, which is still
 // complete. Retrying at once would re-snapshot the whole store under the
 // write lock on every write. Caller holds Lock and has checked that a log
 // is attached.

@@ -51,7 +51,9 @@ type FaultOptions struct {
 
 	// Thumbnail-body faults (GET /thumb/ only). Truncation cuts the body
 	// short of the declared Content-Length; corruption flips bits after the
-	// digest header is computed, so the body contradicts X-Thumbnail-Digest.
+	// digest header is computed, so the body contradicts X-Thumbnail-Digest,
+	// and strikes only a response that is neither truncated nor lacks its
+	// seq header.
 	TruncateProb float64
 	CorruptProb  float64
 	// Header faults (HEAD and GET /thumb/): drop X-Thumbnail-Seq or
@@ -179,9 +181,14 @@ func (fi *faultInjector) decide(route RouteFaults, uri string, cdnBody bool) req
 	}
 	if cdnBody {
 		d.truncate = fi.opt.TruncateProb > 0 && fi.roll("truncate", uri, n) < fi.opt.TruncateProb
-		d.corrupt = fi.opt.CorruptProb > 0 && fi.roll("corrupt", uri, n) < fi.opt.CorruptProb
 		d.dropSeq = fi.opt.DropSeqProb > 0 && fi.roll("drop_seq", uri, n) < fi.opt.DropSeqProb
 		d.dropNext = fi.opt.DropNextProb > 0 && fi.roll("drop_next", uri, n) < fi.opt.DropNextProb
+		// Only a body sent whole and with its seq header is corrupted, so
+		// every corruption reaches the downloader's digest check: a
+		// truncated body fails its read first, and a GET without a seq is
+		// refused before its body is read.
+		d.corrupt = !d.truncate && !d.dropSeq &&
+			fi.opt.CorruptProb > 0 && fi.roll("corrupt", uri, n) < fi.opt.CorruptProb
 	}
 	return d
 }

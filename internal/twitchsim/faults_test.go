@@ -34,6 +34,46 @@ func TestFaultInjectorDeterministic(t *testing.T) {
 	}
 }
 
+// corruptionExcluded checks that a CDN body fault mix with corruption
+// certain, plus the fault other, never corrupts a response the other fault
+// strikes, and still corrupts the rest.
+func corruptionExcluded(t *testing.T, opt FaultOptions, other func(reqFaults) bool) {
+	t.Helper()
+	fi := newFaultInjector(opt)
+	struck, corrupted := 0, 0
+	for i := 0; i < 200; i++ {
+		d := fi.decide(opt.CDN, fmt.Sprintf("/thumb/s%d.pgm", i%7), true)
+		switch {
+		case other(d) && d.corrupt:
+			t.Fatalf("decision %d corrupts a body it also faults otherwise: %+v", i, d)
+		case other(d):
+			struck++
+		case d.corrupt:
+			corrupted++
+		default:
+			t.Fatalf("decision %d spares a body corruption is certain for: %+v", i, d)
+		}
+	}
+	if struck == 0 || corrupted == 0 {
+		t.Fatalf("%d struck by the other fault, %d corrupted: the sweep tested nothing", struck, corrupted)
+	}
+}
+
+// TestCorruptionSparesTruncatedBody: a truncated body fails its read before
+// the digest check, so corrupting it too would be a corruption nobody can
+// catch.
+func TestCorruptionSparesTruncatedBody(t *testing.T) {
+	corruptionExcluded(t, FaultOptions{Seed: 1, CorruptProb: 1, TruncateProb: 0.5},
+		func(d reqFaults) bool { return d.truncate })
+}
+
+// TestCorruptionSparesSeqlessBody: a GET without its seq header is refused
+// before its body is read, so its body is never corrupted.
+func TestCorruptionSparesSeqlessBody(t *testing.T) {
+	corruptionExcluded(t, FaultOptions{Seed: 1, CorruptProb: 1, DropSeqProb: 0.5},
+		func(d reqFaults) bool { return d.dropSeq })
+}
+
 func TestFaultRollUniform(t *testing.T) {
 	fi := newFaultInjector(FaultOptions{Seed: 3})
 	sum := 0.0

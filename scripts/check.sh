@@ -4,8 +4,8 @@
 # ./... cannot see), a few seconds of each decoder fuzz target, one-shot
 # benchmark smokes (the pipeline, and one extraction that must repeat),
 # smokes that drive the real binaries (the chaos smoke requires the
-# downloader's digest check to catch at least one of the corrupted bodies
-# the CDN sent, and three faulted tero runs must print the same output), a
+# downloader's digest check to catch every corrupted body the CDN sent, at
+# least one, and three faulted tero runs must print the same output), a
 # determinism smoke (teroexp volume at -workers 8, three
 # times, against -workers 1) whose serial run also gates the peak live heap
 # at 48 MB, a reachability gate (scripts/reach: no function that no binary
@@ -189,15 +189,16 @@ if grep '^counter pipeline_worker_panics_total' "$CHAOS" | grep -qv ' 0$'; then
     echo "faulted run recorded worker panics" >&2
     exit 1
 fi
-# The downloader's digest check must catch corrupted bodies: the quarantine
-# downstream would hide a digest that stopped verifying. Not every corrupted
-# body reaches the check (one may also be truncated, lack its seq header, or
-# repeat the seq already stored), so the bound is 1 <= caught <= sent.
+# The downloader's digest check must catch every corrupted body: the
+# quarantine downstream would hide a digest that stopped verifying. The CDN
+# corrupts only a body it sends whole and with its seq header, and the
+# downloader checks the digest before it recognises a repeat, so every
+# corrupted body reaches the check: caught == sent, and at least one.
 counter() { awk -v n="$1" '$1 == "counter" && $2 == n { print $3 }' "$CHAOS"; }
 CORRUPT_SENT=$(counter 'twitchsim_faults_injected_total{kind=corrupt}')
 CORRUPT_CAUGHT=$(counter download_body_corrupt_total)
-if [ "${CORRUPT_CAUGHT:-0}" -lt 1 ] || [ "$CORRUPT_CAUGHT" -gt "${CORRUPT_SENT:-0}" ]; then
-    echo "digest caught ${CORRUPT_CAUGHT:-0} corrupt bodies of ${CORRUPT_SENT:-0} sent (want 1 <= caught <= sent)" >&2
+if [ "${CORRUPT_CAUGHT:-0}" -lt 1 ] || [ "$CORRUPT_CAUGHT" -ne "${CORRUPT_SENT:-0}" ]; then
+    echo "digest caught ${CORRUPT_CAUGHT:-0} corrupt bodies of ${CORRUPT_SENT:-0} sent (want 1 <= caught == sent)" >&2
     exit 1
 fi
 # Everything from the "thumbnails processed:" marker to the metrics report
