@@ -8,7 +8,10 @@ import (
 )
 
 // BenchmarkExtract measures the full four-step extraction on one rendered
-// thumbnail (crop → preprocess → 3-engine OCR → vote).
+// thumbnail (crop → preprocess → 3-engine OCR → vote). The first extraction
+// fills the engines' glyph memos; every later one reads them and must equal
+// the first, so a memo that answered other than the engine computes fails
+// here too.
 func BenchmarkExtract(b *testing.B) {
 	world := worldsim.New(worldsim.DefaultConfig(1234))
 	st := world.Streamers[0]

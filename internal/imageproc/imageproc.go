@@ -102,9 +102,10 @@ type Extraction struct {
 
 // Extractor is a configured image-processing module. It is safe for
 // concurrent use once configured: Extract keeps all per-call state on the
-// stack and the engines themselves are stateless (the pipeline's worker
-// pool runs many extractions against one Extractor). Reconfiguring the
-// fields while extractions are in flight is not supported.
+// stack and the engines share nothing but their lock-free glyph memos (the
+// pipeline's worker pool runs many extractions against one Extractor).
+// Each New starts with engines of its own, their memos empty.
+// Reconfiguring the fields while extractions are in flight is not supported.
 type Extractor struct {
 	Engines []ocr.Engine
 	// Pad is the padding around the game UI crop.

@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // ErrNotFound is returned when a bucket or object does not exist.
@@ -22,11 +22,10 @@ var ErrNotFound = errors.New("objstore: not found")
 // Object is a stored value with its metadata. Data and Meta are the store's
 // own (see API): read them, never write to them.
 type Object struct {
-	Key     string
-	Data    []byte
-	ETag    string
-	ModTime time.Time
-	Meta    map[string]string
+	Key  string
+	Data []byte
+	ETag string
+	Meta map[string]string
 }
 
 // API is the object-store surface the rest of the system programs against.
@@ -50,6 +49,7 @@ type API interface {
 type Store struct {
 	mu      sync.RWMutex
 	buckets map[string]map[string]*Object
+	puts    uint64 // writes so far: the last Put's ETag
 }
 
 var _ API = (*Store)(nil)
@@ -61,22 +61,21 @@ func New() *Store {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Checksum is the CRC-32C (Castagnoli) of data: the store's ETag and the
-// CDN's X-Thumbnail-Digest, both written by ChecksumHex. It detects
-// accidental damage, not tampering.
+// Checksum is the CRC-32C (Castagnoli) of data: the CDN's
+// X-Thumbnail-Digest, written by ChecksumHex, which the downloader checks
+// before it stores a body. It detects accidental damage, not tampering.
 func Checksum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 
-// ChecksumHex is Checksum(data) as 8 lower-case hex digits, the one text
-// form of the ETag and the X-Thumbnail-Digest header.
+// ChecksumHex is Checksum(data) as 8 lower-case hex digits, the text form of
+// the X-Thumbnail-Digest header.
 func ChecksumHex(data []byte) string { return fmt.Sprintf("%08x", Checksum(data)) }
 
 // Put stores an object, replacing any existing one, and returns its ETag.
 // The bucket is created if needed. The store keeps data and meta themselves.
-// The ETag is ChecksumHex(data), so a thumbnail's ETag is the digest the CDN
-// sent with it and the downloader verified before Put. It is a change
-// detector, not an integrity check.
+// The ETag is the store's count of writes, this one included: it changes on
+// every write, an overwrite with the same bytes too, and reads nothing of
+// the body (whose digest the downloader checked before Put).
 func (s *Store) Put(bucket, key string, data []byte, meta map[string]string) string {
-	etag := ChecksumHex(data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.buckets[bucket]
@@ -84,7 +83,9 @@ func (s *Store) Put(bucket, key string, data []byte, meta map[string]string) str
 		b = make(map[string]*Object)
 		s.buckets[bucket] = b
 	}
-	b[key] = &Object{Key: key, Data: data, ETag: etag, ModTime: time.Now(), Meta: meta}
+	s.puts++
+	etag := strconv.FormatUint(s.puts, 10)
+	b[key] = &Object{Key: key, Data: data, ETag: etag, Meta: meta}
 	return etag
 }
 

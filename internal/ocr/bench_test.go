@@ -1,6 +1,7 @@
 package ocr
 
 import (
+	"math/rand"
 	"testing"
 
 	"tero/internal/imaging"
@@ -9,25 +10,107 @@ import (
 
 // BenchmarkRecognize measures each engine end-to-end on a typical latency
 // crop ("173 ms" at 2× render scale — the size the extractor's pre-processed
-// path feeds the engines), scalar reference vs packed default.
+// path feeds the engines): the scalar reference, and the packed engine with
+// its glyph memo cold (the slots the crop fills are emptied before every
+// call, so every box misses), warm (every box hits) and facing all-new boxes
+// (a pool of crops whose boxes are all distinct, each gaining six foreground
+// pixels inside, and the memo emptied when the pool starts over), the cost
+// on input whose glyphs never repeat.
 func BenchmarkRecognize(b *testing.B) {
-	packed := Engines()
 	scalar := scalarEngines()
 	img := render("173 ms", 20, 230, 2)
-	for i := range packed {
-		b.Run(packed[i].Name()+"/scalar", func(b *testing.B) {
+	pool := distinctGlyphCrops(b, img, 256)
+	for i, e := range Engines() {
+		b.Run(e.Name()+"/scalar", func(b *testing.B) {
 			b.ReportAllocs()
 			for n := 0; n < b.N; n++ {
 				_ = scalar[i].Recognize(img)
 			}
 		})
-		b.Run(packed[i].Name()+"/packed", func(b *testing.B) {
+		b.Run(e.Name()+"/cold", func(b *testing.B) {
+			e := Engines()[i]
+			e.Recognize(img)
+			memo := memoOf(e)
+			used := memo.usedSlots()
 			b.ReportAllocs()
+			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
-				_ = packed[i].Recognize(img)
+				memo.forget(used)
+				_ = e.Recognize(img)
+			}
+		})
+		b.Run(e.Name()+"/warm", func(b *testing.B) {
+			e := Engines()[i]
+			e.Recognize(img)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				_ = e.Recognize(img)
+			}
+		})
+		b.Run(e.Name()+"/allmiss", func(b *testing.B) {
+			e := Engines()[i]
+			before := memoCounterValues(e.Name())[memoHit]
+			for _, crop := range pool {
+				e.Recognize(crop)
+			}
+			if hits := memoCounterValues(e.Name())[memoHit] - before; hits != 0 {
+				b.Fatalf("%d of the pool's glyph boxes repeat", hits)
+			}
+			memo := memoOf(e)
+			all := make([]int, memoSlots)
+			for j := range all {
+				all[j] = j
+			}
+			memo.forget(all)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				if n%len(pool) == 0 && n > 0 {
+					memo.forget(all)
+				}
+				_ = e.Recognize(pool[n%len(pool)])
 			}
 		})
 	}
+}
+
+// distinctGlyphCrops returns n copies of img with six background pixels
+// inside each glyph box's border set to the foreground: the boxes keep
+// their place and size, and no box's bits are another's.
+func distinctGlyphCrops(tb testing.TB, img *imaging.Gray, n int) []*imaging.Gray {
+	r := rand.New(rand.NewSource(49))
+	thr := NewTessera().Thr
+	bin := img.PackGE(thr)
+	boxes := glyphBoxes(bin, 1)
+	imaging.RecycleBitmap(bin)
+	fg := img.Pix[0]
+	for _, p := range img.Pix {
+		fg = max(fg, p)
+	}
+	seen := map[[3]uint64]bool{}
+	out := make([]*imaging.Gray, n)
+	for i := range out {
+		c := img.Crop(imaging.Rect{X1: img.W, Y1: img.H})
+		bin := c.PackGE(thr)
+		for _, box := range boxes {
+			if box.Width() < 3 || box.Height() < 3 || box.Width()*box.Height() > memoRowBits {
+				tb.Fatalf("glyph box %v has no inside or does not fit the memo", box)
+			}
+			for set := 0; set < 6 || seen[packRows(bin, box, box.Width())]; {
+				x, y := box.X0+1+r.Intn(box.Width()-2), box.Y0+1+r.Intn(box.Height()-2)
+				if !bin.Get(x, y) {
+					c.Set(x, y, fg)
+					bin.Set(x, y, true)
+					set++
+				}
+			}
+			seen[packRows(bin, box, box.Width())] = true
+		}
+		imaging.RecycleBitmap(bin)
+		out[i] = c
+	}
+	return out
 }
 
 // BenchmarkMatchCell isolates the template-matching inner loop: Hamming
@@ -70,11 +153,7 @@ corpus:
 			}
 			crop := img.Crop(gs.Game.UI.CropRect(4))
 			bin = crop.ScaleNearestBlur(2, 0.5).PackGE(NewTessera().Thr)
-			for _, s := range bin.SegmentColumns(1, nil) {
-				if box, area := bin.TightBoxCountIn(s); area >= 3 {
-					boxes = append(boxes, imaging.Rect{X0: s.X0 + box.X0, Y0: s.Y0 + box.Y0, X1: s.X0 + box.X1, Y1: s.Y0 + box.Y1})
-				}
-			}
+			boxes = glyphBoxes(bin, 3)
 			break corpus
 		}
 	}

@@ -24,6 +24,8 @@ type Tessera struct {
 	Thr uint8
 	// Tol is the maximum accepted Hamming distance.
 	Tol int
+
+	memo glyphMemo // empty in the zero value; see memo.go
 }
 
 // NewTessera returns a Tessera engine with default parameters.
@@ -37,7 +39,7 @@ func (t *Tessera) Recognize(img *imaging.Gray) Result {
 	bin := img.PackGE(t.Thr)
 	sc := scratchPool.Get().(*scratch)
 	sc.segs = bin.SegmentColumns(1, sc.segs)
-	res := recognizeSegmentsPacked(bin, sc.segs, t.Tol, 0, 3, 0)
+	res := recognizeSegmentsPacked(bin, sc.segs, t.Tol, 0, 3, 0, &t.memo, &tesseraMemoCounters)
 	scratchPool.Put(sc)
 	imaging.RecycleBitmap(bin)
 	return res
@@ -55,6 +57,8 @@ func (t *Tessera) Recognize(img *imaging.Gray) Result {
 // oracle, and TestComponentStripsAreColumnRuns checks the identity.
 type EasyScan struct {
 	Tol int
+
+	memo glyphMemo
 }
 
 // NewEasyScan returns an EasyScan engine with default parameters.
@@ -81,7 +85,7 @@ func (e *EasyScan) Recognize(img *imaging.Gray) Result {
 	}
 	sc := scratchPool.Get().(*scratch)
 	sc.segs = bin.SegmentColumns(1, sc.segs)
-	res := recognizeSegmentsPacked(bin, sc.segs, e.Tol, 0, 4, 0)
+	res := recognizeSegmentsPacked(bin, sc.segs, e.Tol, 0, 4, 0, &e.memo, &easyScanMemoCounters)
 	scratchPool.Put(sc)
 	imaging.RecycleBitmap(bin)
 	return res
@@ -94,6 +98,8 @@ func (e *EasyScan) Recognize(img *imaging.Gray) Result {
 type PaddleRead struct {
 	Tol       int
 	DigitBias int
+
+	memo glyphMemo
 }
 
 // NewPaddleRead returns a PaddleRead engine with default parameters.
@@ -131,7 +137,7 @@ func (p *PaddleRead) Recognize(img *imaging.Gray) Result {
 	}
 	sc := scratchPool.Get().(*scratch)
 	sc.segs = bin.SegmentColumns(1, sc.segs)
-	res := recognizeSegmentsPacked(bin, sc.segs, p.Tol, p.DigitBias, 2, 1)
+	res := recognizeSegmentsPacked(bin, sc.segs, p.Tol, p.DigitBias, 2, 1, &p.memo, &paddleReadMemoCounters)
 	scratchPool.Put(sc)
 	imaging.RecycleBitmap(bin)
 	return res

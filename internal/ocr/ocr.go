@@ -22,9 +22,12 @@
 //     in its speck size (a different confusion profile).
 //
 // All engines are safe for concurrent use: recognition keeps no per-call
-// state on the engine, and the shared glyph template table is built once at
-// package initialization and only ever read afterwards. The concurrent
-// image-processing workers of the pipeline rely on this.
+// state on the engine, the shared glyph template table is built once at
+// package initialization and only ever read afterwards, and the one thing an
+// engine value keeps — its glyph memo (memo.go), which remembers what each
+// glyph box it has classified matched — is a table of atomic pointers to
+// immutable entries. The concurrent image-processing workers of the
+// pipeline rely on this.
 //
 // Every engine runs on bit-packed binary images (imaging.Bitmap):
 // binarization packs 64 pixels per word, segmentation and speck rejection

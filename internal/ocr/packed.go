@@ -221,11 +221,14 @@ func normalizeCellPacked(bin *imaging.Bitmap, box imaging.Rect, shift uint) pack
 // bitmap (popcounts and word scans), with no per-segment image allocations.
 // Cells are sampled as from bin scaled 2^shift× (normalizeCellPacked); the
 // segments, minArea and the reported boxes are in bin's own coordinates.
-// The Result is the caller's: Chars is allocated once, at the first accepted
-// character and for as many as there are segments left, and Text once, at
-// its final length.
-func recognizeSegmentsPacked(bin *imaging.Bitmap, segs []imaging.Rect, tol, digitBias, minArea int, shift uint) Result {
+// Each glyph box is classified through memo (nil: none) and counted, by
+// how, in a local tally that is added to mc once at the end. The Result is
+// the caller's: Chars is allocated once, at the first accepted character
+// and for as many as there are segments left, and Text once, at its final
+// length.
+func recognizeSegmentsPacked(bin *imaging.Bitmap, segs []imaging.Rect, tol, digitBias, minArea int, shift uint, memo *glyphMemo, mc *memoCounters) Result {
 	var res Result
+	var n memoCounts
 	text := make([]byte, 0, 64) // on the stack unless a line has more glyphs than a latency display
 	for i, s := range segs {
 		s = s.Clamp(bin.W, bin.H)
@@ -243,8 +246,8 @@ func recognizeSegmentsPacked(bin *imaging.Bitmap, segs []imaging.Rect, tol, digi
 			X0: s.X0 + box.X0, Y0: s.Y0 + box.Y0,
 			X1: s.X0 + box.X1, Y1: s.Y0 + box.Y1,
 		}
-		cell := normalizeCellPacked(bin, abs, shift)
-		r, d := matchCellPacked(cell, digitBias)
+		r, d, how := memo.classify(bin, abs, shift, digitBias)
+		n[how]++
 		if d > tol {
 			continue // unrecognized character: engine stays silent
 		}
@@ -255,6 +258,7 @@ func recognizeSegmentsPacked(bin *imaging.Bitmap, segs []imaging.Rect, tol, digi
 		res.Chars = append(res.Chars, Char{R: r, Dist: d, Box: abs})
 	}
 	res.Text = string(text)
+	mc.add(&n)
 	return res
 }
 

@@ -206,8 +206,9 @@ func (p *Pipeline) Anonymize(id string) string {
 // by the same downloader at every Concurrency — and each runs the first
 // fetches of what it was dealt. Unless Concurrency is 1, the downloaders poll
 // and fetch at once (they share state only through the key-value and object
-// stores, both safe for concurrent use, and the round is socket-bound: like
-// LocateStreamers' it is sized by the work, not the cores), and the
+// stores, both safe for concurrent use, and the round is socket-bound, so it
+// runs one goroutine per downloader, sized by the work and not the cores —
+// unlike LocateStreamers, whose pool is GOMAXPROCS-bound), and the
 // thumbnails they stored start extracting in the background (extractAhead)
 // while the caller goes on to the next tick.
 //
@@ -486,7 +487,8 @@ func (p *Pipeline) LocateStreamers(now time.Time) (located int, refused bool) {
 	}
 	outcomes := make([]locResult, len(ids))
 	// turn[i] closes once streamer i-1 is past the API, so refused is only
-	// touched in turn. The lookups are I/O-bound: 8 workers are plenty.
+	// touched in turn. The pool is par.Workers(p.Concurrency) — GOMAXPROCS
+	// when Concurrency is 0 — capped at 8, although the lookups are I/O-bound.
 	turn := make([]chan struct{}, len(ids)+1)
 	for i := range turn {
 		turn[i] = make(chan struct{})

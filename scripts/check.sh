@@ -1,8 +1,10 @@
 #!/bin/sh
 # Repository health check: gofmt, vet, build, an os.Exit guard on cmd/,
 # race-enabled tests (root module and the bench/ module, which the root
-# ./... cannot see), a few seconds of each decoder fuzz target, one-shot
-# benchmark smokes (the pipeline, and one extraction that must repeat),
+# ./... cannot see), the OCR engines' glyph memo under -race -count=5 (many
+# goroutines on one engine must read what a fresh engine reads serially), a
+# few seconds of each decoder fuzz target, one-shot benchmark smokes (the
+# pipeline, and one extraction that must repeat, memo hits and all),
 # smokes that drive the real binaries (the chaos smoke requires the
 # downloader's digest check to catch every corrupted body the CDN sent, at
 # least one, and three faulted tero runs must print the same output), a
@@ -102,11 +104,19 @@ echo "== extraction ahead of the merge: same tables at 1, 2 and 8 workers, no go
 go test -race -count=5 -run '^(TestExtractAheadDeterminism|TestConcurrencyDeterminism|TestExtractAheadGoroutines|TestRestoredKeyIsExtractedAgain|TestCorruptThumbnailAheadQuarantinedOnce|TestStagePanicRecovery)$' ./internal/pipeline
 go test -race -count=5 -run '^TestForEachPanicRecovery$' ./internal/par
 
+echo "== OCR glyph memo: concurrent reads == a fresh engine's serial pass (-race -count=5) =="
+# Each engine value remembers the glyph boxes it has classified in a table of
+# atomic pointers that every extraction against it shares: goroutines over
+# the corpus on one engine must get every Result a cold engine gets alone.
+go test -race -count=5 -run '^TestMemoConcurrentMatchesSerial$' ./internal/ocr
+
 echo "== benchmark smoke (VolumePipeline and Extract, 1 iteration each) =="
 go test -run '^$' -bench '^BenchmarkVolumePipeline$' -benchtime 1x .
 # BenchmarkExtract extracts one rendered thumbnail again after a first
 # extraction and fails if the two differ: pooled scratch (bitmaps, strips,
-# blur rows) must carry nothing from one call into the next.
+# blur rows) must carry nothing from one call into the next, and the later
+# extractions read every glyph from the engines' memos, which the first
+# filled, so the memo must answer what the engines computed.
 go test -run '^$' -bench '^BenchmarkExtract$' -benchtime 1x ./internal/imageproc
 
 echo "== observability smoke (cmd/tero -debug-addr, scrape /metrics) =="
@@ -220,11 +230,13 @@ echo "== faulted-run determinism (the whole output, three runs) =="
 # The API quota counts platform time and a fault is a function of (seed,
 # URI, per-URI ordinal), so the faulted run repeats byte for byte: tables,
 # the faults-injected line, every counter. Left out are the wall-clock
-# lines (run time, the platform's port, *_seconds histograms) and
+# lines (run time, the platform's port, *_seconds histograms),
 # pipeline_extract_ahead_total, whose ready/waited split races extraction
-# against the next drain.
+# against the next drain, and the hit and miss lines of ocr_cell_memo_total,
+# whose split follows which background extraction meets a glyph first (two
+# that meet a new one at once both miss); its bypass lines stay.
 steady() {
-    grep -Ev '^(pipeline done in|platform serving at) |^histogram [a-z_]+_seconds|^counter pipeline_extract_ahead_total' "$1" || true
+    grep -Ev '^(pipeline done in|platform serving at) |^histogram [a-z_]+_seconds|^counter pipeline_extract_ahead_total|^counter ocr_cell_memo_total\{engine=[a-z]+,result=(hit|miss)\}' "$1" || true
 }
 steady "$CHAOS" > "$CHAOS.steady"
 for run in 2 3; do
