@@ -18,10 +18,11 @@
 //     (Pipeline.TickShare, download.Deal — the one adoption policy, which a
 //     single process runs over its own downloaders), start extracting each
 //     thumbnail as it lands, then take every extraction
-//     (Pipeline.TakeExtractions) and push it into dist:results instead of
-//     merging it. The shares cover the queue and the coordinator repeats
-//     rounds at the same instant until it drains, so WHICH VIRTUAL TICK
-//     adopts a streamer never depends on fleet size.
+//     (Pipeline.DrainThumbnails, the drain a single process merges through)
+//     and push it into dist:results instead of merging it. The shares
+//     cover the queue and the coordinator repeats rounds at the same
+//     instant until it drains, so WHICH VIRTUAL TICK adopts a streamer
+//     never depends on fleet size.
 //   - Workers never touch shared state between rounds: a live worker
 //     finishes every claim (LPOP + HSET) and release (HDEL + RPUSH) before
 //     it checks in. After a barrier that declared a worker dead, the
@@ -120,8 +121,8 @@ func (r Result) Encode() []byte {
 //     streamer;
 //   - measured names a game games.ByName knows, Ms is an integer in 1..999
 //     (App. E: at most three digits, and 0 is the lobby placeholder, which is
-//     OutcomeZero), Alt likewise when HasAlt, and AtOK means At is the
-//     RFC 3339 form of AtUnix.
+//     OutcomeZero), Alt likewise when HasAlt, and AtUnix, the download
+//     stamp every measured reading carries, is set.
 func DecodeResult(key string, b []byte) (Result, error) {
 	var r Result
 	if err := json.Unmarshal(b, &r); err != nil {
@@ -149,10 +150,8 @@ func DecodeResult(key string, b []byte) (Result, error) {
 	if !validMs(r.Ms) || (r.HasAlt && !validMs(r.Alt)) {
 		return Result{}, fmt.Errorf("dist: measured result %q reads %v ms (alt %v): not an integer in 1..999", key, r.Ms, r.Alt)
 	}
-	if r.AtOK {
-		if t, err := time.Parse(time.RFC3339, r.At); err != nil || t.Unix() != r.AtUnix {
-			return Result{}, fmt.Errorf("dist: measured result %q: at %q is not unix %d", key, r.At, r.AtUnix)
-		}
+	if r.AtUnix == 0 {
+		return Result{}, fmt.Errorf("dist: measured result %q carries no atUnix", key)
 	}
 	return r, nil
 }

@@ -46,8 +46,8 @@ func pipelineSignature(p *pipeline.Pipeline) string {
 	rows, _ := p.Docs.After(0)
 	lines := make([]string, 0, len(rows))
 	for _, m := range rows {
-		lines = append(lines, fmt.Sprintf("%s|%s|%s|%v|%t|%v|%t|%d",
-			m.Streamer, m.Game, m.At, m.Ms, m.HasAlt, m.Alt, m.AtOK, m.AtUnix))
+		lines = append(lines, fmt.Sprintf("%s|%s|%v|%t|%v|%d",
+			m.Streamer, m.Game, m.Ms, m.HasAlt, m.Alt, m.AtUnix))
 	}
 	sort.Strings(lines)
 	sb.WriteString(strings.Join(lines, "\n"))

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"tero/internal/games"
 	"tero/internal/kvstore"
@@ -19,7 +18,7 @@ func validResult(key string) Result {
 			Key: key, Outcome: pipeline.OutcomeMeasured,
 			Ms: 48, Alt: 43, HasAlt: true,
 			Streamer: "s1", Login: "login1", Game: "League of Legends",
-			At: "2026-01-01T20:00:00Z", AtUnix: 1767297600, AtOK: true,
+			AtUnix: 1767297600,
 		},
 		Worker: "w1",
 	}
@@ -50,9 +49,7 @@ var malformedResults = []struct{ name, doc string }{
 	{"alt out of range", mutate(func(r *Result) { r.Alt = 4300 })},
 	{"alt a fraction", mutate(func(r *Result) { r.Alt = 0.43 })},
 	{"hasAlt without alt", mutate(func(r *Result) { r.Alt = 0 })},
-	{"atOK, at not a time", mutate(func(r *Result) { r.At = "yesterday" })},
-	{"atOK, at another instant", mutate(func(r *Result) { r.AtUnix++ })},
-	{"atOK, no at", mutate(func(r *Result) { r.At = "" })},
+	{"measured, no atUnix", mutate(func(r *Result) { r.AtUnix = 0 })},
 }
 
 func mutate(f func(*Result)) string {
@@ -160,12 +157,10 @@ func TestDecodeResultAcceptsWhatWorkersPush(t *testing.T) {
 	measured := validResult(key)
 	noAlt := validResult(key)
 	noAlt.Alt, noAlt.HasAlt = 0, false
-	noAt := validResult(key) // a thumbnail whose "at" metadata did not parse
-	noAt.At, noAt.AtUnix, noAt.AtOK = "garbled", 0, false
 	for _, r := range []Result{
-		measured, noAlt, noAt,
-		{ThumbResult: pipeline.ThumbResult{Key: key, Outcome: pipeline.OutcomeZero, Streamer: "s1", Login: "login1", Game: "League of Legends"}},
-		{ThumbResult: pipeline.ThumbResult{Key: key, Outcome: pipeline.OutcomeMiss, Streamer: "s1", Login: "login1", Game: "League of Legends"}},
+		measured, noAlt,
+		{ThumbResult: pipeline.ThumbResult{Key: key, Outcome: pipeline.OutcomeZero, Streamer: "s1", Login: "login1", Game: "League of Legends", AtUnix: 1767297600}},
+		{ThumbResult: pipeline.ThumbResult{Key: key, Outcome: pipeline.OutcomeMiss, Streamer: "s1", Login: "login1", Game: "League of Legends", AtUnix: 1767297600}},
 		{ThumbResult: pipeline.ThumbResult{Key: key, Outcome: pipeline.OutcomeUnknown}},
 		{ThumbResult: pipeline.ThumbResult{Key: key, Outcome: pipeline.OutcomeCorrupt}, Worker: "w1"},
 	} {
@@ -184,7 +179,7 @@ func TestResultWireBytes(t *testing.T) {
 	r.Traceparent = "00-0000000000000000deadbeefcafe0001-00000000000000ab-01"
 	const want = `{"key":"s1/7.pgm","outcome":"measured","ms":48,"alt":43,"hasAlt":true,` +
 		`"streamer":"s1","login":"login1","game":"League of Legends",` +
-		`"at":"2026-01-01T20:00:00Z","atUnix":1767297600,"atOK":true,` +
+		`"atUnix":1767297600,` +
 		`"traceparent":"00-0000000000000000deadbeefcafe0001-00000000000000ab-01","worker":"w1"}`
 	if got := string(r.Encode()); got != want {
 		t.Fatalf("Encode() =\n%s\nwant\n%s", got, want)
@@ -198,7 +193,9 @@ func TestResultWireBytes(t *testing.T) {
 // FuzzDecodeResult feeds DecodeResult arbitrary bytes under an arbitrary key
 // — the result hash takes an HSET from anything that reaches the store.
 // The committed corpus (testdata/fuzz/FuzzDecodeResult) is one valid result
-// of each outcome and every document of malformedResults.
+// of each outcome, every document of malformedResults, and three bad-atOK-*
+// documents that carry "at" and "atOK" fields beside atUnix: the fields are
+// not the wire's, so they are ignored and only atUnix decides.
 // Oracles: it never panics; whatever it accepts satisfies, field by field,
 // the predicate its comment states (restated here, not called); and an
 // accepted result re-encodes to a document that decodes to the same value.
@@ -219,11 +216,8 @@ func FuzzDecodeResult(f *testing.F) {
 				t.Fatalf("accepted a %s of no streamer", r.Outcome)
 			}
 		case pipeline.OutcomeMeasured:
-			if r.Streamer == "" || games.ByName(r.Game) == nil || !whole(r.Ms) || (r.HasAlt && !whole(r.Alt)) {
+			if r.Streamer == "" || games.ByName(r.Game) == nil || !whole(r.Ms) || (r.HasAlt && !whole(r.Alt)) || r.AtUnix == 0 {
 				t.Fatalf("accepted measured %+v", r)
-			}
-			if at, err := time.Parse(time.RFC3339, r.At); r.AtOK && (err != nil || at.Unix() != r.AtUnix) {
-				t.Fatalf("accepted atOK with at %q, atUnix %d", r.At, r.AtUnix)
 			}
 		default:
 			t.Fatalf("accepted outcome %q", r.Outcome)

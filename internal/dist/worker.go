@@ -1,12 +1,12 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
 	"time"
 
-	"tero/internal/download"
 	"tero/internal/kvstore"
 	"tero/internal/obs"
 	"tero/internal/obs/trace"
@@ -145,9 +145,9 @@ func RunWorker(cfg WorkerConfig) error {
 
 // workerPipeline is a worker's own pipeline over its store connection. Its
 // object store is the worker's local bucket: a thumbnail never leaves the
-// process — a corrupt one is quarantined there too — and costs the wire one
-// result HSET. It never calls the platform API — assignments carry absolute
-// URLs — so it has no base URL. Its one downloader is "<id>:dl0".
+// process and costs the wire one result HSET. It never calls the platform
+// API — assignments carry absolute URLs — so it has no base URL. Its one
+// downloader is "<id>:dl0".
 func workerPipeline(id string, kv kvstore.KV) *pipeline.Pipeline {
 	p := pipeline.NewWithKV("", 1, kv)
 	d := p.Downloaders[0]
@@ -156,16 +156,19 @@ func workerPipeline(id string, kv kvstore.KV) *pipeline.Pipeline {
 	return p
 }
 
+// errHalted stops a round's drain when the worker has been halted.
+var errHalted = errors.New("halted")
+
 // workRound does one round at the frozen virtual instant now: the worker's
 // pipeline services due fetches, takes its ceil-share of the queue with the
 // fleet roster as the number of downloaders sharing it (TickShare), and
-// starts extracting what it stores; every extraction the pipeline hands over
-// (TakeExtractions) is pushed — push(key, doc) stores the doc in KeyResults
-// and returns the transport's error — instead of merged. Workers deal
-// concurrently, each to itself, but the shares cover the queue, so it drains
-// within the round; makeup rounds are the backstop. Repeat rounds at the
-// same instant are harmless — due times are virtual, so nothing comes due
-// twice.
+// starts extracting what it stores; the round then drains the local bucket
+// (Pipeline.DrainThumbnails) into push — push(key, doc) stores the doc in
+// KeyResults and returns the transport's error — instead of merging it.
+// Workers deal concurrently, each to itself, but the shares cover the
+// queue, so it drains within the round; makeup rounds are the backstop.
+// Repeat rounds at the same instant are harmless — due times are virtual,
+// so nothing comes due twice.
 //
 // A push that fails ends the round with its error and the thumbnail still
 // in the local bucket: the reading has not reached the coordinator, so the
@@ -181,40 +184,25 @@ func workRound(p *pipeline.Pipeline, id string, push func(key, doc string) error
 	stats.Claims = d.Claims
 	mWClaims.Add(int64(d.Claims - claims))
 
-	// Push every extraction. Results are keyed by thumbnail key: a re-fetch
-	// after a crash overwrites with identical bytes instead of duplicating.
-	for _, r := range p.TakeExtractions() {
+	// Results are keyed by thumbnail key: a re-fetch after a crash
+	// overwrites with identical bytes instead of duplicating.
+	_, err := p.DrainThumbnails("dist.extract", func(r pipeline.ThumbResult, ctx trace.Context) error {
 		if halted() {
-			return nil
+			return errHalted
 		}
-		jctx, _ := trace.ParseTraceparent(r.Trace)
-		errMsg := ""
-		if r.Outcome == pipeline.OutcomeCorrupt {
-			errMsg = "corrupt thumbnail: pgm decode failed"
-		}
-		ec := trace.RecordSpan(jctx, "dist.extract", r.Start, r.End, errMsg,
-			trace.A("worker", id), trace.A("outcome", r.Outcome))
-		if r.Outcome == pipeline.OutcomeMeasured {
-			stats.Extracted++
-			mWExtract.Inc()
-		} else {
-			// The reading's journey dies at extraction; measured readings
-			// stay open until the coordinator publishes them.
-			trace.Finish(jctx.TraceID)
-		}
-		res := Result{ThumbResult: r.ThumbResult, Traceparent: trace.Traceparent(ec), Worker: id}
+		res := Result{ThumbResult: r, Traceparent: trace.Traceparent(ctx), Worker: id}
 		if err := push(r.Key, string(res.Encode())); err != nil {
 			return fmt.Errorf("dist worker %s: push result %s: %w", id, r.Key, err)
 		}
-		if r.Outcome == pipeline.OutcomeCorrupt {
-			// Quarantined by whoever decoded it, as a single process does in
-			// its own bucket; the coordinator only counts it.
-			p.Quarantine(r.Key)
-			continue
+		if r.Outcome == pipeline.OutcomeMeasured {
+			stats.Extracted++
+			mWExtract.Inc()
 		}
-		// §7: the thumbnail is freight, not data — gone once extracted.
-		p.Objects.Delete(download.ThumbBucket, r.Key) //nolint:errcheck // just taken; only this goroutine deletes
+		return nil
+	})
+	if errors.Is(err, errHalted) {
+		return nil
 	}
 	stats.Fetches = d.Downloads
-	return nil
+	return err
 }

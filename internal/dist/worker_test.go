@@ -14,6 +14,7 @@ import (
 
 	"tero/internal/download"
 	"tero/internal/kvstore"
+	"tero/internal/objstore"
 	"tero/internal/pipeline"
 )
 
@@ -51,8 +52,9 @@ var errPush = errors.New("connection lost")
 // platform, every write to the store recorded. Thumbnails are fetched and
 // extracted, yet the only result traffic is one dist:results HSET per
 // thumbnail, no value on the wire is a thumbnail (PGM magic "P5"), and the
-// corrupt thumbnail lands once, in the worker's local quarantine bucket; a
-// repeat round sends nothing.
+// corrupt thumbnail is pushed once and deleted like the rest: the local
+// bucket ends empty and the worker writes no other; a repeat round sends
+// nothing.
 func TestWorkRoundKeepsThumbnailsLocal(t *testing.T) {
 	platform := newTestPlatform(t, 41)
 	st := kvstore.New()
@@ -68,7 +70,9 @@ func TestWorkRoundKeepsThumbnailsLocal(t *testing.T) {
 	wire := &wireKV{KV: st}
 	push := func(key, doc string) error { wire.HSet(KeyResults, key, doc); return nil }
 	wp := workerPipeline("w1", wire)
-	local, d := wp.Objects, wp.Downloaders[0]
+	d := wp.Downloaders[0]
+	local := &bucketSpy{API: wp.Objects, buckets: map[string]bool{}}
+	wp.Objects, d.Store = local, local
 	const corruptKey = "zz-corrupt/0001.pgm"
 	local.Put(download.ThumbBucket, corruptKey, []byte("P5 truncated"), map[string]string{"game": "lol"})
 
@@ -105,15 +109,13 @@ func TestWorkRoundKeepsThumbnailsLocal(t *testing.T) {
 			t.Errorf("a thumbnail crossed the wire (%d bytes)", len(v))
 		}
 	}
-	if n := local.Size(pipeline.QuarantineBucket); n != 1 {
-		t.Errorf("%d thumbnails in the local quarantine bucket, want the corrupt one", n)
-	}
-	if o, err := local.Get(pipeline.QuarantineBucket, corruptKey); err != nil ||
-		string(o.Data) != "P5 truncated" || o.Meta["game"] != "lol" {
-		t.Errorf("quarantined object = %+v, %v", o, err)
-	}
 	if n := local.Size(download.ThumbBucket); n != 0 {
 		t.Errorf("%d thumbnails left in the worker's local bucket after the round", n)
+	}
+	// The coordinator counts the corrupt thumbnail from its result.
+	NewCoordinator(p, st).ingest()
+	if p.Quarantined != 1 || p.Processed != d.Downloads {
+		t.Errorf("ingested: quarantined %d, processed %d; want 1, %d", p.Quarantined, p.Processed, d.Downloads)
 	}
 
 	// A repeat round at the same frozen instant has nothing due and nothing
@@ -123,9 +125,23 @@ func TestWorkRoundKeepsThumbnailsLocal(t *testing.T) {
 	if len(wire.ops) != sent {
 		t.Errorf("repeat round sent %q", wire.ops[sent:])
 	}
-	if n := local.Size(pipeline.QuarantineBucket); n != 1 {
-		t.Errorf("%d thumbnails in the local quarantine bucket after a repeat round, want 1", n)
+	if len(local.buckets) != 1 || !local.buckets[download.ThumbBucket] {
+		t.Errorf("buckets written: %v, want only %s", local.buckets, download.ThumbBucket)
 	}
+}
+
+// bucketSpy is an object store that remembers every bucket written to.
+type bucketSpy struct {
+	objstore.API
+	mu      sync.Mutex
+	buckets map[string]bool
+}
+
+func (s *bucketSpy) Put(bucket, key string, data []byte, meta map[string]string) string {
+	s.mu.Lock()
+	s.buckets[bucket] = true
+	s.mu.Unlock()
+	return s.API.Put(bucket, key, data, meta)
 }
 
 // TestWorkRoundFailedPushKeepsThumbnail: a result push that does not arrive
@@ -162,9 +178,8 @@ func TestWorkRoundFailedPushKeepsThumbnail(t *testing.T) {
 	if err := round(); err != nil {
 		t.Fatal(err)
 	}
-	if l, r, q := local.Size(download.ThumbBucket), len(st.HGetAll(KeyResults)),
-		local.Size(pipeline.QuarantineBucket); l != 0 || r != 1 || q != 1 {
-		t.Fatalf("after the push recovered: %d local, %d results, %d quarantined", l, r, q)
+	if l, r := local.Size(download.ThumbBucket), len(st.HGetAll(KeyResults)); l != 0 || r != 1 {
+		t.Fatalf("after the push recovered: %d local, %d results; want 0, 1", l, r)
 	}
 }
 

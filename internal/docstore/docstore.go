@@ -8,6 +8,7 @@ package docstore
 import (
 	"sort"
 	"sync"
+	"time"
 
 	"tero/internal/obs"
 )
@@ -27,9 +28,7 @@ var (
 type Measurement struct {
 	Streamer string // pseudonymised streamer ID
 	Game     string
-	At       string // the thumbnail's RFC3339 download stamp
-	AtUnix   int64  // At in unix seconds; valid when AtOK
-	AtOK     bool
+	AtUnix   int64 // the thumbnail's download stamp, in unix seconds
 	Ms       float64
 	Alt      float64 // the disagreeing engine's reading; valid when HasAlt
 	HasAlt   bool
@@ -107,12 +106,14 @@ func (s *Store) C(string) *Store { return s }
 
 // Find renders the rows that match filter (nil matches all), in insertion
 // order, as the five fields bench/ hashes: streamer, game, at, ms, and alt
-// when HasAlt.
+// when HasAlt. "at" is AtUnix in the UTC RFC 3339 form the downloader
+// stamps thumbnails with, so it is the stamp the row was built from.
 func (s *Store) Find(filter func(Doc) bool) []Doc {
 	rows, _ := s.After(0)
 	var out []Doc
 	for _, m := range rows {
-		d := Doc{"streamer": m.Streamer, "game": m.Game, "at": m.At, "ms": m.Ms}
+		at := time.Unix(m.AtUnix, 0).UTC().Format(time.RFC3339)
+		d := Doc{"streamer": m.Streamer, "game": m.Game, "at": at, "ms": m.Ms}
 		if m.HasAlt {
 			d["alt"] = m.Alt
 		}

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestTableMatchesLinearScan inserts seeded random rows and, after every
@@ -22,9 +23,7 @@ func TestTableMatchesLinearScan(t *testing.T) {
 		m := Measurement{
 			Streamer: streamers[rng.Intn(len(streamers))],
 			Game:     []string{"lol", "dota", "cs"}[rng.Intn(3)],
-			At:       fmt.Sprintf("t%d", n),
 			AtUnix:   int64(rng.Intn(1000)),
-			AtOK:     rng.Intn(4) != 0,
 			Ms:       float64(rng.Intn(200)),
 			Alt:      float64(rng.Intn(200)),
 			HasAlt:   rng.Intn(3) == 0,
@@ -69,7 +68,7 @@ func TestTableMatchesLinearScan(t *testing.T) {
 	}
 	for i, d := range docs {
 		m := all[i]
-		want := Doc{"streamer": m.Streamer, "game": m.Game, "at": m.At, "ms": m.Ms}
+		want := Doc{"streamer": m.Streamer, "game": m.Game, "at": time.Unix(m.AtUnix, 0).UTC().Format(time.RFC3339), "ms": m.Ms}
 		if m.HasAlt {
 			want["alt"] = m.Alt
 		}
@@ -101,8 +100,8 @@ func TestDistinct(t *testing.T) {
 // read; C returns the one table whatever the name.
 func TestInsertAndGet(t *testing.T) {
 	s := New()
-	first := Measurement{Streamer: "anon-1", Game: "lol", At: "2024-01-01T00:00:00Z",
-		AtUnix: 1704067200, AtOK: true, Ms: 45, Alt: 47, HasAlt: true, Trace: "tp"}
+	first := Measurement{Streamer: "anon-1", Game: "lol",
+		AtUnix: 1704067200, Ms: 45, Alt: 47, HasAlt: true, Trace: "tp"}
 	second := Measurement{Streamer: "anon-2", Game: "dota", Ms: 60}
 	s.Insert(first)
 	s.Insert(second)
@@ -121,6 +120,27 @@ func TestInsertAndGet(t *testing.T) {
 	}
 	if s.C("measurements") != s || s.C("other") != s {
 		t.Fatal("C must return the table whatever the name")
+	}
+}
+
+// TestFindRendersTheStamp: Find's "at" is the UTC RFC 3339 stamp the row's
+// AtUnix was parsed from, whatever zone the stamp was read in — the bytes the
+// downloader stores in a thumbnail's "at" metadata.
+func TestFindRendersTheStamp(t *testing.T) {
+	s := New()
+	stamps := []string{"2026-01-01T20:00:00Z", "1970-01-01T00:00:01Z", "2026-10-19T23:59:59+02:00"}
+	for _, stamp := range stamps {
+		at, err := time.Parse(time.RFC3339, stamp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Insert(Measurement{Streamer: "anon-a", AtUnix: at.Unix()})
+	}
+	want := []string{"2026-01-01T20:00:00Z", "1970-01-01T00:00:01Z", "2026-10-19T21:59:59Z"}
+	for i, d := range s.Find(nil) {
+		if d["at"] != want[i] {
+			t.Errorf("row %d (stamped %s): at %v, want %s", i, stamps[i], d["at"], want[i])
+		}
 	}
 }
 

@@ -11,38 +11,6 @@ import (
 	"tero/internal/obs"
 )
 
-// TestRetryBackoffBoundedAndJittered pins the satellite fix: waits grow
-// exponentially from RetryWait, never exceed 1.5×MaxRetryWait even for
-// absurd attempt counts, and stay within the ±50% jitter envelope.
-func TestRetryBackoffBoundedAndJittered(t *testing.T) {
-	c := &APIClient{RetryWait: 100 * time.Millisecond, MaxRetryWait: 800 * time.Millisecond}
-	for attempt := 0; attempt < 64; attempt++ {
-		ideal := 100 * time.Millisecond << uint(attempt)
-		if attempt > 3 || ideal > c.MaxRetryWait {
-			ideal = c.MaxRetryWait
-		}
-		for trial := 0; trial < 20; trial++ {
-			got := c.retryBackoff(attempt)
-			if got < ideal/2 || got > ideal*3/2 {
-				t.Fatalf("attempt %d: backoff %v outside [%v, %v]",
-					attempt, got, ideal/2, ideal*3/2)
-			}
-		}
-	}
-}
-
-func TestRetryBackoffDefaults(t *testing.T) {
-	// Zero-valued fields (struct-literal clients) still get a sane bounded
-	// backoff instead of a zero sleep or unbounded growth.
-	c := &APIClient{}
-	for attempt := 0; attempt < 40; attempt++ {
-		got := c.retryBackoff(attempt)
-		if got <= 0 || got > 1200*time.Millisecond {
-			t.Fatalf("attempt %d: default backoff %v out of range", attempt, got)
-		}
-	}
-}
-
 // TestGetJSONRetryMetrics pins that a 503 storm shows up in the retry
 // counters, that the retry budget is honored, and that a 429 is not retried.
 func TestGetJSONRetryMetrics(t *testing.T) {
@@ -60,7 +28,6 @@ func TestGetJSONRetryMetrics(t *testing.T) {
 
 	c := NewAPIClient(srv.URL)
 	c.RetryWait = time.Millisecond
-	c.MaxRetryWait = 4 * time.Millisecond
 	var out map[string]any
 	if err := c.getJSON(srv.URL, &out); err != nil {
 		t.Fatal(err)
@@ -83,7 +50,6 @@ func TestGetJSONRetryMetrics(t *testing.T) {
 	defer always.Close()
 	c2 := NewAPIClient(always.URL)
 	c2.RetryWait = time.Millisecond
-	c2.MaxRetryWait = 2 * time.Millisecond
 	c2.MaxRetries = 5
 	if err := c2.getJSON(always.URL, &out); err == nil {
 		t.Fatal("expected retry exhaustion error")

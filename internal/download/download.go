@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"sort"
 	"strconv"
@@ -113,45 +112,18 @@ type APIClient struct {
 	// MaxRetries bounds retries per request of a transient failure.
 	MaxRetries int
 	// RetryWait is the base real-time pause after a transient failure.
-	// Successive retries back off exponentially from here.
+	// Successive retries back off as a downloader's do (retryPause).
 	RetryWait time.Duration
-	// MaxRetryWait caps the exponential backoff; 0 means 8×RetryWait.
-	MaxRetryWait time.Duration
 }
 
 // NewAPIClient returns a client for the platform at base.
 func NewAPIClient(base string) *APIClient {
 	return &APIClient{
-		Base:         strings.TrimRight(base, "/"),
-		HTTP:         &http.Client{Timeout: 10 * time.Second},
-		MaxRetries:   20,
-		RetryWait:    100 * time.Millisecond,
-		MaxRetryWait: 800 * time.Millisecond,
+		Base:       strings.TrimRight(base, "/"),
+		HTTP:       &http.Client{Timeout: 10 * time.Second},
+		MaxRetries: 20,
+		RetryWait:  100 * time.Millisecond,
 	}
-}
-
-// retryBackoff returns the pause before retry `attempt` (0-based): an
-// exponential backoff from RetryWait capped at MaxRetryWait, with ±50%
-// jitter so clients that failed together do not retry in lockstep.
-func (c *APIClient) retryBackoff(attempt int) time.Duration {
-	base := c.RetryWait
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	max := c.MaxRetryWait
-	if max <= 0 {
-		max = 8 * base
-	}
-	wait := base
-	for i := 0; i < attempt && wait < max; i++ {
-		wait *= 2
-	}
-	if wait > max {
-		wait = max
-	}
-	// Jitter in [wait/2, wait*3/2). math/rand's global source is
-	// concurrency-safe; jitter affects only real-time sleeps, never data.
-	return wait/2 + time.Duration(rand.Int63n(int64(wait)+1))
 }
 
 // streamRow mirrors the platform's Get Streams row.
@@ -172,8 +144,8 @@ type streamsPage struct {
 
 // getJSON fetches a URL, retrying transient failures — 5xx (injected or
 // real server faults), transport errors (stalls, resets), cut bodies — up
-// to MaxRetries with bounded, jittered exponential backoff. A 429 returns
-// ErrRateLimited at once.
+// to MaxRetries with the downloader's bounded backoff (retryPause). A 429
+// returns ErrRateLimited at once.
 func (c *APIClient) getJSON(url string, out any) error {
 	retry := func(attempt int, reason string) bool {
 		if attempt >= c.MaxRetries {
@@ -181,7 +153,7 @@ func (c *APIClient) getJSON(url string, out any) error {
 			dlog.Warn("api retries exhausted", "url", url, "retries", attempt, "reason", reason)
 			return false
 		}
-		wait := c.retryBackoff(attempt)
+		wait := retryPause(c.RetryWait, attempt+1)
 		mAPIRetries.Inc()
 		dlog.Trace("api retry", "reason", reason, "attempt", attempt, "wait", wait)
 		time.Sleep(wait)

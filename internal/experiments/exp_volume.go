@@ -68,7 +68,6 @@ func runVolumeWith(o Options, kv kvstore.KV, onTick func(i int) error) ([]*Table
 			d.HTTP.Transport = noReuse
 		}
 		p.API.RetryWait = 2 * time.Millisecond
-		p.API.MaxRetryWait = 16 * time.Millisecond
 		p.API.HTTP.Transport = noReuse
 	}
 

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -127,7 +128,7 @@ func TestRestoredKeyIsExtractedAgain(t *testing.T) {
 		t.Fatal(err)
 	}
 	stored := obj.Meta["at"]
-	if stored == first.r.At {
+	if stored == stamp(first.r.AtUnix) {
 		t.Fatalf("both stores of the key carry at=%s: the test stores nothing different", stored)
 	}
 	if n := p.ProcessThumbnails(); n != 2 {
@@ -137,35 +138,55 @@ func TestRestoredKeyIsExtractedAgain(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("%d measurements, want 2 (the rendered thumbnail must be legible)", len(rows))
 	}
-	if got := rows[0].At; got != stored { // rows are in key order: …/5.pgm first
+	if got := stamp(rows[0].AtUnix); got != stored { // rows are in key order: …/5.pgm first
 		t.Fatalf("measurement of the re-stored key has at=%v, the bucket held at=%s", got, stored)
 	}
 }
 
+// stamp renders unix seconds as the downloader stamps a thumbnail.
+func stamp(unix int64) string { return time.Unix(unix, 0).UTC().Format(time.RFC3339) }
+
+// bucketSpy is an object store that remembers every bucket written to.
+type bucketSpy struct {
+	objstore.API
+	mu      sync.Mutex
+	buckets map[string]bool
+}
+
+func (s *bucketSpy) Put(bucket, key string, data []byte, meta map[string]string) string {
+	s.mu.Lock()
+	s.buckets[bucket] = true
+	s.mu.Unlock()
+	return s.API.Put(bucket, key, data, meta)
+}
+
 // TestCorruptThumbnailAheadQuarantinedOnce stores an undecodable body
 // mid-run: its background extraction judges it corrupt, and the merge — not
-// the background — quarantines it, once.
+// the background — counts it, once, and deletes it like every other
+// thumbnail: the bucket ends empty and nothing is written anywhere else.
 func TestCorruptThumbnailAheadQuarantinedOnce(t *testing.T) {
 	c, p := newHandCDN(t, 2)
+	spy := &bucketSpy{API: p.Objects, buckets: map[string]bool{}}
+	p.Objects, p.Downloaders[0].Store = spy, spy
 	c.tick(t, p, 0)
 	cut := c.good[:len(c.good)/2]
 	c.body.Store(&cut)
 	c.tick(t, p, 1)
-	if n := p.Objects.Size(QuarantineBucket); n != 0 {
-		t.Fatalf("%d objects quarantined before the merge", n)
+	if p.Quarantined != 0 || p.Objects.Size(download.ThumbBucket) != 2 {
+		t.Fatalf("before the merge: quarantined %d, %d thumbnails stored; want 0, 2",
+			p.Quarantined, p.Objects.Size(download.ThumbBucket))
 	}
 	c.body.Store(&c.good)
 	c.tick(t, p, 2)
 	for round := 0; round < 2; round++ { // a second drain finds nothing to do again
 		p.ProcessThumbnails()
-		if p.Quarantined != 1 || p.Processed != 2 || p.Objects.Size(QuarantineBucket) != 1 ||
-			p.Objects.Size(download.ThumbBucket) != 0 {
-			t.Fatalf("drain %d: quarantined %d (bucket %d), processed %d, %d thumbnails left; want 1 (1), 2, 0", round,
-				p.Quarantined, p.Objects.Size(QuarantineBucket), p.Processed, p.Objects.Size(download.ThumbBucket))
+		if p.Quarantined != 1 || p.Processed != 2 || p.Objects.Size(download.ThumbBucket) != 0 {
+			t.Fatalf("drain %d: quarantined %d, processed %d, %d thumbnails left; want 1, 2, 0", round,
+				p.Quarantined, p.Processed, p.Objects.Size(download.ThumbBucket))
 		}
 	}
-	if _, err := p.Objects.Get(QuarantineBucket, c.key(1)); err != nil {
-		t.Fatalf("the corrupt thumbnail is not in quarantine: %v", err)
+	if len(spy.buckets) != 1 || !spy.buckets[download.ThumbBucket] {
+		t.Fatalf("buckets written: %v, want only %s", spy.buckets, download.ThumbBucket)
 	}
 }
 

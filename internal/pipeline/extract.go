@@ -18,7 +18,7 @@ const (
 	OutcomeZero     = "zero"         // waiting-lobby placeholder 0
 	OutcomeMiss     = "miss"         // OCR could not read the overlay
 	OutcomeUnknown  = "unknown_game" // decoded fine, game not recognized
-	OutcomeCorrupt  = "corrupt"      // PGM failed to decode
+	OutcomeCorrupt  = "corrupt"      // PGM failed to decode, or no readable stamp
 )
 
 // ThumbResult is the pure outcome of extracting one thumbnail — computed by
@@ -37,17 +37,17 @@ type ThumbResult struct {
 	Streamer string `json:"streamer,omitempty"`
 	Login    string `json:"login,omitempty"`
 	Game     string `json:"game,omitempty"`
-	At       string `json:"at,omitempty"`
-	AtUnix   int64  `json:"atUnix,omitempty"`
-	AtOK     bool   `json:"atOK,omitempty"`
+	AtUnix   int64  `json:"atUnix,omitempty"` // the download stamp, unix seconds
 }
 
 // ExtractThumb runs the pure extraction for one thumbnail object: game
 // lookup, PGM decode of the rows the game's latency display occupies, OCR
 // pipeline. The whole object is validated (header, and every pixel byte
 // present) but only the crop is copied out of it; an object of an unknown
-// game is validated and no pixel of it read. No state outside the
-// extractor's internal pools is touched.
+// game is validated and no pixel of it read. An object of a known game
+// whose "at" stamp does not parse is corrupt: the downloader stamps every
+// thumbnail it stores, and a reading needs its instant. No state outside
+// the extractor's internal pools is touched.
 func ExtractThumb(x *imageproc.Extractor, obj *objstore.Object) ThumbResult {
 	r := ThumbResult{Key: obj.Key}
 	game := games.ByName(obj.Meta["game"])
@@ -57,10 +57,9 @@ func ExtractThumb(x *imageproc.Extractor, obj *objstore.Object) ThumbResult {
 	}
 	crop, err := imaging.DecodePGMRect(obj.Data, rect)
 	if err != nil {
-		// Undecodable PGM (truncated or bit-corrupted download): flag for
-		// quarantine rather than feeding garbage to OCR. Corrupt is judged
-		// before the game is: a corrupt object of an unknown game is
-		// quarantined too.
+		// Undecodable PGM (truncated or bit-corrupted download): counted and
+		// deleted rather than fed to OCR. Corrupt is judged before the game
+		// is: a corrupt object of an unknown game is corrupt too.
 		r.Outcome = OutcomeCorrupt
 		return r
 	}
@@ -69,15 +68,18 @@ func ExtractThumb(x *imageproc.Extractor, obj *objstore.Object) ThumbResult {
 		r.Outcome = OutcomeUnknown
 		return r
 	}
+	at, err := time.Parse(time.RFC3339, obj.Meta["at"])
+	if err != nil {
+		imaging.Recycle(crop)
+		r.Outcome = OutcomeCorrupt
+		return r
+	}
 	ex := x.ExtractCrop(crop, game)
 	imaging.Recycle(crop)
 	r.Streamer = obj.Meta["streamer"]
 	r.Login = obj.Meta["login"]
 	r.Game = game.Name
-	r.At = obj.Meta["at"]
-	if t, err := time.Parse(time.RFC3339, r.At); err == nil {
-		r.AtUnix, r.AtOK = t.Unix(), true
-	}
+	r.AtUnix = at.Unix()
 	switch {
 	case ex.OK:
 		r.Outcome = OutcomeMeasured
@@ -119,8 +121,8 @@ func (p *Pipeline) IngestResult(r ThumbResult, ctx trace.Context) {
 		anon := p.Anonymize(r.Streamer)
 		// The row keeps the pseudonym only; the login waits for the
 		// location lookup in the pending-location hash below.
-		m := docstore.Measurement{Streamer: anon, Game: r.Game, At: r.At,
-			AtUnix: r.AtUnix, AtOK: r.AtOK, Ms: r.Ms, Alt: r.Alt, HasAlt: r.HasAlt}
+		m := docstore.Measurement{Streamer: anon, Game: r.Game,
+			AtUnix: r.AtUnix, Ms: r.Ms, Alt: r.Alt, HasAlt: r.HasAlt}
 		if ctx.Valid() {
 			// The row carries the span's context until PublishAt closes
 			// the journey.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"tero/internal/download"
 	"tero/internal/games"
 	"tero/internal/imageproc"
 	"tero/internal/imaging"
@@ -13,8 +14,8 @@ import (
 )
 
 // extractThumbWhole is ExtractThumb as it stood when it decoded the whole
-// thumbnail to crop fifteen rows of it: DecodePGM, game lookup, Extract. It
-// is the oracle the rows-only path is held to.
+// thumbnail to crop fifteen rows of it: DecodePGM, game lookup, stamp,
+// Extract. It is the oracle the rows-only path is held to.
 func extractThumbWhole(x *imageproc.Extractor, obj *objstore.Object) ThumbResult {
 	r := ThumbResult{Key: obj.Key}
 	game := games.ByName(obj.Meta["game"])
@@ -28,11 +29,13 @@ func extractThumbWhole(x *imageproc.Extractor, obj *objstore.Object) ThumbResult
 		r.Outcome = OutcomeUnknown
 		return r
 	}
-	ex := x.Extract(img, game)
-	r.Streamer, r.Login, r.Game, r.At = obj.Meta["streamer"], obj.Meta["login"], game.Name, obj.Meta["at"]
-	if t, err := time.Parse(time.RFC3339, r.At); err == nil {
-		r.AtUnix, r.AtOK = t.Unix(), true
+	at, err := time.Parse(time.RFC3339, obj.Meta["at"])
+	if err != nil {
+		r.Outcome = OutcomeCorrupt
+		return r
 	}
+	ex := x.Extract(img, game)
+	r.Streamer, r.Login, r.Game, r.AtUnix = obj.Meta["streamer"], obj.Meta["login"], game.Name, at.Unix()
 	switch {
 	case ex.OK:
 		r.Outcome, r.Ms = OutcomeMeasured, float64(ex.Value)
@@ -73,17 +76,22 @@ func TestExtractThumbMatchesWholeDecode(t *testing.T) {
 }
 
 // TestExtractThumbHostileObjects: what the downloader can store that is not
-// a rendered thumbnail of a known game. Corrupt is judged before the game
-// is, whatever the rectangle; nothing panics.
+// a rendered, stamped thumbnail of a known game. Corrupt is judged before
+// the game is, whatever the rectangle; a known game's thumbnail without a
+// readable "at" stamp is corrupt too; nothing panics.
 func TestExtractThumbHostileObjects(t *testing.T) {
 	good := extractCorpus(t, 1)[0]
 	pgm := func(w, h int) []byte {
 		return append([]byte(fmt.Sprintf("P5\n%d %d\n255\n", w, h)), make([]byte, w*h)...)
 	}
-	with := func(data []byte, game string) *objstore.Object {
-		meta := map[string]string{"streamer": "s1", "login": "l1", "game": game, "at": "2026-01-01T20:00:00Z"}
+	stamped := func(data []byte, game, at string) *objstore.Object {
+		meta := map[string]string{"streamer": "s1", "login": "l1", "game": game}
+		if at != "" {
+			meta["at"] = at
+		}
 		return &objstore.Object{Key: "s1/0.pgm", Data: data, Meta: meta}
 	}
+	with := func(data []byte, game string) *objstore.Object { return stamped(data, game, "2026-01-01T20:00:00Z") }
 	known := good.Meta["game"]
 	cases := []struct {
 		name string
@@ -105,6 +113,10 @@ func TestExtractThumbHostileObjects(t *testing.T) {
 		{"1x65536", with(pgm(1, 65536), known), OutcomeMiss},
 		{"a thumbnail narrower than the crop", with(pgm(230, 180), known), OutcomeMiss},
 		{"oversized header numerals", with([]byte("P5\n99999999999999999999 1\n255\n"), known), OutcomeCorrupt},
+		{"no stamp", stamped(good.Data, known, ""), OutcomeCorrupt},
+		{"garbled stamp", stamped(good.Data, known, "yesterday"), OutcomeCorrupt},
+		{"stamp not RFC 3339", stamped(good.Data, known, "2026-01-01 20:00:00"), OutcomeCorrupt},
+		{"unknown game, no stamp", stamped(good.Data, "Pong", ""), OutcomeUnknown},
 	}
 	x := imageproc.New()
 	for _, tc := range cases {
@@ -118,5 +130,25 @@ func TestExtractThumbHostileObjects(t *testing.T) {
 	}
 	if got, want := ExtractThumb(x, with(append(append([]byte(nil), good.Data...), "trailer"...), known)), ExtractThumb(x, with(good.Data, known)); got != want {
 		t.Errorf("trailing bytes changed the result: %+v, want %+v", got, want)
+	}
+}
+
+// TestUnstampedThumbnailIsCorrupt: a thumbnail of a known game whose "at"
+// stamp does not parse has no instant for its reading. A drain counts it
+// once as corrupt, writes no row and no pending-location entry, and deletes
+// it.
+func TestUnstampedThumbnailIsCorrupt(t *testing.T) {
+	good := extractCorpus(t, 1)[0]
+	p := New("http://unused.invalid", 1)
+	meta := map[string]string{"streamer": "s1", "login": "l1", "game": good.Meta["game"], "at": "yesterday"}
+	p.Objects.Put(download.ThumbBucket, "s1/0.pgm", good.Data, meta)
+	for round := 0; round < 2; round++ { // a second drain finds nothing to do
+		p.ProcessThumbnails()
+		rows, _ := p.Docs.After(0)
+		pending := len(p.KV.HGetAll("pending-location"))
+		if p.Quarantined != 1 || p.Processed != 0 || len(rows) != 0 || pending != 0 || p.Objects.Size(download.ThumbBucket) != 0 {
+			t.Fatalf("drain %d: quarantined %d, processed %d, %d rows, %d pending, %d thumbnails left; want 1, 0, 0, 0, 0",
+				round, p.Quarantined, p.Processed, len(rows), pending, p.Objects.Size(download.ThumbBucket))
+		}
 	}
 }

@@ -61,7 +61,7 @@ var (
 	mStreams     = obs.G("pipeline_streams_built")
 	mPendingQ    = obs.G("pipeline_pending_location")
 
-	// Where TakeExtractions found each thumbnail's extraction: done by the
+	// Where takeExtractions found each thumbnail's extraction: done by the
 	// time it asked, still in flight (it waited, for hExtractWait), or never
 	// started ahead (extracted inline).
 	mAheadReady  = obs.C(obs.Lbl("pipeline_extract_ahead_total", "state", "ready"))
@@ -69,12 +69,6 @@ var (
 	mAheadInline = obs.C(obs.Lbl("pipeline_extract_ahead_total", "state", "inline"))
 	hExtractWait = obs.H("pipeline_extract_wait_seconds", obs.DurationBuckets)
 )
-
-// QuarantineBucket holds thumbnails that failed to decode (truncated or
-// bit-corrupted PGMs slipping past the download-path digest check): they
-// are counted and moved aside instead of poisoning OCR downstream, and kept
-// for post-mortem inspection rather than silently deleted.
-const QuarantineBucket = "thumbs-quarantine"
 
 // Pipeline is a fully wired Tero instance.
 type Pipeline struct {
@@ -100,8 +94,8 @@ type Pipeline struct {
 	// Stats.
 	Processed, Extracted, Zero, Missed int
 	Located, Unlocated                 int
-	// Quarantined counts corrupt (undecodable) thumbnails moved to
-	// QuarantineBucket instead of being processed.
+	// Quarantined counts corrupt thumbnails (undecodable, or without a
+	// readable download stamp): counted and deleted instead of processed.
 	Quarantined int
 
 	// freshMark is the high-water OCR timestamp (unix seconds) across all
@@ -128,9 +122,9 @@ type Pipeline struct {
 	publishedTo *serve.Builder
 
 	// ahead holds, by thumbnail key, the extractions Tick started and
-	// TakeExtractions has not taken yet; slots bounds how many run at once
+	// takeExtractions has not taken yet; slots bounds how many run at once
 	// (see extractAhead). Both belong to the goroutine that calls Tick and
-	// TakeExtractions.
+	// takeExtractions.
 	ahead map[string]*aheadResult
 	slots chan struct{}
 }
@@ -262,12 +256,12 @@ func (p *Pipeline) TickShare(now time.Time, pollCoordinator bool, alive func() i
 	return nil
 }
 
-// Extraction is a ThumbResult (extract.go) plus what the caller's span needs:
+// extraction is a ThumbResult (extract.go) plus what the caller's span needs:
 // the journey context from the object metadata and, when tracing, when the
 // extraction ran (ahead of the call that takes it, if it rode the download).
 // Span IDs are allocated by whoever records the span, in key order, so trace
 // trees are deterministic.
-type Extraction struct {
+type extraction struct {
 	ThumbResult
 	Trace      string
 	Start, End time.Time
@@ -277,16 +271,16 @@ type Extraction struct {
 // written before done is closed and read only after.
 type aheadResult struct {
 	done     chan struct{}
-	r        Extraction
+	r        extraction
 	panicked any // what extractOne panicked with, if it did
 }
 
 // extractAhead starts extractOne in the background for thumbnails a
 // downloader has just stored, so that OCR rides the download instead of
-// waiting for the next refresh; TakeExtractions takes the results. At most
+// waiting for the next refresh; takeExtractions takes the results. At most
 // par.Workers(p.Concurrency) run at once: with the digest a CRC-32C, the
 // tick phase is socket-bound and needs no core of its own. Only the pure half
-// runs here: every side effect stays with the caller of TakeExtractions. A
+// runs here: every side effect stays with the caller of takeExtractions. A
 // key stored again before it is taken gets a fresh extraction, which
 // replaces the stale one. Nothing has to be closed: a goroutine finishes its
 // one thumbnail and exits, whether or not anyone takes the result.
@@ -307,7 +301,7 @@ func (p *Pipeline) extractAhead(keys []string) {
 		go func() {
 			slots <- struct{}{}
 			defer func() {
-				a.panicked = recover() // re-raised by TakeExtractions
+				a.panicked = recover() // re-raised by takeExtractions
 				<-slots
 				close(a.done)
 			}()
@@ -316,93 +310,74 @@ func (p *Pipeline) extractAhead(keys []string) {
 	}
 }
 
-// ProcessThumbnails drains the thumbnail bucket: extract latency
-// (TakeExtractions), store the measurement, delete the thumbnail — merged in
-// thumbnail-key order, so document IDs, counters and pending-location entries
-// are identical to a serial run. Returns the number processed.
+// ProcessThumbnails drains the thumbnail bucket into this process
+// (DrainThumbnails, merging each result with IngestResult): extract latency,
+// store the measurement, delete the thumbnail — in thumbnail-key order, so
+// document IDs, counters and pending-location entries are identical to a
+// serial run. Returns the number processed.
 func (p *Pipeline) ProcessThumbnails() int {
 	sp := trace.StartStage("pipeline.extract")
 	defer sp.End()
-	results := p.TakeExtractions()
-	if len(results) == 0 {
+	n, _ := p.DrainThumbnails("pipeline.extract", func(r ThumbResult, ctx trace.Context) error {
+		p.IngestResult(r, ctx)
+		return nil
+	})
+	if n == 0 {
 		return 0
 	}
+	mPendingQ.Set(float64(len(p.KV.HGetAll("pending-location"))))
+	plog.Debug("thumbnails processed", "batch", n,
+		"extracted", p.Extracted, "missed", p.Missed, "zero", p.Zero)
+	return n
+}
 
-	// Deterministic merge in key order: counters, documents and
-	// pending-location entries via IngestResult (shared with the
-	// distributed coordinator), object moves and trace spans here.
+// DrainThumbnails settles every thumbnail in the bucket, in key order — the
+// one drain of a single process (ProcessThumbnails) and a fleet worker
+// (dist) alike. For each extraction (takeExtractions) it records the extract
+// span, named span, as a child of the reading's journey (rooted at
+// download.fetch) and finishes the journey unless the reading was measured —
+// measured readings stay open until publish. It then hands the result and
+// the span's context to sink, which merges or pushes it, and deletes the
+// thumbnail (§7: as soon as it is processed), a corrupt one included. A
+// sink error stops the drain with that thumbnail still in the bucket; the
+// error is returned with the number settled before it.
+func (p *Pipeline) DrainThumbnails(span string, sink func(ThumbResult, trace.Context) error) (int, error) {
+	results := p.takeExtractions()
 	for i := range results {
 		r := &results[i]
-		key := r.Key
-		// The reading's journey (rooted at download.fetch) continues here:
-		// record the extract span as a child of the propagated context.
-		// Readings that die in this stage have their journey finished now;
-		// measured readings stay open until publish.
 		jctx, _ := trace.ParseTraceparent(r.Trace)
-		switch r.Outcome {
-		case OutcomeCorrupt:
-			// Corrupt thumbnail: count it and move it aside so it cannot
-			// poison OCR; the pipeline keeps going on the healthy rest.
-			p.IngestResult(r.ThumbResult, trace.Context{})
-			p.Quarantine(key)
-			trace.RecordSpan(jctx, "pipeline.extract", r.Start, r.End,
-				"corrupt thumbnail: pgm decode failed", trace.A("key", key))
-			trace.Finish(jctx.TraceID)
-			continue
-		case OutcomeMeasured:
-			ec := trace.RecordSpan(jctx, "pipeline.extract",
-				r.Start, r.End, "", trace.A("game", r.Game))
-			p.IngestResult(r.ThumbResult, ec)
-		case OutcomeZero:
-			p.IngestResult(r.ThumbResult, trace.Context{})
-			trace.RecordSpan(jctx, "pipeline.extract", r.Start, r.End, "",
-				trace.A("outcome", "lobby_zero"))
-			trace.Finish(jctx.TraceID)
-		case OutcomeMiss:
-			p.IngestResult(r.ThumbResult, trace.Context{})
-			trace.RecordSpan(jctx, "pipeline.extract", r.Start, r.End, "",
-				trace.A("outcome", "ocr_miss"))
-			trace.Finish(jctx.TraceID)
-		default: // OutcomeUnknown
-			// Decoded fine but the game is not recognized: journey ends.
-			trace.RecordSpan(jctx, "pipeline.extract", r.Start, r.End, "",
-				trace.A("outcome", "unknown_game"))
+		errMsg := ""
+		if r.Outcome == OutcomeCorrupt {
+			errMsg = "corrupt thumbnail"
+		}
+		ec := trace.RecordSpan(jctx, span, r.Start, r.End, errMsg, trace.A("outcome", r.Outcome))
+		if r.Outcome != OutcomeMeasured {
 			trace.Finish(jctx.TraceID)
 		}
-		// §7: delete the thumbnail as soon as it is processed.
-		p.Objects.Delete(download.ThumbBucket, key)
+		if err := sink(r.ThumbResult, ec); err != nil {
+			return i, err
+		}
+		if r.Outcome == OutcomeCorrupt {
+			plog.Warn("deleted corrupt thumbnail", "key", r.Key)
+		}
+		p.Objects.Delete(download.ThumbBucket, r.Key)
 	}
-	mPendingQ.Set(float64(len(p.KV.HGetAll("pending-location"))))
-	plog.Debug("thumbnails processed", "batch", len(results),
-		"extracted", p.Extracted, "missed", p.Missed, "zero", p.Zero)
-	return len(results)
+	return len(results), nil
 }
 
-// Quarantine moves the thumbnail stored under key from the thumbnail bucket
-// to QuarantineBucket: run by whichever process decoded it corrupt, a single
-// process or a fleet worker.
-func (p *Pipeline) Quarantine(key string) {
-	if obj, err := p.Objects.Get(download.ThumbBucket, key); err == nil {
-		p.Objects.Put(QuarantineBucket, key, obj.Data, obj.Meta)
-	}
-	p.Objects.Delete(download.ThumbBucket, key)
-	plog.Warn("quarantined corrupt thumbnail", "key", key)
-}
-
-// TakeExtractions returns the extraction of every thumbnail in the bucket, in
-// key order, and merges nothing: the caller merges (ProcessThumbnails) or
-// pushes (a fleet worker) each result, then deletes the thumbnail. A key gone
+// takeExtractions returns the extraction of every thumbnail in the bucket, in
+// key order, and merges nothing: DrainThumbnails settles each one. A key gone
 // before it was read is left out. Extraction (PGM decode → OCR → vote) fans
 // out to the worker pool — each worker takes the result extractAhead has for
 // the key, waiting if it is in flight (a panic there is re-raised here, under
 // par.For's rule), and extracts only what was never started.
-func (p *Pipeline) TakeExtractions() []Extraction {
+func (p *Pipeline) takeExtractions() []extraction {
 	keys := p.Objects.List(download.ThumbBucket, "")
 	if len(keys) == 0 {
 		return nil
 	}
 	traced := trace.Enabled()
-	results := make([]Extraction, len(keys))
+	results := make([]extraction, len(keys))
 	par.For("extract", par.Workers(p.Concurrency), len(keys), func(i int) {
 		a := p.ahead[keys[i]]
 		if a == nil {
@@ -425,14 +400,14 @@ func (p *Pipeline) TakeExtractions() []Extraction {
 		results[i] = a.r
 	})
 	clear(p.ahead) // every key stored before the List above has been taken
-	return slices.DeleteFunc(results, func(r Extraction) bool { return r.Outcome == "" })
+	return slices.DeleteFunc(results, func(r extraction) bool { return r.Outcome == "" })
 }
 
 // extractOne runs the pure extraction for one thumbnail key: object read,
 // PGM decode, OCR pipeline, timed when traced. No pipeline state is mutated.
-// A key whose object is gone yields an Extraction with no Outcome.
-func (p *Pipeline) extractOne(key string, traced bool) Extraction {
-	var r Extraction
+// A key whose object is gone yields an extraction with no Outcome.
+func (p *Pipeline) extractOne(key string, traced bool) extraction {
+	var r extraction
 	if traced {
 		r.Start = time.Now()
 	}
@@ -676,17 +651,13 @@ const streamGap = 35 * time.Minute
 
 // pointOf converts a stored measurement into a core.Point. The timestamp
 // is AtUnix, parsed once at extraction so the analysis never re-parses
-// RFC3339 strings; a measurement whose "at" did not parse has no time and is
-// skipped.
-func pointOf(m docstore.Measurement) (core.Point, bool) {
-	if !m.AtOK {
-		return core.Point{}, false
-	}
+// RFC3339 strings.
+func pointOf(m docstore.Measurement) core.Point {
 	pt := core.Point{T: time.Unix(m.AtUnix, 0).UTC(), Ms: m.Ms}
 	if m.HasAlt {
 		pt.Alt, pt.HasAlt = m.Alt, true
 	}
-	return pt, true
+	return pt
 }
 
 // BuildStreams groups stored measurements into streams (§3.3.1): per
@@ -710,9 +681,7 @@ func (p *Pipeline) BuildStreams() []core.Stream {
 func (p *Pipeline) streamsOf(streamer string) []core.Stream {
 	byGame := make(map[string][]core.Point)
 	for _, m := range p.Docs.Of(streamer) {
-		if pt, ok := pointOf(m); ok {
-			byGame[m.Game] = append(byGame[m.Game], pt)
-		}
+		byGame[m.Game] = append(byGame[m.Game], pointOf(m))
 	}
 	games := make([]string, 0, len(byGame))
 	for g := range byGame {

@@ -65,7 +65,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	// of a single drain at the end.
 	h := sha256.New()
 	for _, m := range rows {
-		fmt.Fprintf(h, "%s|%s|%s|%d|%v|%t|%v\n", m.Streamer, m.Game, m.At, m.AtUnix, m.Ms, m.HasAlt, m.Alt)
+		fmt.Fprintf(h, "%s|%s|%s|%d|%v|%t|%v\n", m.Streamer, m.Game, stamp(m.AtUnix), m.AtUnix, m.Ms, m.HasAlt, m.Alt)
 	}
 	const readingsDigest = "85147be6b261cbd068052040edb6a2d4733bdccbf96e56a95af8b4efebbcdb10"
 	if got := hex.EncodeToString(h.Sum(nil)); len(rows) != 1022 || got != readingsDigest {

@@ -96,7 +96,7 @@ func (p *Pipeline) finalizeReadings(now time.Time, tA0, tA1, tP1 time.Time) {
 	p.freshSeq = seq
 	for _, m := range rows {
 		au := m.AtUnix
-		if !m.AtOK || au <= p.freshMark {
+		if au <= p.freshMark {
 			continue
 		}
 		newMark = max(newMark, au)

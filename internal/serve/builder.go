@@ -16,7 +16,7 @@ type group struct {
 	key      string // EntryKey of gk; the entry shares the string
 	gk       core.GroupKey
 	analyses []*core.Analysis
-	entry    *Entry // nil before the first render and below MinPoints
+	entry    *Entry // nil before the first render and for an empty distribution
 	dirty    bool   // analyses changed since entry was rendered
 }
 
@@ -39,9 +39,6 @@ type Builder struct {
 	// Params are the analysis parameters distributions are derived with
 	// (core.Distribution needs them for cluster merging).
 	Params core.Params
-	// MinPoints is the minimum distribution size for a {location, game}
-	// to be served (default 1: serve everything non-empty).
-	MinPoints int
 	// Concurrency is the worker parallelism of Build. 0 means GOMAXPROCS,
 	// 1 is fully serial. Output is identical at every setting.
 	Concurrency int
@@ -55,12 +52,11 @@ type Builder struct {
 	// The previous Build's product and the settings it was rendered with.
 	last       *Snapshot
 	lastParams core.Params
-	lastMin    int
 }
 
 // NewBuilder returns a builder with the given analysis parameters.
 func NewBuilder(p core.Params) *Builder {
-	return &Builder{Params: p, MinPoints: 1}
+	return &Builder{Params: p}
 }
 
 // groupKeyOf returns the group an analysis is served under. ok is false for
@@ -144,8 +140,8 @@ func (b *Builder) Reset() {
 // Build renders the groups that changed since the previous Build and
 // returns a snapshot of every servable entry in key order. Entries of
 // unchanged groups are the previous snapshot's own; when nothing changed at
-// all, so is the snapshot. A change of Params or MinPoints between builds
-// dirties every group, since every entry depends on both.
+// all, so is the snapshot. A change of Params between builds dirties every
+// group, since every entry depends on them.
 func (b *Builder) Build() *Snapshot {
 	sp := trace.StartStage("serve.build")
 	defer sp.End()
@@ -153,8 +149,7 @@ func (b *Builder) Build() *Snapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 
-	minPoints := max(b.MinPoints, 1)
-	if b.last != nil && (b.Params != b.lastParams || minPoints != b.lastMin) {
+	if b.last != nil && b.Params != b.lastParams {
 		for _, g := range b.order {
 			b.markDirty(g)
 		}
@@ -162,14 +157,14 @@ func (b *Builder) Build() *Snapshot {
 	if len(b.dirty) == 0 && b.last != nil {
 		return b.last
 	}
-	b.lastParams, b.lastMin = b.Params, minPoints
+	b.lastParams = b.Params
 
 	// Parallel half: each entry is computed purely from its own group.
 	dirty := b.dirty
 	b.dirty = nil
 	par.For("serve.build", par.Workers(b.Concurrency), len(dirty), func(i int) {
 		g := dirty[i]
-		g.entry = newEntry(g.key, g.gk, g.analyses, b.Params, minPoints)
+		g.entry = newEntry(g.key, g.gk, g.analyses, b.Params)
 		g.dirty = false
 	})
 
@@ -188,7 +183,7 @@ func (b *Builder) Build() *Snapshot {
 	}
 	entries := make([]*Entry, 0, len(b.order))
 	for _, g := range b.order {
-		if g.entry != nil { // groups below MinPoints are not served
+		if g.entry != nil { // an empty distribution is not served
 			entries = append(entries, g.entry)
 		}
 	}

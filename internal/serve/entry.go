@@ -185,11 +185,10 @@ type CompareResponse struct {
 
 // newEntry computes the full read-optimized record for one {location, game}
 // group; key is EntryKey of gk. It returns nil when the group's distribution
-// has fewer than minPoints samples. Pure: depends only on its arguments.
-func newEntry(key string, gk core.GroupKey, analyses []*core.Analysis,
-	p core.Params, minPoints int) *Entry {
+// is empty. Pure: depends only on its arguments.
+func newEntry(key string, gk core.GroupKey, analyses []*core.Analysis, p core.Params) *Entry {
 	dist := core.Distribution(analyses, p)
-	if len(dist) < minPoints || len(dist) == 0 {
+	if len(dist) == 0 {
 		return nil
 	}
 	sorted := append([]float64(nil), dist...)

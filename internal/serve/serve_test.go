@@ -511,18 +511,3 @@ func TestKeys(t *testing.T) {
 		t.Fatal("SplitPairKey accepted malformed input")
 	}
 }
-
-func TestMinPoints(t *testing.T) {
-	b := testBuilder()
-	b.MinPoints = 20
-	snap := b.Build()
-	for _, e := range snap.Entries {
-		if e.N() < 20 {
-			t.Fatalf("entry %s has %d < MinPoints points", e.Key, e.N())
-		}
-	}
-	// Quebec LoL (12 points) must be gone.
-	if _, ok := snap.Lookup(EntryKey(locQuebec, "League of Legends")); ok {
-		t.Fatal("MinPoints did not filter small distribution")
-	}
-}

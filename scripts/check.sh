@@ -99,7 +99,7 @@ go test -race -count=5 -run '^TestIncrementalPublishMatchesFromScratch$' ./inter
 echo "== extraction ahead of the merge: same tables at 1, 2 and 8 workers, no goroutine left (-race -count=5) =="
 # The background extractions Tick starts (DESIGN.md §6) against several
 # interleavings: the Tick-driven loop byte-identical to the serial one, a
-# re-stored key extracted again, a corrupt one quarantined once, a panic
+# re-stored key extracted again, a corrupt one counted once and deleted, a panic
 # re-raised by the drain, and the goroutine count back at its baseline.
 go test -race -count=5 -run '^(TestExtractAheadDeterminism|TestConcurrencyDeterminism|TestExtractAheadGoroutines|TestRestoredKeyIsExtractedAgain|TestCorruptThumbnailAheadQuarantinedOnce|TestStagePanicRecovery)$' ./internal/pipeline
 go test -race -count=5 -run '^TestForEachPanicRecovery$' ./internal/par
@@ -199,11 +199,13 @@ if grep '^counter pipeline_worker_panics_total' "$CHAOS" | grep -qv ' 0$'; then
     echo "faulted run recorded worker panics" >&2
     exit 1
 fi
-# The downloader's digest check must catch every corrupted body: the
-# quarantine downstream would hide a digest that stopped verifying. The CDN
-# corrupts only a body it sends whole and with its seq header, and the
-# downloader checks the digest before it recognises a repeat, so every
-# corrupted body reaches the check: caught == sent, and at least one.
+# The downloader's digest check must catch every corrupted body: a drain
+# counts and deletes a corrupt thumbnail like any other, so one that got
+# past the download path would cost a reading without failing anything.
+# The CDN corrupts only a body it sends whole and with its seq header, and
+# the downloader checks the digest before it recognises a repeat, so every
+# corrupted body reaches the check: caught == sent, and at least one. With
+# the digest and the Content-Length read, no corrupt body is stored at all.
 counter() { awk -v n="$1" '$1 == "counter" && $2 == n { print $3 }' "$CHAOS"; }
 CORRUPT_SENT=$(counter 'twitchsim_faults_injected_total{kind=corrupt}')
 CORRUPT_CAUGHT=$(counter download_body_corrupt_total)
@@ -211,6 +213,8 @@ if [ "${CORRUPT_CAUGHT:-0}" -lt 1 ] || [ "$CORRUPT_CAUGHT" -ne "${CORRUPT_SENT:-
     echo "digest caught ${CORRUPT_CAUGHT:-0} corrupt bodies of ${CORRUPT_SENT:-0} sent (want 1 <= caught == sent)" >&2
     exit 1
 fi
+grep -qx 'counter pipeline_thumbs_quarantined_total 0' "$CHAOS" \
+    || { echo "faulted run stored a corrupt thumbnail: $(grep '^counter pipeline_thumbs_quarantined_total' "$CHAOS")" >&2; exit 1; }
 # Everything from the "thumbnails processed:" marker to the metrics report
 # is the run's output tables; recovery must keep them byte-identical. The
 # command substitution strips the trailing blank line -metrics introduces.
