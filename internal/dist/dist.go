@@ -112,9 +112,10 @@ func (r Result) Encode() []byte {
 // DecodeResult parses and validates the result document stored under key.
 // The result hash is writable by anything that can reach the store, and
 // what decodes here goes straight to Pipeline.IngestResult — into the
-// counters, pending-location and, for a measured reading, the measurements
-// collection §3.3 analyses — so valid JSON is not enough. A Result is
-// accepted only if it is one ExtractThumb could have produced for that key:
+// counters, the pending location lookups and, for a measured reading, the
+// measurements collection §3.3 analyses — so valid JSON is not enough. A
+// Result is accepted only if it is one ExtractThumb could have produced for
+// that key:
 //
 //   - Outcome is one of the five pipeline.Outcome* constants and Key is key;
 //   - measured, zero and miss (the outcomes filed under a streamer) name the

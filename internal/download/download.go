@@ -75,7 +75,6 @@ const (
 	KeyQueue    = "dl:queue"   // list: assignment JSON waiting for a downloader
 	KeyOffline  = "dl:offline" // list: streamer ids reported offline
 	KeyClaimed  = "dl:claimed" // hash: streamer id -> downloader id
-	KeyTags     = "dl:tags"    // hash: streamer id -> country-level tag
 	ThumbBucket = "thumbs"     // object-store bucket for thumbnails
 )
 
@@ -240,13 +239,23 @@ func (c *APIClient) UserDescription(id string) (login, description string, err e
 type Coordinator struct {
 	KV  kvstore.KV
 	API *APIClient
+
+	// tags holds, by streamer id, the first country-level tag of the
+	// streamer's latest go-live that had one, for the location module's tag
+	// recovery (App. D.2). It is the coordinator's own: no downloader reads
+	// it.
+	tags map[string]string
 }
 
-// NewCoordinator builds a coordinator, recovering active-streamer state
-// from the key-value store after a crash.
+// NewCoordinator builds a coordinator that shares its queue through kv and
+// polls the platform through api.
 func NewCoordinator(kv kvstore.KV, api *APIClient) *Coordinator {
-	return &Coordinator{KV: kv, API: api}
+	return &Coordinator{KV: kv, API: api, tags: make(map[string]string)}
 }
+
+// Tag returns the country-level tag the streamer id last went live with,
+// or "" if it never had one. It must not run during a PollOnce.
+func (c *Coordinator) Tag(id string) string { return c.tags[id] }
 
 // PollOnce queries the API once, enqueues newly live streamers and
 // processes offline notices from downloaders. A refused
@@ -281,10 +290,8 @@ func (c *Coordinator) PollOnce() error {
 		}
 		c.KV.HSet(KeyActive, row.UserID, a.encode())
 		c.KV.RPush(KeyQueue, a.encode())
-		// Country-level tags feed the location module's tag recovery
-		// (App. D.2).
 		if len(row.Tags) > 0 {
-			c.KV.HSet(KeyTags, row.UserID, row.Tags[0])
+			c.tags[row.UserID] = row.Tags[0]
 		}
 		newly++
 	}

@@ -23,7 +23,7 @@ func storeRow(t *testing.T, tab *Table, match func(row []string) bool, col int) 
 // run, with the recovery machinery demonstrably exercised (replay counters
 // advanced, live connections cut and redialled).
 func TestChaosStoreRecoveryExact(t *testing.T) {
-	tabs, err := Run("chaos-store", Options{Seed: 5, Scale: 0.1, Concurrency: 4})
+	tabs, err := Run("chaos-store", Options{Seed: 5, Scale: 0.14, Concurrency: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

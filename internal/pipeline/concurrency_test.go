@@ -57,7 +57,7 @@ func driveLoop(t *testing.T, downloaders, concurrency int) string {
 	// partial round.
 	_, p := driveWorld(t, 5, 60, 100, downloaders, concurrency, func(p *Pipeline, now time.Time) {
 		// fmt prints a map in key order.
-		fmt.Fprintf(&sb, "processed %d pending %v\n", p.Processed, p.KV.HGetAll("pending-location"))
+		fmt.Fprintf(&sb, "processed %d pending %v\n", p.Processed, p.pending)
 		p.LocateStreamers(now)
 		p.PublishAt(b, params, now)
 		for _, e := range b.Build().Entries {
@@ -86,8 +86,8 @@ func snapshot(p *Pipeline) string {
 		for _, pt := range s.Points {
 			sum += pt.Ms
 		}
-		fmt.Fprintf(&sb, "stream %s %s %q %d %s %s %.6f\n",
-			s.Streamer, s.Game, encodeLocation(s.Location), len(s.Points),
+		fmt.Fprintf(&sb, "stream %s %s %+v %d %s %s %.6f\n",
+			s.Streamer, s.Game, s.Location, len(s.Points),
 			s.Points[0].T.Format(time.RFC3339),
 			s.Points[len(s.Points)-1].T.Format(time.RFC3339), sum)
 	}

@@ -97,7 +97,7 @@ func ExtractThumb(x *imageproc.Extractor, obj *objstore.Object) ThumbResult {
 
 // IngestResult applies the serial merge half for one extracted thumbnail:
 // counters, measurement insert (it is the only writer of the measurement
-// table), the pending-location entry. ctx, when
+// table), the streamer's pending location lookup. ctx, when
 // valid, is the span context the stored measurement propagates (the extract
 // span locally; a dist.ingest span when the result crossed a process
 // boundary). Callers are responsible for calling in a deterministic order —
@@ -120,7 +120,7 @@ func (p *Pipeline) IngestResult(r ThumbResult, ctx trace.Context) {
 		mExtracted.Inc()
 		anon := p.Anonymize(r.Streamer)
 		// The row keeps the pseudonym only; the login waits for the
-		// location lookup in the pending-location hash below.
+		// location lookup among the pending ones below.
 		m := docstore.Measurement{Streamer: anon, Game: r.Game,
 			AtUnix: r.AtUnix, Ms: r.Ms, Alt: r.Alt, HasAlt: r.HasAlt}
 		if ctx.Valid() {
@@ -139,5 +139,5 @@ func (p *Pipeline) IngestResult(r ThumbResult, ctx trace.Context) {
 	}
 	// Remember which platform ID maps to the pseudonym until the location
 	// lookup has run, then forget (see LocateStreamers).
-	p.KV.HSet("pending-location", r.Streamer, r.Login)
+	p.pending[r.Streamer] = r.Login
 }

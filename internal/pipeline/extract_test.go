@@ -135,7 +135,7 @@ func TestExtractThumbHostileObjects(t *testing.T) {
 
 // TestUnstampedThumbnailIsCorrupt: a thumbnail of a known game whose "at"
 // stamp does not parse has no instant for its reading. A drain counts it
-// once as corrupt, writes no row and no pending-location entry, and deletes
+// once as corrupt, writes no row and pends no location lookup, and deletes
 // it.
 func TestUnstampedThumbnailIsCorrupt(t *testing.T) {
 	good := extractCorpus(t, 1)[0]
@@ -145,7 +145,7 @@ func TestUnstampedThumbnailIsCorrupt(t *testing.T) {
 	for round := 0; round < 2; round++ { // a second drain finds nothing to do
 		p.ProcessThumbnails()
 		rows, _ := p.Docs.After(0)
-		pending := len(p.KV.HGetAll("pending-location"))
+		pending := len(p.pending)
 		if p.Quarantined != 1 || p.Processed != 0 || len(rows) != 0 || pending != 0 || p.Objects.Size(download.ThumbBucket) != 0 {
 			t.Fatalf("drain %d: quarantined %d, processed %d, %d rows, %d pending, %d thumbnails left; want 1, 0, 0, 0, 0",
 				round, p.Quarantined, p.Processed, len(rows), pending, p.Objects.Size(download.ThumbBucket))

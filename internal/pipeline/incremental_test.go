@@ -168,7 +168,7 @@ func TestIncrementalPublishMatchesFromScratch(t *testing.T) {
 			// look: a mover is then seen at both addresses, not only at the
 			// one held when a first thumbnail came in.
 			for _, st := range world.Streamers {
-				p.KV.HSet("pending-location", st.ID, st.Username)
+				p.pending[st.ID] = st.Username
 			}
 			p.LocateStreamers(platform.Now())
 			publish()

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tero/internal/core"
-	"tero/internal/kvstore"
 	"tero/internal/obs"
 )
 
@@ -63,8 +62,7 @@ func TestStagePanicRecovery(t *testing.T) {
 	// (no API client: the lookup dereferences nil) cannot leave it lowered.
 	prevW := obs.SetLogOutput(nil)
 	defer obs.SetLogOutput(prevW)
-	p := &Pipeline{Concurrency: 16, KV: kvstore.New()}
-	p.KV.HSet("pending-location", "id-1", "login-1")
+	p := &Pipeline{Concurrency: 16, pending: map[string]string{"id-1": "login-1"}}
 	func() {
 		defer func() {
 			if msg, _ := recover().(string); !strings.Contains(msg, "stage locate") {

@@ -5,13 +5,16 @@
 // the document store and delete the thumbnail (§7: intermediate data is
 // deleted as soon as it is processed); the location module locates
 // streamers via the API and social endpoints; and the data-analysis module
-// builds streams and runs the §3.3 pipeline.
+// builds streams and runs the §3.3 pipeline. The key-value store carries
+// only what the download fleet shares; the location module's state —
+// pending lookups, each pseudonym's location history — is the pipeline's
+// own, since no other process reads it.
 //
 // Like the paper's deployment, the expensive stages run on a pool of
 // workers (Concurrency): thumbnail extraction, downloader polling, location
 // lookups and per-{streamer, game} analysis all fan out. Determinism is
 // preserved by splitting each stage into a pure parallel part and a serial
-// merge that applies side effects (document inserts, key-value writes,
+// merge that applies side effects (document inserts, location records,
 // stat counters) in the same canonical order as a serial run — output is
 // bit-identical at any concurrency level.
 //
@@ -28,7 +31,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"tero/internal/core"
@@ -90,6 +92,14 @@ type Pipeline struct {
 
 	// Salt for the consistent streamer-ID pseudonymization.
 	Salt string
+
+	// The location module's state, which only this process reads or writes
+	// (the key-value store holds what the fleet shares): pending maps the
+	// real ID of each streamer with measurements not yet looked up to its
+	// login, until LocateStreamers forgets both (§7); located holds what is
+	// known of each pseudonym's location.
+	pending map[string]string
+	located map[string]*locRecord
 
 	// Stats.
 	Processed, Extracted, Zero, Missed int
@@ -161,6 +171,8 @@ func NewWithKV(baseURL string, downloaders int, kv kvstore.KV) *Pipeline {
 		Social:      location.NewHTTPSocial(baseURL),
 		API:         api,
 		Salt:        "tero-reproduction",
+		pending:     make(map[string]string),
+		located:     make(map[string]*locRecord),
 		pairs:       make(map[pairKey]*pair),
 		dirty:       make(map[pairKey]struct{}),
 		moved:       make(map[string]struct{}),
@@ -180,7 +192,6 @@ func NewWithKV(baseURL string, downloaders int, kv kvstore.KV) *Pipeline {
 // as the benchmark's traced passes wrap it in a timing decorator.
 func (p *Pipeline) SetKV(kv kvstore.KV) {
 	p.KV = kv
-	p.analyzed = false // location history lives in the store: re-derive every analysis from the new one
 	p.Coordinator.KV = kv
 	for _, d := range p.Downloaders {
 		d.KV = kv
@@ -313,8 +324,8 @@ func (p *Pipeline) extractAhead(keys []string) {
 // ProcessThumbnails drains the thumbnail bucket into this process
 // (DrainThumbnails, merging each result with IngestResult): extract latency,
 // store the measurement, delete the thumbnail — in thumbnail-key order, so
-// document IDs, counters and pending-location entries are identical to a
-// serial run. Returns the number processed.
+// document IDs, counters and pending lookups are identical to a serial
+// run. Returns the number processed.
 func (p *Pipeline) ProcessThumbnails() int {
 	sp := trace.StartStage("pipeline.extract")
 	defer sp.End()
@@ -325,7 +336,7 @@ func (p *Pipeline) ProcessThumbnails() int {
 	if n == 0 {
 		return 0
 	}
-	mPendingQ.Set(float64(len(p.KV.HGetAll("pending-location"))))
+	mPendingQ.Set(float64(len(p.pending)))
 	plog.Debug("thumbnails processed", "batch", n,
 		"extracted", p.Extracted, "missed", p.Missed, "zero", p.Zero)
 	return n
@@ -427,11 +438,24 @@ func (p *Pipeline) extractOne(key string, traced bool) extraction {
 // distinct end-point in analysis.
 const relocateEvery = 24 * time.Hour
 
-// Outcomes of one locateOne call, merged serially into the counters.
+// locRecord is what the pipeline knows of one pseudonym's location: when it
+// last looked the streamer up, and every location found, oldest first, each
+// entered when the location changed. Instants are unix seconds.
+type locRecord struct {
+	tried int64
+	hist  []locEntry
+}
+
+type locEntry struct {
+	at  int64
+	loc geo.Location
+}
+
+// What the parallel half of LocateStreamers did for one pending streamer.
 const (
-	locNone      = iota // skipped (recent, or API error — stays pending)
-	locLocated          // location found
-	locUnlocated        // first failed attempt recorded
+	lookupKept   = iota // not described (refused, or the lookup failed): stays pending
+	lookupRecent        // looked up less than relocateEvery ago: leaves pending, nothing asked
+	lookupDone          // described and run through the Locator: leaves pending
 )
 
 // LocateStreamers runs the location module for every streamer with pending
@@ -442,25 +466,26 @@ const (
 // the first the quota refuses ends the round (refused), and that streamer
 // and the rest stay pending, as does one whose lookup failed otherwise. So a
 // round describes the same sorted prefix at any Concurrency. The worker pool
-// meanwhile runs the described streamers' social lookups and Locator, each
-// on its own keys; the counters are merged in sorted-streamer order.
+// meanwhile runs the described streamers' social lookups and Locator and
+// writes nothing; the serial merge then applies every lookup in
+// sorted-streamer order.
 func (p *Pipeline) LocateStreamers(now time.Time) (located int, refused bool) {
 	sp := trace.StartStage("pipeline.locate")
 	defer sp.End()
-	pending := p.KV.HGetAll("pending-location")
-	ids := make([]string, 0, len(pending))
-	for realID := range pending {
+	ids := make([]string, 0, len(p.pending))
+	for realID := range p.pending {
 		ids = append(ids, realID)
 	}
 	sort.Strings(ids)
 
 	traced := trace.Enabled()
-	type locResult struct {
-		outcome      int
-		moved        bool
+	type lookup struct {
+		anon         string
+		state        int
+		res          location.Result
 		wstart, wend time.Time
 	}
-	outcomes := make([]locResult, len(ids))
+	lookups := make([]lookup, len(ids))
 	// turn[i] closes once streamer i-1 is past the API, so refused is only
 	// touched in turn. The pool is par.Workers(p.Concurrency) — GOMAXPROCS
 	// when Concurrency is 0 — capped at 8, although the lookups are I/O-bound.
@@ -470,178 +495,102 @@ func (p *Pipeline) LocateStreamers(now time.Time) (located int, refused bool) {
 	}
 	close(turn[0])
 	par.For("locate", min(par.Workers(p.Concurrency), 8), len(ids), func(i int) {
-		o := &outcomes[i]
+		l := &lookups[i]
+		l.anon = p.Anonymize(ids[i])
 		<-turn[i]
-		desc, ok := func() (string, bool) {
+		desc := func() string {
 			defer close(turn[i+1])
 			if refused {
-				return "", false
+				return ""
 			}
 			if traced {
-				o.wstart = time.Now()
+				l.wstart = time.Now()
 			}
-			desc, ok, err := p.describe(ids[i], now)
+			if rec := p.located[l.anon]; rec != nil && now.Sub(time.Unix(rec.tried, 0)) < relocateEvery {
+				l.state = lookupRecent
+				return ""
+			}
+			_, desc, err := p.API.UserDescription(ids[i])
 			refused = errors.Is(err, download.ErrRateLimited)
-			return desc, ok
+			if err == nil {
+				l.state = lookupDone
+			}
+			return desc
 		}()
-		if ok {
-			o.outcome, o.moved = p.locateOne(ids[i], pending[ids[i]], desc, now)
+		if l.state == lookupDone {
+			l.res = p.Locator.Locate(p.pending[ids[i]], desc, p.Coordinator.Tag(ids[i]), p.Social)
 		}
 		if traced {
-			o.wend = time.Now()
+			l.wend = time.Now()
 		}
 	})
 
-	for i, o := range outcomes {
-		switch o.outcome {
-		case locLocated:
-			located++
-			p.Located++
-			mLocated.Inc()
-		case locUnlocated:
-			p.Unlocated++
-			mUnlocated.Inc()
+	at := now.Unix()
+	for i, l := range lookups {
+		outcome := "pending"
+		switch l.state {
+		case lookupRecent:
+			delete(p.pending, ids[i])
+			outcome = "recent"
+		case lookupDone:
+			delete(p.pending, ids[i]) // §7: the real ID is forgotten once looked up
+			p.record(l.anon, at, l.res)
+			outcome = "unlocated"
+			if l.res.OK {
+				located++
+				outcome = "located"
+			}
 		}
-		if o.moved {
-			// Every stream of the streamer resolves its location through
-			// the history that just changed.
-			p.moved[p.Anonymize(ids[i])] = struct{}{}
-		}
-		if traced && !o.wstart.IsZero() {
+		if traced && !l.wstart.IsZero() {
 			// Per-streamer child spans under the stage trace, recorded in
 			// sorted-streamer order. Only the pseudonym is attached (§7).
-			out := [...]string{"pending", "located", "unlocated"}[o.outcome]
 			trace.RecordSpan(sp.Context(), "pipeline.locate_one",
-				o.wstart, o.wend, "",
-				trace.A("streamer", p.Anonymize(ids[i])), trace.A("outcome", out))
+				l.wstart, l.wend, "",
+				trace.A("streamer", l.anon), trace.A("outcome", outcome))
 		}
 	}
-	mPendingQ.Set(float64(len(p.KV.HGetAll("pending-location"))))
+	mPendingQ.Set(float64(len(p.pending)))
 	plog.Debug("location round", "pending", len(ids), "located", located)
 	return located, refused
 }
 
-// describe asks the API for a streamer's profile description, unless it was
-// located less than relocateEvery ago: then it is no longer pending.
-func (p *Pipeline) describe(realID string, now time.Time) (desc string, described bool, err error) {
-	if last, ok := p.KV.Get("locat:" + p.Anonymize(realID)); ok {
-		if t, err := time.Parse(time.RFC3339, last); err == nil &&
-			now.Sub(t) < relocateEvery {
-			p.KV.HDel("pending-location", realID)
-			return "", false, nil
+// record enters one lookup of the streamer anon, made at unix second at, and
+// counts it: Located, or Unlocated the first time only — the "tried,
+// unknown" of a streamer never looked up before.
+func (p *Pipeline) record(anon string, at int64, res location.Result) {
+	rec := p.located[anon]
+	if rec == nil {
+		rec = &locRecord{}
+		p.located[anon] = rec
+		if !res.OK {
+			p.Unlocated++
+			mUnlocated.Inc()
 		}
 	}
-	_, desc, err = p.API.UserDescription(realID)
-	return desc, err == nil, err
-}
-
-// locateOne runs the location procedure for a single described streamer. All
-// key-value writes are under keys derived from this streamer alone. moved
-// reports that the streamer's location history gained an entry (the empty
-// "tried, unknown" marker resolves to no location, as its absence did).
-func (p *Pipeline) locateOne(realID, login, desc string, now time.Time) (outcome int, moved bool) {
-	anon := p.Anonymize(realID)
-	tag, _ := p.KV.HGet(download.KeyTags, realID)
-	res := p.Locator.Locate(login, desc, tag, p.Social)
-	p.KV.Set("locat:"+anon, now.UTC().Format(time.RFC3339))
-	if res.OK {
-		// Record in the history only if the location changed (§3.1.1:
-		// occasionally a streamer advertises a new location — keep both).
-		prev, _ := p.KV.Get("loc:" + anon)
-		if enc := encodeLocation(res.Loc); enc != prev {
-			p.KV.HSet("lochist:"+anon, now.UTC().Format(time.RFC3339), enc)
-			p.KV.Set("loc:"+anon, enc)
-			moved = true
-		}
-		outcome = locLocated
-	} else if _, tried := p.KV.Get("loc:" + anon); !tried {
-		p.KV.Set("loc:"+anon, "") // tried, unknown
-		outcome = locUnlocated
+	rec.tried = at
+	if !res.OK {
+		return
 	}
-	p.KV.HDel("pending-location", realID)
-	return outcome, moved
+	p.Located++
+	mLocated.Inc()
+	// Enter the location only if it changed (§3.1.1: occasionally a
+	// streamer advertises a new location — keep both). Every stream of the
+	// streamer resolves its location through the history that changed.
+	if n := len(rec.hist); n == 0 || rec.hist[n-1].loc != res.Loc {
+		rec.hist = append(rec.hist, locEntry{at, res.Loc})
+		p.moved[anon] = struct{}{}
+	}
 }
 
 // LocationAt returns the streamer's recorded location as of time t: the
-// latest history entry not after t, else the earliest known one.
+// latest history entry not after t, else the earliest one.
 func (p *Pipeline) LocationAt(anonID string, t time.Time) (geo.Location, bool) {
-	hist := p.KV.HGetAll("lochist:" + anonID)
-	if len(hist) == 0 {
-		return p.LocationOf(anonID)
-	}
-	var bestAt, earliestAt time.Time
-	var best, earliest string
-	for stamp, enc := range hist {
-		at, err := time.Parse(time.RFC3339, stamp)
-		if err != nil {
-			continue
-		}
-		if earliest == "" || at.Before(earliestAt) {
-			earliestAt, earliest = at, enc
-		}
-		if !at.After(t) && (best == "" || at.After(bestAt)) {
-			bestAt, best = at, enc
-		}
-	}
-	if best == "" {
-		best = earliest
-	}
-	if best == "" {
+	rec := p.located[anonID]
+	if rec == nil || len(rec.hist) == 0 {
 		return geo.Location{}, false
 	}
-	return decodeLocation(best), true
-}
-
-// escapeLocField makes a location field safe to join with the '|'
-// separator: backslash-escape the separator and the escape itself, so a
-// city like "Foo|Bar" round-trips instead of silently shifting fields.
-func escapeLocField(s string) string {
-	if !strings.ContainsAny(s, `|\`) {
-		return s
-	}
-	var sb strings.Builder
-	for i := 0; i < len(s); i++ {
-		if s[i] == '|' || s[i] == '\\' {
-			sb.WriteByte('\\')
-		}
-		sb.WriteByte(s[i])
-	}
-	return sb.String()
-}
-
-func encodeLocation(l geo.Location) string {
-	return escapeLocField(l.City) + "|" + escapeLocField(l.Region) + "|" +
-		escapeLocField(l.Country)
-}
-
-func decodeLocation(s string) geo.Location {
-	var parts [3]string
-	field := 0
-	var cur []byte
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '\\' && i+1 < len(s):
-			i++
-			cur = append(cur, s[i])
-		case c == '|' && field < 2:
-			parts[field] = string(cur)
-			cur = cur[:0]
-			field++
-		default:
-			cur = append(cur, c)
-		}
-	}
-	parts[field] = string(cur)
-	return geo.Location{City: parts[0], Region: parts[1], Country: parts[2]}
-}
-
-// LocationOf returns the stored location for a pseudonymized streamer.
-func (p *Pipeline) LocationOf(anonID string) (geo.Location, bool) {
-	v, ok := p.KV.Get("loc:" + anonID)
-	if !ok || v == "" {
-		return geo.Location{}, false
-	}
-	return decodeLocation(v), true
+	after := sort.Search(len(rec.hist), func(i int) bool { return rec.hist[i].at > t.Unix() })
+	return rec.hist[max(after-1, 0)].loc, true
 }
 
 // streamGap is the silence that ends a stream: the streamer went offline

@@ -4,14 +4,18 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"net/http"
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tero/internal/core"
-	"tero/internal/geo"
+	"tero/internal/download"
+	"tero/internal/kvstore"
 	"tero/internal/twitchsim"
 	"tero/internal/worldsim"
 )
@@ -111,10 +115,11 @@ func TestPipelineLocationsMatchGroundTruth(t *testing.T) {
 	}
 	wrong, checked := 0, 0
 	for _, st := range world.Streamers {
-		loc, ok := p.LocationOf(p.Anonymize(st.ID))
-		if !ok {
+		rec := p.located[p.Anonymize(st.ID)]
+		if rec == nil || len(rec.hist) == 0 {
 			continue
 		}
+		loc := rec.hist[len(rec.hist)-1].loc
 		checked++
 		if !loc.Compatible(st.Place.Location()) {
 			wrong++
@@ -144,56 +149,11 @@ func TestAnonymizeStable(t *testing.T) {
 	}
 }
 
-func TestLocationCodec(t *testing.T) {
-	for _, l := range []struct{ city, region, country string }{
-		{"Chicago", "Illinois", "United States"},
-		{"", "Ontario", "Canada"},
-		{"", "", "France"},
-		{"", "", ""},
-	} {
-		in := decodeLocation(encodeLocation(decodeLocation(l.city + "|" + l.region + "|" + l.country)))
-		if in.City != l.city || in.Region != l.region || in.Country != l.country {
-			t.Fatalf("roundtrip failed: %+v", in)
-		}
-	}
-}
-
-func TestLocationCodecEscaping(t *testing.T) {
-	// Fields containing the separator or the escape character must survive
-	// a round-trip instead of silently shifting into the wrong field.
-	for _, l := range []geo.Location{
-		{City: "Foo|Bar", Region: "R", Country: "C"},
-		{City: "a|b|c", Region: "", Country: "x|"},
-		{City: `back\slash`, Region: `\|`, Country: `trailing\`},
-		{City: "|", Region: "|", Country: "|"},
-		{City: "plain", Region: "no specials", Country: "here"},
-	} {
-		got := decodeLocation(encodeLocation(l))
-		if got != l {
-			t.Fatalf("escaped roundtrip: got %+v want %+v", got, l)
-		}
-	}
-}
-
-// FuzzDecodeLocation feeds decodeLocation arbitrary strings — a "loc:" or
-// "lochist:" value is whatever the key-value store hands back. The committed
-// corpus (testdata/fuzz/FuzzDecodeLocation) is plain, escaped and malformed
-// encodings. Oracles: it never panics, and the location it decodes, whatever
-// its fields hold, survives encodeLocation → decodeLocation unchanged.
-func FuzzDecodeLocation(f *testing.F) {
-	f.Fuzz(func(t *testing.T, s string) {
-		l := decodeLocation(s)
-		if got := decodeLocation(encodeLocation(l)); got != l {
-			t.Fatalf("%q decodes to %+v, which round-trips to %+v", s, l, got)
-		}
-	})
-}
-
 // TestLocateUnderQuotaIsDeterministic: with more streamers pending than the
 // API quota holds, one location round at Concurrency 1 and at 8 describes
 // the same sorted prefix, stops at the first refusal and leaves the same
-// pending streamers and loc:* keys; Drive advances the clock, a tick at a
-// time, until nothing is pending.
+// pending streamers and location records; Drive advances the clock, a tick
+// at a time, until nothing is pending.
 func TestLocateUnderQuotaIsDeterministic(t *testing.T) {
 	const burst = 10
 	cfg := worldsim.DefaultConfig(31)
@@ -214,13 +174,13 @@ func TestLocateUnderQuotaIsDeterministic(t *testing.T) {
 		p := New(platform.URL(), 1)
 		p.Concurrency = concurrency
 		for _, st := range world.Streamers {
-			p.KV.HSet("pending-location", st.ID, st.Username)
+			p.pending[st.ID] = st.Username
 		}
 		if _, refused := p.LocateStreamers(platform.Now()); !refused {
 			t.Fatalf("Concurrency %d: a round over the quota reports no refusal", concurrency)
 		}
 		var left []string
-		for id := range p.KV.HGetAll("pending-location") {
+		for id := range p.pending {
 			left = append(left, id)
 		}
 		sort.Strings(left)
@@ -229,15 +189,15 @@ func TestLocateUnderQuotaIsDeterministic(t *testing.T) {
 		}
 		var sb strings.Builder
 		for _, id := range ids {
-			loc, ok := p.KV.Get("loc:" + p.Anonymize(id))
-			fmt.Fprintf(&sb, "%s %v %q\n", id, ok, loc)
+			rec, ok := p.located[p.Anonymize(id)]
+			fmt.Fprintf(&sb, "%s %v %+v\n", id, ok, rec)
 		}
 
 		start := platform.Now()
 		if err := Drive(platform, p, nil, 0, TickEvery, nil); err != nil {
 			t.Fatal(err)
 		}
-		if n := len(p.KV.HGetAll("pending-location")); n != 0 {
+		if n := len(p.pending); n != 0 {
 			t.Fatalf("Concurrency %d: %d streamers pending after Drive", concurrency, n)
 		}
 		if got, want := platform.Now().Sub(start), 3*TickEvery; got != want {
@@ -247,11 +207,11 @@ func TestLocateUnderQuotaIsDeterministic(t *testing.T) {
 	}
 	serial := round(1)
 	if strings.Count(serial, " true ") != burst {
-		t.Fatalf("the first round left loc:* keys for other than %d streamers:\n%s", burst, serial)
+		t.Fatalf("the first round left location records for other than %d streamers:\n%s", burst, serial)
 	}
 	for run := 0; run < 5; run++ { // a prefix that depends on the schedule shows in some runs only
 		if got := round(8); got != serial {
-			t.Fatalf("Concurrency 8 left other loc:* keys than 1:\n%s\nvs\n%s", got, serial)
+			t.Fatalf("Concurrency 8 left other location records than 1:\n%s\nvs\n%s", got, serial)
 		}
 	}
 }
@@ -273,7 +233,7 @@ func TestMoverLocationHistory(t *testing.T) {
 	p := New(platform.URL(), 1)
 	for day := 0; day <= cfg.Days; day++ {
 		for _, st := range world.Streamers {
-			p.KV.HSet("pending-location", st.ID, st.Username)
+			p.pending[st.ID] = st.Username
 		}
 		p.LocateStreamers(platform.Now())
 		platform.Advance(24*time.Hour + time.Minute)
@@ -282,13 +242,13 @@ func TestMoverLocationHistory(t *testing.T) {
 	multi := 0
 	for _, st := range world.Streamers {
 		anon := p.Anonymize(st.ID)
-		hist := p.KV.HGetAll("lochist:" + anon)
-		if len(hist) < 2 {
+		rec := p.located[anon]
+		if rec == nil || len(rec.hist) < 2 {
 			continue
 		}
 		multi++
 		if st.MovedTo == nil {
-			t.Errorf("non-mover %s has %d locations", st.ID, len(hist))
+			t.Errorf("non-mover %s has %d locations", st.ID, len(rec.hist))
 		}
 		early, ok1 := p.LocationAt(anon, cfg.Start)
 		late, ok2 := p.LocationAt(anon, platform.Now())
@@ -296,11 +256,128 @@ func TestMoverLocationHistory(t *testing.T) {
 			t.Fatal("history lookup failed")
 		}
 		if early == late {
-			t.Fatalf("history has %d entries but lookups agree: %v", len(hist), early)
+			t.Fatalf("history has %d entries but lookups agree: %v", len(rec.hist), early)
 		}
 	}
 	if multi == 0 {
 		t.Fatal("no streamer accumulated multiple locations")
 	}
 	t.Logf("streamers with multiple locations: %d", multi)
+}
+
+// keyRecorder is a KV that records the key of every write it passes on.
+type keyRecorder struct {
+	kvstore.KV
+	mu      sync.Mutex
+	written map[string]bool
+}
+
+func (k *keyRecorder) wrote(key string) {
+	k.mu.Lock()
+	k.written[key] = true
+	k.mu.Unlock()
+}
+
+func (k *keyRecorder) Set(key, value string) { k.wrote(key); k.KV.Set(key, value) }
+func (k *keyRecorder) Del(key string) bool   { k.wrote(key); return k.KV.Del(key) }
+func (k *keyRecorder) HSet(key, field, value string) bool {
+	k.wrote(key)
+	return k.KV.HSet(key, field, value)
+}
+func (k *keyRecorder) HDel(key, field string) bool { k.wrote(key); return k.KV.HDel(key, field) }
+func (k *keyRecorder) RPush(key string, values ...string) int {
+	k.wrote(key)
+	return k.KV.RPush(key, values...)
+}
+func (k *keyRecorder) LPop(key string) (string, bool) { k.wrote(key); return k.KV.LPop(key) }
+
+// TestStoreHoldsFleetStateOnly: a whole run — download, drains, location
+// rounds — writes the key-value store under the download module's four keys
+// and no other. Pending lookups, location histories and tags are the
+// pipeline's and the coordinator's own, so none of them reaches a store the
+// fleet can read.
+func TestStoreHoldsFleetStateOnly(t *testing.T) {
+	cfg := worldsim.DefaultConfig(23)
+	cfg.Streamers = 40
+	cfg.Days = 1
+	cfg.LocatableFrac = 0.8
+	platform := twitchsim.New(worldsim.New(cfg))
+	t.Cleanup(platform.Close)
+	kv := &keyRecorder{KV: kvstore.New(), written: map[string]bool{}}
+	p := NewWithKV(platform.URL(), 2, kv)
+	platform.Advance(23 * time.Hour)
+	if err := Drive(platform, p, nil, 3*30, TickEvery, nil); err != nil {
+		t.Fatal(err)
+	}
+	if p.Extracted == 0 || p.Located == 0 || p.Unlocated == 0 {
+		t.Fatalf("the run measured %d readings, located %d streamers and failed %d", p.Extracted, p.Located, p.Unlocated)
+	}
+	fleet := map[string]bool{download.KeyActive: true, download.KeyQueue: true,
+		download.KeyOffline: true, download.KeyClaimed: true}
+	for key := range kv.written {
+		if !fleet[key] {
+			t.Errorf("the run wrote store key %q, which is not fleet state", key)
+		}
+	}
+	if len(kv.written) == 0 {
+		t.Fatal("the run wrote nothing to the store")
+	}
+}
+
+// usersCounter counts the /helix/users requests that pass through it.
+type usersCounter struct {
+	base http.RoundTripper
+	n    atomic.Int64
+}
+
+func (c *usersCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == "/helix/users" {
+		c.n.Add(1)
+	}
+	return c.base.RoundTrip(req)
+}
+
+// TestRelocateEvery: a streamer pending again less than relocateEvery after
+// its lookup leaves pending without a request to the API; at relocateEvery
+// it is described again. The same at Concurrency 1 and 8.
+func TestRelocateEvery(t *testing.T) {
+	cfg := worldsim.DefaultConfig(31)
+	cfg.Streamers = 12
+	cfg.Days = 2
+	cfg.LocatableFrac = 1.0
+	world := worldsim.New(cfg)
+	for _, concurrency := range []int{1, 8} {
+		platform := twitchsim.New(world)
+		p := New(platform.URL(), 1)
+		p.Concurrency = concurrency
+		users := &usersCounter{base: http.DefaultTransport}
+		p.API.HTTP.Transport = users
+		round := func(wantRequests int64) {
+			t.Helper()
+			for _, st := range world.Streamers {
+				p.pending[st.ID] = st.Username
+			}
+			before := users.n.Load()
+			if _, refused := p.LocateStreamers(platform.Now()); refused {
+				t.Fatalf("Concurrency %d: the quota refused a lookup", concurrency)
+			}
+			if got := users.n.Load() - before; got != wantRequests {
+				t.Errorf("Concurrency %d at %s: %d /helix/users requests, want %d", concurrency, platform.Now(), got, wantRequests)
+			}
+			if len(p.pending) != 0 {
+				t.Errorf("Concurrency %d at %s: %d streamers left pending", concurrency, platform.Now(), len(p.pending))
+			}
+		}
+		n := int64(len(world.Streamers))
+		round(n)
+		located := p.Located
+		platform.Advance(relocateEvery - time.Second)
+		round(0)
+		if p.Located != located {
+			t.Errorf("Concurrency %d: a round of recent streamers located %d more", concurrency, p.Located-located)
+		}
+		platform.Advance(time.Second)
+		round(n)
+		platform.Close()
+	}
 }
