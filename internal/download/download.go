@@ -260,6 +260,11 @@ func (c *Coordinator) Tag(id string) string { return c.tags[id] }
 // PollOnce queries the API once, enqueues newly live streamers and
 // processes offline notices from downloaders. A refused
 // page fails it (ErrRateLimited); the next poll pages again.
+//
+// The coordinator is the active hash's one writer, so after the offline
+// notices one HGETALL reads what is active, and each HSET is mirrored into
+// that snapshot: it answers whether a row is active (a row repeated across
+// pages included) and is the gauge's count.
 func (c *Coordinator) PollOnce() error {
 	mCoordPolls.Inc()
 	// Offline notices first: free the streamer for future re-detection.
@@ -277,9 +282,10 @@ func (c *Coordinator) PollOnce() error {
 		dlog.Warn("coordinator poll failed", "err", err)
 		return err
 	}
+	active := c.KV.HGetAll(KeyActive)
 	newly := 0
 	for _, row := range rows {
-		if _, active := c.KV.HGet(KeyActive, row.UserID); active {
+		if _, ok := active[row.UserID]; ok {
 			continue
 		}
 		a := Assignment{
@@ -288,8 +294,10 @@ func (c *Coordinator) PollOnce() error {
 			Game:       row.GameName,
 			URL:        row.ThumbnailURL,
 		}
-		c.KV.HSet(KeyActive, row.UserID, a.encode())
-		c.KV.RPush(KeyQueue, a.encode())
+		enc := a.encode()
+		c.KV.HSet(KeyActive, row.UserID, enc)
+		active[row.UserID] = enc
+		c.KV.RPush(KeyQueue, enc)
 		if len(row.Tags) > 0 {
 			c.tags[row.UserID] = row.Tags[0]
 		}
@@ -297,7 +305,7 @@ func (c *Coordinator) PollOnce() error {
 	}
 	mNewlyLive.Add(int64(newly))
 	mQueueDepth.Set(float64(c.KV.LLen(KeyQueue)))
-	mActive.Set(float64(len(c.KV.HGetAll(KeyActive))))
+	mActive.Set(float64(len(active)))
 	if newly > 0 {
 		dlog.Debug("coordinator poll", "live_rows", len(rows), "newly_live", newly)
 	}

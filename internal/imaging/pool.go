@@ -44,9 +44,9 @@ func Recycle(g *Gray) {
 }
 
 // bitmapPool recycles packed binary images exactly like grayPool recycles
-// Gray: the OCR engines allocate one or two Bitmaps per Recognize call,
-// and the pipeline's concurrent extraction workers would otherwise churn
-// the allocator with them.
+// Gray: an OCR page packs one or two Bitmaps per image, and the pipeline's
+// concurrent extraction workers would otherwise churn the allocator with
+// them.
 var bitmapPool sync.Pool // holds *Bitmap with capacity-retained Words
 
 // newPooledBitmap returns a zeroed w×h bitmap, reusing pooled storage when

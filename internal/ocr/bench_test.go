@@ -2,6 +2,7 @@ package ocr
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"tero/internal/imaging"
@@ -73,6 +74,44 @@ func BenchmarkRecognize(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkRecognizeAll reads the three engines over pre-processed corpus
+// crops two ways: through one page per crop, as the extractor does, and as
+// three standalone Recognize calls. One iteration is one crop. The engines'
+// memos are warm in both, so the difference is what the page shares: the
+// histogram, and the bitmaps, strips and glyph boxes the engines' thresholds
+// agree on. It fails if the two ways read any crop differently.
+func BenchmarkRecognizeAll(b *testing.B) {
+	crops := corpusCrops(b, 64)
+	shared, alone := Engines(), Engines()
+	for i, crop := range crops {
+		pg := NewPage(crop)
+		for j, e := range shared {
+			if got, want := pg.Read(e), alone[j].Recognize(crop); !reflect.DeepEqual(got, want) {
+				b.Fatalf("crop %d: %s read off a page %+v, alone %+v", i, e.Name(), got, want)
+			}
+		}
+		pg.Release()
+	}
+	b.Run("page", func(b *testing.B) {
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			pg := NewPage(crops[n%len(crops)])
+			for _, e := range shared {
+				pg.Read(e)
+			}
+			pg.Release()
+		}
+	})
+	b.Run("alone", func(b *testing.B) {
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			for _, e := range alone {
+				e.Recognize(crops[n%len(crops)])
+			}
+		}
+	})
 }
 
 // distinctGlyphCrops returns n copies of img with six background pixels

@@ -6,6 +6,7 @@ import (
 
 	"tero/internal/imageproc"
 	"tero/internal/imaging"
+	"tero/internal/obs"
 	"tero/internal/ocr"
 	"tero/internal/worldsim"
 )
@@ -88,5 +89,47 @@ func TestEngineResultsMatchOnCorpusCrops(t *testing.T) {
 				return
 			}
 		}
+	}
+}
+
+// TestBitmapCountOnCorpus pins ocr_bitmaps_total over a fixed seeded
+// corpus: the extractor's pages (one per vote: the pre-processed crop, and
+// the raw crop when the vote is reprocessed; ocr_engine_reads_total counts
+// them per engine) pack these many bitmaps and reuse the rest, under 1.3
+// packed per page, and a second extractor over the same corpus counts the
+// same.
+func TestBitmapCountOnCorpus(t *testing.T) {
+	value := func(name string, kv ...string) int64 { return obs.C(obs.Lbl(name, kv...)).Value() }
+	count := func() (pages, packed, reused int64) {
+		p0, k0, r0 := value("ocr_engine_reads_total", "engine", "tessera"),
+			value("ocr_bitmaps_total", "result", "packed"), value("ocr_bitmaps_total", "result", "reused")
+		world := worldsim.New(worldsim.DefaultConfig(1234))
+		opt := worldsim.DefaultRenderOptions()
+		x := imageproc.New()
+		thumbs := 0
+		for _, st := range world.Streamers {
+			for _, gs := range world.Sessions(st) {
+				for idx := 0; idx < 3 && thumbs < 600; idx++ {
+					img, _ := worldsim.RenderDeterministic(gs, idx, opt)
+					x.Extract(img, gs.Game)
+					imaging.Recycle(img)
+					thumbs++
+				}
+			}
+		}
+		return value("ocr_engine_reads_total", "engine", "tessera") - p0,
+			value("ocr_bitmaps_total", "result", "packed") - k0,
+			value("ocr_bitmaps_total", "result", "reused") - r0
+	}
+	pages, packed, reused := count()
+	t.Logf("%d pages: %d bitmaps packed, %d reused", pages, packed, reused)
+	if pages != 644 || packed != 752 || reused != 1180 {
+		t.Fatalf("%d pages: %d bitmaps packed, %d reused; want 644, 752 and 1180", pages, packed, reused)
+	}
+	if packed+reused != 3*pages || 10*packed >= 13*pages {
+		t.Fatalf("%d pages: %d bitmaps packed and %d reused, want 3 per page and under 1.3 packed", pages, packed, reused)
+	}
+	if p, k, r := count(); p != pages || k != packed || r != reused {
+		t.Fatalf("second pass: %d pages, %d packed, %d reused; first pass: %d, %d, %d", p, k, r, pages, packed, reused)
 	}
 }

@@ -1,19 +1,6 @@
 package ocr
 
-import (
-	"sync"
-
-	"tero/internal/imaging"
-)
-
-// scratch holds the column strips one Recognize call segments into. They do
-// not outlive the call — a Result's boxes are copies — and three engines
-// segment an image each per thumbnail.
-type scratch struct {
-	segs []imaging.Rect
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+import "tero/internal/imaging"
 
 // Tessera is the strict engine: fixed global threshold, column-projection
 // segmentation, tight match tolerance. It misses low-contrast text entirely
@@ -35,14 +22,12 @@ func NewTessera() *Tessera { return &Tessera{Thr: 140, Tol: 16} }
 func (t *Tessera) Name() string { return "tessera" }
 
 // Recognize implements Engine.
-func (t *Tessera) Recognize(img *imaging.Gray) Result {
-	bin := img.PackGE(t.Thr)
-	sc := scratchPool.Get().(*scratch)
-	sc.segs = bin.SegmentColumns(1, sc.segs)
-	res := recognizeSegmentsPacked(bin, sc.segs, t.Tol, 0, 3, 0, &t.memo, &tesseraMemoCounters)
-	scratchPool.Put(sc)
-	imaging.RecycleBitmap(bin)
-	return res
+func (t *Tessera) Recognize(img *imaging.Gray) Result { return readAlone(t, img) }
+
+// readPage reads the page's bitmap of the pixels >= Thr, dropping specks
+// under 3 pixels.
+func (t *Tessera) readPage(pg *Page) Result {
+	return pg.bitmap(threshold{level: t.Thr}).read(t.Tol, 0, 3, 0, &t.memo, tesseraMemoCounters)
 }
 
 // EasyScan is the lenient engine: Otsu binarization (adapts to low
@@ -68,27 +53,21 @@ func NewEasyScan() *EasyScan { return &EasyScan{Tol: 36} }
 func (e *EasyScan) Name() string { return "easyscan" }
 
 // Recognize implements Engine.
-func (e *EasyScan) Recognize(img *imaging.Gray) Result {
-	// Adaptive binarization with polarity detection: if the foreground is
-	// darker than the background, binarize with text as 255. Polarity is
-	// decided from the Otsu histogram alone — the >= thr tail is exactly
-	// the foreground count of binarizing at thr — and the flipped polarity
-	// binarizes once with the inverted comparison (p < thr), with no
-	// inverted copy of the image.
-	hist := img.Histogram256()
-	thr := imaging.OtsuHistogram(&hist, len(img.Pix))
-	var bin *imaging.Bitmap
-	if histTail(&hist, thr) > len(img.Pix)/2 {
-		bin = img.PackLE(thr - 1) // OtsuHistogram guarantees thr >= 1
-	} else {
-		bin = img.PackGE(thr)
+func (e *EasyScan) Recognize(img *imaging.Gray) Result { return readAlone(e, img) }
+
+// readPage binarizes adaptively with polarity detection: if the foreground
+// is darker than the background — decided from the histogram alone, since
+// the >= Otsu tail is exactly the foreground count of binarizing at the
+// Otsu level — text is the pixels below the level (p < thr, with no
+// inverted copy of the image), else the pixels at or above it. Specks under
+// 4 pixels are dropped.
+func (e *EasyScan) readPage(pg *Page) Result {
+	thr, dark := pg.otsuLevel()
+	t := threshold{level: thr}
+	if dark {
+		t = threshold{level: thr - 1, below: true} // OtsuHistogram guarantees thr >= 1
 	}
-	sc := scratchPool.Get().(*scratch)
-	sc.segs = bin.SegmentColumns(1, sc.segs)
-	res := recognizeSegmentsPacked(bin, sc.segs, e.Tol, 0, 4, 0, &e.memo, &easyScanMemoCounters)
-	scratchPool.Put(sc)
-	imaging.RecycleBitmap(bin)
-	return res
+	return pg.bitmap(t).read(e.Tol, 0, 4, 0, &e.memo, easyScanMemoCounters)
 }
 
 // PaddleRead up-scales and smooths before binarizing, segments by column
@@ -108,37 +87,31 @@ func NewPaddleRead() *PaddleRead { return &PaddleRead{Tol: 40, DigitBias: 0} }
 // Name implements Engine.
 func (p *PaddleRead) Name() string { return "paddleread" }
 
-// Recognize implements Engine. The engine works on the image up-scaled 2×
-// (nearest), but the 2× only changes coordinates, so nothing is up-scaled:
-// the histogram of the 2× image is 4× the original's, thresholding commutes
-// with the replication, and bit (X, Y) of the doubled bitmap is bit
-// (X>>1, Y>>1) of the original's. A gap of k empty columns doubles to 2k,
-// which reaches the 2× engine's minimum gap of 2 exactly when k ≥ 1, so its
-// strips are SegmentColumns(1)'s doubled; a tight box doubles and its area
-// quadruples, so a speck under 8 pixels at 2× is one under 2 here; and the
-// cells are sampled from the 2× box's table through halved coordinates
+// Recognize implements Engine.
+func (p *PaddleRead) Recognize(img *imaging.Gray) Result { return readAlone(p, img) }
+
+// readPage reads the image up-scaled 2× (nearest), but the 2× only changes
+// coordinates, so nothing is up-scaled. The histogram of the 2× image is 4×
+// the original's, which moves neither the Otsu level (every quantity Otsu
+// compares scales by a power of two, exactly) nor the polarity decision, so
+// both are the page's; in the flipped polarity the engine runs Otsu again on
+// the reversed histogram. Thresholding commutes with the replication, and
+// bit (X, Y) of the doubled bitmap is bit (X>>1, Y>>1) of the original's. A
+// gap of k empty columns doubles to 2k, which reaches the 2× engine's
+// minimum gap of 2 exactly when k ≥ 1, so its strips are
+// SegmentColumns(1)'s doubled; a tight box doubles and its area quadruples,
+// so a speck under 8 pixels at 2× is one under 2 here; and the cells are
+// sampled from the 2× box's table through halved coordinates
 // (normalizeCellPacked's shift). The boxes it reports are the 1× boxes the
 // 2× ones halve to.
-func (p *PaddleRead) Recognize(img *imaging.Gray) Result {
-	hist := img.Histogram256()
-	for i := range hist {
-		hist[i] *= 4
+func (p *PaddleRead) readPage(pg *Page) Result {
+	thr, dark := pg.otsuLevel()
+	t := threshold{level: thr}
+	if dark {
+		rev := reverseHist(pg.histogram())
+		// The inverted image's pixels >= its Otsu level t2 are the
+		// original's <= 255-t2.
+		t = threshold{level: 255 - imaging.OtsuHistogram(&rev, len(pg.img.Pix)), below: true}
 	}
-	total := 4 * len(img.Pix)
-	thr := imaging.OtsuHistogram(&hist, total)
-	var bin *imaging.Bitmap
-	if histTail(&hist, thr) > total/2 {
-		rev := reverseHist(&hist)
-		thr2 := imaging.OtsuHistogram(&rev, total)
-		// Inverted pixel >= thr2 is original pixel <= 255-thr2.
-		bin = img.PackLE(255 - thr2)
-	} else {
-		bin = img.PackGE(thr)
-	}
-	sc := scratchPool.Get().(*scratch)
-	sc.segs = bin.SegmentColumns(1, sc.segs)
-	res := recognizeSegmentsPacked(bin, sc.segs, p.Tol, p.DigitBias, 2, 1, &p.memo, &paddleReadMemoCounters)
-	scratchPool.Put(sc)
-	imaging.RecycleBitmap(bin)
-	return res
+	return pg.bitmap(t).read(p.Tol, p.DigitBias, 2, 1, &p.memo, paddleReadMemoCounters)
 }

@@ -125,34 +125,50 @@ func (m *glyphMemo) classify(bin *imaging.Bitmap, box imaging.Rect, shift uint, 
 	return r, d, memoMiss
 }
 
-// memoCounters are one engine's ocr_cell_memo_total{engine=…,result=…}
-// handles, registered at the first box of each result, so the metric is
-// listed on /metrics once it has counted something.
-type memoCounters struct {
-	engine string
-	c      [3]atomic.Pointer[obs.Counter]
+// lazyCounter is a counter handle registered at its first count, so the
+// metric is listed on /metrics once it has counted something.
+type lazyCounter struct {
+	name string
+	c    atomic.Pointer[obs.Counter]
 }
+
+// add counts v; a first count registers the counter.
+func (l *lazyCounter) add(v int64) {
+	if v == 0 {
+		return
+	}
+	c := l.c.Load()
+	if c == nil {
+		// Racing first counts resolve the same handle.
+		c = obs.C(l.name)
+		l.c.Store(c)
+	}
+	c.Add(v)
+}
+
+// memoCounters are one engine's ocr_cell_memo_total{engine=…,result=…}
+// handles, one per memoResult.
+type memoCounters [3]lazyCounter
 
 var memoResultNames = [3]string{memoHit: "hit", memoMiss: "miss", memoBypass: "bypass"}
 
+func newMemoCounters(engine string) *memoCounters {
+	mc := new(memoCounters)
+	for i, result := range memoResultNames {
+		mc[i].name = obs.Lbl("ocr_cell_memo_total", "engine", engine, "result", result)
+	}
+	return mc
+}
+
 var (
-	tesseraMemoCounters    = memoCounters{engine: "tessera"}
-	easyScanMemoCounters   = memoCounters{engine: "easyscan"}
-	paddleReadMemoCounters = memoCounters{engine: "paddleread"}
+	tesseraMemoCounters    = newMemoCounters("tessera")
+	easyScanMemoCounters   = newMemoCounters("easyscan")
+	paddleReadMemoCounters = newMemoCounters("paddleread")
 )
 
 // add counts one call's boxes: one atomic add per result seen.
 func (mc *memoCounters) add(n *memoCounts) {
 	for i, v := range n {
-		if v == 0 {
-			continue
-		}
-		c := mc.c[i].Load()
-		if c == nil {
-			// Racing first counts resolve the same handle.
-			c = obs.C(obs.Lbl("ocr_cell_memo_total", "engine", mc.engine, "result", memoResultNames[i]))
-			mc.c[i].Store(c)
-		}
-		c.Add(v)
+		mc[i].add(v)
 	}
 }

@@ -3,7 +3,6 @@ package ocr
 import (
 	"math/bits"
 	"sync/atomic"
-	"unicode/utf8"
 
 	"tero/internal/imaging"
 )
@@ -213,72 +212,4 @@ func normalizeCellPacked(bin *imaging.Bitmap, box imaging.Rect, shift uint) pack
 		cell[y/cellRowsPerWord] |= bits << (uint(y%cellRowsPerWord) * CellW)
 	}
 	return cell
-}
-
-// recognizeSegmentsPacked matches each segment of a binary image and
-// assembles a Result, rejecting characters whose match distance exceeds
-// tol: segment bounds, speck rejection and cell extraction all run on the
-// bitmap (popcounts and word scans), with no per-segment image allocations.
-// Cells are sampled as from bin scaled 2^shift× (normalizeCellPacked); the
-// segments, minArea and the reported boxes are in bin's own coordinates.
-// Each glyph box is classified through memo (nil: none) and counted, by
-// how, in a local tally that is added to mc once at the end. The Result is
-// the caller's: Chars is allocated once, at the first accepted character
-// and for as many as there are segments left, and Text once, at its final
-// length.
-func recognizeSegmentsPacked(bin *imaging.Bitmap, segs []imaging.Rect, tol, digitBias, minArea int, shift uint, memo *glyphMemo, mc *memoCounters) Result {
-	var res Result
-	var n memoCounts
-	text := make([]byte, 0, 64) // on the stack unless a line has more glyphs than a latency display
-	for i, s := range segs {
-		s = s.Clamp(bin.W, bin.H)
-		if s.Empty() {
-			continue
-		}
-		box, area := bin.TightBoxCountIn(s)
-		if box.Empty() {
-			continue
-		}
-		if area < minArea {
-			continue // specks of noise
-		}
-		abs := imaging.Rect{
-			X0: s.X0 + box.X0, Y0: s.Y0 + box.Y0,
-			X1: s.X0 + box.X1, Y1: s.Y0 + box.Y1,
-		}
-		r, d, how := memo.classify(bin, abs, shift, digitBias)
-		n[how]++
-		if d > tol {
-			continue // unrecognized character: engine stays silent
-		}
-		if res.Chars == nil {
-			res.Chars = make([]Char, 0, len(segs)-i)
-		}
-		text = utf8.AppendRune(text, r)
-		res.Chars = append(res.Chars, Char{R: r, Dist: d, Box: abs})
-	}
-	res.Text = string(text)
-	mc.add(&n)
-	return res
-}
-
-// histTail returns the number of pixels with intensity >= t — the
-// foreground count of Threshold(t), read off the histogram instead of
-// re-scanning the binarized image.
-func histTail(hist *[256]int, t uint8) int {
-	n := 0
-	for i := int(t); i < 256; i++ {
-		n += hist[i]
-	}
-	return n
-}
-
-// reverseHist returns the histogram of the inverted image (level p becomes
-// 255-p), so Otsu can run on the flipped polarity without a pixel pass.
-func reverseHist(hist *[256]int) [256]int {
-	var out [256]int
-	for i, c := range hist {
-		out[255-i] = c
-	}
-	return out
 }

@@ -17,14 +17,19 @@ import (
 // tests of package ocr_test. Nothing outside the tests runs it.
 
 // scalarEngines returns the reference engines in Engines() order, with the
-// production engines' parameters.
+// production engines' parameters. Each holds its production engine in a
+// named field, not embedded: an embedded engine would lend the reference
+// its readPage, and a Page would read the packed path through it.
 func scalarEngines() []Engine {
 	return []Engine{scalarTessera{NewTessera()}, scalarEasyScan{NewEasyScan()}, scalarPaddleRead{NewPaddleRead()}}
 }
 
-type scalarTessera struct{ *Tessera }
+type scalarTessera struct{ e *Tessera }
 
-func (t scalarTessera) Recognize(img *imaging.Gray) Result {
+func (s scalarTessera) Name() string { return s.e.Name() }
+
+func (s scalarTessera) Recognize(img *imaging.Gray) Result {
+	t := s.e
 	bin := img.Threshold(t.Thr)
 	segs := bin.SegmentColumns(1)
 	res := recognizeSegments(bin, segs, t.Tol, 0, 3)
@@ -32,9 +37,12 @@ func (t scalarTessera) Recognize(img *imaging.Gray) Result {
 	return res
 }
 
-type scalarEasyScan struct{ *EasyScan }
+type scalarEasyScan struct{ e *EasyScan }
 
-func (e scalarEasyScan) Recognize(img *imaging.Gray) Result {
+func (s scalarEasyScan) Name() string { return s.e.Name() }
+
+func (s scalarEasyScan) Recognize(img *imaging.Gray) Result {
+	e := s.e
 	hist := img.Histogram256()
 	thr := imaging.OtsuHistogram(&hist, len(img.Pix))
 	var bin *imaging.Gray
@@ -49,9 +57,12 @@ func (e scalarEasyScan) Recognize(img *imaging.Gray) Result {
 	return res
 }
 
-type scalarPaddleRead struct{ *PaddleRead }
+type scalarPaddleRead struct{ e *PaddleRead }
 
-func (p scalarPaddleRead) Recognize(img *imaging.Gray) Result {
+func (s scalarPaddleRead) Name() string { return s.e.Name() }
+
+func (s scalarPaddleRead) Recognize(img *imaging.Gray) Result {
+	p := s.e
 	up := img.ScaleNearest(2)
 	hist := up.Histogram256()
 	thr := imaging.OtsuHistogram(&hist, len(up.Pix))

@@ -4,7 +4,8 @@
 # ./... cannot see), the OCR engines' glyph memo under -race -count=5 (many
 # goroutines on one engine must read what a fresh engine reads serially), a
 # few seconds of each decoder fuzz target, one-shot benchmark smokes (the
-# pipeline, and one extraction that must repeat, memo hits and all),
+# pipeline, one extraction that must repeat, memo hits and all, and the
+# three engines read through one page, which must equal their separate reads),
 # smokes that drive the real binaries (the chaos smoke requires the
 # downloader's digest check to catch every corrupted body the CDN sent, at
 # least one, and three faulted tero runs must print the same output), a
@@ -109,7 +110,7 @@ echo "== OCR glyph memo: concurrent reads == a fresh engine's serial pass (-race
 # the corpus on one engine must get every Result a cold engine gets alone.
 go test -race -count=5 -run '^TestMemoConcurrentMatchesSerial$' ./internal/ocr
 
-echo "== benchmark smoke (VolumePipeline and Extract, 1 iteration each) =="
+echo "== benchmark smoke (VolumePipeline, Extract and RecognizeAll, 1 iteration each) =="
 go test -run '^$' -bench '^BenchmarkVolumePipeline$' -benchtime 1x .
 # BenchmarkExtract extracts one rendered thumbnail again after a first
 # extraction and fails if the two differ: pooled scratch (bitmaps, strips,
@@ -117,6 +118,9 @@ go test -run '^$' -bench '^BenchmarkVolumePipeline$' -benchtime 1x .
 # extractions read every glyph from the engines' memos, which the first
 # filled, so the memo must answer what the engines computed.
 go test -run '^$' -bench '^BenchmarkExtract$' -benchtime 1x ./internal/imageproc
+# BenchmarkRecognizeAll reads corpus crops through one shared page and as
+# three standalone engine reads, and fails if the two differ.
+go test -run '^$' -bench '^BenchmarkRecognizeAll$' -benchtime 1x ./internal/ocr
 
 echo "== observability smoke (cmd/tero -debug-addr, scrape /metrics) =="
 TMPDIR="${TMPDIR:-/tmp}"
