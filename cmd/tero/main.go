@@ -2,33 +2,47 @@
 // platform: it generates a synthetic world, serves it over HTTP (developer
 // API + thumbnail CDN + social profiles), drives the download module,
 // image-processing, location and data-analysis modules, and prints volume,
-// coverage and per-location latency summaries.
+// coverage and the per-{location, game} latency distributions of the
+// snapshot the query service (internal/serve) builds. With -addr it serves
+// that snapshot as a JSON HTTP API (§1, §6), republished after every drain,
+// until signalled (SIGINT or SIGTERM).
 package main
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
+	"net/url"
 	"os"
+	"os/signal"
 	"slices"
 	"strings"
+	"syscall"
 	"time"
 
 	"tero/internal/core"
 	"tero/internal/dist"
 	"tero/internal/kvstore"
 	"tero/internal/obs"
+	"tero/internal/obs/slo"
 	"tero/internal/obs/trace"
 	"tero/internal/pipeline"
+	"tero/internal/serve"
 	"tero/internal/stats"
 	"tero/internal/twitchsim"
 	"tero/internal/worldsim"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
 }
 
 // options is the command's whole flag surface.
@@ -47,6 +61,7 @@ type options struct {
 	faultSeed   int64
 	distributed int
 	listen      string
+	addr        string
 }
 
 // register declares every flag on fs.
@@ -56,7 +71,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.IntVar(&o.days, "days", 2, "observation days (virtual)")
 	fs.IntVar(&o.downloaders, "downloaders", 4, "parallel downloaders")
 	fs.IntVar(&o.concurrency, "concurrency", 0,
-		"pipeline worker parallelism (0 = GOMAXPROCS, 1 = serial)")
+		"pipeline and index-build worker parallelism (0 = GOMAXPROCS, 1 = serial)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "",
 		"serve /metrics, /debug/pprof/ and /debug/traces on this address (e.g. localhost:6060 or :0)")
 	fs.BoolVar(&o.trace, "trace", false,
@@ -76,12 +91,26 @@ func (o *options) register(fs *flag.FlagSet) {
 			"processes, and drive the run through them (0 = single-process)")
 	fs.StringVar(&o.listen, "listen", "127.0.0.1:7700",
 		"kvstore listen address in -distributed mode")
+	fs.StringVar(&o.addr, "addr", "",
+		"serve the latency API on this address, republished after every drain, "+
+			"until signalled (e.g. localhost:8080 or :0; empty = no listener)")
+}
+
+// worldConfig is the synthetic world the flags describe.
+func (o *options) worldConfig() worldsim.Config {
+	cfg := worldsim.DefaultConfig(o.seed)
+	cfg.Streamers = o.streamers
+	cfg.Days = o.days
+	cfg.LocatableFrac = 0.6
+	return cfg
 }
 
 // run is the whole command behind main: it parses args on its own flag
 // set, writes only to the given streams, and returns the exit code. The
-// store is in memory: a run cannot resume, so it keeps nothing on disk.
-func run(args []string, stdout, stderr io.Writer) int {
+// store is in memory: a run cannot resume, so it keeps nothing on disk. A
+// run with -addr serves until ctx is done; a ctx done mid-run ends either
+// kind of run with "shutting down" and exit 0.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var o options
 	fs := flag.NewFlagSet("tero", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -117,10 +146,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		trace.SetSampleN(o.traceSample)
 	}
 
-	cfg := worldsim.DefaultConfig(o.seed)
-	cfg.Streamers = o.streamers
-	cfg.Days = o.days
-	cfg.LocatableFrac = 0.6
+	// Serving side first: the API is up (reporting not-ready) before the
+	// pipeline produces anything, the way a real deployment rolls out.
+	var ix *serve.Index
+	var srv *serve.Server
+	var base string
+	if o.addr != "" {
+		ln, err := net.Listen("tcp", o.addr)
+		if err != nil {
+			fmt.Fprintf(stderr, "listen %s: %v\n", o.addr, err)
+			return 1
+		}
+		ix = serve.NewIndex(0)
+		srv = serve.NewServer(ix)
+		httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 5 * time.Second}
+		go httpSrv.Serve(ln) //nolint:errcheck — Serve returns ErrServerClosed on Shutdown
+		defer func() {
+			sdCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			httpSrv.Shutdown(sdCtx) //nolint:errcheck
+		}()
+		base = "http://" + ln.Addr().String()
+		fmt.Fprintf(stdout, "tero serving /v1 at %s (not ready until first publish)\n", base)
+	}
+
+	cfg := o.worldConfig()
 	fmt.Fprintf(stdout, "generating world: %d streamers, %d days (seed %d)...\n",
 		cfg.Streamers, cfg.Days, cfg.Seed)
 	world := worldsim.New(cfg)
@@ -139,6 +189,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	st := kvstore.New()
 	p := pipeline.NewWithKV(platform.URL(), o.downloaders, st)
 	p.Concurrency = o.concurrency
+	params := core.DefaultParams()
+	builder := serve.NewBuilder(params)
+	builder.Concurrency = o.concurrency
 	totalTicks := cfg.Days * 24 * 30
 	start := time.Now()
 	var fleet pipeline.Fleet
@@ -147,15 +200,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Coordinator mode: serve the store, wait for the fleet, then drive
 		// lockstep rounds through it. The embedded downloaders stay idle;
 		// the workers fetch.
-		srv, err := kvstore.Serve(st, o.listen)
+		kvSrv, err := kvstore.Serve(st, o.listen)
 		if err != nil {
 			fmt.Fprintf(stderr, "serve %s: %v\n", o.listen, err)
 			return 1
 		}
-		defer srv.Close()
+		defer kvSrv.Close()
 		coord = dist.NewCoordinator(p, st)
 		fmt.Fprintf(stdout, "coordinator: store at %s — waiting for %d workers, start each with:\n"+
-			"  teroworker -store %s\n", srv.Addr(), o.distributed, srv.Addr())
+			"  teroworker -store %s\n", kvSrv.Addr(), o.distributed, kvSrv.Addr())
 		if err := coord.WaitWorkers(o.distributed, 60*time.Second); err != nil {
 			fmt.Fprintf(stderr, "%v\n", err)
 			return 1
@@ -163,10 +216,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%d workers registered\n", o.distributed)
 		fleet = coord
 	}
-	progress := func(i int) error {
+
+	var slos *slo.Set
+	if ix != nil {
+		slos = declareSLOs(platform.Now)
+		srv.SetStatusReport(slos.Report)
+	}
+	// publish builds what the run has drained so far and, in a serving run,
+	// swaps it in; when nothing changed, Build returns the snapshot the index
+	// already holds and Swap skips it (serve_publish_skipped_total).
+	publish := func() *serve.Snapshot {
+		p.PublishAt(builder, params, platform.Now())
+		snap := builder.Build()
+		if ix != nil {
+			ix.Swap(snap)
+			slos.Evaluate()
+		}
+		return snap
+	}
+	// A serving run locates and publishes after every drain, the production
+	// loop bench/ measures. A run without -addr locates once, at the end of
+	// Drive, so its table does not depend on a publish cadence.
+	onTick := func(i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		if i%(totalTicks/10+1) == 0 {
 			fmt.Fprintf(stdout, "  virtual %s — %d thumbnails, %d measurements\n",
 				platform.Now().Format("Jan 2 15:04"), p.Processed, p.Extracted)
+		}
+		if ix != nil && i%pipeline.DrainEvery == 0 {
+			p.LocateStreamers(platform.Now())
+			publish()
 		}
 		return nil
 	}
@@ -174,8 +255,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// observation period: the download module has already applied its
 	// per-streamer backoff/release recovery.
 	var degraded pipeline.Degraded
-	if err := pipeline.Drive(platform, p, fleet, totalTicks, pipeline.TickEvery, progress); errors.As(err, &degraded) {
+	if err := pipeline.Drive(platform, p, fleet, totalTicks, pipeline.TickEvery, onTick); errors.As(err, &degraded) {
 		fmt.Fprintf(stderr, "pipeline: %v\n", err)
+	} else if err != nil && ctx.Err() != nil {
+		fmt.Fprintln(stdout, "shutting down")
+		return 0
 	} else if err != nil {
 		fmt.Fprintf(stderr, "coordinator: %v\n", err)
 		return 1
@@ -183,6 +267,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if coord != nil {
 		coord.EndRun()
 	}
+	// The answer. Drive's last step located every streamer the quota let
+	// it, so this publish locates nothing.
+	snap := publish()
 	fmt.Fprintf(stdout, "pipeline done in %s\n\n", time.Since(start).Round(time.Millisecond))
 	if coord != nil {
 		fmt.Fprintf(stdout, "distributed: %d rounds (%d makeup), %d results ingested (%d deduped), "+
@@ -213,19 +300,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		p.Extracted, p.Missed, p.Zero)
 	fmt.Fprintf(stdout, "streamers located:     %d (unlocatable %d)\n\n", p.Located, p.Unlocated)
 
-	analyses := p.Analyze(core.DefaultParams())
-	groups := core.GroupByLocation(analyses)
-
 	var rows []distRow
-	for key, as := range groups {
-		if key.Loc.IsZero() {
-			continue
+	for _, e := range snap.Entries {
+		if e.N() >= 12 {
+			rows = append(rows, distRow{name: fmt.Sprintf("%s / %s", e.Location, e.Game), box: stats.NewBoxplot(e.Sorted)})
 		}
-		dist := core.Distribution(as, core.DefaultParams())
-		if len(dist) < 12 {
-			continue
-		}
-		rows = append(rows, distRow{name: fmt.Sprintf("%s / %s", key.Loc, key.Game), box: stats.NewBoxplot(dist)})
 	}
 	writeDistributions(stdout, rows)
 
@@ -235,7 +314,52 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "metrics: %v\n", err)
 		}
 	}
-	return 0
+	if ix == nil {
+		return 0
+	}
+
+	fmt.Fprintf(stdout, "index version %d: %d servable {location, game} entries\n", ix.Version(), len(snap.Entries))
+	if cat := ix.Catalog(); len(cat.Locations) > 0 {
+		l := cat.Locations[0]
+		q := url.Values{"location": {l.Location.Key}, "game": {l.Games[0]}}
+		fmt.Fprintf(stdout, "sample query: %s/v1/latency?%s\n", base, q.Encode())
+	}
+	fmt.Fprintln(stdout, "serving (Ctrl-C to stop)...")
+	// While serving, keep the wall-window burn rates moving even with no
+	// publishes happening (the availability SLO windows are wall time).
+	sloTick := time.NewTicker(15 * time.Second)
+	defer sloTick.Stop()
+	for {
+		select {
+		case <-sloTick.C:
+			slos.Evaluate()
+		case <-ctx.Done():
+			fmt.Fprintln(stdout, "shutting down")
+			return 0
+		}
+	}
+}
+
+// declareSLOs returns the serving run's objectives, evaluated after every
+// publish and on a wall ticker while serving, and reported on /readyz.
+// Freshness runs on the virtual clock — "p99 of readings become queryable
+// within 12 virtual hours" — while serve availability runs on wall time over
+// the 5xx share of /v1 requests.
+func declareSLOs(clock func() time.Time) *slo.Set {
+	slos := slo.NewSet()
+	slos.Add(&slo.Objective{
+		Name: "freshness_p99", Target: 0.99, Clock: clock,
+		SLI:     slo.HistogramThreshold{H: pipeline.FreshnessHistogram(), Threshold: 43200},
+		Windows: []time.Duration{6 * time.Hour, 24 * time.Hour},
+	}, &slo.Objective{
+		Name: "serve_availability", Target: 0.999,
+		SLI: slo.CounterRatio{
+			Good: func() float64 { g, _ := serve.RequestTotals(); return g },
+			Bad:  func() float64 { _, b := serve.RequestTotals(); return b },
+		},
+		Windows: []time.Duration{5 * time.Minute, time.Hour},
+	})
+	return slos
 }
 
 // distRow is one {location, game} line of the distribution table.
@@ -245,7 +369,7 @@ type distRow struct {
 }
 
 // writeDistributions prints the distribution table by p50, ties broken by
-// name: the rows come from a map, so the table must not keep its order.
+// name: the rows arrive in entry-key order, which the table must not keep.
 func writeDistributions(w io.Writer, rows []distRow) {
 	slices.SortFunc(rows, func(a, b distRow) int {
 		return cmp.Or(cmp.Compare(a.box.P50, b.box.P50), strings.Compare(a.name, b.name))

@@ -243,7 +243,8 @@ type Coordinator struct {
 	// tags holds, by streamer id, the first country-level tag of the
 	// streamer's latest go-live that had one, for the location module's tag
 	// recovery (App. D.2). It is the coordinator's own: no downloader reads
-	// it.
+	// it. ForgetTags keeps it to the streamers that are live or have a
+	// lookup pending.
 	tags map[string]string
 }
 
@@ -254,8 +255,33 @@ func NewCoordinator(kv kvstore.KV, api *APIClient) *Coordinator {
 }
 
 // Tag returns the country-level tag the streamer id last went live with,
-// or "" if it never had one. It must not run during a PollOnce.
+// or "" if it never had one or it was forgotten. It must not run during a
+// PollOnce.
 func (c *Coordinator) Tag(id string) string { return c.tags[id] }
+
+// ForgetTags drops the tag of every streamer that is not live and for which
+// pending reports no location lookup outstanding: after it, the tag table
+// holds only real IDs that the active hash or the pending lookups hold too
+// (§7). Call it where no stored thumbnail waits to be ingested, so that a
+// streamer whose tag it drops needs one again only after a new go-live,
+// which sets it. It must not run during a PollOnce.
+func (c *Coordinator) ForgetTags(pending func(id string) bool) {
+	var idle []string
+	for id := range c.tags {
+		if !pending(id) {
+			idle = append(idle, id)
+		}
+	}
+	if len(idle) == 0 {
+		return
+	}
+	active := c.KV.HGetAll(KeyActive)
+	for _, id := range idle {
+		if _, live := active[id]; !live {
+			delete(c.tags, id)
+		}
+	}
+}
 
 // PollOnce queries the API once, enqueues newly live streamers and
 // processes offline notices from downloaders. A refused

@@ -50,7 +50,7 @@ func TestMetricsDoNotPerturbTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	loud := runAll()
-	resp, err := http.Get(dbg.URL() + "/metrics")
+	resp, err := http.Get("http://" + dbg.Addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,9 +131,6 @@ func ServeDebugRegistry(addr string, reg *Registry) (*DebugServer, error) {
 	return d, nil
 }
 
-// URL returns the server's base URL.
-func (d *DebugServer) URL() string { return "http://" + d.Addr }
-
 // Shutdown gracefully shuts the server down: the listener closes right away
 // (no new connections), in-flight requests — a /metrics scrape or a pprof
 // profile mid-collection — run to completion, and the call returns when the

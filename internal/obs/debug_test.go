@@ -26,7 +26,7 @@ func TestDebugServerServesMetricsAndPprof(t *testing.T) {
 	defer srv.Close()
 
 	get := func(path string) (int, string) {
-		resp, err := http.Get(srv.URL() + path)
+		resp, err := http.Get("http://" + srv.Addr + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
@@ -64,7 +64,7 @@ func TestDebugServerGracefulShutdown(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		close(started)
-		resp, err := http.Get(srv.URL() + "/metrics")
+		resp, err := http.Get("http://" + srv.Addr + "/metrics")
 		if err != nil {
 			done <- err
 			return

@@ -82,7 +82,7 @@ func TestRegisterDebugRoutesAndNoStore(t *testing.T) {
 	}
 
 	get := func(path string) (int, string, string) {
-		resp, err := http.Get(srv.URL() + path)
+		resp, err := http.Get("http://" + srv.Addr + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}

@@ -460,7 +460,10 @@ const (
 
 // LocateStreamers runs the location module for every streamer with pending
 // measurements, maintaining a {pseudonym -> location history} and
-// forgetting the real ID. `now` is the pipeline's virtual time.
+// forgetting the real ID, and then the country tag of every streamer neither
+// live nor pending (Coordinator.ForgetTags). It runs after a drain, with no
+// stored thumbnail waiting to be ingested. `now` is the pipeline's virtual
+// time.
 //
 // Descriptions are asked of the API one at a time in sorted-streamer order;
 // the first the quota refuses ends the round (refused), and that streamer
@@ -549,6 +552,7 @@ func (p *Pipeline) LocateStreamers(now time.Time) (located int, refused bool) {
 				trace.A("streamer", l.anon), trace.A("outcome", outcome))
 		}
 	}
+	p.Coordinator.ForgetTags(func(id string) bool { _, ok := p.pending[id]; return ok })
 	mPendingQ.Set(float64(len(p.pending)))
 	plog.Debug("location round", "pending", len(ids), "located", located)
 	return located, refused

@@ -381,3 +381,75 @@ func TestRelocateEvery(t *testing.T) {
 		platform.Close()
 	}
 }
+
+// TestTagsLiveWhileLiveOrPending: a country tag is read by the lookup that
+// ends a streamer's pending measurements, which may come after it went
+// offline or, when the quota refuses it, rounds later; and again by the next
+// lookup of a streamer that stays live. So a streamer holds its tag exactly
+// while it is live or pending. The run locates after every drain; past its
+// world's day, under a quota of one request a tick, so offline streamers
+// wait pending across rounds. At the end, with every streamer offline and
+// looked up, no tag is left.
+func TestTagsLiveWhileLiveOrPending(t *testing.T) {
+	cfg := worldsim.DefaultConfig(4)
+	cfg.Streamers = 40
+	cfg.Days = 1
+	cfg.LocatableFrac = 0.8
+	world := worldsim.New(cfg)
+	platform := twitchsim.New(world)
+	t.Cleanup(platform.Close)
+	p := New(platform.URL(), 2)
+	// check holds every live or pending streamer to its tag and, after a
+	// round, every other streamer to none (between rounds a tag may outlive
+	// the go-live by up to a round: the drain after the offline notice can
+	// still pend a lookup). It counts the tags kept for an offline
+	// streamer's pending lookup.
+	check := func(when string, i int, exact bool) (heldOffline int) {
+		active := p.KV.HGetAll(download.KeyActive)
+		for _, st := range world.Streamers {
+			_, live := active[st.ID]
+			_, pending := p.pending[st.ID]
+			want := ""
+			if live || pending {
+				want = st.Profile.CountryTag
+			} else if !exact {
+				continue
+			}
+			if got := p.Coordinator.Tag(st.ID); got != want {
+				t.Fatalf("tick %d, %s: streamer %s (live %v, pending %v) has tag %q, want %q",
+					i, when, st.ID, live, pending, got, want)
+			}
+			if want != "" && !live {
+				heldOffline++
+			}
+		}
+		return heldOffline
+	}
+	const day = 24 * 30
+	held, refusals := 0, 0
+	err := Drive(platform, p, nil, day+300, TickEvery, func(i int) error {
+		if i%DrainEvery != 0 {
+			return nil
+		}
+		if i == day {
+			platform.SetAPIRate(1/TickEvery.Seconds(), 2)
+		}
+		held += check("before the round", i, false)
+		if _, refused := p.LocateStreamers(platform.Now()); refused {
+			refusals++
+		}
+		check("after the round", i, true)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held == 0 || refusals == 0 || p.Located == 0 || len(p.pending) != 0 {
+		t.Fatalf("%d refused rounds, %d tags held for offline lookups; the run located %d streamers and left %d pending",
+			refusals, held, p.Located, len(p.pending))
+	}
+	if active := p.KV.HGetAll(download.KeyActive); len(active) != 0 {
+		t.Fatalf("%d streamers still live at the end", len(active))
+	}
+	check("at the end", day+300, true)
+}

@@ -143,7 +143,7 @@ cleanup() {
     kill "$TERO_PID" 2>/dev/null || true
     kill "${SERVE_PID:-}" 2>/dev/null || true
     kill "${TRACE_PID:-}" 2>/dev/null || true
-    rm -f "$TMPDIR/tero-check-$$" "$TMPDIR/teroserve-check-$$" \
+    rm -f "$TMPDIR/tero-check-$$" \
         "$TMPDIR/terokv-check-$$" "$TMPDIR/teroexp-check-$$" \
         "$TMPDIR/teroworker-check-$$" \
         "$OUT" "$OUT.metrics" \
@@ -379,34 +379,33 @@ grep -E '^DISTBENCH .*"crash":true.*"claims_reaped":[1-9]' "$DIST" > /dev/null \
     || { echo "dist crash leg reaped no claim" >&2; cat "$DIST" >&2; exit 1; }
 echo "dist smoke ok: fleets of real worker processes byte-identical with golden"
 
-echo "== serve smoke (cmd/teroserve: /healthz, /v1/latency, ETag 304, metrics, SIGTERM exit 0) =="
-go build -o "$TMPDIR/teroserve-check-$$" ./cmd/teroserve
-# -refresh 2m republishes on every tick, so the ticks between thumbnail
-# rounds have nothing new: Build must hand back the snapshot the index
+echo "== serve smoke (tero -addr: /healthz, /v1/latency, ETag 304, metrics, SIGTERM exit 0) =="
+# A serving run republishes after every drain; a drain that took in no new
+# reading has nothing new, so Build must hand back the snapshot the index
 # already holds and Swap must skip it.
-"$TMPDIR/teroserve-check-$$" -streamers 12 -days 1 -addr 127.0.0.1:0 -log warn \
-    -refresh 2m > "$SERVE" 2>&1 &
+"$TMPDIR/tero-check-$$" -streamers 12 -days 1 -addr 127.0.0.1:0 -log warn \
+    > "$SERVE" 2>&1 &
 SERVE_PID=$!
 
-# Wait for the API to come up, then for the first publish to make it ready
-# (teroserve prints a fully-encoded sample query URL once it has entries).
+# Wait for the API to come up, then for the final publish (tero prints a
+# fully-encoded sample query URL after it, once it has entries).
 SADDR=""
 SQUERY=""
 i=0
 while [ $i -lt 300 ]; do
-    SADDR=$(sed -n 's|^teroserve listening at http://\([^ ]*\).*|\1|p' "$SERVE" | head -n 1)
+    SADDR=$(sed -n 's|^tero serving /v1 at http://\([^ ]*\).*|\1|p' "$SERVE" | head -n 1)
     SQUERY=$(sed -n 's|^sample query: \(http://[^ ]*\)$|\1|p' "$SERVE" | head -n 1)
     [ -n "$SQUERY" ] && break
     if ! kill -0 "$SERVE_PID" 2>/dev/null; then
-        echo "teroserve exited before publishing:" >&2
+        echo "the serving tero exited before publishing:" >&2
         cat "$SERVE" >&2
         exit 1
     fi
     i=$((i + 1))
     sleep 0.2
 done
-[ -n "$SADDR" ] || { echo "teroserve never announced an address" >&2; exit 1; }
-[ -n "$SQUERY" ] || { echo "teroserve never published a sample query" >&2; exit 1; }
+[ -n "$SADDR" ] || { echo "the serving tero never announced an address" >&2; exit 1; }
+[ -n "$SQUERY" ] || { echo "the serving tero never published a sample query" >&2; exit 1; }
 
 curl -fsS -o /dev/null "http://$SADDR/healthz" \
     || { echo "/healthz not serving" >&2; exit 1; }
@@ -450,13 +449,13 @@ SCODE=0
 wait "$SERVE_PID" || SCODE=$?
 SERVE_PID=""
 [ "$SCODE" = 0 ] \
-    || { echo "teroserve exited $SCODE on SIGTERM, want 0:" >&2; cat "$SERVE" >&2; exit 1; }
+    || { echo "the serving tero exited $SCODE on SIGTERM, want 0:" >&2; cat "$SERVE" >&2; exit 1; }
 grep -q '^shutting down$' "$SERVE" \
-    || { echo "teroserve did not report shutting down:" >&2; cat "$SERVE" >&2; exit 1; }
+    || { echo "the serving tero did not report shutting down:" >&2; cat "$SERVE" >&2; exit 1; }
 echo "serve shutdown ok: SIGTERM -> exit 0"
 
-echo "== trace/SLO smoke (teroserve -trace: traceparent join, journey chain, freshness SLO) =="
-"$TMPDIR/teroserve-check-$$" -streamers 12 -days 1 -addr 127.0.0.1:0 \
+echo "== trace/SLO smoke (tero -addr -trace: traceparent join, journey chain, freshness SLO) =="
+"$TMPDIR/tero-check-$$" -streamers 12 -days 1 -addr 127.0.0.1:0 \
     -debug-addr 127.0.0.1:0 -trace -trace-sample 1 -log warn \
     > "$TRACE" 2>&1 &
 TRACE_PID=$!
@@ -468,7 +467,7 @@ while [ $i -lt 300 ]; do
     TQUERY=$(sed -n 's|^sample query: \(http://[^ ]*\)$|\1|p' "$TRACE" | head -n 1)
     [ -n "$DADDR" ] && [ -n "$TQUERY" ] && break
     if ! kill -0 "$TRACE_PID" 2>/dev/null; then
-        echo "traced teroserve exited early:" >&2
+        echo "the traced serving tero exited early:" >&2
         cat "$TRACE" >&2
         exit 1
     fi
@@ -512,7 +511,7 @@ grep -qi '^cache-control: *no-store' "$TRACE.hdr" \
 curl -fsS -D "$TRACE.hdr" -o /dev/null "http://$DADDR/debug/traces"
 grep -qi '^cache-control: *no-store' "$TRACE.hdr" \
     || { echo "/debug/traces response is cacheable" >&2; exit 1; }
-SADDR2=$(sed -n 's|^teroserve listening at http://\([^ ]*\).*|\1|p' "$TRACE" | head -n 1)
+SADDR2=$(sed -n 's|^tero serving /v1 at http://\([^ ]*\).*|\1|p' "$TRACE" | head -n 1)
 curl -fsS "http://$SADDR2/readyz" > "$TRACE.readyz"
 grep -q '^slo ' "$TRACE.readyz" \
     || { echo "readyz carries no SLO report" >&2; exit 1; }
