@@ -209,7 +209,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		coord = dist.NewCoordinator(p, st)
 		fmt.Fprintf(stdout, "coordinator: store at %s — waiting for %d workers, start each with:\n"+
 			"  teroworker -store %s\n", kvSrv.Addr(), o.distributed, kvSrv.Addr())
-		if err := coord.WaitWorkers(o.distributed, 60*time.Second); err != nil {
+		if err := coord.WaitWorkers(ctx, o.distributed, 60*time.Second); err != nil && ctx.Err() != nil {
+			fmt.Fprintln(stdout, "shutting down")
+			return 0
+		} else if err != nil {
 			fmt.Fprintf(stderr, "%v\n", err)
 			return 1
 		}

@@ -280,12 +280,12 @@ func TestServesUntilCancelled(t *testing.T) {
 }
 
 // TestCancelledRunShutsDown: a run whose context is done before its first
-// tick ends, without -addr as with it, with "shutting down" and exit 0 and
-// prints no table.
+// tick ends, without -addr as with it and as a coordinator still waiting for
+// its fleet, with "shutting down" and exit 0 and prints no table.
 func TestCancelledRunShutsDown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, args := range [][]string{nil, {"-addr", "127.0.0.1:0"}} {
+	for _, args := range [][]string{nil, {"-addr", "127.0.0.1:0"}, {"-distributed", "1", "-listen", "127.0.0.1:0"}} {
 		var stdout, stderr bytes.Buffer
 		code := run(ctx, append([]string{"-streamers", "5", "-days", "1", "-log", "error"}, args...), &stdout, &stderr)
 		if code != 0 || !strings.HasSuffix(stdout.String(), "\nshutting down\n") ||

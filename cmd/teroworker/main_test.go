@@ -35,7 +35,7 @@ func TestJoinsAndLeavesWithTheRun(t *testing.T) {
 	go func() {
 		exit <- run(context.Background(), []string{"-store", srv.Addr(), "-log", "error"}, &stdout, &stderr)
 	}()
-	if err := coord.WaitWorkers(1, 10*time.Second); err != nil {
+	if err := coord.WaitWorkers(context.Background(), 1, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	for id := range st.HGetAll(dist.KeyRoster) {

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -82,12 +83,16 @@ func NewCoordinator(p *pipeline.Pipeline, kv kvstore.KV) *Coordinator {
 	}
 }
 
-// WaitWorkers blocks until n workers have registered.
-func (c *Coordinator) WaitWorkers(n int, timeout time.Duration) error {
+// WaitWorkers blocks until n workers have registered. It gives up with an
+// error when the timeout passes, and with ctx.Err() once ctx is done.
+func (c *Coordinator) WaitWorkers(ctx context.Context, n int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		if len(c.KV.HGetAll(KeyRoster)) >= n {
 			return nil
+		}
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("dist: %d workers never registered (have %d)",

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -121,7 +122,7 @@ func distRun(t *testing.T, seed int64, n, crashTick int) (*pipeline.Pipeline, *C
 		}()
 		workers[i] = w
 	}
-	if err := coord.WaitWorkers(n, 10*time.Second); err != nil {
+	if err := coord.WaitWorkers(context.Background(), n, 10*time.Second); err != nil {
 		t.Fatalf("wait workers: %v", err)
 	}
 

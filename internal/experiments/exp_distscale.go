@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"os/exec"
@@ -308,7 +309,7 @@ func runDistLeg(o Options, n, crashFrom int) ([]*Table, time.Duration, *dist.Coo
 		}
 		workers[i] = w
 	}
-	if err := coord.WaitWorkers(n, 30*time.Second); err != nil {
+	if err := coord.WaitWorkers(context.Background(), n, 30*time.Second); err != nil {
 		return nil, 0, nil, -1, err
 	}
 

@@ -187,13 +187,10 @@ func (e *Extractor) ExtractCrop(crop *imaging.Gray, game *games.Game) Extraction
 // sees. App. E's dilate/erode closing is not applied: it only makes sense
 // after a shared binarization.
 func (e *Extractor) preprocess(crop *imaging.Gray) *imaging.Gray {
-	switch {
-	case e.BlurSigma > 0:
-		return crop.ScaleNearestBlur(e.Upscale, e.BlurSigma)
-	case e.Upscale > 1:
-		return crop.ScaleNearest(e.Upscale)
+	if e.BlurSigma <= 0 && e.Upscale <= 1 {
+		return crop
 	}
-	return crop
+	return crop.ScaleNearestBlur(e.Upscale, e.BlurSigma)
 }
 
 // digitWindow returns the x-range of the crop (scaled by `scale`) where the

@@ -42,9 +42,10 @@ func BenchmarkThreshold(b *testing.B) {
 	}
 }
 
-// BenchmarkScaleNearest compares the seed per-pixel upscaler (scalar) with
-// the row-expand + row-copy / SWAR factor-2 rework (packed) on grayscale
-// input; outputs are pinned bit-identical by FuzzScaleNearest.
+// BenchmarkScaleNearest times the test oracle (scalar) beside ScaleNearest
+// (packed) on grayscale input; both are per-pixel replication loops now, so
+// the two should read alike. Outputs are pinned bit-identical by
+// FuzzScaleNearest.
 func BenchmarkScaleNearest(b *testing.B) {
 	for _, sz := range benchSizes {
 		g := benchImage(sz.w, sz.h)

@@ -151,11 +151,12 @@ func randomGray(r *rand.Rand, w, h int) *Gray {
 }
 
 // TestScaleNearestBlurMatchesComposition: for replication factors 1, 2 and 3
-// and both radii (sigma 0.5 is the extractor's, radius 2, which the pair
-// kernel takes at factor 2; sigma 1.0 is radius 3), on random images from 1×1
-// up — narrower than the kernel, one row high, widths around the SWAR
-// expansion's eight — the replicating blur is byte for byte the pre-PR
-// up-scale followed by the pre-PR blur. GaussianBlur is factor 1 of it.
+// and radii 1, 2, 3 and 5 (sigma 0.5 is the extractor's, radius 2, which the
+// pair kernel takes at factor 2; sigmas 0.3, 1.0 and 1.5 are radii 1, 3 and
+// 5, which the plain loop serves), on random images from 1×1 up — narrower
+// than the kernel, one row high — the replicating blur is byte for byte the
+// reference up-scale followed by the reference blur. GaussianBlur is factor
+// 1 of it.
 func TestScaleNearestBlurMatchesComposition(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for i := 0; i < 400; i++ {
@@ -165,7 +166,7 @@ func TestScaleNearestBlurMatchesComposition(t *testing.T) {
 		}
 		g := randomGray(r, w, h)
 		for _, factor := range []int{1, 2, 3} {
-			for _, sigma := range []float64{0.5, 1.0} {
+			for _, sigma := range []float64{0.3, 0.5, 1.0, 1.5} {
 				up := scaleNearestRef(g, factor)
 				want := gaussianBlurRef(up, sigma)
 				got := g.ScaleNearestBlur(factor, sigma)

@@ -1,75 +1,26 @@
 package imaging
 
 import (
-	"encoding/binary"
 	"math"
 	"sync/atomic"
 )
 
-// ScaleNearest returns the image up- or down-scaled by an integer factor
-// using nearest-neighbour sampling (factor >= 1).
-//
-// Integer upscaling is pure replication, so each source row is expanded
-// once into its first destination row and the remaining factor-1 rows are
-// row copies — never recomputed per output pixel. The ubiquitous factor-2
-// case (every OCR crop is doubled before thresholding) expands eight
-// pixels at a time: one 8-byte load, a SWAR byte-spread, two 8-byte
-// stores.
+// ScaleNearest returns the image up-scaled by an integer factor with
+// nearest-neighbour sampling: output pixel (x, y) is source pixel
+// (x/factor, y/factor). A factor below 2 returns a copy.
 func (g *Gray) ScaleNearest(factor int) *Gray {
 	if factor <= 1 {
 		return g.Clone()
 	}
 	out := New(g.W*factor, g.H*factor)
-	for sy := 0; sy < g.H; sy++ {
-		base := sy * factor * out.W
-		dst := out.Pix[base : base+out.W]
-		expandRow(dst, g.Pix[sy*g.W:(sy+1)*g.W], factor)
-		for r := 1; r < factor; r++ {
-			copy(out.Pix[base+r*out.W:base+(r+1)*out.W], dst)
+	for y := 0; y < out.H; y++ {
+		src := g.Pix[y/factor*g.W:]
+		row := out.Pix[y*out.W : (y+1)*out.W]
+		for x := range row {
+			row[x] = src[x/factor]
 		}
 	}
 	return out
-}
-
-// expandRow writes each src byte factor times into dst
-// (len(dst) = factor*len(src), factor >= 2).
-func expandRow(dst, src []uint8, factor int) {
-	if factor == 2 {
-		expandRow2(dst, src)
-		return
-	}
-	for x, p := range src {
-		d := dst[x*factor : (x+1)*factor]
-		for i := range d {
-			d[i] = p
-		}
-	}
-}
-
-// expandRow2 writes each src byte twice into dst (len(dst) = 2*len(src)),
-// eight source bytes per iteration.
-func expandRow2(dst, src []uint8) {
-	x := 0
-	for ; x+8 <= len(src); x += 8 {
-		w := binary.LittleEndian.Uint64(src[x:])
-		binary.LittleEndian.PutUint64(dst[2*x:], spreadBytesDouble(uint32(w)))
-		binary.LittleEndian.PutUint64(dst[2*x+8:], spreadBytesDouble(uint32(w>>32)))
-	}
-	for ; x < len(src); x++ {
-		dst[2*x] = src[x]
-		dst[2*x+1] = src[x]
-	}
-}
-
-// spreadBytesDouble duplicates each byte of v in place: bytes b0 b1 b2 b3
-// (little-endian) become b0 b0 b1 b1 b2 b2 b3 b3. Standard SWAR
-// interleave: space the bytes out with two shift-and-mask rounds, then OR
-// the word with itself shifted one byte.
-func spreadBytesDouble(v uint32) uint64 {
-	x := uint64(v)
-	x = (x | x<<16) & 0x0000ffff0000ffff
-	x = (x | x<<8) & 0x00ff00ff00ff00ff
-	return x | x<<8
 }
 
 // ScaleBilinear returns the image resampled to (w, h) with bilinear
@@ -105,137 +56,63 @@ func (g *Gray) ScaleBilinear(w, h int) *Gray {
 }
 
 // GaussianBlur returns the image convolved with a separable Gaussian kernel
-// of the given sigma (radius = ceil(3*sigma)).
-func (g *Gray) GaussianBlur(sigma float64) *Gray { return g.ScaleNearestBlur(1, sigma) }
+// of the given sigma (radius = ceil(3*sigma)), edges clamped. A sigma ≤ 0
+// returns a copy.
+//
+// Each pass sums its taps in kernel order. The horizontal pass adds table
+// entries (kernel[k]·p, precomputed exactly); the vertical pass rounds every
+// product by an explicit conversion before it is added, as in
+// ScaleBilinear: where Go fuses a multiply into an add (arm64, not amd64)
+// it may fuse scale2Blur5's shared products otherwise than these, and the
+// bytes would follow the architecture.
+func (g *Gray) GaussianBlur(sigma float64) *Gray {
+	if sigma <= 0 || g.W == 0 || g.H == 0 {
+		return g.Clone()
+	}
+	bk := blurKernelFor(sigma)
+	w, h, radius := g.W, g.H, bk.radius
+	sc := getBlurScratch(w * h)
+	defer blurPool.Put(sc)
+	tmp := sc.tmp
+	for y := 0; y < h; y++ {
+		row := g.Pix[y*w : (y+1)*w]
+		for x := range row {
+			acc := 0.0
+			for k := range bk.kernel {
+				sx := min(max(x+k-radius, 0), w-1)
+				acc += bk.lut[k*256+int(row[sx])]
+			}
+			tmp[y*w+x] = acc
+		}
+	}
+	out := New(w, h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			acc := 0.0
+			for k, kv := range bk.kernel {
+				sy := min(max(y+k-radius, 0), h-1)
+				acc += float64(kv * tmp[sy*w+x])
+			}
+			out.Pix[y*w+x] = uint8(acc + 0.5)
+		}
+	}
+	return out
+}
 
 // ScaleNearestBlur returns ScaleNearest(factor).GaussianBlur(sigma), byte
 // for byte. The extractor's setting, factor 2 with a five-tap kernel, never
-// builds the up-scaled image (scale2Blur5); another factor above 1 blurs a
-// pooled up-scaled image.
+// builds the up-scaled image (scale2Blur5); any other blurs a pooled
+// up-scaled image.
 func (g *Gray) ScaleNearestBlur(factor int, sigma float64) *Gray {
 	if sigma <= 0 || g.W == 0 || g.H == 0 {
 		return g.ScaleNearest(factor)
 	}
-	bk := blurKernelFor(sigma)
-	if factor == 2 && bk.radius == 2 {
+	if bk := blurKernelFor(sigma); factor == 2 && bk.radius == 2 {
 		return g.scale2Blur5(bk)
 	}
-	if factor > 1 {
-		up := g.ScaleNearest(factor)
-		defer Recycle(up)
-		return up.ScaleNearestBlur(1, sigma)
-	}
-	radius, kernel, lut := bk.radius, bk.kernel, bk.lut
-	w, h := g.W, g.H
-	sc := getBlurScratch(h*w, w)
-	defer blurPool.Put(sc)
-	// Horizontal pass. The intermediate rows are pure scratch: pooled, and
-	// fully overwritten before the vertical pass reads them. Interior
-	// columns never clamp, so they run as a straight dot product; only the
-	// radius-wide borders pay the clamp branches. The accumulation order is
-	// identical to the naive loop, so the output stays bit-identical.
-	tmp := sc.tmp
-	inLo, inHi := radius, w-radius
-	if inHi < inLo {
-		inLo, inHi = 0, 0 // image narrower than the kernel: all border
-	}
-	borderX := func(rowIn []uint8, rowOut []float64, x int) {
-		acc := 0.0
-		for k := range kernel {
-			sx := x + k - radius
-			if sx < 0 {
-				sx = 0
-			}
-			if sx >= w {
-				sx = w - 1
-			}
-			acc += lut[k*256+int(rowIn[sx])]
-		}
-		rowOut[x] = acc
-	}
-	for y := 0; y < h; y++ {
-		rowIn := g.Pix[y*w : (y+1)*w]
-		rowOut := tmp[y*w : (y+1)*w]
-		for x := 0; x < inLo; x++ {
-			borderX(rowIn, rowOut, x)
-		}
-		if radius == 2 {
-			// The pipeline default (sigma 0.5): unroll the 5 taps. The sum
-			// associates left-to-right like the accumulator loop, so the
-			// result is bit-identical.
-			l0, l1, l2 := lut[0:256], lut[256:512], lut[512:768]
-			l3, l4 := lut[768:1024], lut[1024:1280]
-			for x := inLo; x < inHi; x++ {
-				win := rowIn[x-2 : x+3]
-				rowOut[x] = l0[win[0]] + l1[win[1]] + l2[win[2]] + l3[win[3]] + l4[win[4]]
-			}
-		} else {
-			for x := inLo; x < inHi; x++ {
-				acc := 0.0
-				win := rowIn[x-radius:]
-				for k := range kernel {
-					acc += lut[k<<8+int(win[k])]
-				}
-				rowOut[x] = acc
-			}
-		}
-		for x := inHi; x < w; x++ {
-			borderX(rowIn, rowOut, x)
-		}
-	}
-	// Vertical pass, kernel-tap outer and column inner: each tap streams a
-	// whole intermediate row into a per-row accumulator instead of striding
-	// down columns. Per output pixel the taps still accumulate in kernel
-	// order (acc = k0*v0, then += k1*v1, ...), so this too is bit-identical
-	// to the naive loop (0.0 + a == a exactly for the non-negative taps).
-	// Every product is rounded by an explicit conversion before it is added,
-	// as in ScaleBilinear: where Go fuses a multiply into an add (arm64, not
-	// amd64) it may fuse scale2Blur5's shared products otherwise than these,
-	// and the bytes would follow the architecture.
-	out := New(w, h)
-	clampY := func(sy int) []float64 {
-		sy = min(max(sy, 0), h-1)
-		return tmp[sy*w : (sy+1)*w]
-	}
-	if radius == 2 {
-		// 5-tap unroll: one pass per output row, taps accumulated in kernel
-		// order exactly like the accumulator loop below.
-		k0, k1, k2, k3, k4 := kernel[0], kernel[1], kernel[2], kernel[3], kernel[4]
-		for y := 0; y < h; y++ {
-			r0, r1, r2 := clampY(y-2), clampY(y-1), clampY(y)
-			r3, r4 := clampY(y+1), clampY(y+2)
-			rowOut := out.Pix[y*w : (y+1)*w]
-			for x := range rowOut {
-				v := float64(k0 * r0[x])
-				v += float64(k1 * r1[x])
-				v += float64(k2 * r2[x])
-				v += float64(k3 * r3[x])
-				v += float64(k4 * r4[x])
-				rowOut[x] = uint8(v + 0.5)
-			}
-		}
-		return out
-	}
-	acc := sc.acc
-	for y := 0; y < h; y++ {
-		for k, kv := range kernel {
-			row := clampY(y + k - radius)
-			if k == 0 {
-				for x, v := range row {
-					acc[x] = kv * v
-				}
-			} else {
-				for x, v := range row {
-					acc[x] += float64(kv * v)
-				}
-			}
-		}
-		rowOut := out.Pix[y*w : (y+1)*w]
-		for x, v := range acc {
-			rowOut[x] = uint8(v + 0.5)
-		}
-	}
-	return out
+	up := g.ScaleNearest(factor)
+	defer Recycle(up)
+	return up.GaussianBlur(sigma)
 }
 
 // scale2Blur5 is ScaleNearestBlur(2, sigma) for a five-tap kernel. Taps
@@ -248,7 +125,7 @@ func (g *Gray) ScaleNearestBlur(factor int, sigma float64) *Gray {
 // loads and six products, not ten and ten.
 func (g *Gray) scale2Blur5(bk *blurKernel) *Gray {
 	w, last := 2*g.W, g.W-1
-	sc := getBlurScratch(g.H*w, w)
+	sc := getBlurScratch(g.H * w)
 	defer blurPool.Put(sc)
 	tmp := sc.tmp
 	l0, l1, l2 := bk.lut[0:256], bk.lut[256:512], bk.lut[512:768]

@@ -81,30 +81,24 @@ func RecycleBitmap(b *Bitmap) {
 }
 
 // blurScratch is the working storage of one separable Gaussian blur: the
-// float64 intermediate rows between the two passes (the single largest
-// per-extraction transient) and the accumulator row of the general-radius
-// vertical pass.
+// float64 intermediate rows between the two passes, the single largest
+// per-extraction transient.
 type blurScratch struct {
 	tmp []float64
-	acc []float64
 }
 
 var blurPool sync.Pool // holds *blurScratch
 
-// getBlurScratch returns scratch with nTmp intermediate values and a w-wide
-// accumulator row. Contents are undefined: the blur overwrites
-// every element it reads.
-func getBlurScratch(nTmp, w int) *blurScratch {
+// getBlurScratch returns scratch with n intermediate values. Contents are
+// undefined: the blur overwrites every element it reads.
+func getBlurScratch(n int) *blurScratch {
 	sc, _ := blurPool.Get().(*blurScratch)
 	if sc == nil {
 		sc = new(blurScratch)
 	}
-	if cap(sc.tmp) < nTmp {
-		sc.tmp = make([]float64, nTmp)
+	if cap(sc.tmp) < n {
+		sc.tmp = make([]float64, n)
 	}
-	if cap(sc.acc) < w {
-		sc.acc = make([]float64, w)
-	}
-	sc.tmp, sc.acc = sc.tmp[:nTmp], sc.acc[:w]
+	sc.tmp = sc.tmp[:n]
 	return sc
 }

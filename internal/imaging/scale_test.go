@@ -6,7 +6,7 @@ import (
 )
 
 // scaleNearestRef is the original per-pixel implementation, kept verbatim
-// as the oracle: the word-wise ScaleNearest must stay bit-identical to it.
+// as the oracle ScaleNearest must stay bit-identical to.
 func scaleNearestRef(g *Gray, factor int) *Gray {
 	if factor <= 1 {
 		return g.Clone()

@@ -190,7 +190,7 @@ func TestIncrementalPublishMatchesFromScratch(t *testing.T) {
 		}
 	}
 	t.Logf("%d publishes (%d partial), %d pairs located after their first analysis, %d moves, %d analyses, %d entries",
-		refreshes, partial, located, movers, len(prev), ix.Len())
+		refreshes, partial, located, movers, len(prev), len(b.Build().Entries))
 	if refreshes < 12 || partial < 6 || located == 0 || movers == 0 {
 		t.Fatal("the run does not exercise the cache: it needs refreshes that re-analyse some pairs and keep others, and location histories that change under analysed pairs")
 	}

@@ -192,14 +192,6 @@ func (ix *Index) Ready() bool { return ix.snap.Load() != nil }
 // Version returns the number of snapshots installed.
 func (ix *Index) Version() uint64 { return ix.version.Load() }
 
-// Len returns the current entry count.
-func (ix *Index) Len() int {
-	if s := ix.snap.Load(); s != nil {
-		return len(s.Entries)
-	}
-	return 0
-}
-
 // Swap installs a snapshot as the new index content: one pointer store,
 // whatever the snapshot's size. Concurrent swaps are serialized so Version
 // and the gauges describe the snapshot that is installed.

@@ -9,7 +9,10 @@
 // go/parser. A declared function no binary links is listed. The gate exits 1
 // when a listed function is not on allowlist.txt, or when an allowlist entry
 // is linked again or no longer declared; each allowlist line is a symbol and
-// its one reason. Run it from anywhere inside the module:
+// its one reason. The linker keeps a method whose name and signature match
+// a method the binary calls through some interface (Len, String, Error, …)
+// whether or not anything calls it, so such a method is never reported; a
+// coverage census finds those. Run it from anywhere inside the module:
 //
 //	go run ./scripts/reach
 package main
